@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.campus.categories import (
     BehaviorCategory,
@@ -36,6 +37,7 @@ from repro.campus.churn import (
     generate_sessions,
 )
 from repro.campus.host import FirewallPolicy, FirewallScope, Host, UdpPolicy
+from repro.campus.probe_index import ProbeResponseIndex
 from repro.campus.profiles import CampusProfile
 from repro.campus.service import ActivityPattern, Service
 from repro.campus.topology import (
@@ -164,6 +166,15 @@ class CampusPopulation:
 
     def address_of(self, host_id: int, t: float) -> int | None:
         return self.ledger.address_of(host_id, t)
+
+    @cached_property
+    def probe_index(self) -> ProbeResponseIndex:
+        """:meth:`occupant_host` plus the hosts' probe responses, in bulk.
+
+        Built on first use (only online probing reads it) and kept: the
+        population must not change once anything has probed it.
+        """
+        return ProbeResponseIndex(self)
 
     def services(self):
         """Yield every ``(host, service)`` pair in the population."""

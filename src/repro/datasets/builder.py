@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.active.prober import HalfOpenScanner, ScannerConfig
 from repro.active.results import ScanReport, UdpScanReport
 from repro.active.schedule import scan_start_times
@@ -302,18 +304,27 @@ class BuiltDataset:
         """(start, end) of every active scan, in order."""
         return [(report.start, report.end) for report in self.scan_reports]
 
-    def probe_targets(self) -> list[int]:
-        """The addresses the campus scanner probes.
+    @cached_property
+    def probe_target_array(self) -> np.ndarray:
+        """The addresses the campus scanner probes, ascending.
 
         The paper "was not able to actively probe the wireless address
-        range"; the target list reproduces that exclusion.
+        range"; the target list reproduces that exclusion.  Computed
+        once per dataset (read-only): every online prober built over
+        the dataset indexes into the same array.
         """
         space = self.population.topology.space
-        return [
-            address
-            for address in space.addresses()
-            if space.class_of(address) is not AddressClass.WIRELESS
-        ]
+        targets = np.concatenate([
+            np.arange(block.first, block.last + 1, dtype=np.int64)
+            for block in space.blocks
+            if block.address_class is not AddressClass.WIRELESS
+        ] or [np.empty(0, dtype=np.int64)])
+        targets.setflags(write=False)
+        return targets
+
+    def probe_targets(self) -> list[int]:
+        """:attr:`probe_target_array` as a list of ints."""
+        return self.probe_target_array.tolist()
 
     def transient_addresses(self) -> set[int]:
         """Addresses in transient blocks (the DTCP1-18d-trans subset)."""

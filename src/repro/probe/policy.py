@@ -1,12 +1,17 @@
 """Probe scheduling policies: when to probe which (address, port).
 
-A policy is a pure function of an integer task index: ``task(k)``
-returns the *k*-th probe as ``(when, address, port)`` or ``None`` once
-the schedule is exhausted.  That shape is what makes online probing
-checkpointable with one integer -- the scheduler persists its cursor,
-and a resumed run replays the identical tail of the schedule because
-nothing about a task depends on when the engine happened to call for
-it.
+A policy is a pure function of an integer task index: probe *k* fires
+at a time, address and port that depend on nothing but *k*.  That shape
+is what makes online probing checkpointable with one integer -- the
+scheduler persists its cursor, and a resumed run replays the identical
+tail of the schedule because nothing about a task depends on when the
+engine happened to call for it.
+
+The scheduler reads a policy through two calls: ``count_until(now)``,
+the number of tasks due at or before an instant (the cursor bound), and
+``window(lo, hi)``, the tasks ``lo <= k < hi`` as three parallel arrays
+``(when, address_index, port_index)`` indexing ``targets`` and
+``ports``.  ``task(k)`` is the scalar read of the same arrays.
 
 Two policies, the two sides of the trade-off this repo measures:
 
@@ -27,8 +32,12 @@ path.
 
 from __future__ import annotations
 
+import bisect
 import random
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from repro.active.schedule import scan_start_times
 from repro.simkernel.clock import Calendar, hours
@@ -43,11 +52,54 @@ SWEEP_SECONDS = hours(1.75)
 #: One scheduled probe: (dataset time, address, TCP/UDP port).
 ProbeTask = tuple[float, int, int]
 
+#: One window of the schedule: parallel (when, address_index,
+#: port_index) arrays over consecutive task indices.
+ProbeWindow = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: Policy names the CLI accepts, in help order.
 POLICY_NAMES = ("periodic", "heartbeat")
 
 
-class PeriodicSweepPolicy:
+class _SchedulePolicy:
+    """What both policies share: the target columns and scalar reads.
+
+    Subclasses set ``rate``, ``sweep_size`` and ``total_tasks`` (the
+    exact number of probes the schedule holds) and implement
+    ``count_until`` and ``window``.
+    """
+
+    rate: float
+    sweep_size: int
+    total_tasks: int
+
+    def __init__(self, targets: Sequence[int], ports: Sequence[int]) -> None:
+        #: Probed addresses and ports; windows index into these.
+        self.targets = np.asarray(targets, dtype=np.int64)
+        self.ports = np.asarray(ports, dtype=np.int64)
+
+    def window(self, lo: int, hi: int) -> ProbeWindow:
+        raise NotImplementedError
+
+    def task(self, k: int) -> ProbeTask | None:
+        """The *k*-th probe, or ``None`` past the end of the schedule."""
+        if k >= self.total_tasks:
+            return None
+        when, address_index, port_index = self.window(k, k + 1)
+        return (
+            float(when[0]),
+            int(self.targets[address_index[0]]),
+            int(self.ports[port_index[0]]),
+        )
+
+    def sweep_of(self, k: int) -> int:
+        return k // self.sweep_size
+
+    def sweep_count(self) -> int:
+        """Whole sweeps the schedule completes before the stream ends."""
+        return self.total_tasks // self.sweep_size if self.sweep_size else 0
+
+
+class PeriodicSweepPolicy(_SchedulePolicy):
     """The paper's every-12-hours sweep, scheduled online.
 
     Sweeps begin at the scheduled 11:00/23:00 times; within a sweep,
@@ -71,8 +123,7 @@ class PeriodicSweepPolicy:
         calendar: Calendar,
         end: float,
     ) -> None:
-        self.targets = list(targets)
-        self.ports = list(ports)
+        super().__init__(targets, ports)
         self.rate = float(rate)
         self.sweep_size = len(self.targets) * len(self.ports)
         starts: list[float] = []
@@ -92,26 +143,39 @@ class PeriodicSweepPolicy:
                 previous_end = start + duration
         self.duration = duration
         self.starts = starts
+        self.total_tasks = len(starts) * self.sweep_size
+        #: Pace of the walk: seconds between consecutive addresses.
+        self.step = duration / len(self.targets) if starts else 0.0
+        self._starts = np.asarray(starts, dtype=np.float64)
 
-    @property
-    def total_tasks(self) -> int:
-        return len(self.starts) * self.sweep_size
+    def count_until(self, now: float) -> int:
+        """Tasks scheduled at or before *now*.
 
-    def task(self, k: int) -> ProbeTask | None:
-        if k >= self.total_tasks:
-            return None
-        sweep, within = divmod(k, self.sweep_size)
-        address_index, port_index = divmod(within, len(self.ports))
-        step = self.duration / len(self.targets)
-        when = self.starts[sweep] + address_index * step
-        return (when, self.targets[address_index], self.ports[port_index])
+        Probe times never decrease with the task index, so every sweep
+        that started before the one containing *now* is wholly due, and
+        within that sweep the due addresses are a prefix -- found by
+        estimate, then settled with the same ``start + i * step``
+        arithmetic ``window`` uses.
+        """
+        sweep = bisect.bisect_right(self.starts, now) - 1
+        if sweep < 0:
+            return 0
+        start, step, count = self.starts[sweep], self.step, len(self.targets)
+        due = int(min(max((now - start) / step, 0.0), count))
+        while due < count and start + due * step <= now:
+            due += 1
+        while due > 0 and start + (due - 1) * step > now:
+            due -= 1
+        return sweep * self.sweep_size + due * len(self.ports)
 
-    def sweep_of(self, k: int) -> int:
-        return k // self.sweep_size
-
-    def sweep_count(self) -> int:
-        """Sweeps the schedule will start before the stream ends."""
-        return len(self.starts)
+    def window(self, lo: int, hi: int) -> ProbeWindow:
+        sweep, within = np.divmod(np.arange(lo, hi), self.sweep_size)
+        address_index, port_index = np.divmod(within, len(self.ports))
+        # Two separate ufuncs: a fused multiply-add would round once
+        # where the scalar ``start + i * step`` rounds twice.
+        when = address_index * self.step
+        when += self._starts[sweep]
+        return when, address_index, port_index
 
     def sweep_bounds(self, sweep: int) -> tuple[float, float]:
         """(start, nominal end) of one sweep."""
@@ -119,7 +183,23 @@ class PeriodicSweepPolicy:
         return (start, start + self.duration)
 
 
-class HeartbeatPolicy:
+@lru_cache(maxsize=8)
+def _heartbeat_order(seed: int, size: int) -> np.ndarray:
+    """The seeded permutation of ``range(size)`` a heartbeat walks.
+
+    ``random.shuffle`` swaps by position, so shuffling the indices
+    yields the order shuffling the (address, port) pairs themselves
+    would.  Memoised (read-only) because every engine, supervisor and
+    experiment row over one dataset and seed walks the same order.
+    """
+    order = list(range(size))
+    random.Random(derive_seed(seed, "probe.heartbeat")).shuffle(order)
+    permutation = np.asarray(order, dtype=np.int64)
+    permutation.setflags(write=False)
+    return permutation
+
+
+class HeartbeatPolicy(_SchedulePolicy):
     """A continuous low-rate prober (Beverly & Allman's heartbeat).
 
     Spreads the probe budget uniformly in time: probe ``k`` fires at
@@ -141,31 +221,49 @@ class HeartbeatPolicy:
         seed: int,
         end: float,
     ) -> None:
-        pairs = [(address, port) for address in targets for port in ports]
-        rng = random.Random(derive_seed(seed, "probe.heartbeat"))
-        rng.shuffle(pairs)
-        self.pairs = pairs
+        super().__init__(targets, ports)
         self.rate = float(rate)
         self.end = float(end)
-        self.sweep_size = len(pairs)
+        self.sweep_size = len(self.targets) * len(self.ports)
+        # Pair ``a * len(ports) + p`` is (targets[a], ports[p]): the
+        # address-major order the permutation is drawn over.
+        self._address_index, self._port_index = np.divmod(
+            _heartbeat_order(seed, self.sweep_size), max(len(self.ports), 1)
+        )
+        self.total_tasks = self._ticks(self.end) if self.sweep_size else 0
 
-    def task(self, k: int) -> ProbeTask | None:
-        if self.rate <= 0 or not self.pairs:
-            return None
-        when = (k + 1) / self.rate
-        if when > self.end:
-            return None
-        address, port = self.pairs[k % self.sweep_size]
-        return (when, address, port)
+    def _ticks(self, now: float) -> int:
+        """The largest ``n >= 0`` with ``n / rate <= now``.
 
-    def sweep_of(self, k: int) -> int:
-        return k // self.sweep_size
-
-    def sweep_count(self) -> int:
-        """Complete coverage passes that fit before the stream ends."""
-        if self.rate <= 0 or not self.pairs:
+        Settled with the division ``window`` computes probe times by,
+        so the bound agrees with them to the last bit.
+        """
+        rate = self.rate
+        if rate <= 0:
             return 0
-        return int(self.end * self.rate) // self.sweep_size
+        n = max(int(now * rate), 0)
+        while (n + 1) / rate <= now:
+            n += 1
+        while n > 0 and n / rate > now:
+            n -= 1
+        return n
+
+    def count_until(self, now: float) -> int:
+        """Tasks scheduled at or before *now*."""
+        return self._ticks(min(now, self.end)) if self.sweep_size else 0
+
+    def window(self, lo: int, hi: int) -> ProbeWindow:
+        k = np.arange(lo, hi)
+        slot = k % self.sweep_size
+        return (k + 1) / self.rate, self._address_index[slot], self._port_index[slot]
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """One coverage pass as (address, port) pairs, in probe order."""
+        return list(zip(
+            self.targets[self._address_index].tolist(),
+            self.ports[self._port_index].tolist(),
+        ))
 
     def sweep_bounds(self, sweep: int) -> tuple[float, float]:
         """(first probe time, last probe time) of one coverage pass."""

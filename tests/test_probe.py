@@ -163,6 +163,23 @@ class TestHeartbeatPolicy:
         assert start == pytest.approx(1.0)
         assert end == pytest.approx(policy.sweep_size / 1.0)
 
+    @pytest.mark.parametrize("rate", [0.7, 2.3])
+    def test_one_task_count_for_cutoff_and_sweeps(self, rate):
+        # 86400 * rate rounds just below a whole number at these rates,
+        # while the last probe, total / rate, lands on 86400.0 exactly:
+        # int(end * rate) plans one probe -- here one whole sweep --
+        # fewer than task() goes on to schedule.
+        end = 86400.0
+        total = round(end * rate)
+        assert int(end * rate) == total - 1
+        policy = heartbeat(rate=rate, end=end, targets=range(288),
+                           ports=[1, 2, 3, 4, 5])
+        assert total % policy.sweep_size == 0
+        assert policy.task(total - 1)[0] == end
+        assert policy.task(total) is None
+        assert policy.total_tasks == policy.count_until(end) == total
+        assert policy.sweep_count() == total // policy.sweep_size
+
 
 class TestBuildPolicy:
     def test_builds_both_names(self):

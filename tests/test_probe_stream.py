@@ -125,6 +125,51 @@ class TestOnlineRunEquivalence:
         assert renders(resumed) == renders(engine_result)
         assert resumed.snapshot.probes == engine_result.snapshot.probes
 
+    def test_resumed_run_counts_only_its_own_probes(
+        self, small_dtcp18, engine_result, tmp_path, monkeypatch
+    ):
+        # Like every other stream counter, repro_probe_*_total reports
+        # this run's work: the totals a checkpoint restored are not
+        # dispatched again, so they must not be counted again.
+        from repro.probe import ProbeScheduler
+        from repro.telemetry.metrics import MetricRegistry, set_registry
+
+        config = probing_config(
+            emit_every=hours(12),
+            checkpoint_every=hours(6),
+            checkpoint_path=str(tmp_path / "probe.checkpoint"),
+        )
+        StreamEngine(config, dataset=small_dtcp18).run(stop_after_records=8000)
+
+        restored = []
+        restore_state = ProbeScheduler.restore_state
+
+        def spy(self, state):
+            restored.append(dict(state))
+            restore_state(self, state)
+
+        monkeypatch.setattr(ProbeScheduler, "restore_state", spy)
+        telemetry = MetricRegistry()
+        previous = set_registry(telemetry)
+        try:
+            resumed = StreamEngine(config, dataset=small_dtcp18).run(resume=True)
+        finally:
+            set_registry(previous)
+
+        (checkpoint,) = restored
+        final = resumed.snapshot.probes
+        assert final == engine_result.snapshot.probes
+        assert 0 < checkpoint["issued"] < final.issued
+        for field, metric in (
+            ("issued", "repro_probe_dispatched_total"),
+            ("synacks", "repro_probe_synacks_total"),
+            ("rsts", "repro_probe_rsts_total"),
+            ("silent", "repro_probe_silent_total"),
+        ):
+            assert telemetry.value(metric) == (
+                getattr(final, field) - checkpoint[field]
+            ), metric
+
     def test_fabric_matches_engine(self, small_dtcp18, engine_result):
         result = FabricSupervisor(
             probing_config(emit_every=hours(12)),
