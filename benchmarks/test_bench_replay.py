@@ -1,13 +1,15 @@
 """Benchmark: trace-replay throughput, generated vs. cached.
 
 The record-once trace cache is the repo's single biggest wall-clock
-lever: every analysis pass after the first should stream the stored
-binary trace through the batched reader instead of regenerating the
-synthetic traffic.  This benchmark measures both paths over the same
-dataset with the standard observer set and records their throughput
-(records/sec) in ``extra_info``, so the speedup is tracked in the perf
-trajectory.  The acceptance floor is a 2x advantage for the cached
-path; measured speedups are typically 3-4x.
+lever: every analysis pass after the first should consume the stored
+trace as zero-copy column batches instead of regenerating the
+synthetic traffic.  This benchmark measures both paths -- per-record
+``replay`` over the generator, ``replay_columnar`` over the cached v2
+trace -- on the same dataset with the standard observer set and
+records their throughput (records/sec) in ``extra_info``.  The
+acceptance floor is a 2x advantage for the cached path; generation
+alone costs several microseconds a record, so measured speedups are
+well above it.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ def _fresh_observers(dataset):
 
 def test_bench_replay_throughput(benchmark, bench_seed, bench_scale):
     from repro.experiments.common import get_dataset
-    from repro.passive.monitor import replay, replay_batched
+    from repro.passive.monitor import replay, replay_columnar
     from repro.trace.cache import default_trace_cache
-    from repro.trace.format import read_records_chunked
+    from repro.trace.columnar import read_trace_columns
 
     dataset = get_dataset(DATASET, bench_seed, bench_scale)
     cache = default_trace_cache()
@@ -50,10 +52,10 @@ def test_bench_replay_throughput(benchmark, bench_seed, bench_scale):
     generated_count = replay(dataset._generate_stream(), *_fresh_observers(dataset))
     generated_seconds = time.perf_counter() - started
 
-    # Measured path: batched replay from the stored trace.
+    # Measured path: columnar replay from the stored trace.
     def cached_pass():
-        return replay_batched(
-            read_records_chunked(trace_path), *_fresh_observers(dataset)
+        return replay_columnar(
+            read_trace_columns(trace_path), *_fresh_observers(dataset)
         )
 
     started = time.perf_counter()

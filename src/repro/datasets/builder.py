@@ -174,8 +174,8 @@ class BuiltDataset:
         Record-once/analyze-many: the first full-duration replay
         generates the traffic, spilling it through the trace writer
         into the cache while the observers consume it; every later
-        full-duration replay streams the stored trace back through the
-        batched reader (:func:`repro.passive.monitor.replay_batched`).
+        full-duration replay streams the stored trace back as column
+        batches (:func:`repro.passive.monitor.replay_columnar`).
         Partial replays (``end`` before the dataset end) always
         regenerate -- truncated generation is not a prefix of the full
         stream.  Observer results are identical on every path.
@@ -187,11 +187,11 @@ class BuiltDataset:
         records the unfaulted stream, so one recording serves every
         loss rate, and the returned count is what the observers saw.
 
-        Cached passes are served as zero-copy column batches
-        (:func:`repro.passive.monitor.replay_columnar`): observers with
-        an ``observe_columns`` fast path consume the arrays directly;
-        the rest receive the identical ``PacketRecord`` batches via
-        the scalar fallback.
+        Cached batches are zero-copy column views: observers with an
+        ``observe_columns`` fast path consume the arrays directly; the
+        rest get the identical ``PacketRecord`` objects through
+        per-record ``observe``
+        (:func:`repro.passive.monitor.observe_each`).
         """
         from repro.passive.monitor import replay as _replay, replay_columnar
         from time import perf_counter

@@ -74,10 +74,10 @@ incremental watermarks while the trace is still being consumed
 Discovery state is also queryable *while these runs are in flight*:
 ``python -m repro serve`` fronts the streaming engine with an
 HTTP/JSON API over immutable shard snapshots, and the
-``query_service`` row in ``BENCH_baseline.json`` records the queries
-per second it sustains under concurrent client load with ingest
-running (gated by ``scripts/check_bench.py`` alongside the ingest
-throughput rows; see DESIGN.md §14).
+``serve_live`` workload of the repo benchmark (``BENCHMARK.json``,
+``bench/run.py``) measures the requests per second and latency it
+sustains under concurrent client load with ingest running, gated
+alongside the ingest workloads (see DESIGN.md §14).
 
 Every run here (and any fabric or serve invocation) can additionally
 record a causal event trace: ``--trace DIR`` writes per-process event

@@ -146,11 +146,6 @@ class CaptureFilter:
         self.stats.kept += 1
         return True
 
-    def filter_batch(self, records: list[PacketRecord]) -> list[PacketRecord]:
-        """Batch counterpart of :meth:`keep` (same decisions, in order)."""
-        keep = self.keep
-        return [record for record in records if keep(record)]
-
     def keep_mask(self, times: list[float], link_indices: list[int],
                   link_names: tuple[str, ...]):
         """Columnar counterpart of :meth:`keep`: a boolean keep mask.
@@ -161,8 +156,8 @@ class CaptureFilter:
         indices.  The decision loop is the exact scalar core --
         per-link RNG streams advance record by record in stream order
         -- so the drop pattern is bit-identical to filtering the same
-        records through :meth:`filter_batch`, without materialising a
-        single ``PacketRecord``.
+        records through :meth:`keep`, without materialising a single
+        ``PacketRecord``.
         """
         import numpy as np
 
@@ -172,6 +167,17 @@ class CaptureFilter:
              for time, index in zip(times, link_indices)),
             dtype=bool, count=len(times),
         )
+
+    def filter_columns(self, cols):
+        """The records of a ``RecordColumns`` batch the monitors see.
+
+        The one home of the mask-then-compress step every batch
+        consumer applies; returns *cols* itself when nothing dropped.
+        """
+        mask = self.keep_mask(
+            cols.time.tolist(), cols.link.tolist(), cols.link_names
+        )
+        return cols if mask.all() else cols.compress(mask)
 
     # ---- checkpoint support -------------------------------------------
 

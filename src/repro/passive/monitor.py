@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from time import perf_counter
 from typing import Callable, Iterable, Protocol
 
 import numpy as np
@@ -31,20 +33,18 @@ Endpoint = tuple[int, int, int]  # (address, port, proto)
 class PacketObserver(Protocol):
     """Anything that can consume captured packet records.
 
-    Observers may additionally expose ``observe_batch(records)``
-    consuming a list at a time; the batched replay engine prefers it
-    and falls back to per-record ``observe`` otherwise.  A batch
-    implementation must be behaviourally identical to calling
-    ``observe`` on each record in order.
+    ``observe`` is the definition of an observer: generation-time
+    passes call it per record, and it is the reference every
+    differential test compares against.
 
-    Observers may further expose ``observe_columns(cols)`` consuming a
-    :class:`repro.trace.columnar.RecordColumns` batch; the columnar
-    replay engine (:func:`replay_columnar`) prefers it and otherwise
-    materialises the batch once (shared across all scalar observers of
-    the pass) and feeds ``observe_batch``.  The scalar-fallback
-    contract: ``observe_columns(cols)`` must be behaviourally identical
-    to ``observe_batch(cols.to_records())``, and an implementation that
-    cannot vectorise a configuration must delegate to exactly that.
+    Observers may additionally expose ``observe_columns(cols)``
+    consuming a :class:`repro.trace.columnar.RecordColumns` batch --
+    the only batch type; :func:`replay_columnar` and the streaming
+    engine prefer it.  The contract: ``observe_columns(cols)`` must
+    leave the observer in exactly the state ``observe`` over
+    ``cols.to_records()`` leaves, and an implementation that cannot
+    vectorise a configuration must delegate to exactly that loop
+    (:func:`observe_each`).
     """
 
     def observe(self, record: PacketRecord) -> None:  # pragma: no cover
@@ -64,6 +64,23 @@ def _campus_params(is_campus) -> tuple[int, int] | None:
     if network is None or mask is None:
         return None
     return network, mask
+
+
+def _campus_mask(is_campus, addresses: np.ndarray) -> np.ndarray:
+    """Campus membership of an address column, for any predicate.
+
+    One mask expression for a prefix-parameterised predicate; an
+    opaque one is called per address (routing and the shard timeline
+    must work for both, whatever the tables fall back to).
+    """
+    params = _campus_params(is_campus)
+    if params is not None:
+        network, mask = params
+        return (addresses & mask) == network
+    return np.fromiter(
+        (is_campus(address) for address in addresses.tolist()),
+        dtype=bool, count=len(addresses),
+    )
 
 
 def _link_lut(link_names: tuple[str, ...], links: frozenset[str]) -> np.ndarray:
@@ -130,77 +147,17 @@ def replay(
     return count
 
 
-def _batch_adapter(observe: Callable[[PacketRecord], None]):
-    """Wrap a per-record ``observe`` as a batch consumer."""
+def observe_each(observer: PacketObserver, cols) -> None:
+    """The scalar fallback of every ``observe_columns``.
 
-    def observe_batch(records: list[PacketRecord]) -> None:
-        for record in records:
-            observe(record)
-
-    return observe_batch
-
-
-def replay_batched(
-    batches: Iterable[list[PacketRecord]],
-    *observers: PacketObserver,
-    faults=None,
-) -> int:
-    """Feed record *batches* into all *observers*; return the record count.
-
-    The batched counterpart of :func:`replay`, built for cached-trace
-    replay: the reader decodes records in chunks
-    (:func:`repro.trace.format.read_records_chunked`) and each observer
-    consumes a whole chunk per call.  Observers providing
-    ``observe_batch`` pay one Python call per batch instead of one per
-    record, and their batch loops hoist the direction/port/link
-    pre-filters into local variables, so records an observer would
-    discard cost a few comparisons rather than a method dispatch.
-
-    Results are identical to :func:`replay` over the flattened stream,
-    including under a *faults* filter: the filter consumes records in
-    stream order either way, so the drop pattern matches the
-    record-at-a-time path bit for bit.
+    Materialises the batch once (the list is cached on *cols*, so
+    several falling-back observers of one pass share it) and feeds
+    per-record ``observe`` -- the observer's definition, so the
+    resulting state is right by construction.
     """
-    count = 0
-    dispatchers = []
-    for observer in observers:
-        batch_method = getattr(observer, "observe_batch", None)
-        if batch_method is None:
-            batch_method = _batch_adapter(observer.observe)
-        dispatchers.append(batch_method)
-    filter_batch = faults.filter_batch if faults is not None else None
-    reg = _telemetry_registry()
-    if reg.enabled:
-        # Instrumented copy of the loop below: per-chunk wall timings
-        # land in a histogram.  Kept on a separate branch so the
-        # disabled path runs exactly the code it always did.
-        from time import perf_counter
-
-        chunk_seconds = reg.histogram(
-            "repro_replay_chunk_seconds",
-            "Wall time to dispatch one decoded chunk to all observers.",
-        )
-        chunks = reg.counter(
-            "repro_replay_chunks_total",
-            "Decoded chunks dispatched by batched replay.",
-        )
-        for batch in batches:
-            chunk_start = perf_counter()
-            if filter_batch is not None:
-                batch = filter_batch(batch)
-            for dispatch in dispatchers:
-                dispatch(batch)
-            count += len(batch)
-            chunk_seconds.observe(perf_counter() - chunk_start)
-            chunks.inc()
-        return count
-    for batch in batches:
-        if filter_batch is not None:
-            batch = filter_batch(batch)
-        for dispatch in dispatchers:
-            dispatch(batch)
-        count += len(batch)
-    return count
+    observe = observer.observe
+    for record in cols.to_records():
+        observe(record)
 
 
 def replay_columnar(
@@ -211,47 +168,30 @@ def replay_columnar(
     """Feed :class:`~repro.trace.columnar.RecordColumns` batches into
     all *observers*; return the record count.
 
-    The columnar counterpart of :func:`replay_batched`, built for the
-    v2 trace format: the reader hands out zero-copy column views
+    The batch counterpart of :func:`replay`, built for the v2 trace
+    format: the reader hands out zero-copy column views
     (:func:`repro.trace.columnar.read_trace_columns`) and observers
     exposing ``observe_columns`` consume whole field arrays --
     mask-based SYN-ACK selection, bincount accounting -- instead of
-    record objects.  Observers without a columnar path get the batch
-    materialised as records exactly once per batch (the list is cached
-    on the batch), so mixing vectorised and scalar observers costs one
-    decode, not one per observer.
+    record objects.  Observers without one get :func:`observe_each`.
 
-    Results are identical to :func:`replay_batched` over the same
-    stream, including under a *faults* filter: the filter's decision
-    loop consumes (link, time) pairs in stream order
+    Results are identical to :func:`replay` over the flattened stream,
+    including under a *faults* filter: the filter's decision loop
+    consumes (link, time) pairs in stream order
     (:meth:`repro.faults.capture.CaptureFilter.keep_mask`), so the drop
-    pattern matches the scalar paths bit for bit.
+    pattern matches the per-record path bit for bit.
+
+    With telemetry enabled each chunk's wall time lands in a histogram
+    (one ``perf_counter`` pair per chunk of up to 65,536 records).
     """
-    dispatchers = []
-    for observer in observers:
-        column_method = getattr(observer, "observe_columns", None)
-        if column_method is not None:
-            dispatchers.append((column_method, True))
-            continue
-        batch_method = getattr(observer, "observe_batch", None)
-        if batch_method is None:
-            batch_method = _batch_adapter(observer.observe)
-        dispatchers.append((batch_method, False))
-
-    def deliver(cols) -> None:
-        for dispatch, columnar in dispatchers:
-            if columnar:
-                dispatch(cols)
-            else:
-                dispatch(cols.to_records())
-
-    count = 0
+    dispatchers = [
+        getattr(observer, "observe_columns", None)
+        or partial(observe_each, observer)
+        for observer in observers
+    ]
     reg = _telemetry_registry()
-    if reg.enabled:
-        # Mirrors replay_batched's instrumented branch: same metric
-        # names, so dashboards see one replay pipeline.
-        from time import perf_counter
-
+    timed = reg.enabled
+    if timed:
         chunk_seconds = reg.histogram(
             "repro_replay_chunk_seconds",
             "Wall time to dispatch one decoded chunk to all observers.",
@@ -260,30 +200,19 @@ def replay_columnar(
             "repro_replay_chunks_total",
             "Decoded chunks dispatched by batched replay.",
         )
-        for cols in batches:
+    count = 0
+    for cols in batches:
+        if timed:
             chunk_start = perf_counter()
-            if faults is not None:
-                mask = faults.keep_mask(
-                    cols.time.tolist(), cols.link.tolist(), cols.link_names
-                )
-                if not mask.all():
-                    cols = cols.compress(mask)
-            if len(cols):
-                deliver(cols)
-                count += len(cols)
+        if faults is not None:
+            cols = faults.filter_columns(cols)
+        if len(cols):
+            for dispatch in dispatchers:
+                dispatch(cols)
+            count += len(cols)
+        if timed:
             chunk_seconds.observe(perf_counter() - chunk_start)
             chunks.inc()
-        return count
-    for cols in batches:
-        if faults is not None:
-            mask = faults.keep_mask(
-                cols.time.tolist(), cols.link.tolist(), cols.link_names
-            )
-            if not mask.all():
-                cols = cols.compress(mask)
-        if len(cols):
-            deliver(cols)
-            count += len(cols)
     return count
 
 
@@ -369,78 +298,6 @@ class PassiveServiceTable:
         elif record.proto == PROTO_UDP:
             self._observe_udp(record)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Batched :meth:`observe`: identical results, no per-record calls.
-
-        The pre-filters (link, sampler, protocol, direction, port) and
-        the SYN-ACK/ACK bookkeeping of the paper's default SYNACK rule
-        run inline on raw flag integers, so a discarded record costs a
-        few comparisons and a kept one a couple of dict operations --
-        no enum construction or method dispatch per record.  The
-        stricter HANDSHAKE signal and all UDP records take the exact
-        per-record path.
-        """
-        links = self.links
-        sampler = self.sampler
-        is_campus = self.is_campus
-        tcp_ports = self.tcp_ports
-        exclude = self.exclude_sources
-        synack_rule = self.signal is ServiceSignal.SYNACK
-        first_seen = self.first_seen
-        flow_counts = self.flow_counts
-        clients = self.clients
-        observe_tcp = self._observe_tcp
-        observe_udp = self._observe_udp
-        for record in records:
-            if links is not None and record.link not in links:
-                continue
-            if sampler is not None and not sampler(record.time):
-                continue
-            proto = record.proto
-            if proto == PROTO_TCP:
-                flag_bits = record.flags._value_
-                if flag_bits & 0x02:  # SYN set
-                    if flag_bits & 0x10:  # SYN-ACK: the service signal
-                        if not synack_rule:
-                            observe_tcp(record)
-                            continue
-                        src = record.src
-                        if not is_campus(src) or is_campus(record.dst):
-                            continue
-                        if record.dst in exclude:
-                            continue
-                        sport = record.sport
-                        if tcp_ports is not None and sport not in tcp_ports:
-                            continue
-                        endpoint = (src, sport, PROTO_TCP)
-                        previous = first_seen.get(endpoint)
-                        if previous is None or record.time < previous:
-                            first_seen[endpoint] = record.time
-                    # A bare SYN carries no service evidence.
-                    continue
-                if flag_bits & 0x10:  # bare ACK: flow/client accounting
-                    if not synack_rule:
-                        observe_tcp(record)
-                        continue
-                    src = record.src
-                    dst = record.dst
-                    if is_campus(src) or not is_campus(dst):
-                        continue
-                    if src in exclude:
-                        continue
-                    dport = record.dport
-                    if tcp_ports is not None and dport not in tcp_ports:
-                        continue
-                    endpoint = (dst, dport, PROTO_TCP)
-                    flow_counts[endpoint] = flow_counts.get(endpoint, 0) + 1
-                    served = clients.get(endpoint)
-                    if served is None:
-                        served = clients[endpoint] = set()
-                    served.add(src)
-                # RST and flagless records carry no evidence.
-            elif proto == PROTO_UDP:
-                observe_udp(record)
-
     # ---- columnar fast path -----------------------------------------
 
     def _can_vectorize(self) -> bool:
@@ -450,7 +307,7 @@ class PassiveServiceTable:
         SYNACK evidence rule, the SPORT UDP rule, no time sampler, and
         a prefix-parameterised campus predicate.  Everything else
         (HANDSHAKE ablation, BIDIRECTIONAL UDP, samplers, opaque
-        predicates) delegates to the scalar batch path -- identical
+        predicates) delegates to :func:`observe_each` -- identical
         results, per the observer contract.
         """
         return (
@@ -468,7 +325,7 @@ class PassiveServiceTable:
         return cached
 
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: whole-array selection masks.
+        """Batch :meth:`observe`: whole-array selection masks.
 
         Consumes a :class:`repro.trace.columnar.RecordColumns` batch.
         Evidence selection is mask algebra over the raw field arrays
@@ -477,7 +334,7 @@ class PassiveServiceTable:
         reductions, so per-record Python work disappears entirely.
         """
         if not self._can_vectorize():
-            self.observe_batch(cols.to_records())
+            observe_each(self, cols)
             return
         network, mask = _campus_params(self.is_campus)
         proto = cols.proto
@@ -591,8 +448,10 @@ class PassiveServiceTable:
     # ---- TCP --------------------------------------------------------
 
     def _observe_tcp(self, record: PacketRecord) -> None:
-        flags = record.flags
-        if flags.is_synack:
+        # Raw SYN/ACK bits, the same test observe_columns applies to the
+        # flags column (IntFlag operators cost more than the rule).
+        syn_ack_bits = record.flags._value_ & 0x12
+        if syn_ack_bits == 0x12:
             if not self.is_campus(record.src) or self.is_campus(record.dst):
                 return  # not a campus server answering an outside client
             if record.dst in self.exclude_sources:
@@ -609,7 +468,7 @@ class PassiveServiceTable:
                     (record.src, record.dst, record.dport, record.sport)
                 ] = record.time
             return
-        if flags & 0x10 and not flags.is_synack and not flags.is_syn:
+        if syn_ack_bits == 0x10:
             # A bare ACK from an outside client completes a handshake:
             # the flow/client weighting signal.  Half-open scanners
             # never send it, so scans do not inflate popularity.

@@ -19,7 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.net.packet import PacketRecord
-from repro.passive.monitor import PassiveServiceTable, ServiceSignal
+from repro.passive.monitor import (
+    PassiveServiceTable,
+    ServiceSignal,
+    observe_each,
+)
 
 
 @dataclass
@@ -66,27 +70,16 @@ class LinkTap:
             return
         self.table.observe(record)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        if self.faults is not None:
-            link = self.link
-            keep = self.faults.keep
-            records = [
-                record
-                for record in records
-                if record.link != link or keep(record)
-            ]
-        self.table.observe_batch(records)
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch` (the table filters by link).
+        """Batch :meth:`observe` (the table filters by link).
 
         A tap-level fault filter must see exactly this link's records
-        in stream order, which the scalar comprehension already
-        guarantees; with faults present the batch falls back to the
-        record path rather than re-deriving that contract here.
+        in stream order, which per-record ``observe`` already
+        guarantees; with faults present the batch falls back to it
+        rather than re-deriving that contract here.
         """
         if self.faults is not None:
-            self.observe_batch(cols.to_records())
+            observe_each(self, cols)
             return
         self.table.observe_columns(cols)
 
@@ -130,29 +123,17 @@ class MultiLinkMonitor:
         if tap is not None:
             tap.observe(record)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Batched :meth:`observe`: each table filters by link itself,
-        so handing every tap the whole batch gives identical results."""
-        if self.faults is not None:
-            records = self.faults.filter_batch(records)
-        self.combined.observe_batch(records)
-        for tap in self.taps.values():
-            tap.observe_batch(records)
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: one shared fault mask, then
-        every tap and the combined table consume the same column batch.
+        """Batch :meth:`observe`: one shared fault mask, then every tap
+        and the combined table consume the same column batch (each
+        table filters by link itself).
 
         The fault decision loop consumes (link, time) pairs in stream
         order (:meth:`repro.faults.capture.CaptureFilter.keep_mask`),
-        so the drop pattern matches the scalar path bit for bit.
+        so the drop pattern matches the per-record path bit for bit.
         """
         if self.faults is not None:
-            mask = self.faults.keep_mask(
-                cols.time.tolist(), cols.link.tolist(), cols.link_names
-            )
-            if not mask.all():
-                cols = cols.compress(mask)
+            cols = self.faults.filter_columns(cols)
             if not len(cols):
                 return
         self.combined.observe_columns(cols)

@@ -81,44 +81,17 @@ class WindowActivityObserver:
             return
         self.hits.setdefault(record.src, set()).add(window)
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Batched :meth:`observe`: identical results, hoisted filters."""
-        tcp_ports = self.tcp_ports
-        udp_ports = self.udp_ports
-        is_campus = self.is_campus
-        window_of = self._window_of
-        hits = self.hits
-        for record in records:
-            proto = record.proto
-            if proto == PROTO_TCP:
-                flags = record.flags._value_
-                if not (flags & 0x02 and flags & 0x10):  # SYN-ACK only
-                    continue
-                if tcp_ports is not None and record.sport not in tcp_ports:
-                    continue
-            elif proto == PROTO_UDP:
-                if record.sport not in udp_ports:
-                    continue
-            else:
-                continue
-            if not is_campus(record.src) or is_campus(record.dst):
-                continue
-            window = window_of(record.time)
-            if window is None:
-                continue
-            hits.setdefault(record.src, set()).add(window)
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: vectorised evidence masks and
+        """Batch :meth:`observe`: vectorised evidence masks and
         ``searchsorted`` window assignment; only the batch's distinct
         (address, window) pairs reach Python."""
         import numpy as np
 
-        from repro.passive.monitor import _campus_params
+        from repro.passive.monitor import _campus_params, observe_each
 
         params = _campus_params(self.is_campus)
         if params is None:
-            self.observe_batch(cols.to_records())
+            observe_each(self, cols)
             return
         network, mask = params
         proto = cols.proto

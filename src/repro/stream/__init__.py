@@ -59,7 +59,7 @@ from repro.stream.shard import (
     merged_last_seen,
     owning_address,
     shard_of,
-    split_batch,
+    split_columns,
 )
 from repro.stream.watermark import (
     ActiveTimeline,
@@ -101,6 +101,6 @@ __all__ = [
     "owning_address",
     "save_checkpoint",
     "shard_of",
-    "split_batch",
+    "split_columns",
     "windowed_summary",
 ]

@@ -1,15 +1,17 @@
 """The streaming discovery engine: run loop, resume, and final merge.
 
 :class:`StreamEngine` consumes a dataset's border capture as an
-unbounded stream of record batches -- from the record-once trace cache
-when a recording exists (:func:`repro.trace.format.read_records_chunked`
-with a seek past the resume offset), regenerated from the traffic model
-otherwise -- and drives the sharded pipeline end to end:
+unbounded stream of :class:`~repro.trace.columnar.RecordColumns`
+batches -- zero-copy views of the record-once trace cache when a
+recording exists (:func:`repro.trace.columnar.read_trace_columns` with
+a seek past the resume offset), regenerated from the traffic model and
+columnised chunk by chunk otherwise -- and drives the sharded pipeline
+end to end:
 
 1. the driving thread reads one batch, applies the run's fault filter
    (capture loss and monitor outages, in stream order -- the same drop
    pattern the batch path produces), routes it with
-   :func:`repro.stream.shard.split_batch`, and hands the parts to the
+   :func:`repro.stream.shard.split_columns`, and hands the parts to the
    :class:`repro.stream.ingest.StreamIngestor`;
 2. when stream time crosses an emission mark, the engine drains the
    shard queues and emits a :class:`repro.stream.watermark.Watermark`
@@ -53,15 +55,14 @@ from repro.stream.shard import (
     ShardState,
     merge_shards,
     merged_last_seen,
-    split_batch,
     split_columns,
 )
 from repro.stream.watermark import ActiveTimeline, Watermark, emit_schedule
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.tracing import tracer as _tracer
 from repro.trace.cache import default_trace_cache
-from repro.trace.columnar import read_trace_columns
-from repro.trace.format import DEFAULT_BATCH_RECORDS, read_records_chunked
+from repro.trace.columnar import RecordColumns, read_trace_columns
+from repro.trace.format import DEFAULT_BATCH_RECORDS
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,10 @@ class StreamConfig:
     #: ``emit_every`` this is outside the checkpoint identity: it only
     #: controls how often read-side copies are taken, never the result.
     snapshot_every: float | None = None
-    #: Consume the cached trace as zero-copy column batches (vectorised
-    #: routing and shard folding).  Off, the engine decodes
-    #: ``PacketRecord`` lists as before; results are byte-identical
-    #: either way, so this is purely a throughput switch.
+    #: Inert: column batches are the only batch type, and nothing
+    #: reads this.  The field survives (``False`` is rejected) only
+    #: because the frozen ``bench/harness.py`` passes ``columnar=True``;
+    #: the next ``benchmark`` PR drops the kwarg and the field together.
     columnar: bool = True
     #: Online probing policy (``"periodic"`` or ``"heartbeat"``); None
     #: streams passively against build-time scan reports, exactly as
@@ -112,6 +113,11 @@ class StreamConfig:
     probe_ports: tuple | None = None
 
     def __post_init__(self) -> None:
+        if not self.columnar:
+            raise ValueError(
+                "columnar=False was removed: column batches are the only "
+                "batch type"
+            )
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.batch_records < 1:
@@ -251,16 +257,8 @@ def _batched(
     stream: Iterator[PacketRecord], size: int
 ) -> Iterator[list[PacketRecord]]:
     """Chunk a record iterator into lists of *size* (last may be short)."""
-    batch: list[PacketRecord] = []
-    append = batch.append
-    for record in stream:
-        append(record)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
+    while chunk := list(islice(stream, size)):
+        yield chunk
 
 
 class StreamEngine:
@@ -302,21 +300,17 @@ class StreamEngine:
         return min(self.config.end, duration)
 
     def _source_batches(self, skip: int, end: float) -> Iterator:
-        """Record batches starting *skip* records into the stream.
+        """Column batches starting *skip* records into the stream.
 
-        Full-duration runs read the cached trace when one exists (the
-        resume offset is a single seek -- records are fixed width);
-        partial runs and cache misses regenerate the stream and skip
-        the prefix, which is cheap because skipped records feed no
-        observers.  Either way the records are identical, so a resumed
-        run continues the exact stream the killed run was consuming.
-
-        With ``config.columnar`` (the default) cached traces are served
-        as :class:`repro.trace.columnar.RecordColumns` batches --
-        zero-copy views over the mapped file -- and the run loop,
-        fault filter, router, and shard workers all take their
-        vectorised paths.  Regenerated streams are always scalar (the
-        traffic model produces records one at a time).
+        Full-duration runs read the cached trace when one exists --
+        zero-copy views over the mapped file, and the resume offset is
+        a single seek; partial runs and cache misses regenerate the
+        stream (the traffic model produces records one at a time),
+        skip the prefix -- cheap, because skipped records feed no
+        observers -- and columnise each chunk.  Either way the records
+        are identical, so a resumed run continues the exact stream the
+        killed run was consuming, and everything downstream sees one
+        batch type.
         """
         config = self.config
         dataset = self.dataset
@@ -325,21 +319,17 @@ class StreamEngine:
             if cache.enabled:
                 cached = cache.lookup(dataset.trace_cache_key)
                 if cached is not None:
-                    if config.columnar:
-                        yield from read_trace_columns(
-                            cached,
-                            chunk_records=config.batch_records,
-                            skip_records=skip,
-                        )
-                        return
-                    yield from read_records_chunked(
-                        cached, config.batch_records, skip_records=skip
+                    yield from read_trace_columns(
+                        cached,
+                        chunk_records=config.batch_records,
+                        skip_records=skip,
                     )
                     return
         stream = dataset._generate_stream(end)
         if skip:
             next(islice(stream, skip - 1, skip), None)
-        yield from _batched(stream, config.batch_records)
+        for chunk in _batched(stream, config.batch_records):
+            yield RecordColumns.from_records(chunk)
 
     # ---- watermarks & checkpoints --------------------------------------
 
@@ -542,40 +532,17 @@ class StreamEngine:
         wall_start = perf_counter()
         try:
             for batch in self._source_batches(records_read, end):
-                # The source yields either PacketRecord lists or
-                # RecordColumns batches; both define len(), and every
-                # consumer below has a columnar counterpart.
-                columnar = not isinstance(batch, list)
                 records_read += len(batch)
                 if faults is not None:
-                    if columnar:
-                        mask = faults.keep_mask(
-                            batch.time.tolist(),
-                            batch.link.tolist(),
-                            batch.link_names,
-                        )
-                        if not mask.all():
-                            batch = batch.compress(mask)
-                    else:
-                        batch = faults.filter_batch(batch)
+                    batch = faults.filter_columns(batch)
                 records_delivered += len(batch)
                 if len(batch):
-                    last_time = (
-                        float(batch.time[-1]) if columnar else batch[-1].time
-                    )
+                    last_time = float(batch.time[-1])
                     if last_time > now:
                         now = last_time
                     if tap is not None:
-                        if columnar:
-                            tap.observe_columns(batch)
-                        else:
-                            tap.observe_batch(batch)
-                    if columnar:
-                        ingestor.dispatch(
-                            split_columns(batch, is_campus, shards)
-                        )
-                    else:
-                        ingestor.dispatch(split_batch(batch, is_campus, shards))
+                        tap.observe_columns(batch)
+                    ingestor.dispatch(split_columns(batch, is_campus, shards))
                     if trc.enabled:
                         trc.note("engine.batch", records=records_read)
                 if prober is not None:

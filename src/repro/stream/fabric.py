@@ -68,7 +68,7 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.engine import StreamConfig, StreamEngine, StreamResult, finalize_result
 from repro.stream.membership import Membership
-from repro.stream.shard import ShardState, split_batch, split_columns
+from repro.stream.shard import ShardState, split_columns
 from repro.stream.watermark import ActiveTimeline, Watermark, emit_schedule
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
@@ -225,12 +225,8 @@ def _shard_worker(
                 continue
             kind = item[0]
             if kind == "batch":
-                part = item[1]
                 with _span("fabric.worker.batch"):
-                    if isinstance(part, list):
-                        state.observe_batch(part)
-                    else:
-                        state.observe_columns(part)
+                    state.observe_columns(item[1])
                 if trc.enabled:
                     trc.note("worker.batch", parent=item[2],
                              records=state.records)
@@ -628,30 +624,12 @@ class FabricSupervisor:
             if take <= 0:
                 break
             if take < len(batch):
-                batch = (
-                    batch[:take]
-                    if isinstance(batch, list)
-                    else batch.slice(0, take)
-                )
+                batch = batch.slice(0, take)
             fed += take
-            columnar = not isinstance(batch, list)
             if scratch is not None:
-                if columnar:
-                    mask = scratch.keep_mask(
-                        batch.time.tolist(), batch.link.tolist(),
-                        batch.link_names,
-                    )
-                    if not mask.all():
-                        batch = batch.compress(mask)
-                else:
-                    batch = scratch.filter_batch(batch)
+                batch = scratch.filter_columns(batch)
             if len(batch):
-                parts = (
-                    split_columns(batch, is_campus, shards)
-                    if columnar
-                    else split_batch(batch, is_campus, shards)
-                )
-                part = parts[shard]
+                part = split_columns(batch, is_campus, shards)[shard]
                 if part:
                     if not self._put(
                         shard,
@@ -1138,30 +1116,15 @@ class FabricSupervisor:
             for batch in self.engine._source_batches(
                 self._records_read, self._end
             ):
-                columnar = not isinstance(batch, list)
                 self._records_read += len(batch)
                 if faults is not None:
-                    if columnar:
-                        mask = faults.keep_mask(
-                            batch.time.tolist(), batch.link.tolist(),
-                            batch.link_names,
-                        )
-                        if not mask.all():
-                            batch = batch.compress(mask)
-                    else:
-                        batch = faults.filter_batch(batch)
+                    batch = faults.filter_columns(batch)
                 self._records_delivered += len(batch)
                 if len(batch):
-                    last_time = (
-                        float(batch.time[-1]) if columnar else batch[-1].time
-                    )
+                    last_time = float(batch.time[-1])
                     if last_time > self._now:
                         self._now = last_time
-                    parts = (
-                        split_columns(batch, is_campus, shards)
-                        if columnar
-                        else split_batch(batch, is_campus, shards)
-                    )
+                    parts = split_columns(batch, is_campus, shards)
                     ctx = trc.current_ids()
                     for shard, part in enumerate(parts):
                         if part:
@@ -1215,12 +1178,6 @@ class FabricSupervisor:
                 "fabric.end", records=self._records_read,
                 watermarks=len(self._watermarks),
             )
-        except KeyboardInterrupt:
-            self._kill_all()
-            raise
-        except BaseException:
-            self._kill_all()
-            raise
         finally:
             self._kill_all()
             if reg.enabled:

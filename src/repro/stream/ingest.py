@@ -2,7 +2,7 @@
 
 :class:`StreamIngestor` owns one worker thread and one bounded queue
 per shard.  The driving thread routes each decoded batch
-(:func:`repro.stream.shard.split_batch`) and enqueues the per-shard
+(:func:`repro.stream.shard.split_columns`) and enqueues the per-shard
 sub-batches; workers fold them into their :class:`ShardState` in
 arrival order.
 
@@ -25,7 +25,6 @@ import queue
 import threading
 from time import perf_counter
 
-from repro.net.packet import PacketRecord
 from repro.stream.shard import ShardState
 
 #: Default bound on queued sub-batches per shard.  With the default
@@ -139,10 +138,7 @@ class StreamIngestor:
                 return
             started = perf_counter()
             try:
-                if isinstance(item, list):
-                    state.observe_batch(item)
-                else:  # RecordColumns sub-batch from split_columns
-                    state.observe_columns(item)
+                state.observe_columns(item)
             except BaseException as exc:  # noqa: BLE001 - surfaced on drain
                 self._errors.append(ShardWorkerError(index, exc))
                 work.task_done()
@@ -194,11 +190,8 @@ class StreamIngestor:
     def dispatch(self, parts: list) -> None:
         """Enqueue one routed batch (backpressure-blocks, never deadlocks).
 
-        Each part is either a ``list[PacketRecord]`` sub-batch from
-        :func:`repro.stream.shard.split_batch` or a
-        :class:`repro.trace.columnar.RecordColumns` sub-batch from
-        :func:`repro.stream.shard.split_columns`; workers dispatch on
-        the type, so the two can even be mixed within one run.
+        Each part is a :class:`repro.trace.columnar.RecordColumns`
+        sub-batch from :func:`repro.stream.shard.split_columns`.
 
         A full shard queue applies backpressure through the bounded
         retry loop in :meth:`_put_bounded`; a queue that stays full for

@@ -53,35 +53,27 @@ def shard_of(address: int, shards: int) -> int:
 
 
 def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
-    """Columnar :func:`split_batch`: one vectorised scatter per batch.
+    """Partition one batch into per-shard sub-batches (in order).
 
-    The owning-address rule is evaluated with ``np.where`` over the
-    whole batch, hashed with the same multiplier, and the batch is
-    permuted once with a *stable* argsort so each shard's sub-batch
-    preserves stream order -- the invariant the per-link fault and
-    handshake state machines rely on.
+    The owning-address rule (:func:`owning_address`, per record) is
+    evaluated with ``np.where`` over the whole batch, hashed with
+    :func:`shard_of`'s multiplier, and the batch is permuted once with
+    a *stable* argsort so each shard's sub-batch preserves stream
+    order -- the invariant the per-link fault and handshake state
+    machines rely on.
     """
     import numpy as np
 
-    from repro.passive.monitor import _campus_params
+    from repro.passive.monitor import _campus_mask
 
     if shards <= 1:
         return [cols]
     src = cols.src
     dst = cols.dst
     proto = cols.proto
-    params = _campus_params(is_campus)
-    if params is not None:
-        network, mask = params
-        src_campus = (src & mask) == network
-    else:
-        src_campus = np.fromiter(
-            (is_campus(address) for address in src.tolist()),
-            dtype=bool, count=len(cols),
-        )
     tcp = proto == PROTO_TCP
     synack = tcp & ((cols.flags & 0x12) == 0x12)
-    udp_out = (proto == PROTO_UDP) & src_campus
+    udp_out = (proto == PROTO_UDP) & _campus_mask(is_campus, src)
     owning = np.where(synack | udp_out, src, dst)
     shard_index = (
         (owning.astype(np.uint64) * np.uint64(_HASH_MULTIPLIER))
@@ -97,29 +89,13 @@ def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
     ]
 
 
-def split_batch(
-    records: list[PacketRecord],
-    is_campus: Callable[[int], bool],
-    shards: int,
-) -> list[list[PacketRecord]]:
-    """Partition one record batch into per-shard sub-batches (in order)."""
-    if shards <= 1:
-        return [records]
-    parts: list[list[PacketRecord]] = [[] for _ in range(shards)]
-    appends = [part.append for part in parts]
-    for record in records:
-        appends[shard_of(owning_address(record, is_campus), shards)](record)
-    return parts
-
-
 @dataclass
 class ShardState:
     """One shard's long-lived discovery state.
 
-    Wraps a real :class:`PassiveServiceTable` (so folding a record is
+    Wraps a real :class:`PassiveServiceTable` (so folding a batch is
     exactly the batch-replay code path) plus the streaming extras: a
     per-endpoint *last-seen* timeline and a processed-record counter.
-    Both update in O(1) per record.
     """
 
     index: int
@@ -128,59 +104,23 @@ class ShardState:
     last_seen: dict[Endpoint, float] = field(default_factory=dict)
     records: int = 0
 
-    def observe_batch(self, records: list[PacketRecord]) -> None:
-        """Fold one routed sub-batch into the shard state."""
-        table = self.table
-        table.observe_batch(records)
-        self.records += len(records)
-        # Last-seen maintenance mirrors the table's evidence filter for
-        # the two signals that stamp first_seen on the default rules
-        # (SYN-ACK, UDP source port); it is supplementary state and
-        # never feeds the completeness report.
-        is_campus = table.is_campus
-        tcp_ports = table.tcp_ports
-        udp_ports = table.udp_ports
-        exclude = table.exclude_sources
-        last_seen = self.last_seen
-        for record in records:
-            proto = record.proto
-            if proto == PROTO_TCP:
-                flags = record.flags._value_
-                if not (flags & 0x02 and flags & 0x10):
-                    continue
-                port = record.sport
-                if tcp_ports is not None and port not in tcp_ports:
-                    continue
-            elif proto == PROTO_UDP:
-                port = record.sport
-                if port not in udp_ports:
-                    continue
-            else:
-                continue
-            if not is_campus(record.src) or is_campus(record.dst):
-                continue
-            if record.dst in exclude:
-                continue
-            endpoint = (record.src, port, proto)
-            previous = last_seen.get(endpoint)
-            if previous is None or record.time > previous:
-                last_seen[endpoint] = record.time
-
     def observe_columns(self, cols) -> None:
-        """Columnar :meth:`observe_batch`: table fast path plus a
-        group-max update of the last-seen timeline."""
+        """Fold one routed sub-batch into the shard state: the table's
+        ``observe_columns`` plus a group-max update of the last-seen
+        timeline.
+
+        Last-seen maintenance mirrors the table's evidence filter for
+        the two signals that stamp first_seen on the default rules
+        (SYN-ACK, UDP source port); it is supplementary state and
+        never feeds the completeness report.
+        """
         import numpy as np
 
-        from repro.passive.monitor import _campus_params
+        from repro.passive.monitor import _campus_mask
 
         table = self.table
-        params = _campus_params(table.is_campus)
-        if params is None:
-            self.observe_batch(cols.to_records())
-            return
         table.observe_columns(cols)
         self.records += len(cols)
-        network, mask = params
         proto = cols.proto
         sport = cols.sport
         evidence = (proto == PROTO_TCP) & ((cols.flags & 0x12) == 0x12)
@@ -192,8 +132,8 @@ class ShardState:
             evidence |= (proto == PROTO_UDP) & np.isin(sport, udp_ports)
         src = cols.src
         dst = cols.dst
-        evidence &= (src & mask) == network
-        evidence &= (dst & mask) != network
+        evidence &= _campus_mask(table.is_campus, src)
+        evidence &= ~_campus_mask(table.is_campus, dst)
         exclude = table.exclude_sources
         if exclude:
             evidence &= ~np.isin(dst, np.fromiter(exclude, dtype=np.uint32))

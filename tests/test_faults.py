@@ -14,8 +14,9 @@ from repro.campus.host import ProbeOutcome
 from repro.datasets import build_dataset
 from repro.faults import FaultPlan
 from repro.net.packet import PacketRecord
-from repro.passive.monitor import PassiveServiceTable, replay, replay_batched
+from repro.passive.monitor import PassiveServiceTable, replay, replay_columnar
 from repro.passive.taps import LinkTap, MultiLinkMonitor
+from repro.trace.columnar import RecordColumns
 
 DATASET = "DTCPall"
 SEED = 23
@@ -103,6 +104,11 @@ class TestOutageWindows:
         assert plan.outage_windows("a", 500.0) != other.outage_windows("a", 500.0)
 
 
+def kept_by(filt, records):
+    """The records *filt* lets through, decided one by one."""
+    return [record for record in records if filt.keep(record)]
+
+
 def make_records(n, link="l0", start=0.0, step=1.0):
     return [
         PacketRecord(
@@ -117,7 +123,7 @@ class TestCaptureFilter:
     def test_iid_loss_rate_roughly_respected(self):
         plan = FaultPlan(seed=1, capture_loss_rate=0.3)
         filt = plan.capture_filter(10_000.0)
-        kept = filt.filter_batch(make_records(10_000))
+        kept = kept_by(filt, make_records(10_000))
         assert filt.stats.seen == 10_000
         assert filt.stats.drop_fraction == pytest.approx(0.3, abs=0.02)
         assert len(kept) == filt.stats.kept
@@ -125,19 +131,28 @@ class TestCaptureFilter:
     def test_decisions_are_deterministic(self):
         records = make_records(2_000)
         plan = FaultPlan(seed=5, capture_loss_rate=0.2, burst_loss_rate=0.01)
-        a = plan.capture_filter(2_000.0).filter_batch(records)
-        b = plan.capture_filter(2_000.0).filter_batch(records)
+        a = kept_by(plan.capture_filter(2_000.0), records)
+        b = kept_by(plan.capture_filter(2_000.0), records)
         assert a == b
-        c = plan.with_seed(6).capture_filter(2_000.0).filter_batch(records)
+        c = kept_by(plan.with_seed(6).capture_filter(2_000.0), records)
         assert a != c
 
     def test_batch_matches_per_record(self):
-        records = make_records(1_000)
-        plan = FaultPlan(seed=5, capture_loss_rate=0.2)
-        batched = plan.capture_filter(1_000.0).filter_batch(records)
+        records = make_records(600, link="commercial1") + make_records(
+            400, link="internet2", start=300.0
+        )
+        plan = FaultPlan(
+            seed=5, capture_loss_rate=0.2, burst_loss_rate=0.01,
+            outage_fraction=0.1,
+        )
+        batch_filter = plan.capture_filter(1_000.0)
+        batched = []
+        for start in range(0, len(records), 256):
+            cols = RecordColumns.from_records(records[start : start + 256])
+            batched += batch_filter.filter_columns(cols).to_records()
         single = plan.capture_filter(1_000.0)
-        per_record = [r for r in records if single.keep(r)]
-        assert batched == per_record
+        assert batched == kept_by(single, records)
+        assert batch_filter.state_dict() == single.state_dict()
 
     def test_per_link_state_is_independent(self):
         """A link's drop pattern must not depend on other links' traffic.
@@ -152,8 +167,8 @@ class TestCaptureFilter:
         for i, record in enumerate(make_records(500, link="a")):
             mixed.append(record)
             mixed.extend(make_records(i % 3, link="b", start=record.time))
-        alone = plan.capture_filter(500.0).filter_batch(a_only)
-        interleaved = plan.capture_filter(500.0).filter_batch(mixed)
+        alone = kept_by(plan.capture_filter(500.0), a_only)
+        interleaved = kept_by(plan.capture_filter(500.0), mixed)
         assert [r for r in interleaved if r.link == "a"] == alone
 
     def test_burst_loss_drops_runs(self):
@@ -182,7 +197,7 @@ class TestCaptureFilter:
         filt = plan.capture_filter(1_000.0)
         (start, end), = filt.outage_windows_for("l0")
         records = make_records(1_000)
-        kept_times = {r.time for r in filt.filter_batch(records)}
+        kept_times = {r.time for r in kept_by(filt, records)}
         for record in records:
             assert (record.time in kept_times) == (
                 not start <= record.time < end
@@ -309,13 +324,13 @@ class TestLossyReplayPaths:
             iter(generated_records), streamed,
             faults=plan.capture_filter(dataset.duration),
         )
-        batches = [
-            generated_records[i : i + 777]
+        batches = (
+            RecordColumns.from_records(generated_records[i : i + 777])
             for i in range(0, len(generated_records), 777)
-        ]
+        )
         batched = self.tables(dataset)
-        count_b = replay_batched(
-            iter(batches), batched,
+        count_b = replay_columnar(
+            batches, batched,
             faults=plan.capture_filter(dataset.duration),
         )
         assert count_s == count_b
@@ -337,7 +352,7 @@ class TestLossyReplayPaths:
         for record in generated_records:
             per_record.observe(record)
         batched = monitor(plan.capture_filter(dataset.duration))
-        batched.observe_batch(generated_records)
+        batched.observe_columns(RecordColumns.from_records(generated_records))
         assert per_record.combined.first_seen == batched.combined.first_seen
         for link, tap in per_record.taps.items():
             assert tap.table.first_seen == batched.taps[link].table.first_seen
@@ -360,7 +375,7 @@ class TestLossyReplayPaths:
             tcp_ports=dataset.tcp_ports,
             faults=plan.capture_filter(dataset.duration),
         )
-        own_only_tap.observe_batch(own)
+        own_only_tap.observe_columns(RecordColumns.from_records(own))
         assert all_records_tap.table.first_seen == own_only_tap.table.first_seen
 
     def test_lossy_scan_is_deterministic(self, dataset):

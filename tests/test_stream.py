@@ -31,9 +31,10 @@ from repro.stream import (
     owning_address,
     save_checkpoint,
     shard_of,
-    split_batch,
+    split_columns,
 )
 from repro.passive.monitor import PassiveServiceTable
+from repro.trace.columnar import RecordColumns
 
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
@@ -95,18 +96,19 @@ class TestShardRouting:
         self, small_dtcp18, record_sample, shards
     ):
         is_campus = small_dtcp18.is_campus
-        parts = split_batch(record_sample, is_campus, shards)
+        parts = split_columns(
+            RecordColumns.from_records(record_sample), is_campus, shards
+        )
         assert len(parts) == shards
         assert sum(len(part) for part in parts) == len(record_sample)
-        positions = {id(record): i for i, record in enumerate(record_sample)}
+        # Each part is exactly the per-record routing rule's sub-stream,
+        # in stream order.
         for index, part in enumerate(parts):
-            for record in part:
-                assert shard_of(owning_address(record, is_campus), shards) == index
-            # Stream order is preserved within each shard.
-            order = [positions[id(record)] for record in part]
-            assert order == sorted(order)
-        by_id = {id(record) for part in parts for record in part}
-        assert by_id == {id(record) for record in record_sample}
+            assert part.to_records() == [
+                record
+                for record in record_sample
+                if shard_of(owning_address(record, is_campus), shards) == index
+            ]
 
 
 class TestEquivalence:
@@ -137,6 +139,18 @@ class TestEquivalence:
         assert result.table.first_seen == reference.first_seen
         assert result.table.flow_counts == reference.flow_counts
         assert result.table.clients == reference.clients
+
+
+class TestOneBatchType:
+    def test_list_tier_is_gone(self):
+        """Columns are the only batch type: no option selects another."""
+        import repro.stream
+
+        assert small_config(columnar=True).columnar  # bench/ still passes it
+        with pytest.raises(ValueError, match="columnar"):
+            small_config(columnar=False)
+        assert "split_batch" not in repro.stream.__all__
+        assert not hasattr(ShardState, "observe_batch")
 
 
 class TestWatermarks:
@@ -236,16 +250,16 @@ class TestCheckpointResume:
     def test_capture_filter_state_roundtrip(self, record_sample):
         duration = days(18)
         uninterrupted = CAPTURE_FAULTS.capture_filter(duration)
-        expected = uninterrupted.filter_batch(list(record_sample))
+        expected = [r for r in record_sample if uninterrupted.keep(r)]
 
         first = CAPTURE_FAULTS.capture_filter(duration)
         half = len(record_sample) // 2
-        head = first.filter_batch(list(record_sample[:half]))
+        head = [r for r in record_sample[:half] if first.keep(r)]
         snapshot = first.state_dict()
 
         second = CAPTURE_FAULTS.capture_filter(duration)
         second.restore_state(snapshot)
-        tail = second.filter_batch(list(record_sample[half:]))
+        tail = [r for r in record_sample[half:] if second.keep(r)]
         assert [r.time for r in head + tail] == [r.time for r in expected]
         assert second.stats.seen == uninterrupted.stats.seen
 
@@ -268,13 +282,13 @@ class TestIngestor:
         class Exploding:
             is_campus = staticmethod(lambda a: True)
 
-            def observe_batch(self, records):
+            def observe_columns(self, cols):
                 raise RuntimeError("boom")
 
         states = self._states(1)
         states[0].table = Exploding()
         ingestor = StreamIngestor(states)
-        ingestor.dispatch([record_sample[:10]])
+        ingestor.dispatch([RecordColumns.from_records(record_sample[:10])])
         with pytest.raises(ShardWorkerError):
             ingestor.drain()
 
@@ -290,7 +304,9 @@ class TestIngestor:
             for i in range(2)
         ]
         ingestor = StreamIngestor(states, max_queue_chunks=4)
-        parts = split_batch(record_sample, small_dtcp18.is_campus, 2)
+        parts = split_columns(
+            RecordColumns.from_records(record_sample), small_dtcp18.is_campus, 2
+        )
         ingestor.dispatch(parts)
         ingestor.drain()
         ingestor.close()

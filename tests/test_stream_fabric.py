@@ -359,7 +359,7 @@ class _BlockedState(ShardState):
         self.records = 0
         self.last_seen = {}
 
-    def observe_batch(self, records):  # pragma: no cover - timing-dependent
+    def observe_columns(self, cols):  # pragma: no cover - timing-dependent
         self.release.wait()
 
 

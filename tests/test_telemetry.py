@@ -191,11 +191,12 @@ class TestReplayTap:
         from repro.net.packet import tcp_syn, tcp_synack, udp_datagram
 
         tap = ReplayTap()
-        tap.observe_batch([
+        for record in (
             tcp_syn(0.0, 1, 2, 1024, 80, link="commercial1"),
             tcp_synack(0.1, 2, 1, 80, 1024, link="commercial1"),
             udp_datagram(0.2, 3, 4, 53, 53, link="internet2"),
-        ])
+        ):
+            tap.observe(record)
         reg = MetricRegistry()
         tap.flush_into(reg)
         assert reg.value("repro_passive_records_total") == 3
@@ -334,9 +335,9 @@ class TestByteIdenticalReports:
 
 
 class TestNoOpOverhead:
-    """The disabled path on batched replay stays within noise of the
-    uninstrumented loop (the branch runs exactly the original code; the
-    only addition is one registry check per replay call)."""
+    """The disabled path on columnar replay stays within noise of the
+    uninstrumented loop (the additions are one registry check per
+    replay call and two flag tests per chunk)."""
 
     REPEATS = 9
     CHUNKS = 300
@@ -344,6 +345,7 @@ class TestNoOpOverhead:
 
     def _workload(self):
         from repro.net.packet import tcp_syn, tcp_synack
+        from repro.trace.columnar import RecordColumns
 
         campus = 0x80000000
         chunks = []
@@ -361,42 +363,38 @@ class TestNoOpOverhead:
                         t, 0x10000000 + i, campus + (i % 64), 1024 + i, 80,
                         link="commercial1",
                     ))
-            chunks.append(batch)
+            chunks.append(RecordColumns.from_records(batch))
         return chunks
 
     def _observer(self):
         from repro.passive.monitor import PassiveServiceTable
 
-        campus = 0x80000000
+        def is_campus(address):
+            return (address & 0xF0000000) == 0x80000000
+
+        # Prefix-parameterised like the topology's predicate, so the
+        # table takes its vectorised path -- the loop production runs.
+        is_campus.campus_network = 0x80000000
+        is_campus.campus_mask = 0xF0000000
         return PassiveServiceTable(
-            is_campus=lambda a: (a & 0xF0000000) == campus,
-            tcp_ports=frozenset({80}),
+            is_campus=is_campus, tcp_ports=frozenset({80})
         )
 
     @staticmethod
-    def _reference_pass(chunks, *observers, faults=None):
-        # The pre-telemetry replay_batched loop, verbatim: the control
-        # arm for measuring what the registry check costs.
-        from repro.passive.monitor import _batch_adapter
-
+    def _reference_pass(chunks, *observers):
+        # replay_columnar's loop without any telemetry: the control arm
+        # for measuring what the registry and per-chunk checks cost.
         count = 0
-        dispatchers = []
-        for observer in observers:
-            batch_method = getattr(observer, "observe_batch", None)
-            if batch_method is None:
-                batch_method = _batch_adapter(observer.observe)
-            dispatchers.append(batch_method)
-        filter_batch = faults.filter_batch if faults is not None else None
-        for batch in chunks:
-            if filter_batch is not None:
-                batch = filter_batch(batch)
-            for dispatch in dispatchers:
-                dispatch(batch)
-            count += len(batch)
+        dispatchers = [observer.observe_columns for observer in observers]
+        for cols in chunks:
+            if len(cols):
+                for dispatch in dispatchers:
+                    dispatch(cols)
+                count += len(cols)
         return count
 
     def _measure(self, chunks, expected):
-        from repro.passive.monitor import replay_batched
+        from repro.passive.monitor import replay_columnar
 
         instrumented = []
         reference = []
@@ -404,7 +402,7 @@ class TestNoOpOverhead:
             # Alternate which arm goes first so drift cancels out.
             arms = [
                 ("ref", self._reference_pass),
-                ("rb", replay_batched),
+                ("rb", replay_columnar),
             ]
             if repeat % 2:
                 arms.reverse()
@@ -416,17 +414,32 @@ class TestNoOpOverhead:
         return (min(instrumented) - min(reference)) / min(reference)
 
     def test_disabled_overhead_below_two_percent(self):
-        from repro.passive.monitor import replay_batched
+        from repro.passive.monitor import replay_columnar
 
         assert not telemetry_enabled()
         chunks = self._workload()
         expected = self.CHUNKS * self.CHUNK_SIZE
         # Warm both code paths (bytecode specialisation, allocator).
         self._reference_pass(chunks, self._observer())
-        replay_batched(chunks, self._observer())
+        replay_columnar(chunks, self._observer())
         # One retry absorbs a scheduler noise spike on a loaded machine;
         # a real hot-path cost fails both rounds.
         overhead = self._measure(chunks, expected)
         if overhead >= 0.02:
             overhead = min(overhead, self._measure(chunks, expected))
         assert overhead < 0.02, f"no-op overhead {overhead:.2%}"
+
+    def test_enabled_pass_times_every_chunk(self):
+        """The same loop, telemetry on: one histogram sample and one
+        counter tick per chunk, and the fold itself is unchanged."""
+        from repro.passive.monitor import replay_columnar
+
+        chunks = self._workload()[:7]
+        plain, timed = self._observer(), self._observer()
+        self._reference_pass(chunks, plain)
+        reg = MetricRegistry()
+        set_registry(reg)
+        assert replay_columnar(chunks, timed) == 7 * self.CHUNK_SIZE
+        assert timed.first_seen == plain.first_seen
+        assert reg.value("repro_replay_chunks_total") == 7
+        assert reg.histogram("repro_replay_chunk_seconds").count == 7

@@ -8,19 +8,33 @@ exactly the state it reaches on the freshly generated stream.
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import build_dataset
-from repro.passive.monitor import PassiveServiceTable, replay, replay_batched
-from repro.passive.scandetect import ExternalScanDetector
-from repro.passive.taps import MultiLinkMonitor
+from repro.faults.plan import FaultPlan
+from repro.net.packet import (
+    ICMP_PORT_UNREACHABLE,
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
+    PacketRecord,
+    TcpFlags,
+)
+from repro.passive.monitor import PassiveServiceTable, replay, replay_columnar
+from repro.passive.scandetect import ExternalScanDetector, ScanDetectorConfig
+from repro.passive.taps import LinkTap, MultiLinkMonitor
 from repro.passive.windows import WindowActivityObserver
+from repro.stream.shard import ShardState
+from repro.telemetry.tap import ReplayTap
 from repro.trace.cache import (
     ENV_VAR,
     TraceCache,
     default_trace_cache,
 )
+from repro.trace.columnar import RecordColumns, read_trace_columns
 from repro.trace.format import (
     TraceReader,
     read_records_chunked,
@@ -110,8 +124,8 @@ class TestRoundTripFidelity:
             stream_count = replay(reader, stream_table, stream_detector)
 
         batch_table, batch_detector = standard_observers(dataset)
-        batch_count = replay_batched(
-            read_records_chunked(path), batch_table, batch_detector
+        batch_count = replay_columnar(
+            read_trace_columns(path), batch_table, batch_detector
         )
 
         assert direct_count == stream_count == batch_count
@@ -147,89 +161,262 @@ class TestRoundTripFidelity:
         assert partial < full
 
 
+#: A small universe, so generated records collide on endpoints, clients
+#: and scan buckets: three campus addresses (inside the DTCPall /16),
+#: three outside ones, two watched ports per protocol and one unwatched.
+_CAMPUS = (0x80_7D_FA_01, 0x80_7D_FA_02, 0x80_7D_01_FE)
+_OUTSIDE = (0x08_08_08_08, 0x08_08_04_04, 0x01_01_01_01)
+_LINKS = ("", "commercial1", "commercial2", "internet2")
+_TCP_PORTS = frozenset({22, 80})
+_UDP_PORTS = frozenset({53, 123})
+_FAULTS = FaultPlan(
+    seed=31, capture_loss_rate=0.2, burst_loss_rate=0.05,
+    burst_mean_length=3, outage_fraction=0.2,
+)
+
+
+def _record_pool(size=1500):
+    """Seeded records over that universe, dense in the ones that carry
+    evidence: five in six are one packet of a client/server
+    conversation (mostly outside client, campus server), the rest noise
+    with every field independent -- flag bits on non-TCP records
+    included.  Timestamps repeat and are unordered."""
+    rng = random.Random(20070824)
+    everyone = _CAMPUS + _OUTSIDE
+    ports = (22, 80, 53, 123, 40000)
+    #: kind -> (server sends it, protocol, flag bits)
+    kinds = {
+        "synack": (True, PROTO_TCP, 0x12), "ack": (False, PROTO_TCP, 0x10),
+        "syn": (False, PROTO_TCP, 0x02), "rst": (True, PROTO_TCP, 0x04),
+        "reply": (True, PROTO_UDP, 0), "request": (False, PROTO_UDP, 0),
+        "icmp": (True, PROTO_ICMP, 0),
+    }
+    pool = []
+    for _ in range(size):
+        src = rng.choice(_CAMPUS if rng.random() < 0.8 else everyone)
+        dst = rng.choice(_OUTSIDE if rng.random() < 0.8 else everyone)
+        sport, dport = rng.choice(ports), rng.choice((40000, 40001))
+        if rng.random() < 1 / 6:
+            src, dst, dport = rng.choice(everyone), rng.choice(everyone), 80
+            proto = rng.choice((PROTO_TCP, PROTO_UDP, PROTO_ICMP))
+            bits = rng.choice((0x12, 0x10, 0x02, 0x04, 0x16, 0x14, 0x00))
+        else:
+            from_server, proto, bits = kinds[rng.choice(
+                ["synack", "synack", "ack", "ack", "syn", "rst", "reply",
+                 "reply", "request", "icmp"]
+            )]
+            if not from_server:
+                src, dst, sport, dport = dst, src, dport, sport
+        pool.append(PacketRecord(
+            time=rng.choice(
+                [0.0, 30.0, 3599.0, 3600.0, 43_200.0, rng.uniform(0, 2e5)]
+            ),
+            src=src, dst=dst, sport=sport, dport=dport, proto=proto,
+            flags=TcpFlags(bits), link=rng.choice(_LINKS),
+            icmp=ICMP_PORT_UNREACHABLE if proto == PROTO_ICMP else None,
+        ))
+    return pool
+
+
+#: Streams are hypothesis-drawn sequences from the pool (one draw per
+#: record keeps generation cheap): any order, any repetition.
+_RECORDS = st.lists(st.sampled_from(_record_pool()), min_size=20, max_size=80)
+#: Where to cut a stream into batches (repeats = empty batches).
+_CUTS = st.lists(st.integers(min_value=0, max_value=80), max_size=6)
+
+
+def _batches(records, cuts):
+    """*records* as consecutive column batches cut at *cuts*, then an
+    empty one."""
+    bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield RecordColumns.from_records(records[lo:hi])
+    yield RecordColumns.from_records([])
+
+
+def differential(make, state_of, observe=None):
+    """The observer contract as a property: ``observe_columns`` over
+    any batch cuts of any stream leaves exactly the state per-record
+    ``observe`` leaves (*observe* stands in where an observer has no
+    per-record method of its own)."""
+    observe = observe or (lambda observer, record: observer.observe(record))
+
+    @settings(deadline=None, max_examples=60)
+    @given(records=_RECORDS, cuts=_CUTS)
+    def contract(records, cuts):
+        reference, batched = make(), make()
+        for record in records:
+            observe(reference, record)
+        for cols in _batches(records, cuts):
+            batched.observe_columns(cols)
+        assert state_of(reference) == state_of(batched)
+
+    contract()
+
+
+def _table_state(table):
+    return (
+        table.first_seen, table.flow_counts, table.clients,
+        table._pending_handshake, table._udp_requests,
+    )
+
+
+def _fault_counts(faults):
+    stats = faults.stats
+    return (stats.kept, stats.dropped_loss, stats.dropped_outage)
+
+
+def _shard_observe(state, record):
+    """Per-record definition of ``ShardState.observe_columns``: the
+    table's ``observe`` plus the last-seen rule."""
+    table = state.table
+    table.observe(record)
+    state.records += 1
+    if record.proto == PROTO_TCP:
+        if not record.flags.is_synack:
+            return
+        if table.tcp_ports is not None and record.sport not in table.tcp_ports:
+            return
+    elif record.proto != PROTO_UDP or record.sport not in table.udp_ports:
+        return
+    if not table.is_campus(record.src) or table.is_campus(record.dst):
+        return
+    if record.dst in table.exclude_sources:
+        return
+    endpoint = (record.src, record.sport, record.proto)
+    state.last_seen[endpoint] = max(
+        record.time, state.last_seen.get(endpoint, record.time)
+    )
+
+
 class TestBatchedObservers:
-    """observe_batch must equal per-record observe for every observer."""
+    """One differential property per observer, on its vectorised
+    configurations and on every fallback."""
 
-    def test_passive_table(self, dataset, generated_records):
-        per_record, _ = standard_observers(dataset)
-        batched, _ = standard_observers(dataset)
-        for record in generated_records:
-            per_record.observe(record)
-        batched.observe_batch(generated_records)
-        assert per_record.first_seen == batched.first_seen
-        assert per_record.flow_counts == batched.flow_counts
-        assert per_record.clients == batched.clients
+    @staticmethod
+    def table(dataset, **overrides):
+        config = dict(
+            is_campus=dataset.is_campus, tcp_ports=_TCP_PORTS,
+            udp_ports=_UDP_PORTS,
+        )
+        config.update(overrides)
+        return lambda: PassiveServiceTable(**config)
 
-    def test_passive_table_handshake_signal(self, dataset, generated_records):
-        from repro.passive.monitor import ServiceSignal
+    @staticmethod
+    def predicates(dataset):
+        """The prefix-parameterised predicate and an opaque twin."""
+        is_campus = dataset.is_campus
+        return is_campus, lambda address: is_campus(address)
 
-        def make():
-            return PassiveServiceTable(
-                is_campus=dataset.is_campus,
-                tcp_ports=dataset.tcp_ports,
-                signal=ServiceSignal.HANDSHAKE,
+    def test_passive_table(self, dataset):
+        for overrides in (
+            {},
+            {"tcp_ports": None, "udp_ports": frozenset()},
+            {"links": frozenset({"commercial1", "internet2"}),
+             "exclude_sources": frozenset(_OUTSIDE[:1])},
+        ):
+            make = self.table(dataset, **overrides)
+            assert make()._can_vectorize()
+            differential(make, _table_state)
+
+    def test_passive_table_handshake_signal(self, dataset):
+        """Every configuration that falls back to per-record observe."""
+        from repro.passive.monitor import ServiceSignal, UdpSignal
+        from repro.passive.sampling import FixedPeriodSampler
+
+        for overrides in (
+            {"signal": ServiceSignal.HANDSHAKE},
+            {"udp_signal": UdpSignal.BIDIRECTIONAL},
+            {"sampler": FixedPeriodSampler(sample_minutes=30)},
+            {"is_campus": self.predicates(dataset)[1]},
+        ):
+            make = self.table(dataset, **overrides)
+            assert not make()._can_vectorize()
+            differential(make, _table_state)
+
+    def test_scan_detector(self, dataset):
+        config = ScanDetectorConfig(min_targets=2, min_rsts=1)
+        for predicate in self.predicates(dataset):
+            differential(
+                lambda: ExternalScanDetector(is_campus=predicate, config=config),
+                lambda d: (d._targets, d._rst_sources, d.scanners()),
             )
 
-        per_record, batched = make(), make()
-        for record in generated_records:
-            per_record.observe(record)
-        batched.observe_batch(generated_records)
-        assert per_record.first_seen == batched.first_seen
-        assert per_record.flow_counts == batched.flow_counts
-
-    def test_scan_detector(self, dataset, generated_records):
-        per_record = ExternalScanDetector(is_campus=dataset.is_campus)
-        batched = ExternalScanDetector(is_campus=dataset.is_campus)
-        for record in generated_records:
-            per_record.observe(record)
-        batched.observe_batch(generated_records)
-        assert per_record._targets == batched._targets
-        assert per_record._rst_sources == batched._rst_sources
-
-    def test_window_observer(self, dataset, generated_records):
-        windows = dataset.scan_windows()
-
-        def make():
-            return WindowActivityObserver(
-                windows=windows,
-                is_campus=dataset.is_campus,
-                tcp_ports=dataset.tcp_ports,
+    def test_window_observer(self, dataset):
+        windows = ((0.0, 30.0), (30.0, 3600.0), (40_000.0, 60_000.0))
+        for predicate in self.predicates(dataset):
+            differential(
+                lambda: WindowActivityObserver(
+                    windows=windows, is_campus=predicate,
+                    tcp_ports=_TCP_PORTS, udp_ports=_UDP_PORTS,
+                ),
+                lambda observer: observer.hits,
             )
 
-        per_record, batched = make(), make()
-        for record in generated_records:
-            per_record.observe(record)
-        batched.observe_batch(generated_records)
-        assert per_record.hits == batched.hits
-
-    def test_multilink_monitor(self, dataset, generated_records):
-        def make():
-            return MultiLinkMonitor(
-                links=dataset.spec.monitored_links,
-                is_campus=dataset.is_campus,
-                tcp_ports=dataset.tcp_ports,
+    def test_multilink_monitor(self, dataset):
+        for plan in (None, _FAULTS):
+            differential(
+                lambda: MultiLinkMonitor(
+                    links=_LINKS[1:3], is_campus=dataset.is_campus,
+                    tcp_ports=_TCP_PORTS, udp_ports=_UDP_PORTS,
+                    faults=plan and plan.capture_filter(200_000.0),
+                ),
+                lambda monitor: (
+                    _table_state(monitor.combined),
+                    [_table_state(tap.table) for tap in monitor.taps.values()],
+                    monitor.faults and _fault_counts(monitor.faults),
+                ),
             )
 
-        per_record, batched = make(), make()
-        for record in generated_records:
-            per_record.observe(record)
-        batched.observe_batch(generated_records)
-        assert per_record.combined.first_seen == batched.combined.first_seen
-        for link, tap in per_record.taps.items():
-            assert tap.table.first_seen == batched.taps[link].table.first_seen
+    def test_link_tap_with_own_fault_filter(self, dataset):
+        """A tap-level filter sees only its own link's records."""
+        differential(
+            lambda: LinkTap.create(
+                "commercial1", dataset.is_campus, _TCP_PORTS, _UDP_PORTS,
+                faults=_FAULTS.capture_filter(200_000.0),
+            ),
+            lambda tap: (_table_state(tap.table), _fault_counts(tap.faults)),
+        )
 
-    def test_replay_batched_falls_back_to_observe(self, generated_records):
-        class CountingObserver:
-            def __init__(self):
-                self.seen = 0
+    def test_shard_state(self, dataset):
+        for overrides in (
+            {},
+            {"tcp_ports": None, "exclude_sources": frozenset(_OUTSIDE[:1])},
+            {"is_campus": self.predicates(dataset)[1]},
+        ):
+            make = self.table(dataset, **overrides)
+            differential(
+                lambda: ShardState(0, make()), ShardState.state_dict,
+                observe=_shard_observe,
+            )
 
-            def observe(self, record):
-                self.seen += 1
+    def test_replay_tap(self):
+        differential(
+            ReplayTap,
+            lambda tap: (tap.records, tap.synacks, tap.by_link, tap.by_proto),
+        )
 
-        observer = CountingObserver()
-        batches = [generated_records[:100], generated_records[100:250]]
-        assert replay_batched(iter(batches), observer) == 250
-        assert observer.seen == 250
+    @settings(deadline=None, max_examples=60)
+    @given(records=_RECORDS, cuts=_CUTS)
+    def test_replay_columnar_falls_back_to_observe(self, dataset, records, cuts):
+        """An observer without ``observe_columns`` (here a record-level
+        sampler) gets per-record ``observe``, faults included."""
+        from repro.passive.sampling import ProbabilisticSampler, SamplingTable
+
+        def run(replay_fn, stream):
+            observer = SamplingTable(
+                self.table(dataset)(), ProbabilisticSampler(0.5, salt=3)
+            )
+            faults = _FAULTS.capture_filter(200_000.0)
+            count = replay_fn(stream, observer, faults=faults)
+            return (
+                count, observer.kept, observer.dropped,
+                _table_state(observer.table), _fault_counts(faults),
+            )
+
+        assert run(replay, iter(records)) == run(
+            replay_columnar, _batches(records, cuts)
+        )
 
 
 class TestTraceCache:

@@ -22,7 +22,7 @@ from repro.net.packet import (
 )
 from repro.passive.monitor import (
     PassiveServiceTable,
-    replay_batched,
+    replay,
     replay_columnar,
 )
 from repro.passive.scandetect import ExternalScanDetector
@@ -320,9 +320,7 @@ class TestColumnarReplayEquivalence:
 
         scalar = self._observers(dataset)
         faults_s = plan.capture_filter(dataset.duration) if plan else None
-        count_s = replay_batched(
-            read_records_chunked(cached), *scalar, faults=faults_s
-        )
+        count_s = replay(iter(read_trace(cached)), *scalar, faults=faults_s)
 
         assert count_c == count_s
         self._assert_equal_state(columnar, scalar)
@@ -338,8 +336,8 @@ class TestColumnarReplayEquivalence:
             def __init__(self):
                 self.seen = []
 
-            def observe_batch(self, records):
-                self.seen.extend(records)
+            def observe(self, record):
+                self.seen.append(record)
 
         plain = RecordingObserver()
         table = PassiveServiceTable(
@@ -371,9 +369,7 @@ class TestColumnarReplayEquivalence:
                     read_trace_columns(cached), table, faults=faults
                 )
             else:
-                count = replay_batched(
-                    read_records_chunked(cached), table, faults=faults
-                )
+                count = replay(iter(read_trace(cached)), table, faults=faults)
             active = {
                 address
                 for address, _ in union_open_endpoints(dataset.scan_reports)
@@ -389,28 +385,186 @@ class TestColumnarReplayEquivalence:
         assert render(True, plan) == render(False, plan)
 
 
-class TestColumnarStreamEquivalence:
-    def test_stream_columnar_matches_scalar(
-        self, allports_dataset, tmp_path, monkeypatch
-    ):
-        from repro.stream.engine import StreamConfig, StreamEngine
+#: Fast supervision for in-process fabric runs (as test_stream_fabric).
+_FAST_FABRIC = dict(
+    heartbeat_interval=0.05, miss_budget=4,
+    restart_backoff=0.01, restart_backoff_max=0.05,
+)
 
-        monkeypatch.setenv(ENV_VAR, str(tmp_path))
-        dataset = allports_dataset
-        dataset.replay()  # warm the v2 cache
-        results = {}
-        for columnar in (True, False):
-            config = StreamConfig(
-                dataset=dataset.spec.name, seed=dataset.seed,
-                scale=dataset.scale, shards=4, columnar=columnar,
-            )
-            results[columnar] = StreamEngine(config, dataset=dataset).run()
-        assert results[True].report == results[False].report
-        assert results[True].last_seen == results[False].last_seen
-        assert (
-            results[True].records_delivered
-            == results[False].records_delivered
+
+class TestColumnarStreamEquivalence:
+    """Cached and regenerated sources feed one column pipeline.
+
+    Cached-source runs are pinned to the batch oracle by
+    ``test_stream.py::TestEquivalence`` and ``test_stream_fabric.py``;
+    here the trace cache is disabled (or ``end`` truncated), so every
+    batch the engine and the fabric see is a regenerated chunk wrapped
+    by ``RecordColumns.from_records`` -- and the oracle is per-record
+    ``replay`` over the same generated stream.
+    """
+
+    #: (fault plan, end) -> (records delivered, table, report | None)
+    _references: dict = {}
+
+    @pytest.fixture()
+    def uncached(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "off")
+
+    @staticmethod
+    def _config(dataset, faulted=False, **overrides):
+        from repro.stream import StreamConfig
+
+        return StreamConfig(
+            dataset=dataset.spec.name, seed=dataset.seed, scale=dataset.scale,
+            faults=_faulty_plan() if faulted else None, **overrides,
         )
+
+    @staticmethod
+    def _run(runner, config, dataset, **kwargs):
+        from repro.stream import FabricConfig, FabricSupervisor, StreamEngine
+
+        if runner == "engine":
+            return StreamEngine(config, dataset=dataset).run(**kwargs)
+        return FabricSupervisor(
+            config, FabricConfig(**_FAST_FABRIC), dataset=dataset
+        ).run(**kwargs)
+
+    def _reference(self, config, dataset):
+        """One table fed record by record from the generated stream,
+        and ``batch_survey_report`` where it applies (it has no
+        ``end``); computed once per source -- shards cannot matter."""
+        from repro.stream import batch_survey_report
+
+        key = (config.faults, config.end)
+        if key not in self._references:
+            table = PassiveServiceTable(
+                is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports,
+                udp_ports=dataset.udp_ports,
+            )
+            faults = config.faults and config.faults.capture_filter(
+                dataset.duration
+            )
+            self._references[key] = (
+                dataset.replay(table, end=config.end, faults=faults), table,
+                None if config.end else batch_survey_report(config, dataset),
+            )
+        return self._references[key]
+
+    def _assert_matches_batch(self, runner, config, dataset):
+        delivered, table, report = self._reference(config, dataset)
+        result = self._run(runner, config, dataset)
+        assert result.records_delivered == delivered
+        assert (delivered < result.records_read) == bool(config.faults)
+        assert result.table.first_seen == table.first_seen
+        assert result.table.flow_counts == table.flow_counts
+        assert result.table.clients == table.clients
+        assert report is None or result.report == report
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faults"])
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    @pytest.mark.parametrize("runner", ["engine", "fabric"])
+    def test_regenerated_stream_matches_batch(
+        self, small_dtcp18, uncached, runner, shards, faulted
+    ):
+        self._assert_matches_batch(
+            runner, self._config(small_dtcp18, faulted, shards=shards),
+            small_dtcp18,
+        )
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faults"])
+    @pytest.mark.parametrize("runner", ["engine", "fabric"])
+    def test_truncated_stream_matches_batch(self, small_dtcp18, runner, faulted):
+        """``end`` before the dataset end regenerates even with the
+        cache on (a truncated generation is not a prefix of the trace)."""
+        from repro.simkernel.clock import days
+
+        self._assert_matches_batch(
+            runner, self._config(small_dtcp18, faulted, shards=2, end=days(5)),
+            small_dtcp18,
+        )
+
+    def test_cached_and_regenerated_streams_agree(
+        self, small_dtcp18, tmp_path, monkeypatch
+    ):
+        """Same run from both sources: reports, last-seen timelines and
+        counters are equal, not just the rendered bytes."""
+        monkeypatch.setenv(ENV_VAR, str(tmp_path))
+        small_dtcp18.replay()  # record the v2 trace
+        config = self._config(small_dtcp18, faulted=True, shards=4)
+        cached = self._run("engine", config, small_dtcp18)
+        monkeypatch.setenv(ENV_VAR, "off")
+        regenerated = self._run("engine", config, small_dtcp18)
+        assert cached.report == regenerated.report
+        assert cached.last_seen == regenerated.last_seen
+        assert cached.records_read == regenerated.records_read
+        assert cached.records_delivered == regenerated.records_delivered
+
+    def _checkpointing(self, dataset, tmp_path, batch_records):
+        from repro.simkernel.clock import hours
+
+        return self._config(
+            dataset, faulted=True, shards=2, batch_records=batch_records,
+            checkpoint_every=hours(24), checkpoint_path=str(tmp_path / "ckpt"),
+        )
+
+    def test_engine_resume_lands_inside_a_regenerated_chunk(
+        self, small_dtcp18, uncached, tmp_path
+    ):
+        from repro.stream import StreamEngine, load_checkpoint
+
+        first = self._checkpointing(small_dtcp18, tmp_path, 1000)
+        killed = self._run(
+            "engine", first, small_dtcp18, stop_after_records=60_000
+        )
+        assert not killed.finished and killed.checkpoints_written
+        offset = load_checkpoint(
+            tmp_path / "ckpt", StreamEngine(first, small_dtcp18)._identity()
+        )["records_read"]
+        # Resume with another chunk size: the offset (a multiple of
+        # 1000) falls strictly inside a 777-record chunk of the stream.
+        assert offset % 1000 == 0 and offset % 777 != 0
+        resumed = self._run(
+            "engine", self._checkpointing(small_dtcp18, tmp_path, 777),
+            small_dtcp18, resume=True,
+        )
+        assert resumed.resumed
+        assert resumed.report == self._reference(first, small_dtcp18)[2]
+
+    def test_fabric_interrupt_then_resume_regenerated(
+        self, small_dtcp18, uncached, tmp_path
+    ):
+        """KeyboardInterrupt after the first manifest tears the fleet
+        down (no orphans) and re-raises; the resume regenerates from
+        the manifest offset with another chunk size, and a worker crash
+        mid-resume replays its gap out of regenerated chunks."""
+        import multiprocessing
+
+        from repro.faults.worker import WorkerFaultPlan
+        from repro.stream import FabricConfig, FabricSupervisor
+
+        def interrupt(line):
+            if line.startswith("fabric: manifest"):
+                raise KeyboardInterrupt
+
+        first = self._checkpointing(small_dtcp18, tmp_path, 1000)
+        with pytest.raises(KeyboardInterrupt):
+            self._run("fabric", first, small_dtcp18, on_event=interrupt)
+        assert not multiprocessing.active_children()
+
+        events = []
+        resumed = FabricSupervisor(
+            self._checkpointing(small_dtcp18, tmp_path, 777),
+            FabricConfig(
+                worker_faults=WorkerFaultPlan(
+                    seed=13, crash_rate=1.0, horizon_records=20_000
+                ),
+                **_FAST_FABRIC,
+            ),
+            dataset=small_dtcp18,
+        ).run(resume=True, on_event=events.append)
+        assert resumed.resumed
+        assert any(line.startswith("fabric: dead") for line in events)
+        assert resumed.report == self._reference(first, small_dtcp18)[2]
 
 
 class TestRecordColumns:
