@@ -19,6 +19,17 @@ sequence of records crossing it -- identical whether the pass is
 generated fresh, streamed from the trace cache, consumed record by
 record or in batches, or replayed in a different worker process.
 
+:meth:`CaptureFilter.keep` is the definition.  The batch entry point,
+:meth:`CaptureFilter.keep_mask`, is array code that reproduces it bit
+for bit by drawing from the *same* Mersenne Twister stream in bulk:
+``numpy.random.RandomState.random_sample`` computes the identical
+53-bit double from the identical MT19937 state as
+``random.Random.random``, and each class of record consumes a fixed
+number of uniforms -- outage: 0; inside a burst: 0; burst entry: 1 plus
+the continuation draws; otherwise 1 per enabled test (burst, then
+i.i.d.).  ``random.Random.getstate()`` stays the state of record, so
+checkpoints keep their format whichever entry point advanced it.
+
 A filter instance is single-pass: it must see each record of the pass
 exactly once.  Build a fresh one per pass
 (:meth:`repro.faults.plan.FaultPlan.capture_filter`).
@@ -30,6 +41,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.net.packet import PacketRecord
 from repro.simkernel.rng import derive_seed
 
@@ -37,7 +50,10 @@ from repro.simkernel.rng import derive_seed
 class _LinkState:
     """Loss-process state for one link."""
 
-    __slots__ = ("rng", "burst_remaining", "outage_starts", "outage_ends")
+    __slots__ = (
+        "rng", "burst_remaining", "outage_starts", "outage_ends",
+        "outage_bounds",
+    )
 
     def __init__(
         self,
@@ -49,6 +65,11 @@ class _LinkState:
         self.burst_remaining = 0
         self.outage_starts = [start for start, _ in windows]
         self.outage_ends = [end for _, end in windows]
+        #: The same windows as (starts, ends) arrays, for keep_mask.
+        self.outage_bounds = (
+            np.array(self.outage_starts, dtype=np.float64),
+            np.array(self.outage_ends, dtype=np.float64),
+        )
 
     def in_outage(self, t: float) -> bool:
         index = bisect_right(self.outage_starts, t) - 1
@@ -101,6 +122,8 @@ class CaptureFilter:
             1.0 - 1.0 / plan.burst_mean_length if self._burst > 0.0 else 0.0
         )
         self._has_outages = plan.outage_fraction > 0.0
+        #: numpy front end onto the per-link MT19937 streams (keep_mask).
+        self._bulk = np.random.RandomState(0)
 
     def _state(self, link: str) -> _LinkState:
         state = self._links.get(link)
@@ -146,27 +169,154 @@ class CaptureFilter:
         self.stats.kept += 1
         return True
 
-    def keep_mask(self, times: list[float], link_indices: list[int],
-                  link_names: tuple[str, ...]):
+    def keep_mask(self, times, link_indices, link_names: tuple[str, ...]):
         """Columnar counterpart of :meth:`keep`: a boolean keep mask.
 
         *times* and *link_indices* are parallel per-record sequences
         (a :class:`repro.trace.columnar.RecordColumns` batch's ``time``
-        and ``link`` columns, as lists); *link_names* decodes the
-        indices.  The decision loop is the exact scalar core --
-        per-link RNG streams advance record by record in stream order
-        -- so the drop pattern is bit-identical to filtering the same
-        records through :meth:`keep`, without materialising a single
+        and ``link`` columns, or plain lists); *link_names* decodes the
+        indices.  Each link's records are decided together, in stream
+        order: outage windows by ``searchsorted``, then the loss
+        process from bulk draws of the link's own Mersenne Twister
+        stream (see the module docstring).  Mask, ``stats`` and
+        :meth:`state_dict` come out exactly as if every record had gone
+        through :meth:`keep`, without materialising a single
         ``PacketRecord``.
         """
-        import numpy as np
+        times = np.asarray(times, dtype=np.float64)
+        links = np.asarray(link_indices)
+        mask = np.empty(len(times), dtype=bool)
+        per_link = []
+        for index, name in enumerate(link_names):
+            rows = np.flatnonzero(links == index)
+            if rows.size:
+                per_link.append((name, rows))
+        if sum(rows.size for _, rows in per_link) != len(times):
+            raise IndexError("link index outside link_names")
+        # First-appearance order: link states are created lazily, and
+        # state_dict() lists them in creation order.
+        per_link.sort(key=lambda item: item[1][0])
+        for name, rows in per_link:
+            mask[rows] = self._link_mask(self._state(name), times[rows])
+        return mask
 
-        keep = self._keep
-        return np.fromiter(
-            (keep(link_names[index], time)
-             for time, index in zip(times, link_indices)),
-            dtype=bool, count=len(times),
+    def _link_mask(self, state: _LinkState, times: np.ndarray) -> np.ndarray:
+        """Keep decisions for one link's records, in stream order."""
+        starts, ends = state.outage_bounds
+        if self._has_outages and starts.size:
+            # Most batches fall between maintenance windows: the first
+            # window still open at the earliest record starts after the
+            # latest one, and nothing below applies.
+            first = np.searchsorted(ends, times.min(), side="right")
+            if first < starts.size and starts[first] <= times.max():
+                window = np.searchsorted(starts, times, side="right") - 1
+                outage = (window >= 0) & (times < ends[window])
+                self.stats.dropped_outage += int(np.count_nonzero(outage))
+                # Records inside an outage never reach the capture
+                # stack, so the loss process runs over the others alone.
+                lit = np.flatnonzero(~outage)
+                keep = np.zeros(len(times), dtype=bool)
+                keep[lit] = self._loss_mask(state, lit.size)
+                return keep
+        return self._loss_mask(state, len(times))
+
+    def _loss_mask(self, state: _LinkState, count: int) -> np.ndarray:
+        """The loss process over a link's next *count* non-outage records."""
+        keep = np.ones(count, dtype=bool)
+        carried = min(state.burst_remaining, count)
+        if carried:
+            state.burst_remaining -= carried
+            keep[:carried] = False
+        if carried < count:
+            if self._burst > 0.0:
+                self._burst_walk(state, keep, carried)
+            elif self._loss > 0.0:
+                # One uniform per record, so the draw count is exact.
+                self._bulk_load(state.rng)
+                drawn = self._bulk.random_sample(count - carried)
+                keep[carried:] = drawn >= self._loss
+                self._bulk_store(state.rng)
+        kept = int(np.count_nonzero(keep))
+        self.stats.kept += kept
+        self.stats.dropped_loss += count - kept
+        return keep
+
+    def _burst_walk(self, state: _LinkState, keep: np.ndarray, record: int) -> None:
+        """Bursts plus i.i.d. loss over ``keep[record:]`` (all True on entry).
+
+        How many uniforms the records consume depends on where bursts
+        fire, so a block is drawn speculatively -- enough for every
+        remaining record to take the no-burst path -- and only the
+        burst *events* are walked in Python: each one shifts the
+        stream offset of everything after it.  Afterwards the stream
+        is rewound and exactly the consumed count is discarded.
+        """
+        burst, go_on, loss = self._burst, self._burst_continue, self._loss
+        stride = 2 if loss > 0.0 else 1  # uniforms per no-burst record
+        origin = self._bulk_load(state.rng)
+        count = len(keep)
+        block = entries = stops = np.empty(0)
+        position = 0  # stream offset of *record*'s burst-entry test
+        want = 0
+        while record < count:
+            reach = position + stride * (count - record)
+            want = max(want, reach)
+            if want > block.size:
+                fresh = self._bulk.random_sample(want - block.size + 64)
+                block = np.concatenate((block, fresh))
+                entries = np.flatnonzero(block < burst)
+                stops = np.flatnonzero(block >= go_on)
+            # The next burst entry is the first in-phase offset whose
+            # uniform is under the entry rate (out-of-phase offsets
+            # hold i.i.d. tests).
+            entry = reach
+            for offset in entries[np.searchsorted(entries, position):]:
+                if offset >= reach:
+                    break
+                if (offset - position) % stride == 0:
+                    entry = int(offset)
+                    break
+            quiet = (entry - position) // stride
+            if stride == 2:
+                keep[record:record + quiet] = block[position + 1:entry:2] >= loss
+            record += quiet
+            position = entry
+            if record == count:
+                break
+            # Continuation draws run up to the first uniform that ends
+            # the run; ``length`` of them are consumed.
+            stop = np.searchsorted(stops, entry + 1)
+            if stop == stops.size:
+                want = 2 * block.size
+                continue
+            length = int(stops[stop]) - entry
+            skipped = min(length - 1, count - record - 1)
+            keep[record:record + 1 + skipped] = False
+            state.burst_remaining = length - 1 - skipped
+            record += 1 + skipped
+            position = entry + 1 + length
+        self._bulk.set_state(origin)
+        self._bulk.random_sample(position)
+        self._bulk_store(state.rng)
+
+    # The bridge between the two Mersenne Twister front ends.  Python's
+    # ``getstate()`` is (version, 624 key words + position, gauss_next);
+    # numpy's legacy state is ("MT19937", key, position, ...).
+
+    def _bulk_load(self, rng: random.Random) -> tuple:
+        """Point the bulk generator at *rng*'s place in its stream."""
+        internal = rng.getstate()[1]
+        origin = (
+            "MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]
         )
+        self._bulk.set_state(origin)
+        return origin
+
+    def _bulk_store(self, rng: random.Random) -> None:
+        """Write the bulk generator's place in the stream back to *rng*."""
+        version, _, gauss_next = rng.getstate()
+        _, key, position = self._bulk.get_state()[:3]
+        rng.setstate((version, (*key.tolist(), position), gauss_next))
 
     def filter_columns(self, cols):
         """The records of a ``RecordColumns`` batch the monitors see.
@@ -174,9 +324,7 @@ class CaptureFilter:
         The one home of the mask-then-compress step every batch
         consumer applies; returns *cols* itself when nothing dropped.
         """
-        mask = self.keep_mask(
-            cols.time.tolist(), cols.link.tolist(), cols.link_names
-        )
+        mask = self.keep_mask(cols.time, cols.link, cols.link_names)
         return cols if mask.all() else cols.compress(mask)
 
     # ---- checkpoint support -------------------------------------------

@@ -176,8 +176,8 @@ def replay_columnar(
     record objects.  Observers without one get :func:`observe_each`.
 
     Results are identical to :func:`replay` over the flattened stream,
-    including under a *faults* filter: the filter's decision loop
-    consumes (link, time) pairs in stream order
+    including under a *faults* filter: the filter's mask decides each
+    link's records in stream order from that link's own random stream
     (:meth:`repro.faults.capture.CaptureFilter.keep_mask`), so the drop
     pattern matches the per-record path bit for bit.
 
@@ -261,7 +261,10 @@ class PassiveServiceTable:
         the scan-removal filter of Section 4.3.
     sampler:
         Optional time filter (``keep(t) -> bool``); used for the
-        fixed-period sampling study.
+        fixed-period sampling study.  One that also offers
+        ``keep_mask(times)`` over a time column (as
+        :class:`repro.passive.sampling.FixedPeriodSampler` does) keeps
+        the table on its columnar fast path.
     """
 
     is_campus: Callable[[int], bool]
@@ -304,14 +307,15 @@ class PassiveServiceTable:
         """Whether this table's configuration has a columnar fast path.
 
         The vectorised path covers the paper's operating point: the
-        SYNACK evidence rule, the SPORT UDP rule, no time sampler, and
-        a prefix-parameterised campus predicate.  Everything else
-        (HANDSHAKE ablation, BIDIRECTIONAL UDP, samplers, opaque
-        predicates) delegates to :func:`observe_each` -- identical
-        results, per the observer contract.
+        SYNACK evidence rule, the SPORT UDP rule, no time sampler or
+        one with a column mask, and a prefix-parameterised campus
+        predicate.  Everything else (HANDSHAKE ablation, BIDIRECTIONAL
+        UDP, plain-callable samplers, opaque predicates) delegates to
+        :func:`observe_each` -- identical results, per the observer
+        contract.
         """
         return (
-            self.sampler is None
+            (self.sampler is None or hasattr(self.sampler, "keep_mask"))
             and self.signal is ServiceSignal.SYNACK
             and (not self.udp_ports or self.udp_signal is UdpSignal.SPORT)
             and _campus_params(self.is_campus) is not None
@@ -336,6 +340,10 @@ class PassiveServiceTable:
         if not self._can_vectorize():
             observe_each(self, cols)
             return
+        if self.sampler is not None:
+            sampled = self.sampler.keep_mask(cols.time)
+            if not sampled.all():
+                cols = cols.compress(sampled)
         network, mask = _campus_params(self.is_campus)
         proto = cols.proto
         flags = cols.flags

@@ -58,6 +58,11 @@ class FixedPeriodSampler:
     def __call__(self, t: float) -> bool:
         return self.keep(t)
 
+    def keep_mask(self, times):
+        """:meth:`keep` over a time column (the same float expression)."""
+        offset = (times - self.anchor) % minutes(self.period_minutes)
+        return offset < minutes(self.sample_minutes)
+
     def windows_in(self, start: float, end: float) -> list[tuple[float, float]]:
         """The concrete sample windows intersecting ``[start, end)``."""
         period = minutes(self.period_minutes)

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.net.packet import PacketRecord
-from repro.passive.monitor import (
-    PassiveServiceTable,
-    ServiceSignal,
-    observe_each,
-)
+from repro.passive.monitor import PassiveServiceTable, ServiceSignal
 
 
 @dataclass
@@ -74,13 +70,18 @@ class LinkTap:
         """Batch :meth:`observe` (the table filters by link).
 
         A tap-level fault filter must see exactly this link's records
-        in stream order, which per-record ``observe`` already
-        guarantees; with faults present the batch falls back to it
-        rather than re-deriving that contract here.
+        in stream order: the batch is compressed to them before
+        filtering (the table would discard the others anyway).
         """
         if self.faults is not None:
-            observe_each(self, cols)
-            return
+            if self.link not in cols.link_names:
+                return
+            own = cols.link == cols.link_names.index(self.link)
+            if not own.all():
+                cols = cols.compress(own)
+            cols = self.faults.filter_columns(cols)
+            if not len(cols):
+                return
         self.table.observe_columns(cols)
 
 
@@ -128,9 +129,10 @@ class MultiLinkMonitor:
         and the combined table consume the same column batch (each
         table filters by link itself).
 
-        The fault decision loop consumes (link, time) pairs in stream
-        order (:meth:`repro.faults.capture.CaptureFilter.keep_mask`),
-        so the drop pattern matches the per-record path bit for bit.
+        The fault mask decides each link's records in stream order
+        from that link's own random stream
+        (:meth:`repro.faults.capture.CaptureFilter.keep_mask`), so the
+        drop pattern matches the per-record path bit for bit.
         """
         if self.faults is not None:
             cols = self.faults.filter_columns(cols)

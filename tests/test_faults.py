@@ -8,11 +8,15 @@ byte for byte -- from running without faults at all.
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campus.host import ProbeOutcome
 from repro.datasets import build_dataset
-from repro.faults import FaultPlan
+from repro.faults import CaptureFilter, FaultPlan
 from repro.net.packet import PacketRecord
 from repro.passive.monitor import PassiveServiceTable, replay, replay_columnar
 from repro.passive.taps import LinkTap, MultiLinkMonitor
@@ -119,6 +123,23 @@ def make_records(n, link="l0", start=0.0, step=1.0):
     ]
 
 
+_RATES = st.just(0.0) | st.floats(0.0, 0.1) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _capture_plans(draw):
+    return FaultPlan(
+        seed=draw(st.integers(0, 2**32)),
+        capture_loss_rate=draw(_RATES),
+        burst_loss_rate=draw(_RATES),
+        burst_mean_length=draw(
+            st.sampled_from([1.0, 1.5, 4.0, 50.0]) | st.floats(1.0, 400.0)
+        ),
+        outage_fraction=draw(_RATES),
+        outage_count=draw(st.integers(1, 4)),
+    )
+
+
 class TestCaptureFilter:
     def test_iid_loss_rate_roughly_respected(self):
         plan = FaultPlan(seed=1, capture_loss_rate=0.3)
@@ -137,22 +158,116 @@ class TestCaptureFilter:
         c = kept_by(plan.with_seed(6).capture_filter(2_000.0), records)
         assert a != c
 
-    def test_batch_matches_per_record(self):
-        records = make_records(600, link="commercial1") + make_records(
-            400, link="internet2", start=300.0
+    @settings(deadline=None, max_examples=200)
+    @given(plan=_capture_plans(), data=st.data())
+    def test_batch_matches_per_record(self, plan, data):
+        """``keep_mask`` is ``keep``, batch by batch: the mask, the
+        stats and the whole ``state_dict()`` (RNG position, burst
+        carry-over) after every batch -- over any plan, 1-3 interleaved
+        links, any batch cuts (empty batches, a cut inside a burst) and
+        a checkpoint round trip at one of them."""
+        duration = 1_000.0
+        links = ("commercial1", "commercial2", "internet2")[
+            : data.draw(st.integers(1, 3), label="links")
+        ]
+        moments = st.floats(-50.0, duration + 50.0)
+        edges = [
+            edge
+            for link in links
+            for window in plan.outage_windows(link, duration)
+            for edge in window
+        ]
+        if edges:
+            moments |= st.sampled_from(edges)
+        records = [
+            PacketRecord(
+                time=time, src=i, dst=2, sport=1234, dport=80, proto=6,
+                link=link,
+            )
+            for i, (time, link) in enumerate(data.draw(
+                st.lists(st.tuples(moments, st.sampled_from(links)), max_size=300),
+                label="stream",
+            ))
+        ]
+        reference = CaptureFilter(plan, duration)
+        states = [reference.state_dict()]
+        verdicts = []
+        for record in records:
+            verdicts.append(reference.keep(record))
+            states.append(reference.state_dict())
+
+        cuts = data.draw(
+            st.lists(st.integers(0, len(records)), max_size=6), label="cuts"
         )
-        plan = FaultPlan(
-            seed=5, capture_loss_rate=0.2, burst_loss_rate=0.01,
-            outage_fraction=0.1,
-        )
-        batch_filter = plan.capture_filter(1_000.0)
-        batched = []
-        for start in range(0, len(records), 256):
-            cols = RecordColumns.from_records(records[start : start + 256])
-            batched += batch_filter.filter_columns(cols).to_records()
-        single = plan.capture_filter(1_000.0)
-        assert batched == kept_by(single, records)
-        assert batch_filter.state_dict() == single.state_dict()
+        in_burst = [
+            seen for seen, state in enumerate(states)
+            if any(link["burst_remaining"] for link in state["links"].values())
+        ]
+        if in_burst:
+            cuts.append(in_burst[0])
+        bounds = [0, *sorted(cuts), len(records), len(records)]
+        restore_at = data.draw(st.integers(0, len(bounds) - 2), label="restore")
+        as_lists = data.draw(st.booleans(), label="lists")
+
+        batched = CaptureFilter(plan, duration)
+        for batch, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if batch == restore_at:
+                saved = pickle.loads(pickle.dumps(batched.state_dict()))
+                batched = CaptureFilter(plan, duration)
+                batched.restore_state(saved)
+            cols = RecordColumns.from_records(records[lo:hi])
+            if as_lists:
+                mask = batched.keep_mask(
+                    cols.time.tolist(), cols.link.tolist(), cols.link_names
+                )
+                assert mask.dtype == bool
+                assert mask.tolist() == verdicts[lo:hi]
+            else:
+                assert batched.filter_columns(cols).to_records() == [
+                    record
+                    for record, kept in zip(records[lo:hi], verdicts[lo:hi])
+                    if kept
+                ]
+            state = batched.state_dict()
+            assert state == states[hi]
+            assert list(state["links"]) == list(states[hi]["links"])
+            # Checkpoints pickle these: numpy integers would change
+            # the format.
+            assert all(type(value) is int for value in state["stats"].values())
+            assert vars(batched.stats) == states[hi]["stats"]
+
+    def test_burst_carries_across_batches(self):
+        """A burst cut by a batch boundary finishes in the next batch."""
+        plan = FaultPlan(seed=4, burst_loss_rate=0.05, burst_mean_length=50.0)
+        batched, single = plan.capture_filter(400.0), plan.capture_filter(400.0)
+        records = make_records(400, link="commercial1")
+        carried = 0
+        for start in range(0, len(records), 10):
+            cols = RecordColumns.from_records(records[start : start + 10])
+            kept = batched.filter_columns(cols).to_records()
+            assert kept == kept_by(single, records[start : start + 10])
+            assert batched.state_dict() == single.state_dict()
+            carried += batched.state_dict()["links"]["commercial1"]["burst_remaining"] > 0
+        assert carried
+
+    def test_numpy_bridge_is_the_same_mersenne_twister(self):
+        """``keep_mask`` draws through ``numpy.random.RandomState`` from
+        states ``random.Random`` owns.  That is exact only while both
+        compute the same double from the same MT19937 state; a numpy
+        that ever stops doing so must fail here, not shift reports."""
+        rng = random.Random(20070824)
+        for _ in range(1000):  # off the just-seeded position
+            rng.random()
+        twin = random.Random(0)
+        bridge = CaptureFilter(FaultPlan(seed=1, capture_loss_rate=0.5), 1.0)
+        bridge._bulk_load(rng)
+        drawn = bridge._bulk.random_sample(100_000)
+        bridge._bulk_store(twin)
+        assert drawn.tolist() == [rng.random() for _ in range(100_000)]
+        assert twin.getstate() == rng.getstate()
+        assert [twin.random() for _ in range(1000)] == [
+            rng.random() for _ in range(1000)
+        ]
 
     def test_per_link_state_is_independent(self):
         """A link's drop pattern must not depend on other links' traffic.

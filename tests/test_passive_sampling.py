@@ -1,5 +1,6 @@
 """Tests for fixed-period sampling."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +73,29 @@ class TestFixedPeriodSampler:
             lo <= t < hi for lo, hi in sampler.windows_in(t - 7200, t + 7200)
         )
         assert sampler.keep(t) == inside_any
+
+    @given(
+        st.floats(min_value=0.5, max_value=60.0),
+        st.floats(min_value=1.0, max_value=120.0),
+        st.floats(min_value=-hours(2), max_value=hours(2)),
+        st.lists(
+            st.floats(min_value=-hours(5), max_value=hours(100))
+            | st.integers(-300, 6000).map(float).map(minutes),
+            max_size=50,
+        ),
+    )
+    def test_property_keep_mask_matches_keep(
+        self, sample_minutes, period_minutes, anchor, times
+    ):
+        """The column mask is the scalar float expression, bit for bit:
+        window edges, times before the anchor and an empty column."""
+        sampler = FixedPeriodSampler(
+            sample_minutes=min(sample_minutes, period_minutes),
+            period_minutes=period_minutes, anchor=anchor,
+        )
+        mask = sampler.keep_mask(np.array(times, dtype=np.float64))
+        assert mask.dtype == bool
+        assert mask.tolist() == [sampler.keep(t) for t in times]
 
     @given(st.floats(min_value=1, max_value=59))
     def test_property_long_run_fraction(self, sample_minutes):

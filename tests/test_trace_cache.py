@@ -309,11 +309,17 @@ class TestBatchedObservers:
         return is_campus, lambda address: is_campus(address)
 
     def test_passive_table(self, dataset):
+        from repro.passive.sampling import FixedPeriodSampler
+
         for overrides in (
             {},
             {"tcp_ports": None, "udp_ports": frozenset()},
             {"links": frozenset({"commercial1", "internet2"}),
              "exclude_sources": frozenset(_OUTSIDE[:1])},
+            # A sampler with a column mask stays vectorised.
+            {"sampler": FixedPeriodSampler(sample_minutes=30)},
+            {"sampler": FixedPeriodSampler(sample_minutes=2, anchor=30.0),
+             "links": frozenset({"internet2"})},
         ):
             make = self.table(dataset, **overrides)
             assert make()._can_vectorize()
@@ -327,7 +333,8 @@ class TestBatchedObservers:
         for overrides in (
             {"signal": ServiceSignal.HANDSHAKE},
             {"udp_signal": UdpSignal.BIDIRECTIONAL},
-            {"sampler": FixedPeriodSampler(sample_minutes=30)},
+            # Any other sampler callable is opaque.
+            {"sampler": FixedPeriodSampler(sample_minutes=30).keep},
             {"is_campus": self.predicates(dataset)[1]},
         ):
             make = self.table(dataset, **overrides)
@@ -364,7 +371,7 @@ class TestBatchedObservers:
                 lambda monitor: (
                     _table_state(monitor.combined),
                     [_table_state(tap.table) for tap in monitor.taps.values()],
-                    monitor.faults and _fault_counts(monitor.faults),
+                    monitor.faults and monitor.faults.state_dict(),
                 ),
             )
 
@@ -375,7 +382,7 @@ class TestBatchedObservers:
                 "commercial1", dataset.is_campus, _TCP_PORTS, _UDP_PORTS,
                 faults=_FAULTS.capture_filter(200_000.0),
             ),
-            lambda tap: (_table_state(tap.table), _fault_counts(tap.faults)),
+            lambda tap: (_table_state(tap.table), tap.faults.state_dict()),
         )
 
     def test_shard_state(self, dataset):
