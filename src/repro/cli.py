@@ -20,9 +20,9 @@ Operational entry points over the library:
     Drop old checkpoint generations from a fabric checkpoint store,
     keeping the newest ``--keep N``.
 ``record DATASET OUT``
-    Record a dataset's border traffic to a binary trace file
-    (columnar v2 by default; ``--format 1`` for the row format),
-    optionally anonymised.
+    Record a dataset's border traffic to a binary trace file (the
+    columnar v2 format; ``trace convert --to 1`` makes a row-format
+    copy), optionally anonymised.
 ``trace-stats FILE``
     Summarise a recorded trace (record counts, protocol mix, top
     campus responders).
@@ -259,12 +259,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
             result = StreamEngine(config).run(
                 resume=args.resume, progress=progress
             )
-    except KeyboardInterrupt:
-        if checkpoint:
-            print(f"interrupted; checkpoint saved to {checkpoint}",
-                  file=sys.stderr)
-        else:
-            print("interrupted (no checkpoint configured)", file=sys.stderr)
+    except KeyboardInterrupt as exc:
+        # The run loop attaches what its shard transport left behind.
+        print(f"interrupted; {str(exc) or 'the stream had not started'}",
+              file=sys.stderr)
         return 130
     finally:
         signal.signal(signal.SIGTERM, previous)
@@ -413,7 +411,6 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.simkernel.clock import days
     from repro.trace.anonymize import Anonymizer
     from repro.trace.columnar import ColumnarTraceWriter
-    from repro.trace.format import TraceWriter
 
     dataset = build_dataset(args.dataset, seed=args.seed, scale=args.scale)
     end = days(args.days) if args.days is not None else None
@@ -422,8 +419,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         if args.anonymize_key is not None
         else None
     )
-    writer_cls = TraceWriter if args.format_version == 1 else ColumnarTraceWriter
-    with writer_cls.open(args.out) as writer:
+    with ColumnarTraceWriter.open(args.out) as writer:
         for record in dataset.packet_stream(end=end):
             if anonymizer is not None:
                 record = anonymizer.anonymize(record)
@@ -1010,10 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record only the first N days")
     record.add_argument("--anonymize-key", type=int, default=None,
                         help="anonymise addresses with this key")
-    record.add_argument(
-        "--format", type=int, choices=(1, 2), default=2, dest="format_version",
-        help="trace format version to write (2 = columnar, the default)",
-    )
 
     stats = commands.add_parser("trace-stats", help="summarise a trace file")
     stats.add_argument("file")

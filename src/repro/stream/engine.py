@@ -1,4 +1,4 @@
-"""The streaming discovery engine: run loop, resume, and final merge.
+"""The streaming discovery engine: the one run loop, resume, final merge.
 
 :class:`StreamEngine` consumes a dataset's border capture as an
 unbounded stream of :class:`~repro.trace.columnar.RecordColumns`
@@ -6,20 +6,25 @@ batches -- zero-copy views of the record-once trace cache when a
 recording exists (:func:`repro.trace.columnar.read_trace_columns` with
 a seek past the resume offset), regenerated from the traffic model and
 columnised chunk by chunk otherwise -- and drives the sharded pipeline
-end to end:
+end to end.  One driver (:meth:`StreamEngine._drive`) owns everything
+a run *decides*; a shard transport owns only how shard state is
+*reached* -- worker threads here (:class:`_ThreadTransport`), worker
+processes in :mod:`repro.stream.fabric`:
 
-1. the driving thread reads one batch, applies the run's fault filter
-   (capture loss and monitor outages, in stream order -- the same drop
-   pattern the batch path produces), routes it with
-   :func:`repro.stream.shard.split_columns`, and hands the parts to the
-   :class:`repro.stream.ingest.StreamIngestor`;
-2. when stream time crosses an emission mark, the engine drains the
-   shard queues and emits a :class:`repro.stream.watermark.Watermark`
-   -- windowed completeness without replay;
-3. when stream time crosses a checkpoint mark, it drains and writes an
-   atomic versioned snapshot (:mod:`repro.stream.checkpoint`), so a
-   killed run resumes from the last checkpoint and converges to the
-   identical final report;
+1. the driver reads one batch, applies the run's fault filter (capture
+   loss and monitor outages, in stream order -- the same drop pattern
+   the batch path produces), routes it with
+   :func:`repro.stream.shard.split_columns`, feeds the parts to the
+   transport, and advances the online prober to stream time;
+2. when stream time crosses an emission mark, it asks the transport
+   for the passive addresses first seen by the mark and emits a
+   :class:`repro.stream.watermark.Watermark` -- windowed completeness
+   without replay;
+3. when stream time crosses a snapshot or checkpoint mark, it collects
+   a consistent cut from the transport and publishes it, or has the
+   transport write it out with the run's progress payload
+   (:mod:`repro.stream.checkpoint`), so a killed run resumes from the
+   last checkpoint and converges to the identical final report;
 4. at end of stream the shard states merge into one ordinary
    :class:`~repro.passive.monitor.PassiveServiceTable` and the final
    report renders through the same function as ``python -m repro
@@ -27,11 +32,12 @@ end to end:
    (seed, scale, faults).
 
 Memory is flat in trace length: the engine holds one decoded batch
-plus the bounded shard queues; nothing retains the stream.
+plus the transport's bounded shard queues; nothing retains the stream.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -44,7 +50,12 @@ from repro.core.report import survey_table
 from repro.net.packet import PacketRecord
 from repro.passive.monitor import Endpoint, PassiveServiceTable
 from repro.probe import POLICY_NAMES, build_prober
-from repro.query.snapshot import DiscoverySnapshot, snapshot_states
+from repro.query.snapshot import (
+    DiscoverySnapshot,
+    merge_snapshot_payloads,
+    shard_snapshot_payload,
+    snapshot_states,
+)
 from repro.stream.checkpoint import (
     checkpoint_config,
     load_checkpoint,
@@ -57,7 +68,12 @@ from repro.stream.shard import (
     merged_last_seen,
     split_columns,
 )
-from repro.stream.watermark import ActiveTimeline, Watermark, emit_schedule
+from repro.stream.watermark import (
+    ActiveTimeline,
+    Watermark,
+    emit_schedule,
+    windowed_summary,
+)
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.tracing import tracer as _tracer
 from repro.trace.cache import default_trace_cache
@@ -183,6 +199,15 @@ class StreamResult:
     snapshot: DiscoverySnapshot | None = None
 
 
+def _fresh_table(dataset) -> PassiveServiceTable:
+    """An empty passive table watching *dataset*'s campus and ports."""
+    return PassiveServiceTable(
+        is_campus=dataset.is_campus,
+        tcp_ports=dataset.tcp_ports,
+        udp_ports=dataset.udp_ports,
+    )
+
+
 def finalize_result(
     config: StreamConfig,
     dataset,
@@ -209,14 +234,7 @@ def finalize_result(
     evidence then replaces the build-time scan reports as the report's
     active side, and the scan count is the sweeps it completed.
     """
-    merged = merge_shards(
-        states,
-        PassiveServiceTable(
-            is_campus=dataset.is_campus,
-            tcp_ports=dataset.tcp_ports,
-            udp_ports=dataset.udp_ports,
-        ),
-    )
+    merged = merge_shards(states, _fresh_table(dataset))
     snapshot = snapshot_states(
         states, now=now, records=records_delivered, watermarks=watermarks,
         probes=probes.view() if probes is not None else None,
@@ -331,63 +349,6 @@ class StreamEngine:
         for chunk in _batched(stream, config.batch_records):
             yield RecordColumns.from_records(chunk)
 
-    # ---- watermarks & checkpoints --------------------------------------
-
-    def _watermark(
-        self,
-        mark: float,
-        records: int,
-        states: list[ShardState],
-        active: ActiveTimeline,
-    ) -> Watermark:
-        """Completeness at *mark* from live (drained) shard state.
-
-        The current batch may straddle the mark, so passive state is
-        filtered by evidence time: an endpoint counts iff its first
-        evidence is at or before the mark, exactly the set a batch
-        replay truncated at the mark would report.
-        """
-        passive = {
-            address
-            for state in states
-            for (address, _port, _proto), seen in state.table.first_seen.items()
-            if seen <= mark
-        }
-        summary = summarize_overlap(passive, set(active.addresses_by(mark)))
-        return Watermark(time=mark, records=records, summary=summary)
-
-    def _save_checkpoint(
-        self,
-        path: Path,
-        identity: dict,
-        states: list[ShardState],
-        faults,
-        progress: dict,
-    ) -> None:
-        payload = {
-            "config": identity,
-            "faults": faults.state_dict() if faults is not None else None,
-            "shards": [state.state_dict() for state in states],
-        }
-        payload.update(progress)
-        started = perf_counter()
-        size = save_checkpoint(path, payload)
-        elapsed = perf_counter() - started
-        reg = _telemetry_registry()
-        if reg.enabled:
-            reg.counter(
-                "repro_stream_checkpoints_total",
-                "Checkpoints written by stream runs.",
-            ).inc()
-            reg.histogram(
-                "repro_stream_checkpoint_bytes",
-                "Size of each written stream checkpoint.",
-            ).observe(size)
-            reg.histogram(
-                "repro_stream_checkpoint_seconds",
-                "Wall time to serialise and atomically write a checkpoint.",
-            ).observe(elapsed)
-
     # ---- the run loop ---------------------------------------------------
 
     def run(
@@ -420,22 +381,40 @@ class StreamEngine:
         shard state.  The final snapshot is always published so the
         service keeps answering after the stream ends.
         """
+        return self._drive(
+            _ThreadTransport(self), resume, stop_after_records, progress,
+            publisher,
+        )
+
+    def _drive(
+        self,
+        transport,
+        resume: bool = False,
+        stop_after_records: int | None = None,
+        progress: Callable[[Watermark], None] | None = None,
+        publisher=None,
+    ) -> StreamResult:
+        """The one stream run loop, over any shard transport.
+
+        The driver owns every decision of a run: source iteration and
+        the resume offset, the capture-fault filter, stream time, the
+        online prober, the watermark / snapshot / checkpoint schedules,
+        the progress payload both checkpoint formats store, telemetry,
+        the end-of-stream flush and the final merge.  Per batch the
+        order is fixed: feed, advance the prober to stream time, marks,
+        snapshot, checkpoint -- so a mark sees the probes fired up to
+        it and a checkpoint's payload holds every watermark before it.
+
+        *transport* owns only how shard state is reached (the surface
+        is :class:`_ThreadTransport`'s methods; the fabric supervisor
+        is the other implementation).  Marks are pipelined: the driver
+        requests them in order and emits whatever the transport reports
+        complete, waiting only before a checkpoint and at end of
+        stream.
+        """
         config = self.config
         dataset = self.dataset
         end = self._effective_end()
-        identity = self._identity()
-        ckpt_path = (
-            Path(config.checkpoint_path) if config.checkpoint_path else None
-        )
-
-        def fresh_table() -> PassiveServiceTable:
-            return PassiveServiceTable(
-                is_campus=dataset.is_campus,
-                tcp_ports=dataset.tcp_ports,
-                udp_ports=dataset.udp_ports,
-            )
-
-        states = [ShardState(index, fresh_table()) for index in range(config.shards)]
         faults = (
             self.plan.capture_filter(dataset.duration)
             if self.plan is not None
@@ -447,7 +426,8 @@ class StreamEngine:
         )
         # With online probing, the scheduler IS the active side: its
         # live evidence feeds watermarks (same addresses_by contract)
-        # instead of the build-time scan timeline.
+        # instead of the build-time scan timeline.  It lives with the
+        # driver, never in a worker, so shard failover cannot perturb it.
         active = (
             prober
             if prober is not None
@@ -474,17 +454,15 @@ class StreamEngine:
         resumed = False
 
         if resume:
-            if ckpt_path is None:
+            if not config.checkpoint_path:
                 raise ValueError("resume requires config.checkpoint_path")
-            if ckpt_path.exists():
-                payload = load_checkpoint(ckpt_path, identity)
+            payload = transport.restore()
+            if payload is not None:
                 records_read = int(payload["records_read"])
                 records_delivered = int(payload["records_delivered"])
                 now = float(payload["now"])
                 emitted_index = int(payload["emitted_index"])
                 watermarks = list(payload["watermarks"])
-                for state, saved in zip(states, payload["shards"]):
-                    state.restore_state(saved)
                 if faults is not None and payload.get("faults") is not None:
                     faults.restore_state(payload["faults"])
                 if prober is not None and payload.get("probes") is not None:
@@ -492,7 +470,7 @@ class StreamEngine:
                 resumed = True
 
         next_checkpoint = None
-        if config.checkpoint_every is not None and ckpt_path is not None:
+        if config.checkpoint_every is not None and config.checkpoint_path:
             next_checkpoint = config.checkpoint_every
             while next_checkpoint <= now:
                 next_checkpoint += config.checkpoint_every
@@ -509,6 +487,9 @@ class StreamEngine:
             tap = ReplayTap()
         is_campus = dataset.is_campus
         shards = config.shards
+        trc = _tracer()
+        #: Requested, not yet emitted marks: (mark, records at request).
+        pending: deque[tuple[float, int]] = deque()
 
         def snapshot_progress() -> dict:
             return {
@@ -517,20 +498,54 @@ class StreamEngine:
                 "now": now,
                 "emitted_index": emitted_index,
                 "watermarks": list(watermarks),
+                "faults": faults.state_dict() if faults is not None else None,
                 "probes": (
                     prober.state_dict() if prober is not None else None
                 ),
             }
 
-        ingestor = StreamIngestor(states, max_queue_chunks=config.max_queue_chunks)
-        interrupted = False
-        trc = _tracer()
+        def request_due_marks(upto: float) -> None:
+            index = emitted_index + len(pending)
+            while index < len(marks) and upto >= marks[index]:
+                pending.append((marks[index], records_delivered))
+                transport.request_mark(index, marks[index])
+                index += 1
+
+        def emit(completed: list[set[int]]) -> None:
+            # A batch may straddle its mark, so the transport filters
+            # passive state by evidence time: exactly the addresses a
+            # batch replay truncated at the mark would report.
+            nonlocal emitted_index
+            for passive in completed:
+                mark, records = pending.popleft()
+                watermark = Watermark(
+                    time=mark, records=records,
+                    summary=windowed_summary(passive, active, mark),
+                )
+                watermarks.append(watermark)
+                emitted_index += 1
+                if trc.enabled:
+                    trc.event("stream.watermark", mark=mark, records=records)
+                if reg.enabled:
+                    reg.counter(
+                        "repro_stream_watermarks_total",
+                        "Watermarks emitted by stream runs.",
+                    ).inc()
+                    reg.histogram(
+                        "repro_stream_watermark_lag_seconds",
+                        "Stream-time lag between a mark and its emission.",
+                    ).observe(max(0.0, now - mark))
+                if progress is not None:
+                    progress(watermark)
+
+        states = None
         trc.event(
             "stream.start", shards=shards, records=records_read,
             resumed=resumed,
         )
         wall_start = perf_counter()
         try:
+            transport.start(records_read)
             for batch in self._source_batches(records_read, end):
                 records_read += len(batch)
                 if faults is not None:
@@ -542,7 +557,9 @@ class StreamEngine:
                         now = last_time
                     if tap is not None:
                         tap.observe_columns(batch)
-                    ingestor.dispatch(split_columns(batch, is_campus, shards))
+                    transport.feed(
+                        split_columns(batch, is_campus, shards), records_read
+                    )
                     if trc.enabled:
                         trc.note("engine.batch", records=records_read)
                 if prober is not None:
@@ -550,89 +567,91 @@ class StreamEngine:
                     # at or before the stream's new instant, so the
                     # watermark/checkpoint below see its evidence.
                     prober.advance(now)
-                while emitted_index < len(marks) and now >= marks[emitted_index]:
-                    ingestor.drain()
-                    mark = marks[emitted_index]
-                    watermark = self._watermark(
-                        mark, records_delivered, states, active
-                    )
-                    watermarks.append(watermark)
-                    emitted_index += 1
-                    if trc.enabled:
-                        trc.event(
-                            "stream.watermark", mark=mark,
-                            records=records_delivered,
-                        )
-                    if reg.enabled:
-                        reg.counter(
-                            "repro_stream_watermarks_total",
-                            "Watermarks emitted by stream runs.",
-                        ).inc()
-                        reg.histogram(
-                            "repro_stream_watermark_lag_seconds",
-                            "Stream-time lag between a mark and its emission.",
-                        ).observe(max(0.0, now - mark))
-                    if progress is not None:
-                        progress(watermark)
+                transport.poll()
+                request_due_marks(now)
+                emit(transport.completed_marks())
                 if snap_index < len(snap_marks) and now >= snap_marks[snap_index]:
                     # Catch up past every satisfied mark but copy state
-                    # only once -- queues drained, so the snapshot is a
-                    # consistent stream prefix.
+                    # only once.  None means the round was aborted (a
+                    # failover): skip this boundary, queries keep
+                    # answering from the previous snapshot.
                     while (
                         snap_index < len(snap_marks)
                         and now >= snap_marks[snap_index]
                     ):
                         snap_index += 1
-                    ingestor.drain()
-                    publisher.publish(
-                        snapshot_states(
-                            states,
-                            now=now,
-                            records=records_delivered,
-                            watermarks=list(watermarks),
-                            probes=(
-                                prober.view() if prober is not None else None
-                            ),
+                    payloads = transport.snapshot_payloads()
+                    if payloads is not None:
+                        publisher.publish(
+                            merge_snapshot_payloads(
+                                payloads,
+                                now=now,
+                                records=records_delivered,
+                                watermarks=list(watermarks),
+                                probes=(
+                                    prober.view() if prober is not None else None
+                                ),
+                            )
                         )
-                    )
-                    if trc.enabled:
-                        trc.event(
-                            "stream.snapshot", records=records_delivered
-                        )
+                        if trc.enabled:
+                            trc.event(
+                                "stream.snapshot", records=records_delivered
+                            )
+                        if reg.enabled:
+                            reg.counter(
+                                "repro_stream_snapshots_total",
+                                "Query snapshots published by stream runs.",
+                            ).inc()
+                if next_checkpoint is not None and now >= next_checkpoint:
+                    # Pending marks drain first, so the payload's
+                    # emission cursor matches its watermark list.
+                    emit(transport.completed_marks(wait=True))
+                    started = perf_counter()
+                    with trc.span("stream.checkpoint", records=records_read):
+                        size = transport.checkpoint(snapshot_progress())
+                    checkpoints_written += 1
                     if reg.enabled:
                         reg.counter(
-                            "repro_stream_snapshots_total",
-                            "Query snapshots published by stream runs.",
+                            "repro_stream_checkpoints_total",
+                            "Checkpoints written by stream runs.",
                         ).inc()
-                if next_checkpoint is not None and now >= next_checkpoint:
-                    ingestor.drain()
-                    with trc.span("stream.checkpoint", records=records_read):
-                        self._save_checkpoint(
-                            ckpt_path, identity, states, faults,
-                            snapshot_progress(),
-                        )
-                    checkpoints_written += 1
+                        reg.histogram(
+                            "repro_stream_checkpoint_seconds",
+                            "Wall time to serialise and atomically write a checkpoint.",
+                        ).observe(perf_counter() - started)
+                        if size is not None:
+                            reg.histogram(
+                                "repro_stream_checkpoint_bytes",
+                                "Size of each written stream checkpoint.",
+                            ).observe(size)
                     while next_checkpoint <= now:
                         next_checkpoint += config.checkpoint_every
                 if (
                     stop_after_records is not None
                     and records_read >= stop_after_records
                 ):
-                    interrupted = True
                     break
-        except KeyboardInterrupt:
-            ingestor.drain()
-            if ckpt_path is not None:
-                self._save_checkpoint(
-                    ckpt_path, identity, states, faults, snapshot_progress()
-                )
+            else:
+                if prober is not None:
+                    # The source is drained; fire everything scheduled
+                    # through its end (probes can outlast the last
+                    # packet) so the final marks and report carry the
+                    # complete active evidence.
+                    prober.advance(end)
+                # Marks at or past the last record's timestamp (always
+                # at least the final one) are emitted now.
+                request_due_marks(end)
+                emit(transport.completed_marks(wait=True))
+                states = transport.finish()
+        except KeyboardInterrupt as exc:
+            # The transport says what it left behind to resume from.
+            exc.args = (transport.interrupt(snapshot_progress()),)
             raise
         finally:
-            ingestor.close()
+            transport.close()
             if reg.enabled:
                 if tap is not None:
                     tap.flush_into(reg)
-                ingestor.flush_telemetry(reg)
                 elapsed = perf_counter() - wall_start
                 reg.counter(
                     "repro_stream_read_records_total",
@@ -664,7 +683,7 @@ class StreamEngine:
                         "Source throughput of the most recent stream run.",
                     ).set((records_read - read_at_start) / elapsed)
 
-        if interrupted:
+        if states is None:  # stopped early: progress, but no report
             return StreamResult(
                 finished=False,
                 records_read=records_read,
@@ -674,31 +693,6 @@ class StreamEngine:
                 watermarks=watermarks,
             )
 
-        if prober is not None:
-            # The stream is drained; fire everything scheduled through
-            # its end (probes can outlast the last packet) so the final
-            # marks and report carry the complete active evidence.
-            prober.advance(end)
-
-        while emitted_index < len(marks):
-            # Marks at or past the last record's timestamp (always at
-            # least the final one) are emitted once the source drains.
-            watermark = self._watermark(
-                marks[emitted_index], records_delivered, states, active
-            )
-            watermarks.append(watermark)
-            emitted_index += 1
-            if reg.enabled:
-                reg.counter(
-                    "repro_stream_watermarks_total",
-                    "Watermarks emitted by stream runs.",
-                ).inc()
-            if progress is not None:
-                progress(watermark)
-
-        if ckpt_path is not None and ckpt_path.exists():
-            # Clean finish: a stale checkpoint must not hijack the next run.
-            ckpt_path.unlink()
         trc.event(
             "stream.end", records=records_read, watermarks=len(watermarks)
         )
@@ -707,9 +701,115 @@ class StreamEngine:
             records_read, records_delivered, checkpoints_written, resumed,
             now=now, probes=prober,
         )
+        # Clean finish: a stale checkpoint must not hijack the next run.
+        transport.clear_checkpoints()
         if publisher is not None and result.snapshot is not None:
             publisher.publish(result.snapshot)
         return result
+
+
+class _ThreadTransport:
+    """Shard state behind worker threads in this process.
+
+    The barrier is a drain: every consistent cut (mark, snapshot,
+    checkpoint) first waits for the :class:`StreamIngestor`'s queues
+    to empty, then reads the live :class:`ShardState` objects -- so
+    marks are answered at request time.  Its methods are the whole
+    transport surface :meth:`StreamEngine._drive` uses.
+    """
+
+    def __init__(self, engine: StreamEngine) -> None:
+        config = engine.config
+        dataset = engine.dataset
+        self.path = (
+            Path(config.checkpoint_path) if config.checkpoint_path else None
+        )
+        self.identity = engine._identity()
+        self.max_queue_chunks = config.max_queue_chunks
+        self.states = [
+            ShardState(index, _fresh_table(dataset))
+            for index in range(config.shards)
+        ]
+        self.ingestor: StreamIngestor | None = None
+        self._marks: list[set[int]] = []
+
+    def restore(self) -> dict | None:
+        """Restore shard state; return the saved run progress, if any."""
+        if not self.path.exists():
+            return None
+        payload = load_checkpoint(self.path, self.identity)
+        for state, saved in zip(self.states, payload["shards"]):
+            state.restore_state(saved)
+        return payload
+
+    def start(self, offset: int) -> None:
+        """Bring the shards up, holding the stream's first *offset* records."""
+        self.ingestor = StreamIngestor(
+            self.states, max_queue_chunks=self.max_queue_chunks
+        )
+
+    def feed(self, parts: list, offset: int) -> None:
+        """Hand over one routed batch; *offset* is the source position after it."""
+        self.ingestor.dispatch(parts)
+
+    def poll(self) -> None:
+        """Service the transport between batches (threads need nothing)."""
+
+    def request_mark(self, index: int, mark: float) -> None:
+        """Ask for the passive addresses first seen at or before *mark*."""
+        self.ingestor.drain()
+        self._marks.append({
+            address
+            for state in self.states
+            for (address, _port, _proto), seen in state.table.first_seen.items()
+            if seen <= mark
+        })
+
+    def completed_marks(self, wait: bool = False) -> list[set[int]]:
+        """Answered marks in request order; all of them when *wait*."""
+        completed, self._marks = self._marks, []
+        return completed
+
+    def snapshot_payloads(self):
+        """Per-shard snapshot payloads of one consistent cut, or None."""
+        self.ingestor.drain()
+        return (shard_snapshot_payload(state) for state in self.states)
+
+    def checkpoint(self, progress: dict) -> int | None:
+        """Durably write shard state with *progress*; bytes, if known."""
+        self.ingestor.drain()
+        return save_checkpoint(
+            self.path,
+            {
+                "config": self.identity,
+                "shards": [state.state_dict() for state in self.states],
+                **progress,
+            },
+        )
+
+    def interrupt(self, progress: dict) -> str:
+        """React to an interrupt; say what a resume will start from."""
+        if self.path is None:
+            return "no checkpoint configured"
+        self.checkpoint(progress)
+        return f"checkpoint saved to {self.path}"
+
+    def finish(self) -> list[ShardState]:
+        """Stop the shards and return their final states."""
+        self.ingestor.close()
+        return self.states
+
+    def clear_checkpoints(self) -> None:
+        if self.path is not None and self.path.exists():
+            self.path.unlink()
+
+    def close(self) -> None:
+        """Tear down (idempotent; also runs after a failure)."""
+        if self.ingestor is not None:
+            self.ingestor.close()
+            reg = _telemetry_registry()
+            if reg.enabled:
+                self.ingestor.flush_telemetry(reg)
 
 
 def batch_survey_report(config: StreamConfig, dataset=None) -> str:
@@ -730,11 +830,7 @@ def batch_survey_report(config: StreamConfig, dataset=None) -> str:
         dataset = build_dataset(
             config.dataset, seed=config.seed, scale=config.scale, faults=plan
         )
-    table = PassiveServiceTable(
-        is_campus=dataset.is_campus,
-        tcp_ports=dataset.tcp_ports,
-        udp_ports=dataset.udp_ports,
-    )
+    table = _fresh_table(dataset)
     faults = plan.capture_filter(dataset.duration) if plan is not None else None
     records = dataset.replay(table, faults=faults)
     active_addresses = {

@@ -3,11 +3,12 @@
 The threaded engine (:mod:`repro.stream.engine`) shards across worker
 *threads*, so folding throughput is GIL-bound and any crash kills the
 whole run.  This module promotes shards to shared-nothing worker
-**processes**: a :class:`FabricSupervisor` reads the source stream,
-applies the run's fault filter (once, in stream order -- the drop
+**processes**.  The run loop is still the engine's
+(:meth:`~repro.stream.engine.StreamEngine._drive` reads the source and
+applies the run's fault filter once, in stream order -- the drop
 pattern is decided before any process boundary, so it cannot depend on
-worker scheduling or deaths), routes each batch with the existing
-split functions, and ships per-shard sub-batches over bounded
+worker scheduling or deaths); a :class:`FabricSupervisor` is the shard
+transport it feeds, shipping per-shard sub-batches over bounded
 ``multiprocessing`` queues to workers that do nothing but fold them
 into their own :class:`~repro.stream.shard.ShardState`.
 
@@ -29,11 +30,11 @@ saw), and resumes -- with bounded retries and exponential backoff.
 Exhausting ``max_restarts`` raises :class:`FabricDegradedError`
 ("degraded: shard N restarted K times") instead of hanging.
 
-**Consistency.**  Watermark and checkpoint requests travel *in band*
-on the same FIFO queues as data, so a worker answers them only after
-folding everything that preceded them -- the distributed analogue of
-the threaded engine's ``drain()`` barrier.  A checkpoint generation is
-committed by the supervisor's manifest write, which happens only after
+**Consistency.**  Watermark, snapshot and checkpoint requests travel
+*in band* on the same FIFO queues as data, so a worker answers them
+only after folding everything that preceded them -- the distributed
+analogue of the thread transport's ``drain()`` barrier.  A checkpoint
+generation is committed by the supervisor's manifest write, only after
 every shard acked its own file: generations are all-or-nothing, and a
 failover mid-generation simply aborts it (the orphan shard files are
 never referenced and later pruned).
@@ -57,19 +58,21 @@ from pathlib import Path
 from time import monotonic, perf_counter
 from typing import Callable
 
-from repro.core.completeness import summarize_overlap
 from repro.faults.worker import WorkerFaultEvents, WorkerFaultPlan
-from repro.passive.monitor import PassiveServiceTable
-from repro.probe import build_prober
-from repro.query.snapshot import merge_snapshot_payloads, shard_snapshot_payload
+from repro.query.snapshot import shard_snapshot_payload
 from repro.stream.checkpoint import (
     ShardCheckpointStore,
     ShardRestore,
 )
-from repro.stream.engine import StreamConfig, StreamEngine, StreamResult, finalize_result
+from repro.stream.engine import (
+    StreamConfig,
+    StreamEngine,
+    StreamResult,
+    _fresh_table,
+)
 from repro.stream.membership import Membership
 from repro.stream.shard import ShardState, split_columns
-from repro.stream.watermark import ActiveTimeline, Watermark, emit_schedule
+from repro.stream.watermark import Watermark
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.spans import span as _span
@@ -189,14 +192,7 @@ def _shard_worker(
         # The forked registry holds the parent's counts; a fresh one
         # isolates this worker's contribution for the merge at "done".
         set_registry(MetricRegistry())
-    state = ShardState(
-        shard,
-        PassiveServiceTable(
-            is_campus=dataset.is_campus,
-            tcp_ports=dataset.tcp_ports,
-            udp_ports=dataset.udp_ports,
-        ),
-    )
+    state = ShardState(shard, _fresh_table(dataset))
     if initial_state is not None:
         state.restore_state(initial_state)
     store = (
@@ -327,7 +323,6 @@ class _PendingMark:
 
     index: int
     mark: float
-    records: int
     acks: dict[int, tuple] = field(default_factory=dict)
 
 
@@ -335,8 +330,9 @@ class FabricSupervisor:
     """Run one stream as a fleet of supervised shard worker processes.
 
     Wraps a :class:`~repro.stream.engine.StreamEngine` for everything
-    that defines the run (identity, source batches, dataset) and
-    replaces its in-process ingest with the process fabric.  ``shards``
+    that defines the run (identity, source batches, dataset, the run
+    loop) and is the shard transport that loop feeds: queues,
+    membership, failover, generations, in-band barriers.  ``shards``
     in the stream config is the worker count; since the checkpoint
     identity already includes it, fabric and threaded checkpoints can
     never cross-contaminate a resume.
@@ -641,7 +637,6 @@ class FabricSupervisor:
                 return False
             if fed >= target - base:
                 break
-        self._catchup_records += fed
         reg = _telemetry_registry()
         if reg.enabled:
             reg.counter(
@@ -745,12 +740,50 @@ class FabricSupervisor:
                 "Wall time to restore, relaunch, and catch up a shard.",
             ).observe(perf_counter() - started)
 
-    # ---- watermarks ---------------------------------------------------
+    # ---- the transport surface (what StreamEngine._drive calls) --------
 
-    def _send_mark(self, index: int, mark: float, records: int) -> None:
-        self._pending_marks[index] = _PendingMark(
-            index=index, mark=mark, records=records
-        )
+    def restore(self) -> dict | None:
+        """Plan the fleet's restore; return the newest manifest, if any.
+
+        Run progress resumes from the manifest; each shard restarts
+        from its newest good generation and :meth:`start` replays the
+        difference.
+        """
+        plan = self.store.plan_restore(self._identity)
+        if plan is None:
+            return None
+        self._generation = self._committed = plan.generation
+        for restore in plan.shards:
+            self._restores[restore.shard] = restore
+        return plan.manifest
+
+    def start(self, offset: int) -> None:
+        for shard, restore in enumerate(self._restores):
+            self._records_fed[shard] = offset
+            incarnation = self._spawn(
+                shard, restore.state if restore is not None else None
+            )
+            if restore is not None:
+                # This shard's newest good generation may lag the
+                # manifest we resumed from; replay the difference.
+                self._feed_catchup(
+                    shard, incarnation, restore.records_read, offset,
+                    restore.faults,
+                )
+
+    def feed(self, parts: list, offset: int) -> None:
+        ctx = _tracer().current_ids()
+        for shard, part in enumerate(parts):
+            if part:
+                self._put(shard, ("batch", part, ctx))
+            self._records_fed[shard] = offset
+
+    def poll(self) -> None:
+        self._pump()
+        self._reap()
+
+    def request_mark(self, index: int, mark: float) -> None:
+        self._pending_marks[index] = _PendingMark(index=index, mark=mark)
         ctx = _tracer().current_ids()
         for shard in range(self.config.shards):
             # On failover the marker resend inside _failover covers it.
@@ -758,177 +791,102 @@ class FabricSupervisor:
                 shard, ("mark", index, mark, ctx), abandon_on_failover=True
             )
 
-    def _emit_ready_marks(
-        self, progress: Callable[[Watermark], None] | None
-    ) -> None:
-        """Emit, in order, every fully-acked pending watermark."""
-        reg = _telemetry_registry()
-        while self._emitted_index in self._pending_marks:
-            pending = self._pending_marks[self._emitted_index]
-            if len(pending.acks) < self.config.shards:
-                return
-            passive: set[int] = set()
-            for addresses in pending.acks.values():
-                passive.update(addresses)
-            summary = summarize_overlap(
-                passive, set(self._active.addresses_by(pending.mark))
-            )
-            watermark = Watermark(
-                time=pending.mark, records=pending.records, summary=summary
-            )
-            self._watermarks.append(watermark)
-            del self._pending_marks[self._emitted_index]
-            self._emitted_index += 1
-            if reg.enabled:
-                reg.counter(
-                    "repro_stream_watermarks_total",
-                    "Watermarks emitted by stream runs.",
-                ).inc()
-            if progress is not None:
-                progress(watermark)
+    def completed_marks(self, wait: bool = False) -> list[set[int]]:
+        """Passive address sets of fully-acked marks, in request order.
 
-    def _await_marks(
-        self, progress: Callable[[Watermark], None] | None
-    ) -> None:
-        """Block until every sent watermark has been emitted."""
+        Marks are pipelined: without *wait* this returns only what the
+        workers have answered so far; with it, blocks until every
+        requested mark is answered.
+        """
+        completed: list[set[int]] = []
         while self._pending_marks:
-            self._pump(0.02)
-            self._reap()
-            self._emit_ready_marks(progress)
+            pending = next(iter(self._pending_marks.values()))  # oldest
+            if len(pending.acks) < self.config.shards:
+                if not wait:
+                    break
+                self._pump(0.02)
+                self._reap()
+                continue
+            completed.append(set().union(*pending.acks.values()))
+            del self._pending_marks[pending.index]
+        return completed
 
-    # ---- checkpoints --------------------------------------------------
-
-    def _commit_checkpoint(
-        self,
-        faults,
-        progress: Callable[[Watermark], None] | None,
-    ) -> None:
+    def checkpoint(self, progress: dict) -> None:
         """Run one checkpoint generation to a committed manifest.
 
-        Pending watermarks drain first so the manifest's emission
-        cursor matches its watermark list.  Then every worker is asked
-        to write its shard file for a fresh generation; the manifest --
-        the commit record -- is written only once all acks arrive.  A
+        Every worker is asked to write its shard file for a fresh
+        generation; the manifest -- the commit record, carrying the
+        driver's *progress* -- is written only once all acks arrive.  A
         failover anywhere in between aborts the generation and retries
         with the next one (the restart budget bounds the retries).
         """
-        self._await_marks(progress)
-        reg = _telemetry_registry()
         while True:
             self._generation = max(self._generation, self._committed) + 1
             generation = self._generation
             self._ckpt_abort = False
-            aborted = False
             ctx = _tracer().current_ids()
-            for shard in range(self.config.shards):
-                if not self._put(
-                    shard, ("ckpt", generation, ctx), abandon_on_failover=True
-                ):
-                    aborted = True
-                    break
-            started = perf_counter()
-            while not aborted:
-                if self._ckpt_abort:
-                    aborted = True
-                    break
-                acked = sum(
-                    1
-                    for shard in range(self.config.shards)
-                    if (shard, generation) in self._ckpt_acks
-                )
-                if acked >= self.config.shards:
-                    break
+            aborted = not all(
+                self._put(shard, ("ckpt", generation, ctx),
+                          abandon_on_failover=True)
+                for shard in range(self.config.shards)
+            )
+            while not (aborted or self._ckpt_abort) and not all(
+                (shard, generation) in self._ckpt_acks
+                for shard in range(self.config.shards)
+            ):
                 self._pump(0.02)
                 self._reap()
-            if aborted:
+            if aborted or self._ckpt_abort:
                 continue
-            payload = {
-                "records_read": self._records_read,
-                "records_delivered": self._records_delivered,
-                "now": self._now,
-                "emitted_index": self._emitted_index,
-                "watermarks": list(self._watermarks),
-                "faults": faults.state_dict() if faults is not None else None,
-                "probes": (
-                    self._prober.state_dict()
-                    if self._prober is not None
-                    else None
-                ),
-            }
-            path = self.store.save_manifest(generation, self._identity, payload)
+            path = self.store.save_manifest(generation, self._identity, progress)
             self._committed = generation
-            self._checkpoints += 1
+            records = progress["records_read"]
             _tracer().event(
-                "fabric.manifest", generation=generation,
-                records=self._records_read,
+                "fabric.manifest", generation=generation, records=records
             )
-            if reg.enabled:
-                reg.counter(
-                    "repro_stream_checkpoints_total",
-                    "Checkpoints written by stream runs.",
-                ).inc()
-                reg.histogram(
-                    "repro_stream_checkpoint_seconds",
-                    "Wall time to serialise and atomically write a checkpoint.",
-                ).observe(perf_counter() - started)
             self._event(
                 f"fabric: manifest generation={generation} "
-                f"records={self._records_read} path={path}"
+                f"records={records} path={path}"
             )
             return
 
-    # ---- query snapshots ----------------------------------------------
-
-    def _publish_snapshot(self, publisher) -> None:
-        """Collect per-worker payloads and publish one merged snapshot.
+    def snapshot_payloads(self) -> list[dict] | None:
+        """Collect one snapshot payload per worker, or None if aborted.
 
         The request travels in band, so each worker's payload covers
-        exactly the batches fed before it -- and the supervisor feeds
+        exactly the batches fed before it -- and the driver feeds
         every shard from one source cursor, so the payloads form a
         consistent stream prefix.  A failover anywhere in the round
-        aborts it: this boundary is simply skipped (queries keep
-        answering from the previous snapshot; the next boundary
-        publishes a fresh one).
+        aborts it.
         """
         self._snap_index += 1
-        index = self._snap_index
         self._snap_acks = {}
         self._snap_abort = False
         ctx = _tracer().current_ids()
         for shard in range(self.config.shards):
             if not self._put(
-                shard, ("snap", index, ctx), abandon_on_failover=True
+                shard, ("snap", self._snap_index, ctx),
+                abandon_on_failover=True,
             ):
-                return
+                return None
         while not self._snap_abort:
             if len(self._snap_acks) >= self.config.shards:
-                publisher.publish(
-                    merge_snapshot_payloads(
-                        self._snap_acks.values(),
-                        now=self._now,
-                        records=self._records_delivered,
-                        watermarks=list(self._watermarks),
-                        probes=(
-                            self._prober.view()
-                            if self._prober is not None
-                            else None
-                        ),
-                    )
-                )
-                reg = _telemetry_registry()
-                if reg.enabled:
-                    reg.counter(
-                        "repro_stream_snapshots_total",
-                        "Query snapshots published by stream runs.",
-                    ).inc()
-                return
+                return list(self._snap_acks.values())
             self._pump(0.02)
             self._reap()
+        return None
 
-    # ---- finish -------------------------------------------------------
+    def interrupt(self, progress: dict) -> str:
+        """No checkpoint on interrupt: resume uses the last manifest."""
+        if self._committed:
+            return (
+                f"fleet torn down; resume from committed generation "
+                f"{self._committed} in {self.store.root}"
+            )
+        return "fleet torn down; no checkpoint generation committed"
 
-    def _collect_states(self) -> list[ShardState]:
-        """Stop every worker and gather final shard state dicts."""
+    def finish(self) -> list[ShardState]:
+        """Stop every worker and gather final shard states."""
         stop_sent: dict[int, int] = {}
         while len(self._done) < self.config.shards:
             for shard in range(self.config.shards):
@@ -943,19 +901,29 @@ class FabricSupervisor:
             self._reap()
         states = []
         for shard in range(self.config.shards):
-            state = ShardState(
-                shard,
-                PassiveServiceTable(
-                    is_campus=self.dataset.is_campus,
-                    tcp_ports=self.dataset.tcp_ports,
-                    udp_ports=self.dataset.udp_ports,
-                ),
-            )
+            state = ShardState(shard, _fresh_table(self.dataset))
             state.restore_state(self._done[shard])
             states.append(state)
         return states
 
-    # ---- the run loop -------------------------------------------------
+    def clear_checkpoints(self) -> None:
+        if self.store is not None:
+            self.store.clear()
+
+    def close(self) -> None:
+        self._kill_all()
+        reg = _telemetry_registry()
+        if reg.enabled:
+            reg.counter(
+                "repro_stream_backpressure_timeouts_total",
+                "Bounded-put timeouts while shard queues were full.",
+            ).inc(self._backpressure_timeouts)
+            reg.counter(
+                "repro_fabric_heartbeats_total",
+                "Heartbeats accepted from current worker incarnations.",
+            ).inc(self._heartbeats)
+
+    # ---- run ----------------------------------------------------------
 
     def run(
         self,
@@ -967,6 +935,12 @@ class FabricSupervisor:
     ) -> StreamResult:
         """Stream the dataset through the worker fleet to completion.
 
+        Resets the fleet bookkeeping and hands itself, as the shard
+        transport, to the one run loop
+        (:meth:`~repro.stream.engine.StreamEngine._drive`), which owns
+        everything else a run does -- including the online prober, so
+        shard failover cannot perturb the probe schedule.
+
         With ``resume=True`` and a committed manifest in the checkpoint
         store, the run restores run-level progress from the newest
         manifest, per-shard state from each shard's newest good
@@ -976,244 +950,46 @@ class FabricSupervisor:
         (launch/join/dead/reassign/manifest).  *publisher* plus
         ``config.snapshot_every`` publishes merged query snapshots
         aggregated from per-worker payloads (see
-        :meth:`_publish_snapshot`), exactly like the threaded engine's
+        :meth:`snapshot_payloads`), exactly like the threaded engine's
         ``publisher`` hook.  *on_health* receives throttled
         :meth:`~repro.stream.membership.Membership.health` summaries
         (per-shard heartbeat age / incarnation / restarts) so a serving
         layer can expose fabric liveness on ``/healthz``.
 
         On ``KeyboardInterrupt`` the fleet is torn down and the
-        interrupt re-raised; resume picks up from the last committed
-        manifest, which is why ``checkpoint_every`` matters in
-        production runs.
+        interrupt re-raised, saying which committed generation a resume
+        will start from; no checkpoint is written, which is why
+        ``checkpoint_every`` matters in production runs.
         """
-        config = self.config
-        dataset = self.dataset
+        shards = self.config.shards
         self._identity = self.engine._identity()
         self._end = self.engine._effective_end()
         self._on_event = on_event
         self._on_health = on_health
         self._last_health_push = 0.0
-        faults = (
-            self.plan.capture_filter(dataset.duration)
-            if self.plan is not None
-            else None
-        )
-        self._prober = build_prober(
-            dataset, config.probe_policy, config.probe_rate,
-            config.probe_ports, config.seed, self._end,
-        )
-        # Online probing runs supervisor-side: the scheduler replaces
-        # the build-time timeline as the watermarks' active side, its
-        # state rides in the commit manifest, and -- because it never
-        # lives in a worker -- shard failover cannot perturb it.
-        self._active = (
-            self._prober
-            if self._prober is not None
-            else ActiveTimeline(dataset.scan_reports, dataset.udp_report)
-        )
-        marks = (
-            emit_schedule(self._end, config.emit_every)
-            if config.emit_every
-            else [self._end]
-        )
-        snap_marks = (
-            emit_schedule(self._end, config.snapshot_every)
-            if publisher is not None and config.snapshot_every
-            else []
-        )
-        snap_cursor = 0
-
         self.membership = Membership(
-            shards=config.shards,
+            shards=shards,
             heartbeat_interval=self.fabric.heartbeat_interval,
             miss_budget=self.fabric.miss_budget,
             join_timeout=self.fabric.join_timeout,
         )
-        self._procs: list = [None] * config.shards
-        self._queues: list = [None] * config.shards
+        self._procs: list = [None] * shards
+        self._queues: list = [None] * shards
         self._results = self._ctx.Queue()
+        self._restores: list[ShardRestore | None] = [None] * shards
+        self._records_fed = [0] * shards
         self._pending_marks: dict[int, _PendingMark] = {}
         self._ckpt_acks: set[tuple[int, int]] = set()
         self._done: dict[int, dict] = {}
         self._worker_errors: dict[int, str] = {}
-        self._watermarks: list[Watermark] = []
-        self._records_read = 0
-        self._records_delivered = 0
-        self._now = 0.0
-        self._emitted_index = 0
         self._generation = 0
         self._committed = 0
-        self._checkpoints = 0
         self._backpressure_timeouts = 0
-        self._catchup_records = 0
         self._heartbeats = 0
         self._ckpt_abort = False
         self._snap_acks: dict[int, dict] = {}
         self._snap_index = 0
         self._snap_abort = False
-        self._records_fed = [0] * config.shards
-        resumed = False
-
-        restores: list[ShardRestore | None] = [None] * config.shards
-        if resume:
-            if self.store is None:
-                raise ValueError("resume requires config.checkpoint_path")
-            plan = self.store.plan_restore(self._identity)
-            if plan is not None:
-                manifest = plan.manifest
-                self._records_read = int(manifest["records_read"])
-                self._records_delivered = int(manifest["records_delivered"])
-                self._now = float(manifest["now"])
-                self._emitted_index = int(manifest["emitted_index"])
-                self._watermarks = list(manifest["watermarks"])
-                if faults is not None and manifest.get("faults") is not None:
-                    faults.restore_state(manifest["faults"])
-                if (
-                    self._prober is not None
-                    and manifest.get("probes") is not None
-                ):
-                    self._prober.restore_state(manifest["probes"])
-                self._generation = plan.generation
-                self._committed = plan.generation
-                for restore in plan.shards:
-                    restores[restore.shard] = restore
-                resumed = True
-
-        next_checkpoint = None
-        if config.checkpoint_every is not None and self.store is not None:
-            next_checkpoint = config.checkpoint_every
-            while next_checkpoint <= self._now:
-                next_checkpoint += config.checkpoint_every
-
-        reg = _telemetry_registry()
-        trc = _tracer()
-        trc.event(
-            "fabric.start", shards=config.shards,
-            records=self._records_read, resumed=resumed,
+        return self.engine._drive(
+            self, resume=resume, progress=progress, publisher=publisher
         )
-        read_at_start = self._records_read
-        is_campus = dataset.is_campus
-        shards = config.shards
-        wall_start = perf_counter()
-        try:
-            for shard in range(shards):
-                restore = restores[shard]
-                incarnation = self._spawn(
-                    shard, restore.state if restore is not None else None
-                )
-                if restore is not None:
-                    # This shard's newest good generation may lag the
-                    # manifest we resumed from; replay the difference.
-                    self._records_fed[shard] = self._records_read
-                    self._feed_catchup(
-                        shard, incarnation, restore.records_read,
-                        self._records_read, restore.faults,
-                    )
-                else:
-                    self._records_fed[shard] = self._records_read
-
-            for batch in self.engine._source_batches(
-                self._records_read, self._end
-            ):
-                self._records_read += len(batch)
-                if faults is not None:
-                    batch = faults.filter_columns(batch)
-                self._records_delivered += len(batch)
-                if len(batch):
-                    last_time = float(batch.time[-1])
-                    if last_time > self._now:
-                        self._now = last_time
-                    parts = split_columns(batch, is_campus, shards)
-                    ctx = trc.current_ids()
-                    for shard, part in enumerate(parts):
-                        if part:
-                            self._put(shard, ("batch", part, ctx))
-                        self._records_fed[shard] = self._records_read
-                    if trc.enabled:
-                        trc.note(
-                            "supervisor.batch", records=self._records_read
-                        )
-                if self._prober is not None:
-                    # Interleave probe dispatch with feeding, so marks
-                    # and manifests below see the live evidence.
-                    self._prober.advance(self._now)
-                self._pump()
-                self._reap()
-                self._emit_ready_marks(progress)
-                while (
-                    self._emitted_index + len(self._pending_marks) < len(marks)
-                    and self._now
-                    >= marks[self._emitted_index + len(self._pending_marks)]
-                ):
-                    index = self._emitted_index + len(self._pending_marks)
-                    self._send_mark(
-                        index, marks[index], self._records_delivered
-                    )
-                self._emit_ready_marks(progress)
-                if snap_cursor < len(snap_marks) and self._now >= snap_marks[snap_cursor]:
-                    while (
-                        snap_cursor < len(snap_marks)
-                        and self._now >= snap_marks[snap_cursor]
-                    ):
-                        snap_cursor += 1
-                    self._publish_snapshot(publisher)
-                if next_checkpoint is not None and self._now >= next_checkpoint:
-                    self._commit_checkpoint(faults, progress)
-                    while next_checkpoint <= self._now:
-                        next_checkpoint += config.checkpoint_every
-
-            # End of stream: emit every remaining scheduled mark (at
-            # least the final one), then gather shard states.
-            if self._prober is not None:
-                # Probes can outlast the last packet; fire everything
-                # scheduled through the stream end first.
-                self._prober.advance(self._end)
-            while self._emitted_index + len(self._pending_marks) < len(marks):
-                index = self._emitted_index + len(self._pending_marks)
-                self._send_mark(index, marks[index], self._records_delivered)
-            self._await_marks(progress)
-            states = self._collect_states()
-            trc.event(
-                "fabric.end", records=self._records_read,
-                watermarks=len(self._watermarks),
-            )
-        finally:
-            self._kill_all()
-            if reg.enabled:
-                elapsed = perf_counter() - wall_start
-                read = self._records_read - read_at_start
-                reg.counter(
-                    "repro_stream_read_records_total",
-                    "Records pulled from the stream source this run.",
-                ).inc(read)
-                reg.counter(
-                    "repro_stream_backpressure_timeouts_total",
-                    "Bounded-put timeouts while shard queues were full.",
-                ).inc(self._backpressure_timeouts)
-                reg.counter(
-                    "repro_fabric_heartbeats_total",
-                    "Heartbeats accepted from current worker incarnations.",
-                ).inc(self._heartbeats)
-                reg.counter(
-                    "repro_stream_seconds_total",
-                    "Wall time spent inside stream run loops.",
-                ).inc(elapsed)
-                if elapsed > 0:
-                    reg.gauge(
-                        "repro_stream_records_per_sec",
-                        "Source throughput of the most recent stream run.",
-                    ).set(read / elapsed)
-
-        result = finalize_result(
-            config, dataset, states, self._watermarks,
-            self._records_read, self._records_delivered,
-            self._checkpoints, resumed,
-            now=self._now, probes=self._prober,
-        )
-        if publisher is not None and result.snapshot is not None:
-            publisher.publish(result.snapshot)
-        if self.store is not None:
-            # Clean finish: stale generations must not hijack the next run.
-            self.store.clear()
-        return result

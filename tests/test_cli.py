@@ -112,13 +112,20 @@ class TestStreamCommand:
         report = out.read_text(encoding="utf-8")
         assert report.rstrip("\n") in printed
 
-    def test_stream_telemetry_export(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "mode", [["--shards", "2"], ["--workers", "2"]],
+        ids=["threads", "fabric"],
+    )
+    def test_stream_telemetry_export(self, tmp_path, capsys, mode):
+        """Both transports run the one driver, so both export the same
+        stream metrics (the fabric used to miss the delivered-record
+        counter, the drop counters and the per-link tap rows)."""
         from repro.telemetry import NullRegistry, set_registry
 
         tel = tmp_path / "tel"
         try:
             assert main([
-                "stream", *self.ARGS, "--shards", "2",
+                "stream", *self.ARGS, *mode, "--emit-every", "96",
                 "--outage-fraction", "0.02", "--fault-seed", "5",
                 "--telemetry", str(tel),
             ]) == 0
@@ -130,9 +137,15 @@ class TestStreamCommand:
             "stats", str(tel),
             "--require", "repro_stream_records_total",
             "repro_stream_watermarks_total",
+            "repro_passive_dropped_total",
         ]) == 0
         stats_out = capsys.readouterr().out
         assert "repro_stream_records_total" in stats_out
+        assert "repro_stream_watermark_lag_seconds" in stats_out
+        assert main(["stats", str(tel), "--links"]) == 0
+        links_out = capsys.readouterr().out
+        assert "Link mix: 1 run(s)" in links_out
+        assert "Capture drops" in links_out and "outage" in links_out
 
 
 class TestStatsLinks:

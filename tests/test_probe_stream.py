@@ -28,6 +28,8 @@ from repro.stream import (
     StreamEngine,
 )
 
+from tests.test_stream import kill_mid_run, run_front
+
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
 
@@ -108,19 +110,17 @@ class TestOnlineRunEquivalence:
         assert len(probes.sweeps) > 0
         assert engine_result.summary.active_total == len(probes.last_open)
 
+    @pytest.mark.parametrize("front", ["threads", "fabric"])
     def test_kill_and_resume_is_byte_identical(
-        self, small_dtcp18, engine_result, tmp_path
+        self, small_dtcp18, engine_result, tmp_path, front
     ):
         config = probing_config(
             emit_every=hours(12),
             checkpoint_every=hours(6),
             checkpoint_path=str(tmp_path / "probe.checkpoint"),
         )
-        killed = StreamEngine(config, dataset=small_dtcp18).run(
-            stop_after_records=8000
-        )
-        assert not killed.finished
-        resumed = StreamEngine(config, dataset=small_dtcp18).run(resume=True)
+        kill_mid_run(front, config, small_dtcp18, 8000)
+        resumed = run_front(front, config, small_dtcp18, resume=True)
         assert resumed.resumed
         assert renders(resumed) == renders(engine_result)
         assert resumed.snapshot.probes == engine_result.snapshot.probes

@@ -20,6 +20,8 @@ from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.simkernel.clock import days, hours
 from repro.stream import (
     CheckpointError,
+    FabricConfig,
+    FabricSupervisor,
     StreamConfig,
     StreamEngine,
     StreamIngestor,
@@ -198,8 +200,46 @@ class TestWatermarks:
             assert first is not None and last >= first
 
 
+def run_front(front, config, dataset, **kwargs):
+    """One run of *config* on the thread transport or the process fabric."""
+    if front == "threads":
+        return StreamEngine(config, dataset=dataset).run(**kwargs)
+    return FabricSupervisor(
+        config,
+        FabricConfig(heartbeat_interval=0.05, miss_budget=4,
+                     restart_backoff=0.01, restart_backoff_max=0.05),
+        dataset=dataset,
+    ).run(**kwargs)
+
+
+def kill_mid_run(front, config, dataset, records):
+    """Stop a run so that only its periodic checkpoints survive.
+
+    Threads stop after *records* without a final checkpoint; the fabric
+    (which has no such switch) is interrupted right after committing
+    its second generation -- it writes nothing on interrupt, and says
+    so.
+    """
+    if front == "threads":
+        partial = run_front(
+            front, config, dataset, stop_after_records=records
+        )
+        assert not partial.finished
+        return
+    manifests = []
+
+    def interrupt(line):
+        manifests.append(line.startswith("fabric: manifest"))
+        if sum(manifests) == 2:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt, match="committed generation 2"):
+        run_front(front, config, dataset, on_event=interrupt)
+
+
 class TestCheckpointResume:
-    def test_interrupt_and_resume_identical(self, small_dtcp18, tmp_path):
+    @pytest.mark.parametrize("front", ["threads", "fabric"])
+    def test_interrupt_and_resume_identical(self, small_dtcp18, tmp_path, front):
         ckpt = tmp_path / "stream.ckpt"
         config = small_config(
             shards=2,
@@ -211,18 +251,26 @@ class TestCheckpointResume:
         reference = StreamEngine(config, dataset=small_dtcp18).run()
         assert reference.finished and not ckpt.exists()
 
-        partial = StreamEngine(config, dataset=small_dtcp18).run(
-            stop_after_records=reference.records_read // 2
-        )
-        assert not partial.finished
+        kill_mid_run(front, config, small_dtcp18, reference.records_read // 2)
         assert ckpt.exists()  # periodic checkpoint survived the "kill"
 
-        resumed = StreamEngine(config, dataset=small_dtcp18).run(resume=True)
+        resumed = run_front(front, config, small_dtcp18, resume=True)
         assert resumed.resumed
         assert resumed.report == reference.report
         assert resumed.watermarks == reference.watermarks
         assert resumed.records_delivered == reference.records_delivered
         assert not ckpt.exists()  # cleaned up after the successful finish
+
+    @pytest.mark.parametrize("front", ["threads", "fabric"])
+    def test_interrupt_without_checkpoint_path_says_so(self, small_dtcp18, front):
+        def interrupt(_watermark):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt, match="no checkpoint"):
+            run_front(
+                front, small_config(shards=2, emit_every=hours(96)),
+                small_dtcp18, progress=interrupt,
+            )
 
     def test_resume_without_checkpoint_path_raises(self, small_dtcp18):
         engine = StreamEngine(small_config(), dataset=small_dtcp18)
@@ -262,6 +310,198 @@ class TestCheckpointResume:
         tail = [r for r in record_sample[half:] if second.keep(r)]
         assert [r.time for r in head + tail] == [r.time for r in expected]
         assert second.stats.seen == uninterrupted.stats.seen
+
+
+class RecordingTransport:
+    """A shard transport with no threads and no processes.
+
+    Folds on ``feed`` and appends every call the driver makes to *log*
+    (shared with the probe spy and the publisher, so it is one ordered
+    trace).  Marks are answered lazily -- only when the driver waits --
+    so any watermark a checkpoint payload holds got there because the
+    driver drained pending marks first.
+    """
+
+    def __init__(self, dataset, shards, log, saved=None):
+        self.log = log
+        self.saved = saved
+        self.checkpoints: list[dict] = []
+        self.unanswered: list[float] = []
+        self.states = [
+            ShardState(
+                index,
+                PassiveServiceTable(
+                    is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports,
+                    udp_ports=dataset.udp_ports,
+                ),
+            )
+            for index in range(shards)
+        ]
+
+    def restore(self):
+        if self.saved is None:
+            return None
+        for state, saved in zip(self.states, self.saved["shards"]):
+            state.restore_state(saved)
+        return self.saved
+
+    def start(self, offset):
+        self.log.append(("start", offset))
+
+    def feed(self, parts, offset):
+        self.log.append(("feed", offset))
+        for state, part in zip(self.states, parts):
+            if len(part):
+                state.observe_columns(part)
+
+    def poll(self):
+        pass
+
+    def request_mark(self, index, mark):
+        self.log.append(("mark", index))
+        self.unanswered.append(mark)
+
+    def completed_marks(self, wait=False):
+        if not wait:
+            return []
+        marks, self.unanswered = self.unanswered, []
+        return [
+            {
+                address
+                for state in self.states
+                for (address, _p, _pr), seen in state.table.first_seen.items()
+                if seen <= mark
+            }
+            for mark in marks
+        ]
+
+    def snapshot_payloads(self):
+        from repro.query.snapshot import shard_snapshot_payload
+
+        self.log.append(("snapshot",))
+        return [shard_snapshot_payload(state) for state in self.states]
+
+    def checkpoint(self, progress):
+        self.log.append(("checkpoint", progress["now"]))
+        self.checkpoints.append(
+            dict(progress, shards=[s.state_dict() for s in self.states])
+        )
+
+    def interrupt(self, progress):
+        return "fake"
+
+    def finish(self):
+        self.log.append(("finish",))
+        return self.states
+
+    def clear_checkpoints(self):
+        self.log.append(("clear",))
+
+    def close(self):
+        self.log.append(("close",))
+
+
+class TestDriverContract:
+    """``StreamEngine._drive`` against a fake transport: what the one
+    run loop promises every transport, checked without threads."""
+
+    EVERY = hours(6)
+
+    @pytest.fixture()
+    def drive(self, small_dtcp18, monkeypatch):
+        from repro.probe import ProbeScheduler
+
+        advance = ProbeScheduler.advance
+
+        def spy(prober, now):
+            log.append(("advance", now))
+            return advance(prober, now)
+
+        monkeypatch.setattr(ProbeScheduler, "advance", spy)
+        log: list[tuple] = []
+        config = small_config(
+            shards=2, end=days(2), batch_records=500,
+            probe_policy="periodic", probe_rate=5.0,
+            emit_every=self.EVERY, snapshot_every=self.EVERY,
+            checkpoint_every=self.EVERY, checkpoint_path="unused-by-the-fake",
+        )
+        engine = StreamEngine(config, dataset=small_dtcp18)
+
+        class Publisher:
+            def publish(self, snapshot):
+                log.append(("publish", len(snapshot.watermarks)))
+
+        def drive(saved=None, **kwargs):
+            del log[:]
+            transport = RecordingTransport(small_dtcp18, 2, log, saved)
+            result = engine._drive(transport, publisher=Publisher(), **kwargs)
+            return transport, result, list(log)
+
+        drive.engine = engine
+        return drive
+
+    def test_per_batch_order_and_checkpoint_payloads(self, drive):
+        transport, result, log = drive()
+        assert result.finished
+        assert result.report == drive.engine.run().report
+
+        # Between two feeds: advance -> marks -> snapshot -> checkpoint.
+        rank = {"advance": 0, "mark": 1, "snapshot": 2, "publish": 2,
+                "checkpoint": 3}
+        batches, seen_all = [], False
+        for entry in log:
+            if entry[0] == "feed":
+                batches.append([])
+            elif entry[0] in rank and batches:
+                batches[-1].append(entry[0])
+        for names in batches[:-1]:  # the last also holds the end flush
+            assert names[0] == "advance"
+            assert [rank[n] for n in names] == sorted(rank[n] for n in names)
+            seen_all |= set(names) == set(rank)
+        assert seen_all
+        assert [e[0] for e in log[-4:]] == ["finish", "close", "clear", "publish"]
+
+        # Every checkpoint already holds each watermark at or before it,
+        # though this transport answers marks only when waited on.
+        marks = emit_schedule(days(2), self.EVERY)
+        assert len(transport.checkpoints) >= 3
+        for payload in transport.checkpoints:
+            times = [w.time for w in payload["watermarks"]]
+            assert times == [m for m in marks if m <= payload["now"]]
+            assert payload["emitted_index"] == len(times)
+            assert payload["probes"] is not None
+
+    def test_resume_reenters_at_the_restored_cursors(self, drive):
+        first, reference, log = drive()
+        # Resume from a checkpoint that several batches separate from
+        # the next one, so a checkpoint repeated on re-entry would show.
+        steps = [e[0] for e in log if e[0] in ("feed", "checkpoint")]
+        cuts = [i for i, name in enumerate(steps) if name == "checkpoint"]
+        chosen = next(
+            k for k in range(len(cuts) - 1) if cuts[k + 1] - cuts[k] > 3
+        )
+        saved = first.checkpoints[chosen]
+        _, resumed, log = drive(saved=saved, resume=True)
+        assert resumed.resumed
+        assert resumed.report == reference.report
+        assert resumed.watermarks == reference.watermarks
+        assert log[0] == ("start", saved["records_read"])
+        assert next(e for e in log if e[0] == "feed")[1] > saved["records_read"]
+        assert next(e for e in log if e[0] == "mark") == (
+            "mark", saved["emitted_index"]
+        )
+        # Checkpoints continue at the next boundary, not with a repeat.
+        assert [e[1] for e in log if e[0] == "checkpoint"] == [
+            later["now"] for later in first.checkpoints[chosen + 1:]
+        ]
+
+    def test_stop_after_records_does_not_finalise(self, drive):
+        transport, result, log = drive(stop_after_records=6000)
+        assert not result.finished and result.report is None
+        assert 6000 <= result.records_read < 6000 + 500
+        names = [entry[0] for entry in log]
+        assert names[-1] == "close"
+        assert "finish" not in names and "clear" not in names
 
 
 class TestIngestor:
