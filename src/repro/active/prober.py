@@ -19,10 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.campus.host import ProbeOutcome
 from repro.campus.population import CampusPopulation
+from repro.campus.probe_index import CLOSED, OPEN, SILENT
 from repro.active.results import ScanReport
+from repro.net.packet import PROTO_TCP
 from repro.telemetry.metrics import registry as _telemetry_registry
+
+#: ``ProbeOutcome`` by probe-index outcome code.
+_OUTCOME = (ProbeOutcome.NOTHING, ProbeOutcome.SYNACK, ProbeOutcome.RST)
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,12 @@ class HalfOpenScanner:
 
     The scanner resolves probes through the same host state machine
     that generates passive traffic, so the two discovery methods
-    disagree exactly where the paper says they should.
+    disagree exactly where the paper says they should.  A sweep is an
+    array pipeline over the population's
+    :class:`~repro.campus.probe_index.ProbeResponseIndex`: one
+    ``(address, port)`` grid of outcome codes per scanning machine,
+    folded into the report by counting; ``tests/active_reference.py``
+    keeps the probe-at-a-time definition it must equal.
     """
 
     def __init__(
@@ -99,9 +111,26 @@ class HalfOpenScanner:
             Wall-clock length of the sweep; per-address probe times are
             spread linearly across it within each scanner's chunk.
         """
+        report, faults = self._sweep(targets, ports, start, duration, scan_id)
+        self._flush_sweep_telemetry(report, faults)
+        return report
+
+    def _sweep(
+        self,
+        targets: Sequence[int],
+        ports: Sequence[int],
+        start: float,
+        duration: float,
+        scan_id: int,
+    ) -> "tuple[ScanReport, ProbeFaults | None]":
+        """:meth:`scan` short of its telemetry flush.
+
+        Returns the report and the sweep's probe-fault model (None on
+        the pristine path), whose tallies the flush reads.
+        """
         if duration <= 0:
             raise ValueError(f"scan duration must be positive: {duration}")
-        if not targets:
+        if len(targets) == 0:
             raise ValueError("cannot scan an empty target list")
         duration = self._rate_limited_duration(len(targets) * len(ports), duration)
         report = ScanReport(
@@ -115,19 +144,83 @@ class HalfOpenScanner:
             if self.fault_plan is not None
             else None
         )
-        chunks = self._split(list(targets), self.config.parallelism)
+        index = self.population.probe_index
+        port_row = np.asarray(ports, dtype=np.int64)
+        chunks = self._split(
+            np.asarray(targets, dtype=np.int64), self.config.parallelism
+        )
         for machine, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            step = duration / len(chunk)
-            for index, address in enumerate(chunk):
-                t = start + index * step
-                self._probe_address(
-                    address, ports, t, report, faults=faults, machine=machine
+            # The scalar expression, so open times are bit-equal to the
+            # per-address definition.
+            when = start + np.arange(len(chunk)) * (duration / len(chunk))
+            slots = index.slots(chunk)
+            codes = index.sweep_outcomes(
+                slots, port_row, when, PROTO_TCP, self.config.internal
+            )
+            delay = None
+            if faults is not None:
+                delay = self._transmit(
+                    faults, machine, codes, when, index.occupied(slots, when)
                 )
+            self._fold(report, chunk, port_row, when, codes, delay)
         report.opens.sort()
-        self._flush_sweep_telemetry(report, faults)
-        return report
+        return report, faults
+
+    @staticmethod
+    def _transmit(faults, machine: int, codes, when, occupied) -> np.ndarray:
+        """Degrade one machine's grid in place; return per-probe delays.
+
+        A machine that is down sends nothing: its rows read silence,
+        as an unpopulated address does.  Every probe it does send to a
+        held address goes through ``ProbeFaults.transmit`` in probe
+        order (address, then port) -- the order of its RNG draws is
+        the fault model's definition, so this stays a per-probe walk.
+        """
+        window = faults.downtime_window(machine)
+        if window is not None:
+            down = (window[0] <= when) & (when < window[1])
+            codes[down] = SILENT
+            occupied = occupied & ~down
+        sent = codes[occupied]
+        observed, delays = [], []
+        for code in sent.ravel().tolist():
+            outcome, delay = faults.transmit(machine, _OUTCOME[code])
+            observed.append(SILENT if outcome is ProbeOutcome.NOTHING else code)
+            delays.append(delay)
+        codes[occupied] = np.asarray(observed, dtype=np.uint8).reshape(sent.shape)
+        delay = np.zeros(codes.shape)
+        delay[occupied] = np.asarray(delays, dtype=np.float64).reshape(sent.shape)
+        return delay
+
+    @staticmethod
+    def _fold(report: ScanReport, addresses, ports, when, codes, delay) -> None:
+        """Fold one machine's outcome grid into *report*.
+
+        Row-major ``nonzero`` visits opens in probe order, and the sets
+        are filled in address order, as the per-address loop did.
+        """
+        counts = report.counts
+        is_open = codes == OPEN
+        is_closed = codes == CLOSED
+        synack = int(np.count_nonzero(is_open))
+        rst = int(np.count_nonzero(is_closed))
+        counts.synack += synack
+        counts.rst += rst
+        counts.nothing += codes.size - synack - rst
+        rows, cols = np.nonzero(is_open)
+        seen = when[rows] if delay is None else when[rows] + delay[rows, cols]
+        report.opens.extend(
+            zip(seen.tolist(), addresses[rows].tolist(), ports[cols].tolist())
+        )
+        saw_rst = is_closed.any(axis=1)
+        report.responding_addresses.update(
+            addresses[saw_rst | is_open.any(axis=1)].tolist()
+        )
+        # RSTs from some ports but silence from others in one scan:
+        # the paper's first firewall-confirmation signature.
+        report.mixed_response_addresses.update(
+            addresses[saw_rst & (codes == SILENT).any(axis=1)].tolist()
+        )
 
     def _flush_sweep_telemetry(self, report: ScanReport, faults) -> None:
         """Fold one sweep's outcome tallies into the active registry.
@@ -162,51 +255,6 @@ class HalfOpenScanner:
                 "repro_active_timeouts_total",
                 "Probes whose every transmission went unanswered.",
             ).inc(faults.timeouts)
-
-    def _probe_address(
-        self,
-        address: int,
-        ports: Sequence[int],
-        t: float,
-        report: ScanReport,
-        faults=None,
-        machine: int = 0,
-    ) -> None:
-        if faults is not None and faults.machine_down(machine, t):
-            # The scanning machine is down: its probes are never sent.
-            # The scanner's log shows silence, indistinguishable from
-            # an unpopulated address.
-            for _ in ports:
-                report.counts.add(ProbeOutcome.NOTHING)
-            return
-        host = self.population.occupant_host(address, t)
-        if host is None:
-            for _ in ports:
-                report.counts.add(ProbeOutcome.NOTHING)
-            return
-        saw_rst = False
-        saw_nothing = False
-        responded = False
-        for port in ports:
-            outcome = host.tcp_probe_response(port, t, internal=self.config.internal)
-            delay = 0.0
-            if faults is not None:
-                outcome, delay = faults.transmit(machine, outcome)
-            report.counts.add(outcome)
-            if outcome is ProbeOutcome.SYNACK:
-                report.opens.append((t + delay, address, port))
-                responded = True
-            elif outcome is ProbeOutcome.RST:
-                saw_rst = True
-                responded = True
-            else:
-                saw_nothing = True
-        if responded:
-            report.responding_addresses.add(address)
-        if saw_rst and saw_nothing:
-            # RSTs from some ports but silence from others in one scan:
-            # the paper's first firewall-confirmation signature.
-            report.mixed_response_addresses.add(address)
 
     def scan_open_ports_of_population(
         self,
@@ -310,14 +358,12 @@ class HalfOpenScanner:
         Returns the phase-2 :class:`ScanReport` (phase-1 opens merged
         in) and a :class:`HostDiscoveryStats` with the probe budget.
         """
-        if not targets:
-            raise ValueError("cannot scan an empty target list")
-        if not ports:
+        if len(ports) == 0:
             raise ValueError("need at least one service port")
         probe_port = discovery_port if discovery_port is not None else ports[0]
         # Phase 1: one probe per address over the first 25% of the sweep.
-        phase1 = self.scan(
-            targets, (probe_port,), start, duration * 0.25, scan_id=scan_id
+        phase1, faults = self._sweep(
+            targets, (probe_port,), start, duration * 0.25, scan_id
         )
         live = sorted(phase1.responding_addresses)
         stats = HostDiscoveryStats(
@@ -327,6 +373,7 @@ class HalfOpenScanner:
             probes_naive=len(targets) * len(ports),
         )
         if not live:
+            self._flush_sweep_telemetry(phase1, faults)
             return phase1, stats
         # Phase 2: the full port set against live addresses only.
         remaining_ports = [p for p in ports if p != probe_port]
@@ -342,10 +389,13 @@ class HalfOpenScanner:
         report.counts.rst += phase1.counts.rst
         report.counts.nothing += phase1.counts.nothing
         if remaining_ports:
-            phase2 = self.scan(
-                live, remaining_ports, phase1.end, duration * 0.75,
-                scan_id=scan_id,
+            phase2, faults2 = self._sweep(
+                live, remaining_ports, phase1.end, duration * 0.75, scan_id
             )
+            if faults is not None:
+                # One loss tally for the logical sweep.
+                faults.retransmits += faults2.retransmits
+                faults.timeouts += faults2.timeouts
             report.opens.extend(phase2.opens)
             report.responding_addresses |= phase2.responding_addresses
             report.mixed_response_addresses |= phase2.mixed_response_addresses
@@ -354,6 +404,8 @@ class HalfOpenScanner:
             report.counts.nothing += phase2.counts.nothing
             stats.probes_sent += phase2.counts.total
         report.opens.sort()
+        # One logical sweep: its telemetry is the merged report's.
+        self._flush_sweep_telemetry(report, faults)
         return report, stats
 
     def _rate_limited_duration(self, probe_count: int, requested: float) -> float:
@@ -364,8 +416,12 @@ class HalfOpenScanner:
         return max(requested, minimum)
 
     @staticmethod
-    def _split(items: list[int], chunks: int) -> list[list[int]]:
-        """Split *items* into *chunks* contiguous, near-equal parts."""
+    def _split(items: np.ndarray, chunks: int) -> list[np.ndarray]:
+        """Split *items* into *chunks* contiguous, near-equal parts.
+
+        Fewer when there are not enough items to go round: no part is
+        ever empty.
+        """
         if chunks == 1:
             return [items]
         size = (len(items) + chunks - 1) // chunks

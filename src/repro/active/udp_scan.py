@@ -15,9 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.campus.host import UdpProbeOutcome
+import numpy as np
+
 from repro.campus.population import CampusPopulation
+from repro.campus.probe_index import CLOSED, OPEN, SILENT
 from repro.active.results import UdpScanReport
+from repro.net.packet import PROTO_UDP
 
 
 @dataclass(frozen=True)
@@ -47,43 +50,36 @@ class GenericUdpProber:
         """Probe every target on every port; classify per the paper's rules."""
         if duration <= 0:
             raise ValueError(f"scan duration must be positive: {duration}")
-        if not targets:
+        if len(targets) == 0:
             raise ValueError("cannot scan an empty target list")
         report = UdpScanReport(
             start=start,
             end=start + duration,
             ports=tuple(ports),
         )
-        for port in ports:
-            report.definitely_open[port] = set()
-            report.possibly_open[port] = set()
-            report.definitely_closed[port] = set()
-        step = duration / len(targets)
-        for index, address in enumerate(targets):
-            t = start + index * step
-            host = self.population.occupant_host(address, t)
-            outcomes: dict[int, UdpProbeOutcome] = {}
-            for port in ports:
-                if host is None:
-                    outcomes[port] = UdpProbeOutcome.NOTHING
-                else:
-                    outcomes[port] = host.udp_probe_response(
-                        port, t, internal=self.config.internal
-                    )
-            responded = any(
-                outcome is not UdpProbeOutcome.NOTHING for outcome in outcomes.values()
+        # One grid of outcome codes for the sweep (row = address at its
+        # probe time, column = port); ``tests/active_reference.py``
+        # keeps the per-address loop this must equal.
+        targets = np.asarray(targets, dtype=np.int64)
+        when = start + np.arange(len(targets)) * (duration / len(targets))
+        index = self.population.probe_index
+        codes = index.sweep_outcomes(
+            index.slots(targets),
+            np.asarray(ports, dtype=np.int64),
+            when,
+            PROTO_UDP,
+            self.config.internal,
+        )
+        responded = (codes != SILENT).any(axis=1)
+        report.no_response_addresses.update(targets[~responded].tolist())
+        for column, port in enumerate(ports):
+            answer = codes[:, column]
+            report.definitely_open[port] = set(targets[answer == OPEN].tolist())
+            report.definitely_closed[port] = set(targets[answer == CLOSED].tolist())
+            # Host is demonstrably alive but silent on this port: the
+            # kernel would normally send ICMP, so the port may well
+            # have a listener.
+            report.possibly_open[port] = set(
+                targets[responded & (answer == SILENT)].tolist()
             )
-            if not responded:
-                report.no_response_addresses.add(address)
-                continue
-            for port, outcome in outcomes.items():
-                if outcome is UdpProbeOutcome.REPLY:
-                    report.definitely_open[port].add(address)
-                elif outcome is UdpProbeOutcome.ICMP_UNREACHABLE:
-                    report.definitely_closed[port].add(address)
-                else:
-                    # Host is demonstrably alive but silent on this
-                    # port: the kernel would normally send ICMP, so the
-                    # port may well have a listener.
-                    report.possibly_open[port].add(address)
         return report

@@ -17,7 +17,7 @@ churn       transient sessions and the address-assignment ledger
 categories  the declarative behaviour-category table (paper Table 4)
 webpages    root-page content for web servers (paper Table 5)
 population  synthesis of the full campus from a profile
-probe_index columnar probe responses for the online prober
+probe_index columnar probe responses (active sweeps, online prober)
 profiles    semester / winter-break / all-ports study profiles
 """
 

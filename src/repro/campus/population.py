@@ -145,7 +145,8 @@ class CampusPopulation:
     """A fully synthesised campus: the simulator's ground truth.
 
     The monitors and probers only ever interact with it through
-    :meth:`occupant_host` and the hosts' probe-response methods; the
+    :meth:`occupant_host` and the hosts' probe-response methods, or
+    through :attr:`probe_index`, the same answers in bulk; the
     ground-truth accessors exist for calibration and tests.
     """
 
@@ -171,8 +172,11 @@ class CampusPopulation:
     def probe_index(self) -> ProbeResponseIndex:
         """:meth:`occupant_host` plus the hosts' probe responses, in bulk.
 
-        Built on first use (only online probing reads it) and kept: the
-        population must not change once anything has probed it.
+        Built on first use -- ``build_dataset``'s sweeps, unless the
+        dataset takes none; online probing otherwise -- and kept: the
+        population must not change once anything has probed it
+        (:func:`attach_udp_population`, the one in-place editor, drops
+        the index).
         """
         return ProbeResponseIndex(self)
 
@@ -710,3 +714,6 @@ def attach_udp_population(
                 )
             )
         rng.shuffle(candidates)
+    # The services are new: an index built before them would go on
+    # answering without them.
+    population.__dict__.pop("probe_index", None)

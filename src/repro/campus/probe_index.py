@@ -1,18 +1,21 @@
 """A columnar index answering probes against the campus in bulk.
 
-:meth:`Host.tcp_probe_response` resolves one probe; the online prober
-(:mod:`repro.probe`) issues hundreds of thousands a run, most of them
-to addresses nobody ever held.  :class:`ProbeResponseIndex` lays the
-same state machine out as arrays -- when each address is held by a
-host that is up, the service table, firewall and UDP policy per host --
-and resolves a whole window of ``(address, port, time)`` probes with a
-handful of array operations.
+:meth:`Host.tcp_probe_response` resolves one probe; the build-time
+sweeps (:mod:`repro.active`), the external scanners
+(:mod:`repro.traffic.scans`) and the online prober (:mod:`repro.probe`)
+issue hundreds of thousands to millions a run, most of them to
+addresses nobody ever held.  :class:`ProbeResponseIndex` lays the same
+state machine out as arrays -- when each address is held, and held by
+a host that is up, the service table, firewall and UDP policy per host
+-- and resolves a whole window of ``(address, port, time)`` probes with
+a handful of array operations.
 
 The semantics are the scalar ones exactly: every interval is half-open
 (``start <= t < end``) and compared in float64 as the scalar code
 compares it; composite lookups pack integers only.  ``tests/`` checks
 the index against ``Host.tcp_probe_response`` /
-``udp_probe_response`` at every interval edge.
+``udp_probe_response`` and ``AddressLedger.occupant`` at every interval
+edge.
 
 A population builds its index lazily
 (:attr:`~repro.campus.population.CampusPopulation.probe_index`) and
@@ -40,6 +43,49 @@ _SILENT, _OPEN, _CLOSED = np.uint8(SILENT), np.uint8(OPEN), np.uint8(CLOSED)
 _PORT_SPAN = 1 << 16
 
 
+class _Intervals:
+    """Half-open ``[start, end)`` intervals grouped by address.
+
+    Address group g owns intervals ``offsets[g]:offsets[g + 1]``,
+    disjoint and sorted by start.
+    """
+
+    __slots__ = ("start", "end", "offsets", "depth")
+
+    def __init__(self, spans: list[tuple[float, float]], offsets: list[int]) -> None:
+        self.start = np.asarray([span[0] for span in spans], dtype=np.float64)
+        self.end = np.asarray([span[1] for span in spans], dtype=np.float64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        #: Halving steps that reach across the longest group:
+        #: ``2**depth - 1`` intervals.
+        self.depth = int(np.diff(self.offsets).max(initial=0)).bit_length()
+
+    def covering(
+        self, group: np.ndarray, t: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per query, the interval of its group covering ``t``.
+
+        Returns ``(covered, i)``; ``i`` is meaningful only where
+        ``covered``.  A ``bisect_right`` over the starts of every
+        query's own group at once, in ``self.depth`` halving steps.
+        """
+        start, end, offsets = self.start, self.end, self.offsets
+        lo, hi = offsets[:-1][group], offsets[1:][group]
+        last = lo - 1  # the last interval known to start at or before t
+        for shift in reversed(range(self.depth)):
+            probe = last + (1 << shift)
+            started = (probe < hi) & (
+                start[np.minimum(probe, len(start) - 1)] <= t
+            )
+            last = np.where(started, probe, last)
+        covered = last >= lo
+        if self.depth:
+            # Where nothing started, ``last`` is -1 or another group's
+            # interval: a valid index whose answer ``covered`` discards.
+            covered &= t < end[last]
+        return covered, last
+
+
 class ProbeResponseIndex:
     """The population's probe-response state as parallel arrays."""
 
@@ -48,25 +94,28 @@ class ProbeResponseIndex:
         row_of = {host.host_id: row for row, host in enumerate(hosts)}
         ledger = population.ledger
 
-        # Presence: when an address answers at all -- a tenure
-        # (``AddressLedger.occupant``) intersected with its holder's
-        # liveness windows (``Host.is_up``).  Grouped by address:
-        # address g owns intervals offsets[g]:offsets[g + 1], sorted.
-        # max/min only select among the scalar code's own bounds, so
-        # ``start <= t < end`` decides exactly what the two scalar
-        # checks decide together.
+        # Tenure: when anyone holds an address
+        # (``CampusPopulation.occupant_host``).  Presence: when it
+        # answers at all -- a tenure intersected with its holder's
+        # liveness windows (``Host.is_up``).  max/min only select among
+        # the scalar code's own bounds, so ``start <= t < end`` decides
+        # exactly what the two scalar checks decide together.
         addresses = sorted(ledger.addresses_ever_used())
         up_starts = {
             host.host_id: [start for start, _ in host.up_windows]
             for host in hosts
         }
-        presence: list[tuple[float, float, int]] = []
-        offsets = [0]
+        tenures: list[tuple[float, float]] = []
+        tenure_offsets = [0]
+        presence: list[tuple[float, float]] = []
+        presence_offsets = [0]
+        holders: list[int] = []
         for address in addresses:
             for tenure in ledger.tenures_of_address(address):
                 row = row_of.get(tenure.host_id)
                 if row is None:
                     continue
+                tenures.append((tenure.start, tenure.end))
                 windows = hosts[row].up_windows
                 first = max(
                     bisect.bisect_right(up_starts[tenure.host_id], tenure.start) - 1,
@@ -77,17 +126,16 @@ class ProbeResponseIndex:
                         break
                     if end > tenure.start:
                         presence.append(
-                            (max(start, tenure.start), min(end, tenure.end), row)
+                            (max(start, tenure.start), min(end, tenure.end))
                         )
-            offsets.append(len(presence))
+                        holders.append(row)
+            tenure_offsets.append(len(tenures))
+            presence_offsets.append(len(presence))
         self.addresses = np.asarray(addresses, dtype=np.int64)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.start = np.asarray([p[0] for p in presence], dtype=np.float64)
-        self.end = np.asarray([p[1] for p in presence], dtype=np.float64)
-        self.host = np.asarray([p[2] for p in presence], dtype=np.int64)
-        #: Halving steps that reach across the longest group:
-        #: ``2**depth - 1`` intervals.
-        self.depth = int(np.diff(self.offsets).max(initial=0)).bit_length()
+        self._tenure = _Intervals(tenures, tenure_offsets)
+        self._presence = _Intervals(presence, presence_offsets)
+        #: Host row holding the address during each presence interval.
+        self.host = np.asarray(holders, dtype=np.int64)
 
         # Firewall and UDP policy, one row per host.  drops_from[internal]
         # is when the firewall starts dropping that source's probes
@@ -141,31 +189,6 @@ class ProbeResponseIndex:
             )
         )
 
-    def _present(
-        self, group: np.ndarray, t: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per probe, the presence interval of its address covering ``t``.
-
-        Returns ``(present, i)``; ``i`` is meaningful only where
-        ``present``.  A ``bisect_right`` over the starts of every
-        probe's own group at once, in ``self.depth`` halving steps.
-        """
-        start, end, offsets = self.start, self.end, self.offsets
-        lo, hi = offsets[:-1][group], offsets[1:][group]
-        last = lo - 1  # the last interval known to start at or before t
-        for shift in reversed(range(self.depth)):
-            probe = last + (1 << shift)
-            started = (probe < hi) & (
-                start[np.minimum(probe, len(start) - 1)] <= t
-            )
-            last = np.where(started, probe, last)
-        present = last >= lo
-        if self.depth:
-            # Where nothing started, ``last`` is -1 or another group's
-            # interval: a valid index whose answer ``present`` discards.
-            present &= t < end[last]
-        return present, last
-
     def slots(self, addresses: np.ndarray) -> np.ndarray:
         """Presence group of each address; -1 for a never-assigned one."""
         known = self.addresses
@@ -173,6 +196,20 @@ class ProbeResponseIndex:
             return np.full(len(addresses), -1, dtype=np.int64)
         slot = np.minimum(np.searchsorted(known, addresses), known.size - 1)
         return np.where(known[slot] == addresses, slot, -1)
+
+    def occupied(self, slots: np.ndarray, when: np.ndarray) -> np.ndarray:
+        """Whether a host holds address ``slots[i]`` at ``when[i]``, up or not.
+
+        ``CampusPopulation.occupant_host(...) is not None``.  The
+        lossy-probe model needs it beside :meth:`outcomes`, which reads
+        SILENT both for an address nobody holds and for one whose
+        holder is down: the scanner's loss draws are taken for the
+        second and not for the first.
+        """
+        occupied = np.zeros(len(slots), dtype=bool)
+        held = np.flatnonzero(slots >= 0)
+        occupied[held], _ = self._tenure.covering(slots[held], when[held])
+        return occupied
 
     def outcomes(
         self,
@@ -193,7 +230,7 @@ class ProbeResponseIndex:
         # Someone holds the address and is up at t.
         held = np.flatnonzero(slots >= 0)
         t = when[held]
-        present, interval = self._present(slots[held], t)
+        present, interval = self._presence.covering(slots[held], t)
         keep = np.flatnonzero(present)
         if not keep.size:
             return codes
@@ -225,4 +262,31 @@ class ProbeResponseIndex:
         dropped = self.drops_from[internal][host] <= t
         outcome[dropped & (self.fw_host_scope[host] | alive)] = SILENT
         codes[probe] = outcome
+        return codes
+
+    def sweep_outcomes(
+        self,
+        slots: np.ndarray,
+        ports: np.ndarray,
+        when: np.ndarray,
+        proto: int,
+        internal: bool,
+    ) -> np.ndarray:
+        """Outcome codes of a sweep, one row per address.
+
+        Row ``i`` probes address ``slots[i]`` on every one of *ports*
+        at ``when[i]``; column ``j`` is the answer from ``ports[j]``.
+        Only the rows of addresses somebody ever held are expanded
+        into probes: a campus sweep is mostly rows that are not.
+        """
+        width = len(ports)
+        codes = np.zeros((len(slots), width), dtype=np.uint8)  # SILENT
+        held = np.flatnonzero(slots >= 0)
+        codes[held] = self.outcomes(
+            np.repeat(slots[held], width),
+            np.tile(ports, len(held)),
+            np.repeat(when[held], width),
+            proto,
+            internal,
+        ).reshape(len(held), width)
         return codes

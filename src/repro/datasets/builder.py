@@ -422,7 +422,7 @@ def _run_active_scans(dataset: BuiltDataset) -> None:
     if spec.ports == "udp-selected":
         prober = GenericUdpProber(dataset.population)
         dataset.udp_report = prober.scan(
-            targets=dataset.probe_targets(),
+            targets=dataset.probe_target_array,
             ports=list(dataset.udp_ports),
             start=hours(1),
             duration=SCAN_SWEEP_SECONDS,
@@ -448,7 +448,7 @@ def _run_active_scans(dataset: BuiltDataset) -> None:
     starts = scan_start_times(dataset.calendar, 0.0, min(scan_window, dataset.duration))
     if spec.scan_interval_hours is None:
         starts = starts[:1]
-    targets = dataset.probe_targets()
+    targets = dataset.probe_target_array
     ports = sorted(dataset.tcp_ports or ())
     for scan_id, start in enumerate(starts):
         dataset.scan_reports.append(

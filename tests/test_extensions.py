@@ -190,6 +190,45 @@ class TestHostDiscoveryScan:
                 [], (80,), 0.0, 100.0
             )
 
+    def test_counts_as_one_sweep_in_telemetry(self, population, targets):
+        """Two phases, one logical sweep: flushed once, for the merged report."""
+        from repro.faults import FaultPlan
+        from repro.telemetry.metrics import MetricRegistry, disable, set_registry
+
+        plan = FaultPlan(seed=5, probe_loss_rate=0.2, response_loss_rate=0.1)
+        reg = MetricRegistry()
+        set_registry(reg)
+        try:
+            report, stats = HalfOpenScanner(
+                population, faults=plan
+            ).scan_with_host_discovery(
+                targets, SELECTED_TCP_PORTS, start=0.0, duration=hours(2)
+            )
+        finally:
+            disable()
+        assert stats.live and len(report.ports) > 1  # both phases ran
+        assert reg.value("repro_active_sweeps_total") == 1
+        assert reg.value("repro_active_probes_total") == stats.probes_sent
+        assert reg.value("repro_active_synacks_total") == report.counts.synack
+        assert reg.value("repro_active_rsts_total") == report.counts.rst
+        assert reg.value("repro_active_silent_probes_total") == report.counts.nothing
+        # Phase 1 alone retransmits to every held-but-silent address;
+        # a merged flush that forgot a phase would read lower.
+        solo = MetricRegistry()
+        set_registry(solo)
+        try:
+            HalfOpenScanner(population, faults=plan).scan(
+                targets, SELECTED_TCP_PORTS[:1], start=0.0, duration=hours(0.5)
+            )
+        finally:
+            disable()
+        assert reg.value("repro_active_retransmits_total") > solo.value(
+            "repro_active_retransmits_total"
+        ) > 0
+        assert reg.value("repro_active_timeouts_total") > solo.value(
+            "repro_active_timeouts_total"
+        ) > 0
+
 
 class TestRateLimitedScan:
     def test_duration_stretched(self, population, targets):
