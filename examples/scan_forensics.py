@@ -24,14 +24,15 @@ import tempfile
 
 from repro import (
     Anonymizer,
+    ColumnarTraceWriter,
     ExternalScanDetector,
     PassiveServiceTable,
-    TraceReader,
-    TraceWriter,
     build_dataset,
+    read_trace_columns,
 )
 from repro.core.report import TextTable
 from repro.net.addr import format_ipv4
+from repro.passive.monitor import replay_columnar
 from repro.simkernel.clock import days
 
 
@@ -84,7 +85,7 @@ def main() -> None:
         live = PassiveServiceTable(
             is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
         )
-        with TraceWriter.open(path) as writer:
+        with ColumnarTraceWriter.open(path) as writer:
             for record in dataset.packet_stream(end=days(1)):
                 live.observe(record)
                 writer.write(anonymizer.anonymize(record))
@@ -92,11 +93,7 @@ def main() -> None:
         archived = PassiveServiceTable(
             is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
         )
-        with TraceReader.open(path) as reader:
-            count = 0
-            for record in reader:
-                archived.observe(record)
-                count += 1
+        count = replay_columnar(read_trace_columns(path), archived)
         print(
             f"\nArchived day 1: {count:,} headers, {size_mb:.1f} MB on disk "
             "(anonymised, campus prefix preserved)."

@@ -41,13 +41,19 @@ from repro.passive.monitor import PassiveServiceTable, ServiceSignal, replay
 from repro.passive.sampling import FixedPeriodSampler
 from repro.passive.scandetect import ExternalScanDetector
 from repro.trace.anonymize import Anonymizer
-from repro.trace.format import TraceReader, TraceWriter
+from repro.trace.columnar import (
+    ColumnarTraceWriter,
+    read_trace,
+    read_trace_columns,
+    write_trace,
+)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Anonymizer",
     "BuiltDataset",
+    "ColumnarTraceWriter",
     "CompletenessSummary",
     "DiscoveryTimeline",
     "ExternalScanDetector",
@@ -57,11 +63,12 @@ __all__ = [
     "PassiveServiceTable",
     "ScannerConfig",
     "ServiceSignal",
-    "TraceReader",
-    "TraceWriter",
     "__version__",
     "build_dataset",
+    "read_trace",
+    "read_trace_columns",
     "registry",
     "replay",
     "summarize_overlap",
+    "write_trace",
 ]

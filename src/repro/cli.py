@@ -20,15 +20,15 @@ Operational entry points over the library:
     Drop old checkpoint generations from a fabric checkpoint store,
     keeping the newest ``--keep N``.
 ``record DATASET OUT``
-    Record a dataset's border traffic to a binary trace file (the
-    columnar v2 format; ``trace convert --to 1`` makes a row-format
-    copy), optionally anonymised.
+    Record a dataset's border traffic to a binary trace file,
+    optionally anonymised.
 ``trace-stats FILE``
     Summarise a recorded trace (record counts, protocol mix, top
     campus responders).
 ``trace convert SRC DST``
-    Convert a trace between the v1 row format and the v2 columnar
-    format (``--to {1,2}``); the record sequence is preserved exactly.
+    Rewrite a trace in the current (v2, columnar) format -- how a v1
+    recording from an older version is brought forward; the record
+    sequence is preserved exactly.
 ``cache``
     Show the record-once trace cache (location, entries, sizes, and the
     persistent hit/miss counters); ``--clear`` empties it.
@@ -142,17 +142,21 @@ def cmd_survey(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stream(args: argparse.Namespace) -> int:
-    import signal
+def _fabric_mode(args: argparse.Namespace) -> bool:
+    return bool(args.fabric or args.workers is not None)
 
+
+def _stream_config(args: argparse.Namespace, **extra):
+    """The ``StreamConfig`` a ``stream`` or ``serve`` invocation runs.
+
+    Reads the flags :func:`_add_stream_arguments` declares; *extra*
+    carries what only one command has (``max_queue_chunks``,
+    ``snapshot_every``).  ``--resume`` and ``--out`` are ``stream``'s
+    alone, hence the ``getattr``.
+    """
     from repro.simkernel.clock import hours
-    from repro.stream import StreamConfig, StreamEngine
+    from repro.stream import StreamConfig
 
-    telemetry_dir = getattr(args, "telemetry", None)
-    if telemetry_dir:
-        from repro.telemetry import enable
-
-        enable()
     plan = None
     if args.loss_rate or args.burst_loss_rate or args.outage_fraction:
         from repro.faults.plan import FaultPlan
@@ -164,7 +168,47 @@ def cmd_stream(args: argparse.Namespace) -> int:
             outage_fraction=args.outage_fraction,
             outage_count=args.outage_count,
         )
-    fabric_mode = bool(args.fabric or args.workers is not None)
+    checkpoint = args.checkpoint
+    if checkpoint is None and (
+        args.checkpoint_every is not None or getattr(args, "resume", False)
+    ):
+        base = getattr(args, "out", None) or f"{args.dataset}-stream"
+        # The fabric checkpoints into a per-shard store *directory*;
+        # the threaded engine keeps its single snapshot file.
+        checkpoint = (
+            f"{base}.fabric-ckpt" if _fabric_mode(args)
+            else f"{base}.checkpoint"
+        )
+    return StreamConfig(
+        dataset=args.dataset,
+        seed=args.seed,
+        scale=args.scale,
+        shards=args.workers if args.workers is not None else args.shards,
+        batch_records=args.batch_records,
+        emit_every=hours(args.emit_every) if args.emit_every else None,
+        checkpoint_every=(
+            hours(args.checkpoint_every) if args.checkpoint_every else None
+        ),
+        checkpoint_path=checkpoint,
+        faults=plan,
+        probe_policy=args.probe_policy,
+        probe_rate=args.probe_rate,
+        probe_ports=tuple(args.probe_ports) if args.probe_ports else None,
+        **extra,
+    )
+
+
+def cmd_stream(args: argparse.Namespace) -> int:
+    import signal
+
+    from repro.stream import StreamEngine
+
+    telemetry_dir = getattr(args, "telemetry", None)
+    if telemetry_dir:
+        from repro.telemetry import enable
+
+        enable()
+    fabric_mode = _fabric_mode(args)
     trace_dir = getattr(args, "trace", None)
     if trace_dir:
         from repro.telemetry import enable_tracing
@@ -172,30 +216,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
         enable_tracing(
             trace_dir, process="supervisor" if fabric_mode else "engine"
         )
-    shards = args.workers if args.workers is not None else args.shards
-    checkpoint = args.checkpoint
-    if checkpoint is None and (args.checkpoint_every is not None or args.resume):
-        base = args.out if args.out else f"{args.dataset}-stream"
-        # The fabric checkpoints into a per-shard store *directory*;
-        # the threaded engine keeps its single snapshot file.
-        checkpoint = f"{base}.fabric-ckpt" if fabric_mode else f"{base}.checkpoint"
-    config = StreamConfig(
-        dataset=args.dataset,
-        seed=args.seed,
-        scale=args.scale,
-        shards=shards,
-        batch_records=args.batch_records,
-        emit_every=hours(args.emit_every) if args.emit_every else None,
-        checkpoint_every=(
-            hours(args.checkpoint_every) if args.checkpoint_every else None
-        ),
-        checkpoint_path=checkpoint,
-        max_queue_chunks=args.queue_chunks,
-        faults=plan,
-        probe_policy=args.probe_policy,
-        probe_rate=args.probe_rate,
-        probe_ports=tuple(args.probe_ports) if args.probe_ports else None,
-    )
+    config = _stream_config(args, max_queue_chunks=args.queue_chunks)
+    checkpoint = config.checkpoint_path
     if args.resume and checkpoint:
         from pathlib import Path
 
@@ -297,9 +319,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
             dataset=args.dataset,
             seed=args.seed,
             scale=args.scale,
-            faults=plan,
+            faults=config.faults,
             arguments={
-                "shards": shards,
+                "shards": config.shards,
                 "fabric": fabric_mode,
                 "emit_every_hours": args.emit_every,
                 "checkpoint_every_hours": args.checkpoint_every,
@@ -317,40 +339,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.query.serve import run_serve
     from repro.simkernel.clock import hours
-    from repro.stream import StreamConfig
 
-    plan = None
-    if args.loss_rate or args.burst_loss_rate or args.outage_fraction:
-        from repro.faults.plan import FaultPlan
-
-        plan = FaultPlan(
-            seed=args.fault_seed,
-            capture_loss_rate=args.loss_rate,
-            burst_loss_rate=args.burst_loss_rate,
-            outage_fraction=args.outage_fraction,
-            outage_count=args.outage_count,
-        )
-    fabric_mode = bool(args.fabric or args.workers is not None)
-    shards = args.workers if args.workers is not None else args.shards
-    config = StreamConfig(
-        dataset=args.dataset,
-        seed=args.seed,
-        scale=args.scale,
-        shards=shards,
-        batch_records=args.batch_records,
-        emit_every=hours(args.emit_every) if args.emit_every else None,
-        checkpoint_every=(
-            hours(args.checkpoint_every) if args.checkpoint_every else None
-        ),
-        checkpoint_path=args.checkpoint,
-        snapshot_every=hours(args.snapshot_every),
-        faults=plan,
-        probe_policy=args.probe_policy,
-        probe_rate=args.probe_rate,
-        probe_ports=tuple(args.probe_ports) if args.probe_ports else None,
-    )
+    config = _stream_config(args, snapshot_every=hours(args.snapshot_every))
     fabric_config = None
-    if fabric_mode:
+    if _fabric_mode(args):
         from repro.stream import FabricConfig
 
         fabric_config = FabricConfig(
@@ -430,25 +422,41 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_file_error(path: str, exc: Exception) -> int:
+    """Report an unreadable trace file the way argparse reports a bad
+    flag: one ``error:`` line on stderr, exit status 2."""
+    reason = exc
+    if isinstance(exc, OSError) and exc.strerror:
+        path, reason = exc.filename or path, exc.strerror
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.trace.columnar import DEFAULT_CHUNK_RECORDS, convert_trace
-    from repro.trace.format import trace_version
+    from repro.trace.columnar import (
+        DEFAULT_CHUNK_RECORDS,
+        TRACE_FORMAT_VERSION,
+        convert_trace,
+        trace_version,
+    )
 
     if args.trace_command != "convert":  # pragma: no cover - argparse gates
         raise SystemExit(f"unknown trace command {args.trace_command!r}")
-    source_version = trace_version(args.source)
     chunk_records = (
         args.chunk_records
         if args.chunk_records is not None
         else DEFAULT_CHUNK_RECORDS
     )
-    count = convert_trace(
-        args.source, args.destination,
-        to_version=args.to_version, chunk_records=chunk_records,
-    )
+    try:
+        source_version = trace_version(args.source)
+        count = convert_trace(
+            args.source, args.destination, chunk_records=chunk_records
+        )
+    except (OSError, ValueError) as exc:
+        return _trace_file_error(args.source, exc)
     print(
         f"converted {count:,} records: {args.source} (v{source_version}) "
-        f"-> {args.destination} (v{args.to_version})"
+        f"-> {args.destination} (v{TRACE_FORMAT_VERSION})"
     )
     return 0
 
@@ -456,7 +464,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_trace_stats(args: argparse.Namespace) -> int:
     from repro.net.addr import format_ipv4, parse_cidr
     from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-    from repro.trace.format import TraceReader
+    from repro.trace.columnar import read_trace_records
 
     network, prefix = parse_cidr(args.campus)
     mask = ~((1 << (32 - prefix)) - 1) & 0xFFFFFFFF
@@ -471,8 +479,10 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
     responders: dict[int, int] = {}
     first = last = None
     total = 0
-    with TraceReader.open(args.file) as reader:
-        for record in reader:
+    # The decoder raises where it finds the damage, which for a truncated
+    # body is mid-pass: nothing is printed until the whole file has read.
+    try:
+        for record in read_trace_records(args.file):
             total += 1
             first = record.time if first is None else min(first, record.time)
             last = record.time if last is None else max(last, record.time)
@@ -491,6 +501,8 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
                     flags["rst"] = flags.get("rst", 0) + 1
                 else:
                     flags["other"] = flags.get("other", 0) + 1
+    except (OSError, ValueError) as exc:
+        return _trace_file_error(args.file, exc)
     table = TextTable(
         title=f"Trace {args.file}: {total:,} records",
         headers=["Measure", "Value"],
@@ -806,10 +818,76 @@ def cmd_online_probing(args: argparse.Namespace) -> int:
     return run_from_args(args)
 
 
-def _add_probe_arguments(parser: argparse.ArgumentParser) -> None:
-    """Online-probing flags shared by ``stream`` and ``serve``."""
+def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
+    """Every flag ``stream`` and ``serve`` share: what
+    :func:`_stream_config` reads, the fabric supervision knobs and the
+    telemetry/trace export directories."""
     from repro.probe import POLICY_NAMES
 
+    parser.add_argument("dataset")
+    parser.add_argument("--scale", type=float, default=0.1)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--shards", type=int, default=2,
+                        help="partition the stream across N shard workers")
+    parser.add_argument(
+        "--fabric", action="store_true",
+        help="run shards as supervised worker processes (the "
+             "distributed fabric) instead of in-process threads",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="worker process count for the fabric (implies --fabric; "
+             "overrides --shards)",
+    )
+    parser.add_argument("--heartbeat-interval", type=float, default=0.25,
+                        metavar="SECONDS",
+                        help="fabric worker heartbeat cadence")
+    parser.add_argument("--miss-budget", type=int, default=8,
+                        help="heartbeats a fabric worker may miss before "
+                             "it is declared dead")
+    parser.add_argument("--max-restarts", type=int, default=3,
+                        help="restarts per shard before the fabric fails "
+                             "the run as degraded")
+    parser.add_argument(
+        "--emit-every", type=float, default=None, metavar="H",
+        help="emit a windowed-completeness watermark every H sim-hours",
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=float, default=None, metavar="H",
+        help="write an atomic state checkpoint every H sim-hours",
+    )
+    parser.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="checkpoint file (threaded) or per-shard store directory "
+             "(fabric); default derived from the dataset name (or from "
+             "stream's --out)",
+    )
+    parser.add_argument(
+        "--batch-records", type=int, default=8192,
+        help="records per batch of a regenerated stream (cache off or "
+             "missed, or a truncated run); a cached v2 trace is read in "
+             "the 65,536-record chunks it was recorded in whatever "
+             "this says",
+    )
+    parser.add_argument("--loss-rate", type=float, default=0.0,
+                        help="i.i.d. capture loss rate")
+    parser.add_argument("--burst-loss-rate", type=float, default=0.0)
+    parser.add_argument("--outage-fraction", type=float, default=0.0,
+                        help="fraction of the observation each link's "
+                             "monitor is down")
+    parser.add_argument("--outage-count", type=int, default=1)
+    parser.add_argument("--fault-seed", type=int, default=0)
+    parser.add_argument(
+        "--telemetry", default=None, metavar="DIR",
+        help="collect metrics/spans and export a run manifest, "
+             "Prometheus text and JSONL into DIR when the run ends",
+    )
+    parser.add_argument(
+        "--trace", default=None, metavar="DIR",
+        help="record causally linked trace events (and crash flight-"
+             "recorder dumps) into DIR; view with trace-view (serve "
+             "also answers /tracez from them)",
+    )
     parser.add_argument(
         "--probe-policy", choices=POLICY_NAMES, default=None,
         help="run the active side online: dispatch seeded probes "
@@ -850,30 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = commands.add_parser(
         "stream", help="run the online streaming discovery engine"
     )
-    stream.add_argument("dataset")
-    stream.add_argument("--scale", type=float, default=0.1)
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--shards", type=int, default=2,
-                        help="partition the stream across N shard workers")
-    stream.add_argument(
-        "--fabric", action="store_true",
-        help="run shards as supervised worker processes (the "
-             "distributed fabric) instead of in-process threads",
-    )
-    stream.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker process count for the fabric (implies --fabric; "
-             "overrides --shards)",
-    )
-    stream.add_argument("--heartbeat-interval", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="fabric worker heartbeat cadence")
-    stream.add_argument("--miss-budget", type=int, default=8,
-                        help="heartbeats a fabric worker may miss before "
-                             "it is declared dead")
-    stream.add_argument("--max-restarts", type=int, default=3,
-                        help="restarts per shard before the fabric fails "
-                             "the run as degraded")
+    _add_stream_arguments(stream)
     stream.add_argument("--worker-crash-rate", type=float, default=0.0,
                         help="chaos: probability a worker incarnation "
                              "crashes at a seeded record count")
@@ -885,102 +940,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="chaos: probability a worker incarnation "
                              "silently drops a run of heartbeats")
     stream.add_argument("--worker-fault-seed", type=int, default=0)
-    stream.add_argument(
-        "--emit-every", type=float, default=None, metavar="H",
-        help="emit a windowed-completeness watermark every H sim-hours",
-    )
-    stream.add_argument(
-        "--checkpoint-every", type=float, default=None, metavar="H",
-        help="write an atomic state checkpoint every H sim-hours",
-    )
-    stream.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="checkpoint file (threaded) or per-shard store directory "
-             "(fabric); default derived from --out or the dataset",
-    )
     stream.add_argument("--resume", action="store_true",
                         help="resume from the checkpoint file if present")
-    stream.add_argument("--batch-records", type=int, default=8192)
     stream.add_argument("--queue-chunks", type=int, default=8,
                         help="bound on queued batches per shard (backpressure)")
-    stream.add_argument("--loss-rate", type=float, default=0.0,
-                        help="i.i.d. capture loss rate")
-    stream.add_argument("--burst-loss-rate", type=float, default=0.0)
-    stream.add_argument("--outage-fraction", type=float, default=0.0,
-                        help="fraction of the observation each link's "
-                             "monitor is down")
-    stream.add_argument("--outage-count", type=int, default=1)
-    stream.add_argument("--fault-seed", type=int, default=0)
     stream.add_argument("--out", default=None,
                         help="also write the final report to this file")
-    stream.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="collect metrics/spans and export a run manifest, "
-             "Prometheus text and JSONL into DIR",
-    )
-    stream.add_argument(
-        "--trace", default=None, metavar="DIR",
-        help="record causally linked trace events (and crash flight-"
-             "recorder dumps) into DIR; view with trace-view",
-    )
-    _add_probe_arguments(stream)
 
     serve = commands.add_parser(
         "serve", help="serve live discovery state over HTTP while ingesting"
     )
-    serve.add_argument("dataset")
-    serve.add_argument("--scale", type=float, default=0.1)
-    serve.add_argument("--seed", type=int, default=0)
+    _add_stream_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="listen port (0 picks an ephemeral port, "
                             "announced on stderr)")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="partition ingest across N shard workers")
-    serve.add_argument(
-        "--fabric", action="store_true",
-        help="run shards as supervised worker processes (the "
-             "distributed fabric) instead of in-process threads",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker process count for the fabric (implies --fabric; "
-             "overrides --shards)",
-    )
-    serve.add_argument("--heartbeat-interval", type=float, default=0.25,
-                       metavar="SECONDS")
-    serve.add_argument("--miss-budget", type=int, default=8)
-    serve.add_argument("--max-restarts", type=int, default=3)
     serve.add_argument(
         "--snapshot-every", type=float, default=1.0, metavar="H",
         help="publish a query snapshot every H sim-hours (default 1.0)",
     )
-    serve.add_argument(
-        "--emit-every", type=float, default=None, metavar="H",
-        help="emit a windowed-completeness watermark every H sim-hours",
-    )
-    serve.add_argument(
-        "--checkpoint-every", type=float, default=None, metavar="H",
-        help="write an atomic state checkpoint every H sim-hours",
-    )
-    serve.add_argument("--checkpoint", default=None, metavar="PATH")
-    serve.add_argument("--batch-records", type=int, default=8192)
-    serve.add_argument("--loss-rate", type=float, default=0.0,
-                       help="i.i.d. capture loss rate")
-    serve.add_argument("--burst-loss-rate", type=float, default=0.0)
-    serve.add_argument("--outage-fraction", type=float, default=0.0)
-    serve.add_argument("--outage-count", type=int, default=1)
-    serve.add_argument("--fault-seed", type=int, default=0)
-    serve.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="export collected metrics into DIR on shutdown",
-    )
-    serve.add_argument(
-        "--trace", default=None, metavar="DIR",
-        help="record causally linked trace events into DIR; serves "
-             "/tracez and flight-recorder state on /healthz",
-    )
-    _add_probe_arguments(serve)
 
     checkpoint = commands.add_parser(
         "checkpoint", help="checkpoint-store utilities"
@@ -1023,19 +1001,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = commands.add_parser(
-        "trace", help="trace-file utilities (convert between formats)"
+        "trace", help="trace-file utilities (convert to the current format)"
     )
     trace_commands = trace.add_subparsers(dest="trace_command", required=True)
     convert = trace_commands.add_parser(
         "convert",
-        help="convert a trace between v1 (row) and v2 (columnar) formats",
+        help="rewrite a trace (v1 or v2) in the current v2 columnar format",
     )
     convert.add_argument("source")
     convert.add_argument("destination")
-    convert.add_argument(
-        "--to", type=int, choices=(1, 2), default=2, dest="to_version",
-        help="target format version (default: 2, the columnar format)",
-    )
     convert.add_argument(
         "--chunk-records", type=int, default=None,
         help="records per v2 chunk (default %d)" % 65536,

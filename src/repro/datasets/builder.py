@@ -42,8 +42,11 @@ from repro.simkernel.clock import Calendar, hours
 from repro.simkernel.rng import RngStreams, derive_seed
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.trace.cache import default_trace_cache
-from repro.trace.columnar import ColumnarTraceWriter, read_trace_columns
-from repro.trace.format import read_records_chunked
+from repro.trace.columnar import (
+    ColumnarTraceWriter,
+    read_trace_columns,
+    read_trace_records,
+)
 from repro.traffic.generator import (
     GENERATOR_VERSION,
     TrafficMix,
@@ -161,11 +164,7 @@ class BuiltDataset:
         if self._full_pass(end):
             cached = default_trace_cache().lookup(self.trace_cache_key)
             if cached is not None:
-                return (
-                    record
-                    for batch in read_records_chunked(cached)
-                    for record in batch
-                )
+                return read_trace_records(cached)
         return self._generate_stream(end)
 
     def replay(self, *observers, end: float | None = None, faults=None) -> int:
@@ -271,9 +270,9 @@ class BuiltDataset:
         then detects the damage, evicts, and regenerates, exercising
         the recovery path end to end.
 
-        Recordings are written in the columnar v2 format; the cache
-        key embeds the format version, so older v1 entries are simply
-        never looked up again rather than misread.
+        The cache key embeds the trace format version, so an entry
+        recorded in an older format is simply never looked up again
+        rather than misread.
         """
         from repro.passive.monitor import replay as _replay
 

@@ -78,7 +78,9 @@ from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.tracing import tracer as _tracer
 from repro.trace.cache import default_trace_cache
 from repro.trace.columnar import RecordColumns, read_trace_columns
-from repro.trace.format import DEFAULT_BATCH_RECORDS
+
+#: Default ``StreamConfig.batch_records``.
+DEFAULT_BATCH_RECORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,11 @@ class StreamConfig:
     emission (a final watermark at end of stream is always produced)
     or checkpointing respectively.  ``end`` truncates the stream (the
     memory-flatness test compares 1x vs 4x duration); ``None`` streams
-    the dataset's full observation.
+    the dataset's full observation.  ``batch_records`` sizes the
+    batches of a *regenerated* stream (cache off, cache miss, truncated
+    ``end``); a cached v2 trace is read in the 65,536-record chunks it
+    was recorded in, because ``read_trace_columns`` ignores
+    ``chunk_records`` for v2.
     """
 
     dataset: str

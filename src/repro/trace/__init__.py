@@ -4,11 +4,12 @@ The paper's LANDER infrastructure stored 64-byte packet headers and the
 published datasets are anonymised.  This package provides the same
 pipeline for our simulated captures:
 
-* :mod:`repro.trace.format` -- a compact binary record format with a
-  streaming writer/reader and a batched chunk reader;
-* :mod:`repro.trace.columnar` -- the chunked columnar layout (format
-  v2): one contiguous array per field per chunk, read zero-copy via
-  mmap into numpy views, plus converters between versions;
+* :mod:`repro.trace.columnar` -- the trace file format: one contiguous
+  array per field per chunk, written by :class:`ColumnarTraceWriter`
+  and read zero-copy via mmap into numpy views by
+  :func:`read_trace_columns`, the one decoder (it also reads the older
+  packed-record v1 files, which nothing writes any more;
+  :func:`convert_trace` brings one into the current format);
 * :mod:`repro.trace.anonymize` -- deterministic, prefix-preserving
   address anonymisation (campus addresses stay campus addresses, so
   every analysis still works on anonymised traces);
@@ -19,17 +20,12 @@ pipeline for our simulated captures:
 from repro.trace.anonymize import Anonymizer
 from repro.trace.cache import TraceCache, default_trace_cache
 from repro.trace.columnar import (
+    TRACE_FORMAT_VERSION,
     ColumnarTraceWriter,
     RecordColumns,
     convert_trace,
-    read_trace_columns,
-)
-from repro.trace.format import (
-    TRACE_FORMAT_VERSION,
-    TraceReader,
-    TraceWriter,
-    read_records_chunked,
     read_trace,
+    read_trace_columns,
     trace_is_intact,
     trace_version,
     write_trace,
@@ -41,11 +37,8 @@ __all__ = [
     "RecordColumns",
     "TRACE_FORMAT_VERSION",
     "TraceCache",
-    "TraceReader",
-    "TraceWriter",
     "convert_trace",
     "default_trace_cache",
-    "read_records_chunked",
     "read_trace",
     "read_trace_columns",
     "trace_is_intact",

@@ -4,15 +4,15 @@ The paper's LANDER methodology is record-once/analyze-many: headers
 were captured to disk once and every analysis ran offline over the
 stored trace.  :class:`TraceCache` gives our synthetic captures the
 same shape.  The first full-duration replay of a dataset spills its
-border traffic through the binary trace writer into an on-disk cache;
-every later replay streams the stored records back through the batched
-reader instead of regenerating the traffic.
+border traffic through the trace writer into an on-disk cache; every
+later replay reads the stored columns back instead of regenerating the
+traffic.
 
 Cache entries are content-addressed by ``(dataset name, seed, scale,
 generator version)`` plus the on-disk trace format version
-(:data:`repro.trace.format.TRACE_FORMAT_VERSION`), so a change to the
+(:data:`repro.trace.columnar.TRACE_FORMAT_VERSION`), so a change to the
 traffic generator or the record layout invalidates old entries without
-any bookkeeping -- v1 and v2 artifacts of the same trace can never
+any bookkeeping -- artifacts of the same trace in two formats can never
 collide on one path.  Writes go to a temporary file in the
 cache directory and are published with an atomic rename, so concurrent
 builders (e.g. ``runner --jobs N`` workers) can race on the same key
@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry.metrics import registry as _telemetry_registry
+from repro.trace.columnar import TRACE_FORMAT_VERSION, trace_is_intact
 
 #: Environment variable overriding the cache directory (or disabling it).
 ENV_VAR = "REPRO_TRACE_CACHE"
@@ -149,8 +150,6 @@ class TraceCache:
         defaults to the version new recordings are written in.
         """
         if format_version is None:
-            from repro.trace.format import TRACE_FORMAT_VERSION
-
             format_version = TRACE_FORMAT_VERSION
         digest = hashlib.sha256(
             repr(
@@ -164,8 +163,9 @@ class TraceCache:
     def lookup(self, key: tuple) -> Path | None:
         """Return the stored trace for *key*, counting a hit or miss.
 
-        A damaged entry (bad header, or size not matching the record
-        count the writer stamped on close) is removed and reported as a
+        A damaged entry (bad header, a chunk walk that breaks or does
+        not add up to the record count the writer stamped on close, or
+        a file in another format version) is removed and reported as a
         miss, so replay regenerates and re-records rather than feeding
         observers a partial stream.
         """
@@ -175,8 +175,6 @@ class TraceCache:
         reg = _telemetry_registry()
         path = self.path_for(key)
         if path.is_file():
-            from repro.trace.format import trace_is_intact
-
             if trace_is_intact(path):
                 self.stats.hits += 1
                 reg.counter(

@@ -1,11 +1,9 @@
-"""Columnar trace format (v2): chunked column layout, zero-copy reads.
+"""The trace file format: chunked columns, read zero-copy.
 
-Format v1 (:mod:`repro.trace.format`) stores a trace as a stream of
-packed 24-byte records; decoding dispatches one ``PacketRecord`` object
-per record, which caps replay around a few hundred thousand records per
-second.  Format v2 keeps the same 16-byte file header (version bumped
-to 2) but lays the body out in *chunks*, each storing one contiguous
-array per field::
+A capture file stores exactly the fields the monitors consume -- the
+simulated analogue of the paper's 64-byte header captures -- as a
+16-byte header followed by *chunks*, each holding one contiguous array
+per field (little endian)::
 
     header:  magic "RPRT" | u16 version=2 | u16 flags | u64 record count
     chunk:   u32 record count n | u32 reserved
@@ -16,62 +14,79 @@ array per field::
 
 Chunks start 8-byte aligned (the header is 16 bytes and every chunk's
 total size is a multiple of 8), so the ``time`` column of an mmap'd
-file is always a properly aligned ``float64`` view.  Readers map the
-whole file once and hand out :class:`RecordColumns` batches whose
-arrays are numpy views straight into the mapping -- no copies, no
-per-record objects.  The record count in the file header is stamped on
-close; readers tolerate a zero count (truncated writer) by walking the
-chunk headers.
+file is always a properly aligned ``float64`` view.
+:func:`read_trace_columns`, the one decoder, maps the whole file once
+and hands out :class:`RecordColumns` batches whose arrays are numpy
+views straight into the mapping -- no copies, no per-record objects;
+``PacketRecord`` objects exist only where a consumer asks a batch for
+them (:meth:`RecordColumns.to_records`).  The record count in the file
+header is stamped on close; the decoder never trusts it (a writer that
+was killed leaves zero, and every whole chunk still reads back), while
+:func:`trace_is_intact` -- the trace cache's admission test -- requires
+it to match the chunk walk.
 
 Lifetime rule: column views keep the underlying ``mmap`` alive (numpy
 holds a buffer export), so the mapping is released only when the last
-view is garbage collected.  Readers therefore never explicitly close
-the mapping; they close the file descriptor immediately after mapping,
-which is safe -- the mapping outlives the descriptor.
+view is garbage collected.  The decoder therefore never closes the
+mapping; it closes the file descriptor right after mapping, which is
+safe -- the mapping outlives the descriptor.
 
-V1 files can also be read as columns: the packed v1 record layout is
-exactly a numpy structured dtype (:data:`V1_DTYPE`), so a v1 file is
-mmap'd into one structured view and its fields are strided column
-views.  V2's advantage is contiguity (each field is a dense array, so
-vector ops run at memory bandwidth) plus per-chunk locality.
+Version 1 is read-only.  Files recorded before the columnar layout are
+the same header (version=1) followed by packed 24-byte records, field
+for field the :data:`COLUMN_FIELDS` dtypes -- which is exactly a numpy
+structured dtype (:data:`V1_DTYPE`).  The decoder maps such a file into
+one structured view and yields its fields as strided column views, so
+an old file converts (:func:`convert_trace`) and feeds every consumer
+through the same code; nothing writes v1.
 """
 
 from __future__ import annotations
 
-import io
 import mmap
 import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from repro.net.packet import ICMP_PORT_UNREACHABLE, PacketRecord
+from repro.net.packet import ICMP_PORT_UNREACHABLE, PacketRecord, TcpFlags
 
-from repro.trace.format import (
-    _HEADER,
-    _ICMP_NONE,
-    _ICMP_PORT_UNREACH,
-    _ICMP_VALUES,
-    _FLAG_VALUES,
-    _LINK_INDEX,
-    _LINKS,
-    _MAGIC,
-    _RECORD,
-    read_header,
-)
+_MAGIC = b"RPRT"
+_HEADER = struct.Struct("<4sHHQ")
 
-#: The version this module writes.
-VERSION_COLUMNAR = 2
+#: Chunk header: u32 record count, u32 reserved (keeps chunks 8-aligned).
+_CHUNK_HEADER = struct.Struct("<II")
+
+#: The version every recording is written in (the trace cache keys
+#: entries by this, so bumping it invalidates stale-format entries).
+TRACE_FORMAT_VERSION = 2
+
+#: Versions :func:`read_trace_columns` decodes; 1 is the packed-record
+#: stream older recordings are in.
+KNOWN_VERSIONS = (1, TRACE_FORMAT_VERSION)
 
 #: Records per chunk written by :class:`ColumnarTraceWriter` (and the
 #: batch size v1 files are sliced into when read as columns).
 DEFAULT_CHUNK_RECORDS = 65536
 
-#: Chunk header: u32 record count, u32 reserved (keeps chunks 8-aligned).
-_CHUNK_HEADER = struct.Struct("<II")
+#: Records materialised at a time by :func:`read_trace_records`, so a
+#: per-record consumer never holds a whole chunk as objects.
+_RECORDS_PER_SLICE = 8192
+
+#: Link names are stored as one-byte indices.
+_LINKS: tuple[str, ...] = ("", "commercial1", "commercial2", "internet2")
+_LINK_INDEX = {name: index for index, name in enumerate(_LINKS)}
+
+#: icmp marker values.
+_ICMP_NONE = 0
+_ICMP_PORT_UNREACH = 1
+
+#: Decode lookup tables: one-byte fields map through tuples instead of
+#: calling the enum constructor per record.
+_FLAG_VALUES: tuple[TcpFlags, ...] = tuple(TcpFlags(value) for value in range(256))
+_ICMP_VALUES: tuple[tuple[int, int] | None, ...] = (None, ICMP_PORT_UNREACHABLE)
 
 #: (field name, dtype) in on-disk order.  The dtypes are little-endian
 #: and match the v1 packed record field for field.
@@ -93,8 +108,6 @@ _BYTES_PER_RECORD = sum(dtype.itemsize for _, dtype in COLUMN_FIELDS)
 #: The v1 packed record as a numpy structured dtype (itemsize 24, no
 #: padding) -- lets a v1 file be viewed as columns without decoding.
 V1_DTYPE = np.dtype([(name, dtype) for name, dtype in COLUMN_FIELDS])
-
-assert V1_DTYPE.itemsize == _RECORD.size == _BYTES_PER_RECORD
 
 
 def _chunk_payload_bytes(count: int) -> int:
@@ -175,7 +188,7 @@ class RecordColumns:
     def to_records(self) -> "list[PacketRecord]":
         """Materialise the batch as ``PacketRecord`` objects.
 
-        Identical to what the v1 batched reader would decode; the
+        The only place decoded bytes become record objects.  The
         result is cached on the batch so several scalar-fallback
         observers of one replay pass share a single materialisation.
         """
@@ -200,13 +213,6 @@ class RecordColumns:
             ]
         return self._records
 
-    def to_structured(self) -> np.ndarray:
-        """Pack the batch into a fresh :data:`V1_DTYPE` array (v1 bytes)."""
-        out = np.empty(len(self), dtype=V1_DTYPE)
-        for name, _ in COLUMN_FIELDS:
-            out[name] = getattr(self, name)
-        return out
-
     # ---- selection -----------------------------------------------------
 
     def _rebuild(self, selector) -> "RecordColumns":
@@ -229,11 +235,15 @@ class RecordColumns:
 
 
 class ColumnarTraceWriter:
-    """Streaming v2 writer: buffers records, spills full chunks.
+    """The trace writer: buffers records, spills full chunks.
 
-    Interface-compatible with :class:`repro.trace.format.TraceWriter`
-    (``write``/``close``/``records_written``, context manager), plus
-    :meth:`write_columns` for bulk input that is already columnar.
+    Use as a context manager::
+
+        with ColumnarTraceWriter.open(path) as writer:
+            for record in stream:
+                writer.write(record)
+
+    :meth:`write_columns` takes bulk input that is already columnar.
     """
 
     def __init__(
@@ -245,7 +255,7 @@ class ColumnarTraceWriter:
         self._chunk_records = chunk_records
         self._count = 0
         self._buffers: list[list] = [[] for _ in COLUMN_FIELDS]
-        self._file.write(_HEADER.pack(_MAGIC, VERSION_COLUMNAR, 0, 0))
+        self._file.write(_HEADER.pack(_MAGIC, TRACE_FORMAT_VERSION, 0, 0))
 
     @classmethod
     def open(
@@ -315,7 +325,7 @@ class ColumnarTraceWriter:
         """Flush the tail chunk, finalise the header, close the file."""
         self._flush_chunk()
         self._file.seek(0)
-        self._file.write(_HEADER.pack(_MAGIC, VERSION_COLUMNAR, 0, self._count))
+        self._file.write(_HEADER.pack(_MAGIC, TRACE_FORMAT_VERSION, 0, self._count))
         self._file.close()
 
     def __enter__(self) -> "ColumnarTraceWriter":
@@ -329,10 +339,28 @@ class ColumnarTraceWriter:
         return self._count
 
 
-def _mmap_file(path: "str | Path") -> mmap.mmap:
-    """Map *path* read-only; the descriptor is closed immediately."""
+def read_header(fileobj: BinaryIO) -> tuple[int, int]:
+    """Validate the header at the file position.
+
+    Returns ``(version, declared record count)``; accepts every version
+    in :data:`KNOWN_VERSIONS`.
+    """
+    header = fileobj.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise ValueError("trace file too short for header")
+    magic, version, _, count = _HEADER.unpack(header)
+    if magic != _MAGIC:
+        raise ValueError(f"bad trace magic: {magic!r}")
+    if version not in KNOWN_VERSIONS:
+        raise ValueError(f"unsupported trace version: {version}")
+    return version, count
+
+
+def trace_version(path: "str | Path") -> int:
+    """The format version of the trace file at *path*."""
     with open(path, "rb") as fileobj:
-        return mmap.mmap(fileobj.fileno(), 0, access=mmap.ACCESS_READ)
+        version, _count = read_header(fileobj)
+    return version
 
 
 def _iter_v2_chunks(
@@ -380,11 +408,17 @@ def read_trace_columns(
     """Read any trace file as :class:`RecordColumns` batches.
 
     V2 files yield the writer's chunks as zero-copy views into one
-    mmap of the file; v1 files are mmap'd into a structured view and
-    yielded in *chunk_records* slices (still zero-copy, but each field
-    is a strided view rather than a dense array).  *skip_records*
-    drops the first N records -- whole skipped chunks cost one header
-    read, and a partial skip is a view slice.
+    mmap of the file (*chunk_records* does not re-slice them); v1 files
+    are mmap'd into a structured view and yielded in *chunk_records*
+    slices (still zero-copy, but each field is a strided view rather
+    than a dense array).  *skip_records* drops the first N records --
+    whole skipped chunks cost one header read, and a partial skip is a
+    view slice.
+
+    Damage raises ``ValueError`` at the batch it is found in, never a
+    short read: a bad header before the first batch, a truncated or
+    empty chunk (or a v1 body that is not whole records) when the walk
+    reaches it.
     """
     if skip_records < 0:
         raise ValueError("skip_records must be >= 0")
@@ -392,15 +426,15 @@ def read_trace_columns(
         raise ValueError("chunk_records must be positive")
     with open(path, "rb") as fileobj:
         version, _count = read_header(fileobj)
-    buffer = _mmap_file(path)
-    if version == VERSION_COLUMNAR:
+        buffer = mmap.mmap(fileobj.fileno(), 0, access=mmap.ACCESS_READ)
+    if version == TRACE_FORMAT_VERSION:
         yield from _iter_v2_chunks(buffer, skip_records)
         return
     body = len(buffer) - _HEADER.size
-    if body % _RECORD.size:
+    if body % V1_DTYPE.itemsize:
         raise ValueError("truncated record at end of trace")
     view = np.frombuffer(
-        buffer, dtype=V1_DTYPE, count=body // _RECORD.size,
+        buffer, dtype=V1_DTYPE, count=body // V1_DTYPE.itemsize,
         offset=_HEADER.size,
     )
     for start in range(skip_records, len(view), chunk_records):
@@ -409,107 +443,74 @@ def read_trace_columns(
         )
 
 
-def read_columns_batched(
-    path: "str | Path",
-    batch_size: int,
-    skip_records: int = 0,
-) -> Iterator["list[PacketRecord]"]:
-    """Decode a v2 trace into ``PacketRecord`` batches (v1 compatibility).
+def trace_is_intact(path: "str | Path") -> bool:
+    """Is *path* a cleanly closed recording?  (The cache's admission test.)
 
-    The scalar view of a columnar file: record-for-record identical to
-    reading the trace's v1 form through
-    :func:`repro.trace.format.read_records_chunked`.  Chunks are
-    re-sliced to *batch_size* so consumers see the batch shape they
-    asked for.
-    """
-    for columns in read_trace_columns(path, skip_records=skip_records):
-        total = len(columns)
-        if total <= batch_size:
-            yield columns.to_records()
-            continue
-        for start in range(0, total, batch_size):
-            yield columns.slice(start, start + batch_size).to_records()
-
-
-def columnar_record_count(path: "str | Path") -> int:
-    """Total records in a v2 file, by walking chunk headers (cheap)."""
-    count = 0
-    with open(path, "rb") as fileobj:
-        read_header(fileobj)
-        size = os.fstat(fileobj.fileno()).st_size
-        offset = _HEADER.size
-        while offset < size:
-            header = fileobj.read(_CHUNK_HEADER.size)
-            if len(header) < _CHUNK_HEADER.size:
-                raise ValueError("truncated chunk header at end of trace")
-            chunk_count, _reserved = _CHUNK_HEADER.unpack(header)
-            count += chunk_count
-            offset += _CHUNK_HEADER.size + _chunk_payload_bytes(chunk_count)
-            fileobj.seek(offset)
-    return count
-
-
-def columnar_is_intact(path: "str | Path") -> bool:
-    """V2 integrity probe: chunk walk consistent with header and size.
-
-    Mirrors the v1 rule: a cleanly closed writer stamps the record
-    count, which (with the chunk structure) fixes the exact file size;
-    a zero count with a non-empty body means the writer never finished.
-    Truncation anywhere -- mid-chunk-header, mid-column, lost tail --
-    breaks either the walk or the count match.
+    A writer that closed cleanly stamps the record count into the
+    header, which together with the chunk structure fixes the file's
+    exact size.  So the file is intact when the decoder walks it end to
+    end and finds the declared number of records: truncation anywhere
+    -- mid-chunk-header, mid-column, lost tail -- breaks the walk, and a
+    zero count over a non-empty body means the writer never finished.
+    The walk reads chunk headers only; no column data is touched.  A v1
+    file is never a recording of this code, so it is not intact either.
     """
     try:
-        size = os.stat(path).st_size
         with open(path, "rb") as fileobj:
-            _version, declared = read_header(fileobj)
-            offset = _HEADER.size
-            walked = 0
-            while offset < size:
-                header = fileobj.read(_CHUNK_HEADER.size)
-                if len(header) < _CHUNK_HEADER.size:
-                    return False
-                chunk_count, _reserved = _CHUNK_HEADER.unpack(header)
-                if chunk_count == 0:
-                    return False
-                walked += chunk_count
-                offset += (
-                    _CHUNK_HEADER.size + _chunk_payload_bytes(chunk_count)
-                )
-                fileobj.seek(offset)
+            version, declared = read_header(fileobj)
+        if version != TRACE_FORMAT_VERSION:
+            return False
+        walked = sum(len(columns) for columns in read_trace_columns(path))
     except (OSError, ValueError):
         return False
-    return offset == size and walked == declared
+    return walked == declared
+
+
+def write_trace(path: "str | Path", records: Iterable[PacketRecord]) -> int:
+    """Write all *records* to *path*; return the record count."""
+    with ColumnarTraceWriter.open(path) as writer:
+        for record in records:
+            writer.write(record)
+        return writer.records_written
+
+
+def read_trace_records(path: "str | Path") -> Iterator[PacketRecord]:
+    """Any trace file record by record, for per-record consumers.
+
+    Chunks are materialised a bounded slice at a time, so the pass
+    holds a few thousand record objects however large the chunks are.
+    """
+    for columns in read_trace_columns(path):
+        for start in range(0, len(columns), _RECORDS_PER_SLICE):
+            yield from columns.slice(
+                start, start + _RECORDS_PER_SLICE
+            ).to_records()
+
+
+def read_trace(path: "str | Path") -> list[PacketRecord]:
+    """Read a whole trace into memory (tests and small traces only)."""
+    return list(read_trace_records(path))
 
 
 def convert_trace(
     source: "str | Path",
     destination: "str | Path",
-    to_version: int = VERSION_COLUMNAR,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> int:
-    """Convert a trace file between format versions; return record count.
+    """Rewrite any readable trace as a v2 file; return the record count.
 
-    Both directions are supported (v1 -> v2 for the fast columnar
-    replay path, v2 -> v1 for tools that want the flat record stream);
-    converting a file to its own version rewrites it canonically.  The
-    record sequence is preserved exactly -- ``read_trace`` of source
-    and destination yield identical ``PacketRecord`` lists.
+    Brings a v1 recording into the current format (a v2 source is
+    copied, chunks larger than *chunk_records* split); ``read_trace``
+    of source and destination yield identical ``PacketRecord`` lists.
+    The source is walked end to end before the destination is created,
+    so a damaged source raises and leaves no partial output behind, and
+    converting a file onto itself -- which would truncate the bytes the
+    views map -- is refused.
     """
-    if to_version not in (1, VERSION_COLUMNAR):
-        raise ValueError(f"unsupported target version: {to_version}")
-    total = 0
-    if to_version == VERSION_COLUMNAR:
-        with ColumnarTraceWriter.open(destination, chunk_records) as writer:
-            for columns in read_trace_columns(source):
-                writer.write_columns(columns)
-            total = writer.records_written
-        return total
-    # v2 (or v1) -> v1: stream packed record bytes through a v1 header.
-    with open(destination, "wb") as out:
-        out.write(_HEADER.pack(_MAGIC, 1, 0, 0))
-        for columns in read_trace_columns(source):
-            out.write(columns.to_structured().tobytes())
-            total += len(columns)
-        out.seek(0)
-        out.write(_HEADER.pack(_MAGIC, 1, 0, total))
-    return total
+    if os.path.exists(destination) and os.path.samefile(source, destination):
+        raise ValueError("source and destination are the same file")
+    batches = list(read_trace_columns(source))
+    with ColumnarTraceWriter.open(destination, chunk_records) as writer:
+        for columns in batches:
+            writer.write_columns(columns)
+        return writer.records_written

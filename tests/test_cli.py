@@ -62,6 +62,52 @@ class TestRecordAndStats:
         assert "protocol tcp" in stats
 
 
+def _recorded(tmp_path):
+    from repro.net.packet import tcp_synack
+    from repro.trace.columnar import write_trace
+
+    good = tmp_path / "good.rprt"
+    write_trace(good, [
+        tcp_synack(float(i), 0x807D0001, 0x10000001, 80, 40000 + i, "internet2")
+        for i in range(20)
+    ])
+    return good.read_bytes()
+
+
+#: name -> what to put at the path (None: nothing, the file is missing).
+_BAD_TRACES = {
+    "missing-file": lambda good: None,
+    "bad-magic": lambda good: b"#!/bin/sh\n" + good[10:],
+    "short-header": lambda good: good[:9],
+    "truncated-body": lambda good: good[:-11],
+}
+
+
+class TestBadTraceFiles:
+    """Unreadable input is a one-line ``error:`` and exit 2 at the
+    command boundary -- these four used to be raw tracebacks."""
+
+    @pytest.mark.parametrize("name", _BAD_TRACES)
+    @pytest.mark.parametrize("command", ["trace-stats", "convert"])
+    def test_reported_without_traceback(self, tmp_path, capsys, command, name):
+        content = _BAD_TRACES[name](_recorded(tmp_path))
+        bad = tmp_path / "bad.rprt"
+        if content is not None:
+            bad.write_bytes(content)
+        destination = tmp_path / "out.rprt"
+        argv = (
+            ["trace-stats", str(bad)] if command == "trace-stats"
+            else ["trace", "convert", str(bad), str(destination)]
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not destination.exists()
+
+
 class TestCacheCommand:
     def test_lists_entries(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
@@ -146,6 +192,32 @@ class TestStreamCommand:
         links_out = capsys.readouterr().out
         assert "Link mix: 1 run(s)" in links_out
         assert "Capture drops" in links_out and "outage" in links_out
+
+
+class TestServeCommand:
+    def test_checkpoint_every_derives_a_checkpoint_path(self, monkeypatch):
+        """``serve --checkpoint-every H`` without ``--checkpoint`` used
+        to build ``checkpoint_path=None`` and silently never checkpoint;
+        it gets the default ``stream`` derives, by the same rule."""
+        import repro.query.serve
+
+        seen = {}
+
+        def run_serve(config, **kwargs):
+            seen[kwargs["fabric"] is not None] = config
+            return 0
+
+        monkeypatch.setattr(repro.query.serve, "run_serve", run_serve)
+        args = ["serve", "DTCP1-18d", "--checkpoint-every", "24"]
+        assert main(args) == 0
+        assert main([*args, "--workers", "2"]) == 0
+        assert seen[False].checkpoint_path == "DTCP1-18d-stream.checkpoint"
+        assert seen[True].checkpoint_path == "DTCP1-18d-stream.fabric-ckpt"
+        assert seen[True].shards == 2
+        assert main(["serve", "DTCP1-18d", "--checkpoint", "x.ckpt"]) == 0
+        assert seen[False].checkpoint_path == "x.ckpt"
+        assert main(["serve", "DTCP1-18d"]) == 0
+        assert seen[False].checkpoint_path is None
 
 
 class TestStatsLinks:

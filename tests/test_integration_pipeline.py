@@ -96,22 +96,21 @@ class TestTraceRoundtripIntegration:
     def test_analysis_identical_from_recorded_trace(self, small_dtcp18, tmp_path):
         """Record a day of traffic to the binary trace format, read it
         back, and verify the passive table is identical."""
-        from repro.trace.format import TraceReader, TraceWriter
+        from repro.trace.columnar import ColumnarTraceWriter, read_trace
 
         live = PassiveServiceTable(
             is_campus=small_dtcp18.is_campus, tcp_ports=small_dtcp18.tcp_ports
         )
         path = tmp_path / "day1.rprt"
-        with TraceWriter.open(path) as writer:
+        with ColumnarTraceWriter.open(path) as writer:
             for record in small_dtcp18.packet_stream(end=days(1)):
                 live.observe(record)
                 writer.write(record)
         replayed = PassiveServiceTable(
             is_campus=small_dtcp18.is_campus, tcp_ports=small_dtcp18.tcp_ports
         )
-        with TraceReader.open(path) as reader:
-            for record in reader:
-                replayed.observe(record)
+        for record in read_trace(path):
+            replayed.observe(record)
         assert replayed.first_seen == live.first_seen
         assert replayed.flow_counts == live.flow_counts
 

@@ -309,13 +309,52 @@ def test_cli_serve_answers_and_exits_on_sigterm(tmp_path):
         assert health is not None and health["ingest"] == "finished"
         assert health["endpoints"] > 0
 
-        listing = json.load(urllib.request.urlopen(url + "/services?proto=tcp"))
-        assert listing["services"]
+        def get(path):
+            return json.load(urllib.request.urlopen(url + path))
+
+        def status(path):
+            try:
+                return urllib.request.urlopen(url + path).status
+            except urllib.error.HTTPError as error:
+                return error.code
+
+        listing = get("/services?proto=tcp&limit=10")
+        assert listing["snapshot"]["version"] >= 1
+        row = listing["services"][0]
+        assert sorted(row) == [
+            "address", "clients", "evidence", "first_seen", "flows",
+            "last_seen", "port", "proto",
+        ]
+
+        # /host and /liveness agree with the listing they were picked from.
+        address = row["address"]
+        host = get(f"/host/{address}")
+        assert host["address"] == address
+        assert row in host["services"]
+        assert get(f"/liveness/{address}")["verdict"] in (
+            "alive", "stale", "likely-down"
+        )
+
+        marks = get("/watermarks")["watermarks"]
+        times = [mark["time"] for mark in marks]
+        assert times and times == sorted(times)
+        assert sorted(marks[0]) == [
+            "active_only", "both", "passive_only", "records", "time", "union",
+        ]
+
+        # Bad requests stay 4xx JSON.
+        assert status("/host/not.an.addr") == 400
+        assert status("/nope") == 404
+
         metrics = urllib.request.urlopen(url + "/metricsz").read().decode()
-        assert "repro_query_requests_total" in metrics
+        assert re.search(
+            r'repro_query_requests_total\{.*endpoint="services"', metrics
+        )
+        assert "repro_stream_snapshots_total" in metrics
 
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
+        assert "serve: shutdown" in proc.stderr.read()
     finally:
         if proc.poll() is None:
             proc.kill()

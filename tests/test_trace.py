@@ -1,9 +1,10 @@
 """Tests for the trace format and anonymiser."""
 
 import io
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.net.addr import parse_ipv4
 from repro.net.packet import (
@@ -16,13 +17,15 @@ from repro.net.packet import (
     udp_datagram,
 )
 from repro.trace.anonymize import Anonymizer, _feistel
-from repro.trace.format import (
-    TraceReader,
-    TraceWriter,
+from repro.trace.columnar import (
+    ColumnarTraceWriter,
+    read_header,
     read_trace,
-    trace_bytes,
+    read_trace_columns,
+    trace_is_intact,
     write_trace,
 )
+from tests.trace_v1_reference import v1_trace_bytes
 
 
 def sample_records():
@@ -34,36 +37,90 @@ def sample_records():
     ]
 
 
+def _v2_bytes(tmp_path, records, chunk_records):
+    path = tmp_path / "good.rprt"
+    with ColumnarTraceWriter.open(path, chunk_records) as writer:
+        for record in records:
+            writer.write(record)
+    return path.read_bytes()
+
+
+#: Bytes of one two-record v2 chunk: 8-byte chunk header + 2 * 24.
+_CHUNK = 8 + 2 * 24
+
+#: name -> (version it damages, good file bytes -> damaged bytes).  The
+#: good v2 file holds the four sample records in two-record chunks.
+_DAMAGE = {
+    "bad-magic": (2, lambda good: b"XXXX" + good[4:]),
+    "bad-magic-v1": (1, lambda good: b"XXXX" + good[4:]),
+    "empty-file": (2, lambda good: b""),
+    "short-header": (2, lambda good: good[:10]),
+    "short-header-v1": (1, lambda good: good[:15]),
+    "unknown-version": (2, lambda good: good[:4] + struct.pack("<H", 3) + good[6:]),
+    "v1-body-not-whole-records": (1, lambda good: good[:-5]),
+    "truncated-chunk-header": (2, lambda good: good[:16 + _CHUNK + 3]),
+    "truncated-chunk-payload": (2, lambda good: good[:-7]),
+    "zero-count-chunk": (2, lambda good: good + struct.pack("<II", 0, 0)),
+    "zero-count-first-chunk": (
+        2, lambda good: good[:16] + struct.pack("<II", 0, 0) + good[24:]
+    ),
+}
+
+
 class TestTraceFormat:
     def test_roundtrip_file(self, tmp_path):
         path = tmp_path / "capture.rprt"
         count = write_trace(path, sample_records())
         assert count == 4
         assert read_trace(path) == sample_records()
+        assert trace_is_intact(path)
 
     def test_declared_count(self, tmp_path):
+        """The writer stamps the record count into the header on close."""
         path = tmp_path / "capture.rprt"
         write_trace(path, sample_records())
-        with TraceReader.open(path) as reader:
-            assert reader.declared_count == 4
+        with open(path, "rb") as fileobj:
+            assert read_header(fileobj) == (2, 4)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
-            TraceReader(io.BytesIO(b"XXXX" + b"\x00" * 12))
+            read_header(io.BytesIO(b"XXXX" + b"\x00" * 12))
 
     def test_short_header_rejected(self):
         with pytest.raises(ValueError):
-            TraceReader(io.BytesIO(b"RP"))
+            read_header(io.BytesIO(b"RP"))
 
-    def test_truncated_record_rejected(self):
-        data = trace_bytes(sample_records())
-        reader = TraceReader(io.BytesIO(data[:-5]))
+    def test_truncated_record_rejected(self, tmp_path):
+        path = tmp_path / "v1.rprt"
+        path.write_bytes(v1_trace_bytes(sample_records())[:-5])
+        with pytest.raises(ValueError, match="truncated record"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("name", _DAMAGE)
+    def test_damaged_file_raises_and_is_not_intact(self, tmp_path, name):
+        """Hostile input on both versions: the one decoder raises
+        ``ValueError`` -- never a crash, never a silent short read --
+        and the cache's admission test says no."""
+        version, damage = _DAMAGE[name]
+        good = (
+            v1_trace_bytes(sample_records()) if version == 1
+            else _v2_bytes(tmp_path, sample_records(), chunk_records=2)
+        )
+        path = tmp_path / "damaged.rprt"
+        path.write_bytes(damage(good))
         with pytest.raises(ValueError):
-            list(reader)
+            read_trace(path)
+        with pytest.raises(ValueError):
+            for _ in read_trace_columns(path, skip_records=3):
+                pass
+        assert not trace_is_intact(path)
+
+    def test_missing_file_is_not_intact(self, tmp_path):
+        assert not trace_is_intact(tmp_path / "nope.rprt")
 
     def test_unknown_link_rejected(self):
         record = tcp_syn(0.0, 1, 2, 3, 4, "weird-link")
-        writer = TraceWriter(io.BytesIO())
+        writer = ColumnarTraceWriter(io.BytesIO())
         with pytest.raises(ValueError):
             writer.write(record)
 
@@ -71,9 +128,11 @@ class TestTraceFormat:
         path = tmp_path / "empty.rprt"
         assert write_trace(path, []) == 0
         assert read_trace(path) == []
+        assert trace_is_intact(path)
 
+    @settings(deadline=None, max_examples=60)
     @given(
-        st.lists(
+        rows=st.lists(
             st.tuples(
                 st.floats(min_value=0, max_value=1e7, allow_nan=False),
                 st.integers(min_value=0, max_value=2**32 - 1),
@@ -83,15 +142,27 @@ class TestTraceFormat:
                 st.sampled_from([TcpFlags.SYN, TcpFlags.SYN | TcpFlags.ACK, TcpFlags.RST, TcpFlags.ACK]),
             ),
             max_size=30,
-        )
+        ),
+        chunk_records=st.sampled_from([1, 7, 65536]),
+        skip=st.integers(min_value=0, max_value=31),
     )
-    def test_property_roundtrip(self, rows):
+    def test_property_roundtrip(self, tmp_path_factory, rows, chunk_records, skip):
+        """Writer -> decoder at any chunking; *skip* lands before, on
+        and inside chunk boundaries (and past the end)."""
         records = [
             PacketRecord(time=t, src=s, dst=d, sport=sp, dport=dp,
                          proto=PROTO_TCP, flags=flags)
             for t, s, d, sp, dp, flags in rows
         ]
-        assert list(TraceReader(io.BytesIO(trace_bytes(records)))) == records
+        path = tmp_path_factory.mktemp("roundtrip") / "t.rprt"
+        with ColumnarTraceWriter.open(path, chunk_records) as writer:
+            for record in records:
+                writer.write(record)
+        assert trace_is_intact(path)
+        assert read_trace(path) == records
+        batches = list(read_trace_columns(path, skip_records=skip))
+        assert [r for b in batches for r in b.to_records()] == records[skip:]
+        assert all(0 < len(b) <= chunk_records for b in batches)
 
 
 class TestFeistel:

@@ -1,8 +1,9 @@
 """Tests for the record-once trace cache and the batched replay engine.
 
 The acceptance bar for the whole subsystem is *bit-identical* analysis:
-an observer fed from a cached trace (or the batched reader) must end in
-exactly the state it reaches on the freshly generated stream.
+an observer fed from a cached trace, as columns or as the records they
+materialise to, must end in exactly the state it reaches on the freshly
+generated stream.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from repro.trace.cache import (
     TraceCache,
     default_trace_cache,
 )
-from repro.trace.columnar import RecordColumns, read_trace_columns
-from repro.trace.format import (
-    TraceReader,
-    read_records_chunked,
+from repro.trace.columnar import (
+    RecordColumns,
     read_trace,
+    read_trace_columns,
     write_trace,
 )
+from tests.trace_v1_reference import v1_trace_bytes
 
 #: Cheap full-scale build with scans and all three record protocols.
 DATASET = "DTCPall"
@@ -79,34 +80,23 @@ def assert_same_analysis(a_table, b_table, a_detector, b_detector):
 
 
 class TestChunkedReader:
-    def test_matches_streaming_reader(self, tmp_path, generated_records):
-        path = tmp_path / "t.rprt"
-        write_trace(path, generated_records)
-        streamed = read_trace(path)
-        chunked = [r for batch in read_records_chunked(path, 1000) for r in batch]
-        assert chunked == streamed == generated_records
-
-    def test_iter_batches_on_reader(self, tmp_path, generated_records):
-        path = tmp_path / "t.rprt"
-        write_trace(path, generated_records)
-        with TraceReader.open(path) as reader:
-            batches = list(reader.iter_batches(500))
-        assert all(len(batch) <= 500 for batch in batches)
-        assert [r for batch in batches for r in batch] == generated_records
+    """``read_trace_columns`` as the cache-hit paths call it."""
 
     def test_truncated_trace_rejected(self, tmp_path, generated_records):
         path = tmp_path / "t.rprt"
         write_trace(path, generated_records[:10])
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(ValueError, match="truncated"):
-            for _ in read_records_chunked(path):
+            for _ in read_trace_columns(path):
                 pass
 
     def test_bad_batch_size_rejected(self, tmp_path):
         path = tmp_path / "t.rprt"
         write_trace(path, [])
         with pytest.raises(ValueError):
-            list(read_records_chunked(path, 0))
+            list(read_trace_columns(path, chunk_records=0))
+        with pytest.raises(ValueError):
+            list(read_trace_columns(path, skip_records=-1))
 
 
 class TestRoundTripFidelity:
@@ -120,8 +110,9 @@ class TestRoundTripFidelity:
         direct_count = replay(iter(generated_records), direct_table, direct_detector)
 
         stream_table, stream_detector = standard_observers(dataset)
-        with TraceReader.open(path) as reader:
-            stream_count = replay(reader, stream_table, stream_detector)
+        stream_count = replay(
+            iter(read_trace(path)), stream_table, stream_detector
+        )
 
         batch_table, batch_detector = standard_observers(dataset)
         batch_count = replay_columnar(
@@ -535,6 +526,17 @@ class TestTraceCache:
         assert cache.lookup(key) is None
         assert not path.exists()
         assert cache.stats.misses == 1
+
+    def test_v1_file_at_entry_path_is_evicted(self, tmp_path, generated_records):
+        """The cache only ever holds v2: anything else there is damage."""
+        cache = TraceCache(root=tmp_path)
+        key = (DATASET, SEED, "1.0", 1)
+        path = cache.path_for(key)
+        path.write_bytes(v1_trace_bytes(generated_records[:20]))
+        assert read_trace(path) == generated_records[:20]  # well-formed v1
+        assert cache.lookup(key) is None
+        assert not path.exists()
+        assert cache.stats.evictions == 1
 
     def test_disabled_cache_replay_still_works(self, monkeypatch, dataset):
         monkeypatch.setenv(ENV_VAR, "off")

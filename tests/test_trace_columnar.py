@@ -1,8 +1,9 @@
 """Tests for the columnar trace format (v2) and the vectorised paths.
 
 The acceptance bar mirrors the trace-cache suite: every columnar path
--- conversion, zero-copy reads, vectorised replay, columnar streaming
--- must be *bit-identical* to the scalar v1 path it replaces.
+-- conversion of old v1 files, zero-copy reads, vectorised replay,
+columnar streaming -- must be *bit-identical* to feeding the same
+records one by one.
 """
 
 from __future__ import annotations
@@ -30,22 +31,17 @@ from repro.passive.taps import MultiLinkMonitor
 from repro.passive.windows import WindowActivityObserver
 from repro.trace.cache import ENV_VAR, TraceCache, default_trace_cache
 from repro.trace.columnar import (
+    TRACE_FORMAT_VERSION,
     ColumnarTraceWriter,
     RecordColumns,
-    columnar_is_intact,
-    columnar_record_count,
     convert_trace,
-    read_trace_columns,
-)
-from repro.trace.format import (
-    TRACE_FORMAT_VERSION,
-    TraceReader,
-    read_records_chunked,
     read_trace,
+    read_trace_columns,
     trace_is_intact,
     trace_version,
     write_trace,
 )
+from tests.trace_v1_reference import v1_trace_bytes
 
 _LINK_CHOICES = ("", "commercial1", "commercial2", "internet2")
 
@@ -90,47 +86,119 @@ def _make_record(row) -> PacketRecord:
     )
 
 
+def _table():
+    """Watches the addresses and ports ``_ROWS`` can generate."""
+    return PassiveServiceTable(
+        is_campus=lambda address: address >> 31 == 1, tcp_ports=None,
+        udp_ports=frozenset(range(0, 65536, 2)),
+    )
+
+
+def _table_state(table):
+    return table.first_seen, table.flow_counts, table.clients
+
+
 class TestConvert:
     @settings(deadline=None, max_examples=40)
     @given(rows=_ROWS)
     def test_property_v1_to_v2_roundtrip(self, rows, tmp_path_factory):
-        """v1 -> v2 -> v1 preserves the record sequence exactly."""
+        """An old v1 file and its v2 conversion are the same trace:
+        equal record lists, equal observer state."""
         tmp = tmp_path_factory.mktemp("convert")
         records = [_make_record(row) for row in rows]
         v1 = tmp / "a.rprt"
         v2 = tmp / "b.rprt"
-        back = tmp / "c.rprt"
-        write_trace(v1, records)
-        assert convert_trace(v1, v2, to_version=2) == len(records)
-        assert trace_version(v2) == 2
-        assert read_trace(v2) == records
-        assert convert_trace(v2, back, to_version=1) == len(records)
-        # v2 -> v1 reproduces the original v1 file byte for byte.
-        assert back.read_bytes() == v1.read_bytes()
+        v1.write_bytes(v1_trace_bytes(records))
+        assert trace_version(v1) == 1
+        assert convert_trace(v1, v2) == len(records)
+        assert trace_version(v2) == 2 and trace_is_intact(v2)
+        assert read_trace(v1) == read_trace(v2) == records
+        tables = _table(), _table(), _table()
+        replay(iter(records), tables[0])
+        assert replay_columnar(
+            read_trace_columns(v1, chunk_records=7), tables[1]
+        ) == replay_columnar(read_trace_columns(v2), tables[2]) == len(records)
+        assert (
+            _table_state(tables[0]) == _table_state(tables[1])
+            == _table_state(tables[2])
+        )
+        # What the writer makes of the records is what convert makes of v1.
+        direct = tmp / "c.rprt"
+        write_trace(direct, records)
+        assert direct.read_bytes() == v2.read_bytes()
 
     def test_convert_small_chunks(self, tmp_path):
         records = [_make_record((float(i), i, i + 1, 80, 90, "ack", ""))
                    for i in range(25)]
         v1 = tmp_path / "a.rprt"
         v2 = tmp_path / "b.rprt"
-        write_trace(v1, records)
-        convert_trace(v1, v2, to_version=2, chunk_records=4)
+        v1.write_bytes(v1_trace_bytes(records))
+        convert_trace(v1, v2, chunk_records=4)
         assert read_trace(v2) == records
         batches = list(read_trace_columns(v2))
         assert [len(b) for b in batches] == [4, 4, 4, 4, 4, 4, 1]
+        # A v2 source is copied chunk for chunk (never merged).
+        again = tmp_path / "c.rprt"
+        assert convert_trace(v2, again) == 25
+        assert again.read_bytes() == v2.read_bytes()
 
     def test_cli_trace_convert(self, tmp_path, capsys):
+        """Old files still work: a v1 file converts, and ``trace-stats``
+        prints the same table for it and for its conversion."""
         from repro.cli import main
 
-        records = [_make_record((1.0, 1, 2, 3, 4, "synack", "commercial1"))]
+        records = [
+            _make_record((float(i), 0x807D0001 + i % 3, 2, 80, 4000 + i,
+                          ["synack", "syn", "udp", "icmp"][i % 4],
+                          _LINK_CHOICES[i % 4]))
+            for i in range(40)
+        ]
         v1 = tmp_path / "a.rprt"
         v2 = tmp_path / "b.rprt"
-        write_trace(v1, records)
+        v1.write_bytes(v1_trace_bytes(records))
         assert main(["trace", "convert", str(v1), str(v2)]) == 0
         out = capsys.readouterr().out
-        assert "converted 1 records" in out
+        assert "converted 40 records" in out
+        assert "(v1)" in out and "(v2)" in out
         assert trace_version(v2) == 2
         assert read_trace(v2) == records
+        assert main(["trace-stats", str(v1)]) == 0
+        old_stats = capsys.readouterr().out
+        assert main(["trace-stats", str(v2)]) == 0
+        assert capsys.readouterr().out == old_stats.replace(str(v1), str(v2))
+        assert "40 records" in old_stats and "128.125.0.1" in old_stats
+
+    def test_cli_convert_onto_itself_refused(self, tmp_path, capsys):
+        """``trace convert X X`` used to open X for writing before
+        reading it: the input was truncated to an empty trace."""
+        from repro.cli import main
+
+        path = tmp_path / "a.rprt"
+        write_trace(path, [_make_record((1.0, 1, 2, 3, 4, "ack", ""))])
+        before = path.read_bytes()
+        alias = tmp_path / "alias.rprt"
+        alias.hardlink_to(path)
+        for destination in (path, tmp_path / "." / "a.rprt", alias):
+            assert main(["trace", "convert", str(path), str(destination)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert path.read_bytes() == before
+
+    def test_damaged_source_leaves_no_destination(self, tmp_path):
+        records = [_make_record((float(i), i, i, 1, 2, "ack", ""))
+                   for i in range(20)]
+        good = tmp_path / "good.rprt"
+        with ColumnarTraceWriter.open(good, chunk_records=8) as writer:
+            for record in records:
+                writer.write(record)
+        source = tmp_path / "cut.rprt"
+        source.write_bytes(good.read_bytes()[:-7])
+        destination = tmp_path / "out.rprt"
+        with pytest.raises(ValueError, match="truncated"):
+            convert_trace(source, destination)
+        assert not destination.exists()
 
 
 class TestColumnarFormat:
@@ -143,11 +211,10 @@ class TestColumnarFormat:
         with ColumnarTraceWriter.open(path, chunk_records=16) as writer:
             for record in records:
                 writer.write(record)
+            assert writer.records_written == 100
+        assert trace_version(path) == 2
         assert read_trace(path) == records
-        with TraceReader.open(path) as reader:
-            assert reader.declared_count == 100
-            assert reader.version == 2
-            assert list(reader) == records
+        assert [len(b) for b in read_trace_columns(path)] == [16] * 6 + [4]
 
     def test_zero_copy_views(self, tmp_path):
         records = [_make_record((float(i), i, i, 1, 2, "ack", ""))
@@ -169,10 +236,18 @@ class TestColumnarFormat:
         with ColumnarTraceWriter.open(path, chunk_records=6) as writer:
             for record in records:
                 writer.write(record)
+        old = tmp_path / "v1.rprt"
+        old.write_bytes(v1_trace_bytes(records))
         for skip in (0, 3, 6, 13, 20):
-            got = [r for b in read_records_chunked(path, 4, skip_records=skip)
-                   for r in b]
-            assert got == records[skip:], f"skip={skip}"
+            for source in (path, old):
+                got = [
+                    r
+                    for b in read_trace_columns(
+                        source, chunk_records=4, skip_records=skip
+                    )
+                    for r in b.to_records()
+                ]
+                assert got == records[skip:], f"skip={skip} {source.name}"
 
     def test_truncation_detected(self, tmp_path):
         records = [_make_record((float(i), i, i, 1, 2, "ack", ""))
@@ -187,7 +262,9 @@ class TestColumnarFormat:
         assert not trace_is_intact(path)
 
     def test_zero_count_header_v2(self, tmp_path):
-        """A killed v2 writer leaves count=0: readers walk the chunks."""
+        """A killed v2 writer leaves count=0: the decoder walks the
+        chunks and every record reads back, but the file is not intact
+        (so the cache evicts it)."""
         records = [_make_record((float(i), i, i, 1, 2, "ack", ""))
                    for i in range(30)]
         path = tmp_path / "t.rprt"
@@ -197,28 +274,23 @@ class TestColumnarFormat:
         data = bytearray(path.read_bytes())
         data[8:16] = b"\x00" * 8  # erase the stamped count
         path.write_bytes(bytes(data))
-        assert columnar_record_count(path) == 30
-        assert not columnar_is_intact(path)  # zero count + body = unclean
-        with TraceReader.open(path) as reader:
-            assert reader.declared_count == 30
-            assert list(reader) == records
+        assert not trace_is_intact(path)  # zero count + body = unclean
+        assert read_trace(path) == records
 
-    def test_zero_count_header_v1_takes_batched_path(self, tmp_path):
-        """Satellite: a v1 zero-count trace still reports its true count
-        (computed from the file size), so chunked reads batch properly."""
+    def test_zero_count_header_v1_reads_every_record(self, tmp_path):
+        """The same tolerance for an old file: the body's size fixes the
+        record count, whatever the header says."""
         records = [_make_record((float(i), i, i, 1, 2, "ack", ""))
                    for i in range(30)]
         path = tmp_path / "t.rprt"
-        write_trace(path, records)
-        data = bytearray(path.read_bytes())
+        data = bytearray(v1_trace_bytes(records))
         data[8:16] = b"\x00" * 8
         path.write_bytes(bytes(data))
-        with TraceReader.open(path) as reader:
-            assert reader.declared_count == 30
         assert not trace_is_intact(path)
-        got = list(read_records_chunked(path, 7))
+        got = list(read_trace_columns(path, chunk_records=7))
         assert [len(b) for b in got] == [7, 7, 7, 7, 2]
-        assert [r for b in got for r in b] == records
+        assert [r for b in got for r in b.to_records()] == records
+        assert read_trace(path) == records
 
 
 class TestCacheKeyVersion:
@@ -244,8 +316,9 @@ class TestCacheKeyVersion:
         key = ("X", 1, "1.0", 1)
         old = cache.path_for(key, format_version=1)
         old.parent.mkdir(parents=True, exist_ok=True)
-        write_trace(old, [_make_record((1.0, 1, 2, 3, 4, "ack", ""))])
-        assert trace_is_intact(old)
+        old.write_bytes(
+            v1_trace_bytes([_make_record((1.0, 1, 2, 3, 4, "ack", ""))])
+        )
         # A v1-era entry is invisible to the current-version lookup.
         assert cache.lookup(key) is None
         assert old.exists()
