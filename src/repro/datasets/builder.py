@@ -12,8 +12,10 @@ replay time so any number of observers can share one pass.
 
 from __future__ import annotations
 
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -43,7 +45,9 @@ from repro.simkernel.rng import RngStreams, derive_seed
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.trace.cache import default_trace_cache
 from repro.trace.columnar import (
+    DEFAULT_BATCH_RECORDS,
     ColumnarTraceWriter,
+    RecordColumns,
     read_trace_columns,
     read_trace_records,
 )
@@ -155,11 +159,11 @@ class BuiltDataset:
         return end is None or end >= self.duration
 
     def packet_stream(self, end: float | None = None) -> Iterator[PacketRecord]:
-        """One pass over the border capture (deterministic).
+        """One pass over the border capture, record by record.
 
-        Full-duration passes are served from the record-once trace
-        cache when a recording exists; partial passes and cache misses
-        regenerate the stream.  Either way the records are identical.
+        The per-record view of :meth:`column_batches`: the recording
+        when a full-duration pass has one, else the generator.  Either
+        way the records are identical.
         """
         if self._full_pass(end):
             cached = default_trace_cache().lookup(self.trace_cache_key)
@@ -167,32 +171,95 @@ class BuiltDataset:
                 return read_trace_records(cached)
         return self._generate_stream(end)
 
+    def column_batches(
+        self,
+        end: float | None = None,
+        skip: int = 0,
+        batch_records: int = DEFAULT_BATCH_RECORDS,
+    ) -> Iterator[RecordColumns]:
+        """The border capture from record *skip* on, as column batches.
+
+        The one source every pass iterates (:meth:`replay`, the stream
+        driver, the fabric's catch-up).  A full-duration pass with a
+        recording in the trace cache reads it: zero-copy views, *skip*
+        a seek.  Anything else (cache off or missed; a partial pass,
+        because truncated generation is not a prefix of the full
+        stream) regenerates and columnises *batch_records* at a time.
+        Same records either way; iterating never writes the cache.
+        """
+        return self._open_pass(end, skip, batch_records)[1]
+
+    def _open_pass(self, end: float | None, skip: int, batch_records: int):
+        """``(cache entry or None, batches)``: one pass's source."""
+        cached = None
+        if self._full_pass(end):
+            cached = default_trace_cache().lookup(self.trace_cache_key)
+        if cached is not None:
+            return cached, read_trace_columns(cached, skip_records=skip)
+        stream = self._generate_stream(end)
+        if skip:
+            # Cheap: skipped records feed no observers.
+            next(islice(stream, skip - 1, skip), None)
+        chunks = iter(lambda: list(islice(stream, batch_records)), [])
+        return None, (RecordColumns.from_records(chunk) for chunk in chunks)
+
+    def _recording(
+        self, cache, batches: Iterator[RecordColumns], recorded: list
+    ) -> Iterator[RecordColumns]:
+        """Pass *batches* through, spilling them into *cache*.
+
+        Upstream of the fault filter: the cache records ground truth.
+        The entry commits when the batches run out (its path lands in
+        *recorded*; the build's fault plan may then damage it).  An
+        ``OSError`` from the recording side -- unwritable directory,
+        full disk -- abandons the recording, not the pass; a pass
+        closed early or failing otherwise leaves no entry or tmp file.
+        """
+        key = self.trace_cache_key
+        pending = fileobj = writer = None
+        with suppress(OSError):
+            pending = cache.begin_write(key)
+            fileobj = open(pending.tmp_path, "wb")
+            writer = ColumnarTraceWriter(fileobj)
+        try:
+            for columns in batches:
+                if writer is not None:
+                    try:
+                        writer.write_columns(columns)
+                    except OSError:
+                        writer = None
+                yield columns
+            if writer is not None:
+                with suppress(OSError):
+                    writer.close()
+                    recorded.append(pending.commit())
+        finally:
+            if fileobj is not None and not recorded:
+                with suppress(OSError):
+                    fileobj.close()
+                pending.abort()
+        if recorded and self.faults is not None:
+            self.faults.maybe_corrupt_trace(recorded[0], key)
+
     def replay(self, *observers, end: float | None = None, faults=None) -> int:
         """Feed one pass into *observers*; return the record count.
 
-        Record-once/analyze-many: the first full-duration replay
-        generates the traffic, spilling it through the trace writer
-        into the cache while the observers consume it; every later
-        full-duration replay streams the stored trace back as column
-        batches (:func:`repro.passive.monitor.replay_columnar`).
-        Partial replays (``end`` before the dataset end) always
-        regenerate -- truncated generation is not a prefix of the full
-        stream.  Observer results are identical on every path.
+        Record-once/analyze-many: every pass is
+        :func:`repro.passive.monitor.replay_columnar` over
+        :meth:`column_batches`, and the first full-duration one also
+        records the batches into the trace cache on their way (only
+        ``replay`` does: cache tmp names are per-process, and a stream
+        run can have two sources open).  Later passes stream the stored
+        trace back; observer results are identical either way.
 
         *faults* (a fresh :class:`repro.faults.capture.CaptureFilter`,
         usually ``plan.capture_filter(dataset.duration)``) drops
-        records between the stored/generated stream and the observers
-        -- lossy capture over ground-truth traffic.  The cache always
-        records the unfaulted stream, so one recording serves every
-        loss rate, and the returned count is what the observers saw.
-
-        Cached batches are zero-copy column views: observers with an
-        ``observe_columns`` fast path consume the arrays directly; the
-        rest get the identical ``PacketRecord`` objects through
-        per-record ``observe``
-        (:func:`repro.passive.monitor.observe_each`).
+        records between the source and the observers -- lossy capture
+        over ground-truth traffic.  The cache always records the
+        unfaulted stream, so one recording serves every loss rate, and
+        the returned count is what the observers saw.
         """
-        from repro.passive.monitor import replay as _replay, replay_columnar
+        from repro.passive.monitor import replay_columnar
         from time import perf_counter
 
         cache = default_trace_cache()
@@ -207,20 +274,16 @@ class BuiltDataset:
             tap = ReplayTap()
             observers = tuple(observers) + (tap,)
         started = perf_counter()
-        if cache.enabled and self._full_pass(end):
-            cached = cache.lookup(self.trace_cache_key)
-            if cached is not None:
-                source = "cached"
-                count = replay_columnar(
-                    read_trace_columns(cached), *observers, faults=faults
-                )
-            else:
-                source = "recorded"
-                count = self._replay_and_record(cache, observers, faults)
-        else:
-            source = "generated"
-            count = _replay(self._generate_stream(end), *observers, faults=faults)
+        cached, batches = self._open_pass(end, 0, DEFAULT_BATCH_RECORDS)
+        recorded: list = []
+        if cached is None and cache.enabled and self._full_pass(end):
+            batches = self._recording(cache, batches, recorded)
+        # Closed here, not by the collector: an observer's exception
+        # must abort a recording before it propagates.
+        with closing(batches):
+            count = replay_columnar(batches, *observers, faults=faults)
         elapsed = perf_counter() - started
+        source = "cached" if cached else "recorded" if recorded else "generated"
         cache.stats.note_replay(count, elapsed)
         if tap is not None:
             tap.flush_into(reg)
@@ -258,45 +321,6 @@ class BuiltDataset:
                     "repro_replay_records_per_sec",
                     "Throughput of the most recent replay pass.",
                 ).set(count / elapsed)
-        return count
-
-    def _replay_and_record(self, cache, observers, faults=None) -> int:
-        """First full pass: tee the generated stream into the cache.
-
-        The tee sits *before* the fault filter: the cache records
-        ground truth, the observers see the lossy capture.  When the
-        build's fault plan injects storage faults, the freshly
-        committed entry may be truncated in place -- the next lookup
-        then detects the damage, evicts, and regenerates, exercising
-        the recovery path end to end.
-
-        The cache key embeds the trace format version, so an entry
-        recorded in an older format is simply never looked up again
-        rather than misread.
-        """
-        from repro.passive.monitor import replay as _replay
-
-        try:
-            pending = cache.begin_write(self.trace_cache_key)
-        except OSError:
-            # Unwritable cache directory: serve the pass without recording.
-            return _replay(self._generate_stream(), *observers, faults=faults)
-        try:
-            with ColumnarTraceWriter.open(pending.tmp_path) as writer:
-                write = writer.write
-
-                def tee() -> Iterator[PacketRecord]:
-                    for record in self._generate_stream():
-                        write(record)
-                        yield record
-
-                count = _replay(tee(), *observers, faults=faults)
-            final = pending.commit()
-        except BaseException:
-            pending.abort()
-            raise
-        if self.faults is not None:
-            self.faults.maybe_corrupt_trace(final, self.trace_cache_key)
         return count
 
     def scan_windows(self) -> list[tuple[float, float]]:

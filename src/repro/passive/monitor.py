@@ -33,9 +33,9 @@ Endpoint = tuple[int, int, int]  # (address, port, proto)
 class PacketObserver(Protocol):
     """Anything that can consume captured packet records.
 
-    ``observe`` is the definition of an observer: generation-time
-    passes call it per record, and it is the reference every
-    differential test compares against.
+    ``observe`` is the definition of an observer: the reference every
+    differential test compares against, and what :func:`observe_each`
+    falls back to.  No pass calls it directly: every source is batches.
 
     Observers may additionally expose ``observe_columns(cols)``
     consuming a :class:`repro.trace.columnar.RecordColumns` batch --
@@ -51,31 +51,17 @@ class PacketObserver(Protocol):
         ...
 
 
-def _campus_params(is_campus) -> tuple[int, int] | None:
-    """The (network, mask) of a vectorisable campus predicate.
-
-    :meth:`repro.campus.topology.CampusTopology.campus_predicate`
-    stamps its prefix parameters onto the closure; any predicate
-    without them (tests hand in arbitrary lambdas) is opaque, and the
-    caller must take its scalar path.
-    """
-    network = getattr(is_campus, "campus_network", None)
-    mask = getattr(is_campus, "campus_mask", None)
-    if network is None or mask is None:
-        return None
-    return network, mask
-
-
 def _campus_mask(is_campus, addresses: np.ndarray) -> np.ndarray:
     """Campus membership of an address column, for any predicate.
 
-    One mask expression for a prefix-parameterised predicate; an
-    opaque one is called per address (routing and the shard timeline
-    must work for both, whatever the tables fall back to).
+    :meth:`repro.campus.topology.CampusTopology.campus_predicate`
+    stamps its prefix parameters onto the closure, which makes the
+    mask one expression; a predicate without them (tests hand in
+    arbitrary lambdas) is called per address.
     """
-    params = _campus_params(is_campus)
-    if params is not None:
-        network, mask = params
+    network = getattr(is_campus, "campus_network", None)
+    mask = getattr(is_campus, "campus_mask", None)
+    if network is not None and mask is not None:
         return (addresses & mask) == network
     return np.fromiter(
         (is_campus(address) for address in addresses.tolist()),
@@ -124,6 +110,10 @@ def replay(
 ) -> int:
     """Push every record of *stream* into all *observers*; return count.
 
+    The per-record definition of a pass, which :func:`replay_columnar`
+    (the one every dataset pass runs) must equal under any batch cuts;
+    kept for the tests and benchmarks that hold it to that.
+
     One pass feeds any number of observers, so analyses that need
     several views (per-link tables, sampled tables, scan detection)
     share a single traversal of the trace.
@@ -168,12 +158,12 @@ def replay_columnar(
     """Feed :class:`~repro.trace.columnar.RecordColumns` batches into
     all *observers*; return the record count.
 
-    The batch counterpart of :func:`replay`, built for the v2 trace
-    format: the reader hands out zero-copy column views
-    (:func:`repro.trace.columnar.read_trace_columns`) and observers
-    exposing ``observe_columns`` consume whole field arrays --
-    mask-based SYN-ACK selection, bincount accounting -- instead of
-    record objects.  Observers without one get :func:`observe_each`.
+    The pass every dataset replay runs: the batches are zero-copy
+    views of a stored trace or generated records columnised a batch at
+    a time (``BuiltDataset.column_batches``), and observers exposing
+    ``observe_columns`` consume whole field arrays -- mask-based
+    SYN-ACK selection, bincount accounting -- instead of record
+    objects.  Observers without one get :func:`observe_each`.
 
     Results are identical to :func:`replay` over the flattened stream,
     including under a *faults* filter: the filter's mask decides each
@@ -307,18 +297,16 @@ class PassiveServiceTable:
         """Whether this table's configuration has a columnar fast path.
 
         The vectorised path covers the paper's operating point: the
-        SYNACK evidence rule, the SPORT UDP rule, no time sampler or
-        one with a column mask, and a prefix-parameterised campus
-        predicate.  Everything else (HANDSHAKE ablation, BIDIRECTIONAL
-        UDP, plain-callable samplers, opaque predicates) delegates to
-        :func:`observe_each` -- identical results, per the observer
-        contract.
+        SYNACK evidence rule, the SPORT UDP rule, and no time sampler
+        or one with a column mask.  The order-dependent rest (HANDSHAKE
+        ablation, BIDIRECTIONAL UDP) and plain-callable samplers
+        delegate to :func:`observe_each` -- identical results, per the
+        observer contract.
         """
         return (
             (self.sampler is None or hasattr(self.sampler, "keep_mask"))
             and self.signal is ServiceSignal.SYNACK
             and (not self.udp_ports or self.udp_signal is UdpSignal.SPORT)
-            and _campus_params(self.is_campus) is not None
         )
 
     def _ports_array(self, cache_attr: str, ports) -> np.ndarray:
@@ -344,7 +332,6 @@ class PassiveServiceTable:
             sampled = self.sampler.keep_mask(cols.time)
             if not sampled.all():
                 cols = cols.compress(sampled)
-        network, mask = _campus_params(self.is_campus)
         proto = cols.proto
         flags = cols.flags
         src = cols.src
@@ -355,8 +342,8 @@ class PassiveServiceTable:
             base = _link_lut(cols.link_names, self.links)[cols.link]
             if not base.any():
                 return
-        src_campus = (src & mask) == network
-        dst_campus = (dst & mask) == network
+        src_campus = _campus_mask(self.is_campus, src)
+        dst_campus = _campus_mask(self.is_campus, dst)
         tcp = proto == PROTO_TCP
         if base is not None:
             tcp &= base

@@ -98,21 +98,16 @@ class ExternalScanDetector:
         """
         import numpy as np
 
-        from repro.passive.monitor import _campus_params, observe_each
+        from repro.passive.monitor import _campus_mask
 
-        params = _campus_params(self.is_campus)
-        if params is None:
-            observe_each(self, cols)
-            return
-        network, mask = params
         tcp = cols.proto == PROTO_TCP
         if not tcp.any():
             return
         flags = cols.flags
         src = cols.src
         dst = cols.dst
-        src_campus = (src & mask) == network
-        dst_campus = (dst & mask) == network
+        src_campus = _campus_mask(self.is_campus, src)
+        dst_campus = _campus_mask(self.is_campus, dst)
         window = (
             cols.time // self.config.window_seconds
         ).astype(np.int64)

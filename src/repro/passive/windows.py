@@ -87,13 +87,8 @@ class WindowActivityObserver:
         (address, window) pairs reach Python."""
         import numpy as np
 
-        from repro.passive.monitor import _campus_params, observe_each
+        from repro.passive.monitor import _campus_mask
 
-        params = _campus_params(self.is_campus)
-        if params is None:
-            observe_each(self, cols)
-            return
-        network, mask = params
         proto = cols.proto
         flags = cols.flags
         sport = cols.sport
@@ -105,8 +100,8 @@ class WindowActivityObserver:
             udp_ports = np.array(sorted(self.udp_ports), dtype=np.uint16)
             evidence |= (proto == PROTO_UDP) & np.isin(sport, udp_ports)
         src = cols.src
-        evidence &= (src & mask) == network
-        evidence &= (cols.dst & mask) != network
+        evidence &= _campus_mask(self.is_campus, src)
+        evidence &= ~_campus_mask(self.is_campus, cols.dst)
         index = np.flatnonzero(evidence)
         if not index.size:
             return

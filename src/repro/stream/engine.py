@@ -2,14 +2,15 @@
 
 :class:`StreamEngine` consumes a dataset's border capture as an
 unbounded stream of :class:`~repro.trace.columnar.RecordColumns`
-batches -- zero-copy views of the record-once trace cache when a
-recording exists (:func:`repro.trace.columnar.read_trace_columns` with
-a seek past the resume offset), regenerated from the traffic model and
-columnised chunk by chunk otherwise -- and drives the sharded pipeline
-end to end.  One driver (:meth:`StreamEngine._drive`) owns everything
-a run *decides*; a shard transport owns only how shard state is
-*reached* -- worker threads here (:class:`_ThreadTransport`), worker
-processes in :mod:`repro.stream.fabric`:
+batches -- ``dataset.column_batches``, the one source every pass over a
+dataset iterates: zero-copy views of the record-once trace cache when a
+recording exists (the resume offset is a seek), regenerated from the
+traffic model and columnised batch by batch otherwise, never written
+from here -- and drives the sharded pipeline end to end.  One driver
+(:meth:`StreamEngine._drive`) owns everything a run *decides*; a shard
+transport owns only how shard state is *reached* -- worker threads
+here (:class:`_ThreadTransport`), worker processes in
+:mod:`repro.stream.fabric`:
 
 1. the driver reads one batch, applies the run's fault filter (capture
    loss and monitor outages, in stream order -- the same drop pattern
@@ -39,15 +40,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.active.results import union_open_endpoints
 from repro.core.completeness import CompletenessSummary, summarize_overlap
 from repro.core.report import survey_table
-from repro.net.packet import PacketRecord
 from repro.passive.monitor import Endpoint, PassiveServiceTable
 from repro.probe import POLICY_NAMES, build_prober
 from repro.query.snapshot import (
@@ -76,11 +75,7 @@ from repro.stream.watermark import (
 )
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.tracing import tracer as _tracer
-from repro.trace.cache import default_trace_cache
-from repro.trace.columnar import RecordColumns, read_trace_columns
-
-#: Default ``StreamConfig.batch_records``.
-DEFAULT_BATCH_RECORDS = 8192
+from repro.trace.columnar import DEFAULT_BATCH_RECORDS
 
 
 @dataclass(frozen=True)
@@ -92,11 +87,10 @@ class StreamConfig:
     emission (a final watermark at end of stream is always produced)
     or checkpointing respectively.  ``end`` truncates the stream (the
     memory-flatness test compares 1x vs 4x duration); ``None`` streams
-    the dataset's full observation.  ``batch_records`` sizes the
-    batches of a *regenerated* stream (cache off, cache miss, truncated
-    ``end``); a cached v2 trace is read in the 65,536-record chunks it
-    was recorded in, because ``read_trace_columns`` ignores
-    ``chunk_records`` for v2.
+    the dataset's full observation.  ``batch_records`` is handed to
+    ``dataset.column_batches``: it sizes the batches of a *regenerated*
+    stream (cache off, cache miss, truncated ``end``); a cached trace
+    is read in the 65,536-record chunks it was recorded in.
     """
 
     dataset: str
@@ -277,14 +271,6 @@ def finalize_result(
     )
 
 
-def _batched(
-    stream: Iterator[PacketRecord], size: int
-) -> Iterator[list[PacketRecord]]:
-    """Chunk a record iterator into lists of *size* (last may be short)."""
-    while chunk := list(islice(stream, size)):
-        yield chunk
-
-
 class StreamEngine:
     """Drive one streaming discovery run (see the module docstring)."""
 
@@ -303,7 +289,7 @@ class StreamEngine:
             )
         self.dataset = dataset
 
-    # ---- identity & sources -------------------------------------------
+    # ---- identity ------------------------------------------------------
 
     def _identity(self) -> dict:
         digest = None
@@ -322,38 +308,6 @@ class StreamEngine:
         if self.config.end is None:
             return duration
         return min(self.config.end, duration)
-
-    def _source_batches(self, skip: int, end: float) -> Iterator:
-        """Column batches starting *skip* records into the stream.
-
-        Full-duration runs read the cached trace when one exists --
-        zero-copy views over the mapped file, and the resume offset is
-        a single seek; partial runs and cache misses regenerate the
-        stream (the traffic model produces records one at a time),
-        skip the prefix -- cheap, because skipped records feed no
-        observers -- and columnise each chunk.  Either way the records
-        are identical, so a resumed run continues the exact stream the
-        killed run was consuming, and everything downstream sees one
-        batch type.
-        """
-        config = self.config
-        dataset = self.dataset
-        if end >= dataset.duration:
-            cache = default_trace_cache()
-            if cache.enabled:
-                cached = cache.lookup(dataset.trace_cache_key)
-                if cached is not None:
-                    yield from read_trace_columns(
-                        cached,
-                        chunk_records=config.batch_records,
-                        skip_records=skip,
-                    )
-                    return
-        stream = dataset._generate_stream(end)
-        if skip:
-            next(islice(stream, skip - 1, skip), None)
-        for chunk in _batched(stream, config.batch_records):
-            yield RecordColumns.from_records(chunk)
 
     # ---- the run loop ---------------------------------------------------
 
@@ -552,7 +506,9 @@ class StreamEngine:
         wall_start = perf_counter()
         try:
             transport.start(records_read)
-            for batch in self._source_batches(records_read, end):
+            for batch in dataset.column_batches(
+                end, skip=records_read, batch_records=config.batch_records
+            ):
                 records_read += len(batch)
                 if faults is not None:
                     batch = faults.filter_columns(batch)

@@ -611,7 +611,9 @@ class FabricSupervisor:
         is_campus = self.dataset.is_campus
         shards = self.config.shards
         fed = 0
-        for batch in self.engine._source_batches(base, self._end):
+        for batch in self.dataset.column_batches(
+            self._end, skip=base, batch_records=self.config.batch_records
+        ):
             # Heartbeats are timestamped at pump time, so a long replay
             # without pumping would make every *healthy* worker look
             # overdue and cascade into spurious failovers.

@@ -71,22 +71,24 @@ KNOWN_VERSIONS = (1, TRACE_FORMAT_VERSION)
 #: batch size v1 files are sliced into when read as columns).
 DEFAULT_CHUNK_RECORDS = 65536
 
-#: Records materialised at a time by :func:`read_trace_records`, so a
-#: per-record consumer never holds a whole chunk as objects.
-_RECORDS_PER_SLICE = 8192
-
-#: Link names are stored as one-byte indices.
-_LINKS: tuple[str, ...] = ("", "commercial1", "commercial2", "internet2")
-_LINK_INDEX = {name: index for index, name in enumerate(_LINKS)}
-
-#: icmp marker values.
-_ICMP_NONE = 0
-_ICMP_PORT_UNREACH = 1
+#: Records held as ``PacketRecord`` objects at a time wherever record
+#: streams and column batches meet: a regenerated source's batches
+#: (``BuiltDataset.column_batches``, ``StreamConfig.batch_records``),
+#: the writer's :meth:`~ColumnarTraceWriter.write` spill and
+#: :func:`read_trace_records`' slices.  Generation batches of a whole
+#: chunk were measured at +14 MB peak RSS on a cold pass.
+DEFAULT_BATCH_RECORDS = 8192
 
 #: Decode lookup tables: one-byte fields map through tuples instead of
-#: calling the enum constructor per record.
+#: calling the enum constructor per record.  Link names and ICMP kinds
+#: are stored as one-byte indices into theirs.
+_LINKS: tuple[str, ...] = ("", "commercial1", "commercial2", "internet2")
 _FLAG_VALUES: tuple[TcpFlags, ...] = tuple(TcpFlags(value) for value in range(256))
 _ICMP_VALUES: tuple[tuple[int, int] | None, ...] = (None, ICMP_PORT_UNREACHABLE)
+
+#: The encode direction of the two index tables.
+_LINK_INDEX = {name: index for index, name in enumerate(_LINKS)}
+_ICMP_INDEX = {kind: index for index, kind in enumerate(_ICMP_VALUES)}
 
 #: (field name, dtype) in on-disk order.  The dtypes are little-endian
 #: and match the v1 packed record field for field.
@@ -138,8 +140,9 @@ class RecordColumns:
     link: np.ndarray
     icmp: np.ndarray
     link_names: tuple[str, ...] = _LINKS
-    #: Lazily materialised scalar form, shared by every observer of the
-    #: batch that needs per-record objects (the scalar-fallback path).
+    #: The batch's scalar form, shared by every observer that needs
+    #: per-record objects (the scalar-fallback path): the list the batch
+    #: was built from, or materialised lazily from the columns.
     _records: "list[PacketRecord] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -151,21 +154,18 @@ class RecordColumns:
 
     @classmethod
     def from_records(cls, records: "list[PacketRecord]") -> "RecordColumns":
-        """Columnise a record list (validates links and ICMP kinds)."""
-        link_index = _LINK_INDEX
-        links = []
-        icmps = []
-        for record in records:
-            index = link_index.get(record.link)
-            if index is None:
-                raise ValueError(f"unknown link {record.link!r}")
-            links.append(index)
-            if record.icmp is None:
-                icmps.append(_ICMP_NONE)
-            elif record.icmp == ICMP_PORT_UNREACHABLE:
-                icmps.append(_ICMP_PORT_UNREACH)
-            else:
-                raise ValueError(f"unsupported ICMP kind: {record.icmp}")
+        """Columnise a record list (validates links and ICMP kinds).
+
+        The one record -> column encoder.  The batch keeps *records* as
+        its scalar form: :meth:`to_records` hands the same list back.
+        """
+        try:
+            links = [_LINK_INDEX[r.link] for r in records]
+            icmps = [_ICMP_INDEX[r.icmp] for r in records]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"unknown link or unsupported ICMP kind: {exc.args[0]!r}"
+            ) from None
         return cls(
             time=np.array([r.time for r in records], dtype="<f8"),
             src=np.array([r.src for r in records], dtype="<u4"),
@@ -176,6 +176,7 @@ class RecordColumns:
             flags=np.array([int(r.flags) for r in records], dtype="u1"),
             link=np.array(links, dtype="u1"),
             icmp=np.array(icmps, dtype="u1"),
+            _records=records,
         )
 
     @classmethod
@@ -235,7 +236,7 @@ class RecordColumns:
 
 
 class ColumnarTraceWriter:
-    """The trace writer: buffers records, spills full chunks.
+    """The trace writer: takes records or column batches, spills chunks.
 
     Use as a context manager::
 
@@ -243,7 +244,9 @@ class ColumnarTraceWriter:
             for record in stream:
                 writer.write(record)
 
-    :meth:`write_columns` takes bulk input that is already columnar.
+    Chunks fill to *chunk_records* across calls, so a file's bytes
+    depend on its records and *chunk_records*, never on how the caller
+    cut the stream into :meth:`write` and :meth:`write_columns` calls.
     """
 
     def __init__(
@@ -254,7 +257,11 @@ class ColumnarTraceWriter:
         self._file = fileobj
         self._chunk_records = chunk_records
         self._count = 0
-        self._buffers: list[list] = [[] for _ in COLUMN_FIELDS]
+        #: Records given to :meth:`write`, not yet columnised.
+        self._records: list[PacketRecord] = []
+        #: Column slices of the chunk being filled, and their row total.
+        self._parts: list[RecordColumns] = []
+        self._held = 0
         self._file.write(_HEADER.pack(_MAGIC, TRACE_FORMAT_VERSION, 0, 0))
 
     @classmethod
@@ -264,65 +271,46 @@ class ColumnarTraceWriter:
         return cls(open(path, "wb"), chunk_records)
 
     def write(self, record: PacketRecord) -> None:
-        link_index = _LINK_INDEX.get(record.link)
-        if link_index is None:
-            raise ValueError(f"unknown link {record.link!r}")
-        icmp_marker = _ICMP_NONE
-        if record.icmp is not None:
-            if record.icmp != ICMP_PORT_UNREACHABLE:
-                raise ValueError(f"unsupported ICMP kind: {record.icmp}")
-            icmp_marker = _ICMP_PORT_UNREACH
-        buffers = self._buffers
-        buffers[0].append(record.time)
-        buffers[1].append(record.src)
-        buffers[2].append(record.dst)
-        buffers[3].append(record.sport)
-        buffers[4].append(record.dport)
-        buffers[5].append(record.proto)
-        buffers[6].append(int(record.flags))
-        buffers[7].append(link_index)
-        buffers[8].append(icmp_marker)
-        self._count += 1
-        if len(buffers[0]) >= self._chunk_records:
-            self._flush_chunk()
+        """Append one record (validated when columnised: every
+        :data:`DEFAULT_BATCH_RECORDS` writes, and in :meth:`close`)."""
+        self._records.append(record)
+        if len(self._records) >= DEFAULT_BATCH_RECORDS:
+            self._spill_records()
+
+    def _spill_records(self) -> None:
+        if self._records:
+            records, self._records = self._records, []
+            self.write_columns(RecordColumns.from_records(records))
 
     def write_columns(self, columns: RecordColumns) -> None:
-        """Append a whole columnar batch (bulk path for converters)."""
-        self._flush_chunk()
-        total = len(columns)
-        for start in range(0, total, self._chunk_records):
-            part = columns.slice(start, min(start + self._chunk_records, total))
-            self._write_chunk_arrays(
-                [getattr(part, name) for name, _ in COLUMN_FIELDS]
-            )
+        """Append a batch of any size.  The open chunk is held as slices
+        (views that never carry a batch's record list) until it fills."""
+        self._spill_records()
+        start, total = 0, len(columns)
         self._count += total
+        while start < total:
+            stop = min(total, start + self._chunk_records - self._held)
+            self._parts.append(columns.slice(start, stop))
+            self._held += stop - start
+            start = stop
+            if self._held == self._chunk_records:
+                self._flush_chunk()
 
     def _flush_chunk(self) -> None:
-        if not self._buffers[0]:
-            return
-        arrays = [
-            np.asarray(values, dtype=dtype)
-            for values, (_, dtype) in zip(self._buffers, COLUMN_FIELDS)
-        ]
-        self._write_chunk_arrays(arrays)
-        self._buffers = [[] for _ in COLUMN_FIELDS]
-
-    def _write_chunk_arrays(self, arrays: list) -> None:
-        count = len(arrays[0])
-        if count == 0:
+        if not self._held:
             return
         write = self._file.write
-        write(_CHUNK_HEADER.pack(count, 0))
-        for array, (_, dtype) in zip(arrays, COLUMN_FIELDS):
-            if array.dtype != dtype:
-                array = array.astype(dtype)
-            write(np.ascontiguousarray(array).tobytes())
-        padding = -(count * _BYTES_PER_RECORD) % 8
-        if padding:
-            write(b"\x00" * padding)
+        write(_CHUNK_HEADER.pack(self._held, 0))
+        for name, dtype in COLUMN_FIELDS:
+            for part in self._parts:
+                write(np.asarray(getattr(part, name), dtype=dtype).tobytes())
+        write(b"\x00" * (-(self._held * _BYTES_PER_RECORD) % 8))
+        self._parts = []
+        self._held = 0
 
     def close(self) -> None:
         """Flush the tail chunk, finalise the header, close the file."""
+        self._spill_records()
         self._flush_chunk()
         self._file.seek(0)
         self._file.write(_HEADER.pack(_MAGIC, TRACE_FORMAT_VERSION, 0, self._count))
@@ -336,7 +324,7 @@ class ColumnarTraceWriter:
 
     @property
     def records_written(self) -> int:
-        return self._count
+        return self._count + len(self._records)
 
 
 def read_header(fileobj: BinaryIO) -> tuple[int, int]:
@@ -361,6 +349,17 @@ def trace_version(path: "str | Path") -> int:
     with open(path, "rb") as fileobj:
         version, _count = read_header(fileobj)
     return version
+
+
+def _checked(batch: RecordColumns) -> RecordColumns:
+    """*batch*, once its ``link`` and ``icmp`` bytes are known to index
+    their tables: let through, one that does not is an ``IndexError``
+    inside a consumer (``flags`` and ``proto`` decode at any value)."""
+    for name, table in (("link", _LINKS), ("icmp", _ICMP_VALUES)):
+        worst = int(getattr(batch, name).max())
+        if worst >= len(table):
+            raise ValueError(f"{name} byte out of range in trace: {worst}")
+    return batch
 
 
 def _iter_v2_chunks(
@@ -392,7 +391,7 @@ def _iter_v2_chunks(
                               offset=column_offset)
             )
             column_offset += count * dtype.itemsize
-        batch = RecordColumns(*columns)
+        batch = _checked(RecordColumns(*columns))
         if remaining_skip:
             batch = batch.slice(remaining_skip)
             remaining_skip = 0
@@ -416,9 +415,10 @@ def read_trace_columns(
     view slice.
 
     Damage raises ``ValueError`` at the batch it is found in, never a
-    short read: a bad header before the first batch, a truncated or
+    short read: a bad header before the first batch; a truncated or
     empty chunk (or a v1 body that is not whole records) when the walk
-    reaches it.
+    reaches it; a ``link`` or ``icmp`` byte outside its table when the
+    batch holding it would be yielded (skipped chunks are not read).
     """
     if skip_records < 0:
         raise ValueError("skip_records must be >= 0")
@@ -438,8 +438,8 @@ def read_trace_columns(
         offset=_HEADER.size,
     )
     for start in range(skip_records, len(view), chunk_records):
-        yield RecordColumns.from_structured(
-            view[start:start + chunk_records]
+        yield _checked(
+            RecordColumns.from_structured(view[start:start + chunk_records])
         )
 
 
@@ -452,8 +452,9 @@ def trace_is_intact(path: "str | Path") -> bool:
     end and finds the declared number of records: truncation anywhere
     -- mid-chunk-header, mid-column, lost tail -- breaks the walk, and a
     zero count over a non-empty body means the writer never finished.
-    The walk reads chunk headers only; no column data is touched.  A v1
-    file is never a recording of this code, so it is not intact either.
+    The walk reads chunk headers and the two index columns the decoder
+    range-checks (2 of a record's 24 bytes).  A v1 file is never a
+    recording of this code, so it is not intact either.
     """
     try:
         with open(path, "rb") as fileobj:
@@ -481,9 +482,9 @@ def read_trace_records(path: "str | Path") -> Iterator[PacketRecord]:
     holds a few thousand record objects however large the chunks are.
     """
     for columns in read_trace_columns(path):
-        for start in range(0, len(columns), _RECORDS_PER_SLICE):
+        for start in range(0, len(columns), DEFAULT_BATCH_RECORDS):
             yield from columns.slice(
-                start, start + _RECORDS_PER_SLICE
+                start, start + DEFAULT_BATCH_RECORDS
             ).to_records()
 
 
@@ -500,8 +501,9 @@ def convert_trace(
     """Rewrite any readable trace as a v2 file; return the record count.
 
     Brings a v1 recording into the current format (a v2 source is
-    copied, chunks larger than *chunk_records* split); ``read_trace``
-    of source and destination yield identical ``PacketRecord`` lists.
+    re-cut into *chunk_records* chunks, whatever its layout);
+    ``read_trace`` of source and destination yield identical
+    ``PacketRecord`` lists.
     The source is walked end to end before the destination is created,
     so a damaged source raises and leaves no partial output behind, and
     converting a file onto itself -- which would truncate the bytes the

@@ -80,12 +80,17 @@ _BAD_TRACES = {
     "bad-magic": lambda good: b"#!/bin/sh\n" + good[10:],
     "short-header": lambda good: good[:9],
     "truncated-body": lambda good: good[:-11],
+    # The 20-record chunk's first link byte (its columns before that
+    # hold 22 of a record's 24 bytes) names no link.
+    "link-byte-out-of-range": lambda good: (
+        good[:24 + 20 * 22] + b"\x09" + good[24 + 20 * 22 + 1:]
+    ),
 }
 
 
 class TestBadTraceFiles:
     """Unreadable input is a one-line ``error:`` and exit 2 at the
-    command boundary -- these four used to be raw tracebacks."""
+    command boundary -- all of these used to be raw tracebacks."""
 
     @pytest.mark.parametrize("name", _BAD_TRACES)
     @pytest.mark.parametrize("command", ["trace-stats", "convert"])

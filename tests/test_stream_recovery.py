@@ -52,22 +52,21 @@ def run_cli(args, tmp_path, check=True):
     return proc
 
 
-@pytest.mark.slow
-def test_sigkill_then_resume_is_byte_identical(tmp_path):
+def _sigkill_then_resume(tmp_path, stream_args):
     reference = tmp_path / "reference.txt"
     resumed = tmp_path / "resumed.txt"
     checkpoint = tmp_path / "stream.ckpt"
 
     run_cli(
-        STREAM_ARGS + ["--out", str(reference)], tmp_path
+        stream_args + ["--out", str(reference)], tmp_path
     )
-    assert reference.exists()
+    assert "Passive AND Active" in reference.read_text()
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env.setdefault("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
     victim = subprocess.Popen(
-        [sys.executable, "-m", "repro", *STREAM_ARGS,
+        [sys.executable, "-m", "repro", *stream_args,
          "--checkpoint-every", "12",
          "--checkpoint", str(checkpoint),
          "--out", str(resumed)],
@@ -95,7 +94,7 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path):
     assert not resumed.exists()  # killed before the report was written
 
     proc = run_cli(
-        STREAM_ARGS + ["--checkpoint-every", "12",
+        stream_args + ["--checkpoint-every", "12",
                        "--checkpoint", str(checkpoint),
                        "--resume",
                        "--out", str(resumed)],
@@ -104,6 +103,21 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path):
     assert f"resuming: {checkpoint}" in proc.stderr
     assert resumed.read_bytes() == reference.read_bytes()
     assert not checkpoint.exists()  # removed after the clean finish
+
+
+@pytest.mark.slow
+def test_sigkill_then_resume_is_byte_identical(tmp_path):
+    _sigkill_then_resume(tmp_path, STREAM_ARGS)
+
+
+@pytest.mark.slow
+def test_sigkill_mid_sweep_then_resume_is_byte_identical(tmp_path):
+    """The same under online probing: the checkpoint the kill leaves
+    holds a periodic sweep's scheduler state mid-sweep, and the resumed
+    report's active side -- all of it probe-derived -- must not move."""
+    _sigkill_then_resume(
+        tmp_path, STREAM_ARGS + ["--probe-policy", "periodic", "--probe-rate", "5"]
+    )
 
 
 @pytest.mark.slow

@@ -48,6 +48,15 @@ def _v2_bytes(tmp_path, records, chunk_records):
 #: Bytes of one two-record v2 chunk: 8-byte chunk header + 2 * 24.
 _CHUNK = 8 + 2 * 24
 
+#: Offset of the second chunk's ``link`` column (``icmp`` follows it):
+#: the columns before it hold 22 of a record's 24 bytes.
+_LINK_AT = 16 + _CHUNK + 8 + 2 * 22
+
+
+def _poke(data, offset, byte):
+    return data[:offset] + bytes([byte]) + data[offset + 1:]
+
+
 #: name -> (version it damages, good file bytes -> damaged bytes).  The
 #: good v2 file holds the four sample records in two-record chunks.
 _DAMAGE = {
@@ -63,6 +72,13 @@ _DAMAGE = {
     "zero-count-chunk": (2, lambda good: good + struct.pack("<II", 0, 0)),
     "zero-count-first-chunk": (
         2, lambda good: good[:16] + struct.pack("<II", 0, 0) + good[24:]
+    ),
+    # Structurally whole, but a one-byte index is outside its decode
+    # table: admitted as intact, this was an IndexError in the consumer.
+    "link-byte-out-of-range": (2, lambda good: _poke(good, _LINK_AT, 9)),
+    "icmp-byte-out-of-range": (2, lambda good: _poke(good, _LINK_AT + 3, 2)),
+    "link-byte-out-of-range-v1": (
+        1, lambda good: _poke(good, 16 + 3 * 24 + 22, 4)
     ),
 }
 
@@ -119,10 +135,16 @@ class TestTraceFormat:
         assert not trace_is_intact(tmp_path / "nope.rprt")
 
     def test_unknown_link_rejected(self):
+        """``from_records`` is the one encoder and the one validation:
+        a bad record raises where the writer columnises it -- by
+        ``close`` at the latest -- before any chunk holding it is cut."""
         record = tcp_syn(0.0, 1, 2, 3, 4, "weird-link")
-        writer = ColumnarTraceWriter(io.BytesIO())
-        with pytest.raises(ValueError):
+        out = io.BytesIO()
+        writer = ColumnarTraceWriter(out)
+        with pytest.raises(ValueError, match="unknown link"):
             writer.write(record)
+            writer.close()
+        assert len(out.getvalue()) == 16  # the header, no chunk
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.rprt"

@@ -8,8 +8,12 @@ generated stream.
 
 from __future__ import annotations
 
+import errno
+import hashlib
+import io
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,6 +315,10 @@ class TestBatchedObservers:
             {"sampler": FixedPeriodSampler(sample_minutes=30)},
             {"sampler": FixedPeriodSampler(sample_minutes=2, anchor=30.0),
              "links": frozenset({"internet2"})},
+            # So does a campus predicate without prefix parameters.
+            {"is_campus": self.predicates(dataset)[1]},
+            {"is_campus": self.predicates(dataset)[1],
+             "exclude_sources": frozenset(_OUTSIDE[:1])},
         ):
             make = self.table(dataset, **overrides)
             assert make()._can_vectorize()
@@ -326,7 +334,6 @@ class TestBatchedObservers:
             {"udp_signal": UdpSignal.BIDIRECTIONAL},
             # Any other sampler callable is opaque.
             {"sampler": FixedPeriodSampler(sample_minutes=30).keep},
-            {"is_campus": self.predicates(dataset)[1]},
         ):
             make = self.table(dataset, **overrides)
             assert not make()._can_vectorize()
@@ -415,6 +422,251 @@ class TestBatchedObservers:
         assert run(replay, iter(records)) == run(
             replay_columnar, _batches(records, cuts)
         )
+
+
+class _Collector:
+    """An observer with no ``observe_columns``: gets ``observe_each``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def observe(self, record):
+        self.seen.append(record)
+
+
+def _pass_observers(dataset):
+    """A vectorised table, a fallback one (HANDSHAKE) and a tap."""
+    from repro.passive.monitor import ServiceSignal
+
+    config = dict(
+        is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports,
+        udp_ports=dataset.udp_ports,
+    )
+    return (
+        PassiveServiceTable(**config),
+        PassiveServiceTable(signal=ServiceSignal.HANDSHAKE, **config),
+        ReplayTap(),
+    )
+
+
+def _leftovers(root):
+    """Cache entries and temporary files under *root*."""
+    root = Path(root)
+    if not root.is_dir():
+        return []
+    return sorted(p.name for p in root.iterdir() if ".rprt" in p.name)
+
+
+class TestOneSource:
+    """Every pass is ``replay_columnar`` over ``column_batches``: which
+    source served it -- the generator being recorded, the recording, the
+    generator with the cache off, a truncated generation -- changes
+    nothing an observer, the caller or the fault filter can see."""
+
+    @staticmethod
+    def _outcome(run, dataset, plan, collect=False):
+        observers = _pass_observers(dataset)
+        if collect:
+            observers += (_Collector(),)
+        faults = plan and plan.capture_filter(dataset.duration)
+        count = run(*observers, faults=faults)
+        vectorised, fallback, tap = observers[:3]
+        assert vectorised._can_vectorize() and not fallback._can_vectorize()
+        return (
+            count, _table_state(vectorised), _table_state(fallback),
+            (tap.records, tap.synacks, tap.by_link, tap.by_proto),
+            faults and faults.state_dict(),
+        ), observers
+
+    @pytest.mark.parametrize("plan", [None, _FAULTS], ids=["clean", "faults"])
+    def test_every_source_is_the_same_pass(
+        self, monkeypatch, tmp_path, dataset, generated_records, plan
+    ):
+        end = dataset.duration / 4
+        truncated = list(dataset._generate_stream(end))
+        # The definition: per-record observe over the generated stream.
+        full, _ = self._outcome(
+            lambda *obs, faults: replay(
+                iter(generated_records), *obs, faults=faults
+            ), dataset, plan,
+        )
+        short, _ = self._outcome(
+            lambda *obs, faults: replay(iter(truncated), *obs, faults=faults),
+            dataset, plan,
+        )
+        assert short[0] < full[0]
+
+        root = tmp_path / "cache"
+        monkeypatch.setenv(ENV_VAR, str(root))
+        entry = default_trace_cache().path_for(dataset.trace_cache_key).name
+        assert self._outcome(dataset.replay, dataset, plan)[0] == full  # cold
+        assert _leftovers(root) == [entry]
+        recorded = (root / entry).read_bytes()
+        assert self._outcome(dataset.replay, dataset, plan)[0] == full  # warm
+        assert default_trace_cache().stats.hits == 1
+
+        def partial(*obs, faults):
+            return dataset.replay(*obs, end=end, faults=faults)
+
+        assert self._outcome(partial, dataset, plan)[0] == short
+        assert _leftovers(root) == [entry]
+        assert (root / entry).read_bytes() == recorded
+
+        monkeypatch.setenv(ENV_VAR, "off")
+        assert self._outcome(dataset.replay, dataset, plan)[0] == full
+        assert self._outcome(partial, dataset, plan)[0] == short
+
+    def test_fallback_sees_the_generators_own_records(
+        self, monkeypatch, tmp_path, dataset, generated_records
+    ):
+        """``from_records`` keeps the list it was given as the batch's
+        scalar form, so a generated pass materialises nothing."""
+        monkeypatch.setattr(
+            dataset, "_generate_stream", lambda end=None: iter(generated_records)
+        )
+        for value in (str(tmp_path / "recording"), "off"):
+            monkeypatch.setenv(ENV_VAR, value)
+            _, observers = self._outcome(
+                dataset.replay, dataset, None, collect=True
+            )
+            seen = observers[-1].seen
+            assert len(seen) == len(generated_records)
+            assert all(a is b for a, b in zip(seen, generated_records))
+        # The recording holds equal records, but they are new objects.
+        monkeypatch.setenv(ENV_VAR, str(tmp_path / "recording"))
+        _, observers = self._outcome(dataset.replay, dataset, None, collect=True)
+        assert observers[-1].seen == generated_records
+        assert observers[-1].seen[0] is not generated_records[0]
+
+    def test_abandoned_pass_leaves_nothing_behind(
+        self, monkeypatch, tmp_path, dataset
+    ):
+        """An observer's exception aborts the recording before it
+        propagates; the stream engine never writes the cache at all."""
+        from repro.stream import StreamConfig, StreamEngine
+
+        root = tmp_path / "cache"
+        monkeypatch.setenv(ENV_VAR, str(root))
+
+        class Boom(_Collector):
+            def observe(self, record):
+                super().observe(record)
+                if len(self.seen) == 70_000:  # inside the second chunk
+                    raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            dataset.replay(Boom())
+        assert _leftovers(root) == []
+
+        result = StreamEngine(
+            StreamConfig(dataset=DATASET, seed=SEED, shards=2), dataset=dataset
+        ).run(stop_after_records=70_000)
+        assert not result.finished and result.records_read >= 70_000
+        assert _leftovers(root) == []
+        # The cache still works afterwards.
+        dataset.replay()
+        assert len(_leftovers(root)) == 1
+
+    #: sha256 of the entry a cold ``replay()`` records at scale 0.1.  A
+    #: change here means recorded traces changed: bump GENERATOR_VERSION
+    #: (different records) or TRACE_FORMAT_VERSION (different layout), or
+    #: every existing cache silently serves bytes this code would not
+    #: write.
+    GOLDEN_RECORDINGS = {
+        ("DTCP1-18d", 0): (
+            292_270,
+            "10e112a164708617cb8ac33ae136ce6b046a34fe3a3428b9d5588eef1391cc1a",
+        ),
+        ("DTCP1-18d", 1): (
+            302_494,
+            "672074e28cb82fd22511d6391776dac080cd1fd42c014b461e7690d68d9dfa60",
+        ),
+        ("DUDP", 0): (
+            9_845,
+            "2f3dc6803828c55e444e80a64faaf1650118dbda402cab65dfd00bf892a4c3d0",
+        ),
+        ("DTCPall", 0): (
+            123_183,
+            "413ea84ad5b0a99f1b0ae1c728eaafe783596edaff3e508bda91d596ce3c04be",
+        ),
+    }
+
+    @pytest.mark.parametrize("name,seed", GOLDEN_RECORDINGS)
+    def test_recorded_entry_bytes_are_golden(
+        self, monkeypatch, tmp_path, name, seed
+    ):
+        monkeypatch.setenv(ENV_VAR, str(tmp_path))
+        built = build_dataset(name, seed=seed, scale=0.1)
+        count = built.replay()
+        entry = default_trace_cache().path_for(built.trace_cache_key)
+        digest = hashlib.sha256(entry.read_bytes()).hexdigest()
+        assert (count, digest) == self.GOLDEN_RECORDINGS[name, seed]
+
+
+class TestUnwritableCache:
+    """A cache that cannot be written serves the pass unrecorded -- it
+    used to kill it: only ``begin_write`` was guarded."""
+
+    @staticmethod
+    def _reference(dataset):
+        table, detector = standard_observers(dataset)
+        return dataset.replay(table, detector), table, detector
+
+    def _assert_served_unrecorded(self, dataset, reference, root):
+        from repro.telemetry import MetricRegistry, disable, set_registry
+
+        reg = MetricRegistry()
+        set_registry(reg)
+        try:
+            table, detector = standard_observers(dataset)
+            count = dataset.replay(table, detector)
+        finally:
+            disable()
+        assert count == reference[0]
+        assert_same_analysis(reference[1], table, reference[2], detector)
+        assert _leftovers(root) == []
+        assert reg.value("repro_replay_passes_total", source="generated") == 1
+        assert reg.value("repro_replay_passes_total", source="recorded") is None
+
+    def test_directory_files_cannot_be_created_in(self, monkeypatch, dataset):
+        root = Path("/proc/self/task")
+        if not root.is_dir():
+            pytest.skip("needs a directory that exists but refuses files")
+        monkeypatch.setenv(ENV_VAR, "off")
+        reference = self._reference(dataset)
+        monkeypatch.setenv(ENV_VAR, str(root))
+        self._assert_served_unrecorded(dataset, reference, root)
+
+    @pytest.mark.parametrize(
+        "room", [1_000_000, 2_000_000], ids=["mid-pass", "tail-chunk-at-close"]
+    )
+    def test_disk_fills(self, monkeypatch, tmp_path, dataset, room):
+        """ENOSPC once the entry outgrows *room* bytes: inside the first
+        65,536-record chunk (1.5 MB), or inside this dataset's second
+        and last, which ``close`` writes."""
+        monkeypatch.setenv(ENV_VAR, "off")
+        reference = self._reference(dataset)
+        assert 65_536 < reference[0] <= 2 * 65_536
+        refused = []
+
+        class SmallDisk(io.FileIO):
+            def write(self, data):
+                if self.tell() + len(data) > room:
+                    refused.append(len(data))
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        import repro.datasets.builder as builder
+
+        monkeypatch.setattr(builder, "open", SmallDisk, raising=False)
+        root = tmp_path / "full-disk"
+        monkeypatch.setenv(ENV_VAR, str(root))
+        self._assert_served_unrecorded(dataset, reference, root)
+        assert refused
+        # With room again the next pass records.
+        monkeypatch.delattr(builder, "open")
+        dataset.replay()
+        assert len(_leftovers(root)) == 1
 
 
 class TestTraceCache:
@@ -526,6 +778,23 @@ class TestTraceCache:
         assert cache.lookup(key) is None
         assert not path.exists()
         assert cache.stats.misses == 1
+
+    def test_undecodable_entry_lookup_is_miss_and_evicts(
+        self, tmp_path, generated_records
+    ):
+        """Whole chunks, right count, but a link byte that names no
+        link: served, it was an ``IndexError`` inside the observers."""
+        cache = TraceCache(root=tmp_path)
+        key = (DATASET, SEED, "1.0", 1)
+        pending = cache.begin_write(key)
+        write_trace(pending.tmp_path, generated_records[:100])
+        path = pending.commit()
+        data = bytearray(path.read_bytes())
+        data[16 + 8 + 100 * 22] = 200  # first byte of the link column
+        path.write_bytes(bytes(data))
+        assert cache.lookup(key) is None
+        assert not path.exists()
+        assert cache.stats.evictions == 1
 
     def test_v1_file_at_entry_path_is_evicted(self, tmp_path, generated_records):
         """The cache only ever holds v2: anything else there is damage."""

@@ -8,6 +8,8 @@ records one by one.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,24 @@ def _make_record(row) -> PacketRecord:
     )
 
 
+def _v2_reference_bytes(records, chunk_records) -> bytes:
+    """What a v2 file of *records* is, spelled out with ``struct``: the
+    header, then per *chunk_records* records a count, one packed array
+    per field and padding to 8 bytes."""
+    out = [struct.pack("<4sHHQ", b"RPRT", 2, 0, len(records))]
+    for start in range(0, len(records), chunk_records):
+        rows = [
+            (r.time, r.src, r.dst, r.sport, r.dport, r.proto, int(r.flags),
+             _LINK_CHOICES.index(r.link), int(r.icmp is not None))
+            for r in records[start:start + chunk_records]
+        ]
+        out.append(struct.pack("<II", len(rows), 0))
+        for column, code in zip(zip(*rows), "dIIHHBBBB"):
+            out.append(struct.pack(f"<{len(rows)}{code}", *column))
+        out.append(b"\x00" * (-(len(rows) * 24) % 8))
+    return b"".join(out)
+
+
 def _table():
     """Watches the addresses and ports ``_ROWS`` can generate."""
     return PassiveServiceTable(
@@ -137,10 +157,15 @@ class TestConvert:
         assert read_trace(v2) == records
         batches = list(read_trace_columns(v2))
         assert [len(b) for b in batches] == [4, 4, 4, 4, 4, 4, 1]
-        # A v2 source is copied chunk for chunk (never merged).
+        # A v2 source is re-cut the same way: the destination depends on
+        # the records and chunk_records, never on the source's layout.
         again = tmp_path / "c.rprt"
-        assert convert_trace(v2, again) == 25
+        assert convert_trace(v2, again, chunk_records=4) == 25
         assert again.read_bytes() == v2.read_bytes()
+        assert convert_trace(v2, again) == 25
+        direct = tmp_path / "d.rprt"
+        write_trace(direct, records)
+        assert again.read_bytes() == direct.read_bytes()
 
     def test_cli_trace_convert(self, tmp_path, capsys):
         """Old files still work: a v1 file converts, and ``trace-stats``
@@ -215,6 +240,36 @@ class TestColumnarFormat:
         assert trace_version(path) == 2
         assert read_trace(path) == records
         assert [len(b) for b in read_trace_columns(path)] == [16] * 6 + [4]
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=_ROWS,
+        chunk_records=st.sampled_from([1, 7, 65536]),
+        cuts=st.lists(st.integers(min_value=0, max_value=50), max_size=8),
+        as_columns=st.lists(st.booleans(), min_size=9, max_size=9),
+    )
+    def test_property_bytes_ignore_how_input_was_cut(
+        self, tmp_path_factory, rows, chunk_records, cuts, as_columns
+    ):
+        """Chunks fill to *chunk_records* across calls: any cut of the
+        stream into ``write_columns`` batches (empty ones included) and
+        runs of ``write(record)`` gives the same file."""
+        records = [_make_record(row) for row in rows]
+        tmp = tmp_path_factory.mktemp("cuts")
+        bounds = [0, *sorted(min(c, len(records)) for c in cuts), len(records)]
+        with ColumnarTraceWriter.open(tmp / "cut.rprt", chunk_records) as writer:
+            for lo, hi, columns in zip(bounds, bounds[1:], as_columns):
+                if columns:
+                    writer.write_columns(RecordColumns.from_records(records[lo:hi]))
+                else:
+                    for record in records[lo:hi]:
+                        writer.write(record)
+            assert writer.records_written == len(records)
+        written = (tmp / "cut.rprt").read_bytes()
+        assert written == _v2_reference_bytes(records, chunk_records)
+        if chunk_records == 65536:
+            write_trace(tmp / "whole.rprt", records)
+            assert written == (tmp / "whole.rprt").read_bytes()
 
     def test_zero_copy_views(self, tmp_path):
         records = [_make_record((float(i), i, i, 1, 2, "ack", ""))
