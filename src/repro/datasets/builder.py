@@ -15,7 +15,6 @@ from __future__ import annotations
 from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -54,7 +53,7 @@ from repro.trace.columnar import (
 from repro.traffic.generator import (
     GENERATOR_VERSION,
     TrafficMix,
-    border_packet_stream,
+    border_column_batches,
     default_diurnal,
 )
 from repro.traffic.scans import build_scan_plan
@@ -145,31 +144,21 @@ class BuiltDataset:
         """
         return (self.spec.name, self.seed, repr(self.scale), GENERATOR_VERSION)
 
-    def _generate_stream(self, end: float | None = None) -> Iterator[PacketRecord]:
-        """Regenerate the border capture from the traffic model."""
-        return border_packet_stream(
-            self.population,
-            self.mix,
-            seed=self.traffic_seed,
-            start=0.0,
-            end=self.duration if end is None else end,
-        )
-
     def _full_pass(self, end: float | None) -> bool:
         return end is None or end >= self.duration
 
     def packet_stream(self, end: float | None = None) -> Iterator[PacketRecord]:
         """One pass over the border capture, record by record.
 
-        The per-record view of :meth:`column_batches`: the recording
-        when a full-duration pass has one, else the generator.  Either
-        way the records are identical.
+        The per-record view of :meth:`column_batches`
+        (``RecordColumns.to_records`` a few thousand rows at a time):
+        over the recording when a full-duration pass has one, else over
+        the generator's batches.  Either way the records are identical.
         """
-        if self._full_pass(end):
-            cached = default_trace_cache().lookup(self.trace_cache_key)
-            if cached is not None:
-                return read_trace_records(cached)
-        return self._generate_stream(end)
+        cached, batches = self._open_pass(end, 0, DEFAULT_BATCH_RECORDS)
+        if cached is not None:
+            return read_trace_records(cached)
+        return (record for columns in batches for record in columns.to_records())
 
     def column_batches(
         self,
@@ -184,8 +173,10 @@ class BuiltDataset:
         recording in the trace cache reads it: zero-copy views, *skip*
         a seek.  Anything else (cache off or missed; a partial pass,
         because truncated generation is not a prefix of the full
-        stream) regenerates and columnises *batch_records* at a time.
-        Same records either way; iterating never writes the cache.
+        stream) regenerates -- :func:`border_column_batches`, columns
+        from the start, *batch_records* rows a batch; the rows before
+        *skip* are generated and dropped.  Same records either way;
+        iterating never writes the cache.
         """
         return self._open_pass(end, skip, batch_records)[1]
 
@@ -196,12 +187,15 @@ class BuiltDataset:
             cached = default_trace_cache().lookup(self.trace_cache_key)
         if cached is not None:
             return cached, read_trace_columns(cached, skip_records=skip)
-        stream = self._generate_stream(end)
-        if skip:
-            # Cheap: skipped records feed no observers.
-            next(islice(stream, skip - 1, skip), None)
-        chunks = iter(lambda: list(islice(stream, batch_records)), [])
-        return None, (RecordColumns.from_records(chunk) for chunk in chunks)
+        return None, border_column_batches(
+            self.population,
+            self.mix,
+            seed=self.traffic_seed,
+            start=0.0,
+            end=self.duration if end is None else end,
+            batch_records=batch_records,
+            skip=skip,
+        )
 
     def _recording(
         self, cache, batches: Iterator[RecordColumns], recorded: list

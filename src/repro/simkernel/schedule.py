@@ -112,10 +112,16 @@ class DiurnalProfile:
         return self.base + self.amplitude * 0.5
 
     def factor(self, t: float) -> float:
-        """Return the activity multiplier at simulation time *t*."""
-        hour = self.calendar.hour_of_day(t)
+        """Return the activity multiplier at simulation time *t*.
+
+        ``Calendar.hour_of_day`` and ``Calendar.is_weekend`` of one
+        moment, taken once: the thinning walk asks per candidate
+        arrival, and the conversion is most of the question.
+        """
+        moment = self.calendar.to_datetime(t)
+        hour = moment.hour + moment.minute / 60.0 + moment.second / 3600.0
         value = self._raw_factor(hour) / self._weekday_mean()
-        if self.calendar.is_weekend(t):
+        if moment.weekday() >= 5:
             value *= self.weekend_scale
         return value
 

@@ -40,6 +40,18 @@ DEFAULT_PUT_TIMEOUT = 0.05
 #: on a queue nobody will ever drain.
 DEFAULT_STALL_TIMEOUT = 60.0
 
+#: How long an idle worker sleeps before looking at its queue again.
+#: A worker is normally woken by the ``put``; the poll is for the wakeup
+#: that never comes.  A signal handler that raises (the CLI maps SIGTERM
+#: onto ``KeyboardInterrupt``) can interrupt the producer inside
+#: ``Condition.notify`` after it released a waiter and before it
+#: forgot it -- exactly where the producer waits for the GIL the woken
+#: worker just took -- and the next notify then spends itself on that
+#: stale waiter (CPython gh-92530 covers only the case where nobody
+#: re-acquired it).  With a blocking ``get`` the item, or the stop
+#: marker, sat in the queue for ever and ``close`` never returned.
+_WORKER_POLL_SECONDS = 0.1
+
 _STOP = object()
 
 
@@ -132,7 +144,10 @@ class StreamIngestor:
         state = self.states[index]
         work = self._queues[index]
         while True:
-            item = work.get()
+            try:
+                item = work.get(timeout=_WORKER_POLL_SECONDS)
+            except queue.Empty:
+                continue
             if item is _STOP:
                 work.task_done()
                 return

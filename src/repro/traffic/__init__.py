@@ -12,27 +12,35 @@ border packet stream a passive monitor would capture:
   carries no service evidence but exercises the monitor's direction
   filtering;
 * :mod:`repro.traffic.generator` -- composition of all sources into one
-  approximately time-ordered packet stream.
+  approximately time-ordered capture, as column batches.
 
-The stream is *approximately* time-ordered (flows are emitted in start
-order; a flow's response trails its request by one RTT).  Every
-consumer in :mod:`repro.passive` is order-insensitive by design, so
-this costs nothing and avoids a global sort of millions of records.
+Each source's RNG walk is scalar (the order of its draws is the trace)
+and writes typed buffers; :mod:`repro.traffic._flows` expands a window
+of flows into packet rows as arrays.  The capture is *approximately*
+time-ordered (flows are written in start order; a flow's response
+trails its request by one RTT although the next flow may start first):
+exactly the order a ``heapq.merge`` of the sources on packet time
+gives, which is a stable sort by each source's running maximum of time
+and is computed as one, a window of about 8,192 records at a time.
+Every consumer in :mod:`repro.passive` is order-insensitive by design.
+The record-at-a-time generators this replaced are the definition the
+tests compare against (``tests/traffic_reference.py``).
 """
 
-from repro.traffic.clients import ClientDirectory, client_flow_stream
-from repro.traffic.generator import TrafficMix, border_packet_stream
-from repro.traffic.noise import outbound_noise_stream
-from repro.traffic.scans import ScanPlan, ScanSweep, build_scan_plan, scan_packet_stream
+from repro.traffic.clients import ClientDirectory
+from repro.traffic.generator import (
+    TrafficMix,
+    border_column_batches,
+    border_packet_stream,
+)
+from repro.traffic.scans import ScanPlan, ScanSweep, build_scan_plan
 
 __all__ = [
     "ClientDirectory",
     "ScanPlan",
     "ScanSweep",
     "TrafficMix",
+    "border_column_batches",
     "border_packet_stream",
     "build_scan_plan",
-    "client_flow_stream",
-    "outbound_noise_stream",
-    "scan_packet_stream",
 ]

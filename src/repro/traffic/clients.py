@@ -11,15 +11,17 @@ have meaningful ground truth.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator
+from bisect import bisect_left
+from itertools import accumulate
+from math import inf
 
 from repro.campus.host import Host
 from repro.campus.population import CampusPopulation
 from repro.campus.service import Service
-from repro.net.flow import FlowKey, FlowRecord
+from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.simkernel.rng import RngStreams, zipf_weights
 from repro.simkernel.schedule import DiurnalProfile, thinned_poisson_times
+from repro.traffic._flows import LINK_CODE, FlowLog, FlowWalk, FlowWalks
 from repro.traffic.links import is_academic_client, link_for_client
 
 #: External client addresses are drawn from this base prefix upward;
@@ -75,102 +77,105 @@ def _intersect(
     return out
 
 
-def service_flow_stream(
+def _service_walk(
+    population: CampusPopulation,
     host: Host,
     service: Service,
+    windows: list[tuple[float, float]],
     directory: ClientDirectory,
     streams: RngStreams,
     diurnal: DiurnalProfile | None,
-    start: float,
-    end: float,
-) -> Iterator[FlowRecord]:
-    """Yield this service's client flows in ``[start, end)``, time-ordered."""
-    activity = service.activity
-    if activity.is_silent:
-        return
-    windows = _intersect(
-        activity.active_windows(start, end),
-        _intersect(host.up_windows_clipped(start, end), service.lifetime_windows(start, end)),
-    )
-    if not windows:
-        return
+    log: FlowLog,
+) -> FlowWalk:
+    """Walk one service's client arrivals over *windows*, time-ordered.
+
+    Per flow the stream draws, in this order: the thinning walk to the
+    arrival, ``random()`` for the client (inverse CDF over the pool),
+    ``getrandbits(14)`` for its port, ``random()`` for the RTT.  The
+    server address is resolved against the address ledger at flow time,
+    so a transient host's flows land on whatever address it holds
+    during each session; a flow at a moment the host holds none
+    (shouldn't happen, as activity is gated on liveness) is dropped
+    after its draws.
+    """
+    if service.proto not in (PROTO_TCP, PROTO_UDP):
+        raise ValueError(f"unsupported flow protocol: {service.proto}")
     rng = streams.stream(
         f"flows.{service.host_id}.{service.port}.{service.proto}"
     )
-    pool = directory.pool_for(service)
+    pool = [
+        (client, LINK_CODE[link]) for client, link in directory.pool_for(service)
+    ]
     # Flat-ish preference: popular services should exhibit most of
     # their client pool over the study (the client-weighted metric
-    # counts *observed* unique clients).
-    pool_weights = zipf_weights(len(pool), exponent=0.3)
-    # Precompute cumulative weights once; arrivals sample by inverse CDF.
-    cumulative: list[float] = []
-    total = 0.0
-    for w in pool_weights:
-        total += w
-        cumulative.append(total)
-    key = FlowKey(server=0, port=service.port, proto=service.proto)  # addr set per flow
+    # counts *observed* unique clients).  Arrivals sample by inverse
+    # CDF over the cumulative weights.
+    cumulative = list(accumulate(zipf_weights(len(pool), exponent=0.3)))
+    total, last = cumulative[-1], len(pool) - 1
+    random, getrandbits = rng.random, rng.getrandbits
+    static, host_id = host.static_address, host.host_id
+    address_of = population.ledger.address_of
+    port, proto = service.port, service.proto
+    # A TCP client completes the handshake; half-open scanners never do.
+    packets = 3 if proto == PROTO_TCP else 2
+    (put_time, put_client, put_server, put_client_port, put_port, put_proto,
+     put_rtt, put_link, put_packets) = log.appenders
+    bound = -inf
     for w_start, w_end in windows:
-        for t in thinned_poisson_times(rng, activity.base_rate, w_start, w_end, diurnal):
-            point = rng.random()
-            index = _bisect(cumulative, point)
-            client, link = pool[index]
-            yield FlowRecord(
-                time=t,
-                client=client,
-                key=key,  # placeholder; server address resolved by caller
-                client_port=1024 + rng.getrandbits(14),
-                accepted=True,
-                rtt=0.02 + rng.random() * 0.08,
-                link=link,
-            )
+        for t in thinned_poisson_times(
+            rng, service.activity.base_rate, w_start, w_end, diurnal
+        ):
+            while t >= bound:
+                bound = yield t
+            client, link = pool[min(bisect_left(cumulative, random() * total), last)]
+            client_port = 1024 + getrandbits(14)
+            rtt = 0.02 + random() * 0.08
+            server = static if static is not None else address_of(host_id, t)
+            if server is None:
+                continue
+            put_time(t)
+            put_client(client)
+            put_server(server)
+            put_client_port(client_port)
+            put_port(port)
+            put_proto(proto)
+            put_rtt(rtt)
+            put_link(link)
+            put_packets(packets)
+    yield inf
 
 
-def _bisect(cumulative: list[float], point: float) -> int:
-    import bisect
-
-    index = bisect.bisect_left(cumulative, point * cumulative[-1])
-    return min(index, len(cumulative) - 1)
-
-
-def client_flow_stream(
+def _client_flows(
     population: CampusPopulation,
     streams: RngStreams,
     diurnal: DiurnalProfile | None,
     start: float,
     end: float,
     academic_fraction: float = 0.0,
-) -> Iterator[FlowRecord]:
-    """Merged, time-ordered stream of all legitimate client flows.
-
-    Server addresses are resolved against the address ledger at flow
-    time, so a transient host's flows land on whatever address it
-    holds during each session.  Flows from moments where the host holds
-    no address (shouldn't happen, as activity is gated on liveness) are
-    dropped defensively.
-    """
+) -> FlowWalks:
+    """Every legitimate client flow in ``[start, end)``: one walk per
+    non-silent service with a live moment in range, in
+    ``population.services()`` order (which is how simultaneous flows of
+    two services are ordered)."""
     directory = ClientDirectory(streams, academic_fraction)
-
-    def resolved(host: Host, service: Service) -> Iterator[FlowRecord]:
-        for flow in service_flow_stream(
-            host, service, directory, streams, diurnal, start, end
-        ):
-            if host.static_address is not None:
-                address = host.static_address
-            else:
-                address = population.ledger.address_of(host.host_id, flow.time)
-                if address is None:
-                    continue
-            yield FlowRecord(
-                time=flow.time,
-                client=flow.client,
-                key=FlowKey(server=address, port=flow.key.port, proto=flow.key.proto),
-                client_port=flow.client_port,
-                accepted=flow.accepted,
-                rtt=flow.rtt,
-                link=flow.link,
+    log = FlowLog()
+    walks = []
+    for host, service in population.services():
+        activity = service.activity
+        if activity.is_silent:
+            continue
+        windows = _intersect(
+            activity.active_windows(start, end),
+            _intersect(
+                host.up_windows_clipped(start, end),
+                service.lifetime_windows(start, end),
+            ),
+        )
+        if windows:
+            walks.append(
+                _service_walk(
+                    population, host, service, windows, directory, streams,
+                    diurnal, log,
+                )
             )
-
-    sources = [
-        resolved(host, service) for host, service in population.services()
-    ]
-    return heapq.merge(*sources, key=lambda flow: flow.time)
+    return FlowWalks(log, walks)

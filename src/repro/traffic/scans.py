@@ -12,16 +12,18 @@ scan-removal heuristic keys on.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterator
 
-from repro.campus.host import ProbeOutcome
+import numpy as np
+
 from repro.campus.population import CampusPopulation
+from repro.campus.probe_index import OPEN, SILENT
 from repro.campus.profiles import ScanClimate
-from repro.net.packet import PacketRecord, tcp_rst, tcp_syn, tcp_synack
+from repro.net.packet import PROTO_TCP
 from repro.simkernel.clock import SECONDS_PER_DAY
 from repro.simkernel.rng import RngStreams, weighted_choice
+from repro.trace.columnar import RecordColumns
+from repro.traffic._flows import LINK_CODE, RST, SYNACK, flow_packets
 from repro.traffic.links import link_for_scanner
 
 #: External scanner addresses are drawn from this base upward (distinct
@@ -143,53 +145,47 @@ def _poisson(rng, mean: float) -> int:
     return count
 
 
-def sweep_packet_stream(
+def _sweep_packets(
     population: CampusPopulation,
     sweep: ScanSweep,
     streams: RngStreams,
     end: float,
-) -> Iterator[PacketRecord]:
-    """Yield the border packets of one sweep, time-ordered.
+) -> RecordColumns:
+    """The border packets of one whole sweep, in the order it sends them.
 
     The scanner walks a deterministic sample of the campus space in
-    address order at ``sweep.rate``.  Responses are resolved against
-    the occupant host at probe time with ``internal=False`` -- the
-    paths that keep firewalled and hidden services dark to outsiders.
+    address order at ``sweep.rate`` until *end*.  Responses are resolved
+    against the occupant host at probe time with ``internal=False`` --
+    the paths that keep firewalled and hidden services dark to
+    outsiders -- and trail their SYN by 0.03 s, so they land among the
+    SYNs that follow.
     """
     rng = streams.stream(f"scans.sweep.{sweep.scanner}.{sweep.start:.0f}")
-    addresses = list(population.topology.space.addresses())
+    addresses = np.concatenate([
+        np.arange(block.first, block.last + 1, dtype=np.int64)
+        for block in population.topology.space.blocks
+    ])
     if sweep.coverage < 1.0:
+        # Sampling positions draws what sampling the addresses drew:
+        # ``random.sample`` reads only the population's length.
         sample_size = max(1, int(len(addresses) * sweep.coverage))
-        addresses = sorted(rng.sample(addresses, sample_size))
-    interval = 1.0 / sweep.rate
+        addresses = addresses[sorted(rng.sample(range(len(addresses)), sample_size))]
     sport = 30000 + rng.getrandbits(12)
-    t = sweep.start
-    for address in addresses:
-        if t >= end:
-            return
-        yield tcp_syn(t, sweep.scanner, address, sport, sweep.port, sweep.link)
-        host = population.occupant_host(address, t)
-        if host is not None:
-            outcome = host.tcp_probe_response(sweep.port, t, internal=False)
-            if outcome is ProbeOutcome.SYNACK:
-                yield tcp_synack(
-                    t + 0.03, address, sweep.scanner, sweep.port, sport, sweep.link
-                )
-            elif outcome is ProbeOutcome.RST:
-                yield tcp_rst(
-                    t + 0.03, address, sweep.scanner, sweep.port, sport, sweep.link
-                )
-        t += interval
-
-
-def scan_packet_stream(
-    population: CampusPopulation,
-    plan: ScanPlan,
-    streams: RngStreams,
-    end: float,
-) -> Iterator[PacketRecord]:
-    """Merged stream of all sweeps' packets."""
-    sources = [
-        sweep_packet_stream(population, sweep, streams, end) for sweep in plan.sweeps
-    ]
-    return heapq.merge(*sources, key=lambda record: record.time)
+    # The probe clock is ``t += interval`` from ``sweep.start``: a
+    # running sum, which ``start + arange(n) * interval`` is not.
+    steps = np.full(len(addresses), 1.0 / sweep.rate)
+    steps[0] = sweep.start
+    when = np.cumsum(steps)
+    sent = int(np.searchsorted(when, end, side="left"))
+    when, addresses = when[:sent], addresses[:sent]
+    index = population.probe_index
+    outcome = index.outcomes(
+        index.slots(addresses), np.full(sent, sweep.port), when, PROTO_TCP,
+        internal=False,
+    )
+    return flow_packets(
+        when, sweep.scanner, addresses, sport, sweep.port, PROTO_TCP, 0.03,
+        LINK_CODE[sweep.link],
+        packets=1 + (outcome != SILENT),
+        answer=np.where(outcome == OPEN, SYNACK, RST),
+    )

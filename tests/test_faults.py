@@ -20,6 +20,7 @@ from repro.faults import CaptureFilter, FaultPlan
 from repro.net.packet import PacketRecord
 from repro.passive.monitor import PassiveServiceTable, replay, replay_columnar
 from repro.passive.taps import LinkTap, MultiLinkMonitor
+from repro.trace.cache import ENV_VAR
 from repro.trace.columnar import RecordColumns
 
 DATASET = "DTCPall"
@@ -33,7 +34,9 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def generated_records(dataset):
-    return list(dataset._generate_stream())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_VAR, "off")
+        return list(dataset.packet_stream())
 
 
 def lossy_plan(**overrides) -> FaultPlan:

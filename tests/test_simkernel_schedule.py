@@ -71,6 +71,39 @@ class TestDiurnalProfile:
             assert profile.factor(t) <= ceiling * 1.0001
 
 
+    #: Midnights of the default calendar (it starts Tue 10:00): k = 3 is
+    #: Friday -> Saturday, k = 5 Sunday -> Monday.  Offsets straddle
+    #: them by a second, a microsecond, and the sub-microsecond
+    #: fractions ``timedelta`` rounds half-even.
+    _near_midnight = st.builds(
+        lambda k, offset: hours(14) + days(k) + offset,
+        st.integers(0, 89),
+        st.sampled_from(
+            [-1.0, 0.0, 1.0, -1e-6, 1e-6, -5e-7, 5e-7, -4e-7, 4e-7, -2.5e-6, 1.5e-6]
+        ) | st.floats(-2.0, 2.0),
+    )
+
+    @given(
+        st.floats(0.0, days(90)) | _near_midnight,
+        st.sampled_from([DiurnalProfile(), DiurnalProfile(peak_hour=3.5, weekend_scale=0.25)]),
+    )
+    def test_factor_is_the_two_calendar_questions(self, t, profile):
+        """``factor`` reads hour and weekday off one ``datetime``; the
+        value is the one the two ``Calendar`` calls give, to the bit
+        (a last-digit difference here changes recorded traces)."""
+        calendar = profile.calendar
+        value = profile._raw_factor(calendar.hour_of_day(t)) / profile._weekday_mean()
+        if calendar.is_weekend(t):
+            value *= profile.weekend_scale
+        assert profile.factor(t) == value
+
+    def test_weekend_starts_at_midnight(self):
+        profile = DiurnalProfile(weekend_scale=0.5)
+        saturday, monday = hours(14) + days(3), hours(14) + days(5)
+        assert profile.factor(saturday) == pytest.approx(profile.factor(saturday - 1) / 2, rel=1e-3)
+        assert profile.factor(monday) == pytest.approx(profile.factor(monday - 1) * 2, rel=1e-3)
+
+
 class TestThinnedPoisson:
     def test_no_profile_matches_homogeneous_rate(self):
         rng = random.Random(5)

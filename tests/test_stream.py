@@ -11,6 +11,8 @@ and peak memory stays flat as the stream gets longer.
 
 from __future__ import annotations
 
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -36,6 +38,7 @@ from repro.stream import (
     split_columns,
 )
 from repro.passive.monitor import PassiveServiceTable
+from repro.stream import ingest as ingest_module
 from repro.trace.columnar import RecordColumns
 
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
@@ -517,6 +520,42 @@ class TestIngestor:
         with pytest.raises(RuntimeError):
             ingestor.dispatch([[], []])
         ingestor.close()  # idempotent
+
+    def test_worker_that_missed_a_wakeup_still_drains_and_stops(
+        self, record_sample
+    ):
+        """An interrupt raised inside ``Queue.put``'s notify can cost a
+        worker its wakeup (see ``_WORKER_POLL_SECONDS``): the item is
+        queued and counted, nobody is told.  The worker must find it
+        anyway, or the interrupt checkpoint's drain -- and then
+        ``close`` -- waits for ever."""
+        states = self._states(1)
+        ingestor = StreamIngestor(states)
+        work = ingestor._queues[0]
+        deadline = time.monotonic() + 5.0
+        while not work.not_empty._waiters:  # the worker is asleep in get()
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+        def put_without_notify(item):
+            with work.mutex:
+                work.queue.append(item)
+                work.unfinished_tasks += 1
+
+        put_without_notify(RecordColumns.from_records(record_sample[:10]))
+        finished = threading.Event()
+
+        def drain_and_close():
+            ingestor.drain()
+            ingestor._closed = True
+            put_without_notify(ingest_module._STOP)
+            for thread in ingestor._threads:
+                thread.join()
+            finished.set()
+
+        threading.Thread(target=drain_and_close, daemon=True).start()
+        assert finished.wait(5.0), "worker never looked at its queue again"
+        assert states[0].records == 10
 
     def test_worker_error_surfaces(self, record_sample):
         class Exploding:

@@ -161,8 +161,13 @@ def test_sigterm_reports_what_was_left_to_resume_from(tmp_path, mode):
         )
         try:
             deadline = time.monotonic() + 120.0
+            # The fabric prints its manifest line once the supervisor has
+            # recorded the commit; the manifest *file* appears a moment
+            # earlier, and a signal landing in between is (truthfully)
+            # answered "no checkpoint generation committed".
             while not (
-                store.generations() if mode == "fabric" else checkpoint.exists()
+                "fabric: manifest generation=" in stderr_path.read_text()
+                if mode == "fabric" else checkpoint.exists()
             ):
                 if victim.poll() is not None:
                     pytest.fail("stream run exited before first checkpoint")

@@ -46,6 +46,7 @@ from repro.trace.columnar import (
     write_trace,
 )
 from tests.trace_v1_reference import v1_trace_bytes
+from tests.traffic_reference import border_packet_stream as reference_packet_stream
 
 #: Cheap full-scale build with scans and all three record protocols.
 DATASET = "DTCPall"
@@ -60,7 +61,9 @@ def dataset():
 @pytest.fixture(scope="module")
 def generated_records(dataset):
     """The dataset's full border stream, regenerated (no cache)."""
-    return list(dataset._generate_stream())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_VAR, "off")
+        return list(dataset.packet_stream())
 
 
 def standard_observers(dataset):
@@ -483,7 +486,7 @@ class TestOneSource:
         self, monkeypatch, tmp_path, dataset, generated_records, plan
     ):
         end = dataset.duration / 4
-        truncated = list(dataset._generate_stream(end))
+        truncated = list(dataset.packet_stream(end))
         # The definition: per-record observe over the generated stream.
         full, _ = self._outcome(
             lambda *obs, faults: replay(
@@ -516,27 +519,27 @@ class TestOneSource:
         assert self._outcome(dataset.replay, dataset, plan)[0] == full
         assert self._outcome(partial, dataset, plan)[0] == short
 
-    def test_fallback_sees_the_generators_own_records(
-        self, monkeypatch, tmp_path, dataset, generated_records
+    def test_fallback_observers_share_one_materialisation(
+        self, monkeypatch, tmp_path, dataset
     ):
-        """``from_records`` keeps the list it was given as the batch's
-        scalar form, so a generated pass materialises nothing."""
-        monkeypatch.setattr(
-            dataset, "_generate_stream", lambda end=None: iter(generated_records)
-        )
-        for value in (str(tmp_path / "recording"), "off"):
+        """Records exist only as ``to_records()`` of a batch, made once
+        per batch however many observers fall back to ``observe`` -- on
+        a generated pass (recorded or not) and on a recorded one."""
+        reference = list(reference_packet_stream(
+            dataset.population, dataset.mix, dataset.traffic_seed,
+            0.0, dataset.duration,
+        ))
+        recording = str(tmp_path / "recording")
+        for value, source in (
+            (recording, "recorded"), ("off", "generated"), (recording, "cached"),
+        ):
             monkeypatch.setenv(ENV_VAR, value)
-            _, observers = self._outcome(
-                dataset.replay, dataset, None, collect=True
-            )
-            seen = observers[-1].seen
-            assert len(seen) == len(generated_records)
-            assert all(a is b for a, b in zip(seen, generated_records))
-        # The recording holds equal records, but they are new objects.
-        monkeypatch.setenv(ENV_VAR, str(tmp_path / "recording"))
-        _, observers = self._outcome(dataset.replay, dataset, None, collect=True)
-        assert observers[-1].seen == generated_records
-        assert observers[-1].seen[0] is not generated_records[0]
+            hits = default_trace_cache().stats.hits
+            first, second = _Collector(), _Collector()
+            assert dataset.replay(first, second) == len(reference)
+            assert default_trace_cache().stats.hits - hits == (source == "cached")
+            assert first.seen == reference
+            assert all(a is b for a, b in zip(first.seen, second.seen))
 
     def test_abandoned_pass_leaves_nothing_behind(
         self, monkeypatch, tmp_path, dataset

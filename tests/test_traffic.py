@@ -1,20 +1,25 @@
-"""Tests for the traffic generators."""
+"""Behaviour of the traffic sources, read off the columns they emit.
 
+That those columns are the scalar generators' records byte for byte is
+``tests/test_traffic_differential.py``.
+"""
+
+from math import inf
+
+import numpy as np
 import pytest
 
+from repro.campus.churn import AddressLedger
 from repro.campus.host import Host
-from repro.campus.population import synthesize_population
+from repro.campus.population import CampusPopulation, synthesize_population
 from repro.campus.profiles import semester_profile
 from repro.campus.service import ActivityPattern, Service
+from repro.campus.topology import build_topology
 from repro.net.addr import AddressClass, parse_ipv4
-from repro.net.packet import PROTO_TCP
+from repro.net.packet import PROTO_TCP, TcpFlags
 from repro.simkernel.clock import Calendar, days, hours
 from repro.simkernel.rng import RngStreams
-from repro.traffic.clients import (
-    ClientDirectory,
-    client_flow_stream,
-    service_flow_stream,
-)
+from repro.traffic.clients import ClientDirectory, _client_flows
 from repro.traffic.generator import TrafficMix, border_packet_stream, default_diurnal
 from repro.traffic.links import (
     LINK_COMMERCIAL1,
@@ -24,8 +29,8 @@ from repro.traffic.links import (
     link_for_client,
     link_for_scanner,
 )
-from repro.traffic.noise import outbound_noise_stream
-from repro.traffic.scans import ScanSweep, build_scan_plan, sweep_packet_stream
+from repro.traffic.noise import _outbound_noise
+from repro.traffic.scans import ScanSweep, _sweep_packets, build_scan_plan
 
 
 def quiet_host(address=None, rate=0.01, windows=None, port=80) -> Host:
@@ -78,51 +83,77 @@ class TestLinks:
         )
 
 
+def lone_host_population(host: Host) -> CampusPopulation:
+    return CampusPopulation(
+        topology=build_topology(),
+        hosts={host.host_id: host},
+        ledger=AddressLedger(),
+        duration=days(10),
+        profile_name="test",
+        seed=0,
+    )
+
+
 class TestServiceFlowStream:
-    def _stream(self, host, start=0.0, end=days(5)):
-        streams = RngStreams(1)
-        directory = ClientDirectory(streams)
-        service = host.services[(80, PROTO_TCP)]
-        return list(
-            service_flow_stream(host, service, directory, streams, None, start, end)
+    def _flows(self, host, start=0.0, end=days(5)):
+        """``(time, client)`` of every flow, from its opening SYN."""
+        walks = _client_flows(
+            lone_host_population(host), RngStreams(1), None, start, end
         )
+        packets = walks(inf)
+        if packets is None:
+            return []
+        syn = packets.flags == TcpFlags.SYN
+        assert (packets.dst[syn] == host.static_address).all()
+        assert walks.log.flows == syn.sum()
+        return list(zip(packets.time[syn].tolist(), packets.src[syn].tolist()))
 
     def test_flows_sorted_in_range(self):
-        flows = self._stream(quiet_host(rate=0.001))
-        assert flows == sorted(flows, key=lambda f: f.time)
-        assert all(0.0 <= f.time < days(5) for f in flows)
+        flows = self._flows(quiet_host(rate=0.001))
+        assert flows == sorted(flows, key=lambda f: f[0])
+        assert all(0.0 <= t < days(5) for t, _ in flows)
 
     def test_rate_controls_volume(self):
-        few = self._stream(quiet_host(rate=0.0001))
-        many = self._stream(quiet_host(rate=0.003))
+        few = self._flows(quiet_host(rate=0.0001))
+        many = self._flows(quiet_host(rate=0.003))
         assert len(many) > len(few) * 3
 
     def test_silent_service_emits_nothing(self):
-        assert self._stream(quiet_host(rate=0.0)) == []
+        assert self._flows(quiet_host(rate=0.0)) == []
 
     def test_activity_windows_respected(self):
         windows = ((hours(1), hours(3)),)
-        flows = self._stream(quiet_host(rate=0.01, windows=windows))
+        flows = self._flows(quiet_host(rate=0.01, windows=windows))
         assert flows
-        assert all(hours(1) <= f.time < hours(3) for f in flows)
+        assert all(hours(1) <= t < hours(3) for t, _ in flows)
 
     def test_host_downtime_gates_flows(self):
         host = quiet_host(rate=0.01)
         host.up_windows = [(hours(2), hours(4))]
         host.finalize()
-        flows = self._stream(host)
+        flows = self._flows(host)
         assert flows
-        assert all(hours(2) <= f.time < hours(4) for f in flows)
+        assert all(hours(2) <= t < hours(4) for t, _ in flows)
 
     def test_clients_come_from_pool(self):
-        flows = self._stream(quiet_host(rate=0.005))
-        clients = {f.client for f in flows}
-        assert 1 <= len(clients) <= 5
+        host = quiet_host(rate=0.005)
+        pool = ClientDirectory(RngStreams(1)).pool_for(host.services[(80, PROTO_TCP)])
+        clients = {client for _, client in self._flows(host)}
+        assert clients and clients <= {address for address, _ in pool}
 
     def test_deterministic(self):
-        first = [(f.time, f.client) for f in self._stream(quiet_host())]
-        second = [(f.time, f.client) for f in self._stream(quiet_host())]
-        assert first == second
+        assert self._flows(quiet_host()) == self._flows(quiet_host())
+
+    def test_a_handshake_is_three_packets_one_rtt_apart(self):
+        packets = _client_flows(
+            lone_host_population(quiet_host()), RngStreams(1), None, 0.0, days(1)
+        )(inf)
+        flags = packets.flags.reshape(-1, 3)
+        assert (flags == [TcpFlags.SYN, TcpFlags.SYN | TcpFlags.ACK, TcpFlags.ACK]).all()
+        time = packets.time.reshape(-1, 3)
+        rtt = time[:, 1] - time[:, 0]
+        assert ((0.02 <= rtt) & (rtt <= 0.1)).all()
+        assert np.allclose(time[:, 2] - time[:, 1], rtt)
 
 
 class TestScans:
@@ -153,19 +184,17 @@ class TestScans:
             coverage=1.0,
             link=LINK_COMMERCIAL1,
         )
-        packets = list(
-            sweep_packet_stream(population, sweep, RngStreams(9), days(18))
-        )
-        syns = [p for p in packets if p.flags.is_syn]
-        synacks = [p for p in packets if p.flags.is_synack]
-        rsts = [p for p in packets if p.flags.is_rst]
-        assert len(syns) == population.topology.space.size
-        assert synacks, "a full web sweep must reveal some servers"
-        assert rsts, "live non-servers must reset"
+        packets = _sweep_packets(population, sweep, RngStreams(9), days(18))
+        syns = packets.flags == TcpFlags.SYN
+        synacks = packets.flags == TcpFlags.SYN | TcpFlags.ACK
+        rsts = packets.flags == TcpFlags.RST
+        assert syns.sum() == population.topology.space.size
+        assert synacks.any(), "a full web sweep must reveal some servers"
+        assert rsts.any(), "live non-servers must reset"
+        assert (syns | synacks | rsts).all()
         # Responses attribute to the scanned address.
-        for packet in synacks:
-            assert packet.dst == sweep.scanner
-            assert packet.sport == 80
+        assert (packets.dst[synacks] == sweep.scanner).all()
+        assert (packets.sport[synacks] == 80).all()
 
     def test_sweep_respects_end(self, population):
         sweep = ScanSweep(
@@ -176,11 +205,9 @@ class TestScans:
             coverage=1.0,
             link=LINK_COMMERCIAL1,
         )
-        packets = list(
-            sweep_packet_stream(population, sweep, RngStreams(9), end=100.0)
-        )
-        assert all(p.time < 100.0 + 1.0 for p in packets)
-        assert len(packets) < 300
+        packets = _sweep_packets(population, sweep, RngStreams(9), end=100.0)
+        assert (packets.time < 100.0 + 1.0).all()
+        assert 100 <= len(packets) < 300
 
 
 class TestNoiseAndMix:
@@ -188,15 +215,17 @@ class TestNoiseAndMix:
         population = synthesize_population(
             semester_profile(scale=0.05), seed=2, duration=days(2)
         )
-        packets = list(
-            outbound_noise_stream(population, RngStreams(3), 200.0, 0.0, days(2))
-        )
-        assert packets
-        for packet in packets:
-            inside_src = population.topology.contains(packet.src)
-            inside_dst = population.topology.contains(packet.dst)
-            # browse flows: SYN out (campus src) or SYN-ACK back in.
-            assert inside_src != inside_dst
+        packets = _outbound_noise(
+            population, RngStreams(3), 200.0, 0.0, days(2)
+        )(inf)
+        assert len(packets) > 0
+        inside = population.topology.contains
+        syn = packets.flags == TcpFlags.SYN
+        # browse flows: SYN out (campus src), SYN-ACK back in.
+        for out, src, dst in zip(
+            syn.tolist(), packets.src.tolist(), packets.dst.tolist()
+        ):
+            assert inside(src) == out and inside(dst) != out
 
     def test_border_stream_deterministic(self):
         population = synthesize_population(
