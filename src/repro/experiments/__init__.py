@@ -6,9 +6,10 @@ Every experiment module exposes::
 
 returning an :class:`~repro.experiments.common.ExperimentResult` whose
 ``render()`` emits the reproduced rows/series next to the paper's
-numbers and whose ``metrics`` dict feeds the shape assertions in the
-benchmark suite.  :mod:`repro.experiments.runner` executes all of them
-and regenerates EXPERIMENTS.md.
+numbers and whose ``metrics`` dict feeds the rows of the fidelity
+ledger (:mod:`repro.experiments.fidelity`), the one table of the
+paper's shape targets.  :mod:`repro.experiments.runner` executes all of
+them and regenerates EXPERIMENTS.md.
 """
 
 from repro.experiments.common import (
@@ -42,7 +43,18 @@ ALL_EXPERIMENTS = (
     "figure12",
 )
 
+#: Functions of :mod:`repro.experiments.ablations`, runnable by
+#: ``run_experiment`` under these names; ledger rows only, never
+#: sections of EXPERIMENTS.md.
+ABLATIONS = (
+    "ablations.host_discovery",
+    "ablations.sampling",
+    "ablations.scan_thresholds",
+    "ablations.service_signal",
+)
+
 __all__ = [
+    "ABLATIONS",
     "ALL_EXPERIMENTS",
     "AnalysisContext",
     "ExperimentResult",

@@ -274,7 +274,7 @@ class ExperimentResult:
     body:
         Rendered Markdown (tables and/or series).
     metrics:
-        Scalar results the benchmark suite asserts shape properties on.
+        Scalar results the fidelity ledger's rows are relations over.
     paper_values:
         The paper's corresponding numbers, for the comparison column.
     notes:

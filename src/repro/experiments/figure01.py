@@ -16,7 +16,7 @@ from repro.core.completeness import (
 )
 from repro.core.report import render_series
 from repro.core.timeline import DiscoveryTimeline
-from repro.experiments.common import ExperimentResult, get_context
+from repro.experiments.common import ExperimentResult, get_context, percent
 from repro.simkernel.clock import hours, minutes
 
 
@@ -50,6 +50,16 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             metrics[f"{method}_{label.replace('-', '_')}_t99_minutes"] = (
                 t99 / 60.0 if t99 is not None else float("inf")
             )
+    # Share of the whole trace's flow weight on servers already heard
+    # this early (the denominator is every passive server, not the
+    # 12-hour union the curves are drawn against).
+    total_flows = sum(flow_weights.values())
+    for early in (30, 60):
+        heard = passive.before(minutes(early)).items()
+        metrics[f"passive_flow_share_{early}min_pct"] = percent(
+            sum(flow_weights.get(address, 0.0) for address in heard),
+            total_flows,
+        )
     body = render_series(
         "Figure 1 -- Cumulative server discovery over 12 hours",
         series,

@@ -41,6 +41,8 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
         ),
     }
     last5_start = max(duration - days(5), 0.0)
+    endpoints = context.passive_endpoint_timeline()
+    last_quarter = passive.items() - passive.before(0.75 * duration).items()
     metrics = {
         "passive_total": float(len(passive)),
         "active_total": float(len(active)),
@@ -54,6 +56,18 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             len(context.dataset.scan_reports[0].open_addresses()) / len(active)
             if len(active)
             else 0.0
+        ),
+        # Churn keeps producing fresh transient-address discoveries in
+        # the last quarter; the first major external sweep (day ~1.4)
+        # is a visible step against an ordinary day (2.2-3.2).
+        "passive_transient_last_quarter": float(
+            sum(1 for a in last_quarter if space.is_transient(a))
+        ),
+        "passive_endpoints_first_sweep": float(
+            endpoints.count_before(days(1.7)) - endpoints.count_before(days(1.3))
+        ),
+        "passive_endpoints_quiet_day": float(
+            endpoints.count_before(days(3.2)) - endpoints.count_before(days(2.2))
         ),
     }
     body = render_series(

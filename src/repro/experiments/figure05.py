@@ -58,6 +58,9 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     vpn_active = metrics.get("active_vpn", 0.0)
     ppp_passive = metrics.get("passive_ppp", 0.0)
     ppp_active = metrics.get("active_ppp", 0.0)
+    metrics["ppp_passive_per_active"] = (
+        ppp_passive / ppp_active if ppp_active else 0.0
+    )
     return ExperimentResult(
         experiment_id="figure05",
         title="Figure 5: Transient hosts (Section 4.4.2)",

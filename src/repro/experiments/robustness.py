@@ -1,27 +1,25 @@
 """Seed-sweep robustness analysis.
 
 A reproduction built on a synthetic population should say how much its
-numbers wobble across realisations.  :func:`seed_sweep` reruns an
-experiment over several master seeds and aggregates every metric into
-mean / standard deviation / extremes; :func:`sweep_report` renders the
-result, flagging metrics whose coefficient of variation exceeds a
-threshold (those should be quoted as ranges, not point values).
-
-Usage::
-
-    python -m repro.experiments.robustness table2 --seeds 5 --scale 0.1
+numbers wobble across realisations.  :func:`seed_sweeps` reruns
+experiments over several master seeds and aggregates every metric into
+a :class:`MetricSpread` (median / mean / standard deviation / extremes
+over the seeds where it was finite).  The fidelity ledger
+(:mod:`repro.experiments.fidelity`) judges the paper's shape targets
+against these spreads; ``python -m repro.experiments.fidelity`` is the
+command line.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import sys
+import statistics
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
-from repro.core.report import TextTable
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.common import clear_caches
+from repro.experiments import ABLATIONS, ALL_EXPERIMENTS
+from repro.experiments.common import ExperimentResult, clear_caches
+from repro.experiments.runner import run_experiment
 
 
 @dataclass(frozen=True)
@@ -32,13 +30,23 @@ class MetricSpread:
     values: tuple[float, ...]
 
     @property
+    def finite(self) -> list[float]:
+        """The values every statistic below is taken over."""
+        return [v for v in self.values if math.isfinite(v)]
+
+    @property
     def mean(self) -> float:
-        finite = [v for v in self.values if math.isfinite(v)]
+        finite = self.finite
         return sum(finite) / len(finite) if finite else float("nan")
 
     @property
+    def median(self) -> float:
+        finite = self.finite
+        return statistics.median(finite) if finite else float("nan")
+
+    @property
     def stdev(self) -> float:
-        finite = [v for v in self.values if math.isfinite(v)]
+        finite = self.finite
         if len(finite) < 2:
             return 0.0
         mu = sum(finite) / len(finite)
@@ -46,11 +54,11 @@ class MetricSpread:
 
     @property
     def minimum(self) -> float:
-        return min(self.values)
+        return min(self.finite, default=float("nan"))
 
     @property
     def maximum(self) -> float:
-        return max(self.values)
+        return max(self.finite, default=float("nan"))
 
     @property
     def cv(self) -> float:
@@ -80,97 +88,57 @@ class SweepResult:
         )
 
 
-def seed_sweep(
-    experiment_name: str,
+def seed_sweeps(
+    experiment_names: Iterable[str],
     seeds: tuple[int, ...],
     scale: float = 1.0,
-    keep_caches: bool = False,
-) -> SweepResult:
-    """Run *experiment_name* once per seed and aggregate its metrics.
+    run: Callable[[str, int, float], ExperimentResult] = run_experiment,
+) -> dict[str, SweepResult]:
+    """Run each experiment once per seed and aggregate its metrics.
 
-    Parameters
-    ----------
-    keep_caches:
-        Leave the dataset caches warm afterwards (successive sweeps of
-        experiments sharing a dataset can then reuse builds per seed).
+    Seeds are the outer loop, so experiments sharing a dataset share
+    its build and trace passes, and the in-process caches are dropped
+    after every seed (five paper-scale seeds kept warm hold 1.5 GB).  A
+    metric an experiment did not return at some seed reads NaN there.
     """
-    from repro.experiments.runner import run_experiment
-
-    if experiment_name not in ALL_EXPERIMENTS:
-        raise KeyError(
-            f"unknown experiment {experiment_name!r}; known: {ALL_EXPERIMENTS}"
-        )
+    names = tuple(experiment_names)
+    for name in names:
+        if name not in ALL_EXPERIMENTS + ABLATIONS:
+            raise KeyError(
+                f"unknown experiment {name!r}; known: "
+                f"{ALL_EXPERIMENTS + ABLATIONS}"
+            )
     if not seeds:
         raise ValueError("need at least one seed")
-    per_seed: dict[int, dict[str, float]] = {}
-    paper: dict[str, float] = {}
+    results: dict[str, dict[int, ExperimentResult]] = {name: {} for name in names}
     for seed in seeds:
-        result = run_experiment(experiment_name, seed, scale)
-        per_seed[seed] = dict(result.metrics)
-        paper = dict(result.paper_values)
-    if not keep_caches:
+        for name in names:
+            results[name][seed] = run(name, seed, scale)
         clear_caches()
-    names = sorted({name for metrics in per_seed.values() for name in metrics})
-    spreads = {
-        name: MetricSpread(
-            name=name,
-            values=tuple(
-                per_seed[seed].get(name, float("nan")) for seed in seeds
-            ),
+    sweeps = {}
+    for name, per_seed in results.items():
+        metrics = sorted({m for result in per_seed.values() for m in result.metrics})
+        sweeps[name] = SweepResult(
+            experiment_id=name,
+            seeds=tuple(seeds),
+            scale=scale,
+            spreads={
+                metric: MetricSpread(
+                    name=metric,
+                    values=tuple(
+                        per_seed[seed].metrics.get(metric, float("nan"))
+                        for seed in seeds
+                    ),
+                )
+                for metric in metrics
+            },
+            paper_values=dict(per_seed[seeds[-1]].paper_values),
         )
-        for name in names
-    }
-    return SweepResult(
-        experiment_id=experiment_name,
-        seeds=tuple(seeds),
-        scale=scale,
-        spreads=spreads,
-        paper_values=paper,
-    )
+    return sweeps
 
 
-def sweep_report(result: SweepResult, cv_threshold: float = 0.25) -> str:
-    """Render a sweep as a Markdown table with stability flags."""
-    table = TextTable(
-        title=(
-            f"Seed sweep: {result.experiment_id} over seeds "
-            f"{list(result.seeds)} at scale {result.scale}"
-        ),
-        headers=["Metric", "Mean", "Stdev", "Min", "Max", "Paper", "Stable?"],
-    )
-    for name, spread in sorted(result.spreads.items()):
-        paper = result.paper_values.get(name)
-        table.add_row(
-            name,
-            f"{spread.mean:,.2f}",
-            f"{spread.stdev:,.2f}",
-            f"{spread.minimum:,.2f}",
-            f"{spread.maximum:,.2f}",
-            f"{paper:,.2f}" if paper is not None else "-",
-            "yes" if spread.cv <= cv_threshold else f"no (cv={spread.cv:.2f})",
-        )
-    unstable = result.unstable_metrics(cv_threshold)
-    if unstable:
-        table.add_note(
-            "Quote as ranges rather than point values: " + ", ".join(unstable)
-        )
-    return table.render()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("experiment", choices=ALL_EXPERIMENTS)
-    parser.add_argument("--seeds", type=int, default=3,
-                        help="number of seeds (0, 1, ..., n-1)")
-    parser.add_argument("--scale", type=float, default=0.1)
-    parser.add_argument("--cv-threshold", type=float, default=0.25)
-    args = parser.parse_args(argv)
-    result = seed_sweep(
-        args.experiment, tuple(range(args.seeds)), scale=args.scale
-    )
-    print(sweep_report(result, args.cv_threshold))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via main() tests
-    sys.exit(main())
+def seed_sweep(
+    experiment_name: str, seeds: tuple[int, ...], scale: float = 1.0
+) -> SweepResult:
+    """:func:`seed_sweeps` for one experiment."""
+    return seed_sweeps((experiment_name,), seeds, scale)[experiment_name]

@@ -109,9 +109,14 @@ _TRACEBACK_LIMIT = 4000
 
 
 def run_experiment(name: str, seed: int, scale: float) -> ExperimentResult:
-    """Import and run one experiment module by id (e.g. ``"table2"``)."""
-    module = importlib.import_module(f"repro.experiments.{name}")
-    return module.run(seed=seed, scale=scale)
+    """Import and run one experiment by id.
+
+    ``"table2"`` is ``repro.experiments.table2.run``; a dotted id such
+    as ``"ablations.sampling"`` names a function of that module.
+    """
+    module_name, _, function = name.partition(".")
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    return getattr(module, function or "run")(seed=seed, scale=scale)
 
 
 def _run_experiment_instrumented(

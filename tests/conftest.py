@@ -8,6 +8,7 @@ scoped and shared; anything mutating must copy.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 
@@ -23,6 +24,8 @@ os.environ.setdefault(
 from repro.campus.population import synthesize_population
 from repro.campus.profiles import semester_profile
 from repro.datasets import build_dataset
+from repro.experiments import fidelity
+from repro.experiments.runner import run_experiment
 from repro.simkernel.clock import days
 
 #: Scale used by most dataset-level tests.
@@ -64,3 +67,38 @@ def small_dudp():
 def allports_dataset():
     """The DTCPall build (a /24, cheap even at full scale)."""
     return build_dataset("DTCPall", seed=5, scale=1.0)
+
+
+@pytest.fixture(scope="session")
+def cached_run():
+    """``run_experiment`` memoised for the session, so the harness
+    tests, the ledger's well-formedness check and the tier-1 gate share
+    one run of each ``(experiment, seed, scale)``."""
+    return functools.cache(run_experiment)
+
+
+@pytest.fixture(scope="session")
+def ledger_at(cached_run):
+    """``ledger_at(scale, seed)``: the fidelity ledger's verdicts by row
+    id for every row that scale admits, evaluated once per session."""
+
+    @functools.cache
+    def at(scale: float, seed: int) -> dict[str, fidelity.RowVerdict]:
+        verdicts = fidelity.evaluate((seed,), scale, run=cached_run)
+        return {verdict.row.id: verdict for verdict in verdicts}
+
+    return at
+
+
+@pytest.fixture(scope="session")
+def ledger_holds(ledger_at):
+    """``ledger_holds(scale, seed, *row_ids)``: assert the named ledger
+    rows hold there.  A row the scale does not admit is a ``KeyError``:
+    the tests that keep a pre-ledger node id alive name their rows."""
+
+    def holds(scale: float, seed: int, *row_ids: str) -> None:
+        verdicts = ledger_at(scale, seed)
+        for row_id in row_ids:
+            assert verdicts[row_id].verdict != "fail", verdicts[row_id].describe()
+
+    return holds

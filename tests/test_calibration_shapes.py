@@ -1,94 +1,29 @@
-"""Moderate-scale calibration tests.
+"""Quarter-scale calibration: the headline shapes, as fidelity-ledger rows.
 
-The benchmark suite checks shapes at paper scale; these tests protect
-the same properties at a quarter scale so an ordinary ``pytest`` run
-(no benchmarks) still catches calibration regressions.  Bounds are
-looser than the benches' -- quarter-scale populations are noisier.
+The assertions live in ``repro.experiments.fidelity.LEDGER``; each test
+names the rows that carry what it used to assert, judged at scale 0.25
+seed 2 (the evaluation is shared with ``test_fidelity``'s tier-1 gate).
 """
-
-import pytest
-
-from repro.active.results import union_open_endpoints
-from repro.passive.monitor import PassiveServiceTable
-from repro.simkernel.clock import hours
 
 SCALE = 0.25
 SEED = 2
 
 
-@pytest.fixture(scope="module")
-def calibrated():
-    from repro.datasets import build_dataset
-
-    dataset = build_dataset("DTCP1-18d", seed=SEED, scale=SCALE)
-    table = PassiveServiceTable(
-        is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
-    )
-    dataset.replay(table)
-    return dataset, table
-
-
 class TestHeadlineShapes:
-    def test_one_scan_dominates_short_passive(self, calibrated):
-        dataset, table = calibrated
-        passive_12h = {
-            a for (a, _, _), t in table.first_seen.items() if t < hours(12)
-        }
-        active_first = dataset.scan_reports[0].open_addresses()
-        union = passive_12h | active_first
-        assert len(active_first) / len(union) > 0.90   # paper: 98%
-        assert len(passive_12h) / len(union) < 0.40    # paper: 19%
+    def test_one_scan_dominates_short_passive(self, ledger_holds):
+        ledger_holds(SCALE, SEED, "table2.active_12h", "table2.passive_12h")
 
-    def test_18d_passive_catches_most_but_not_all(self, calibrated):
-        dataset, table = calibrated
-        active = {a for a, _ in union_open_endpoints(dataset.scan_reports)}
-        passive = table.server_addresses()
-        union = active | passive
-        assert 0.50 < len(passive) / len(union) < 0.88  # paper: 71%
-        assert len(active) / len(union) > 0.88          # paper: 94%
+    def test_18d_passive_catches_most_but_not_all(self, ledger_holds):
+        ledger_holds(SCALE, SEED, "table2.passive_18d", "table2.active_18d")
 
-    def test_passive_only_minority_exists(self, calibrated):
-        dataset, table = calibrated
-        active = {a for a, _ in union_open_endpoints(dataset.scan_reports)}
-        passive = table.server_addresses()
-        passive_only = passive - active
-        union = active | passive
-        assert 0.005 < len(passive_only) / len(union) < 0.15  # paper: 6.3%
+    def test_passive_only_minority_exists(self, ledger_holds):
+        ledger_holds(SCALE, SEED, "table2.passive_only_minority")
 
-    def test_popular_servers_heard_within_minutes(self, calibrated):
-        _, table = calibrated
-        flows = {}
-        for (a, _, _), c in table.flow_counts.items():
-            flows[a] = flows.get(a, 0) + c
-        total = sum(flows.values())
-        heard_early = {
-            a for (a, _, _), t in table.first_seen.items() if t < hours(0.5)
-        }
-        covered = sum(flows.get(a, 0) for a in heard_early)
-        assert covered / total > 0.80  # paper: 99% within minutes
+    def test_popular_servers_heard_within_minutes(self, ledger_holds):
+        ledger_holds(SCALE, SEED, "figure01.popular_heard_early")
 
-    def test_transient_discovery_never_levels_off(self, calibrated):
-        dataset, table = calibrated
-        space = dataset.population.topology.space
-        last_quarter = dataset.duration * 0.75
-        late_transient = [
-            a
-            for (a, _, _), t in table.first_seen.items()
-            if t >= last_quarter and space.is_transient(a)
-        ]
-        assert late_transient, (
-            "address churn must keep producing fresh passive discoveries"
-        )
+    def test_transient_discovery_never_levels_off(self, ledger_holds):
+        ledger_holds(SCALE, SEED, "figure02.churn_never_levels_off")
 
-    def test_scan_jumps_visible(self, calibrated):
-        """The first major external sweep (day ~1.4) must produce a
-        visible step in passive discovery (Figure 2's jumps)."""
-        _, table = calibrated
-        times = sorted(t for (a, p, pr), t in table.first_seen.items())
-        day = 86400.0
-        before = sum(1 for t in times if t < 1.3 * day)
-        after = sum(1 for t in times if t < 1.7 * day)
-        rest_rate = (
-            sum(1 for t in times if 2.2 * day < t < 3.2 * day) or 1
-        )
-        assert after - before > 2 * rest_rate
+    def test_scan_jumps_visible(self, ledger_holds):
+        ledger_holds(SCALE, SEED, "figure02.scan_jump", "figure02.scan_jump_floor")

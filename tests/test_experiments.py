@@ -1,8 +1,9 @@
 """Smoke and shape tests for the experiment harness (small scale).
 
 At small scale absolute counts drift (rare categories are rounded up),
-so assertions here check structure and the robust shape properties;
-the full-scale shape checks live in the benchmark suite.
+so assertions here check structure; the shape properties are rows of
+the fidelity ledger (``repro.experiments.fidelity``), and ``TestShapes``
+names the rows that hold at this scale and seed.
 """
 
 import pytest
@@ -21,13 +22,9 @@ SCALE = 0.05
 
 
 @pytest.fixture(scope="module")
-def results():
-    clear_caches()
+def results(cached_run):
     try:
-        by_id = {}
-        for name in ALL_EXPERIMENTS:
-            by_id[name] = run_experiment(name, SEED, SCALE)
-        yield by_id
+        return {name: cached_run(name, SEED, SCALE) for name in ALL_EXPERIMENTS}
     finally:
         clear_caches()
 
@@ -59,15 +56,6 @@ class TestHarness:
 
 
 class TestShapes:
-    def test_table2_active_beats_passive_at_12h(self, results):
-        metrics = results["table2"].metrics
-        assert metrics["active_pct_12h"] > 85.0
-        assert metrics["passive_pct_12h"] < 45.0
-
-    def test_table2_passive_grows_with_time(self, results):
-        metrics = results["table2"].metrics
-        assert metrics["passive_pct_18d"] > metrics["passive_pct_12h"]
-
     def test_table3_partition(self, results):
         metrics = results["table3"].metrics
         total = sum(metrics.values())
@@ -80,78 +68,45 @@ class TestShapes:
         }
         assert sum(rows.values()) == 16_130
 
-    def test_table6_ssh_gap(self, results):
-        """SSH: nearly all found actively, far fewer passively.  (MySQL
-        shows the same gap at full scale but its tiny small-scale count
-        makes it statistically useless here.)"""
-        metrics = results["table6"].metrics
-        assert metrics["ssh_active_pct"] > metrics["ssh_passive_pct"]
-        assert metrics["mysql_active_pct"] >= metrics["mysql_passive_pct"]
 
-    def test_table7_possibly_open_dominated_by_netbios(self, results):
-        metrics = results["table7"].metrics
-        assert metrics["netbios_possibly_open"] > metrics["possibly_open"] * 0.5
-
-    def test_table8_commercial_links_dominate(self, results):
-        metrics = results["table8"].metrics
-        assert metrics["DTCPbreak_internet2_pct"] < metrics["DTCPbreak_commercial1_pct"]
-
-    def test_figure01_passive_weighted_beats_active(self, results):
-        metrics = results["figure01"].metrics
-        assert (
-            metrics["passive_flow_weighted_t99_minutes"]
-            <= metrics["active_flow_weighted_t99_minutes"]
-        )
-        assert metrics["passive_client_weighted_t99_minutes"] < 240.0
-
-    def test_figure02_active_total_exceeds_passive(self, results):
-        metrics = results["figure02"].metrics
-        assert metrics["active_total"] > metrics["passive_total"]
-
-    def test_figure03_static_levels_off(self, results):
-        metrics = results["figure03"].metrics
-        assert (
-            metrics["90d_static_last5d_per_hour"]
-            < metrics["90d_all_last5d_per_hour"] + 0.5
-        )
-
-    def test_figure04_scans_help_passive(self, results):
-        metrics = results["figure04"].metrics
-        assert metrics["reduction_pct"] > 10.0
-        assert metrics["scanners_detected"] > 0
-
-    def test_figure05_vpn_asymmetry(self, results):
-        metrics = results["figure05"].metrics
-        assert metrics["active_vpn"] > metrics["passive_vpn"]
-
-    def test_figure07_subset_budgets(self, results):
-        metrics = results["figure07"].metrics
-        assert metrics["every_12_hours_scans"] == 36
-        assert metrics["day_only_scans"] == 18
-        assert metrics["every_12_hours_pct"] >= metrics["alternating_pct"]
-
-    def test_figure08_sampling_monotone(self, results):
-        metrics = results["figure08"].metrics
-        assert metrics["drop_pct_2min"] >= metrics["drop_pct_30min"] - 1e-9
-        assert metrics["drop_pct_30min"] < 40.0
-
-    def test_figure09_dominant_server(self, results):
-        metrics = results["figure09"].metrics
-        assert metrics["dominant_server_flow_share_pct"] > 85.0
-
-    def test_figure10_passive_tops_out_partial(self, results):
-        metrics = results["figure10"].metrics
-        assert 35.0 < metrics["passive_share_of_union_pct"] < 75.0
-
-    def test_figure11_epmap_active_only(self, results):
-        metrics = results["figure11"].metrics
-        assert metrics["epmap_passive"] == 0.0
-        assert metrics["epmap_active"] > 0.0
-        assert metrics["ssh_active"] > 0.0
-
-    def test_figure12_break_passive_above_semester(self, results):
-        metrics = results["figure12"].metrics
-        assert metrics["break_passive_pct"] > metrics["semester_11d_passive_pct"] - 5.0
+#: The other ``TestShapes`` node ids, and the ledger rows that carry what
+#: each asserted before the shapes moved into the ledger.
+SHAPE_ROWS = {
+    "table2_active_beats_passive_at_12h": ("table2.active_12h", "table2.passive_12h"),
+    "table2_passive_grows_with_time": ("table2.passive_grows",),
+    "table6_ssh_gap": ("table6.ssh_gap", "table6.mysql_active_ahead"),
+    "table7_possibly_open_dominated_by_netbios": ("table7.netbios_dominates",),
+    "table8_commercial_links_dominate": ("table8.internet2_below_commercial1",),
+    "figure01_passive_weighted_beats_active": ("figure01.passive_client_t99",),
+    "figure02_active_total_exceeds_passive": ("figure02.active_finds_more",),
+    "figure03_static_levels_off": ("figure03.static_levels_off",),
+    "figure04_scans_help_passive": ("figure04.reduction", "figure04.scanners_exist"),
+    "figure05_vpn_asymmetry": ("figure05.vpn_asymmetry",),
+    "figure07_subset_budgets": (
+        "figure07.full_schedule_scans",
+        "figure07.day_schedule_scans",
+        "figure07.full_beats_alternating",
+    ),
+    "figure08_sampling_monotone": (
+        "figure08.monotone_30_10",
+        "figure08.monotone_10_2",
+        "figure08.half_the_data_small_campus",
+    ),
+    "figure09_dominant_server": ("figure09.dominant_server",),
+    "figure10_passive_tops_out_partial": ("figure10.passive_tops_out",),
+    "figure11_epmap_active_only": (
+        "figure11.epmap_never_passive",
+        "figure11.epmap_active",
+        "figure11.ssh_active",
+    ),
+    "figure12_break_passive_above_semester": ("figure12.break_near_semester",),
+}
+for _name, _rows in SHAPE_ROWS.items():
+    setattr(
+        TestShapes,
+        f"test_{_name}",
+        lambda self, ledger_holds, _rows=_rows: ledger_holds(SCALE, SEED, *_rows),
+    )
 
 
 class TestRunAll:

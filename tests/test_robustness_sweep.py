@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from repro.experiments.common import ExperimentResult
 from repro.experiments.robustness import (
     MetricSpread,
     SweepResult,
-    main,
     seed_sweep,
-    sweep_report,
+    seed_sweeps,
 )
 
 
@@ -41,13 +41,23 @@ class TestMetricSpread:
         no spurious instability flag."""
         spread = MetricSpread(name="m", values=(float("nan"), float("nan")))
         assert math.isnan(spread.mean)
+        assert math.isnan(spread.median)
+        assert math.isnan(spread.minimum)
+        assert math.isnan(spread.maximum)
         assert spread.stdev == 0.0
         assert spread.cv == 0.0
 
     def test_mixed_nan_values_use_finite_subset(self):
-        spread = MetricSpread(name="m", values=(2.0, float("nan"), 4.0))
-        assert spread.mean == 3.0
-        assert spread.stdev == pytest.approx(math.sqrt(2.0))
+        """``min((nan, 2.0))`` is nan and ``min((2.0, nan))`` is 2.0:
+        every statistic is over the finite subset, whatever the order."""
+        nan = float("nan")
+        for values in ((2.0, nan, 4.0), (nan, 2.0, 4.0), (4.0, 2.0, nan)):
+            spread = MetricSpread(name="m", values=values)
+            assert spread.mean == 3.0
+            assert spread.median == 3.0
+            assert spread.stdev == pytest.approx(math.sqrt(2.0))
+            assert spread.minimum == 2.0, values
+            assert spread.maximum == 4.0, values
 
 
 class TestSeedSweep:
@@ -81,7 +91,7 @@ class TestSeedSweep:
 
     def test_all_nan_metric_survives_sweep_aggregation(self):
         """A metric missing from every seed aggregates to NaN values
-        without poisoning the report or the stability flags."""
+        without poisoning the stability flags."""
         result = SweepResult(
             experiment_id="x",
             seeds=(1, 2),
@@ -93,9 +103,6 @@ class TestSeedSweep:
             },
         )
         assert result.unstable_metrics() == []
-        text = sweep_report(result)
-        assert "ghost" in text
-        assert "nan" in text.lower()
 
     def test_unstable_metrics_flagging(self):
         result = SweepResult(
@@ -121,18 +128,27 @@ class TestSeedSweep:
         assert result.unstable_metrics(
             cv_threshold=spread.cv - 1e-12
         ) == ["edge"]
-        text = sweep_report(result, cv_threshold=spread.cv)
-        assert "yes" in text
 
-    def test_report_renders(self):
-        result = seed_sweep("table1", seeds=(1, 2), scale=0.03)
-        text = sweep_report(result)
-        assert "Seed sweep: table1" in text
-        assert "dataset_count" in text
-        assert "| Metric" in text
+    def test_sweeps_run_seed_by_seed_and_fill_gaps_with_nan(self):
+        """Seeds are the outer loop (experiments sharing a dataset share
+        its build); a metric missing at one seed reads NaN there."""
+        calls = []
 
-    def test_cli(self, capsys):
-        code = main(["table1", "--seeds", "2", "--scale", "0.03"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Seed sweep: table1" in out
+        def run(name, seed, scale):
+            calls.append((name, seed))
+            metrics = {"always": float(seed)}
+            if seed == 2:
+                metrics["sometimes"] = 7.0
+            return ExperimentResult(name, name, "", metrics=metrics)
+
+        sweeps = seed_sweeps(("table1", "ablations.sampling"), (1, 2), 0.5, run)
+        assert calls == [
+            ("table1", 1), ("ablations.sampling", 1),
+            ("table1", 2), ("ablations.sampling", 2),
+        ]
+        assert list(sweeps) == ["table1", "ablations.sampling"]
+        spreads = sweeps["ablations.sampling"].spreads
+        assert spreads["always"].values == (1.0, 2.0)
+        assert math.isnan(spreads["sometimes"].values[0])
+        assert spreads["sometimes"].values[1] == 7.0
+        assert spreads["sometimes"].minimum == 7.0
