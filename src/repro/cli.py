@@ -17,8 +17,8 @@ Operational entry points over the library:
     ``/watermarks``, ``/healthz``, ``/metricsz`` answer from immutable
     published snapshots while ingest continues.
 ``checkpoint prune DIR``
-    Drop old checkpoint generations from a fabric checkpoint store,
-    keeping the newest ``--keep N``.
+    Drop old checkpoint generations from a checkpoint store, keeping
+    the newest ``--keep N``.
 ``record DATASET OUT``
     Record a dataset's border traffic to a binary trace file,
     optionally anonymised.
@@ -76,7 +76,6 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
-    from repro.active.results import union_open_endpoints
     from repro.core.completeness import summarize_overlap
     from repro.datasets import build_dataset
     from repro.passive.monitor import PassiveServiceTable
@@ -101,9 +100,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
         with span("replay"):
             records = dataset.replay(table)
         with span("analyze"):
-            active = {a for a, _ in union_open_endpoints(dataset.scan_reports)}
-            if dataset.udp_report is not None:
-                active |= {a for a, _ in dataset.udp_report.open_endpoints()}
+            active = dataset.active_addresses()
             summary = summarize_overlap(table.server_addresses(), active)
     from repro.core.report import survey_table
 
@@ -146,6 +143,18 @@ def _fabric_mode(args: argparse.Namespace) -> bool:
     return bool(args.fabric or args.workers is not None)
 
 
+def _fabric_config(args: argparse.Namespace, worker_faults=None):
+    """The supervision knobs ``stream`` and ``serve`` share."""
+    from repro.stream import FabricConfig
+
+    return FabricConfig(
+        heartbeat_interval=args.heartbeat_interval,
+        miss_budget=args.miss_budget,
+        max_restarts=args.max_restarts,
+        worker_faults=worker_faults,
+    )
+
+
 def _stream_config(args: argparse.Namespace, **extra):
     """The ``StreamConfig`` a ``stream`` or ``serve`` invocation runs.
 
@@ -173,12 +182,7 @@ def _stream_config(args: argparse.Namespace, **extra):
         args.checkpoint_every is not None or getattr(args, "resume", False)
     ):
         base = getattr(args, "out", None) or f"{args.dataset}-stream"
-        # The fabric checkpoints into a per-shard store *directory*;
-        # the threaded engine keeps its single snapshot file.
-        checkpoint = (
-            f"{base}.fabric-ckpt" if _fabric_mode(args)
-            else f"{base}.checkpoint"
-        )
+        checkpoint = f"{base}.checkpoint"
     return StreamConfig(
         dataset=args.dataset,
         seed=args.seed,
@@ -219,20 +223,24 @@ def cmd_stream(args: argparse.Namespace) -> int:
     config = _stream_config(args, max_queue_chunks=args.queue_chunks)
     checkpoint = config.checkpoint_path
     if args.resume and checkpoint:
-        from pathlib import Path
+        from repro.stream import ShardCheckpointStore
 
-        if fabric_mode:
-            from repro.stream import ShardCheckpointStore
-
-            if ShardCheckpointStore(checkpoint).generations():
-                print(f"resuming: {checkpoint}", file=sys.stderr)
-        elif Path(checkpoint).exists():
+        if ShardCheckpointStore(checkpoint).generations():
             print(f"resuming: {checkpoint}", file=sys.stderr)
 
-    def _terminate(signum, frame):  # pragma: no cover - exercised via smoke
-        raise KeyboardInterrupt
+    engine = None
 
-    previous = signal.signal(signal.SIGTERM, _terminate)
+    def _stop(signum, frame):  # pragma: no cover - exercised via subprocess
+        # The run loop interrupts itself at its next batch boundary;
+        # before it exists there is nothing to save, so unwind now.
+        if engine is None:
+            raise KeyboardInterrupt
+        engine.request_stop()
+
+    previous = {
+        signum: signal.signal(signum, _stop)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
     try:
         # Without --emit-every the only watermark is the final one,
         # which would just duplicate the report line; stay quiet then.
@@ -241,11 +249,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             if args.emit_every else None
         )
         if fabric_mode:
-            from repro.stream import (
-                FabricConfig,
-                FabricDegradedError,
-                FabricSupervisor,
-            )
+            from repro.stream import FabricDegradedError, FabricSupervisor
 
             worker_plan = None
             if (
@@ -261,13 +265,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     stall_rate=args.worker_stall_rate,
                     heartbeat_drop_rate=args.worker_heartbeat_drop_rate,
                 )
-            fabric_config = FabricConfig(
-                heartbeat_interval=args.heartbeat_interval,
-                miss_budget=args.miss_budget,
-                max_restarts=args.max_restarts,
-                worker_faults=worker_plan,
+            supervisor = FabricSupervisor(
+                config, _fabric_config(args, worker_plan)
             )
-            supervisor = FabricSupervisor(config, fabric_config)
+            engine = supervisor.engine
             try:
                 result = supervisor.run(
                     resume=args.resume,
@@ -278,16 +279,16 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 3
         else:
-            result = StreamEngine(config).run(
-                resume=args.resume, progress=progress
-            )
+            engine = StreamEngine(config)
+            result = engine.run(resume=args.resume, progress=progress)
     except KeyboardInterrupt as exc:
         # The run loop attaches what its shard transport left behind.
         print(f"interrupted; {str(exc) or 'the stream had not started'}",
               file=sys.stderr)
         return 130
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         if trace_dir:
             from repro.telemetry import disable_tracing
 
@@ -341,20 +342,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.simkernel.clock import hours
 
     config = _stream_config(args, snapshot_every=hours(args.snapshot_every))
-    fabric_config = None
-    if _fabric_mode(args):
-        from repro.stream import FabricConfig
-
-        fabric_config = FabricConfig(
-            heartbeat_interval=args.heartbeat_interval,
-            miss_budget=args.miss_budget,
-            max_restarts=args.max_restarts,
-        )
     return run_serve(
         config,
         host=args.host,
         port=args.port,
-        fabric=fabric_config,
+        fabric=_fabric_config(args) if _fabric_mode(args) else None,
         telemetry_dir=getattr(args, "telemetry", None),
         trace_dir=getattr(args, "trace", None),
     )
@@ -412,10 +404,10 @@ def cmd_record(args: argparse.Namespace) -> int:
         else None
     )
     with ColumnarTraceWriter.open(args.out) as writer:
-        for record in dataset.packet_stream(end=end):
+        for columns in dataset.column_batches(end):
             if anonymizer is not None:
-                record = anonymizer.anonymize(record)
-            writer.write(record)
+                columns = anonymizer.anonymize_columns(columns)
+            writer.write_columns(columns)
         count = writer.records_written
     suffix = " (anonymised)" if anonymizer else ""
     print(f"wrote {count:,} records to {args.out}{suffix}")
@@ -858,8 +850,8 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="checkpoint file (threaded) or per-shard store directory "
-             "(fabric); default derived from the dataset name (or from "
+        help="checkpoint store directory (per-shard generations plus a "
+             "manifest); default derived from the dataset name (or from "
              "stream's --out)",
     )
     parser.add_argument(
@@ -941,7 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "silently drops a run of heartbeats")
     stream.add_argument("--worker-fault-seed", type=int, default=0)
     stream.add_argument("--resume", action="store_true",
-                        help="resume from the checkpoint file if present")
+                        help="resume from the checkpoint store's newest "
+                             "committed generation, if any")
     stream.add_argument("--queue-chunks", type=int, default=8,
                         help="bound on queued batches per shard (backpressure)")
     stream.add_argument("--out", default=None,
@@ -969,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     prune = checkpoint_commands.add_parser(
         "prune",
         help="drop generations older than the newest --keep N from a "
-             "fabric checkpoint store",
+             "checkpoint store",
     )
     prune.add_argument("directory")
     prune.add_argument("--keep", type=int, default=2, metavar="N",

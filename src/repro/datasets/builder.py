@@ -20,7 +20,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.active.prober import HalfOpenScanner, ScannerConfig
-from repro.active.results import ScanReport, UdpScanReport
+from repro.active.results import (
+    ScanReport,
+    UdpScanReport,
+    union_open_endpoints,
+)
 from repro.active.schedule import scan_start_times
 from repro.active.udp_scan import GenericUdpProber
 from repro.campus.population import (
@@ -133,6 +137,18 @@ class BuiltDataset:
         ``population.topology`` per call.
         """
         return self.population.topology.campus_predicate()
+
+    def active_addresses(self) -> set[int]:
+        """Addresses with an open port in any build-time sweep, TCP or UDP.
+
+        The one answer to "which addresses did active probing find" for
+        ``survey``, the stream engine's final report, its batch oracle
+        and the degradation sweep.
+        """
+        found = {a for a, _ in union_open_endpoints(self.scan_reports)}
+        if self.udp_report is not None:
+            found |= {a for a, _ in self.udp_report.open_endpoints()}
+        return found
 
     @property
     def trace_cache_key(self) -> tuple[str, int, str, int]:

@@ -96,6 +96,11 @@ class AnalysisContext:
         return self.active_endpoint_timeline().addresses()
 
     def active_addresses(self) -> set[int]:
+        """Addresses the TCP scans found open.
+
+        Not ``dataset.active_addresses()``: that also counts the UDP
+        sweep (DUDP only), which the experiments analyse separately.
+        """
         return {a for a, _ in union_open_endpoints(self.dataset.scan_reports)}
 
     def passive_addresses(self) -> set[int]:

@@ -130,7 +130,6 @@ def measure_point(
     outage_fraction: float,
 ) -> DegradationPoint:
     """Build and measure one sweep point (self-contained; pool-safe)."""
-    from repro.active.results import union_open_endpoints
     from repro.datasets.builder import build_dataset
     from repro.passive.monitor import PassiveServiceTable
 
@@ -150,9 +149,7 @@ def measure_point(
     else:
         seen, dropped = kept, 0
     passive = table.server_addresses()
-    active = {a for a, _ in union_open_endpoints(dataset.scan_reports)}
-    if dataset.udp_report is not None:
-        active |= {a for a, _ in dataset.udp_report.open_endpoints()}
+    active = dataset.active_addresses()
     return DegradationPoint(
         loss_rate=loss_rate,
         outage_fraction=outage_fraction,

@@ -9,10 +9,10 @@ the other.
 
 Lifecycle: the service starts answering immediately (version-0 empty
 snapshot), announces ``serving on http://host:port`` on stderr (the
-smoke script parses this), keeps serving after ingest completes (the
+subprocess tests parse this), keeps serving after ingest completes (the
 final snapshot is the complete state), and shuts down cleanly on
-SIGTERM/SIGINT: stop is signalled to ingest at its next publish
-boundary (where the engine drains and checkpoints if configured), the
+SIGTERM/SIGINT: the engine is asked to stop, which it does at its next
+batch boundary (draining, and checkpointing if configured), the
 listener closes, and the process exits 0 -- or 1 when ingest failed.
 
 This module is imported lazily by the CLI only: it pulls in
@@ -26,29 +26,11 @@ import asyncio
 import signal
 import sys
 import threading
+from typing import Callable
 
 from repro.query.http import QueryService
 from repro.query.liveness import ActiveView
 from repro.query.state import QueryState
-
-
-class _StoppablePublisher:
-    """Forward snapshots; interrupt ingest once shutdown is requested.
-
-    Publish boundaries are the engine's drain points, so raising
-    ``KeyboardInterrupt`` there triggers its graceful-interrupt path
-    (drain, checkpoint when configured, unwind) without any new stop
-    machinery in the engines.
-    """
-
-    def __init__(self, state: QueryState, stop: threading.Event):
-        self._state = state
-        self._stop = stop
-
-    def publish(self, snapshot) -> None:
-        self._state.publish(snapshot)
-        if self._stop.is_set():
-            raise KeyboardInterrupt
 
 
 def run_serve(
@@ -91,28 +73,28 @@ def run_serve(
         supervisor = None
         engine = StreamEngine(config, dataset)
     state = QueryState(ActiveView.from_dataset(engine.dataset))
-    stop = threading.Event()
-    publisher = _StoppablePublisher(state, stop)
 
     def ingest() -> None:
         try:
             if supervisor is not None:
                 supervisor.run(
-                    publisher=publisher,
+                    publisher=state,
                     on_event=lambda line: print(line, file=sys.stderr),
                     on_health=state.update_fabric,
                 )
             else:
-                engine.run(publisher=publisher)
+                engine.run(publisher=state)
         except KeyboardInterrupt:
-            state.mark_finished()  # stopped at a publish boundary: clean
+            state.mark_finished()  # stopped at a batch boundary: clean
         except BaseException as exc:  # noqa: BLE001 - surfaced via /healthz
             state.mark_failed(repr(exc))
             print(f"serve: ingest failed: {exc!r}", file=sys.stderr)
         else:
             state.mark_finished()
 
-    code = asyncio.run(_serve_until_signalled(state, ingest, stop, host, port))
+    code = asyncio.run(
+        _serve_until_signalled(state, ingest, engine.request_stop, host, port)
+    )
     if trace_dir:
         from repro.telemetry import disable_tracing
 
@@ -139,7 +121,7 @@ def run_serve(
 async def _serve_until_signalled(
     state: QueryState,
     ingest,
-    stop: threading.Event,
+    stop: Callable[[], None],
     host: str,
     port: int,
 ) -> int:
@@ -155,13 +137,12 @@ async def _serve_until_signalled(
     try:
         await signalled.wait()
     finally:
-        stop.set()
+        stop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.remove_signal_handler(signum)
         await service.close()
-    # A bounded join: ingest unwinds at its next publish boundary; if no
-    # boundary remains (stream already ended, or none scheduled) the
-    # daemon thread dies with the process.
+    # A bounded join: ingest unwinds at its next batch boundary; if none
+    # remains (the stream already ended) the thread is already done.
     await loop.run_in_executor(None, thread.join, 5.0)
     health = state.health()
     print(

@@ -22,16 +22,18 @@ Two durability layers protect every artifact this module writes:
   :class:`CheckpointCorrupt` naming the file instead of a raw
   ``UnpicklingError``/``EOFError`` from deep inside pickle.
 
-Beyond the single-file snapshot the threaded engine writes
-(:func:`save_checkpoint` / :func:`load_checkpoint`), this module
-provides the fabric's **per-shard checkpoint store**
-(:class:`ShardCheckpointStore`): each worker process writes its own
-``shard-SSS.gen-GGGGGG.ckpt`` file, and the supervisor commits a
-``manifest.gen-GGGGGG.ckpt`` naming the generation only after every
-shard acked -- so a generation is either fully committed or invisible.
-The store retains the last ``keep_generations`` committed generations;
-a corrupt file in the newest generation falls back to the previous
-good one (the caller replays the wider source gap to catch up).
+There is one on-disk layout of stream state, whichever transport took
+it: the **generation store** (:class:`ShardCheckpointStore`).  Each
+shard's state goes to its own ``shard-SSS.gen-GGGGGG.ckpt`` file
+(written by the worker process that owns it, or by the threaded
+transport after a drain), and a ``manifest.gen-GGGGGG.ckpt`` carrying
+the run's progress commits the generation only after every shard file
+landed -- so a generation is either fully committed or invisible.  The
+store retains the last ``keep_generations`` committed generations; a
+corrupt file in the newest generation falls back to the previous good
+one (the caller replays the wider source gap to catch up).  Every file
+is written and read by one codec, :func:`save_checkpoint` /
+:func:`load_checkpoint`.
 
 The format carries a version field; loaders reject unknown versions
 and config mismatches loudly instead of resuming a stream they cannot
@@ -45,6 +47,7 @@ import pickle
 import re
 import struct
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,12 +158,22 @@ def write_atomic(path: "str | Path", data: bytes) -> int:
     return len(data)
 
 
-def _dump(payload: dict) -> bytes:
-    return _frame(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+def save_checkpoint(path: "str | Path", payload: dict) -> int:
+    """Atomically write *payload* as one checkpoint file; return its size."""
+    payload = {"version": STREAM_CHECKPOINT_VERSION, **payload}
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return write_atomic(path, _frame(data))
 
 
-def _load_payload(path: "str | Path") -> dict:
-    """Read, integrity-check, and unpickle one checkpoint file."""
+def load_checkpoint(path: "str | Path", config: dict) -> dict:
+    """Read one checkpoint file and validate it against this run's *config*.
+
+    Raises :class:`CheckpointCorrupt` when the file fails its
+    length/CRC32 trailer or does not unpickle to a dict, and the broader
+    :class:`CheckpointError` when it cannot be read, its version is
+    unknown, or it was taken under a different (dataset, seed, scale,
+    shards, faults, probe) identity.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -176,48 +189,22 @@ def _load_payload(path: "str | Path") -> dict:
         raise CheckpointCorrupt(
             path, f"payload is {type(payload).__name__}, expected dict"
         )
-    return payload
-
-
-def _validate(payload: dict, path: "str | Path", config: dict | None) -> dict:
     version = payload.get("version")
     if version != STREAM_CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has version {version!r}; "
             f"this build reads version {STREAM_CHECKPOINT_VERSION}"
         )
-    if config is not None:
-        saved = payload.get("config")
-        if saved != config:
-            raise CheckpointError(
-                f"checkpoint {path} was taken under a different run identity: "
-                f"saved {saved!r}, current {config!r}"
-            )
+    saved = payload.get("config")
+    if saved != config:
+        raise CheckpointError(
+            f"checkpoint {path} was taken under a different run identity: "
+            f"saved {saved!r}, current {config!r}"
+        )
     return payload
 
 
-# ---- the single-file snapshot (threaded engine) -----------------------
-
-
-def save_checkpoint(path: "str | Path", payload: dict) -> int:
-    """Atomically write *payload* as the new checkpoint; return its size."""
-    payload = dict(payload, version=STREAM_CHECKPOINT_VERSION)
-    return write_atomic(path, _dump(payload))
-
-
-def load_checkpoint(path: "str | Path", config: dict) -> dict:
-    """Load and validate a checkpoint against this run's *config*.
-
-    Raises :class:`CheckpointCorrupt` when the file fails its
-    length/CRC32 trailer or does not unpickle, and the broader
-    :class:`CheckpointError` when its version is unknown or it was
-    taken under a different (dataset, seed, scale, shards, faults)
-    identity.
-    """
-    return _validate(_load_payload(path), path, config)
-
-
-# ---- the per-shard store (fabric) -------------------------------------
+# ---- the generation store ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -228,7 +215,7 @@ class ShardRestore:
     usable checkpoint survives: start fresh).  ``records_read`` is the
     global source offset the state corresponds to and ``faults`` the
     capture filter's state at that offset -- together they let the
-    supervisor replay exactly the gap ``[records_read, now)`` from the
+    transport replay exactly the gap ``[records_read, now)`` from the
     trace to catch the shard up.
     """
 
@@ -244,12 +231,12 @@ class ShardRestore:
 
 @dataclass(frozen=True)
 class RestorePlan:
-    """A full supervisor restore: the resume point plus per-shard bases.
+    """A full restore: the resume point plus per-shard bases.
 
     ``manifest`` is the newest committed manifest (run progress resumes
     from it); each entry of ``shards`` may sit at an older generation
     (its newest file was corrupt) or at generation zero (fresh), in
-    which case the supervisor replays the source gap up to the
+    which case the transport replays the source gap up to the
     manifest's offset before resuming the live stream.
     """
 
@@ -266,11 +253,11 @@ class ShardCheckpointStore:
         <root>/shard-003.gen-000007.ckpt   one file per shard per generation
         <root>/manifest.gen-000007.ckpt    commit record for generation 7
 
-    Workers write their own shard files (the supervisor never touches
-    shard state); the supervisor writes the manifest last, so the
-    manifest's existence *is* the commit.  ``keep_generations``
-    committed generations are retained, giving corruption fallback one
-    generation of slack by default.
+    Whoever owns a shard's state writes its file (a fabric worker, or
+    the threaded transport after a drain); the run's driver writes the
+    manifest last, so the manifest's existence *is* the commit.
+    ``keep_generations`` committed generations are retained, giving
+    corruption fallback one generation of slack by default.
     """
 
     def __init__(self, root: "str | Path", keep_generations: int = 2) -> None:
@@ -278,6 +265,12 @@ class ShardCheckpointStore:
             raise ValueError("keep_generations must be >= 1")
         self.root = Path(root)
         self.keep_generations = keep_generations
+        if self.root.is_file():
+            raise CheckpointError(
+                f"checkpoint store {self.root} is a file, not a directory "
+                f"(a single-file checkpoint from an older version?); "
+                f"remove it or choose another checkpoint path"
+            )
 
     # ---- paths --------------------------------------------------------
 
@@ -302,41 +295,37 @@ class ShardCheckpointStore:
 
     def save_shard(
         self, shard: int, generation: int, config: dict, state: dict
-    ) -> Path:
-        """Write one shard's snapshot for *generation* (worker side)."""
+    ) -> int:
+        """Write one shard's snapshot for *generation*; return its size."""
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.shard_path(shard, generation)
-        payload = {
-            "version": STREAM_CHECKPOINT_VERSION,
-            "config": config,
-            "shard": shard,
-            "generation": generation,
-            "state": state,
-        }
-        write_atomic(path, _dump(payload))
-        return path
+        return save_checkpoint(
+            self.shard_path(shard, generation),
+            {
+                "config": config,
+                "shard": shard,
+                "generation": generation,
+                "state": state,
+            },
+        )
 
     def save_manifest(
         self, generation: int, config: dict, progress: dict
-    ) -> Path:
+    ) -> int:
         """Commit *generation*: write its manifest, then prune old ones.
 
-        Call only after every shard of the generation acked its file;
-        the manifest carries the run-level progress (source offset,
+        Call only after every shard file of the generation landed; the
+        manifest carries the run-level progress (source offset,
         delivered count, stream time, watermarks, fault-filter state)
         that defines what the shard files are a consistent cut of.
+        Returns the manifest's size.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.manifest_path(generation)
-        payload = {
-            "version": STREAM_CHECKPOINT_VERSION,
-            "config": config,
-            "generation": generation,
-        }
-        payload.update(progress)
-        write_atomic(path, _dump(payload))
+        size = save_checkpoint(
+            self.manifest_path(generation),
+            {"config": config, "generation": generation, **progress},
+        )
         self.prune(generation)
-        return path
+        return size
 
     def prune(self, newest_generation: int) -> None:
         """Drop generations older than the retained window (best effort)."""
@@ -345,17 +334,12 @@ class ShardCheckpointStore:
             return
         for entry in list(self.root.iterdir()):
             match = re.search(r"\.gen-(\d{6})\.ckpt$", entry.name)
-            if match and int(match.group(1)) < keep_from:
-                try:
+            # A ``.tmp`` is a killed writer's torn file; never referenced.
+            if (
+                match and int(match.group(1)) < keep_from
+            ) or entry.name.endswith(".tmp"):
+                with suppress(OSError):
                     entry.unlink()
-                except OSError:
-                    pass
-            elif entry.name.endswith(".tmp"):
-                # Torn write from a killed worker; never referenced.
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
 
     def clear(self) -> None:
         """Remove every checkpoint artifact (the clean-finish path)."""
@@ -363,20 +347,16 @@ class ShardCheckpointStore:
             return
         for entry in list(self.root.iterdir()):
             if entry.name.endswith((".ckpt", ".tmp")):
-                try:
+                with suppress(OSError):
                     entry.unlink()
-                except OSError:
-                    pass
-        try:
+        with suppress(OSError):  # directory shared or not empty: leave it
             self.root.rmdir()
-        except OSError:
-            pass  # directory shared or not empty: leave it
 
     # ---- reads --------------------------------------------------------
 
-    def load_manifest(self, generation: int, config: dict | None) -> dict:
+    def load_manifest(self, generation: int, config: dict) -> dict:
         path = self.manifest_path(generation)
-        payload = _validate(_load_payload(path), path, config)
+        payload = load_checkpoint(path, config)
         if payload.get("generation") != generation:
             raise CheckpointCorrupt(
                 path,
@@ -384,9 +364,9 @@ class ShardCheckpointStore:
             )
         return payload
 
-    def load_shard(self, shard: int, generation: int, config: dict | None) -> dict:
+    def load_shard(self, shard: int, generation: int, config: dict) -> dict:
         path = self.shard_path(shard, generation)
-        payload = _validate(_load_payload(path), path, config)
+        payload = load_checkpoint(path, config)
         if payload.get("shard") != shard or payload.get("generation") != generation:
             raise CheckpointCorrupt(
                 path,
@@ -403,7 +383,7 @@ class ShardCheckpointStore:
         Walks committed generations newest-first; a corrupt shard file
         (or corrupt manifest) falls back to the previous good
         generation, and when nothing survives the shard restarts fresh
-        from offset zero -- the supervisor replays the difference.
+        from offset zero -- the transport replays the difference.
         """
         for generation in self.generations():
             if generation > upto_generation:
@@ -422,7 +402,7 @@ class ShardCheckpointStore:
         return ShardRestore(shard=shard, state=None, records_read=0, faults=None)
 
     def plan_restore(self, config: dict) -> RestorePlan | None:
-        """The full restore for a resumed supervisor, or ``None``.
+        """The full restore for a resumed run, or ``None``.
 
         Picks the newest committed generation whose manifest loads and
         matches *config* as the resume point, then restores each shard

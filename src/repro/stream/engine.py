@@ -40,11 +40,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 from typing import Callable
 
-from repro.active.results import union_open_endpoints
 from repro.core.completeness import CompletenessSummary, summarize_overlap
 from repro.core.report import survey_table
 from repro.passive.monitor import Endpoint, PassiveServiceTable
@@ -55,11 +53,7 @@ from repro.query.snapshot import (
     shard_snapshot_payload,
     snapshot_states,
 )
-from repro.stream.checkpoint import (
-    checkpoint_config,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.stream.checkpoint import ShardCheckpointStore, checkpoint_config
 from repro.stream.ingest import DEFAULT_MAX_QUEUE_CHUNKS, StreamIngestor
 from repro.stream.shard import (
     ShardState,
@@ -243,13 +237,7 @@ def finalize_result(
         active_addresses = probes.open_addresses()
         scans = probes.sweeps_recorded()
     else:
-        active_addresses = {
-            address for address, _ in union_open_endpoints(dataset.scan_reports)
-        }
-        if dataset.udp_report is not None:
-            active_addresses |= {
-                address for address, _ in dataset.udp_report.open_endpoints()
-            }
+        active_addresses = dataset.active_addresses()
         scans = len(dataset.scan_reports)
     summary = summarize_overlap(snapshot.server_addresses(), active_addresses)
     report = survey_table(
@@ -288,6 +276,14 @@ class StreamEngine:
                 faults=plan,
             )
         self.dataset = dataset
+        self._stop_requested = False
+
+    def request_stop(self) -> None:
+        """Have :meth:`_drive` raise ``KeyboardInterrupt`` at its next
+        batch boundary.  What a signal handler (or another thread) calls
+        instead of raising into the loop, so what the transport leaves
+        behind never counts a batch no shard folded."""
+        self._stop_requested = True
 
     # ---- identity ------------------------------------------------------
 
@@ -329,9 +325,11 @@ class StreamEngine:
         (simulating a kill for the recovery tests).  *progress* is
         called with each emitted watermark.
 
-        On ``KeyboardInterrupt`` (the CLI maps SIGTERM onto it) the
-        engine drains, writes a checkpoint when a path is configured,
-        and re-raises -- the graceful half of kill/resume.
+        On ``KeyboardInterrupt`` (the CLI's SIGTERM/SIGINT handlers
+        call :meth:`request_stop`, which raises it at the next batch
+        boundary) the engine drains, commits a checkpoint generation
+        when a path is configured, and re-raises -- the graceful half
+        of kill/resume.
 
         *publisher* is a :class:`repro.query.state.QueryState` (or
         anything with ``publish(snapshot)``); when set together with
@@ -359,11 +357,12 @@ class StreamEngine:
         The driver owns every decision of a run: source iteration and
         the resume offset, the capture-fault filter, stream time, the
         online prober, the watermark / snapshot / checkpoint schedules,
-        the progress payload both checkpoint formats store, telemetry,
+        the progress payload a checkpoint manifest stores, telemetry,
         the end-of-stream flush and the final merge.  Per batch the
         order is fixed: feed, advance the prober to stream time, marks,
-        snapshot, checkpoint -- so a mark sees the probes fired up to
-        it and a checkpoint's payload holds every watermark before it.
+        snapshot, checkpoint, stop request -- so a mark sees the probes
+        fired up to it, a checkpoint's payload holds every watermark
+        before it, and a requested stop interrupts on a batch boundary.
 
         *transport* owns only how shard state is reached (the surface
         is :class:`_ThreadTransport`'s methods; the fabric supervisor
@@ -588,6 +587,8 @@ class StreamEngine:
                             ).observe(size)
                     while next_checkpoint <= now:
                         next_checkpoint += config.checkpoint_every
+                if self._stop_requested:
+                    raise KeyboardInterrupt
                 if (
                     stop_after_records is not None
                     and records_read >= stop_after_records
@@ -669,6 +670,39 @@ class StreamEngine:
             publisher.publish(result.snapshot)
         return result
 
+    def replay_gap(self, base: int, target: int, faults_state: dict | None):
+        """Source records ``[base, target)`` again, one ``split_columns``
+        list per source batch: what catches a shard up from an older
+        checkpoint generation (a corrupt newest file, a fabric failover).
+
+        A scratch fault filter restored to *faults_state* (the filter's
+        state at offset *base*, from the manifest the shard state came
+        with) reproduces the primary pass's drop pattern exactly, so
+        ``parts[shard]`` is the sub-stream the shard folded the first time.
+        """
+        left = target - base
+        if left <= 0:
+            return
+        scratch = None
+        if self.plan is not None:
+            scratch = self.plan.capture_filter(self.dataset.duration)
+            if faults_state is not None:
+                scratch.restore_state(faults_state)
+        for batch in self.dataset.column_batches(
+            self._effective_end(), skip=base,
+            batch_records=self.config.batch_records,
+        ):
+            if len(batch) > left:
+                batch = batch.slice(0, left)
+            left -= len(batch)
+            if scratch is not None:
+                batch = scratch.filter_columns(batch)
+            yield split_columns(
+                batch, self.dataset.is_campus, self.config.shards
+            )
+            if left <= 0:
+                return
+
 
 class _ThreadTransport:
     """Shard state behind worker threads in this process.
@@ -682,30 +716,47 @@ class _ThreadTransport:
 
     def __init__(self, engine: StreamEngine) -> None:
         config = engine.config
-        dataset = engine.dataset
-        self.path = (
-            Path(config.checkpoint_path) if config.checkpoint_path else None
+        self.engine = engine
+        self.store = (
+            ShardCheckpointStore(config.checkpoint_path)
+            if config.checkpoint_path
+            else None
         )
         self.identity = engine._identity()
+        self.generation = 0
+        self.restores: tuple = ()
         self.max_queue_chunks = config.max_queue_chunks
         self.states = [
-            ShardState(index, _fresh_table(dataset))
+            ShardState(index, _fresh_table(engine.dataset))
             for index in range(config.shards)
         ]
         self.ingestor: StreamIngestor | None = None
         self._marks: list[set[int]] = []
 
     def restore(self) -> dict | None:
-        """Restore shard state; return the saved run progress, if any."""
-        if not self.path.exists():
+        """Plan the restore; return the newest manifest's progress, if any."""
+        plan = self.store.plan_restore(self.identity)
+        if plan is None:
             return None
-        payload = load_checkpoint(self.path, self.identity)
-        for state, saved in zip(self.states, payload["shards"]):
-            state.restore_state(saved)
-        return payload
+        self.generation = plan.generation
+        self.restores = plan.shards
+        return plan.manifest
 
     def start(self, offset: int) -> None:
-        """Bring the shards up, holding the stream's first *offset* records."""
+        """Bring the shards up, holding the stream's first *offset* records.
+
+        Each shard restarts from its newest good generation; one that
+        lags the manifest (its newest file was corrupt) folds the gap
+        again before the ingestor starts.
+        """
+        for state, restore in zip(self.states, self.restores):
+            if restore.state is not None:
+                state.restore_state(restore.state)
+            for parts in self.engine.replay_gap(
+                restore.records_read, offset, restore.faults
+            ):
+                if len(parts[state.index]):
+                    state.observe_columns(parts[state.index])
         self.ingestor = StreamIngestor(
             self.states, max_queue_chunks=self.max_queue_chunks
         )
@@ -738,23 +789,26 @@ class _ThreadTransport:
         return (shard_snapshot_payload(state) for state in self.states)
 
     def checkpoint(self, progress: dict) -> int | None:
-        """Durably write shard state with *progress*; bytes, if known."""
+        """Commit one generation: every shard's file, then the manifest
+        carrying *progress*.  Returns the generation's bytes, if known."""
         self.ingestor.drain()
-        return save_checkpoint(
-            self.path,
-            {
-                "config": self.identity,
-                "shards": [state.state_dict() for state in self.states],
-                **progress,
-            },
+        self.generation += 1
+        size = sum(
+            self.store.save_shard(
+                state.index, self.generation, self.identity, state.state_dict()
+            )
+            for state in self.states
+        )
+        return size + self.store.save_manifest(
+            self.generation, self.identity, progress
         )
 
     def interrupt(self, progress: dict) -> str:
         """React to an interrupt; say what a resume will start from."""
-        if self.path is None:
+        if self.store is None:
             return "no checkpoint configured"
         self.checkpoint(progress)
-        return f"checkpoint saved to {self.path}"
+        return f"checkpoint saved to {self.store.root}"
 
     def finish(self) -> list[ShardState]:
         """Stop the shards and return their final states."""
@@ -762,8 +816,8 @@ class _ThreadTransport:
         return self.states
 
     def clear_checkpoints(self) -> None:
-        if self.path is not None and self.path.exists():
-            self.path.unlink()
+        if self.store is not None:
+            self.store.clear()
 
     def close(self) -> None:
         """Tear down (idempotent; also runs after a failure)."""
@@ -795,14 +849,9 @@ def batch_survey_report(config: StreamConfig, dataset=None) -> str:
     table = _fresh_table(dataset)
     faults = plan.capture_filter(dataset.duration) if plan is not None else None
     records = dataset.replay(table, faults=faults)
-    active_addresses = {
-        address for address, _ in union_open_endpoints(dataset.scan_reports)
-    }
-    if dataset.udp_report is not None:
-        active_addresses |= {
-            address for address, _ in dataset.udp_report.open_endpoints()
-        }
-    summary = summarize_overlap(table.server_addresses(), active_addresses)
+    summary = summarize_overlap(
+        table.server_addresses(), dataset.active_addresses()
+    )
     return survey_table(
         config.dataset, config.scale, config.seed,
         records, len(dataset.scan_reports), summary,

@@ -23,10 +23,10 @@ declared-dead process that lingers in a queue is discarded.
 **Failover.**  A dead shard is dropped and reassigned: the supervisor
 SIGKILLs the old process, restores the shard from the newest good
 per-shard checkpoint generation (:class:`ShardCheckpointStore`),
-replays the gap from the trace via the source's ``skip_records`` seek
-through a scratch fault filter restored to the checkpoint's state (so
-the replayed drop pattern is bit-identical to what the dead worker
-saw), and resumes -- with bounded retries and exponential backoff.
+replays the gap from the trace
+(:meth:`~repro.stream.engine.StreamEngine.replay_gap`: the drop pattern
+is bit-identical to what the dead worker saw), and resumes -- with
+bounded retries and exponential backoff.
 Exhausting ``max_restarts`` raises :class:`FabricDegradedError`
 ("degraded: shard N restarted K times") instead of hanging.
 
@@ -52,6 +52,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,7 +72,7 @@ from repro.stream.engine import (
     _fresh_table,
 )
 from repro.stream.membership import Membership
-from repro.stream.shard import ShardState, split_columns
+from repro.stream.shard import ShardState
 from repro.stream.watermark import Watermark
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
@@ -141,8 +142,7 @@ def _shard_worker(
     incarnation: int,
     dataset,
     identity: dict,
-    store_root,
-    keep_generations: int,
+    store: ShardCheckpointStore | None,
     initial_state: dict | None,
     work_queue,
     results_queue,
@@ -170,6 +170,11 @@ def _shard_worker(
     enabled, its snapshot shipped home on the ``done`` message.
     """
     parent = os.getppid()
+    # The fork inherited the CLI's handlers.  A terminal's Ctrl-C reaches
+    # the whole process group, and the supervisor decides when the fleet
+    # stops (it kills us); SIGTERM aimed at one worker is an induced death.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if trace_config is not None:
         trc = set_tracer(
             Tracer(
@@ -195,11 +200,6 @@ def _shard_worker(
     state = ShardState(shard, _fresh_table(dataset))
     if initial_state is not None:
         state.restore_state(initial_state)
-    store = (
-        ShardCheckpointStore(store_root, keep_generations)
-        if store_root is not None
-        else None
-    )
     suppress_beats = 0
     drop_armed = events.drop_heartbeats_at is not None
     last_beat = monotonic()
@@ -299,8 +299,6 @@ def _shard_worker(
                      _telemetry_registry().snapshot() if snapshot_home else None)
                 )
                 return  # clean exit flushes the queue feeder
-    except KeyboardInterrupt:
-        os._exit(130)
     except BaseException as exc:  # noqa: BLE001 - reported, then hard exit
         try:
             if trc.enabled:
@@ -333,9 +331,9 @@ class FabricSupervisor:
     that defines the run (identity, source batches, dataset, the run
     loop) and is the shard transport that loop feeds: queues,
     membership, failover, generations, in-band barriers.  ``shards``
-    in the stream config is the worker count; since the checkpoint
-    identity already includes it, fabric and threaded checkpoints can
-    never cross-contaminate a resume.
+    in the stream config is the worker count.  The checkpoint store and
+    its identity are the threaded transport's too, so a run checkpointed
+    under either resumes under the other.
     """
 
     def __init__(
@@ -374,9 +372,6 @@ class FabricSupervisor:
         if self._on_event is not None:
             self._on_event(message)
 
-    def _store_root(self):
-        return self.store.root if self.store is not None else None
-
     # ---- worker lifecycle ---------------------------------------------
 
     def _spawn(self, shard: int, initial_state: dict | None) -> int:
@@ -408,8 +403,7 @@ class FabricSupervisor:
             target=_shard_worker,
             args=(
                 shard, incarnation, self.dataset, self._identity,
-                self._store_root(), self.fabric.keep_generations,
-                initial_state, self._queues[shard], self._results,
+                self.store, initial_state, self._queues[shard], self._results,
                 self.fabric.heartbeat_interval, events, trace_config,
             ),
             name=f"repro-fabric-shard-{shard}",
@@ -593,58 +587,31 @@ class FabricSupervisor:
     ) -> bool:
         """Replay source records ``[base, target)`` into one shard.
 
-        A scratch fault filter restored to *faults_state* (the filter's
-        state at offset *base*, from the same manifest the shard state
-        came from) reproduces the primary pass's drop pattern exactly,
-        so the replacement folds the identical sub-stream the dead
-        worker saw.  Returns ``False`` when a nested failover replaced
-        *incarnation* mid-feed -- that failover's own catch-up covered
-        the rest.
+        The gap comes from the engine's
+        :meth:`~repro.stream.engine.StreamEngine.replay_gap`, so the
+        replacement folds the identical sub-stream the dead worker saw.
+        Returns ``False`` when a nested failover replaced *incarnation*
+        mid-feed -- that failover's own catch-up covered the rest.
         """
-        if target <= base:
-            return True
-        scratch = None
-        if self.plan is not None:
-            scratch = self.plan.capture_filter(self.dataset.duration)
-            if faults_state is not None:
-                scratch.restore_state(faults_state)
-        is_campus = self.dataset.is_campus
-        shards = self.config.shards
-        fed = 0
-        for batch in self.dataset.column_batches(
-            self._end, skip=base, batch_records=self.config.batch_records
-        ):
+        for parts in self.engine.replay_gap(base, target, faults_state):
             # Heartbeats are timestamped at pump time, so a long replay
             # without pumping would make every *healthy* worker look
             # overdue and cascade into spurious failovers.
             self._pump()
-            take = min(len(batch), target - base - fed)
-            if take <= 0:
-                break
-            if take < len(batch):
-                batch = batch.slice(0, take)
-            fed += take
-            if scratch is not None:
-                batch = scratch.filter_columns(batch)
-            if len(batch):
-                part = split_columns(batch, is_campus, shards)[shard]
-                if part:
-                    if not self._put(
-                        shard,
-                        ("batch", part, _tracer().current_ids()),
-                        abandon_on_failover=True,
-                    ):
-                        return False
+            if len(parts[shard]) and not self._put(
+                shard,
+                ("batch", parts[shard], _tracer().current_ids()),
+                abandon_on_failover=True,
+            ):
+                return False
             if not self.membership.is_current(shard, incarnation):
                 return False
-            if fed >= target - base:
-                break
         reg = _telemetry_registry()
         if reg.enabled:
             reg.counter(
                 "repro_fabric_catchup_records_total",
                 "Source records replayed to restore failed-over shards.",
-            ).inc(fed)
+            ).inc(max(0, target - base))
         return True
 
     # ---- failover -----------------------------------------------------
@@ -840,7 +807,7 @@ class FabricSupervisor:
                 self._reap()
             if aborted or self._ckpt_abort:
                 continue
-            path = self.store.save_manifest(generation, self._identity, progress)
+            self.store.save_manifest(generation, self._identity, progress)
             self._committed = generation
             records = progress["records_read"]
             _tracer().event(
@@ -848,7 +815,7 @@ class FabricSupervisor:
             )
             self._event(
                 f"fabric: manifest generation={generation} "
-                f"records={records} path={path}"
+                f"records={records} path={self.store.manifest_path(generation)}"
             )
             return
 
@@ -965,7 +932,6 @@ class FabricSupervisor:
         """
         shards = self.config.shards
         self._identity = self.engine._identity()
-        self._end = self.engine._effective_end()
         self._on_event = on_event
         self._on_health = on_health
         self._last_health_push = 0.0

@@ -16,7 +16,9 @@ the key.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.net.addr import parse_cidr
 from repro.net.packet import PacketRecord
@@ -119,6 +121,23 @@ class Anonymizer:
             flags=record.flags,
             icmp=record.icmp,
             link=record.link,
+        )
+
+    def anonymize_columns(self, columns):
+        """Anonymise one :class:`~repro.trace.columnar.RecordColumns`
+        batch.  The map is per address, so each of the batch's distinct
+        addresses goes through :meth:`anonymize_address` once and is
+        scattered back over both address columns."""
+        distinct, inverse = np.unique(
+            np.concatenate((columns.src, columns.dst)), return_inverse=True
+        )
+        mapped = np.fromiter(
+            (self.anonymize_address(int(address)) for address in distinct),
+            dtype="<u4", count=len(distinct),
+        )[inverse]
+        rows = len(columns)
+        return replace(
+            columns, src=mapped[:rows], dst=mapped[rows:], _records=None
         )
 
     def anonymize_stream(self, records):

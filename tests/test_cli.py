@@ -61,6 +61,31 @@ class TestRecordAndStats:
         stats = capsys.readouterr().out
         assert "protocol tcp" in stats
 
+    def test_record_anonymized_bytes_match_the_per_record_path(self, tmp_path):
+        """``record --anonymize-key`` maps each batch's distinct
+        addresses once and writes columns; the file is the one the
+        record-at-a-time ``Anonymizer.anonymize`` loop wrote."""
+        from repro.datasets import build_dataset
+        from repro.simkernel.clock import days
+        from repro.trace.anonymize import Anonymizer
+        from repro.trace.columnar import ColumnarTraceWriter
+
+        trace = tmp_path / "anon.rprt"
+        assert main([
+            "record", "DTCP1-18d", str(trace),
+            "--scale", "0.03", "--seed", "4", "--days", "0.5",
+            "--anonymize-key", "42",
+        ]) == 0
+        dataset = build_dataset("DTCP1-18d", seed=4, scale=0.03)
+        anonymizer = Anonymizer(key=42)
+        expected = tmp_path / "expected.rprt"
+        with ColumnarTraceWriter.open(expected) as writer:
+            for columns in dataset.column_batches(days(0.5)):
+                for record in columns.to_records():
+                    writer.write(anonymizer.anonymize(record))
+        assert writer.records_written > 1000
+        assert trace.read_bytes() == expected.read_bytes()
+
 
 def _recorded(tmp_path):
     from repro.net.packet import tcp_synack
@@ -203,7 +228,8 @@ class TestServeCommand:
     def test_checkpoint_every_derives_a_checkpoint_path(self, monkeypatch):
         """``serve --checkpoint-every H`` without ``--checkpoint`` used
         to build ``checkpoint_path=None`` and silently never checkpoint;
-        it gets the default ``stream`` derives, by the same rule."""
+        it gets the default ``stream`` derives, by the same rule -- one
+        store path, whichever transport runs."""
         import repro.query.serve
 
         seen = {}
@@ -217,7 +243,7 @@ class TestServeCommand:
         assert main(args) == 0
         assert main([*args, "--workers", "2"]) == 0
         assert seen[False].checkpoint_path == "DTCP1-18d-stream.checkpoint"
-        assert seen[True].checkpoint_path == "DTCP1-18d-stream.fabric-ckpt"
+        assert seen[True].checkpoint_path == "DTCP1-18d-stream.checkpoint"
         assert seen[True].shards == 2
         assert main(["serve", "DTCP1-18d", "--checkpoint", "x.ckpt"]) == 0
         assert seen[False].checkpoint_path == "x.ckpt"

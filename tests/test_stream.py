@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.stream import (
     StreamConfig,
     StreamEngine,
     StreamIngestor,
+    ShardCheckpointStore,
     ShardState,
     ShardWorkerError,
     batch_survey_report,
@@ -263,6 +265,203 @@ class TestCheckpointResume:
         assert resumed.watermarks == reference.watermarks
         assert resumed.records_delivered == reference.records_delivered
         assert not ckpt.exists()  # cleaned up after the successful finish
+
+    @staticmethod
+    def _checkpointing(tmp_path, **overrides):
+        return small_config(
+            shards=2,
+            emit_every=hours(96),
+            checkpoint_every=hours(48),
+            checkpoint_path=str(tmp_path / "stream.ckpt"),
+            faults=CAPTURE_FAULTS,
+            **overrides,
+        )
+
+    @staticmethod
+    def _assert_same_run(resumed, reference):
+        assert resumed.resumed
+        assert resumed.report == reference.report
+        assert resumed.watermarks == reference.watermarks
+        assert resumed.records_delivered == reference.records_delivered
+        assert resumed.table.flow_counts == reference.table.flow_counts
+        assert resumed.last_seen == reference.last_seen
+
+    @pytest.mark.parametrize(
+        "probing", [{}, dict(probe_policy="periodic", probe_rate=5.0)],
+        ids=["passive", "periodic"],
+    )
+    @pytest.mark.parametrize(
+        "killed,resumed_on", [("threads", "fabric"), ("fabric", "threads")]
+    )
+    def test_resume_crosses_transports(
+        self, small_dtcp18, tmp_path, killed, resumed_on, probing
+    ):
+        """One layout: what either transport left, the other resumes
+        from -- under a capture-fault plan, with and without the online
+        prober's mid-sweep state in the manifest."""
+        config = self._checkpointing(tmp_path, **probing)
+        # The oracle first: its replay records the trace, and a
+        # watermark's record count depends on where batches end.
+        oracle = None if probing else batch_survey_report(
+            config, dataset=small_dtcp18
+        )
+        reference = StreamEngine(config, dataset=small_dtcp18).run()
+        assert oracle is None or reference.report == oracle
+        kill_mid_run(killed, config, small_dtcp18, reference.records_read // 2)
+        resumed = run_front(resumed_on, config, small_dtcp18, resume=True)
+        self._assert_same_run(resumed, reference)
+        assert not (tmp_path / "stream.ckpt").exists()
+
+    @pytest.mark.parametrize("front", ["threads", "fabric"])
+    def test_corrupt_newest_shard_file_falls_back_a_generation(
+        self, small_dtcp18, tmp_path, front
+    ):
+        """A bit flip in the newest generation costs one shard one
+        generation: it restarts from the previous one and folds the gap
+        again, through the fault filter as that manifest left it."""
+        config = self._checkpointing(tmp_path)
+        reference = StreamEngine(config, dataset=small_dtcp18).run()
+        kill_mid_run(front, config, small_dtcp18, reference.records_read // 2)
+
+        store = ShardCheckpointStore(config.checkpoint_path)
+        newest, previous = store.generations()
+        victim = store.shard_path(1, newest)
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        victim.write_bytes(bytes(raw))
+        identity = StreamEngine(config, dataset=small_dtcp18)._identity()
+        plan = store.plan_restore(identity)
+        assert plan.generation == newest
+        assert (
+            plan.shards[1].records_read
+            == store.load_manifest(previous, identity)["records_read"]
+            < plan.shards[0].records_read
+        )
+
+        resumed = run_front(front, config, small_dtcp18, resume=True)
+        self._assert_same_run(resumed, reference)
+
+    @pytest.mark.parametrize("front", ["threads", "fabric"])
+    def test_single_file_checkpoint_at_the_store_path_is_refused(
+        self, small_dtcp18, tmp_path, front
+    ):
+        """What an older version's ``--shards N`` run left behind."""
+        config = self._checkpointing(tmp_path)
+        Path(config.checkpoint_path).write_bytes(b"an old single-file checkpoint")
+        with pytest.raises(CheckpointError, match="stream.ckpt is a file"):
+            run_front(front, config, small_dtcp18, resume=True)
+
+    def test_prune_command_on_a_threaded_runs_store(
+        self, small_dtcp18, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        config = self._checkpointing(tmp_path)
+        reference = StreamEngine(config, dataset=small_dtcp18).run()
+        kill_mid_run(
+            "threads", config, small_dtcp18, reference.records_read // 2
+        )
+        store = ShardCheckpointStore(config.checkpoint_path)
+        newest, _previous = store.generations()
+        assert main(
+            ["checkpoint", "prune", config.checkpoint_path, "--keep", "1"]
+        ) == 0
+        assert "kept 1 generation(s)" in capsys.readouterr().out
+        assert store.generations() == [newest]
+        assert sorted(entry.name for entry in store.root.iterdir()) == [
+            store.manifest_path(newest).name,
+            store.shard_path(0, newest).name,
+            store.shard_path(1, newest).name,
+        ]
+        resumed = StreamEngine(config, dataset=small_dtcp18).run(resume=True)
+        self._assert_same_run(resumed, reference)
+
+    def test_threaded_checkpoint_reports_its_generations_bytes(
+        self, small_dtcp18, tmp_path
+    ):
+        from repro.telemetry import disable, enable
+
+        config = self._checkpointing(tmp_path)
+        reg = enable()
+        try:
+            killed = StreamEngine(config, dataset=small_dtcp18).run(
+                stop_after_records=100_000
+            )
+        finally:
+            disable()
+        sizes = reg.histogram(
+            "repro_stream_checkpoint_bytes",
+            "Size of each written stream checkpoint.",
+        )
+        assert sizes.count == killed.checkpoints_written >= 2
+        store = ShardCheckpointStore(config.checkpoint_path)
+        newest = store.generations()[0]
+        on_disk = sum(
+            path.stat().st_size
+            for path in (
+                store.manifest_path(newest),
+                store.shard_path(0, newest),
+                store.shard_path(1, newest),
+            )
+        )
+        # State only grows, so the newest generation is the largest.
+        assert on_disk <= sizes.sum <= on_disk * sizes.count
+
+    def test_sigterm_inside_feed_lands_on_the_batch_boundary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The CLI's handler sets a flag; the run loop interrupts itself
+        after the batch is fed.  A handler that raised would unwind out
+        of ``feed`` with the batch counted (offset, fault RNG) but in no
+        shard, and the resumed run would skip it."""
+        import os
+        import signal
+
+        from repro.cli import _stream_config, build_parser, main
+        from repro.datasets import build_dataset
+        from repro.stream import engine as engine_module
+
+        ckpt, out = tmp_path / "stream.ckpt", tmp_path / "report.txt"
+        argv = [
+            "stream", SMALL["dataset"], "--seed", str(SMALL["seed"]),
+            "--scale", str(SMALL["scale"]), "--shards", "2",
+            "--loss-rate", "0.02", "--outage-fraction", "0.02",
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ]
+        feed = engine_module._ThreadTransport.feed
+        fed = []
+
+        def signalled_feed(transport, parts, offset):
+            fed.append(offset)
+            if len(fed) == 2:
+                os.kill(os.getpid(), signal.SIGTERM)
+            feed(transport, parts, offset)
+
+        monkeypatch.setattr(engine_module._ThreadTransport, "feed", signalled_feed)
+        assert main(argv) == 130
+        assert f"interrupted; checkpoint saved to {ckpt}" in capsys.readouterr().err
+        assert len(fed) == 2 and not out.exists()
+
+        args = build_parser().parse_args(argv)
+        config = _stream_config(args, max_queue_chunks=args.queue_chunks)
+        dataset = build_dataset(
+            config.dataset, seed=config.seed, scale=config.scale,
+            faults=config.faults,
+        )
+        plan = ShardCheckpointStore(ckpt).plan_restore(
+            StreamEngine(config, dataset=dataset)._identity()
+        )
+        assert plan.manifest["records_read"] == fed[-1]
+        assert plan.manifest["records_delivered"] == sum(
+            restore.state["records"] for restore in plan.shards
+        )
+
+        monkeypatch.setattr(engine_module._ThreadTransport, "feed", feed)
+        assert main(argv + ["--resume"]) == 0
+        assert f"resuming: {ckpt}" in capsys.readouterr().err
+        assert out.read_text() == (
+            batch_survey_report(config, dataset=dataset) + "\n"
+        )
 
     @pytest.mark.parametrize("front", ["threads", "fabric"])
     def test_interrupt_without_checkpoint_path_says_so(self, small_dtcp18, front):

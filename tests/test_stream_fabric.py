@@ -463,9 +463,13 @@ def test_fabric_stall_chaos_is_byte_identical(small_dtcp18, batch_reference):
 
 
 def test_fabric_heartbeat_drop_false_positive_is_byte_identical(
-    small_dtcp18, batch_reference
+    small_dtcp18, batch_reference, monkeypatch
 ):
     """Killing a *healthy* worker (dropped beats) must also be invisible."""
+    # Regenerate the stream: a pass over the recorded trace is three
+    # batches and ~60 ms, which can end before the silent worker's miss
+    # budget does, and then nobody is declared dead.
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
     config = _config(shards=2)
     # Early trigger, long suppression, and a very tight miss budget so
     # the silent-but-working phase is reliably declared dead; spurious

@@ -7,7 +7,8 @@ report byte-identical to an uninterrupted one.  That exercises the
 atomic-checkpoint guarantee (a torn write must never be loadable) and
 the CLI's ``--resume`` plumbing end to end.  The graceful half
 (SIGTERM) is checked in both modes: the CLI must report what the run's
-shard transport actually left behind to resume from.
+shard transport actually left behind to resume from, and the resume
+from it must be exact.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.stream import ShardCheckpointStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -74,10 +77,10 @@ def _sigkill_then_resume(tmp_path, stream_args):
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
-        # Wait for the first periodic checkpoint, then kill without
+        # Wait for the first committed generation, then kill without
         # warning -- no SIGTERM handler, no atexit, nothing graceful.
         deadline = time.monotonic() + 120.0
-        while not checkpoint.exists():
+        while not ShardCheckpointStore(checkpoint).generations():
             if victim.poll() is not None:
                 pytest.fail("stream run exited before first checkpoint")
             if time.monotonic() > deadline:
@@ -90,7 +93,7 @@ def _sigkill_then_resume(tmp_path, stream_args):
             victim.kill()
             victim.wait(timeout=30)
     assert victim.returncode == -signal.SIGKILL
-    assert checkpoint.exists()
+    assert checkpoint.is_dir()
     assert not resumed.exists()  # killed before the report was written
 
     proc = run_cli(
@@ -138,11 +141,11 @@ def test_resume_on_fresh_state_just_runs(tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("mode", ["threads", "fabric"])
 def test_sigterm_reports_what_was_left_to_resume_from(tmp_path, mode):
-    """Threads drain and save on interrupt; the fabric only tears down,
-    so a resume starts from its last *committed* generation -- and the
-    CLI says which, instead of claiming a checkpoint it never wrote."""
-    from repro.stream import ShardCheckpointStore
-
+    """Threads drain and commit one more generation on interrupt; the
+    fabric only tears down, so a resume starts from its last *committed*
+    generation -- and the CLI says which, instead of claiming a
+    checkpoint it never wrote.  Either way the handler only sets a flag
+    the run loop reads between batches, so the resume is exact."""
     args = list(STREAM_ARGS)
     if mode == "fabric":
         args[args.index("--shards")] = "--workers"
@@ -167,7 +170,7 @@ def test_sigterm_reports_what_was_left_to_resume_from(tmp_path, mode):
             # answered "no checkpoint generation committed".
             while not (
                 "fabric: manifest generation=" in stderr_path.read_text()
-                if mode == "fabric" else checkpoint.exists()
+                if mode == "fabric" else store.generations()
             ):
                 if victim.poll() is not None:
                     pytest.fail("stream run exited before first checkpoint")
@@ -184,7 +187,7 @@ def test_sigterm_reports_what_was_left_to_resume_from(tmp_path, mode):
     assert victim.returncode == 130, said
     if mode == "threads":
         assert f"interrupted; checkpoint saved to {checkpoint}" in said
-        assert checkpoint.is_file()
+        assert len(store.generations()) == 2  # a periodic one, and this
     else:
         assert "checkpoint saved" not in said
         named = re.search(
@@ -196,11 +199,8 @@ def test_sigterm_reports_what_was_left_to_resume_from(tmp_path, mode):
     resumed = tmp_path / "resumed.txt"
     proc = run_cli(args + ["--resume", "--out", str(resumed)], tmp_path)
     assert f"resuming: {checkpoint}" in proc.stderr
-    if mode == "fabric":
-        # Committed generations are cuts at batch boundaries, so this
-        # resume is exact.  The threaded engine's interrupt checkpoint
-        # is taken wherever the signal landed (ROADMAP); its exact
-        # resume is pinned from periodic checkpoints, by SIGKILL above.
-        reference = tmp_path / "reference.txt"
-        run_cli(args[:-4] + ["--out", str(reference)], tmp_path)
-        assert resumed.read_bytes() == reference.read_bytes()
+    # Every generation, the interrupt's included, is a cut at a batch
+    # boundary, so the resume is exact.
+    reference = tmp_path / "reference.txt"
+    run_cli(args[:-4] + ["--out", str(reference)], tmp_path)
+    assert resumed.read_bytes() == reference.read_bytes()

@@ -638,16 +638,16 @@ class TestColumnarStreamEquivalence:
     def test_engine_resume_lands_inside_a_regenerated_chunk(
         self, small_dtcp18, uncached, tmp_path
     ):
-        from repro.stream import StreamEngine, load_checkpoint
+        from repro.stream import ShardCheckpointStore, StreamEngine
 
         first = self._checkpointing(small_dtcp18, tmp_path, 1000)
         killed = self._run(
             "engine", first, small_dtcp18, stop_after_records=60_000
         )
         assert not killed.finished and killed.checkpoints_written
-        offset = load_checkpoint(
-            tmp_path / "ckpt", StreamEngine(first, small_dtcp18)._identity()
-        )["records_read"]
+        offset = ShardCheckpointStore(tmp_path / "ckpt").plan_restore(
+            StreamEngine(first, small_dtcp18)._identity()
+        ).manifest["records_read"]
         # Resume with another chunk size: the offset (a multiple of
         # 1000) falls strictly inside a 777-record chunk of the stream.
         assert offset % 1000 == 0 and offset % 777 != 0

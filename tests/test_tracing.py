@@ -275,7 +275,7 @@ class TestChromeExport:
 
 class TestFabricTracePropagation:
     def test_failover_is_one_causal_chain(
-        self, tmp_path, small_dtcp18, batch_reference
+        self, tmp_path, small_dtcp18, batch_reference, capsys
     ):
         """Crash chaos: one trace_id spans supervisor + both worker
         incarnations, replacement workers parent on the reassign span,
@@ -331,6 +331,25 @@ class TestFabricTracePropagation:
         json.loads(path.read_text())
         text = summarize(events)
         assert "fabric.dead" in text and "fabric.restore" in text
+
+        # And so does the CLI, over a chaos run's directory: the summary
+        # on stdout, the Chrome trace (flow arrows across at least two
+        # incarnations of a shard) beside the event files.
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(["trace-view", str(tmp_path)]) == 0
+        shown = capsys.readouterr()
+        assert "Failover timeline" in shown.out
+        assert "fabric.restore" in shown.out
+        assert f"-> {tmp_path / 'trace.json'}" in shown.err
+        entries = json.loads((tmp_path / "trace.json").read_text())[
+            "traceEvents"
+        ]
+        assert {"M", "X", "i", "s", "f"} <= {e["ph"] for e in entries}
+        assert {"supervisor", "shard0-i0", "shard0-i1"} <= {
+            e["args"]["name"] for e in entries if e["ph"] == "M"
+        }
 
     def test_degraded_run_dumps_flight_exactly_once(
         self, tmp_path, small_dtcp18
@@ -523,6 +542,68 @@ class TestQueryTraceSurface:
 
 
 # ---- stats --per-process ----------------------------------------------
+
+
+@pytest.mark.slow
+def test_cli_serve_trace_answers_tracez_and_exits_on_sigterm(tmp_path):
+    """A real ``serve --workers 2 --trace`` subprocess: ``/tracez`` and
+    the fabric/flight half of ``/healthz`` over a real socket, exit 0
+    on SIGTERM (what ``scripts/trace_smoke.sh`` held with curl and jq)."""
+    import os
+    import re
+    import signal
+    import subprocess
+    import sys
+    import urllib.request
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env.setdefault("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+    trace_dir = tmp_path / "serve-trace"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "DTCP1-18d",
+         "--scale", "0.03", "--seed", "11", "--workers", "2", "--port", "0",
+         "--snapshot-every", "6", "--trace", str(trace_dir)],
+        cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        url = None
+        for line in proc.stderr:
+            match = re.search(r"serving on (http://\S+)", line)
+            if match:
+                url = match.group(1)
+                break
+        assert url, "serve never announced its address"
+
+        def get(path):
+            return json.load(urllib.request.urlopen(url + path))
+
+        tracez = get("/tracez?limit=20")
+        assert tracez["enabled"] and len(tracez["trace_id"]) == 32
+        assert tracez["process"] == "supervisor"
+        assert tracez["events"] and tracez["flight"]["limit"] > 0
+
+        deadline = time.monotonic() + 120.0
+        health = get("/healthz")
+        while health["ingest"] != "finished" and time.monotonic() < deadline:
+            time.sleep(0.2)
+            health = get("/healthz")
+        assert health["ok"] and health["ingest"] == "finished"
+        assert health["flight"]["limit"] > 0
+        assert len(health["fabric"]) == 2
+        assert {"incarnation", "restarts", "heartbeat_age"} <= set(
+            health["fabric"][0]
+        )
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert f"trace: events in {trace_dir}" in proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert load_events(trace_dir)
 
 
 class TestStatsPerProcess:
