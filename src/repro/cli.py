@@ -936,7 +936,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume from the checkpoint store's newest "
                              "committed generation, if any")
     stream.add_argument("--queue-chunks", type=int, default=8,
-                        help="bound on queued batches per shard (backpressure)")
+                        help="bound on queued batches per shard thread "
+                             "(backpressure; --workers is bounded by its "
+                             "batch ring instead)")
     stream.add_argument("--out", default=None,
                         help="also write the final report to this file")
 

@@ -63,6 +63,8 @@ _TRAILER = struct.Struct("<II")
 _SHARD_FILE = "shard-{shard:03d}.gen-{generation:06d}.ckpt"
 _MANIFEST_FILE = "manifest.gen-{generation:06d}.ckpt"
 _MANIFEST_RE = re.compile(r"^manifest\.gen-(\d{6})\.ckpt$")
+#: Any store file's generation, and whether it is a writer's temp file.
+_GENERATION_RE = re.compile(r"\.gen-(\d{6})\.ckpt(\.tmp)?$")
 
 
 class CheckpointError(RuntimeError):
@@ -328,16 +330,26 @@ class ShardCheckpointStore:
         return size
 
     def prune(self, newest_generation: int) -> None:
-        """Drop generations older than the retained window (best effort)."""
+        """Drop generations older than the retained window (best effort).
+
+        A ``.tmp`` at or below *newest_generation* is a killed writer's
+        torn file, never referenced.  One above it may belong to a live
+        writer between its ``fsync`` and its ``os.replace`` (a fabric
+        worker on the next generation, while ``checkpoint prune`` or a
+        commit runs here): it stays, and the commit that passes it, or
+        :meth:`clear`, sweeps it if its writer died.
+        """
         keep_from = newest_generation - self.keep_generations + 1
         if not self.root.is_dir():
             return
         for entry in list(self.root.iterdir()):
-            match = re.search(r"\.gen-(\d{6})\.ckpt$", entry.name)
-            # A ``.tmp`` is a killed writer's torn file; never referenced.
-            if (
-                match and int(match.group(1)) < keep_from
-            ) or entry.name.endswith(".tmp"):
+            match = _GENERATION_RE.search(entry.name)
+            if match is None:
+                continue
+            generation = int(match.group(1))
+            if generation < keep_from or (
+                match.group(2) and generation <= newest_generation
+            ):
                 with suppress(OSError):
                     entry.unlink()
 

@@ -366,10 +366,13 @@ class StreamEngine:
 
         *transport* owns only how shard state is reached (the surface
         is :class:`_ThreadTransport`'s methods; the fabric supervisor
-        is the other implementation).  Marks are pipelined: the driver
-        requests them in order and emits whatever the transport reports
-        complete, waiting only before a checkpoint and at end of
-        stream.
+        is the other implementation).  Marks and checkpoints are
+        pipelined: the driver requests them in order and takes up
+        whatever the transport reports complete -- emitting the marks,
+        counting the committed generations -- waiting for marks only
+        before a checkpoint, and for both at end of stream and at a
+        requested stop, so what a stop at a given batch leaves
+        committed is the same on every run.
         """
         config = self.config
         dataset = self.dataset
@@ -497,6 +500,26 @@ class StreamEngine:
                 if progress is not None:
                     progress(watermark)
 
+        def count_commits(wait: bool = False) -> None:
+            nonlocal checkpoints_written
+            for seconds, size in transport.committed_checkpoints(wait):
+                checkpoints_written += 1
+                if reg.enabled:
+                    reg.counter(
+                        "repro_stream_checkpoints_total",
+                        "Checkpoints written by stream runs.",
+                    ).inc()
+                    reg.histogram(
+                        "repro_stream_checkpoint_seconds",
+                        "Wall time from requesting a checkpoint "
+                        "generation to its committed manifest.",
+                    ).observe(seconds)
+                    if size is not None:
+                        reg.histogram(
+                            "repro_stream_checkpoint_bytes",
+                            "Size of each written stream checkpoint.",
+                        ).observe(size)
+
         states = None
         trc.event(
             "stream.start", shards=shards, records=records_read,
@@ -567,32 +590,19 @@ class StreamEngine:
                     # Pending marks drain first, so the payload's
                     # emission cursor matches its watermark list.
                     emit(transport.completed_marks(wait=True))
-                    started = perf_counter()
                     with trc.span("stream.checkpoint", records=records_read):
-                        size = transport.checkpoint(snapshot_progress())
-                    checkpoints_written += 1
-                    if reg.enabled:
-                        reg.counter(
-                            "repro_stream_checkpoints_total",
-                            "Checkpoints written by stream runs.",
-                        ).inc()
-                        reg.histogram(
-                            "repro_stream_checkpoint_seconds",
-                            "Wall time to serialise and atomically write a checkpoint.",
-                        ).observe(perf_counter() - started)
-                        if size is not None:
-                            reg.histogram(
-                                "repro_stream_checkpoint_bytes",
-                                "Size of each written stream checkpoint.",
-                            ).observe(size)
+                        transport.checkpoint(snapshot_progress())
                     while next_checkpoint <= now:
                         next_checkpoint += config.checkpoint_every
+                if next_checkpoint is not None:
+                    count_commits()
                 if self._stop_requested:
                     raise KeyboardInterrupt
                 if (
                     stop_after_records is not None
                     and records_read >= stop_after_records
                 ):
+                    count_commits(wait=True)
                     break
             else:
                 if prober is not None:
@@ -605,6 +615,7 @@ class StreamEngine:
                 # at least the final one) are emitted now.
                 request_due_marks(end)
                 emit(transport.completed_marks(wait=True))
+                count_commits(wait=True)
                 states = transport.finish()
         except KeyboardInterrupt as exc:
             # The transport says what it left behind to resume from.
@@ -732,6 +743,7 @@ class _ThreadTransport:
         ]
         self.ingestor: StreamIngestor | None = None
         self._marks: list[set[int]] = []
+        self._commits: list[tuple[float, int]] = []
 
     def restore(self) -> dict | None:
         """Plan the restore; return the newest manifest's progress, if any."""
@@ -788,9 +800,10 @@ class _ThreadTransport:
         self.ingestor.drain()
         return (shard_snapshot_payload(state) for state in self.states)
 
-    def checkpoint(self, progress: dict) -> int | None:
+    def checkpoint(self, progress: dict) -> None:
         """Commit one generation: every shard's file, then the manifest
-        carrying *progress*.  Returns the generation's bytes, if known."""
+        carrying *progress*.  Answered at request time, like marks."""
+        started = perf_counter()
         self.ingestor.drain()
         self.generation += 1
         size = sum(
@@ -799,9 +812,16 @@ class _ThreadTransport:
             )
             for state in self.states
         )
-        return size + self.store.save_manifest(
+        size += self.store.save_manifest(
             self.generation, self.identity, progress
         )
+        self._commits.append((perf_counter() - started, size))
+
+    def committed_checkpoints(self, wait: bool = False) -> list[tuple]:
+        """``(seconds, bytes or None)`` per generation committed since the
+        last call; with *wait*, a generation still in flight settles first."""
+        commits, self._commits = self._commits, []
+        return commits
 
     def interrupt(self, progress: dict) -> str:
         """React to an interrupt; say what a resume will start from."""

@@ -8,15 +8,20 @@ whole run.  This module promotes shards to shared-nothing worker
 applies the run's fault filter once, in stream order -- the drop
 pattern is decided before any process boundary, so it cannot depend on
 worker scheduling or deaths); a :class:`FabricSupervisor` is the shard
-transport it feeds, shipping per-shard sub-batches over bounded
-``multiprocessing`` queues to workers that do nothing but fold them
-into their own :class:`~repro.stream.shard.ShardState`.
+transport it feeds.  Routed batches cross to the workers *by reference*:
+the supervisor copies each batch's columns into a slot of a ring that
+lives in one anonymous shared mapping created before the fleet forks
+(:class:`_Arena`), and sends each worker a message of tens of bytes
+naming the slot and its rows; the worker folds zero-copy views of them
+into its own :class:`~repro.stream.shard.ShardState`.  A slot is
+reused only when every worker sent rows of it has published a sequence
+number past it, or has been declared dead.
 
 **Membership and liveness.**  Workers join with a registration
 handshake and then heartbeat on their own clock; the supervisor's
 :class:`~repro.stream.membership.Membership` table declares a worker
 dead after ``miss_budget`` missed intervals (or a blown join timeout),
-on process exit, or when its queue stays full past the stall budget.
+on process exit, or when it holds a ring slot past the stall budget.
 Every worker message carries an incarnation number, so traffic from a
 declared-dead process that lingers in a queue is discarded.
 
@@ -31,13 +36,17 @@ Exhausting ``max_restarts`` raises :class:`FabricDegradedError`
 ("degraded: shard N restarted K times") instead of hanging.
 
 **Consistency.**  Watermark, snapshot and checkpoint requests travel
-*in band* on the same FIFO queues as data, so a worker answers them
-only after folding everything that preceded them -- the distributed
-analogue of the thread transport's ``drain()`` barrier.  A checkpoint
-generation is committed by the supervisor's manifest write, only after
-every shard acked its own file: generations are all-or-nothing, and a
-failover mid-generation simply aborts it (the orphan shard files are
-never referenced and later pruned).
+*in band* on the same FIFO queues as the row messages, so a worker
+answers them only after folding everything that preceded them -- the
+distributed analogue of the thread transport's ``drain()`` barrier.
+Marks and checkpoint generations are *pipelined*: the supervisor sends
+the request and goes on feeding.  A generation is committed by the
+supervisor's manifest write, only after every shard acked its own
+file, and the manifest carries the run progress frozen when the request
+was sent -- which, by the FIFO argument, is exactly what the shard
+files hold.  Generations are all-or-nothing: a failover between request
+and commit aborts the one in flight (the orphan shard files are never
+referenced and later pruned).
 
 The invariant all of this machinery serves: the final report is
 **byte-identical** to the single-process batch path at any worker
@@ -49,7 +58,9 @@ replayed record is filtered by the same deterministic RNG streams.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
+from multiprocessing.connection import wait as _wait_readable
 import os
 import queue
 import signal
@@ -58,6 +69,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic, perf_counter
 from typing import Callable
+
+import numpy as np
 
 from repro.faults.worker import WorkerFaultEvents, WorkerFaultPlan
 from repro.query.snapshot import shard_snapshot_payload
@@ -79,6 +92,72 @@ from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.spans import span as _span
 from repro.telemetry.tracing import Tracer, set_tracer
 from repro.telemetry.tracing import tracer as _tracer
+from repro.trace.columnar import (
+    COLUMN_FIELDS,
+    DEFAULT_CHUNK_RECORDS,
+    V1_DTYPE,
+    RecordColumns,
+)
+
+#: Ring geometry.  A slot holds one chunk of a cached trace, the largest
+#: batch the v2 reader hands out (a bigger one is fed as slot-sized
+#: pieces); four of them let the supervisor route three batches ahead
+#: of the slowest worker.  4 x 65,536 records x 24 B is 6.3 MB, the
+#: fabric's bound on records in flight and its only resident cost.
+_SLOT_RECORDS = DEFAULT_CHUNK_RECORDS
+_RING_SLOTS = 4
+
+#: How long the supervisor sleeps in its message pump between looks at
+#: the progress cells while every slot is held (a fold is ~10 ms).
+_SLOT_POLL_SECONDS = 0.0005
+
+
+class _Arena:
+    """The batch ring and the workers' progress cells, in shared memory.
+
+    One anonymous shared mapping, created by the supervisor before the
+    fleet forks: every worker -- replacements too, which fork from the
+    supervisor like the first launch -- inherits it the way it inherits
+    the dataset's closure, so no batch is ever pickled or copied across
+    a pipe.  ``columns[slot]`` are the slot's nine column arrays in
+    :data:`~repro.trace.columnar.COLUMN_FIELDS` order; ``progress`` has
+    one cell per shard, written only by that shard's current worker:
+    the sequence number of the last slot whose rows it finished
+    folding.
+    """
+
+    def __init__(self, shards: int) -> None:
+        slot_bytes = _SLOT_RECORDS * V1_DTYPE.itemsize
+        buffer = mmap.mmap(-1, _RING_SLOTS * slot_bytes + 8 * shards)
+        self.columns: list[list[np.ndarray]] = []
+        offset = 0
+        for _slot in range(_RING_SLOTS):
+            columns = []
+            # Widest dtype first, and a power-of-two slot: every column
+            # starts aligned.
+            for _name, dtype in COLUMN_FIELDS:
+                columns.append(np.frombuffer(
+                    buffer, dtype=dtype, count=_SLOT_RECORDS, offset=offset
+                ))
+                offset += _SLOT_RECORDS * dtype.itemsize
+            self.columns.append(columns)
+        self.progress = np.frombuffer(
+            buffer, dtype="<i8", count=shards, offset=offset
+        )
+
+    def write(self, slot: int, at: int, part: RecordColumns,
+              start: int, stop: int) -> None:
+        """Copy rows ``[start, stop)`` of *part* into *slot* from row *at*."""
+        for column, (name, _dtype) in zip(self.columns[slot], COLUMN_FIELDS):
+            column[at:at + stop - start] = getattr(part, name)[start:stop]
+
+    def rows(self, slot: int, lo: int, hi: int,
+             link_names: tuple[str, ...]) -> RecordColumns:
+        """Rows ``[lo, hi)`` of *slot* as zero-copy column views."""
+        return RecordColumns(
+            *(column[lo:hi] for column in self.columns[slot]),
+            link_names=link_names,
+        )
 
 
 class FabricError(RuntimeError):
@@ -109,7 +188,10 @@ class FabricConfig:
     Nothing here affects the report's bytes -- heartbeat cadence,
     restart budgets, and fault injection change *when* failovers happen,
     never what the merged shard states contain -- so none of it enters
-    the checkpoint identity.
+    the checkpoint identity.  ``put_timeout`` is the unit the supervisor
+    counts backpressure in while it waits for a ring slot, and
+    ``stall_timeout`` how long live workers may hold that slot before
+    they are failed over.
     """
 
     heartbeat_interval: float = 0.25
@@ -144,21 +226,27 @@ def _shard_worker(
     identity: dict,
     store: ShardCheckpointStore | None,
     initial_state: dict | None,
-    work_queue,
-    results_queue,
+    arena: _Arena,
+    work_queues: list,
+    inboxes: list,
+    outbox,
     heartbeat_interval: float,
     events: WorkerFaultEvents,
     trace_config: dict | None = None,
 ) -> None:
-    """Child main: fold sub-batches, answer markers, heartbeat.
+    """Child main: fold the rows it is pointed at, answer markers, heartbeat.
 
     Runs under the ``fork`` start method, so arguments (including the
-    dataset with its closure-based campus predicate) arrive by memory
-    inheritance, never pickling.  The worker owns its shard's state
-    exclusively; the only shared surfaces are the two queues.  Exits
-    via ``os._exit`` on injected crashes (no atexit, no queue flush --
-    indistinguishable from SIGKILL) and when orphaned by a dead
-    supervisor.
+    dataset with its closure-based campus predicate, and the arena)
+    arrive by memory inheritance, never pickling.  The worker owns its
+    shard's state exclusively; the shared surfaces are its work queue
+    (``work_queues[shard]``), *outbox* -- the write end of a pipe of its
+    own to the supervisor, written from this thread, so no lock is
+    shared with a sibling and a worker that dies mid-message can wedge
+    nobody -- and the arena, where it reads the rows a ``rows`` message
+    names and writes its own progress cell.  Exits via ``os._exit`` on
+    injected crashes (no atexit -- indistinguishable from SIGKILL) and
+    when orphaned by a dead supervisor.
 
     Every in-band work item carries the supervisor's trace context as
     its trailing element; with tracing on, the worker's own events
@@ -170,6 +258,23 @@ def _shard_worker(
     enabled, its snapshot shipped home on the ``done`` message.
     """
     parent = os.getppid()
+    # The fork copied every pipe end the supervisor held.  Keep only the
+    # two this worker uses: while any process holds the write end of its
+    # work pipe, a supervisor SIGKILLed half way through a message leaves
+    # the worker blocked in ``recv_bytes`` for the rest of it, never back
+    # at the ``getppid`` check below; with every copy closed the read
+    # returns EOF instead (and a send to a dead supervisor fails, with
+    # every copy of the inboxes closed).  ``Queue`` has no public name
+    # for its ends.
+    work_queue = work_queues[shard]
+    work_queue._writer.close()
+    for other in work_queues:
+        if other is not None and other is not work_queue:
+            other._reader.close()
+            other._writer.close()
+    for inbox in inboxes:
+        if inbox is not None:
+            inbox.close()
     # The fork inherited the CLI's handlers.  A terminal's Ctrl-C reaches
     # the whole process group, and the supervisor decides when the fleet
     # stops (it kills us); SIGTERM aimed at one worker is an induced death.
@@ -203,7 +308,7 @@ def _shard_worker(
     suppress_beats = 0
     drop_armed = events.drop_heartbeats_at is not None
     last_beat = monotonic()
-    results_queue.put(("join", shard, incarnation, os.getpid()))
+    outbox.send(("join", shard, incarnation, os.getpid()))
     try:
         while True:
             if os.getppid() != parent:
@@ -214,21 +319,26 @@ def _shard_worker(
                 if suppress_beats > 0:
                     suppress_beats -= 1
                 else:
-                    results_queue.put(("beat", shard, incarnation))
+                    outbox.send(("beat", shard, incarnation))
             try:
                 item = work_queue.get(timeout=heartbeat_interval / 2)
             except queue.Empty:
                 continue
+            except EOFError:
+                os._exit(2)  # every write end is closed: supervisor died
             kind = item[0]
-            if kind == "batch":
+            if kind == "rows":
+                _, slot, lo, hi, sequence, link_names, ctx = item
                 with _span("fabric.worker.batch"):
-                    state.observe_columns(item[1])
+                    state.observe_columns(arena.rows(slot, lo, hi, link_names))
+                # Nothing here reads the slot again: hand it back.
+                arena.progress[shard] = sequence
                 if trc.enabled:
-                    trc.note("worker.batch", parent=item[2],
+                    trc.note("worker.batch", parent=ctx,
                              records=state.records)
                 if events.crash_at is not None and state.records >= events.crash_at:
                     if trc.enabled:
-                        trc.event("worker.crash", parent=item[2], shard=shard,
+                        trc.event("worker.crash", parent=ctx, shard=shard,
                                   incarnation=incarnation,
                                   records=state.records)
                         trc.dump_flight(
@@ -240,7 +350,7 @@ def _shard_worker(
                     # Injected stall: stop consuming *and* beating, so the
                     # supervisor's miss budget is what ends us.
                     if trc.enabled:
-                        trc.event("worker.stall", parent=item[2], shard=shard,
+                        trc.event("worker.stall", parent=ctx, shard=shard,
                                   incarnation=incarnation,
                                   records=state.records)
                         trc.dump_flight(
@@ -267,7 +377,7 @@ def _shard_worker(
                             if seen <= mark
                         }
                     )
-                results_queue.put(
+                outbox.send(
                     ("mark_ack", shard, incarnation, index, tuple(owned))
                 )
             elif kind == "ckpt":
@@ -279,14 +389,14 @@ def _shard_worker(
                     store.save_shard(
                         shard, generation, identity, state.state_dict()
                     )
-                results_queue.put(("ckpt_ack", shard, incarnation, generation))
+                outbox.send(("ckpt_ack", shard, incarnation, generation))
             elif kind == "snap":
                 # In-band like marks: the payload covers exactly the
                 # records fed before the request -- a consistent cut.
                 with trc.span("worker.snap", parent=item[2], index=item[1],
                               records=state.records):
                     payload = shard_snapshot_payload(state)
-                results_queue.put(
+                outbox.send(
                     ("snap_ack", shard, incarnation, item[1], payload)
                 )
             elif kind == "stop":
@@ -294,20 +404,18 @@ def _shard_worker(
                     trc.event("worker.done", parent=item[1], shard=shard,
                               incarnation=incarnation, records=state.records)
                     trc.close()
-                results_queue.put(
+                outbox.send(
                     ("done", shard, incarnation, state.state_dict(),
                      _telemetry_registry().snapshot() if snapshot_home else None)
                 )
-                return  # clean exit flushes the queue feeder
+                return
     except BaseException as exc:  # noqa: BLE001 - reported, then hard exit
         try:
             if trc.enabled:
                 trc.event("worker.error", shard=shard,
                           incarnation=incarnation, error=repr(exc))
                 trc.dump_flight("error", repr(exc))
-            results_queue.put(("error", shard, incarnation, repr(exc)))
-            results_queue.close()
-            results_queue.join_thread()
+            outbox.send(("error", shard, incarnation, repr(exc)))
         finally:
             os._exit(1)
 
@@ -324,16 +432,31 @@ class _PendingMark:
     acks: dict[int, tuple] = field(default_factory=dict)
 
 
+@dataclass
+class _PendingGeneration:
+    """A checkpoint generation requested of the workers, not yet committed.
+
+    *progress* is the driver's payload frozen at the request: what the
+    manifest will say the shard files are a cut of.
+    """
+
+    generation: int
+    progress: dict
+    requested_at: float
+    acks: set[int] = field(default_factory=set)
+
+
 class FabricSupervisor:
     """Run one stream as a fleet of supervised shard worker processes.
 
     Wraps a :class:`~repro.stream.engine.StreamEngine` for everything
     that defines the run (identity, source batches, dataset, the run
-    loop) and is the shard transport that loop feeds: queues,
-    membership, failover, generations, in-band barriers.  ``shards``
-    in the stream config is the worker count.  The checkpoint store and
-    its identity are the threaded transport's too, so a run checkpointed
-    under either resumes under the other.
+    loop) and is the shard transport that loop feeds: the arena and the
+    message queues, membership, failover, generations, in-band
+    barriers.  ``shards`` in the stream config is the worker count.
+    The checkpoint store and its identity are the threaded transport's
+    too, so a run checkpointed under either resumes under the other.
+    *clock* is what membership decisions read (tests inject one).
     """
 
     def __init__(
@@ -341,10 +464,12 @@ class FabricSupervisor:
         config: StreamConfig,
         fabric: FabricConfig | None = None,
         dataset=None,
+        clock: Callable[[], float] = monotonic,
     ) -> None:
         self.engine = StreamEngine(config, dataset)
         self.config = config
         self.fabric = fabric or FabricConfig()
+        self._wall = clock
         self.dataset = self.engine.dataset
         self.plan = self.engine.plan
         worker_faults = self.fabric.worker_faults
@@ -364,10 +489,6 @@ class FabricSupervisor:
 
     # ---- small helpers ------------------------------------------------
 
-    @staticmethod
-    def _wall() -> float:
-        return monotonic()
-
     def _event(self, message: str) -> None:
         if self._on_event is not None:
             self._on_event(message)
@@ -377,10 +498,12 @@ class FabricSupervisor:
     def _spawn(self, shard: int, initial_state: dict | None) -> int:
         incarnation = self.membership.launch(shard, self._wall())
         # A fresh queue per incarnation: the dead worker's queue may
-        # hold unfolded batches and a feeder mid-write; never reuse it.
-        self._queues[shard] = self._ctx.Queue(
-            maxsize=self.config.max_queue_chunks
-        )
+        # hold unanswered messages and a feeder mid-write; never reuse
+        # it.  Unbounded: a message is tens of bytes, and what bounds the
+        # records in flight is the ring.
+        self._queues[shard] = self._ctx.Queue()
+        # What the worker says comes back on a pipe of its own.
+        self._inboxes[shard], outbox = self._ctx.Pipe(duplex=False)
         events = (
             self._worker_faults.events_for(shard, incarnation)
             if self._worker_faults is not None
@@ -403,13 +526,17 @@ class FabricSupervisor:
             target=_shard_worker,
             args=(
                 shard, incarnation, self.dataset, self._identity,
-                self.store, initial_state, self._queues[shard], self._results,
-                self.fabric.heartbeat_interval, events, trace_config,
+                self.store, initial_state, self._arena, self._queues,
+                self._inboxes, outbox, self.fabric.heartbeat_interval,
+                events, trace_config,
             ),
             name=f"repro-fabric-shard-{shard}",
             daemon=True,
         )
         process.start()
+        # The worker's copy is now the only write end: its death reads
+        # here as EOF, even half way through a message.
+        outbox.close()
         self.membership.members[shard].pid = process.pid
         self._procs[shard] = process
         reg = _telemetry_registry()
@@ -439,6 +566,7 @@ class FabricSupervisor:
             process.join(timeout=5.0)
         finally:
             self._procs[shard] = None
+        self._drop_inbox(shard)
         if old_queue is not None:
             # The abandoned queue's feeder may be blocked on a full
             # pipe; cancel it so it cannot wedge interpreter exit.
@@ -454,58 +582,79 @@ class FabricSupervisor:
 
     # ---- message pump & liveness --------------------------------------
 
+    def _drop_inbox(self, shard: int) -> None:
+        inbox = self._inboxes[shard]
+        if inbox is not None:
+            self._inboxes[shard] = None
+            inbox.close()
+
     def _pump(self, timeout: float = 0.0) -> None:
-        """Drain worker messages into membership/ack state."""
-        block = timeout
+        """Drain worker messages into membership/ack state.
+
+        Waits up to *timeout* for the first one.  An inbox at EOF is a
+        worker that exited (``done`` sent, or dead: :meth:`_reap` sees
+        the process gone); it is dropped, not read again.
+        """
         while True:
-            try:
-                if block > 0:
-                    message = self._results.get(timeout=block)
-                else:
-                    message = self._results.get_nowait()
-            except queue.Empty:
+            ready = _wait_readable(
+                [inbox for inbox in self._inboxes if inbox is not None],
+                timeout,
+            )
+            if not ready:
                 return
-            block = 0.0
-            kind, shard, incarnation = message[0], message[1], message[2]
-            if not self.membership.is_current(shard, incarnation):
-                continue  # stale incarnation; its process is already dead
-            if kind == "join":
-                self.membership.join(shard, incarnation, self._wall(),
-                                     pid=message[3])
+            timeout = 0.0
+            for inbox in ready:
+                try:
+                    message = inbox.recv()
+                except (EOFError, OSError):
+                    self._drop_inbox(self._inboxes.index(inbox))
+                else:
+                    self._handle(message)
+
+    def _handle(self, message: tuple) -> None:
+        """Fold one worker message into membership/ack state."""
+        kind, shard, incarnation = message[0], message[1], message[2]
+        if not self.membership.is_current(shard, incarnation):
+            return  # stale incarnation; its process is already dead
+        if kind == "join":
+            self.membership.join(shard, incarnation, self._wall(),
+                                 pid=message[3])
+            reg = _telemetry_registry()
+            if reg.enabled:
+                reg.counter(
+                    "repro_fabric_joins_total",
+                    "Registration handshakes completed by workers.",
+                ).inc()
+            _tracer().event(
+                "fabric.join", shard=shard, incarnation=incarnation,
+                worker_pid=message[3],
+            )
+            self._event(
+                f"fabric: join shard={shard} incarnation={incarnation} "
+                f"pid={message[3]}"
+            )
+        elif kind == "beat":
+            self.membership.heartbeat(shard, incarnation, self._wall())
+            self._heartbeats += 1
+        elif kind == "mark_ack":
+            pending = self._pending_marks.get(message[3])
+            if pending is not None:
+                pending.acks[shard] = message[4]
+        elif kind == "ckpt_ack":
+            pending = self._generation_pending
+            if pending is not None and message[3] == pending.generation:
+                pending.acks.add(shard)
+        elif kind == "snap_ack":
+            if message[3] == self._snap_index:
+                self._snap_acks[shard] = message[4]
+        elif kind == "done":
+            self._done[shard] = message[3]
+            if len(message) > 4 and message[4] is not None:
                 reg = _telemetry_registry()
                 if reg.enabled:
-                    reg.counter(
-                        "repro_fabric_joins_total",
-                        "Registration handshakes completed by workers.",
-                    ).inc()
-                _tracer().event(
-                    "fabric.join", shard=shard, incarnation=incarnation,
-                    worker_pid=message[3],
-                )
-                self._event(
-                    f"fabric: join shard={shard} incarnation={incarnation} "
-                    f"pid={message[3]}"
-                )
-            elif kind == "beat":
-                self.membership.heartbeat(shard, incarnation, self._wall())
-                self._heartbeats += 1
-            elif kind == "mark_ack":
-                pending = self._pending_marks.get(message[3])
-                if pending is not None:
-                    pending.acks[shard] = message[4]
-            elif kind == "ckpt_ack":
-                self._ckpt_acks.add((shard, message[3]))
-            elif kind == "snap_ack":
-                if message[3] == self._snap_index:
-                    self._snap_acks[shard] = message[4]
-            elif kind == "done":
-                self._done[shard] = message[3]
-                if len(message) > 4 and message[4] is not None:
-                    reg = _telemetry_registry()
-                    if reg.enabled:
-                        reg.merge_snapshot(message[4], process=f"shard{shard}")
-            elif kind == "error":
-                self._worker_errors[shard] = message[3]
+                    reg.merge_snapshot(message[4], process=f"shard{shard}")
+        elif kind == "error":
+            self._worker_errors[shard] = message[3]
 
     def _dead_reason(self, shard: int) -> str | None:
         """Why *shard* must be declared dead right now, or ``None``."""
@@ -538,49 +687,108 @@ class FabricSupervisor:
         if self._on_health is not None:
             # _reap runs per batch; throttle pushes so the serving side
             # sees fresh-enough membership without per-batch overhead.
-            now = monotonic()
+            now = self._wall()
             if now - self._last_health_push >= 0.25:
                 self._last_health_push = now
                 self._on_health(self.membership.health(self._wall()))
 
     # ---- data movement ------------------------------------------------
 
-    def _put(self, shard: int, item, abandon_on_failover: bool = False) -> bool:
-        """Enqueue to a shard's current worker; never deadlocks.
+    def _claim_slot(self) -> tuple[int, int]:
+        """The next ring slot and its sequence number, once it is free.
 
-        Bounded-timeout puts give backpressure; each timeout re-checks
-        liveness across the fleet.  When the *target* shard is failed
-        over mid-put, ``abandon_on_failover=True`` returns ``False``
-        without enqueueing (for items the failover's own catch-up and
-        marker resend already cover); otherwise the item is retried
-        into the replacement's fresh queue.
+        A slot is free when every worker that was sent rows of it has
+        published a sequence number at or past the slot's, or is no
+        longer the shard's current incarnation (a failover SIGKILLs and
+        joins the old process before it launches the next).  The wait
+        is the fabric's backpressure: it pumps and reaps like every
+        other wait here, so it may fail over any shard -- callers hold
+        nothing across it -- and workers that sit on the slot past the
+        stall budget are failed over themselves.
         """
+        progress = self._arena.progress
         waited = 0.0
+        deadline = perf_counter() + self.fabric.put_timeout
         while True:
-            incarnation = self.membership.members[shard].incarnation
-            try:
-                self._queues[shard].put(item, timeout=self.fabric.put_timeout)
-                return True
-            except queue.Full:
+            # Recomputed every turn: a failover's catch-up claims slots.
+            slot = self._sequence % _RING_SLOTS
+            holders = [
+                reader
+                for reader in self._slot_readers[slot].items()
+                if self.membership.is_current(*reader)
+                and progress[reader[0]] < self._slot_sequence[slot]
+            ]
+            if not holders:
+                break
+            self._pump(_SLOT_POLL_SECONDS)
+            self._reap()
+            if perf_counter() >= deadline:
+                deadline += self.fabric.put_timeout
                 waited += self.fabric.put_timeout
                 self._backpressure_timeouts += 1
-            self._pump()
-            self._reap()
-            if waited >= self.fabric.stall_timeout and self.membership.is_current(
-                shard, incarnation
-            ):
-                self._failover(
-                    shard, f"queue stayed full for {waited:.1f}s"
-                )
-            if not self.membership.is_current(shard, incarnation):
-                if abandon_on_failover:
-                    return False
-                waited = 0.0  # fresh queue, fresh stall budget
+                if waited >= self.fabric.stall_timeout:
+                    waited = 0.0
+                    for shard, incarnation in holders:
+                        if self.membership.is_current(shard, incarnation):
+                            self._failover(
+                                shard,
+                                f"held a ring slot for "
+                                f"{self.fabric.stall_timeout:.1f}s",
+                            )
+        sequence = self._sequence
+        self._sequence += 1
+        self._slot_readers[slot] = {}
+        self._slot_sequence[slot] = sequence
+        return slot, sequence
+
+    def _place(self, routed, offset: int | None = None) -> bool:
+        """Put routed rows in the ring and tell each worker where its are.
+
+        The one way records reach a worker.  *routed* is ``(shard,
+        part)`` pairs of one source batch; parts are packed into a slot
+        back to back (a batch larger than a slot goes out as slot-sized
+        pieces), and each piece is announced with a ``rows`` message
+        once it is written.  Only claiming a slot can fail a shard
+        over.  With *offset* (the live feed: the source position after
+        the batch) a shard replaced mid-part is sent the part again
+        from its first row -- its catch-up stopped at the batch before
+        -- and is recorded as fed through *offset* once the part is
+        out.  Without (a catch-up) the call gives up and returns
+        ``False``: the nested failover's own catch-up covered the rest.
+        """
+        ctx = _tracer().current_ids()
+        members = self.membership.members
+        slot = sequence = -1
+        room = 0
+        for shard, part in routed:
+            incarnation = members[shard].incarnation
+            start = 0
+            while start < len(part):
+                if not room:
+                    slot, sequence = self._claim_slot()
+                    room = _SLOT_RECORDS
+                    if members[shard].incarnation != incarnation:
+                        if offset is None:
+                            return False
+                        incarnation = members[shard].incarnation
+                        start = 0
+                at = _SLOT_RECORDS - room
+                stop = min(len(part), start + room)
+                self._arena.write(slot, at, part, start, stop)
+                self._slot_readers[slot][shard] = incarnation
+                self._queues[shard].put((
+                    "rows", slot, at, at + stop - start, sequence,
+                    part.link_names, ctx,
+                ))
+                room -= stop - start
+                start = stop
+            if offset is not None:
+                self._records_fed[shard] = offset
+        return True
 
     def _feed_catchup(
         self,
         shard: int,
-        incarnation: int,
         base: int,
         target: int,
         faults_state: dict | None,
@@ -589,8 +797,9 @@ class FabricSupervisor:
 
         The gap comes from the engine's
         :meth:`~repro.stream.engine.StreamEngine.replay_gap`, so the
-        replacement folds the identical sub-stream the dead worker saw.
-        Returns ``False`` when a nested failover replaced *incarnation*
+        replacement folds the identical sub-stream the dead worker saw,
+        and reaches it through :meth:`_place` like the live feed.
+        Returns ``False`` when a nested failover replaced the worker
         mid-feed -- that failover's own catch-up covered the rest.
         """
         for parts in self.engine.replay_gap(base, target, faults_state):
@@ -598,13 +807,7 @@ class FabricSupervisor:
             # without pumping would make every *healthy* worker look
             # overdue and cascade into spurious failovers.
             self._pump()
-            if len(parts[shard]) and not self._put(
-                shard,
-                ("batch", parts[shard], _tracer().current_ids()),
-                abandon_on_failover=True,
-            ):
-                return False
-            if not self.membership.is_current(shard, incarnation):
+            if not self._place([(shard, parts[shard])]):
                 return False
         reg = _telemetry_registry()
         if reg.enabled:
@@ -627,7 +830,7 @@ class FabricSupervisor:
         tearing the fleet down.
         """
         restarts = self.membership.note_restart(shard)
-        self._ckpt_abort = True
+        self._generation_pending = None
         self._snap_abort = True
         reg = _telemetry_registry()
         if reg.enabled:
@@ -685,8 +888,8 @@ class FabricSupervisor:
                 f"to_records={self._records_fed[shard]}"
             )
             caught_up = self._feed_catchup(
-                shard, incarnation, restore.records_read,
-                self._records_fed[shard], restore.faults,
+                shard, restore.records_read, self._records_fed[shard],
+                restore.faults,
             )
             if caught_up:
                 # Unanswered watermark requests must reach the
@@ -696,13 +899,10 @@ class FabricSupervisor:
                 for index in sorted(self._pending_marks):
                     pending = self._pending_marks[index]
                     if shard not in pending.acks:
-                        if not self._put(
-                            shard,
+                        self._queues[shard].put(
                             ("mark", pending.index, pending.mark,
-                             trc.current_ids()),
-                            abandon_on_failover=True,
-                        ):
-                            break
+                             trc.current_ids())
+                        )
         if reg.enabled:
             reg.histogram(
                 "repro_fabric_reassign_seconds",
@@ -729,36 +929,32 @@ class FabricSupervisor:
     def start(self, offset: int) -> None:
         for shard, restore in enumerate(self._restores):
             self._records_fed[shard] = offset
-            incarnation = self._spawn(
-                shard, restore.state if restore is not None else None
-            )
+            self._spawn(shard, restore.state if restore is not None else None)
             if restore is not None:
                 # This shard's newest good generation may lag the
                 # manifest we resumed from; replay the difference.
                 self._feed_catchup(
-                    shard, incarnation, restore.records_read, offset,
-                    restore.faults,
+                    shard, restore.records_read, offset, restore.faults
                 )
 
     def feed(self, parts: list, offset: int) -> None:
-        ctx = _tracer().current_ids()
-        for shard, part in enumerate(parts):
-            if part:
-                self._put(shard, ("batch", part, ctx))
-            self._records_fed[shard] = offset
+        self._place(enumerate(parts), offset)
 
     def poll(self) -> None:
         self._pump()
+        # Before the reap: a generation every shard acked is durable
+        # whatever has happened to its writers since.
+        self._commit_if_acked()
         self._reap()
+
+    def _broadcast(self, item: tuple) -> None:
+        """Send one in-band request to every shard's current worker."""
+        for work_queue in self._queues:
+            work_queue.put(item)
 
     def request_mark(self, index: int, mark: float) -> None:
         self._pending_marks[index] = _PendingMark(index=index, mark=mark)
-        ctx = _tracer().current_ids()
-        for shard in range(self.config.shards):
-            # On failover the marker resend inside _failover covers it.
-            self._put(
-                shard, ("mark", index, mark, ctx), abandon_on_failover=True
-            )
+        self._broadcast(("mark", index, mark, _tracer().current_ids()))
 
     def completed_marks(self, wait: bool = False) -> list[set[int]]:
         """Passive address sets of fully-acked marks, in request order.
@@ -781,43 +977,63 @@ class FabricSupervisor:
         return completed
 
     def checkpoint(self, progress: dict) -> None:
-        """Run one checkpoint generation to a committed manifest.
+        """Request one checkpoint generation; :meth:`poll` commits it.
 
-        Every worker is asked to write its shard file for a fresh
-        generation; the manifest -- the commit record, carrying the
-        driver's *progress* -- is written only once all acks arrive.  A
-        failover anywhere in between aborts the generation and retries
-        with the next one (the restart budget bounds the retries).
+        Every worker is asked, in band, to write its shard file for a
+        fresh generation, and the supervisor goes on feeding.  The
+        manifest -- the commit record, carrying *progress* as it stood
+        at this request -- is written once all acks are in.  At most
+        one generation is in flight: the previous one settles first
+        (with a generation due every batch that wait is however far the
+        supervisor has run ahead of the workers, which costs them
+        nothing).  A failover anywhere between request and commit
+        aborts the generation: the stream has moved on, so the next
+        scheduled request is the retry.
         """
-        while True:
-            self._generation = max(self._generation, self._committed) + 1
-            generation = self._generation
-            self._ckpt_abort = False
-            ctx = _tracer().current_ids()
-            aborted = not all(
-                self._put(shard, ("ckpt", generation, ctx),
-                          abandon_on_failover=True)
-                for shard in range(self.config.shards)
-            )
-            while not (aborted or self._ckpt_abort) and not all(
-                (shard, generation) in self._ckpt_acks
-                for shard in range(self.config.shards)
-            ):
-                self._pump(0.02)
-                self._reap()
-            if aborted or self._ckpt_abort:
-                continue
-            self.store.save_manifest(generation, self._identity, progress)
-            self._committed = generation
-            records = progress["records_read"]
-            _tracer().event(
-                "fabric.manifest", generation=generation, records=records
-            )
-            self._event(
-                f"fabric: manifest generation={generation} "
-                f"records={records} path={self.store.manifest_path(generation)}"
-            )
+        self._settle()
+        self._generation = max(self._generation, self._committed) + 1
+        self._generation_pending = _PendingGeneration(
+            self._generation, progress, perf_counter()
+        )
+        self._broadcast(
+            ("ckpt", self._generation, _tracer().current_ids())
+        )
+
+    def _commit_if_acked(self) -> None:
+        """Write the in-flight generation's manifest once every shard acked."""
+        pending = self._generation_pending
+        if pending is None or len(pending.acks) < self.config.shards:
             return
+        self._generation_pending = None
+        generation = pending.generation
+        self.store.save_manifest(generation, self._identity, pending.progress)
+        self._committed = generation
+        self._commits.append((perf_counter() - pending.requested_at, None))
+        records = pending.progress["records_read"]
+        _tracer().event(
+            "fabric.manifest", generation=generation, records=records
+        )
+        self._event(
+            f"fabric: manifest generation={generation} "
+            f"records={records} path={self.store.manifest_path(generation)}"
+        )
+
+    def _settle(self) -> None:
+        """Wait out the in-flight generation: committed, or aborted."""
+        while True:
+            self._commit_if_acked()
+            if self._generation_pending is None:
+                return
+            self._pump(0.02)
+            self._reap()
+
+    def committed_checkpoints(self, wait: bool = False) -> list[tuple]:
+        """``(request-to-commit seconds, None)`` per generation committed
+        since the last call; with *wait*, the in-flight one settles first."""
+        if wait:
+            self._settle()
+        commits, self._commits = self._commits, []
+        return commits
 
     def snapshot_payloads(self) -> list[dict] | None:
         """Collect one snapshot payload per worker, or None if aborted.
@@ -831,13 +1047,7 @@ class FabricSupervisor:
         self._snap_index += 1
         self._snap_acks = {}
         self._snap_abort = False
-        ctx = _tracer().current_ids()
-        for shard in range(self.config.shards):
-            if not self._put(
-                shard, ("snap", self._snap_index, ctx),
-                abandon_on_failover=True,
-            ):
-                return None
+        self._broadcast(("snap", self._snap_index, _tracer().current_ids()))
         while not self._snap_abort:
             if len(self._snap_acks) >= self.config.shards:
                 return list(self._snap_acks.values())
@@ -846,7 +1056,13 @@ class FabricSupervisor:
         return None
 
     def interrupt(self, progress: dict) -> str:
-        """No checkpoint on interrupt: resume uses the last manifest."""
+        """No checkpoint on interrupt: resume uses the last manifest.
+
+        A generation already requested settles first, so what a stop at
+        a given batch leaves committed does not depend on how fast the
+        workers were.
+        """
+        self._settle()
         if self._committed:
             return (
                 f"fleet torn down; resume from committed generation "
@@ -863,9 +1079,10 @@ class FabricSupervisor:
                     continue
                 incarnation = self.membership.members[shard].incarnation
                 if stop_sent.get(shard) != incarnation:
-                    item = ("stop", _tracer().current_ids())
-                    if self._put(shard, item, abandon_on_failover=True):
-                        stop_sent[shard] = incarnation
+                    self._queues[shard].put(
+                        ("stop", _tracer().current_ids())
+                    )
+                    stop_sent[shard] = incarnation
             self._pump(0.02)
             self._reap()
         states = []
@@ -881,6 +1098,7 @@ class FabricSupervisor:
 
     def close(self) -> None:
         self._kill_all()
+        self._arena = None  # the mapping goes with its last view
         reg = _telemetry_registry()
         if reg.enabled:
             reg.counter(
@@ -901,6 +1119,7 @@ class FabricSupervisor:
         on_event: Callable[[str], None] | None = None,
         publisher=None,
         on_health: Callable[[list[dict]], None] | None = None,
+        stop_after_records: int | None = None,
     ) -> StreamResult:
         """Stream the dataset through the worker fleet to completion.
 
@@ -927,8 +1146,10 @@ class FabricSupervisor:
 
         On ``KeyboardInterrupt`` the fleet is torn down and the
         interrupt re-raised, saying which committed generation a resume
-        will start from; no checkpoint is written, which is why
-        ``checkpoint_every`` matters in production runs.
+        will start from; no checkpoint is written (one already requested
+        settles), which is why ``checkpoint_every`` matters in
+        production runs.  *stop_after_records* is the engine's kill
+        simulation: stop at that batch boundary with no report.
         """
         shards = self.config.shards
         self._identity = self.engine._identity()
@@ -941,23 +1162,31 @@ class FabricSupervisor:
             miss_budget=self.fabric.miss_budget,
             join_timeout=self.fabric.join_timeout,
         )
+        # Before any fork, so the whole fleet maps the same pages.
+        self._arena = _Arena(shards)
+        self._sequence = 1  # the progress cells start at 0: nothing folded
+        self._slot_sequence = [0] * _RING_SLOTS
+        #: Per slot, the incarnation of each shard that was sent rows of it.
+        self._slot_readers: list[dict[int, int]] = [
+            {} for _ in range(_RING_SLOTS)
+        ]
         self._procs: list = [None] * shards
         self._queues: list = [None] * shards
-        self._results = self._ctx.Queue()
+        self._inboxes: list = [None] * shards
         self._restores: list[ShardRestore | None] = [None] * shards
         self._records_fed = [0] * shards
         self._pending_marks: dict[int, _PendingMark] = {}
-        self._ckpt_acks: set[tuple[int, int]] = set()
+        self._generation_pending: _PendingGeneration | None = None
+        self._commits: list[tuple] = []
         self._done: dict[int, dict] = {}
         self._worker_errors: dict[int, str] = {}
         self._generation = 0
         self._committed = 0
         self._backpressure_timeouts = 0
         self._heartbeats = 0
-        self._ckpt_abort = False
         self._snap_acks: dict[int, dict] = {}
         self._snap_index = 0
         self._snap_abort = False
         return self.engine._drive(
-            self, resume=resume, progress=progress, publisher=publisher
+            self, resume, stop_after_records, progress, publisher
         )

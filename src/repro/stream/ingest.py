@@ -27,9 +27,13 @@ from time import perf_counter
 
 from repro.stream.shard import ShardState
 
-#: Default bound on queued sub-batches per shard.  With the default
-#: 8192-record read batches this caps in-flight records at
-#: ``shards * 8 * 8192`` regardless of how long the stream runs.
+#: Default bound on queued sub-batches per shard thread.  A sub-batch
+#: is one shard's rows of one source batch -- 8192 records when the
+#: stream is regenerated, 65,536 (a cached trace's chunk, whatever
+#: ``batch_records`` says) when it is read -- so the threads hold at
+#: most 8 source batches in flight however long the stream runs.  The
+#: process fabric does not use this: its bound is its ring
+#: (:mod:`repro.stream.fabric`).
 DEFAULT_MAX_QUEUE_CHUNKS = 8
 
 #: How long one ``put`` attempt waits before re-checking worker health.

@@ -198,6 +198,65 @@ def test_sigkill_supervisor_then_resume_is_byte_identical(tmp_path):
     assert not store.exists() or not list(store.iterdir())
 
 
+_ORPHAN_SCRIPT = """
+import multiprocessing, os, signal, struct, sys, types
+
+from repro.faults.worker import WorkerFaultEvents
+from repro.stream.fabric import _Arena, _shard_worker
+
+ctx = multiprocessing.get_context("fork")
+queues = [ctx.Queue(), ctx.Queue()]
+inboxes, outboxes = zip(*(ctx.Pipe(duplex=False) for _ in range(2)))
+dataset = types.SimpleNamespace(
+    is_campus=lambda address: True, tcp_ports=None, udp_ports=None
+)
+for shard in range(2):
+    ctx.Process(
+        target=_shard_worker,
+        args=(shard, 0, dataset, {}, None, None, _Arena(2), queues,
+              list(inboxes), outboxes[shard], 0.05, WorkerFaultEvents()),
+    ).start()
+# Each worker's join handshake carries its pid.
+print(*(inbox.recv()[3] for inbox in inboxes), flush=True)
+# Die half way through a message to shard 0: the length prefix of a
+# 100-byte frame and ten bytes of it.
+os.write(queues[0]._writer.fileno(), struct.pack("!i", 100) + b"x" * 10)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_worker_blocked_mid_message_notices_its_supervisor_died(tmp_path):
+    """A supervisor SIGKILLed inside a ``put`` leaves part of a message
+    in the pipe.  The worker reading it must get EOF, not wait for the
+    rest: it, and its sibling, hold no copy of the pipe's write end."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    pids_path = tmp_path / "worker-pids"
+    # Not a pipe: the orphans would hold it open past the supervisor.
+    with open(pids_path, "w") as pids_file:
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            cwd=tmp_path, env=env, stdout=pids_file,
+        )
+        assert supervisor.wait(timeout=120) == -signal.SIGKILL
+    worker_pids = [int(pid) for pid in pids_path.read_text().split()]
+    assert len(worker_pids) == 2
+    try:
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            alive = [pid for pid in worker_pids if _pid_alive(pid)]
+            if not alive:
+                break
+            time.sleep(0.05)
+        assert not alive, f"orphaned fabric workers still alive: {alive}"
+    finally:
+        for pid in worker_pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
 @pytest.mark.slow
 def test_fabric_resume_on_fresh_store_just_runs(tmp_path):
     """``--resume`` with an empty store is a cold start, not an error."""

@@ -221,9 +221,9 @@ def kill_mid_run(front, config, dataset, records):
     """Stop a run so that only its periodic checkpoints survive.
 
     Threads stop after *records* without a final checkpoint; the fabric
-    (which has no such switch) is interrupted right after committing
-    its second generation -- it writes nothing on interrupt, and says
-    so.
+    is interrupted as its second generation commits -- it writes nothing
+    on interrupt beyond settling a generation already requested, and
+    says so.
     """
     if front == "threads":
         partial = run_front(
@@ -528,6 +528,7 @@ class RecordingTransport:
         self.log = log
         self.saved = saved
         self.checkpoints: list[dict] = []
+        self.counted = 0
         self.unanswered: list[float] = []
         self.states = [
             ShardState(
@@ -588,6 +589,14 @@ class RecordingTransport:
         self.checkpoints.append(
             dict(progress, shards=[s.state_dict() for s in self.states])
         )
+
+    def committed_checkpoints(self, wait=False):
+        # Like the marks: a generation commits only when waited on.
+        if not wait:
+            return []
+        commits = [(0.0, None)] * (len(self.checkpoints) - self.counted)
+        self.counted = len(self.checkpoints)
+        return commits
 
     def interrupt(self, progress):
         return "fake"
@@ -666,7 +675,7 @@ class TestDriverContract:
         # Every checkpoint already holds each watermark at or before it,
         # though this transport answers marks only when waited on.
         marks = emit_schedule(days(2), self.EVERY)
-        assert len(transport.checkpoints) >= 3
+        assert result.checkpoints_written == len(transport.checkpoints) >= 3
         for payload in transport.checkpoints:
             times = [w.time for w in payload["watermarks"]]
             assert times == [m for m in marks if m <= payload["now"]]
@@ -701,6 +710,9 @@ class TestDriverContract:
         transport, result, log = drive(stop_after_records=6000)
         assert not result.finished and result.report is None
         assert 6000 <= result.records_read < 6000 + 500
+        # The stop settles what was requested: this transport commits a
+        # generation only when waited on.
+        assert result.checkpoints_written == len(transport.checkpoints) > 0
         names = [entry[0] for entry in log]
         assert names[-1] == "close"
         assert "finish" not in names and "clear" not in names

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import FaultPlan
 from repro.faults.worker import WorkerFaultPlan
 from repro.stream import (
     CheckpointCorrupt,
@@ -33,12 +34,14 @@ from repro.stream import (
     Membership,
     ShardCheckpointStore,
     StreamConfig,
+    StreamEngine,
     StreamIngestor,
     batch_survey_report,
     checkpoint_config,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.stream.engine import _fresh_table
 from repro.stream.shard import ShardState
 
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
@@ -312,6 +315,33 @@ def test_store_prunes_old_generations_and_clears(tmp_path):
     assert not store.root.exists()
 
 
+def test_store_prune_spares_a_newer_generations_files(tmp_path):
+    """A commit sweeps torn temp files up to its own generation only: a
+    ``.tmp`` above it may be a live writer between fsync and rename."""
+    store = ShardCheckpointStore(tmp_path / "store", keep_generations=2)
+    identity = _identity()
+    for generation in (1, 2, 3):
+        store.save_shard(0, generation, identity, _shard_state(0))
+
+    def tmp_of(path):
+        return path.with_name(path.name + ".tmp")
+
+    torn = tmp_of(store.shard_path(1, 1))
+    live = tmp_of(store.shard_path(1, 3))
+    torn.write_bytes(b"a killed writer's leftovers")
+    live.write_bytes(b"fsynced, not yet renamed")
+
+    store.save_manifest(2, identity, _progress())
+    assert not torn.exists()
+    assert live.exists() and store.shard_path(0, 3).exists()
+    store.save_shard(1, 2, identity, _shard_state(1))
+    assert store.plan_restore(identity).generation == 2
+
+    # The commit that passes it sweeps it, if its writer died.
+    store.save_manifest(3, identity, _progress())
+    assert not live.exists()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     records=st.integers(min_value=0, max_value=2**48),
@@ -462,38 +492,76 @@ def test_fabric_stall_chaos_is_byte_identical(small_dtcp18, batch_reference):
     assert any("heartbeat overdue" in line for line in events)
 
 
-def test_fabric_heartbeat_drop_false_positive_is_byte_identical(
+class TickingClock:
+    """A supervisor clock that advances a fixed step each time it is read.
+
+    Membership deadlines then elapse in supervisor steps, not seconds: a
+    worker that has gone silent is overdue after a fixed number of
+    reads however fast the pass runs, and a worker that keeps beating
+    has the real time those reads take in which to be heard.
+    """
+
+    def __init__(self, step: float) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+def test_fabric_worker_holding_the_ring_is_failed_over(
     small_dtcp18, batch_reference, monkeypatch
 ):
-    """Killing a *healthy* worker (dropped beats) must also be invisible."""
-    # Regenerate the stream: a pass over the recorded trace is three
-    # batches and ~60 ms, which can end before the silent worker's miss
-    # budget does, and then nobody is declared dead.
+    """With the miss budget out of reach, what ends a wedged worker is
+    the ring: the supervisor cannot reuse the slots it was sent rows of."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-    config = _config(shards=2)
-    # Early trigger, long suppression, and a very tight miss budget so
-    # the silent-but-working phase is reliably declared dead; spurious
-    # kills of the genuinely healthy shard are themselves false
-    # positives the fabric must absorb, hence the roomy restart budget.
-    faults = WorkerFaultPlan(seed=8, heartbeat_drop_rate=1.0,
-                             heartbeat_drop_beats=500,
-                             horizon_records=1_000)
+    config = _config(shards=2, batch_records=2048)
+    faults = WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON)
     events = []
     result = FabricSupervisor(
         config,
-        FabricConfig(worker_faults=faults, heartbeat_interval=0.02,
-                     miss_budget=2, max_restarts=25,
+        FabricConfig(worker_faults=faults, heartbeat_interval=0.05,
+                     miss_budget=10_000, put_timeout=0.02, stall_timeout=0.2,
                      restart_backoff=0.01, restart_backoff_max=0.05),
         dataset=small_dtcp18,
     ).run(on_event=events.append)
     assert result.report == batch_reference
-    assert any(line.startswith("fabric: dead") for line in events)
+    assert any("held a ring slot" in line for line in events)
+    assert not any("heartbeat overdue" in line for line in events)
+
+
+def test_fabric_heartbeat_drop_false_positive_is_byte_identical(
+    small_dtcp18, batch_reference, monkeypatch
+):
+    """Killing a *healthy* worker (dropped beats) must also be invisible."""
+    # Regenerate the stream in small batches, so the run is a few hundred
+    # supervisor steps long whatever the machine's speed.
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    config = _config(shards=2, batch_records=2048)
+    # Silent from its first batch and for the rest of the run.  The miss
+    # budget is 100 clock reads (~20 batches, tens of milliseconds) in
+    # which a healthy worker, beating every 5 ms, is heard many times
+    # over; a late beat on a loaded machine is itself a false positive
+    # the fabric must absorb, hence the roomy restart budget.
+    faults = WorkerFaultPlan(seed=8, heartbeat_drop_rate=1.0,
+                             heartbeat_drop_beats=100_000,
+                             horizon_records=1_000)
+    events = []
+    result = FabricSupervisor(
+        config,
+        FabricConfig(worker_faults=faults, heartbeat_interval=0.005,
+                     miss_budget=2, max_restarts=25,
+                     restart_backoff=0.01, restart_backoff_max=0.05),
+        dataset=small_dtcp18,
+        clock=TickingClock(0.005 * 2 / 100),
+    ).run(on_event=events.append)
+    assert result.report == batch_reference
+    assert any("heartbeat overdue" in line for line in events)
 
 
 def test_fabric_with_capture_faults_matches_batch(small_dtcp18):
     """Measurement faults and process chaos compose deterministically."""
-    from repro.faults.plan import FaultPlan
-
     plan = FaultPlan(seed=5, capture_loss_rate=0.02, outage_fraction=0.02)
     config = _config(shards=4, faults=plan)
     reference = batch_survey_report(config, dataset=small_dtcp18)
@@ -524,6 +592,141 @@ def test_fabric_periodic_manifests_and_clean_clear(small_dtcp18,
     assert result.checkpoints_written > 0
     # Clean finish: the store is cleared so it cannot hijack a later run.
     assert not store_dir.exists() or not list(store_dir.iterdir())
+
+
+def _recut_cached_trace(dataset, chunk_records):
+    """Record *dataset*'s trace into the current cache, then rewrite the
+    entry in *chunk_records*-record chunks (what a reader hands out)."""
+    from repro.trace.cache import default_trace_cache
+    from repro.trace.columnar import convert_trace, read_trace_columns
+
+    dataset.replay(_fresh_table(dataset))
+    entry = default_trace_cache().lookup(dataset.trace_cache_key)
+    recut = entry.with_name(entry.name + ".recut")
+    convert_trace(entry, recut, chunk_records=chunk_records)
+    recut.replace(entry)
+    assert max(len(batch) for batch in read_trace_columns(entry)) > 65_536
+
+
+#: name -> (StreamConfig overrides, WorkerFaultPlan or None).  Every
+#: schedule checkpoints every stream minute, which is less than a batch
+#: below spans: a generation is due at each batch, so one is nearly
+#: always in flight while the supervisor runs ahead in the ring.
+SCHEDULES = {
+    "checkpoint-every-batch": (dict(batch_records=8192), None),
+    # ~120 batches through a 4-slot ring.
+    "ring-wraps": (dict(batch_records=1024), None),
+    "crash": (
+        dict(batch_records=2048),
+        WorkerFaultPlan(seed=13, crash_rate=1.0, horizon_records=HORIZON),
+    ),
+    "stall": (
+        dict(batch_records=2048),
+        WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON),
+    ),
+    "capture-faults": (
+        dict(
+            batch_records=8192,
+            faults=FaultPlan(
+                seed=5, capture_loss_rate=0.02, outage_fraction=0.02
+            ),
+        ),
+        None,
+    ),
+    # A cached trace whose chunks are larger than a ring slot.
+    "oversized-chunks": (dict(), None),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_fabric_schedules_match_batch_and_stop_deterministically(
+    schedule, small_dtcp18, tmp_path, monkeypatch
+):
+    """The arena and the generation pipeline against the batch oracle.
+
+    A full run reports what the batch survey reports.  A run stopped
+    after N records leaves only complete generations -- every manifest
+    on disk loads, with all of its shard files -- and resumes to the
+    same bytes; and without worker faults two such runs leave the same
+    generations at the same offsets, however the workers were scheduled
+    (a failover aborts the generation in flight, and when a death is
+    noticed is the one thing here that is timing).
+    """
+    overrides, worker_faults = SCHEDULES[schedule]
+    if schedule == "oversized-chunks":
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+        _recut_cached_trace(small_dtcp18, 100_000)
+    else:
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    fabric = FabricConfig(worker_faults=worker_faults, max_restarts=25, **FAST)
+
+    def run(store, **kwargs):
+        config = _config(
+            shards=2, checkpoint_every=60.0,
+            checkpoint_path=str(tmp_path / store), **overrides,
+        )
+        result = FabricSupervisor(config, fabric, dataset=small_dtcp18).run(
+            **kwargs
+        )
+        return config, result
+
+    config, full = run("full")
+    oracle = batch_survey_report(config, dataset=small_dtcp18)
+    assert full.report == oracle
+    assert full.checkpoints_written > 0
+
+    left = []
+    for name in ("first", "second"):
+        config, stopped = run(name, stop_after_records=60_000)
+        assert not stopped.finished
+        store = ShardCheckpointStore(config.checkpoint_path)
+        identity = StreamEngine(config, dataset=small_dtcp18)._identity()
+        offsets = []
+        for generation in store.generations():
+            offsets.append(
+                store.load_manifest(generation, identity)["records_read"]
+            )
+            for shard in range(2):
+                store.load_shard(shard, generation, identity)
+        assert offsets and offsets[0] <= stopped.records_read
+        left.append((store.generations(), offsets))
+        if worker_faults is None:
+            assert stopped.checkpoints_written == store.generations()[0]
+    if worker_faults is None:
+        assert left[0] == left[1]
+    for name in ("first", "second"):
+        _, resumed = run(name, resume=True)
+        assert resumed.resumed and resumed.report == oracle
+
+
+def test_fabric_requested_stop_settles_the_generation_in_flight(
+    small_dtcp18, batch_reference, tmp_path, monkeypatch
+):
+    """A stop request lands after the batch's checkpoint step, so the
+    generation that step requested is in flight when the loop
+    interrupts itself; it must be committed before the fleet goes."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    # Due at every batch: none spans less than a stream minute.
+    config = _config(
+        shards=2, batch_records=8192, checkpoint_every=60.0,
+        checkpoint_path=str(tmp_path / "store"),
+    )
+    supervisor = FabricSupervisor(
+        config, FabricConfig(**FAST), dataset=small_dtcp18
+    )
+
+    def stop_at_first_commit(line):
+        if line.startswith("fabric: manifest generation=1 "):
+            supervisor.engine.request_stop()
+
+    with pytest.raises(KeyboardInterrupt, match="committed generation 2"):
+        supervisor.run(on_event=stop_at_first_commit)
+    store = ShardCheckpointStore(config.checkpoint_path)
+    assert store.generations() == [2, 1]
+    resumed = FabricSupervisor(
+        config, FabricConfig(**FAST), dataset=small_dtcp18
+    ).run(resume=True)
+    assert resumed.resumed and resumed.report == batch_reference
 
 
 def test_fabric_restart_budget_degrades_structurally(small_dtcp18):
