@@ -412,19 +412,3 @@ class NonServerSpec:
             + self.wireless_count
             + self.vpn_count
         )
-
-
-def table3_expectations() -> dict[str, int]:
-    """The paper's Table 3 counts (12-hour categorisation), for tests."""
-    return {
-        "active server address": 286,
-        "idle server address": 1421,
-        "firewalled address or birth": 41,
-        "non-server address": 14553,
-    }
-
-
-def table4_expected_count(category: BehaviorCategory) -> int:
-    """The paper's Table 4 count for *category* (NON_SERVER excluded)."""
-    counts = {spec.category: spec.count for spec in semester_category_specs()}
-    return counts[category]

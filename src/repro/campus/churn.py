@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from repro.net.addr import AddressBlock
-from repro.simkernel.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.simkernel.clock import SECONDS_PER_HOUR
 
 
 class AssignmentPolicy(str, Enum):
@@ -327,8 +327,3 @@ def sessions_overlapping(
 def expected_concurrency(style: SessionStyle) -> float:
     """Long-run fraction of time a host with *style* is online."""
     return style.mean_session_hours / (style.mean_session_hours + style.mean_gap_hours)
-
-
-def max_day_sessions(duration: float) -> float:
-    """Dataset duration expressed in days (helper for calibration docs)."""
-    return duration / SECONDS_PER_DAY

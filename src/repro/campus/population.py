@@ -186,10 +186,6 @@ class CampusPopulation:
             for service in host.services.values():
                 yield host, service
 
-    def server_hosts(self):
-        """Yield hosts that run at least one service."""
-        return (h for h in self.hosts.values() if h.services)
-
     # ---- ground-truth accessors (tests/calibration only) -----------
 
     def ground_truth_endpoints(self, proto: int = PROTO_TCP) -> set[tuple[int, int]]:
@@ -207,15 +203,6 @@ class CampusPopulation:
                 for port in ports:
                     endpoints.add((tenure.address, port))
         return endpoints
-
-    def category_of_address(self, address: int) -> str | None:
-        """Ground-truth behaviour category of the host that *first* held
-        the address (calibration helper)."""
-        tenures = self.ledger.tenures_of_address(address)
-        if not tenures:
-            return None
-        return self.hosts[tenures[0].host_id].category
-
 
 def _popularity_weights(member_count: int, rate: RateSpec) -> list[float]:
     """Popularity weights for a ZIPF category, honouring explicit shares.

@@ -21,7 +21,6 @@ import datetime as _dt
 from dataclasses import dataclass
 
 from repro.campus.categories import (
-    BehaviorCategory,
     CategorySpec,
     NonServerSpec,
     semester_category_specs,
@@ -118,11 +117,6 @@ class CampusProfile:
     outbound_noise_flows_per_day: float = 400.0
     #: Global multiplier on legitimate client-arrival rates.
     activity_scale: float = 1.0
-
-    @property
-    def total_server_addresses(self) -> int:
-        return sum(spec.count for spec in self.category_specs)
-
 
 def _scale_count(count: int, scale: float) -> int:
     """Scale a category count, keeping small-but-present categories alive."""
@@ -258,12 +252,3 @@ def allports_profile() -> CampusProfile:
             scanner_ip_count=12,
         ),
     )
-
-
-def transient_category_names() -> set[BehaviorCategory]:
-    """Categories whose members live in transient address blocks."""
-    return {
-        spec.category
-        for spec in semester_category_specs()
-        if sum(w for cls, w in spec.address_classes if cls in _TRANSIENT_CLASSES) > 0.5
-    }

@@ -86,7 +86,6 @@ def cmd_survey(args: argparse.Namespace) -> int:
         from repro.telemetry import enable
 
         enable()
-    # The spans are no-ops unless --telemetry enabled a real registry.
     with span("survey"):
         with span("build"):
             dataset = build_dataset(
@@ -110,7 +109,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     )
     print(report.render())
     if telemetry_dir:
-        from repro.telemetry import RunManifest, registry, write_exports
+        from repro.telemetry import export_run, registry
 
         reg = registry()
         reg.gauge(
@@ -125,16 +124,9 @@ def cmd_survey(args: argparse.Namespace) -> int:
             "repro_active_open_addresses",
             "Addresses with an open port in any active sweep.",
         ).set(len(active))
-        manifest = RunManifest.collect(
-            command="survey",
-            dataset=args.dataset,
-            seed=args.seed,
-            scale=args.scale,
-        )
-        written = write_exports(telemetry_dir, reg, manifest)
-        print(
-            "telemetry: wrote " + ", ".join(str(path) for path in written),
-            file=sys.stderr,
+        export_run(
+            telemetry_dir, "survey",
+            dataset=args.dataset, seed=args.seed, scale=args.scale,
         )
     return 0
 
@@ -304,7 +296,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
         Path(args.out).write_text(result.report + "\n", encoding="utf-8")
     if telemetry_dir:
-        from repro.telemetry import RunManifest, registry, write_exports
+        from repro.telemetry import export_run, registry
 
         reg = registry()
         reg.gauge(
@@ -315,8 +307,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
             "repro_passive_server_addresses",
             "Addresses with at least one passively discovered service.",
         ).set(len(result.table.server_addresses()))
-        manifest = RunManifest.collect(
-            command="stream",
+        export_run(
+            telemetry_dir, "stream",
             dataset=args.dataset,
             seed=args.seed,
             scale=args.scale,
@@ -328,11 +320,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 "checkpoint_every_hours": args.checkpoint_every,
                 "resumed": result.resumed,
             },
-        )
-        written = write_exports(telemetry_dir, reg, manifest)
-        print(
-            "telemetry: wrote " + ", ".join(str(path) for path in written),
-            file=sys.stderr,
         )
     return 0
 
@@ -709,27 +696,33 @@ def cmd_stats(args: argparse.Namespace) -> int:
     scalars: dict[str, float] = {}
     totals: dict[str, float] = {}
     histograms = []
-    spans = []
-    process_spans = []
+    # The two span series get tables of their own:
+    # (process, path) -> [count, wall seconds, CPU seconds].
+    spans: dict[tuple[str, str], list[float]] = {}
+
+    def span_row(labels: dict) -> list[float]:
+        key = (labels.get("process", ""), labels.get("span", ""))
+        return spans.setdefault(key, [0, 0.0, 0.0])
+
     for record in records:
         kind = record.get("type")
         name = record.get("name", "")
+        labels = record.get("labels", {})
         if kind in ("counter", "gauge"):
-            scalars[name + label_suffix(record.get("labels", {}))] = (
-                record.get("value", 0)
-            )
-            totals[name] = totals.get(name, 0) + record.get("value", 0)
-        elif kind == "histogram":
-            histograms.append(record)
-            totals[name] = totals.get(name, 0) + record.get("count", 0)
-        elif kind == "span":
-            # Per-process span records (fabric worker attribution) are
-            # already folded into the merged aggregates; keep them out
-            # of the default view so nothing double-counts.
-            if "process" in record:
-                process_spans.append(record)
+            value = record.get("value", 0)
+            totals[name] = totals.get(name, 0) + value
+            if name == "repro_span_cpu_seconds_total":
+                span_row(labels)[2] += value
             else:
-                spans.append(record)
+                scalars[name + label_suffix(labels)] = value
+        elif kind == "histogram":
+            totals[name] = totals.get(name, 0) + record.get("count", 0)
+            if name == "repro_span_seconds":
+                row = span_row(labels)
+                row[0] += record.get("count", 0)
+                row[1] += record.get("sum", 0.0)
+            else:
+                histograms.append(record)
     if scalars:
         table = TextTable(
             title=f"Metrics: {len(scalars)} series",
@@ -752,43 +745,34 @@ def cmd_stats(args: argparse.Namespace) -> int:
             )
         print()
         print(table.render())
+
+    def span_table(title: str, lead: list[str], rows) -> None:
+        table = TextTable(
+            title=title, headers=lead + ["Count", "Wall s", "CPU s"]
+        )
+        for key, (count, wall, cpu) in sorted(rows):
+            table.add_row(
+                *key, format_count(count), f"{wall:.3f}", f"{cpu:.3f}"
+            )
+        print()
+        print(table.render())
+
     if spans:
-        table = TextTable(
-            title="Spans",
-            headers=["Span", "Count", "Wall s", "CPU s"],
-        )
-        for record in spans:
-            table.add_row(
-                record.get("name", ""),
-                format_count(record.get("count", 0)),
-                f"{record.get('wall_seconds', 0):.3f}",
-                f"{record.get('cpu_seconds', 0):.3f}",
-            )
-        print()
-        print(table.render())
+        # Summed over processes: a worker's time is counted once here
+        # and attributed under --per-process.
+        by_path: dict[tuple[str], list[float]] = {}
+        for (_process, path), row in spans.items():
+            merged = by_path.setdefault((path,), [0, 0.0, 0.0])
+            for index, value in enumerate(row):
+                merged[index] += value
+        span_table("Spans", ["Span"], by_path.items())
     if getattr(args, "per_process", False):
-        # Render the table even when no span carries a process label
-        # (e.g. a threaded-engine export): an explicit empty table, not
-        # silence and never a traceback.
-        table = TextTable(
-            title="Spans by process",
-            headers=["Process", "Span", "Count", "Wall s", "CPU s"],
+        # Rendered even when no span carries a process label (e.g. a
+        # threaded-engine export): an explicit empty table, not silence.
+        span_table(
+            "Spans by process", ["Process", "Span"],
+            (item for item in spans.items() if item[0][0]),
         )
-        for record in sorted(
-            process_spans,
-            key=lambda item: (
-                item.get("process") or "", item.get("name") or ""
-            ),
-        ):
-            table.add_row(
-                record.get("process") or "",
-                record.get("name") or "",
-                format_count(record.get("count", 0)),
-                f"{record.get('wall_seconds', 0):.3f}",
-                f"{record.get('cpu_seconds', 0):.3f}",
-            )
-        print()
-        print(table.render())
     missing = [name for name in (args.require or [])
                if totals.get(name, 0) <= 0]
     if missing:

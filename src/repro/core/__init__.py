@@ -22,7 +22,6 @@ from repro.core.completeness import (
     weighted_discovery_curve,
 )
 from repro.core.categorize import (
-    categorize_extended,
     categorize_initial,
     confirm_firewalls,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "CompletenessSummary",
     "DiscoveryTimeline",
     "TextTable",
-    "categorize_extended",
     "categorize_initial",
     "confirm_firewalls",
     "cumulative_curve",

@@ -120,55 +120,6 @@ def classify_vector(v: ObservationVector) -> str:
     return T4_POSSIBLE_FW_INTERMITTENT if v.transient else T4_POSSIBLE_FW_BIRTH
 
 
-def categorize_extended(
-    addresses: Iterable[int],
-    passive_timeline: DiscoveryTimeline,
-    active_first_scan: set[int],
-    active_later_scans: set[int],
-    is_transient: Callable[[int], bool],
-    early_cutoff: float,
-) -> dict[str, set[int]]:
-    """Table 4: classify addresses with the full observation period.
-
-    Parameters
-    ----------
-    passive_timeline:
-        Address-level passive first-seen times over the whole dataset.
-    active_first_scan / active_later_scans:
-        Addresses found open by scan 1 / by any subsequent scan.
-    early_cutoff:
-        End of the "first 12 hours" window, dataset seconds.
-    """
-    result: dict[str, set[int]] = {}
-    for address in addresses:
-        first = passive_timeline.first_seen.get(address)
-        vector = ObservationVector(
-            passive_early=first is not None and first < early_cutoff,
-            active_early=address in active_first_scan,
-            passive_late=first is not None and first >= early_cutoff
-            or _reseen_late(passive_timeline, address, early_cutoff),
-            active_late=address in active_later_scans,
-            transient=is_transient(address),
-        )
-        label = classify_vector(vector)
-        result.setdefault(label, set()).add(address)
-    return result
-
-
-def _reseen_late(
-    timeline: DiscoveryTimeline, address: int, cutoff: float
-) -> bool:
-    """Whether the address has passive evidence after *cutoff*.
-
-    A plain first-seen timeline cannot answer this for addresses first
-    seen early; callers that need the distinction should supply a
-    :class:`LateEvidence` via :func:`categorize_extended_with_evidence`.
-    This fallback under-reports "seen again later", which matters only
-    for the active-server / mostly-idle split.
-    """
-    return False
-
-
 @dataclass
 class LateEvidence:
     """Addresses with passive evidence after a cutoff (for Table 4)."""

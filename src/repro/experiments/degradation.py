@@ -273,21 +273,14 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run_from_args(args: argparse.Namespace) -> int:
+    from repro.telemetry import span
+
     telemetry_dir = getattr(args, "telemetry", None)
     if telemetry_dir:
-        from repro.telemetry import enable, span
+        from repro.telemetry import enable
 
         enable()
-        with span("degradation"):
-            result = run_degradation(
-                dataset=args.dataset,
-                seed=args.seed,
-                scale=args.scale,
-                loss_rates=tuple(args.loss_rates),
-                outage_fractions=tuple(args.outage_fractions),
-                jobs=args.jobs,
-            )
-    else:
+    with span("degradation"):
         result = run_degradation(
             dataset=args.dataset,
             seed=args.seed,
@@ -303,10 +296,10 @@ def run_from_args(args: argparse.Namespace) -> int:
             handle.write(report + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
     if telemetry_dir:
-        from repro.telemetry import RunManifest, registry, write_exports
+        from repro.telemetry import export_run
 
-        manifest = RunManifest.collect(
-            command="degradation",
+        export_run(
+            telemetry_dir, "degradation",
             dataset=args.dataset,
             seed=args.seed,
             scale=args.scale,
@@ -315,11 +308,6 @@ def run_from_args(args: argparse.Namespace) -> int:
                 "outage_fractions": list(args.outage_fractions),
                 "jobs": args.jobs,
             },
-        )
-        written = write_exports(telemetry_dir, registry(), manifest)
-        print(
-            "telemetry: wrote " + ", ".join(str(path) for path in written),
-            file=sys.stderr,
         )
     return 0
 

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentResult
 from repro.telemetry.metrics import registry as _telemetry_registry
+from repro.telemetry.tracing import span as _span
 
 HEADER = """\
 # EXPERIMENTS — paper vs. reproduction
@@ -133,7 +134,7 @@ def _run_experiment_instrumented(
     reg = _telemetry_registry()
     before = replay_stats_snapshot()
     started = time.perf_counter()
-    with reg.span(name):
+    with _span(name):
         result = run_experiment(name, seed, scale)
     elapsed = time.perf_counter() - started
     after = replay_stats_snapshot()
@@ -292,7 +293,7 @@ def _worker_entry(conn, name: str, seed: int, scale: float) -> None:
     snapshot = None
     telemetry = _telemetry_registry().enabled
     if telemetry:
-        set_registry(MetricRegistry())
+        set_registry(MetricRegistry(process=name))
     try:
         result = _run_experiment_instrumented(name, seed, scale)
         if telemetry:
@@ -397,7 +398,7 @@ def _run_isolated(
         if payload is not None and payload[0] == "ok":
             result = payload[1]
             if len(payload) > 2 and payload[2] is not None:
-                _telemetry_registry().merge_snapshot(payload[2], process=name)
+                _telemetry_registry().merge_snapshot(payload[2])
             outcomes[name] = result
             if verbose:
                 print(
@@ -809,10 +810,10 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(report)
     if args.telemetry:
-        from repro.telemetry import RunManifest, write_exports
+        from repro.telemetry import export_run
 
-        manifest = RunManifest.collect(
-            command="runner",
+        export_run(
+            args.telemetry, "runner",
             seed=args.seed,
             scale=args.scale,
             arguments={
@@ -820,11 +821,6 @@ def main(argv: list[str] | None = None) -> int:
                 "jobs": args.jobs,
                 "out": args.out,
             },
-        )
-        written = write_exports(args.telemetry, _telemetry_registry(), manifest)
-        print(
-            "telemetry: wrote " + ", ".join(str(path) for path in written),
-            file=sys.stderr,
         )
     if args.series_dir:
         written = export_series(results, args.series_dir)

@@ -30,7 +30,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.net.addr import parse_ipv4
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.metrics import registry
-from repro.telemetry.tracing import parse_traceparent, tracer
+from repro.telemetry.tracing import parse_traceparent, span, tracer
 
 from repro.query.liveness import infer_liveness
 from repro.query.state import QueryState
@@ -40,6 +40,15 @@ _SINCE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
 #: Latency buckets for request histograms: 10 us .. ~0.3 s.
 _LATENCY_BUCKETS = tuple(1e-5 * 2**i for i in range(15))
+
+
+#: Header lines one request may carry (Apache's default).  A single line
+#: is bounded by the ``StreamReader``'s 64 KiB limit.
+_MAX_HEADER_LINES = 100
+
+
+class _HeadTooLarge(Exception):
+    """A request head over either bound: answered ``431``, then closed."""
 
 
 class _BadRequest(Exception):
@@ -244,7 +253,14 @@ class QueryService:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HeadTooLarge:
+                    writer.write(_render_response(
+                        *_error(431, "request head too large"), False
+                    ))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, keep_alive, traceparent = request
@@ -280,7 +296,7 @@ class QueryService:
         # A valid W3C traceparent header links this request span into
         # the caller's trace; otherwise it roots in this process.
         parent = parse_traceparent(traceparent) if trc.enabled else None
-        with trc.span("query.request", parent=parent, endpoint=label) as tspan:
+        with span("query.request", parent=parent, endpoint=label) as request:
             try:
                 status, content_type, body = handle_request(
                     self.state, method, target
@@ -289,8 +305,7 @@ class QueryService:
                 status, content_type, body = _error(
                     500, f"internal error: {exc}"
                 )
-            if trc.enabled:
-                tspan.fields["status"] = status
+            request.fields["status"] = status
         reg.histogram(
             "repro_query_request_seconds",
             "Query service request latency.",
@@ -312,7 +327,14 @@ class QueryService:
         Returns ``(method, target, keep_alive, traceparent)`` -- the
         only headers inspected are ``Connection`` and ``traceparent``.
         """
-        line = await reader.readline()
+
+        async def readline() -> bytes:
+            try:
+                return await reader.readline()
+            except ValueError:  # the line outran the reader's limit
+                raise _HeadTooLarge from None
+
+        line = await readline()
         if not line:
             return None
         try:
@@ -321,8 +343,8 @@ class QueryService:
             return "BAD", "/", False, None
         keep_alive = version.upper() != "HTTP/1.0"
         traceparent = None
-        while True:
-            header = await reader.readline()
+        for _line in range(_MAX_HEADER_LINES + 1):
+            header = await readline()
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -331,6 +353,8 @@ class QueryService:
                 keep_alive = value.strip().lower() != "close"
             elif name == "traceparent":
                 traceparent = value.strip()
+        else:
+            raise _HeadTooLarge
         return method, target, keep_alive, traceparent
 
 
@@ -338,7 +362,9 @@ def _render_response(
     status: int, content_type: str, body: bytes, keep_alive: bool
 ) -> bytes:
     reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              405: "Method Not Allowed", 500: "Internal Server Error",
+              405: "Method Not Allowed",
+              431: "Request Header Fields Too Large",
+              500: "Internal Server Error",
               503: "Service Unavailable"}.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"

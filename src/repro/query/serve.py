@@ -101,19 +101,14 @@ def run_serve(
         disable_tracing()
         print(f"trace: events in {trace_dir}", file=sys.stderr)
     if telemetry_dir:
-        from repro.telemetry import RunManifest, registry, write_exports
+        from repro.telemetry import export_run
 
-        manifest = RunManifest.collect(
-            command="serve",
+        export_run(
+            telemetry_dir, "serve",
             dataset=config.dataset,
             seed=config.seed,
             scale=config.scale,
             faults=getattr(config, "faults", None),
-        )
-        written = write_exports(telemetry_dir, registry(), manifest)
-        print(
-            "telemetry: wrote " + ", ".join(str(path) for path in written),
-            file=sys.stderr,
         )
     return code
 

@@ -50,10 +50,6 @@ class QueryState:
                 self._status = "running"
         return stamped
 
-    def mark_running(self) -> None:
-        with self._lock:
-            self._status = "running"
-
     def mark_finished(self) -> None:
         with self._lock:
             self._status = "finished"

@@ -68,6 +68,7 @@ from repro.stream.watermark import (
     windowed_summary,
 )
 from repro.telemetry.metrics import registry as _telemetry_registry
+from repro.telemetry.tracing import span as _span
 from repro.telemetry.tracing import tracer as _tracer
 from repro.trace.columnar import DEFAULT_BATCH_RECORDS
 
@@ -590,7 +591,7 @@ class StreamEngine:
                     # Pending marks drain first, so the payload's
                     # emission cursor matches its watermark list.
                     emit(transport.completed_marks(wait=True))
-                    with trc.span("stream.checkpoint", records=records_read):
+                    with _span("stream.checkpoint", records=records_read):
                         transport.checkpoint(snapshot_progress())
                     while next_checkpoint <= now:
                         next_checkpoint += config.checkpoint_every

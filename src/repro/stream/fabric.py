@@ -89,8 +89,8 @@ from repro.stream.shard import ShardState
 from repro.stream.watermark import Watermark
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
-from repro.telemetry.spans import span as _span
 from repro.telemetry.tracing import Tracer, set_tracer
+from repro.telemetry.tracing import span as _span
 from repro.telemetry.tracing import tracer as _tracer
 from repro.trace.columnar import (
     COLUMN_FIELDS,
@@ -301,7 +301,7 @@ def _shard_worker(
     if snapshot_home:
         # The forked registry holds the parent's counts; a fresh one
         # isolates this worker's contribution for the merge at "done".
-        set_registry(MetricRegistry())
+        set_registry(MetricRegistry(process=f"shard{shard}"))
     state = ShardState(shard, _fresh_table(dataset))
     if initial_state is not None:
         state.restore_state(initial_state)
@@ -329,13 +329,12 @@ def _shard_worker(
             kind = item[0]
             if kind == "rows":
                 _, slot, lo, hi, sequence, link_names, ctx = item
-                with _span("fabric.worker.batch"):
+                with _span("worker.batch", parent=ctx) as batch:
+                    batch.durable = False  # per batch: the ring only
                     state.observe_columns(arena.rows(slot, lo, hi, link_names))
+                    batch.fields["records"] = state.records
                 # Nothing here reads the slot again: hand it back.
                 arena.progress[shard] = sequence
-                if trc.enabled:
-                    trc.note("worker.batch", parent=ctx,
-                             records=state.records)
                 if events.crash_at is not None and state.records >= events.crash_at:
                     if trc.enabled:
                         trc.event("worker.crash", parent=ctx, shard=shard,
@@ -366,9 +365,8 @@ def _shard_worker(
                     suppress_beats = events.drop_heartbeats
             elif kind == "mark":
                 _, index, mark, ctx = item
-                with _span("fabric.worker.mark"), \
-                        trc.span("worker.mark", parent=ctx, index=index,
-                                 records=state.records):
+                with _span("worker.mark", parent=ctx, index=index,
+                           records=state.records):
                     owned = sorted(
                         {
                             address
@@ -382,10 +380,8 @@ def _shard_worker(
                 )
             elif kind == "ckpt":
                 generation = item[1]
-                with _span("fabric.worker.ckpt"), \
-                        trc.span("worker.ckpt", parent=item[2],
-                                 generation=generation,
-                                 records=state.records):
+                with _span("worker.ckpt", parent=item[2],
+                           generation=generation, records=state.records):
                     store.save_shard(
                         shard, generation, identity, state.state_dict()
                     )
@@ -393,8 +389,8 @@ def _shard_worker(
             elif kind == "snap":
                 # In-band like marks: the payload covers exactly the
                 # records fed before the request -- a consistent cut.
-                with trc.span("worker.snap", parent=item[2], index=item[1],
-                              records=state.records):
+                with _span("worker.snap", parent=item[2], index=item[1],
+                           records=state.records):
                     payload = shard_snapshot_payload(state)
                 outbox.send(
                     ("snap_ack", shard, incarnation, item[1], payload)
@@ -652,7 +648,7 @@ class FabricSupervisor:
             if len(message) > 4 and message[4] is not None:
                 reg = _telemetry_registry()
                 if reg.enabled:
-                    reg.merge_snapshot(message[4], process=f"shard{shard}")
+                    reg.merge_snapshot(message[4])
         elif kind == "error":
             self._worker_errors[shard] = message[3]
 
@@ -859,9 +855,7 @@ class FabricSupervisor:
             self._kill_all()
             raise FabricDegradedError(shard, restarts - 1, reason)
         started = perf_counter()
-        with _span("fabric.reassign"), trc.span(
-            "fabric.reassign", shard=shard, restarts=restarts
-        ):
+        with _span("fabric.reassign", shard=shard, restarts=restarts):
             self._kill_worker(shard)
             backoff = min(
                 self.fabric.restart_backoff * (2 ** (restarts - 1)),

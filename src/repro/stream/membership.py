@@ -133,9 +133,6 @@ class Membership:
         assert member.last_heartbeat is not None
         return now - member.last_heartbeat > self.miss_budget * self.heartbeat_interval
 
-    def overdue_shards(self, now: float) -> list[int]:
-        return [s for s in range(self.shards) if self.overdue(s, now)]
-
     def health(self, now: float) -> list[dict]:
         """Per-shard liveness summary, JSON-ready for ``/healthz``.
 

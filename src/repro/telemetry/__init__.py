@@ -1,24 +1,22 @@
 """Zero-overhead-by-default observability for the repro pipeline.
 
-The subsystem has four pieces:
-
 * :mod:`.metrics` -- ``Counter`` / ``Gauge`` / ``Histogram`` primitives
   in a :class:`MetricRegistry`, with a module-level *active* registry
   that defaults to a shared no-op :class:`NullRegistry`;
-* :mod:`.spans` -- ``span(name)`` context-manager tracing with nested
-  per-phase wall/CPU aggregates;
+* :mod:`.tracing` -- :func:`span`, the one way to time a region (its
+  timings are ordinary labelled metrics *and* trace records), and the
+  :class:`Tracer`: causally linked records sharing one per-run
+  ``trace_id`` across processes (fabric queue messages and the query
+  service's W3C ``traceparent`` header carry the context);
+* :mod:`.flight` / :mod:`.chrome` -- a bounded per-process
+  flight-recorder ring dumped atomically on crashes and stalls, and a
+  Chrome-trace/Perfetto exporter behind ``python -m repro trace-view``;
 * :mod:`.manifest` -- :class:`RunManifest` snapshots of what ran under
   what configuration (dataset, seed, scale, fault digest, git SHA);
 * :mod:`.export` -- Prometheus text and JSON-lines exporters, written
   per run into a ``--telemetry DIR`` directory and read back by
   ``python -m repro stats``;
-* :mod:`.tracing` / :mod:`.flight` / :mod:`.chrome` -- distributed
-  event tracing: causally linked spans/events sharing one per-run
-  ``trace_id`` across processes (fabric queue messages and the query
-  service's W3C ``traceparent`` header carry the context), a bounded
-  per-process flight-recorder ring dumped atomically on crashes and
-  stalls, and a Chrome-trace/Perfetto exporter behind
-  ``python -m repro trace-view``.
+* :mod:`.tap` -- :class:`ReplayTap`, the per-record counters of a pass.
 
 Instrumentation contract: enabling telemetry must never change any
 experiment result -- only record what happened.  With telemetry off
@@ -30,6 +28,7 @@ from repro.telemetry.export import (
     JSONL_FILE,
     MANIFEST_FILE,
     PROMETHEUS_FILE,
+    export_run,
     jsonl_text,
     load_metrics,
     load_run,
@@ -49,7 +48,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricRegistry,
     NullRegistry,
-    SpanAggregate,
     disable,
     enable,
     registry,
@@ -68,7 +66,6 @@ from repro.telemetry.flight import (
     NullFlightRecorder,
     load_flight_dump,
 )
-from repro.telemetry.spans import SpanTimer, span
 from repro.telemetry.tap import ReplayTap
 from repro.telemetry.tracing import (
     NullTracer,
@@ -80,6 +77,7 @@ from repro.telemetry.tracing import (
     new_trace_id,
     parse_traceparent,
     set_tracer,
+    span,
     tracer,
     tracing_enabled,
 )
@@ -93,9 +91,7 @@ __all__ = [
     "NullFlightRecorder",
     "NullRegistry",
     "NullTracer",
-    "SpanAggregate",
     "SpanContext",
-    "SpanTimer",
     "ReplayTap",
     "RunManifest",
     "Tracer",
@@ -109,6 +105,7 @@ __all__ = [
     "disable_tracing",
     "enable",
     "enable_tracing",
+    "export_run",
     "fault_plan_digest",
     "git_sha",
     "jsonl_text",

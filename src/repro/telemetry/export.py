@@ -8,8 +8,7 @@ One instrumented run exports three files into its telemetry directory
     metrics snapshot (machine-readable, one file per run).
 ``metrics.prom``
     Prometheus text exposition format -- scrape-ready, with histograms
-    rendered as cumulative ``_bucket``/``_sum``/``_count`` series and
-    span aggregates as ``repro_span_*`` series labelled by path.
+    rendered as cumulative ``_bucket``/``_sum``/``_count`` series.
 ``metrics.jsonl``
     One JSON object per metric per line (``type`` / ``name`` /
     ``labels`` / values) -- the format ``python -m repro stats`` reads
@@ -19,11 +18,13 @@ One instrumented run exports three files into its telemetry directory
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Iterator
 
 from repro.telemetry.manifest import RunManifest, load_manifest
 from repro.telemetry.metrics import Histogram, MetricRegistry
+from repro.telemetry.metrics import registry as _active_registry
 
 MANIFEST_FILE = "manifest.json"
 PROMETHEUS_FILE = "metrics.prom"
@@ -45,7 +46,7 @@ def _format_labels(labels, extra: tuple[tuple[str, str], ...] = ()) -> str:
 
 
 def prometheus_text(registry: MetricRegistry) -> str:
-    """Render every metric and span aggregate in exposition format."""
+    """Render every metric in exposition format."""
     lines: list[str] = []
     seen_types: set[str] = set()
 
@@ -81,45 +82,11 @@ def prometheus_text(registry: MetricRegistry) -> str:
                 f"{metric.name}{_format_labels(metric.labels)} "
                 f"{_format_value(metric.value)}"
             )
-    for path in sorted(registry.spans):
-        aggregate = registry.spans[path]
-        labels = _format_labels((("span", path),))
-        type_line("repro_span_wall_seconds", "counter",
-                  "Total wall time spent inside each span path.")
-        lines.append(
-            f"repro_span_wall_seconds{labels} "
-            f"{_format_value(aggregate.wall_seconds)}"
-        )
-        type_line("repro_span_cpu_seconds", "counter",
-                  "Total CPU time spent inside each span path.")
-        lines.append(
-            f"repro_span_cpu_seconds{labels} "
-            f"{_format_value(aggregate.cpu_seconds)}"
-        )
-        type_line("repro_span_count", "counter",
-                  "Number of times each span path was entered.")
-        lines.append(f"repro_span_count{labels} {aggregate.count}")
-        type_line("repro_span_seconds", "histogram",
-                  "Wall-time latency distribution of each span path.")
-        cumulative = 0
-        for bound, count in zip(aggregate.bounds, aggregate.bucket_counts):
-            cumulative += count
-            bucket_labels = _format_labels(
-                (("span", path),), (("le", f"{bound:g}"),)
-            )
-            lines.append(f"repro_span_seconds_bucket{bucket_labels} {cumulative}")
-        inf_labels = _format_labels((("span", path),), (("le", "+Inf"),))
-        lines.append(f"repro_span_seconds_bucket{inf_labels} {aggregate.count}")
-        lines.append(
-            f"repro_span_seconds_sum{labels} "
-            f"{_format_value(aggregate.wall_seconds)}"
-        )
-        lines.append(f"repro_span_seconds_count{labels} {aggregate.count}")
     return "\n".join(lines) + "\n"
 
 
 def jsonl_records(registry: MetricRegistry) -> Iterator[dict]:
-    """Every metric and span as one plain dict each (JSONL payloads)."""
+    """Every metric as one plain dict (JSONL payloads)."""
     for metric in registry.collect():
         record = {
             "type": metric.kind,
@@ -138,31 +105,6 @@ def jsonl_records(registry: MetricRegistry) -> Iterator[dict]:
         else:
             record["value"] = metric.value
         yield record
-    for path in sorted(registry.spans):
-        yield _span_record(registry.spans[path])
-    # Per-process span attribution (fork/fabric workers), tagged with a
-    # "process" key so merged rows above stay unambiguous.
-    for process in sorted(registry.process_spans):
-        per = registry.process_spans[process]
-        for path in sorted(per):
-            record = _span_record(per[path])
-            record["process"] = process
-            yield record
-
-
-def _span_record(aggregate) -> dict:
-    return {
-        "type": "span",
-        "name": aggregate.name,
-        "count": aggregate.count,
-        "wall_seconds": aggregate.wall_seconds,
-        "cpu_seconds": aggregate.cpu_seconds,
-        "min_seconds": aggregate.min_seconds,
-        "max_seconds": aggregate.max_seconds,
-        "bounds": list(aggregate.bounds),
-        "bucket_counts": list(aggregate.bucket_counts),
-        "overflow": aggregate.overflow,
-    }
 
 
 def jsonl_text(registry: MetricRegistry) -> str:
@@ -192,6 +134,20 @@ def write_exports(
     jsonl.write_text(jsonl_text(registry), encoding="utf-8")
     written.append(jsonl)
     return written
+
+
+def export_run(directory: str | Path, command: str, **manifest_fields) -> None:
+    """The tail of an instrumented command: write the active registry's
+    exports beside a manifest of *command*, and say so on stderr."""
+    written = write_exports(
+        directory,
+        _active_registry(),
+        RunManifest.collect(command=command, **manifest_fields),
+    )
+    print(
+        "telemetry: wrote " + ", ".join(str(path) for path in written),
+        file=sys.stderr,
+    )
 
 
 def load_metrics(directory: str | Path) -> list[dict]:

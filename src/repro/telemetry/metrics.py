@@ -10,13 +10,13 @@ with none of its machinery:
   durations and sizes.
 
 Metrics live in a :class:`MetricRegistry`, keyed by ``(name, labels)``.
-The registry also owns span aggregation (:mod:`repro.telemetry.spans`).
+Span timings (:func:`repro.telemetry.tracing.span`) are two of them.
 
 Zero overhead by default
 ------------------------
 The module-level active registry starts as a :class:`NullRegistry`
-whose ``counter``/``gauge``/``histogram``/``span`` return shared no-op
-singletons.  Instrumented code follows two rules:
+whose ``counter``/``gauge``/``histogram`` return one shared no-op
+singleton.  Instrumented code follows two rules:
 
 * **aggregate** increments (once per pass, per sweep, per experiment)
   may go through the active registry unconditionally -- on the null
@@ -126,59 +126,18 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-@dataclass
-class SpanAggregate:
-    """Accumulated timings for one span path (see :mod:`.spans`).
-
-    Besides the totals, each aggregate keeps a wall-time histogram
-    (same non-cumulative bucket layout as :class:`Histogram`) so
-    exporters can graph span *latency distributions*, not just sums.
-    """
-
-    name: str
-    count: int = 0
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    min_seconds: float = 0.0
-    max_seconds: float = 0.0
-    bounds: tuple[float, ...] = DEFAULT_TIME_BUCKETS
-    bucket_counts: list[int] = field(default_factory=list)
-    overflow: int = 0
-
-    kind = "span"
-
-    def __post_init__(self) -> None:
-        if not self.bucket_counts:
-            self.bucket_counts = [0] * len(self.bounds)
-
-    def add(self, wall: float, cpu: float) -> None:
-        if self.count == 0 or wall < self.min_seconds:
-            self.min_seconds = wall
-        if wall > self.max_seconds:
-            self.max_seconds = wall
-        self.count += 1
-        self.wall_seconds += wall
-        self.cpu_seconds += cpu
-        index = bisect_left(self.bounds, wall)
-        if index < len(self.bounds):
-            self.bucket_counts[index] += 1
-        else:
-            self.overflow += 1
-
-
 class MetricRegistry:
-    """A live collection of metrics and span aggregates."""
+    """A live collection of metrics.
+
+    A worker process names itself with *process*; its span series carry
+    that as a label, so they stay attributable once merged at home.
+    """
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, process: str | None = None) -> None:
         self._metrics: dict[tuple[str, LabelItems], Counter | Gauge | Histogram] = {}
-        self.spans: dict[str, SpanAggregate] = {}
-        # Span aggregates as reported by each worker process, keyed by
-        # process name -- kept alongside the merged ``spans`` so
-        # ``repro stats --per-process`` can attribute time per worker.
-        self.process_spans: dict[str, dict[str, SpanAggregate]] = {}
-        self._span_stack: list[str] = []
+        self.process = process
 
     # ---- get-or-create ------------------------------------------------
 
@@ -209,13 +168,6 @@ class MetricRegistry:
     ) -> Histogram:
         extra = {} if bounds is None else {"bounds": tuple(bounds)}
         return self._get(Histogram, name, help, labels, **extra)
-
-    # ---- spans --------------------------------------------------------
-
-    def span(self, name: str):
-        from repro.telemetry.spans import SpanTimer
-
-        return SpanTimer(self, name)
 
     # ---- introspection ------------------------------------------------
 
@@ -262,23 +214,13 @@ class MetricRegistry:
             else:
                 entry["value"] = metric.value
             metrics.append(entry)
-        spans = [_span_entry(agg) for agg in self.spans.values()]
-        result = {"metrics": metrics, "spans": spans}
-        if self.process_spans:
-            result["process_spans"] = {
-                process: [_span_entry(agg) for agg in per.values()]
-                for process, per in self.process_spans.items()
-            }
-        return result
+        return {"metrics": metrics}
 
-    def merge_snapshot(self, snapshot: dict, process: str | None = None) -> None:
+    def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a worker's :meth:`snapshot` into this registry.
 
         Counters and histograms add; gauges take the snapshot's value
-        (last writer wins); spans combine their aggregates.  When
-        *process* is given, the snapshot's spans are additionally kept
-        under ``process_spans[process]`` so per-worker attribution
-        survives the merge.
+        (last writer wins).
         """
         for entry in snapshot.get("metrics", ()):
             labels = dict(tuple(pair) for pair in entry.get("labels", ()))
@@ -305,51 +247,6 @@ class MetricRegistry:
                     histogram.overflow += entry.get("overflow", 0)
                     histogram.sum += entry.get("sum", 0.0)
                     histogram.count += entry.get("count", 0)
-        for span in snapshot.get("spans", ()):
-            _merge_span(self.spans, span)
-            if process is not None:
-                _merge_span(self.process_spans.setdefault(process, {}), span)
-        # A supervisor's snapshot may itself carry per-process spans
-        # (fabric run exported then re-merged); keep the attribution.
-        for name, entries in snapshot.get("process_spans", {}).items():
-            target = self.process_spans.setdefault(name, {})
-            for span in entries:
-                _merge_span(target, span)
-
-
-def _span_entry(aggregate: SpanAggregate) -> dict:
-    """Plain-data form of one span aggregate, for snapshots."""
-    return {
-        "name": aggregate.name,
-        "count": aggregate.count,
-        "wall_seconds": aggregate.wall_seconds,
-        "cpu_seconds": aggregate.cpu_seconds,
-        "min_seconds": aggregate.min_seconds,
-        "max_seconds": aggregate.max_seconds,
-        "bounds": list(aggregate.bounds),
-        "bucket_counts": list(aggregate.bucket_counts),
-        "overflow": aggregate.overflow,
-    }
-
-
-def _merge_span(target: dict[str, SpanAggregate], span: dict) -> None:
-    """Fold one snapshot span entry into *target* (by span path)."""
-    aggregate = target.get(span["name"])
-    if aggregate is None:
-        aggregate = target[span["name"]] = SpanAggregate(name=span["name"])
-    if aggregate.count == 0 or span["min_seconds"] < aggregate.min_seconds:
-        aggregate.min_seconds = span["min_seconds"]
-    aggregate.max_seconds = max(aggregate.max_seconds, span["max_seconds"])
-    aggregate.count += span["count"]
-    aggregate.wall_seconds += span["wall_seconds"]
-    aggregate.cpu_seconds += span["cpu_seconds"]
-    counts = span.get("bucket_counts", ())
-    if len(counts) == len(aggregate.bucket_counts) and tuple(
-        span.get("bounds", aggregate.bounds)
-    ) == tuple(aggregate.bounds):
-        for index, count in enumerate(counts):
-            aggregate.bucket_counts[index] += count
-        aggregate.overflow += span.get("overflow", 0)
 
 
 class _NullMetric:
@@ -371,20 +268,7 @@ class _NullMetric:
         pass
 
 
-class _NullSpan:
-    """Shared do-nothing context manager for disabled spans."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-
 _NULL_METRIC = _NullMetric()
-_NULL_SPAN = _NullSpan()
 
 
 class NullRegistry(MetricRegistry):
@@ -405,9 +289,6 @@ class NullRegistry(MetricRegistry):
 
     def histogram(self, name: str, help: str = "", bounds=None, **labels: str):
         return _NULL_METRIC
-
-    def span(self, name: str):
-        return _NULL_SPAN
 
 
 _NULL_REGISTRY = NullRegistry()

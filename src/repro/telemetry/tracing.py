@@ -1,13 +1,21 @@
-"""Distributed event tracing with zero overhead when disabled.
+"""Timed spans and distributed event tracing, free when disabled.
 
-This module gives every run a single ``trace_id`` and lets each process
-emit causally linked *events* and *spans* into an append-only JSONL
-file (``trace-events-<process>.jsonl``) under one shared trace
-directory.  Causality crosses process boundaries two ways:
+:func:`span` is the one way the code base times a region.  A span reads
+the clocks once and on exit feeds whichever sinks are enabled: the
+metric registry (a ``repro_span_seconds{span=<path>}`` histogram and a
+``repro_span_cpu_seconds_total{span=<path>}`` counter, where the path
+is the ``/``-joined names of the spans open on this thread, plus a
+``process`` label when the registry names one) and the tracer (one
+``kind: "span"`` record).  With both off it is a shared null object.
+
+The tracer gives every run a single ``trace_id`` and lets each process
+emit causally linked records into an append-only JSONL file
+(``trace-events-<process>.jsonl``) under one shared trace directory.
+Causality crosses process boundaries two ways:
 
 * **Fabric queues** -- the supervisor appends its current
   ``(trace_id, span_id)`` pair to every in-band queue message, and the
-  shard worker uses it as the ``parent`` of the events it emits while
+  shard worker uses it as the ``parent`` of the records it emits while
   handling that message.  A failover therefore shows up as one causal
   chain: death detection (supervisor) -> restore span (supervisor) ->
   ``worker.start`` (replacement incarnation) -> gap-replay batches.
@@ -18,15 +26,16 @@ directory.  Causality crosses process boundaries two ways:
 Two emission tiers keep hot paths cheap: :meth:`Tracer.event` is
 *durable* (ring buffer + JSONL line + flush) and is reserved for
 low-rate lifecycle/barrier moments; :meth:`Tracer.note` touches only
-the in-memory flight-recorder ring and is safe per batch.  When
-tracing is off the module-level singleton is a shared
-:class:`NullTracer` whose methods are constant no-ops -- the same
-contract (byte-identical reports, <2% overhead) the metric registry
-made in PR 3.
+the in-memory flight-recorder ring and is safe per batch.  A span is
+durable unless its site sets ``durable = False`` on it, which every
+per-batch site must.  When tracing is off the module-level singleton
+is a shared :class:`NullTracer` whose methods are constant no-ops --
+the same contract (byte-identical reports, <2% overhead) the metric
+registry makes.
 
 The tracer is shared between an ingest thread and the asyncio serving
-thread in ``repro serve``; the span stack is therefore thread-local
-and file writes take a lock.
+thread in ``repro serve``; the stack of open spans is therefore
+thread-local and file writes take a lock.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from repro.telemetry.flight import (
     FlightRecorder,
     NullFlightRecorder,
 )
+from repro.telemetry.metrics import registry
 
 #: Per-process event files are named ``trace-events-<process>.jsonl``.
 EVENTS_PREFIX = "trace-events-"
@@ -111,55 +121,99 @@ def _parent_ids(parent) -> tuple[str | None, str | None]:
     return None, None
 
 
-class _TraceSpan:
-    """Context manager recording one durable span on exit.
+_local = threading.local()
 
-    ``fields`` is mutable while the span is open, so call sites can
-    attach results (record counts, status codes) discovered mid-span.
+
+def _open_spans() -> list["Span"]:
+    """The calling thread's open spans, innermost last."""
+    stack = getattr(_local, "stack", None)
+    if stack is None:
+        stack = _local.stack = []
+    return stack
+
+
+# A forked child starts outside every span its parent had open.
+os.register_at_fork(after_in_child=lambda: _open_spans().clear())
+
+
+class Span:
+    """One timed region, recorded once on exit (see :func:`span`).
+
+    ``fields`` and ``durable`` are mutable while the span is open, so a
+    call site can attach results discovered mid-span (record counts,
+    status codes) or demote a per-batch span to the ring-only tier.
     """
 
-    __slots__ = ("_tracer", "name", "span_id", "_parent", "fields", "_t0", "_wall")
+    __slots__ = (
+        "name", "path", "span_id", "fields", "durable",
+        "_registry", "_tracer", "_parent", "_ts", "_wall0", "_cpu0",
+    )
 
-    def __init__(self, tracer: "Tracer", name: str, parent, fields: dict) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.span_id = new_span_id()
-        self._parent = parent
+    def __init__(self, reg, trc, name: str, parent, fields: dict) -> None:
+        self.name = self.path = name
+        self.span_id = new_span_id() if trc.enabled else ""
         self.fields = fields
+        self.durable = True
+        self._registry = reg
+        self._tracer = trc
+        self._parent = parent
 
-    def __enter__(self) -> "_TraceSpan":
-        self._tracer._push(self.span_id)
-        self._wall = time.time()
-        self._t0 = time.perf_counter()
+    def __enter__(self) -> "Span":
+        stack = _open_spans()
+        if stack:
+            outer = stack[-1]
+            self.path = f"{outer.path}/{self.name}"
+            if self._parent is None:
+                self._parent = outer.span_id or None
+        stack.append(self)
+        self._ts = time.time()
+        self._wall0 = time.perf_counter()
+        self._cpu0 = time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        duration = time.perf_counter() - self._t0
-        self._tracer._pop()
-        if exc_type is not None:
-            self.fields.setdefault("error", exc_type.__name__)
-        self._tracer._emit(
-            kind="span",
-            name=self.name,
-            span_id=self.span_id,
-            parent=self._parent,
-            ts=self._wall,
-            dur=duration,
-            fields=self.fields,
-            durable=True,
-        )
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self._tracer.trace_id, self.span_id)
+        wall = time.perf_counter() - self._wall0
+        cpu = time.process_time() - self._cpu0
+        stack = _open_spans()
+        if stack and stack[-1] is self:
+            stack.pop()
+        reg = self._registry
+        if reg.enabled:
+            labels = {"span": self.path}
+            if reg.process is not None:
+                labels["process"] = reg.process
+            reg.histogram(
+                "repro_span_seconds",
+                "Wall time spent inside each span path.",
+                **labels,
+            ).observe(wall)
+            reg.counter(
+                "repro_span_cpu_seconds_total",
+                "CPU time spent inside each span path.",
+                **labels,
+            ).inc(cpu)
+        trc = self._tracer
+        if trc.enabled:
+            if exc_type is not None:
+                self.fields.setdefault("error", exc_type.__name__)
+            trc._emit(
+                kind="span",
+                name=self.name,
+                span_id=self.span_id,
+                parent=self._parent,
+                ts=self._ts,
+                dur=wall,
+                fields=self.fields,
+                durable=self.durable,
+            )
 
 
 class _NullSpan:
-    """Shared do-nothing span handed out by :class:`NullTracer`."""
+    """The shared do-nothing span; it absorbs what a site sets on it."""
 
-    __slots__ = ()
+    name = path = span_id = ""
     fields: dict = {}
-    span_id = ""
+    durable = True
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -169,6 +223,21 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+def span(name: str, *, parent=None, **fields) -> Span | _NullSpan:
+    """Time a region: ``with span("replay"): ...``.
+
+    Spans nest per thread; *parent* (a :class:`SpanContext`, a wire
+    ``(trace_id, span_id)`` pair or a local span id) overrides the
+    enclosing span as the trace parent.  A no-op when both the metric
+    registry and the tracer are off.
+    """
+    reg = registry()
+    trc = _active
+    if reg.enabled or trc.enabled:
+        return Span(reg, trc, name, parent, fields)
+    return _NULL_SPAN
 
 
 class Tracer:
@@ -193,7 +262,6 @@ class Tracer:
         # root span, so "who started this process" is always answerable.
         self.root_id = new_span_id()
         self.flight = FlightRecorder(limit=flight_limit, process=process)
-        self._local = threading.local()
         self._lock = threading.Lock()
         self._file = open(
             self.directory / f"{EVENTS_PREFIX}{process}.jsonl",
@@ -203,30 +271,13 @@ class Tracer:
         self._closed = False
         self.event("process.start", span=self.root_id)
 
-    # -- span stack (thread-local: ingest thread vs asyncio thread) --
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _push(self, span_id: str) -> None:
-        self._stack().append(span_id)
-
-    def _pop(self) -> None:
-        stack = self._stack()
-        if stack:
-            stack.pop()
-
     def current_ids(self) -> tuple[str, str]:
         """The ``(trace_id, span_id)`` wire context to attach to messages."""
-        stack = self._stack()
-        return (self.trace_id, stack[-1] if stack else self.root_id)
-
-    def current_context(self) -> SpanContext:
-        trace_id, span_id = self.current_ids()
-        return SpanContext(trace_id, span_id)
+        stack = _open_spans()
+        return (
+            self.trace_id,
+            (stack[-1].span_id if stack else "") or self.root_id,
+        )
 
     # -- emission --
 
@@ -293,14 +344,6 @@ class Tracer:
             durable=False,
         )
 
-    def span(self, name: str, *, parent=None, **fields) -> _TraceSpan:
-        """A durable timed span; nests via the thread-local stack."""
-        if parent is None:
-            stack = self._stack()
-            if stack:
-                parent = stack[-1]
-        return _TraceSpan(self, name, parent, fields)
-
     def dump_flight(self, key: str, reason: str) -> Path | None:
         """Dump the flight ring to the trace directory (once per key)."""
         return self.flight.dump(self.directory, key, reason)
@@ -337,17 +380,11 @@ class NullTracer:
     def current_ids(self) -> None:
         return None
 
-    def current_context(self) -> None:
-        return None
-
     def event(self, name: str, *, parent=None, span=None, **fields) -> None:
         pass
 
     def note(self, name: str, *, parent=None, **fields) -> None:
         pass
-
-    def span(self, name: str, *, parent=None, **fields) -> _NullSpan:
-        return _NULL_SPAN
 
     def dump_flight(self, key: str, reason: str) -> None:
         return None

@@ -139,8 +139,3 @@ class Anonymizer:
         return replace(
             columns, src=mapped[:rows], dst=mapped[rows:], _records=None
         )
-
-    def anonymize_stream(self, records):
-        """Generator form of :meth:`anonymize`."""
-        for record in records:
-            yield self.anonymize(record)

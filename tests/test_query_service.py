@@ -150,6 +150,78 @@ class TestServiceEndpoints:
         assert all("error" in body for _, body in results)
 
 
+class TestHostileRequestHeads:
+    """A request head over either bound -- a line past the reader's
+    64 KiB limit, or more header lines than any client sends -- is
+    answered ``431`` and the connection closed; the server carries on."""
+
+    HEAD = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+    FLOOD = b"x: y\r\n" * 1000
+
+    @staticmethod
+    async def _exchange(reader, writer, payload):
+        """Send *payload*; everything the server says before closing."""
+        try:
+            writer.write(payload)
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(), timeout=10)
+        finally:
+            writer.close()
+
+    @pytest.mark.parametrize("payload", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        HEAD + b"x-pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        HEAD + FLOOD + b"\r\n",
+    ], ids=["request-line", "header-line", "header-flood"])
+    def test_oversized_head_is_answered_431(self, served_state, payload):
+        async def body(client):
+            hostile = await asyncio.open_connection(client.host, client.port)
+            reply = await self._exchange(*hostile, payload)
+            # The refusal cost the server nothing but that connection.
+            return reply, await client.get("/healthz")
+
+        reply, (status, _) = asyncio.run(_with_service(served_state, body))
+        head, _, rest = reply.partition(b"\r\n")
+        assert head == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert b"Connection: close" in rest
+        assert json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert status == 200
+
+    def test_header_count_bound_is_exact(self, served_state):
+        async def body(client):
+            # QueryClient sends Host itself: 100 header lines, then 101.
+            extra = {f"x-{n}": "y" for n in range(100)}
+            at_bound = dict(list(extra.items())[:99])
+            return (
+                await client.get("/healthz", headers=at_bound),
+                await client.get("/healthz", headers=extra),
+            )
+
+        (at_bound, _), (over, _) = asyncio.run(
+            _with_service(served_state, body)
+        )
+        assert (at_bound, over) == (200, 431)
+
+    def test_second_connection_is_answered_during_a_refusal(
+        self, served_state
+    ):
+        async def body(client):
+            reader, writer = await asyncio.open_connection(
+                client.host, client.port
+            )
+            # The hostile head is under way on its connection...
+            writer.write(self.HEAD + self.FLOOD[:300])
+            await writer.drain()
+            during = await client.get("/healthz")
+            # ... and refused once it crosses the bound.
+            reply = await self._exchange(reader, writer, self.FLOOD + b"\r\n")
+            return during, reply, await client.get("/healthz")
+
+        during, reply, after = asyncio.run(_with_service(served_state, body))
+        assert during[0] == 200 and after[0] == 200
+        assert reply.startswith(b"HTTP/1.1 431 ")
+
+
 class _Hammer:
     """One client task's collected evidence, asserted after the run."""
 

@@ -29,6 +29,7 @@ from repro.telemetry import (
     prometheus_text,
     registry,
     set_registry,
+    span,
     telemetry_enabled,
     write_exports,
 )
@@ -86,24 +87,109 @@ class TestCountersGaugesHistograms:
         assert list(registry().collect()) == []
 
 
+def _span_paths(reg):
+    return {
+        dict(metric.labels)["span"]
+        for metric in reg.collect()
+        if metric.name == "repro_span_seconds"
+    }
+
+
 class TestSpans:
     def test_nesting_builds_paths(self):
         reg = MetricRegistry()
         set_registry(reg)
-        with reg.span("outer"):
-            with reg.span("inner"):
+        with span("outer"):
+            with span("inner"):
                 pass
-            with reg.span("inner"):
+            with span("inner"):
                 pass
-        paths = {path for path, _ in reg.spans.items()}
-        assert paths == {"outer", "outer/inner"}
-        assert reg.spans["outer/inner"].count == 2
-        assert reg.spans["outer"].wall_seconds >= 0.0
+        assert _span_paths(reg) == {"outer", "outer/inner"}
+        assert reg.histogram("repro_span_seconds", span="outer/inner").count == 2
+        assert reg.histogram("repro_span_seconds", span="outer").sum >= 0.0
+        assert reg.value("repro_span_cpu_seconds_total", span="outer") >= 0.0
 
     def test_null_span_is_noop(self):
-        with registry().span("anything"):
-            pass
+        with span("anything") as nothing:
+            nothing.fields["absorbed"] = 1
+        assert span("again") is nothing  # one shared null object
         assert not telemetry_enabled()
+
+    def test_threads_nest_on_their_own_stacks(self):
+        """Two threads inside their outer spans at the same moment: each
+        inner span's path names its own thread's outer span only."""
+        import threading
+
+        reg = MetricRegistry()
+        set_registry(reg)
+        both_open = threading.Barrier(2, timeout=10)
+
+        def work(outer, inner):
+            with span(outer):
+                both_open.wait()
+                with span(inner):
+                    both_open.wait()
+
+        threads = [
+            threading.Thread(target=work, args=names)
+            for names in (("a", "x"), ("b", "y"))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert _span_paths(reg) == {"a", "a/x", "b", "b/y"}
+
+    def test_exception_pops_the_stack(self):
+        reg = MetricRegistry()
+        set_registry(reg)
+        with pytest.raises(ValueError):
+            with span("outer"):
+                with span("doomed"):
+                    raise ValueError("boom")
+        with span("after"):
+            pass
+        assert _span_paths(reg) == {"outer", "outer/doomed", "after"}
+
+    def test_forked_child_starts_outside_its_parents_spans(self):
+        """A fabric worker is forked from inside ``fabric.reassign``; its
+        own spans must not nest under a span it will never close."""
+        import os
+
+        set_registry(MetricRegistry())
+        read_end, write_end = os.pipe()
+        with span("parent"):
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - the child
+                with span("child") as child:
+                    os.write(write_end, child.path.encode())
+                os._exit(0)
+            os.waitpid(pid, 0)
+            with span("sibling") as sibling:
+                assert sibling.path == "parent/sibling"
+        assert os.read(read_end, 64) == b"child"
+        os.close(read_end)
+        os.close(write_end)
+
+    def test_worker_registry_labels_its_spans(self):
+        """A worker's snapshot, merged at home through the one generic
+        path, still says which process spent the time."""
+        home = MetricRegistry()
+        set_registry(home)
+        with span("fold"):
+            pass
+        for name in ("shard0", "shard1"):
+            set_registry(MetricRegistry(process=name))
+            with span("fold"):
+                pass
+            home.merge_snapshot(registry().snapshot())
+        series = {
+            dict(metric.labels).get("process"): metric.count
+            for metric in home.collect()
+            if metric.name == "repro_span_seconds"
+        }
+        assert series == {None: 1, "shard0": 1, "shard1": 1}
 
 
 class TestSnapshotMerge:
@@ -111,14 +197,15 @@ class TestSnapshotMerge:
         reg = MetricRegistry()
         reg.counter("repro_test_total", "h", kind_label="a").inc(3)
         reg.histogram("repro_test_seconds", "h").observe(0.5)
-        with reg.span("work"):
+        set_registry(reg)
+        with span("work"):
             pass
         snap = reg.snapshot()
         reg.merge_snapshot(snap)
         assert reg.value("repro_test_total", kind_label="a") == 6
         hist = reg.histogram("repro_test_seconds", "h")
         assert hist.count == 2
-        assert reg.spans["work"].count == 2
+        assert reg.histogram("repro_span_seconds", span="work").count == 2
 
     def test_snapshot_round_trips_through_json(self):
         reg = MetricRegistry()
@@ -160,7 +247,8 @@ class TestExporters:
         reg.histogram(
             "repro_layer_seconds", "Timings.", bounds=(0.1, 1.0)
         ).observe(0.05)
-        with reg.span("phase"):
+        set_registry(reg)
+        with span("phase"):
             pass
         return reg
 
@@ -169,19 +257,24 @@ class TestExporters:
         assert '# TYPE repro_layer_things_total counter' in text
         assert 'repro_layer_things_total{category="a"} 7' in text
         assert 'repro_layer_seconds_bucket{le="+Inf"} 1' in text
-        assert 'repro_span_wall_seconds{span="phase"}' in text
+        assert '# TYPE repro_span_seconds histogram' in text
+        assert 'repro_span_seconds_count{span="phase"} 1' in text
+        assert 'repro_span_cpu_seconds_total{span="phase"}' in text
 
     def test_jsonl_and_load(self, tmp_path):
         reg = self._populated()
         records = [json.loads(line) for line in jsonl_text(reg).splitlines()]
         kinds = {r["type"] for r in records}
-        assert kinds == {"counter", "gauge", "histogram", "span"}
+        assert kinds == {"counter", "gauge", "histogram"}
+        assert {"span": "phase"} in [
+            r["labels"] for r in records if r["name"] == "repro_span_seconds"
+        ]
         written = write_exports(tmp_path, reg, RunManifest.collect(command="t"))
         assert len(written) == 3
         manifest, loaded = load_run(tmp_path)
         assert manifest["manifest"]["command"] == "t"
         assert {r["name"] for r in loaded if r["type"] == "counter"} == {
-            "repro_layer_things_total"
+            "repro_layer_things_total", "repro_span_cpu_seconds_total"
         }
         assert load_metrics(tmp_path) == loaded
 
@@ -244,7 +337,8 @@ class TestStatsCommand:
     def _export(self, tmp_path):
         reg = MetricRegistry()
         reg.counter("repro_replay_records_total", "h").inc(100)
-        with reg.span("survey"):
+        set_registry(reg)
+        with span("survey"):
             pass
         write_exports(
             tmp_path, reg, RunManifest.collect(command="survey", dataset="X")
@@ -258,7 +352,7 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert "Run manifest" in out
         assert "repro_replay_records_total" in out
-        assert "survey" in out
+        assert "### Spans" in out and "| survey " in out
 
     def test_require_missing_metric_fails(self, tmp_path, capsys):
         from repro.cli import main

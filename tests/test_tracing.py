@@ -49,6 +49,7 @@ from repro.telemetry import (
     new_trace_id,
     parse_traceparent,
     set_tracer,
+    span,
     summarize,
     tracer,
     tracing_enabled,
@@ -130,10 +131,10 @@ class TestTracer:
         assert trc.current_ids() is None
         trc.event("ignored", anything=1)
         trc.note("ignored")
-        span = trc.span("ignored")
-        with span:
+        nothing = span("ignored")
+        with nothing:
             pass
-        assert trc.span("again") is span  # shared null span
+        assert span("again") is nothing  # shared null span
         assert trc.dump_flight("k", "r") is None
 
     def test_event_is_durable_and_note_is_ring_only(self, tmp_path):
@@ -151,9 +152,9 @@ class TestTracer:
 
     def test_span_nesting_and_parents(self, tmp_path):
         trc = enable_tracing(tmp_path, process="p1")
-        with trc.span("outer") as outer:
+        with span("outer") as outer:
             assert trc.current_ids() == (trc.trace_id, outer.span_id)
-            with trc.span("inner", detail=7) as inner:
+            with span("inner", detail=7) as inner:
                 inner.fields["late"] = True
         assert trc.current_ids() == (trc.trace_id, trc.root_id)
         disable_tracing()
@@ -163,10 +164,31 @@ class TestTracer:
         assert by_name["inner"]["fields"] == {"detail": 7, "late": True}
         assert by_name["inner"]["dur"] >= 0
 
+    def test_one_span_feeds_every_enabled_sink_once(self, tmp_path):
+        """Registry, durable file and flight ring all on: one record in
+        each, under the one name the site gave."""
+        from repro.telemetry import MetricRegistry, set_registry
+
+        reg = MetricRegistry()
+        set_registry(reg)
+        trc = enable_tracing(tmp_path, process="p1")
+        with span("phase", step=1):
+            pass
+        with span("hot") as hot:
+            hot.durable = False
+        ring = [r["name"] for r in trc.flight.snapshot()]
+        disable_tracing()
+        written = [r["name"] for r in load_events(tmp_path)]
+        assert written.count("phase") == ring.count("phase") == 1
+        assert reg.histogram("repro_span_seconds", span="phase").count == 1
+        # The ring-only tier skips the file and nothing else.
+        assert written.count("hot") == 0 and ring.count("hot") == 1
+        assert reg.histogram("repro_span_seconds", span="hot").count == 1
+
     def test_span_records_error_field_on_exception(self, tmp_path):
         trc = enable_tracing(tmp_path, process="p1")
         with pytest.raises(ValueError):
-            with trc.span("doomed"):
+            with span("doomed"):
                 raise ValueError("boom")
         disable_tracing()
         by_name = {r["name"]: r for r in load_events(tmp_path)}
@@ -230,9 +252,10 @@ class TestFlightRecorder:
 
 class TestChromeExport:
     def _two_process_trace(self, tmp_path):
-        sup = Tracer(tmp_path, process="supervisor")
-        with sup.span("fabric.reassign", shard=0):
+        sup = set_tracer(Tracer(tmp_path, process="supervisor"))
+        with span("fabric.reassign", shard=0):
             handoff = sup.current_ids()
+        set_tracer(None)
         worker = Tracer(tmp_path, trace_id=sup.trace_id, process="shard0-i1")
         worker.event("worker.start", parent=handoff, shard=0, incarnation=1)
         worker.close()
@@ -323,7 +346,16 @@ class TestFabricTracePropagation:
         crash_dumps = sorted(tmp_path.glob("flight-shard*-crash.json"))
         assert len(crash_dumps) == 2
         payload = load_flight_dump(crash_dumps[0])
-        assert payload["events"]  # the ring had history at the moment
+        # The ring had history at the moment: the per-batch spans, which
+        # are ring-only -- timed like any span, never a JSONL line each.
+        batches = [
+            r for r in payload["events"] if r["name"] == "worker.batch"
+        ]
+        assert batches
+        assert all(r["kind"] == "span" and r["dur"] >= 0 for r in batches)
+        assert batches[-1]["fields"]["records"] > 0
+        assert not any(r["name"] == "worker.batch" for r in events)
+        assert any(r["name"] == "worker.mark" for r in events)
 
         # The merged view is loadable and narrates the failover.
         path, count = write_chrome_trace(tmp_path)
@@ -608,15 +640,15 @@ def test_cli_serve_trace_answers_tracez_and_exits_on_sigterm(tmp_path):
 
 class TestStatsPerProcess:
     def _export(self, tmp_path):
-        from repro.telemetry import MetricRegistry, write_exports
+        from repro.telemetry import MetricRegistry, set_registry, write_exports
 
         reg = MetricRegistry()
-        with reg.span("fold"):
-            pass
-        worker = MetricRegistry()
-        with worker.span("fold"):
-            pass
-        reg.merge_snapshot(worker.snapshot(), process="shard0")
+        for process in (None, "shard0", "shard1"):
+            worker = MetricRegistry(process=process)
+            set_registry(worker)
+            with span("fold"):
+                pass
+            reg.merge_snapshot(worker.snapshot())
         return write_exports(tmp_path, reg)
 
     def test_flag_reveals_process_attribution(self, tmp_path, capsys):
@@ -629,7 +661,21 @@ class TestStatsPerProcess:
         assert main(["stats", str(tmp_path), "--per-process"]) == 0
         per_process = capsys.readouterr().out
         assert "Spans by process" in per_process
-        assert "shard0" in per_process
+        assert "| shard0  | fold | 1 " in per_process
+        assert "| shard1  | fold | 1 " in per_process
+
+    def test_default_view_sums_a_span_over_processes_once(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        self._export(tmp_path)
+        assert main(["stats", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        # One row for the path, counting home + shard0 + shard1 once
+        # each, and the labelled series do not reappear elsewhere.
+        assert out.count("fold") == 1
+        assert "| fold | 3 " in out
 
 
 # ---- disabled-path overhead -------------------------------------------
