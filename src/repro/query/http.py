@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -65,6 +66,9 @@ def parse_since(text: str) -> float:
     try:
         seconds = float(text) * unit
     except ValueError:
+        raise _BadRequest(f"bad since value: {text!r}")
+    if math.isnan(seconds):
+        # A NaN cutoff fails every comparison, so it would list every row.
         raise _BadRequest(f"bad since value: {text!r}")
     if seconds < 0:
         raise _BadRequest("since must be non-negative")
@@ -137,7 +141,7 @@ def handle_request(
                     raise _BadRequest(f"bad limit: {query['limit'][-1]!r}")
                 if limit < 0:
                     raise _BadRequest("limit must be non-negative")
-                events = events[len(events) - limit:] if limit else []
+                events = events[-limit:] if limit else []
             return _json(
                 200,
                 {
@@ -195,7 +199,7 @@ def handle_request(
 
 
 def _services_query(snapshot, query: dict) -> list[dict]:
-    proto = port = since = None
+    proto = port = since = limit = None
     if "proto" in query:
         from repro.query.snapshot import PROTO_NUMBERS
 
@@ -210,7 +214,6 @@ def _services_query(snapshot, query: dict) -> list[dict]:
             raise _BadRequest(f"bad port: {query['port'][-1]!r}")
     if "since" in query:
         since = parse_since(query["since"][-1])
-    rows = snapshot.services(proto=proto, port=port, since=since)
     if "limit" in query:
         try:
             limit = int(query["limit"][-1])
@@ -218,8 +221,7 @@ def _services_query(snapshot, query: dict) -> list[dict]:
             raise _BadRequest(f"bad limit: {query['limit'][-1]!r}")
         if limit < 0:
             raise _BadRequest("limit must be non-negative")
-        rows = rows[:limit]
-    return rows
+    return snapshot.services(proto=proto, port=port, since=since, limit=limit)
 
 
 class QueryService:

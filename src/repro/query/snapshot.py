@@ -31,6 +31,7 @@ Two layers, so the fabric can ship snapshots across processes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.net.addr import format_ipv4
@@ -83,6 +84,12 @@ class DiscoverySnapshot:
     streaming last-seen timeline (the default-rule signals);
     :meth:`last_seen_of` falls back to ``first_seen``, so every known
     endpoint reports a timestamp.
+
+    The query views read a per-snapshot index (:attr:`_read_index`)
+    built by the first reader that needs it, on that reader's thread;
+    publishing and ``finalize_result`` never build it, so ingest never
+    pays for it.  The index's row dicts are shared by every response
+    from this snapshot and must never be mutated.
     """
 
     version: int
@@ -135,49 +142,78 @@ class DiscoverySnapshot:
             "clients": self.clients.get(endpoint, 0),
         }
 
+    @cached_property
+    def _read_index(self) -> tuple[tuple, dict]:
+        """``(listing, hosts)``: every row, built once per snapshot.
+
+        ``listing`` holds ``(endpoint, last_seen, row)`` in the order
+        ``/services`` lists them, (address string, port, proto name);
+        ``hosts`` maps an address to ``(rows, passive last-seen)``, its
+        rows in (port, proto name) order.  Concurrent first readers may
+        each build it; the results are equal and one reference wins.
+        """
+        rows = []
+        last: dict[int, float] = {}
+        for endpoint in self.first_seen:
+            row = self.service_row(endpoint)
+            seen, address = row["last_seen"], endpoint[0]
+            rows.append((endpoint, seen, row))
+            # max() in first_seen order, as the per-request scan took
+            # it: a tie keeps the first float (-0.0 and 0.0 differ in
+            # JSON).
+            if address not in last or seen > last[address]:
+                last[address] = seen
+        rows.sort(key=lambda entry: (
+            entry[2]["address"], entry[2]["port"], entry[2]["proto"]
+        ))
+        by_address: dict[int, list[dict]] = {}
+        for (address, _, _), _, row in rows:
+            by_address.setdefault(address, []).append(row)
+        hosts = {
+            address: (tuple(group), last[address])
+            for address, group in by_address.items()
+        }
+        return tuple(rows), hosts
+
     def host_services(self, address: int) -> list[dict]:
         """Every service of one address, sorted by (port, proto)."""
-        rows = [
-            self.service_row(endpoint)
-            for endpoint in self.first_seen
-            if endpoint[0] == address
-        ]
-        rows.sort(key=lambda row: (row["port"], row["proto"]))
-        return rows
+        entry = self._read_index[1].get(address)
+        return list(entry[0]) if entry is not None else []
 
     def services(
         self,
         proto: int | None = None,
         port: int | None = None,
         since: float | None = None,
+        limit: int | None = None,
     ) -> list[dict]:
         """Filtered service listing (``GET /services``), sorted stably.
 
         *since* keeps endpoints whose latest evidence is within that
         many seconds of ``now`` -- "all HTTPS servers seen in the last
-        12h" is ``proto=6, port=443, since=43200``.
+        12h" is ``proto=6, port=443, since=43200``.  *limit* stops the
+        scan after that many matches.
         """
         cutoff = None if since is None else self.now - since
-        rows = []
-        for endpoint in self.first_seen:
-            if proto is not None and endpoint[2] != proto:
+        rows: list[dict] = []
+        for (_, row_port, row_proto), seen, row in self._read_index[0]:
+            if len(rows) == limit:
+                break
+            if proto is not None and row_proto != proto:
                 continue
-            if port is not None and endpoint[1] != port:
+            if port is not None and row_port != port:
                 continue
-            if cutoff is not None and self.last_seen_of(endpoint) < cutoff:
+            # Skip on ``seen < cutoff``; a ``seen >= cutoff`` keep test
+            # would turn a NaN cutoff from every row into none.
+            if cutoff is not None and seen < cutoff:
                 continue
-            rows.append(self.service_row(endpoint))
-        rows.sort(key=lambda row: (row["address"], row["port"], row["proto"]))
+            rows.append(row)
         return rows
 
     def passive_last_seen(self, address: int) -> float | None:
         """Latest passive evidence across all of one address's services."""
-        times = [
-            self.last_seen_of(endpoint)
-            for endpoint in self.first_seen
-            if endpoint[0] == address
-        ]
-        return max(times) if times else None
+        entry = self._read_index[1].get(address)
+        return entry[1] if entry is not None else None
 
     def with_version(self, version: int) -> "DiscoverySnapshot":
         """A copy stamped with a publication sequence number."""

@@ -242,6 +242,13 @@ class TestHandleRequest:
         assert status == 400
         status, body = routed(state, "/services?since=-5")
         assert status == 400
+        # A NaN cutoff fails every comparison: it would list every row.
+        status, body = routed(state, "/services?since=nan")
+        assert status == 400
+        status, body = routed(state, "/services?since=nanh")
+        assert status == 400
+        status, body = routed(state, "/services?since=inf")
+        assert status == 200 and len(body["services"]) == 3
 
     def test_liveness_endpoint(self, state):
         status, body = routed(state, "/liveness/128.125.1.10")

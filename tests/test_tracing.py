@@ -514,6 +514,20 @@ class TestQueryTraceSurface:
         _, _, body = handle_request(QueryState(), "GET", "/tracez?limit=0")
         assert json.loads(body)["events"] == []
 
+    def test_tracez_limit_past_the_ring_returns_every_event(self, tmp_path):
+        trc = enable_tracing(tmp_path, process="engine")
+        for index in range(5):
+            trc.note("tick", n=index)
+        _, _, body = handle_request(QueryState(), "GET", "/tracez")
+        events = json.loads(body)["events"]
+        expected = {len(events) - 1: events[1:], len(events): events,
+                    len(events) + 2: events, 0: []}
+        for limit, want in expected.items():
+            _, _, body = handle_request(
+                QueryState(), "GET", f"/tracez?limit={limit}"
+            )
+            assert json.loads(body)["events"] == want, limit
+
     def test_tracez_bad_limit_is_400(self):
         status, _, _ = handle_request(QueryState(), "GET", "/tracez?limit=x")
         assert status == 400
