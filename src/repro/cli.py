@@ -441,52 +441,58 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_stats(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.net.addr import format_ipv4, parse_cidr
     from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-    from repro.trace.columnar import read_trace_records
+    from repro.trace.columnar import read_trace_columns
 
     network, prefix = parse_cidr(args.campus)
     mask = ~((1 << (32 - prefix)) - 1) & 0xFFFFFFFF
-
-    def is_campus(address: int) -> bool:
-        return (address & mask) == network
-
     proto_names = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
+    proto_labels = [proto_names.get(value, str(value)) for value in range(256)]
     protocols: dict[str, int] = {}
     flags: dict[str, int] = {}
     links: dict[str, int] = {}
-    responders: dict[int, int] = {}
-    first = last = None
-    total = 0
+    synack_sources = [np.zeros(0, dtype=np.uint32)]
+    first, last, total = float("inf"), float("-inf"), 0
+
+    def tally(counts: dict[str, int], labels, column) -> None:
+        bins = np.bincount(column, minlength=len(labels)).tolist()
+        for label, count in zip(labels, bins):
+            if count:
+                counts[label] = counts.get(label, 0) + count
+
     # The decoder raises where it finds the damage, which for a truncated
     # body is mid-pass: nothing is printed until the whole file has read.
     try:
-        for record in read_trace_records(args.file):
-            total += 1
-            first = record.time if first is None else min(first, record.time)
-            last = record.time if last is None else max(last, record.time)
-            proto = proto_names.get(record.proto, str(record.proto))
-            protocols[proto] = protocols.get(proto, 0) + 1
-            link = record.link or "unknown"
-            links[link] = links.get(link, 0) + 1
-            if record.proto == PROTO_TCP:
-                if record.flags.is_synack:
-                    flags["syn-ack"] = flags.get("syn-ack", 0) + 1
-                    if is_campus(record.src):
-                        responders[record.src] = responders.get(record.src, 0) + 1
-                elif record.flags.is_syn:
-                    flags["syn"] = flags.get("syn", 0) + 1
-                elif record.flags.is_rst:
-                    flags["rst"] = flags.get("rst", 0) + 1
-                else:
-                    flags["other"] = flags.get("other", 0) + 1
+        for cols in read_trace_columns(args.file):
+            total += len(cols)
+            first = min(first, float(cols.time.min()))
+            last = max(last, float(cols.time.max()))
+            tally(protocols, proto_labels, cols.proto)
+            tally(links, [name or "unknown" for name in cols.link_names], cols.link)
+            tcp = cols.proto == PROTO_TCP
+            bits = cols.flags[tcp]
+            synack = (bits & 0x12) == 0x12
+            # First match wins, so a SYN here has ACK clear (``is_syn``).
+            kind = np.select(
+                [synack, (bits & 0x02) != 0, (bits & 0x04) != 0], [0, 1, 2], 3
+            )
+            tally(flags, ("syn-ack", "syn", "rst", "other"), kind)
+            sources = cols.src[tcp][synack]
+            synack_sources.append(sources[(sources & mask) == network])
     except (OSError, ValueError) as exc:
         return _trace_file_error(args.file, exc)
+    addresses, counts = np.unique(
+        np.concatenate(synack_sources), return_counts=True
+    )
+    responders = dict(zip(addresses.tolist(), counts.tolist()))
     table = TextTable(
         title=f"Trace {args.file}: {total:,} records",
         headers=["Measure", "Value"],
     )
-    if first is not None:
+    if total:
         table.add_row("time span", f"{first:.1f}s .. {last:.1f}s "
                                    f"({(last - first) / 3600:.1f} h)")
     for label, cell in count_rows(protocols, label_prefix="protocol "):

@@ -77,7 +77,8 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     buckets: dict[str, dict[str, int]] = {
         label: {"both": 0, "active_only": 0, "passive_only": 0} for label, _ in ROWS
     }
-    for address in union_web:
+    # Sorted: one fetch stream, whose order must not follow batch cuts.
+    for address in sorted(union_web):
         result = fetcher.fetch_after_discovery(address, discovery_time[address])
         if result.outcome is FetchOutcome.NO_RESPONSE:
             label = "No response"

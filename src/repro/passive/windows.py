@@ -18,7 +18,10 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
+from repro.passive.monitor import _campus_mask, _port_lut
 
 
 @dataclass
@@ -44,7 +47,9 @@ class WindowActivityObserver:
 
     #: address -> set of window indices with evidence.
     hits: dict[int, set[int]] = field(default_factory=dict)
-    _starts: list[float] = field(init=False)
+    #: Window starts and ends as float64 arrays, built once.
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = sorted(self.windows)
@@ -53,7 +58,8 @@ class WindowActivityObserver:
         for (s1, e1), (s2, _) in zip(ordered, ordered[1:]):
             if e1 > s2:
                 raise ValueError("windows must be disjoint")
-        self._starts = [start for start, _ in self.windows]
+        bounds = np.array(self.windows, dtype=np.float64).reshape(-1, 2)
+        self._starts, self._ends = bounds.T.copy()
 
     def _window_of(self, t: float) -> int | None:
         index = bisect.bisect_right(self._starts, t) - 1
@@ -85,20 +91,14 @@ class WindowActivityObserver:
         """Batch :meth:`observe`: vectorised evidence masks and
         ``searchsorted`` window assignment; only the batch's distinct
         (address, window) pairs reach Python."""
-        import numpy as np
-
-        from repro.passive.monitor import _campus_mask
-
         proto = cols.proto
         flags = cols.flags
         sport = cols.sport
         evidence = (proto == PROTO_TCP) & ((flags & 0x12) == 0x12)
         if self.tcp_ports is not None:
-            tcp_ports = np.array(sorted(self.tcp_ports), dtype=np.uint16)
-            evidence &= np.isin(sport, tcp_ports)
+            evidence &= _port_lut(self.tcp_ports)[sport]
         if self.udp_ports:
-            udp_ports = np.array(sorted(self.udp_ports), dtype=np.uint16)
-            evidence |= (proto == PROTO_UDP) & np.isin(sport, udp_ports)
+            evidence |= (proto == PROTO_UDP) & _port_lut(self.udp_ports)[sport]
         src = cols.src
         evidence &= _campus_mask(self.is_campus, src)
         evidence &= ~_campus_mask(self.is_campus, cols.dst)
@@ -106,12 +106,10 @@ class WindowActivityObserver:
         if not index.size:
             return
         times = cols.time[index]
-        starts = np.array(self._starts, dtype=np.float64)
-        ends = np.array([end for _, end in self.windows], dtype=np.float64)
-        window = np.searchsorted(starts, times, side="right") - 1
+        window = np.searchsorted(self._starts, times, side="right") - 1
         valid = window >= 0
         clipped = np.where(valid, window, 0)
-        valid &= (starts[clipped] <= times) & (times < ends[clipped])
+        valid &= (self._starts[clipped] <= times) & (times < self._ends[clipped])
         addresses = src[index][valid]
         window = window[valid]
         if not addresses.size:

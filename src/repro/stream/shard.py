@@ -23,8 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
-from repro.passive.monitor import Endpoint, PassiveServiceTable
+from repro.passive.monitor import (
+    Endpoint, PassiveServiceTable, _campus_mask, _port_lut,
+)
 
 #: Fibonacci-style multiplier spreading contiguous campus addresses
 #: across shards (addresses within one /24 would otherwise all land on
@@ -60,12 +64,9 @@ def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
     :func:`shard_of`'s multiplier, and the batch is permuted once with
     a *stable* argsort so each shard's sub-batch preserves stream
     order -- the invariant the per-link fault and handshake state
-    machines rely on.
+    machines rely on.  The hash wraps in ``uint32`` (:func:`shard_of`'s
+    mask); a ``uint16`` shard index makes the stable sort a radix sort.
     """
-    import numpy as np
-
-    from repro.passive.monitor import _campus_mask
-
     if shards <= 1:
         return [cols]
     src = cols.src
@@ -74,11 +75,10 @@ def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
     tcp = proto == PROTO_TCP
     synack = tcp & ((cols.flags & 0x12) == 0x12)
     udp_out = (proto == PROTO_UDP) & _campus_mask(is_campus, src)
-    owning = np.where(synack | udp_out, src, dst)
-    shard_index = (
-        (owning.astype(np.uint64) * np.uint64(_HASH_MULTIPLIER))
-        & np.uint64(0xFFFFFFFF)
-    ) % np.uint64(shards)
+    owning = np.where(synack | udp_out, src, dst).astype(np.uint32, copy=False)
+    shard_index = (owning * np.uint32(_HASH_MULTIPLIER)) % np.uint32(shards)
+    if shards <= 1 << 16:
+        shard_index = shard_index.astype(np.uint16)
     order = np.argsort(shard_index, kind="stable")
     routed = cols.take(order)
     counts = np.bincount(shard_index, minlength=shards)
@@ -114,10 +114,6 @@ class ShardState:
         (SYN-ACK, UDP source port); it is supplementary state and
         never feeds the completeness report.
         """
-        import numpy as np
-
-        from repro.passive.monitor import _campus_mask
-
         table = self.table
         table.observe_columns(cols)
         self.records += len(cols)
@@ -125,11 +121,9 @@ class ShardState:
         sport = cols.sport
         evidence = (proto == PROTO_TCP) & ((cols.flags & 0x12) == 0x12)
         if table.tcp_ports is not None:
-            tcp_ports = np.array(sorted(table.tcp_ports), dtype=np.uint16)
-            evidence &= np.isin(sport, tcp_ports)
+            evidence &= _port_lut(table.tcp_ports)[sport]
         if table.udp_ports:
-            udp_ports = np.array(sorted(table.udp_ports), dtype=np.uint16)
-            evidence |= (proto == PROTO_UDP) & np.isin(sport, udp_ports)
+            evidence |= (proto == PROTO_UDP) & _port_lut(table.udp_ports)[sport]
         src = cols.src
         dst = cols.dst
         evidence &= _campus_mask(table.is_campus, src)

@@ -87,6 +87,130 @@ class TestRecordAndStats:
         assert trace.read_bytes() == expected.read_bytes()
 
 
+def reference_trace_stats(path, campus="128.125.0.0/16", top_n=10) -> str:
+    """What ``trace-stats`` printed as a per-record loop: the definition
+    its bincounts over columns must reproduce byte for byte."""
+    from repro.core.report import TextTable, count_rows, format_count
+    from repro.net.addr import format_ipv4, parse_cidr
+    from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+    from repro.trace.columnar import read_trace_records
+
+    network, prefix = parse_cidr(campus)
+    mask = ~((1 << (32 - prefix)) - 1) & 0xFFFFFFFF
+    proto_names = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
+    protocols, flags, links, responders = {}, {}, {}, {}
+    first = last = None
+    total = 0
+    for record in read_trace_records(path):
+        total += 1
+        first = record.time if first is None else min(first, record.time)
+        last = record.time if last is None else max(last, record.time)
+        proto = proto_names.get(record.proto, str(record.proto))
+        protocols[proto] = protocols.get(proto, 0) + 1
+        link = record.link or "unknown"
+        links[link] = links.get(link, 0) + 1
+        if record.proto == PROTO_TCP:
+            if record.flags.is_synack:
+                flags["syn-ack"] = flags.get("syn-ack", 0) + 1
+                if (record.src & mask) == network:
+                    responders[record.src] = responders.get(record.src, 0) + 1
+            elif record.flags.is_syn:
+                flags["syn"] = flags.get("syn", 0) + 1
+            elif record.flags.is_rst:
+                flags["rst"] = flags.get("rst", 0) + 1
+            else:
+                flags["other"] = flags.get("other", 0) + 1
+    table = TextTable(
+        title=f"Trace {path}: {total:,} records", headers=["Measure", "Value"]
+    )
+    if first is not None:
+        table.add_row("time span", f"{first:.1f}s .. {last:.1f}s "
+                                   f"({(last - first) / 3600:.1f} h)")
+    for counts, prefix_label in (
+        (protocols, "protocol "), (flags, "tcp "), (links, "link "),
+    ):
+        for label, cell in count_rows(counts, label_prefix=prefix_label):
+            table.add_row(label, cell)
+    out = table.render() + "\n"
+    if responders:
+        ranked = sorted(responders.items(), key=lambda item: (-item[1], item[0]))
+        top = TextTable(
+            title="Top campus responders (SYN-ACK senders)",
+            headers=["Address", "SYN-ACKs"],
+        )
+        for address, count in ranked[:top_n]:
+            top.add_row(format_ipv4(address), format_count(count))
+        out += "\n" + top.render() + "\n"
+    return out
+
+
+class TestTraceStatsColumns:
+    """``trace-stats`` counts over columns; :func:`reference_trace_stats`
+    is the per-record loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        """One recording three ways: as ``record`` writes it, re-cut
+        into 997-record chunks, and as a v1 file."""
+        from repro.net.packet import PacketRecord, TcpFlags
+        from repro.trace.columnar import ColumnarTraceWriter, read_trace_records
+        from tests.trace_v1_reference import v1_trace_bytes
+
+        root = tmp_path_factory.mktemp("stats")
+        recorded = root / "recorded.rprt"
+        assert main([
+            "record", "DTCP1-18d", str(recorded),
+            "--scale", "0.03", "--seed", "4", "--days", "1",
+        ]) == 0
+        records = list(read_trace_records(recorded))
+        # Flag combinations the generator never writes: SYN+RST (a SYN),
+        # SYN+ACK+RST (a SYN-ACK), ACK+RST, and none at all; and the
+        # empty link, which prints as "unknown".
+        records += [
+            PacketRecord(time=5.0, src=0x807D0001, dst=0x08080808, sport=80,
+                         dport=40000, proto=6, flags=TcpFlags(bits), link=link)
+            for bits in (0x06, 0x16, 0x14, 0x00)
+            for link in ("", "commercial1")
+        ]
+        rechunked = root / "rechunked.rprt"
+        with ColumnarTraceWriter.open(rechunked, chunk_records=997) as writer:
+            for record in records:
+                writer.write(record)
+        v1 = root / "v1.rprt"
+        v1.write_bytes(v1_trace_bytes(records))
+        return recorded, rechunked, v1
+
+    @pytest.mark.parametrize("which", range(3))
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--campus", "128.125.64.0/18", "--top", "3"],
+        # No SYN-ACK sender is inside: no responders table at all.
+        ["--campus", "10.0.0.0/8", "--top", "3"],
+    ])
+    def test_output_is_the_per_record_loop_byte_for_byte(
+        self, traces, capsys, which, argv
+    ):
+        path = traces[which]
+        capsys.readouterr()
+        assert main(["trace-stats", str(path), *argv]) == 0
+        campus = argv[1] if argv else "128.125.0.0/16"
+        top_n = int(argv[3]) if argv else 10
+        assert capsys.readouterr().out == reference_trace_stats(
+            path, campus, top_n
+        )
+
+    def test_damage_past_the_first_chunk_prints_nothing(
+        self, traces, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.rprt"
+        bad.write_bytes(traces[1].read_bytes()[:-11])
+        capsys.readouterr()
+        assert main(["trace-stats", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: truncated chunk at end of trace\n"
+
+
 def _recorded(tmp_path):
     from repro.net.packet import tcp_synack
     from repro.trace.columnar import write_trace

@@ -130,6 +130,29 @@ class TestContextViews:
         assert union >= context.active_addresses()
 
 
+class TestDrawOrder:
+    def test_table5_does_not_depend_on_first_seen_insertion_order(self):
+        """Table 5 draws one fetch stream across the web servers, so the
+        draws must follow the servers, not the passive table's insertion
+        history -- which follows the pass's batch cuts (a cold cache
+        folds generated windows, a warm one 65,536-record chunks)."""
+        from dataclasses import replace
+
+        from repro.experiments import common, table5
+
+        key = ("DTCP1-18d", SEED, 0.1)
+        context = get_context(*key)
+        expected = table5.run(seed=SEED, scale=0.1).metrics
+        first_seen = context.table.first_seen
+        common._CONTEXTS[key] = replace(
+            context,
+            table=replace(
+                context.table, first_seen=dict(reversed(first_seen.items()))
+            ),
+        )
+        assert table5.run(seed=SEED, scale=0.1).metrics == expected
+
+
 class TestHelpers:
     def test_percent(self):
         assert percent(1, 4) == 25.0
