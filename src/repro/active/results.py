@@ -101,6 +101,27 @@ def first_open_times(reports: list[ScanReport]) -> dict[tuple[int, int], float]:
     return first
 
 
+def first_open_events(
+    reports: list[ScanReport], udp_report: "UdpScanReport | None" = None
+) -> tuple[tuple[float, int], ...]:
+    """``(time, address)`` per endpoint's first open, sorted by time.
+
+    The build-time active side as a timeline: each TCP endpoint at its
+    earliest open probe, each generic-UDP finding at the sweep's end
+    (that scan records endpoints, not probe times).  One address
+    appears once per open endpoint.
+    """
+    first = first_open_times(reports)
+    if udp_report is not None:
+        when = udp_report.end
+        for endpoint in udp_report.open_endpoints():
+            if endpoint not in first or when < first[endpoint]:
+                first[endpoint] = when
+    return tuple(sorted(
+        (when, address) for (address, _port), when in first.items()
+    ))
+
+
 @dataclass
 class UdpScanReport:
     """Results of one generic UDP sweep (paper Table 7's structure).
@@ -162,6 +183,7 @@ __all__ = [
     "ScanReport",
     "UdpProbeOutcome",
     "UdpScanReport",
+    "first_open_events",
     "first_open_times",
     "scan_outcome_histogram",
     "union_open_endpoints",

@@ -23,7 +23,7 @@ from repro.active.prober import HalfOpenScanner, ScannerConfig
 from repro.active.results import (
     ScanReport,
     UdpScanReport,
-    union_open_endpoints,
+    first_open_events,
 )
 from repro.active.schedule import scan_start_times
 from repro.active.udp_scan import GenericUdpProber
@@ -138,17 +138,28 @@ class BuiltDataset:
         """
         return self.population.topology.campus_predicate()
 
-    def active_addresses(self) -> set[int]:
+    @cached_property
+    def active_events(self) -> tuple[tuple[float, int], ...]:
+        """Every build-time open endpoint's first ``(time, address)``,
+        sorted: :func:`~repro.active.results.first_open_events` of the
+        scan reports, computed once (the scans finish with the build).
+        Each stream run's watermark timeline is a fresh cursor over it.
+        """
+        return first_open_events(self.scan_reports, self.udp_report)
+
+    @cached_property
+    def _active_addresses(self) -> frozenset[int]:
+        return frozenset(address for _, address in self.active_events)
+
+    def active_addresses(self) -> frozenset[int]:
         """Addresses with an open port in any build-time sweep, TCP or UDP.
 
         The one answer to "which addresses did active probing find" for
         ``survey``, the stream engine's final report, its batch oracle
-        and the degradation sweep.
+        and the degradation sweep.  Computed once per dataset, hence
+        frozen.
         """
-        found = {a for a, _ in union_open_endpoints(self.scan_reports)}
-        if self.udp_report is not None:
-            found |= {a for a, _ in self.udp_report.open_endpoints()}
-        return found
+        return self._active_addresses
 
     @property
     def trace_cache_key(self) -> tuple[str, int, str, int]:

@@ -253,9 +253,14 @@ class HeartbeatPolicy(_SchedulePolicy):
         return self._ticks(min(now, self.end)) if self.sweep_size else 0
 
     def window(self, lo: int, hi: int) -> ProbeWindow:
+        # ``mode="wrap"`` is the ``k % sweep_size`` walk, without the
+        # intermediate index array.
         k = np.arange(lo, hi)
-        slot = k % self.sweep_size
-        return (k + 1) / self.rate, self._address_index[slot], self._port_index[slot]
+        return (
+            (k + 1) / self.rate,
+            np.take(self._address_index, k, mode="wrap"),
+            np.take(self._port_index, k, mode="wrap"),
+        )
 
     @property
     def pairs(self) -> list[tuple[int, int]]:

@@ -132,6 +132,9 @@ _COUNTERS = (
 #: ``ProbeScheduler._window``).
 _MIN_WINDOW, _MAX_WINDOW = 1 << 13, 1 << 17
 
+#: First-probe rank of a target no probe has reached yet.
+_UNPROBED = np.iinfo(np.int64).max
+
 
 class ProbeScheduler:
     """Dispatch one policy's probes in stream time; accumulate evidence.
@@ -162,9 +165,12 @@ class ProbeScheduler:
         self.first_open: dict[tuple[int, int], float] = {}
         #: address -> latest open probe time.
         self.last_open: dict[int, float] = {}
-        #: address -> latest probe time, open or not (mid-sweep
-        #: negative evidence).
-        self.last_probed: dict[int, float] = {}
+        # Per target: latest probe time, open or not (mid-sweep negative
+        # evidence), and the task index of its first probe.  The
+        # ``last_probed`` dict that views and checkpoints carry is built
+        # from these on demand (:meth:`_last_probed`).
+        self._probed_at = np.full(len(policy.targets), -np.inf)
+        self._probed_rank = np.full(len(policy.targets), _UNPROBED)
         #: Per-address first opens in dispatch (= time) order; the
         #: watermark timeline (mirrors ActiveTimeline's event list).
         self.open_events: list[tuple[float, int]] = []
@@ -180,12 +186,11 @@ class ProbeScheduler:
         self._index = population.probe_index
         #: Presence group of each target address (-1: never assigned).
         self._slots = self._index.slots(policy.targets)
-        # Probes resolved in one array pass.  Each pass rewrites the
-        # ``last_probed`` entry of every address it touches, so it
-        # should span several probes per target; past that a longer
-        # window only pushes its arrays out of cache (a few thousand
-        # probes stay resident, and resolve ~1.5x faster per probe than
-        # a hundred thousand).  The upper bound also keeps one
+        # Probes resolved in one array pass: several per target, so
+        # the per-pass fixed costs amortise; past that a longer window
+        # only pushes its arrays out of cache (a few thousand probes
+        # stay resident, and resolve ~1.5x faster per probe than a
+        # hundred thousand).  The upper bound also keeps one
         # ``advance`` that owes millions within ~10 MB of working set.
         self._window = min(
             max(8 * len(policy.targets), _MIN_WINDOW), _MAX_WINDOW
@@ -240,20 +245,12 @@ class ProbeScheduler:
             self.synacks += opened
             self.rsts += closed
 
-        # last_probed keeps each address's latest probe; probe times
-        # never decrease along a window, so that is the maximum.  New
-        # addresses enter the dict in first-probe order, as assigning
-        # probe by probe would insert them.
-        count = len(policy.targets)
-        first = np.full(count, hi - lo)
-        np.minimum.at(first, address_index, np.arange(hi - lo))
-        latest = np.full(count, -np.inf)
-        np.maximum.at(latest, address_index, when)
-        probed = np.flatnonzero(first < hi - lo)
-        probed = probed[np.argsort(first[probed])]
-        self.last_probed.update(
-            zip(policy.targets[probed].tolist(), latest[probed].tolist())
-        )
+        # Each target's latest probe (probe times never decrease, so
+        # that is the maximum) and its first probe's task index (kept
+        # by the minimum): the order assigning probe by probe would
+        # insert addresses into a dict.
+        np.maximum.at(self._probed_at, address_index, when)
+        np.minimum.at(self._probed_rank, address_index, np.arange(lo, hi))
 
         # Opens, in probe order.  Only an (address, port)'s first open
         # in the window can be its first ever, and only then can the
@@ -337,10 +334,6 @@ class ProbeScheduler:
         self._events_cursor = cursor
         return known
 
-    @property
-    def total_addresses(self) -> int:
-        return len(self.last_open)
-
     # ---- final-report inputs ------------------------------------------
 
     def open_addresses(self) -> set[int]:
@@ -352,6 +345,15 @@ class ProbeScheduler:
         return len(self.sweeps)
 
     # ---- checkpoints ---------------------------------------------------
+
+    def _last_probed(self) -> dict[int, float]:
+        """address -> latest probe time, in first-probe order."""
+        probed = np.flatnonzero(self._probed_rank != _UNPROBED)
+        probed = probed[np.argsort(self._probed_rank[probed])]
+        return dict(zip(
+            self.policy.targets[probed].tolist(),
+            self._probed_at[probed].tolist(),
+        ))
 
     def state_dict(self) -> dict:
         """Everything a resumed run needs, as plain picklable data."""
@@ -366,7 +368,7 @@ class ProbeScheduler:
             "udp_unreachable": self.udp_unreachable,
             "first_open": dict(self.first_open),
             "last_open": dict(self.last_open),
-            "last_probed": dict(self.last_probed),
+            "last_probed": self._last_probed(),
             "open_events": list(self.open_events),
             "sweeps": list(self.sweeps),
             "current_sweep_opens": set(self._current_sweep_opens),
@@ -383,7 +385,7 @@ class ProbeScheduler:
         self.udp_unreachable = int(state["udp_unreachable"])
         self.first_open = dict(state["first_open"])
         self.last_open = dict(state["last_open"])
-        self.last_probed = dict(state["last_probed"])
+        self._restore_probed(state["last_probed"])
         self.open_events = list(state["open_events"])
         self.sweeps = list(state["sweeps"])
         self._current_sweep_opens = set(state["current_sweep_opens"])
@@ -392,6 +394,25 @@ class ProbeScheduler:
         self._known = set()
         self._events_cursor = 0
         self._flushed = {attr: getattr(self, attr) for attr, _, _ in _COUNTERS}
+
+    def _restore_probed(self, last_probed: dict[int, float]) -> None:
+        """Load a :meth:`_last_probed` dict back into the per-target
+        arrays.  Its order becomes ranks ``0..n-1``, below the task
+        index of any probe still to come (``n <= cursor``)."""
+        targets = self.policy.targets
+        self._probed_at = np.full(len(targets), -np.inf)
+        self._probed_rank = np.full(len(targets), _UNPROBED)
+        count = len(last_probed)
+        if not count:
+            return
+        order = np.argsort(targets, kind="stable")
+        index = order[np.searchsorted(
+            targets[order], np.fromiter(last_probed, np.int64, count)
+        )]
+        self._probed_at[index] = np.fromiter(
+            last_probed.values(), np.float64, count
+        )
+        self._probed_rank[index] = np.arange(count)
 
     # ---- snapshots -----------------------------------------------------
 
@@ -416,7 +437,7 @@ class ProbeScheduler:
             udp_replies=self.udp_replies,
             first_open=dict(self.first_open),
             last_open=dict(self.last_open),
-            last_probed=dict(self.last_probed),
+            last_probed=self._last_probed(),
             sweeps=tuple(self.sweeps),
             sweeps_planned=policy.sweep_count(),
             current_sweep=current,

@@ -18,9 +18,11 @@ here (:class:`_ThreadTransport`), worker processes in
    :func:`repro.stream.shard.split_columns`, feeds the parts to the
    transport, and advances the online prober to stream time;
 2. when stream time crosses an emission mark, it asks the transport
-   for the passive addresses first seen by the mark and emits a
-   :class:`repro.stream.watermark.Watermark` -- windowed completeness
-   without replay;
+   for the passive addresses first seen by the mark -- a request the
+   shards answer in band, behind the parts fed before it, while the
+   driver reads on -- and emits a
+   :class:`repro.stream.watermark.Watermark` once it is answered:
+   windowed completeness without replay;
 3. when stream time crosses a snapshot or checkpoint mark, it collects
    a consistent cut from the transport and publishes it, or has the
    transport write it out with the run's progress payload
@@ -328,9 +330,9 @@ class StreamEngine:
 
         On ``KeyboardInterrupt`` (the CLI's SIGTERM/SIGINT handlers
         call :meth:`request_stop`, which raises it at the next batch
-        boundary) the engine drains, commits a checkpoint generation
-        when a path is configured, and re-raises -- the graceful half
-        of kill/resume.
+        boundary) the engine emits the marks still pending, drains,
+        commits a checkpoint generation when a path is configured, and
+        re-raises -- the graceful half of kill/resume.
 
         *publisher* is a :class:`repro.query.state.QueryState` (or
         anything with ``publish(snapshot)``); when set together with
@@ -368,12 +370,12 @@ class StreamEngine:
         *transport* owns only how shard state is reached (the surface
         is :class:`_ThreadTransport`'s methods; the fabric supervisor
         is the other implementation).  Marks and checkpoints are
-        pipelined: the driver requests them in order and takes up
-        whatever the transport reports complete -- emitting the marks,
-        counting the committed generations -- waiting for marks only
-        before a checkpoint, and for both at end of stream and at a
-        requested stop, so what a stop at a given batch leaves
-        committed is the same on every run.
+        pipelined on both: the driver requests them in order and takes
+        up whatever the transport reports complete -- emitting the
+        marks, counting the committed generations -- waiting for marks
+        only before a checkpoint, and for both at end of stream and at a
+        stop, so what a stop at a given batch leaves committed (and
+        emitted) is the same on every run.
         """
         config = self.config
         dataset = self.dataset
@@ -391,10 +393,11 @@ class StreamEngine:
         # live evidence feeds watermarks (same addresses_by contract)
         # instead of the build-time scan timeline.  It lives with the
         # driver, never in a worker, so shard failover cannot perturb it.
+        # Without it, a fresh cursor over the dataset's build-time events.
         active = (
             prober
             if prober is not None
-            else ActiveTimeline(dataset.scan_reports, dataset.udp_report)
+            else ActiveTimeline.over(dataset.active_events)
         )
         marks = (
             emit_schedule(end, config.emit_every)
@@ -597,12 +600,17 @@ class StreamEngine:
                         next_checkpoint += config.checkpoint_every
                 if next_checkpoint is not None:
                     count_commits()
-                if self._stop_requested:
-                    raise KeyboardInterrupt
-                if (
+                if self._stop_requested or (
                     stop_after_records is not None
                     and records_read >= stop_after_records
                 ):
+                    # Pending marks are emitted first, so the progress an
+                    # interrupt checkpoints holds every requested mark; a
+                    # resume would otherwise request them again, one
+                    # batch later, with another record count.
+                    emit(transport.completed_marks(wait=True))
+                    if self._stop_requested:
+                        raise KeyboardInterrupt
                     count_commits(wait=True)
                     break
             else:
@@ -719,11 +727,13 @@ class StreamEngine:
 class _ThreadTransport:
     """Shard state behind worker threads in this process.
 
-    The barrier is a drain: every consistent cut (mark, snapshot,
-    checkpoint) first waits for the :class:`StreamIngestor`'s queues
-    to empty, then reads the live :class:`ShardState` objects -- so
-    marks are answered at request time.  Its methods are the whole
-    transport surface :meth:`StreamEngine._drive` uses.
+    Marks travel in band, as they do to fabric workers: each is queued
+    behind every shard's pending parts and answered by the shard's own
+    thread, so the driver routes the next batch while this one folds.
+    Snapshots, checkpoints and :meth:`finish` are drains: they wait for
+    the :class:`StreamIngestor`'s queues to empty, then read the live
+    :class:`ShardState` objects.  Its methods are the whole transport
+    surface :meth:`StreamEngine._drive` uses.
     """
 
     def __init__(self, engine: StreamEngine) -> None:
@@ -743,7 +753,8 @@ class _ThreadTransport:
             for index in range(config.shards)
         ]
         self.ingestor: StreamIngestor | None = None
-        self._marks: list[set[int]] = []
+        #: Per requested mark, the shard threads' answers (None: pending).
+        self._marks: deque[list] = deque()
         self._commits: list[tuple[float, int]] = []
 
     def restore(self) -> dict | None:
@@ -783,17 +794,16 @@ class _ThreadTransport:
 
     def request_mark(self, index: int, mark: float) -> None:
         """Ask for the passive addresses first seen at or before *mark*."""
-        self.ingestor.drain()
-        self._marks.append({
-            address
-            for state in self.states
-            for (address, _port, _proto), seen in state.table.first_seen.items()
-            if seen <= mark
-        })
+        self._marks.append(self.ingestor.request_mark(mark))
 
     def completed_marks(self, wait: bool = False) -> list[set[int]]:
-        """Answered marks in request order; all of them when *wait*."""
-        completed, self._marks = self._marks, []
+        """Fully answered marks in request order; all of them when *wait*."""
+        if wait:
+            self.ingestor.drain()
+        marks = self._marks
+        completed = []
+        while marks and None not in marks[0]:
+            completed.append(set().union(*marks.popleft()))
         return completed
 
     def snapshot_payloads(self):
@@ -803,7 +813,7 @@ class _ThreadTransport:
 
     def checkpoint(self, progress: dict) -> None:
         """Commit one generation: every shard's file, then the manifest
-        carrying *progress*.  Answered at request time, like marks."""
+        carrying *progress*.  Drains first, so it commits at request time."""
         started = perf_counter()
         self.ingestor.drain()
         self.generation += 1

@@ -37,11 +37,12 @@ Exhausting ``max_restarts`` raises :class:`FabricDegradedError`
 
 **Consistency.**  Watermark, snapshot and checkpoint requests travel
 *in band* on the same FIFO queues as the row messages, so a worker
-answers them only after folding everything that preceded them -- the
-distributed analogue of the thread transport's ``drain()`` barrier.
-Marks and checkpoint generations are *pipelined*: the supervisor sends
-the request and goes on feeding.  A generation is committed by the
-supervisor's manifest write, only after every shard acked its own
+answers them only after folding everything that preceded them, as the
+thread transport's shard threads answer marks queued behind their
+parts.  Marks and checkpoint generations are *pipelined*: the
+supervisor sends the request and goes on feeding.  A generation is
+committed by the supervisor's manifest write, only after every shard
+acked its own
 file, and the manifest carries the run progress frozen when the request
 was sent -- which, by the FIFO argument, is exactly what the shard
 files hold.  Generations are all-or-nothing: a failover between request
@@ -367,14 +368,7 @@ def _shard_worker(
                 _, index, mark, ctx = item
                 with _span("worker.mark", parent=ctx, index=index,
                            records=state.records):
-                    owned = sorted(
-                        {
-                            address
-                            for (address, _p, _pr), seen
-                            in state.table.first_seen.items()
-                            if seen <= mark
-                        }
-                    )
+                    owned = sorted(state.addresses_by(mark))
                 outbox.send(
                     ("mark_ack", shard, incarnation, index, tuple(owned))
                 )

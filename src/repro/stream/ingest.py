@@ -13,10 +13,13 @@ over-full queue *blocks the producer* -- backpressure, not growth), and
 shard state is keyed by endpoints, whose count is bounded by the
 population rather than the observation length.
 
-:meth:`StreamIngestor.drain` is the synchronisation barrier the engine
-uses before watermark emission and checkpoints: it returns only when
-every queued batch has been folded in, so a snapshot taken after a
-drain is a consistent prefix of the stream.
+Watermark marks travel in band (:meth:`StreamIngestor.request_mark`):
+a mark queued behind a shard's pending parts is answered by that
+shard's thread when it gets there, so the producer goes on routing
+while the shards fold.  :meth:`StreamIngestor.drain` is the barrier
+the engine keeps for snapshots, checkpoints and the end of the stream:
+it returns only when every queued item has been handled, so state read
+after a drain is a consistent prefix of the stream.
 """
 
 from __future__ import annotations
@@ -147,26 +150,35 @@ class StreamIngestor:
     def _worker(self, index: int) -> None:
         state = self.states[index]
         work = self._queues[index]
+        failed = False
         while True:
             try:
                 item = work.get(timeout=_WORKER_POLL_SECONDS)
             except queue.Empty:
                 continue
-            if item is _STOP:
-                work.task_done()
-                return
-            started = perf_counter()
             try:
+                if item is _STOP:
+                    return
+                if failed:
+                    # Consumed unhandled, so drain() still returns (and
+                    # raises the error) instead of waiting for ever.
+                    continue
+                if type(item) is tuple:
+                    # A mark: every part queued before it is folded in.
+                    mark, answers = item
+                    answers[index] = state.addresses_by(mark)
+                    continue
+                started = perf_counter()
                 state.observe_columns(item)
+                self.shard_seconds[index] += perf_counter() - started
+                self.shard_records[index] += len(item)
+                with self._queued_lock:
+                    self._queued_records[index] -= len(item)
             except BaseException as exc:  # noqa: BLE001 - surfaced on drain
+                failed = True
                 self._errors.append(ShardWorkerError(index, exc))
+            finally:
                 work.task_done()
-                return
-            self.shard_seconds[index] += perf_counter() - started
-            self.shard_records[index] += len(item)
-            with self._queued_lock:
-                self._queued_records[index] -= len(item)
-            work.task_done()
 
     def _raise_pending(self) -> None:
         if self._errors:
@@ -235,8 +247,24 @@ class StreamIngestor:
                 raise
         self.batches_dispatched += 1
 
+    def request_mark(self, mark: float) -> list:
+        """Queue watermark *mark* behind every shard's pending parts.
+
+        Returns without waiting.  Slot *i* of the returned list stays
+        ``None`` until shard *i*'s thread reaches the request, then
+        holds :meth:`ShardState.addresses_by` of *mark*.
+        """
+        if self._closed:
+            raise RuntimeError("ingestor already closed")
+        self._raise_pending()
+        answers: list = [None] * len(self.states)
+        item = (mark, answers)
+        for index in range(len(self.states)):
+            self._put_bounded(index, item)
+        return answers
+
     def drain(self) -> None:
-        """Block until every enqueued batch has been folded into state."""
+        """Block until every queued part is folded and mark answered."""
         for work in self._queues:
             work.join()
         self._raise_pending()

@@ -158,6 +158,15 @@ class ShardState:
             if previous is None or time > previous:
                 last_seen[endpoint] = time
 
+    def addresses_by(self, mark: float) -> set[int]:
+        """Addresses with an endpoint first seen at or before *mark*:
+        this shard's answer to a watermark request."""
+        return {
+            address
+            for (address, _port, _proto), seen in self.table.first_seen.items()
+            if seen <= mark
+        }
+
     # ---- checkpointing ------------------------------------------------
 
     def state_dict(self) -> dict:

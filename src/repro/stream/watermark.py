@@ -1,35 +1,39 @@
 """Watermarks: windowed completeness read off a live stream.
 
 A *watermark* is the engine's statement that every record with
-``time <= t`` has been folded into shard state.  Because the border
-stream is time-ordered and the engine drains its shard queues before
-emitting, the merged passive state at a watermark is exactly the state
-a batch replay truncated at ``t`` would have produced -- so the paper's
-"what did we know at hour H" questions (the Figure 2 / Table 2 curves)
-can be answered mid-stream without replaying from zero.
+``time <= t`` has been folded into shard state.  The border stream is
+time-ordered and each shard answers a mark only after folding every
+part routed to it before the mark was requested, so the merged passive
+state at a watermark is exactly the state a batch replay truncated at
+``t`` would have produced -- the paper's "what did we know at hour H"
+questions (the Figure 2 / Table 2 curves) are answered mid-stream
+without replaying from zero.
 
 Active-scan results are materialised at build time (as the paper's
 Nmap logs were), so the active side of a windowed summary is a pure
-function of time: :class:`ActiveTimeline` pre-sorts every endpoint's
-first-open probe time and advances an index as watermarks move
-forward, O(new events) per emission.
+function of time: :class:`ActiveTimeline` walks the sorted first-open
+events (:func:`repro.active.results.first_open_events`, computed once
+per dataset as ``BuiltDataset.active_events``) with a cursor that
+advances as watermarks move forward, O(new events) per emission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.active.results import ScanReport, UdpScanReport, first_open_times
+from repro.active.results import ScanReport, UdpScanReport, first_open_events
 from repro.core.completeness import CompletenessSummary, summarize_overlap
 
 
 class ActiveTimeline:
     """Incremental view of active discovery up to a moving watermark.
 
-    Feeds on the dataset's scan reports once; ``addresses_by(t)`` then
-    returns the set of addresses actively discovered by time *t*.
-    Watermarks are monotone, so the timeline keeps a cursor into its
-    sorted event list and only folds in newly passed events.
+    ``addresses_by(t)`` returns the set of addresses actively
+    discovered by time *t*.  Watermarks are monotone, so the timeline
+    keeps a cursor into its sorted event list and only folds in newly
+    passed events.  The cursor is per timeline; the events can be shared
+    (:meth:`over`).
     """
 
     def __init__(
@@ -37,22 +41,26 @@ class ActiveTimeline:
         scan_reports: list[ScanReport],
         udp_report: UdpScanReport | None = None,
     ) -> None:
-        first = first_open_times(scan_reports)
-        if udp_report is not None:
-            # The generic UDP sweep records endpoints, not probe times;
-            # its findings exist from the sweep's end.
-            for endpoint in udp_report.open_endpoints():
-                when = udp_report.end
-                if endpoint not in first or when < first[endpoint]:
-                    first[endpoint] = when
-        self._events = sorted(
-            (when, address) for (address, _port), when in first.items()
-        )
+        self._start(first_open_events(scan_reports, udp_report))
+
+    @classmethod
+    def over(cls, events: Sequence[tuple[float, int]]) -> "ActiveTimeline":
+        """A fresh cursor over already sorted ``(time, address)`` events
+        (read, never copied or changed)."""
+        timeline = cls.__new__(cls)
+        timeline._start(events)
+        return timeline
+
+    def _start(self, events: Sequence[tuple[float, int]]) -> None:
+        self._events = events
         self._cursor = 0
         self._known: set[int] = set()
 
     def addresses_by(self, t: float) -> set[int]:
-        """Addresses with an active-scan open discovered at or before *t*."""
+        """Addresses with an active-scan open discovered at or before *t*.
+
+        The timeline's own set, grown in place by later calls.
+        """
         events = self._events
         cursor = self._cursor
         known = self._known
@@ -61,10 +69,6 @@ class ActiveTimeline:
             cursor += 1
         self._cursor = cursor
         return known
-
-    @property
-    def total_addresses(self) -> int:
-        return len({address for _, address in self._events})
 
 
 @dataclass(frozen=True)
@@ -118,5 +122,9 @@ def windowed_summary(
     active: ActiveTimeline,
     t: float,
 ) -> CompletenessSummary:
-    """Overlap summary at watermark time *t* (passive state is live)."""
-    return summarize_overlap(passive_addresses, set(active.addresses_by(t)))
+    """Overlap summary at watermark time *t* (passive state is live).
+
+    The active set is read, not copied: the summary holds only counts,
+    taken before the timeline moves again.
+    """
+    return summarize_overlap(passive_addresses, active.addresses_by(t))

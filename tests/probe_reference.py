@@ -122,7 +122,22 @@ def build_reference_policy(name, targets, ports, rate, seed, calendar, end):
 
 
 class ReferenceScheduler(ProbeScheduler):
-    """``ProbeScheduler`` with the one-probe-at-a-time dispatch loop."""
+    """``ProbeScheduler`` with the one-probe-at-a-time dispatch loop.
+
+    It keeps ``last_probed`` as the dict it writes probe by probe; the
+    production scheduler keeps per-target arrays and builds that dict
+    only for views and checkpoints.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.last_probed: dict[int, float] = {}
+
+    def _last_probed(self) -> dict[int, float]:
+        return dict(self.last_probed)
+
+    def _restore_probed(self, last_probed: dict[int, float]) -> None:
+        self.last_probed = dict(last_probed)
 
     def advance(self, now: float) -> int:
         policy = self.policy

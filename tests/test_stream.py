@@ -718,6 +718,225 @@ class TestDriverContract:
         assert "finish" not in names and "clear" not in names
 
 
+class TestInBandMarks:
+    """The thread transport answers marks on the shard threads, behind
+    the parts queued before them, instead of draining at the request."""
+
+    @staticmethod
+    def _transport(dataset, shards=2):
+        from repro.stream.engine import _ThreadTransport
+
+        return _ThreadTransport(
+            StreamEngine(small_config(shards=shards), dataset=dataset)
+        )
+
+    @staticmethod
+    def _parts(dataset, record_sample):
+        parts = split_columns(
+            RecordColumns.from_records(record_sample), dataset.is_campus, 2
+        )
+        assert all(len(part) for part in parts)
+        return parts
+
+    def test_a_blocked_shard_does_not_block_the_driver(
+        self, small_dtcp18, record_sample
+    ):
+        transport = self._transport(small_dtcp18)
+        release = threading.Event()
+        fold = transport.states[0].observe_columns
+
+        def blocked(cols):
+            release.wait(10.0)
+            fold(cols)
+
+        transport.states[0].observe_columns = blocked
+        mark = record_sample[-1].time
+        transport.start(0)
+        try:
+            transport.feed(
+                self._parts(small_dtcp18, record_sample), len(record_sample)
+            )
+            transport.request_mark(0, mark)
+            assert not release.is_set()  # both calls returned while blocked
+            assert transport.completed_marks() == []
+            release.set()
+            answered = transport.completed_marks(wait=True)
+        finally:
+            release.set()
+            transport.close()
+        table = PassiveServiceTable(
+            is_campus=small_dtcp18.is_campus,
+            tcp_ports=small_dtcp18.tcp_ports,
+            udp_ports=small_dtcp18.udp_ports,
+        )
+        table.observe_columns(RecordColumns.from_records(record_sample))
+        expected = {address for address, _port, _proto in table.first_seen}
+        assert expected and answered == [expected]
+        assert transport.completed_marks(wait=True) == []
+
+    def test_marks_answer_their_prefix_under_contention(
+        self, small_dtcp18, record_sample
+    ):
+        """More shard threads than cores, a tiny switch interval and
+        short queues: every mark still sees exactly the parts queued
+        before it, whichever thread wrote its slot when."""
+        import sys
+
+        def table():
+            return PassiveServiceTable(
+                is_campus=small_dtcp18.is_campus,
+                tcp_ports=small_dtcp18.tcp_ports,
+                udp_ports=small_dtcp18.udp_ports,
+            )
+
+        shards = 4
+        chunks = [
+            RecordColumns.from_records(record_sample[lo:lo + 250])
+            for lo in range(0, len(record_sample), 250)
+        ]
+        reference, expected = table(), []
+        for chunk in chunks:
+            reference.observe_columns(chunk)
+            mark = float(chunk.time[-1])
+            expected.append({
+                address
+                for (address, _port, _proto), seen in reference.first_seen.items()
+                if seen <= mark
+            })
+        states = [ShardState(index, table()) for index in range(shards)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ingestor = StreamIngestor(states, max_queue_chunks=2)
+            answers = []
+            for chunk in chunks:
+                ingestor.dispatch(
+                    split_columns(chunk, small_dtcp18.is_campus, shards)
+                )
+                answers.append(ingestor.request_mark(float(chunk.time[-1])))
+            ingestor.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [set().union(*answer) for answer in answers] == expected
+
+    def test_a_failed_shard_surfaces_from_the_wait(
+        self, small_dtcp18, record_sample
+    ):
+        transport = self._transport(small_dtcp18)
+
+        def explode(cols):
+            raise RuntimeError("boom")
+
+        transport.states[1].observe_columns = explode
+        transport.start(0)
+        try:
+            transport.feed(
+                self._parts(small_dtcp18, record_sample), len(record_sample)
+            )
+            transport.request_mark(0, record_sample[-1].time)
+            with pytest.raises(ShardWorkerError, match="shard 1"):
+                transport.completed_marks(wait=True)
+        finally:
+            with pytest.raises(ShardWorkerError):
+                transport.close()
+
+    def test_stop_with_marks_pending_resumes_identically(
+        self, small_dtcp18, tmp_path, monkeypatch
+    ):
+        """The stop lands while the shard threads still owe a mark: the
+        interrupt checkpoint must hold that watermark, or the resumed
+        run requests it again a batch later with another record count."""
+        from repro.stream.engine import _ThreadTransport
+
+        config = small_config(
+            shards=2, end=days(4), batch_records=1000,
+            emit_every=hours(30), checkpoint_every=hours(48),
+            checkpoint_path=str(tmp_path / "store"),
+        )
+        reference = StreamEngine(config, dataset=small_dtcp18).run()
+        assert len(reference.watermarks) >= 3
+
+        engine = StreamEngine(config, dataset=small_dtcp18)
+        release = threading.Event()
+        owed_at_stop = []
+        answer = ShardState.addresses_by
+        request_mark = _ThreadTransport.request_mark
+        completed_marks = _ThreadTransport.completed_marks
+
+        def held_answer(state, mark):
+            release.wait(10.0)
+            return answer(state, mark)
+
+        def stop_at_first_mark(transport, index, mark):
+            request_mark(transport, index, mark)
+            engine.request_stop()
+
+        def completed(transport, wait=False):
+            if wait and not release.is_set():
+                owed_at_stop.append(len(transport._marks))
+                release.set()
+            return completed_marks(transport, wait)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardState, "addresses_by", held_answer)
+            patch.setattr(_ThreadTransport, "request_mark", stop_at_first_mark)
+            patch.setattr(_ThreadTransport, "completed_marks", completed)
+            with pytest.raises(KeyboardInterrupt, match="checkpoint saved"):
+                engine.run()
+        assert owed_at_stop == [1]
+        store = ShardCheckpointStore(config.checkpoint_path)
+        assert store.generations() == [1]  # the interrupt's, nothing before
+        plan = store.plan_restore(engine._identity())
+        assert plan.manifest["watermarks"] == reference.watermarks[:1]
+        assert plan.manifest["emitted_index"] == 1
+
+        resumed = StreamEngine(config, dataset=small_dtcp18).run(resume=True)
+        assert resumed.resumed
+        assert resumed.watermarks == reference.watermarks
+        assert resumed.report == reference.report
+
+
+class TestActiveSide:
+    """The build-time active side is derived once per dataset."""
+
+    @pytest.mark.parametrize("name", ["small_dtcp18", "small_dudp"])
+    def test_dataset_timeline_matches_a_fresh_one(self, request, name):
+        from repro.stream import ActiveTimeline
+
+        dataset = request.getfixturevalue(name)
+        fresh = ActiveTimeline(dataset.scan_reports, dataset.udp_report)
+        shared = ActiveTimeline.over(dataset.active_events)
+        assert dataset.active_events
+        if dataset.udp_report is not None:
+            # UDP findings are stamped at the sweep's end.
+            assert {t for t, _ in dataset.active_events} == {
+                dataset.udp_report.end
+            }
+        for mark in emit_schedule(dataset.duration, hours(6)):
+            assert shared.addresses_by(mark) == fresh.addresses_by(mark)
+        assert shared.addresses_by(dataset.duration) == dataset.active_addresses()
+
+    def test_two_runs_over_one_dataset_agree(self, small_dtcp18):
+        config = small_config(shards=2, emit_every=hours(24))
+        first = StreamEngine(config, dataset=small_dtcp18).run()
+        second = StreamEngine(config, dataset=small_dtcp18).run()
+        assert len(first.watermarks) > 1
+        assert first.watermarks == second.watermarks
+        assert first.report == second.report
+
+    def test_active_addresses_is_cached_and_frozen(self, small_dtcp18):
+        from repro.active.results import union_open_endpoints
+
+        active = small_dtcp18.active_addresses()
+        assert active is small_dtcp18.active_addresses()
+        assert active == {
+            address
+            for address, _port in union_open_endpoints(small_dtcp18.scan_reports)
+        }
+        with pytest.raises(AttributeError):
+            active.add(1)
+
+
 class TestIngestor:
     def _states(self, n=2):
         return [
