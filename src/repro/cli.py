@@ -61,6 +61,67 @@ from repro.core.report import (
 )
 
 
+class UsageError(ValueError):
+    """An argument a command cannot run with: a flag value its config
+    rejects, or an unreadable input file.  :func:`main` reports it the
+    way argparse reports a bad flag: one ``error:`` line, exit status 2.
+    """
+
+
+def _configured(factory, **fields):
+    """``factory(**fields)``, a rejected value being a bad flag."""
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+# ---- declarations shared by every parser that has them ----------------
+
+
+def add_dataset_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    scale: float = 0.1,
+    default: str | None = None,
+    dataset: bool = True,
+) -> None:
+    """The ``dataset`` positional (optional when it has a *default*) and
+    its ``--scale`` / ``--seed``; the runner takes only the two flags."""
+    if dataset:
+        parser.add_argument(
+            "dataset", nargs="?" if default else None, default=default
+        )
+    parser.add_argument("--scale", type=float, default=scale)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--telemetry", default=None, metavar="DIR",
+        help="collect metrics/spans and export a run manifest, "
+             "Prometheus text and JSONL into DIR when the command exits "
+             "(read back with `python -m repro stats DIR`)",
+    )
+
+
+def add_out_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default=None,
+                        help="also write the report to this file")
+
+
+def print_report(args: argparse.Namespace, report: str) -> None:
+    """Print *report*, and write it to ``--out`` when one was given."""
+    print(report)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(report + "\n")
+        print(f"wrote {args.out}", file=sys.stderr)
+
+
+# ---- commands ----------------------------------------------------------
+
+
 def cmd_datasets(_args: argparse.Namespace) -> int:
     from repro.datasets.registry import dataset_table_rows
 
@@ -75,71 +136,72 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_survey(args: argparse.Namespace) -> int:
-    from repro.core.completeness import summarize_overlap
-    from repro.datasets import build_dataset
-    from repro.passive.monitor import PassiveServiceTable
-    from repro.telemetry import span
+def _discovery_gauges(table, active=None) -> None:
+    """The discovery-size gauges ``survey`` and ``stream`` export."""
+    from repro.telemetry import registry
 
-    telemetry_dir = getattr(args, "telemetry", None)
-    if telemetry_dir:
-        from repro.telemetry import enable
-
-        enable()
-    with span("survey"):
-        with span("build"):
-            dataset = build_dataset(
-                args.dataset, seed=args.seed, scale=args.scale
-            )
-        table = PassiveServiceTable(
-            is_campus=dataset.is_campus,
-            tcp_ports=dataset.tcp_ports,
-            udp_ports=dataset.udp_ports,
-        )
-        with span("replay"):
-            records = dataset.replay(table)
-        with span("analyze"):
-            active = dataset.active_addresses()
-            summary = summarize_overlap(table.server_addresses(), active)
-    from repro.core.report import survey_table
-
-    report = survey_table(
-        args.dataset, args.scale, args.seed,
-        records, len(dataset.scan_reports), summary,
-    )
-    print(report.render())
-    if telemetry_dir:
-        from repro.telemetry import export_run, registry
-
-        reg = registry()
-        reg.gauge(
-            "repro_passive_services_inferred",
-            "Service endpoints the passive table discovered.",
-        ).set(len(table.endpoints()))
-        reg.gauge(
-            "repro_passive_server_addresses",
-            "Addresses with at least one passively discovered service.",
-        ).set(len(table.server_addresses()))
+    reg = registry()
+    if not reg.enabled:
+        return
+    reg.gauge(
+        "repro_passive_services_inferred",
+        "Service endpoints the passive table discovered.",
+    ).set(len(table.endpoints()))
+    reg.gauge(
+        "repro_passive_server_addresses",
+        "Addresses with at least one passively discovered service.",
+    ).set(len(table.server_addresses()))
+    if active is not None:
         reg.gauge(
             "repro_active_open_addresses",
             "Addresses with an open port in any active sweep.",
         ).set(len(active))
-        export_run(
-            telemetry_dir, "survey",
-            dataset=args.dataset, seed=args.seed, scale=args.scale,
+
+
+def cmd_survey(args: argparse.Namespace) -> int:
+    from repro.core.completeness import summarize_overlap
+    from repro.core.report import survey_table
+    from repro.datasets import build_dataset
+    from repro.passive.monitor import PassiveServiceTable
+    from repro.telemetry import run_scope, span
+
+    with run_scope(
+        "survey", args.telemetry,
+        dataset=args.dataset, seed=args.seed, scale=args.scale,
+    ):
+        with span("survey"):
+            with span("build"):
+                dataset = build_dataset(
+                    args.dataset, seed=args.seed, scale=args.scale
+                )
+            table = PassiveServiceTable(
+                is_campus=dataset.is_campus,
+                tcp_ports=dataset.tcp_ports,
+                udp_ports=dataset.udp_ports,
+            )
+            with span("replay"):
+                records = dataset.replay(table)
+            with span("analyze"):
+                active = dataset.active_addresses()
+                summary = summarize_overlap(table.server_addresses(), active)
+        report = survey_table(
+            args.dataset, args.scale, args.seed,
+            records, len(dataset.scan_reports), summary,
         )
+        print(report.render())
+        _discovery_gauges(table, active)
     return 0
 
 
-def _fabric_mode(args: argparse.Namespace) -> bool:
-    return bool(args.fabric or args.workers is not None)
-
-
 def _fabric_config(args: argparse.Namespace, worker_faults=None):
-    """The supervision knobs ``stream`` and ``serve`` share."""
+    """The supervision knobs ``stream`` and ``serve`` share, or ``None``
+    for in-process shard threads (neither ``--fabric`` nor ``--workers``)."""
+    if not args.fabric and args.workers is None:
+        return None
     from repro.stream import FabricConfig
 
-    return FabricConfig(
+    return _configured(
+        FabricConfig,
         heartbeat_interval=args.heartbeat_interval,
         miss_budget=args.miss_budget,
         max_restarts=args.max_restarts,
@@ -153,7 +215,8 @@ def _stream_config(args: argparse.Namespace, **extra):
     Reads the flags :func:`_add_stream_arguments` declares; *extra*
     carries what only one command has (``max_queue_chunks``,
     ``snapshot_every``).  ``--resume`` and ``--out`` are ``stream``'s
-    alone, hence the ``getattr``.
+    alone, hence the ``getattr``.  A value the config (or its fault
+    plan) rejects is a :class:`UsageError`.
     """
     from repro.simkernel.clock import hours
     from repro.stream import StreamConfig
@@ -162,7 +225,8 @@ def _stream_config(args: argparse.Namespace, **extra):
     if args.loss_rate or args.burst_loss_rate or args.outage_fraction:
         from repro.faults.plan import FaultPlan
 
-        plan = FaultPlan(
+        plan = _configured(
+            FaultPlan,
             seed=args.fault_seed,
             capture_loss_rate=args.loss_rate,
             burst_loss_rate=args.burst_loss_rate,
@@ -175,7 +239,8 @@ def _stream_config(args: argparse.Namespace, **extra):
     ):
         base = getattr(args, "out", None) or f"{args.dataset}-stream"
         checkpoint = f"{base}.checkpoint"
-    return StreamConfig(
+    return _configured(
+        StreamConfig,
         dataset=args.dataset,
         seed=args.seed,
         scale=args.scale,
@@ -194,29 +259,40 @@ def _stream_config(args: argparse.Namespace, **extra):
     )
 
 
+def _worker_fault_plan(args: argparse.Namespace):
+    """``stream``'s seeded worker chaos, or ``None`` when it asks none."""
+    if not (
+        args.worker_crash_rate
+        or args.worker_stall_rate
+        or args.worker_heartbeat_drop_rate
+    ):
+        return None
+    from repro.faults.worker import WorkerFaultPlan
+
+    return _configured(
+        WorkerFaultPlan,
+        seed=args.worker_fault_seed,
+        crash_rate=args.worker_crash_rate,
+        stall_rate=args.worker_stall_rate,
+        heartbeat_drop_rate=args.worker_heartbeat_drop_rate,
+    )
+
+
 def cmd_stream(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.stream import StreamEngine
+    from repro.stream import (
+        FabricDegradedError,
+        FabricSupervisor,
+        ShardCheckpointStore,
+        StreamEngine,
+    )
+    from repro.telemetry import run_scope
 
-    telemetry_dir = getattr(args, "telemetry", None)
-    if telemetry_dir:
-        from repro.telemetry import enable
-
-        enable()
-    fabric_mode = _fabric_mode(args)
-    trace_dir = getattr(args, "trace", None)
-    if trace_dir:
-        from repro.telemetry import enable_tracing
-
-        enable_tracing(
-            trace_dir, process="supervisor" if fabric_mode else "engine"
-        )
     config = _stream_config(args, max_queue_chunks=args.queue_chunks)
+    fabric = _fabric_config(args, _worker_fault_plan(args))
     checkpoint = config.checkpoint_path
     if args.resume and checkpoint:
-        from repro.stream import ShardCheckpointStore
-
         if ShardCheckpointStore(checkpoint).generations():
             print(f"resuming: {checkpoint}", file=sys.stderr)
 
@@ -229,132 +305,85 @@ def cmd_stream(args: argparse.Namespace) -> int:
             raise KeyboardInterrupt
         engine.request_stop()
 
-    previous = {
-        signum: signal.signal(signum, _stop)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        # Without --emit-every the only watermark is the final one,
-        # which would just duplicate the report line; stay quiet then.
-        progress = (
-            (lambda watermark: print(watermark.render()))
-            if args.emit_every else None
-        )
-        if fabric_mode:
-            from repro.stream import FabricDegradedError, FabricSupervisor
-
-            worker_plan = None
-            if (
-                args.worker_crash_rate
-                or args.worker_stall_rate
-                or args.worker_heartbeat_drop_rate
-            ):
-                from repro.faults.worker import WorkerFaultPlan
-
-                worker_plan = WorkerFaultPlan(
-                    seed=args.worker_fault_seed,
-                    crash_rate=args.worker_crash_rate,
-                    stall_rate=args.worker_stall_rate,
-                    heartbeat_drop_rate=args.worker_heartbeat_drop_rate,
-                )
-            supervisor = FabricSupervisor(
-                config, _fabric_config(args, worker_plan)
+    with run_scope(
+        "stream", args.telemetry, args.trace,
+        process="engine" if fabric is None else "supervisor",
+        dataset=args.dataset, seed=args.seed, scale=args.scale,
+        faults=config.faults,
+        arguments={
+            "shards": config.shards,
+            "fabric": fabric is not None,
+            "emit_every_hours": args.emit_every,
+            "checkpoint_every_hours": args.checkpoint_every,
+        },
+    ) as manifest:
+        previous = {
+            signum: signal.signal(signum, _stop)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            # Without --emit-every the only watermark is the final one,
+            # which would just duplicate the report line; stay quiet then.
+            progress = (
+                (lambda watermark: print(watermark.render()))
+                if args.emit_every else None
             )
-            engine = supervisor.engine
-            try:
-                result = supervisor.run(
-                    resume=args.resume,
-                    progress=progress,
-                    on_event=lambda line: print(line, file=sys.stderr),
-                )
-            except FabricDegradedError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
-        else:
-            engine = StreamEngine(config)
-            result = engine.run(resume=args.resume, progress=progress)
-    except KeyboardInterrupt as exc:
-        # The run loop attaches what its shard transport left behind.
-        print(f"interrupted; {str(exc) or 'the stream had not started'}",
-              file=sys.stderr)
-        return 130
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        if trace_dir:
-            from repro.telemetry import disable_tracing
-
-            disable_tracing()
-            print(
-                f"trace: events in {trace_dir}; view with "
-                f"python -m repro trace-view {trace_dir}",
-                file=sys.stderr,
-            )
-    print(result.report)
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(result.report + "\n", encoding="utf-8")
-    if telemetry_dir:
-        from repro.telemetry import export_run, registry
-
-        reg = registry()
-        reg.gauge(
-            "repro_passive_services_inferred",
-            "Service endpoints the passive table discovered.",
-        ).set(len(result.table.endpoints()))
-        reg.gauge(
-            "repro_passive_server_addresses",
-            "Addresses with at least one passively discovered service.",
-        ).set(len(result.table.server_addresses()))
-        export_run(
-            telemetry_dir, "stream",
-            dataset=args.dataset,
-            seed=args.seed,
-            scale=args.scale,
-            faults=config.faults,
-            arguments={
-                "shards": config.shards,
-                "fabric": fabric_mode,
-                "emit_every_hours": args.emit_every,
-                "checkpoint_every_hours": args.checkpoint_every,
-                "resumed": result.resumed,
-            },
-        )
+            if fabric is not None:
+                supervisor = FabricSupervisor(config, fabric)
+                engine = supervisor.engine
+                try:
+                    result = supervisor.run(
+                        resume=args.resume,
+                        progress=progress,
+                        on_event=lambda line: print(line, file=sys.stderr),
+                    )
+                except FabricDegradedError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 3
+            else:
+                engine = StreamEngine(config)
+                result = engine.run(resume=args.resume, progress=progress)
+        except KeyboardInterrupt as exc:
+            # The run loop attaches what its shard transport left behind.
+            print(f"interrupted; {str(exc) or 'the stream had not started'}",
+                  file=sys.stderr)
+            return 130
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+        manifest["arguments"]["resumed"] = result.resumed
+        _discovery_gauges(result.table)
+        print_report(args, result.report)
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.query.serve import run_serve
     from repro.simkernel.clock import hours
+    from repro.telemetry import run_scope
 
     config = _stream_config(args, snapshot_every=hours(args.snapshot_every))
-    return run_serve(
-        config,
-        host=args.host,
-        port=args.port,
-        fabric=_fabric_config(args) if _fabric_mode(args) else None,
-        telemetry_dir=getattr(args, "telemetry", None),
-        trace_dir=getattr(args, "trace", None),
-    )
+    fabric = _fabric_config(args)
+    with run_scope(
+        "serve", args.telemetry, args.trace,
+        process="engine" if fabric is None else "supervisor",
+        dataset=config.dataset, seed=config.seed, scale=config.scale,
+        faults=config.faults,
+    ):
+        return run_serve(config, host=args.host, port=args.port, fabric=fabric)
 
 
-def cmd_checkpoint(args: argparse.Namespace) -> int:
+def cmd_checkpoint_prune(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.stream import ShardCheckpointStore
 
-    if args.checkpoint_command != "prune":  # pragma: no cover - argparse gates
-        raise SystemExit(f"unknown checkpoint command {args.checkpoint_command!r}")
     if args.keep < 1:
-        # Keeping zero generations would leave nothing to resume from;
-        # refuse rather than let the store constructor traceback.
-        print(
-            f"error: --keep must be >= 1 (got {args.keep}); a prune always "
-            f"retains the newest committed generation",
-            file=sys.stderr,
+        # Keeping zero generations would leave nothing to resume from.
+        raise UsageError(
+            f"--keep must be >= 1 (got {args.keep}); a prune always "
+            f"retains the newest committed generation"
         )
-        return 2
     root = Path(args.directory)
     if not root.is_dir():
         print(f"checkpoint store {root} does not exist", file=sys.stderr)
@@ -401,17 +430,14 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_file_error(path: str, exc: Exception) -> int:
-    """Report an unreadable trace file the way argparse reports a bad
-    flag: one ``error:`` line on stderr, exit status 2."""
-    reason = exc
+def _trace_file_error(path: str, exc: Exception) -> UsageError:
+    """An unreadable trace file, as a ``<file>: <reason>`` usage error."""
     if isinstance(exc, OSError) and exc.strerror:
-        path, reason = exc.filename or path, exc.strerror
-    print(f"error: {path}: {reason}", file=sys.stderr)
-    return 2
+        return UsageError(f"{exc.filename or path}: {exc.strerror}")
+    return UsageError(f"{path}: {exc}")
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace_convert(args: argparse.Namespace) -> int:
     from repro.trace.columnar import (
         DEFAULT_CHUNK_RECORDS,
         TRACE_FORMAT_VERSION,
@@ -419,8 +445,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         trace_version,
     )
 
-    if args.trace_command != "convert":  # pragma: no cover - argparse gates
-        raise SystemExit(f"unknown trace command {args.trace_command!r}")
     chunk_records = (
         args.chunk_records
         if args.chunk_records is not None
@@ -432,7 +456,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             args.source, args.destination, chunk_records=chunk_records
         )
     except (OSError, ValueError) as exc:
-        return _trace_file_error(args.source, exc)
+        raise _trace_file_error(args.source, exc) from None
     print(
         f"converted {count:,} records: {args.source} (v{source_version}) "
         f"-> {args.destination} (v{TRACE_FORMAT_VERSION})"
@@ -483,7 +507,7 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
             sources = cols.src[tcp][synack]
             synack_sources.append(sources[(sources & mask) == network])
     except (OSError, ValueError) as exc:
-        return _trace_file_error(args.file, exc)
+        raise _trace_file_error(args.file, exc) from None
     addresses, counts = np.unique(
         np.concatenate(synack_sources), return_counts=True
     )
@@ -788,27 +812,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_degradation(args: argparse.Namespace) -> int:
-    from repro.experiments.degradation import run_from_args
-
-    return run_from_args(args)
-
-
-def cmd_online_probing(args: argparse.Namespace) -> int:
-    from repro.experiments.online_probing import run_from_args
-
-    return run_from_args(args)
-
-
 def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     """Every flag ``stream`` and ``serve`` share: what
     :func:`_stream_config` reads, the fabric supervision knobs and the
     telemetry/trace export directories."""
     from repro.probe import POLICY_NAMES
 
-    parser.add_argument("dataset")
-    parser.add_argument("--scale", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
+    add_dataset_arguments(parser)
     parser.add_argument("--shards", type=int, default=2,
                         help="partition the stream across N shard workers")
     parser.add_argument(
@@ -859,11 +869,7 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
                              "monitor is down")
     parser.add_argument("--outage-count", type=int, default=1)
     parser.add_argument("--fault-seed", type=int, default=0)
-    parser.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="collect metrics/spans and export a run manifest, "
-             "Prometheus text and JSONL into DIR when the run ends",
-    )
+    add_telemetry_argument(parser)
     parser.add_argument(
         "--trace", default=None, metavar="DIR",
         help="record causally linked trace events (and crash flight-"
@@ -889,26 +895,29 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser; each command registers its
+    function once, as the ``run`` default :func:`main` calls."""
+    from repro.experiments import degradation, online_probing
+
     parser = argparse.ArgumentParser(
         prog="python -m repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("datasets", help="list the paper's datasets")
+    def command(name: str, run, help: str, within=commands):
+        sub = within.add_parser(name, help=help)
+        sub.set_defaults(run=run)
+        return sub
 
-    survey = commands.add_parser("survey", help="run both discovery methods")
-    survey.add_argument("dataset")
-    survey.add_argument("--scale", type=float, default=0.1)
-    survey.add_argument("--seed", type=int, default=0)
-    survey.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="collect metrics/spans and export a run manifest, "
-             "Prometheus text and JSONL into DIR",
-    )
+    command("datasets", cmd_datasets, "list the paper's datasets")
 
-    stream = commands.add_parser(
-        "stream", help="run the online streaming discovery engine"
+    survey = command("survey", cmd_survey, "run both discovery methods")
+    add_dataset_arguments(survey)
+    add_telemetry_argument(survey)
+
+    stream = command(
+        "stream", cmd_stream, "run the online streaming discovery engine"
     )
     _add_stream_arguments(stream)
     stream.add_argument("--worker-crash-rate", type=float, default=0.0,
@@ -929,11 +938,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bound on queued batches per shard thread "
                              "(backpressure; --workers is bounded by its "
                              "batch ring instead)")
-    stream.add_argument("--out", default=None,
-                        help="also write the final report to this file")
+    add_out_argument(stream)
 
-    serve = commands.add_parser(
-        "serve", help="serve live discovery state over HTTP while ingesting"
+    serve = command(
+        "serve", cmd_serve,
+        "serve live discovery state over HTTP while ingesting",
     )
     _add_stream_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1")
@@ -948,36 +957,34 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint = commands.add_parser(
         "checkpoint", help="checkpoint-store utilities"
     )
-    checkpoint_commands = checkpoint.add_subparsers(
-        dest="checkpoint_command", required=True
-    )
-    prune = checkpoint_commands.add_parser(
-        "prune",
-        help="drop generations older than the newest --keep N from a "
-             "checkpoint store",
+    prune = command(
+        "prune", cmd_checkpoint_prune,
+        "drop generations older than the newest --keep N from a "
+        "checkpoint store",
+        within=checkpoint.add_subparsers(
+            dest="checkpoint_command", required=True
+        ),
     )
     prune.add_argument("directory")
     prune.add_argument("--keep", type=int, default=2, metavar="N",
                        help="committed generations to retain (default 2)")
 
-    record = commands.add_parser("record", help="record a border trace")
-    record.add_argument("dataset")
+    record = command("record", cmd_record, "record a border trace")
+    add_dataset_arguments(record)
     record.add_argument("out")
-    record.add_argument("--scale", type=float, default=0.1)
-    record.add_argument("--seed", type=int, default=0)
     record.add_argument("--days", type=float, default=None,
                         help="record only the first N days")
     record.add_argument("--anonymize-key", type=int, default=None,
                         help="anonymise addresses with this key")
 
-    stats = commands.add_parser("trace-stats", help="summarise a trace file")
+    stats = command("trace-stats", cmd_trace_stats, "summarise a trace file")
     stats.add_argument("file")
     stats.add_argument("--campus", default="128.125.0.0/16")
     stats.add_argument("--top", type=int, default=10)
 
-    trace_view = commands.add_parser(
-        "trace-view",
-        help="merge a --trace directory into one Chrome-trace timeline",
+    trace_view = command(
+        "trace-view", cmd_trace_view,
+        "merge a --trace directory into one Chrome-trace timeline",
     )
     trace_view.add_argument("directory")
     trace_view.add_argument(
@@ -988,10 +995,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace = commands.add_parser(
         "trace", help="trace-file utilities (convert to the current format)"
     )
-    trace_commands = trace.add_subparsers(dest="trace_command", required=True)
-    convert = trace_commands.add_parser(
-        "convert",
-        help="rewrite a trace (v1 or v2) in the current v2 columnar format",
+    convert = command(
+        "convert", cmd_trace_convert,
+        "rewrite a trace (v1 or v2) in the current v2 columnar format",
+        within=trace.add_subparsers(dest="trace_command", required=True),
     )
     convert.add_argument("source")
     convert.add_argument("destination")
@@ -1000,12 +1007,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="records per v2 chunk (default %d)" % 65536,
     )
 
-    cache = commands.add_parser("cache", help="show the record-once trace cache")
+    cache = command("cache", cmd_cache, "show the record-once trace cache")
     cache.add_argument("--clear", action="store_true",
                        help="remove every cached trace")
 
-    run_stats = commands.add_parser(
-        "stats", help="read back a --telemetry export directory"
+    run_stats = command(
+        "stats", cmd_stats, "read back a --telemetry export directory"
     )
     run_stats.add_argument("directory")
     run_stats.add_argument(
@@ -1024,47 +1031,25 @@ def build_parser() -> argparse.ArgumentParser:
              "worker process",
     )
 
-    from repro.experiments.degradation import configure_parser
-
-    degradation = commands.add_parser(
-        "degradation",
-        help="sweep fault plans against passive/active completeness",
-    )
-    configure_parser(degradation)
-
-    from repro.experiments.online_probing import (
-        configure_parser as configure_online_probing,
-    )
-
-    online_probing = commands.add_parser(
-        "online_probing",
-        help="compare heartbeat/periodic online probing against the "
-             "passive stream across probe budgets",
-    )
-    configure_online_probing(online_probing)
+    degradation.configure_parser(command(
+        "degradation", degradation.run_from_args,
+        "sweep fault plans against passive/active completeness",
+    ))
+    online_probing.configure_parser(command(
+        "online_probing", online_probing.run_from_args,
+        "compare heartbeat/periodic online probing against the "
+        "passive stream across probe budgets",
+    ))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "datasets": cmd_datasets,
-        "survey": cmd_survey,
-        "stream": cmd_stream,
-        "serve": cmd_serve,
-        "checkpoint": cmd_checkpoint,
-        "record": cmd_record,
-        "trace-stats": cmd_trace_stats,
-        "trace-view": cmd_trace_view,
-        "trace": cmd_trace,
-        "cache": cmd_cache,
-        "stats": cmd_stats,
-        "degradation": cmd_degradation,
-        "online_probing": cmd_online_probing,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         try:

@@ -35,7 +35,6 @@ own command rather than a new EXPERIMENTS.md section.
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import dataclass, field
 
 from repro.core.report import TextTable
@@ -245,10 +244,14 @@ def degradation_report(result: DegradationResult) -> str:
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the sweep's arguments (shared with ``python -m repro``)."""
-    parser.add_argument("dataset", nargs="?", default=DEFAULT_DATASET)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scale", type=float, default=1.0)
+    """Attach the arguments of ``python -m repro degradation``."""
+    from repro.cli import (
+        add_dataset_arguments,
+        add_out_argument,
+        add_telemetry_argument,
+    )
+
+    add_dataset_arguments(parser, scale=1.0, default=DEFAULT_DATASET)
     parser.add_argument(
         "--loss-rates", type=float, nargs="+",
         default=list(DEFAULT_LOSS_RATES), metavar="RATE",
@@ -261,62 +264,34 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=1,
         help="measure sweep points across N worker processes",
     )
-    parser.add_argument(
-        "--out", default=None,
-        help="also write the report to this file",
-    )
-    parser.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="collect metrics/spans and export a run manifest, "
-             "Prometheus text and JSONL into DIR",
-    )
+    add_out_argument(parser)
+    add_telemetry_argument(parser)
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    from repro.telemetry import span
+    """``python -m repro degradation``: sweep, print, export."""
+    from repro.cli import UsageError, print_report
+    from repro.telemetry import run_scope, span
 
-    telemetry_dir = getattr(args, "telemetry", None)
-    if telemetry_dir:
-        from repro.telemetry import enable
-
-        enable()
-    with span("degradation"):
-        result = run_degradation(
-            dataset=args.dataset,
-            seed=args.seed,
-            scale=args.scale,
-            loss_rates=tuple(args.loss_rates),
-            outage_fractions=tuple(args.outage_fractions),
-            jobs=args.jobs,
-        )
-    report = degradation_report(result)
-    print(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if telemetry_dir:
-        from repro.telemetry import export_run
-
-        export_run(
-            telemetry_dir, "degradation",
-            dataset=args.dataset,
-            seed=args.seed,
-            scale=args.scale,
-            arguments={
-                "loss_rates": list(args.loss_rates),
-                "outage_fractions": list(args.outage_fractions),
-                "jobs": args.jobs,
-            },
-        )
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1 (got {args.jobs})")
+    with run_scope(
+        "degradation", args.telemetry,
+        dataset=args.dataset, seed=args.seed, scale=args.scale,
+        arguments={
+            "loss_rates": list(args.loss_rates),
+            "outage_fractions": list(args.outage_fractions),
+            "jobs": args.jobs,
+        },
+    ):
+        with span("degradation"):
+            result = run_degradation(
+                dataset=args.dataset,
+                seed=args.seed,
+                scale=args.scale,
+                loss_rates=tuple(args.loss_rates),
+                outage_fractions=tuple(args.outage_fractions),
+                jobs=args.jobs,
+            )
+        print_report(args, degradation_report(result))
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    configure_parser(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via main() tests
-    sys.exit(main())

@@ -39,7 +39,6 @@ own command rather than a new EXPERIMENTS.md headline table.
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import dataclass, field
 
 from repro.core.report import TextTable
@@ -261,10 +260,10 @@ def online_probing_report(result: ProbingResult) -> str:
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the study's arguments (shared with ``python -m repro``)."""
-    parser.add_argument("dataset", nargs="?", default=DEFAULT_DATASET)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
+    """Attach the arguments of ``python -m repro online_probing``."""
+    from repro.cli import add_dataset_arguments, add_out_argument
+
+    add_dataset_arguments(parser, scale=DEFAULT_SCALE, default=DEFAULT_DATASET)
     parser.add_argument(
         "--days", type=float, default=DEFAULT_DAYS,
         help="measure only the first N simulated days (default %g)"
@@ -275,13 +274,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         default=list(DEFAULT_RATES), metavar="PPS",
         help="probe budgets to sweep, in probes per simulated second",
     )
-    parser.add_argument(
-        "--out", default=None,
-        help="also write the report to this file",
-    )
+    add_out_argument(parser)
 
 
 def run_from_args(args: argparse.Namespace) -> int:
+    """``python -m repro online_probing``: compare, print."""
+    from repro.cli import print_report
+
     result = run_online_probing(
         dataset_name=args.dataset,
         seed=args.seed,
@@ -289,20 +288,5 @@ def run_from_args(args: argparse.Namespace) -> int:
         days=args.days,
         rates=tuple(args.rates),
     )
-    report = online_probing_report(result)
-    print(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    print_report(args, online_probing_report(result))
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    configure_parser(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via main() tests
-    sys.exit(main())

@@ -41,16 +41,21 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import signal
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.cli import add_dataset_arguments, add_telemetry_argument
+from repro.durable import write_atomic
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentResult
+from repro.telemetry.export import run_scope
 from repro.telemetry.metrics import registry as _telemetry_registry
 from repro.telemetry.tracing import span as _span
 
@@ -218,7 +223,7 @@ def save_checkpoint(
     completed: dict[str, ExperimentResult],
     failed: dict[str, ExperimentFailure] | None = None,
 ) -> None:
-    """Atomically write the resume checkpoint (tmp file + rename)."""
+    """Durably write the resume checkpoint (:func:`write_atomic`)."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "seed": seed,
@@ -235,10 +240,7 @@ def save_checkpoint(
             for name, failure in (failed or {}).items()
         },
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload).encode("utf-8"))
     _telemetry_registry().counter(
         "repro_runner_checkpoint_writes_total",
         "Resume-checkpoint files written.",
@@ -319,9 +321,63 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _backoff_delay(backoff: float, attempt: int) -> float:
-    """Exponential backoff before retry *attempt* (1-based)."""
-    return backoff * (2.0 ** (attempt - 1))
+@dataclass
+class _Bookkeeping:
+    """What an attempt's outcome does, whichever engine ran it: the
+    retry and failure counters, the backoff, failure records, the
+    verbose lines and the completion hook."""
+
+    retries: int
+    backoff: float
+    verbose: bool
+    on_complete: Callable
+    outcomes: dict = field(default_factory=dict)
+
+    def succeeded(
+        self, name: str, result: ExperimentResult, started: float
+    ) -> None:
+        self.outcomes[name] = result
+        if self.verbose:
+            print(f"{name}: {time.monotonic() - started:.1f}s",
+                  file=sys.stderr)
+        self.on_complete(name, result)
+
+    def failed(
+        self, name: str, attempt: int, error_type: str, message: str
+    ) -> float | None:
+        """Book failed *attempt* (1-based): the exponential backoff to
+        wait before the next one, or ``None`` once the retries are spent
+        and the failure record is final."""
+        reg = _telemetry_registry()
+        if attempt <= self.retries:
+            reg.counter(
+                "repro_runner_retries_total",
+                "Experiment attempts requeued after a failure.",
+            ).inc()
+            delay = self.backoff * (2.0 ** (attempt - 1))
+            if self.verbose:
+                print(
+                    f"{name}: attempt {attempt} failed ({error_type}); "
+                    f"retrying in {delay:.1f}s",
+                    file=sys.stderr,
+                )
+            return delay
+        reg.counter(
+            "repro_runner_failures_total",
+            "Experiments abandoned after exhausting retries.",
+        ).inc()
+        failure = ExperimentFailure(
+            experiment_id=name,
+            error_type=error_type,
+            message=message,
+            attempts=attempt,
+        )
+        self.outcomes[name] = failure
+        if self.verbose:
+            print(f"{name}: FAILED after {attempt} attempt(s) ({error_type})",
+                  file=sys.stderr)
+        self.on_complete(name, failure)
+        return None
 
 
 def _run_isolated(
@@ -330,11 +386,8 @@ def _run_isolated(
     scale: float,
     jobs: int,
     timeout: float | None,
-    retries: int,
-    backoff: float,
-    verbose: bool,
-    on_complete,
-) -> dict[str, ExperimentResult | ExperimentFailure]:
+    book: _Bookkeeping,
+) -> None:
     """Run each experiment in its own process, at most *jobs* at a time.
 
     Process-per-experiment isolation is what makes the hardening real:
@@ -345,45 +398,15 @@ def _run_isolated(
     requeued with exponential backoff up to *retries* extra tries.
     """
     ctx = _mp_context()
-    outcomes: dict[str, ExperimentResult | ExperimentFailure] = {}
     #: (name, attempt, ready_at) -- attempt is 1-based.
     pending: list[tuple[str, int, float]] = [(n, 1, 0.0) for n in names]
     #: name -> (process, recv_conn, attempt, started_at)
     running: dict[str, tuple] = {}
 
     def fail_or_retry(name: str, attempt: int, error_type: str, message: str):
-        if attempt <= retries:
-            _telemetry_registry().counter(
-                "repro_runner_retries_total",
-                "Experiment attempts requeued after a failure.",
-            ).inc()
-            delay = _backoff_delay(backoff, attempt)
-            if verbose:
-                print(
-                    f"{name}: attempt {attempt} failed ({error_type}); "
-                    f"retrying in {delay:.1f}s",
-                    file=sys.stderr,
-                )
+        delay = book.failed(name, attempt, error_type, message)
+        if delay is not None:
             pending.append((name, attempt + 1, time.monotonic() + delay))
-        else:
-            _telemetry_registry().counter(
-                "repro_runner_failures_total",
-                "Experiments abandoned after exhausting retries.",
-            ).inc()
-            failure = ExperimentFailure(
-                experiment_id=name,
-                error_type=error_type,
-                message=message,
-                attempts=attempt,
-            )
-            outcomes[name] = failure
-            if verbose:
-                print(
-                    f"{name}: FAILED after {attempt} attempt(s) "
-                    f"({error_type})",
-                    file=sys.stderr,
-                )
-            on_complete(name, failure)
 
     def reap(name: str) -> None:
         process, conn, attempt, started = running.pop(name)
@@ -396,16 +419,9 @@ def _run_isolated(
         conn.close()
         process.join()
         if payload is not None and payload[0] == "ok":
-            result = payload[1]
             if len(payload) > 2 and payload[2] is not None:
                 _telemetry_registry().merge_snapshot(payload[2])
-            outcomes[name] = result
-            if verbose:
-                print(
-                    f"{name}: {time.monotonic() - started:.1f}s",
-                    file=sys.stderr,
-                )
-            on_complete(name, result)
+            book.succeeded(name, payload[1], started)
         elif payload is not None:
             fail_or_retry(name, attempt, payload[1], payload[2])
         else:
@@ -475,77 +491,33 @@ def _run_isolated(
             if process.is_alive():  # pragma: no cover - stuck in D state
                 process.kill()
                 process.join()
-    return outcomes
 
 
 def _run_sequential(
-    names: list[str],
-    seed: int,
-    scale: float,
-    retries: int,
-    backoff: float,
-    verbose: bool,
-    on_complete,
-) -> dict[str, ExperimentResult | ExperimentFailure]:
+    names: list[str], seed: int, scale: float, book: _Bookkeeping
+) -> None:
     """In-process execution: fastest path, shares warm dataset caches.
 
     Exceptions are collected per experiment (with inline backoff and
     retries) so one broken experiment cannot abort the sweep;
     ``KeyboardInterrupt`` propagates so the caller can checkpoint.
     """
-    outcomes: dict[str, ExperimentResult | ExperimentFailure] = {}
     for name in names:
-        attempt = 1
-        while True:
+        for attempt in itertools.count(1):
             started = time.monotonic()
             try:
                 result = _run_experiment_instrumented(name, seed, scale)
-            except KeyboardInterrupt:
-                raise
             except Exception as exc:  # noqa: BLE001 - collected as record
-                if attempt <= retries:
-                    _telemetry_registry().counter(
-                        "repro_runner_retries_total",
-                        "Experiment attempts requeued after a failure.",
-                    ).inc()
-                    delay = _backoff_delay(backoff, attempt)
-                    if verbose:
-                        print(
-                            f"{name}: attempt {attempt} failed "
-                            f"({type(exc).__name__}); retrying in {delay:.1f}s",
-                            file=sys.stderr,
-                        )
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                _telemetry_registry().counter(
-                    "repro_runner_failures_total",
-                    "Experiments abandoned after exhausting retries.",
-                ).inc()
-                failure = ExperimentFailure(
-                    experiment_id=name,
-                    error_type=type(exc).__name__,
-                    message=traceback.format_exc()[-_TRACEBACK_LIMIT:],
-                    attempts=attempt,
+                delay = book.failed(
+                    name, attempt, type(exc).__name__,
+                    traceback.format_exc()[-_TRACEBACK_LIMIT:],
                 )
-                outcomes[name] = failure
-                if verbose:
-                    print(
-                        f"{name}: FAILED after {attempt} attempt(s) "
-                        f"({type(exc).__name__})",
-                        file=sys.stderr,
-                    )
-                on_complete(name, failure)
+                if delay is None:
+                    break
+                time.sleep(delay)
+            else:
+                book.succeeded(name, result, started)
                 break
-            outcomes[name] = result
-            if verbose:
-                print(
-                    f"{name}: {time.monotonic() - started:.1f}s",
-                    file=sys.stderr,
-                )
-            on_complete(name, result)
-            break
-    return outcomes
 
 
 def _run_many(
@@ -568,18 +540,15 @@ def _run_many(
     isolation, so ``timeout`` forces the process-per-experiment engine
     even at ``jobs=1``.
     """
-    if on_complete is None:
-        on_complete = lambda name, outcome: None  # noqa: E731
+    book = _Bookkeeping(
+        retries, backoff, verbose,
+        on_complete or (lambda name, outcome: None),
+    )
     precomputed = precomputed or {}
     todo = [name for name in names if name not in precomputed]
     started = time.monotonic()
-    if not todo:
-        outcomes: dict[str, ExperimentResult | ExperimentFailure] = {}
-    elif jobs > 1 or timeout is not None:
-        outcomes = _run_isolated(
-            todo, seed, scale, max(1, jobs), timeout, retries, backoff,
-            verbose, on_complete,
-        )
+    if todo and (jobs > 1 or timeout is not None):
+        _run_isolated(todo, seed, scale, max(1, jobs), timeout, book)
         if verbose:
             print(
                 f"{len(todo)} experiments in "
@@ -587,17 +556,12 @@ def _run_many(
                 f"{max(1, jobs)} workers",
                 file=sys.stderr,
             )
-    else:
-        outcomes = _run_sequential(
-            todo, seed, scale, retries, backoff, verbose, on_complete
-        )
-    merged: list[ExperimentResult | ExperimentFailure] = []
-    for name in names:
-        if name in precomputed:
-            merged.append(precomputed[name])
-        else:
-            merged.append(outcomes[name])
-    return merged
+    elif todo:
+        _run_sequential(todo, seed, scale, book)
+    return [
+        precomputed[name] if name in precomputed else book.outcomes[name]
+        for name in names
+    ]
 
 
 def run_all(
@@ -662,8 +626,7 @@ def render_report(results, seed: int, scale: float) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
+    add_dataset_arguments(parser, scale=1.0, dataset=False)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument(
         "--only", nargs="*", default=None,
@@ -703,12 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         help="reuse results from the checkpoint file, recomputing only "
              "unfinished experiments",
     )
-    parser.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="collect metrics/spans during the run and export a run "
-             "manifest, Prometheus text and JSONL into DIR "
-             "(read back with `python -m repro stats DIR`)",
-    )
+    add_telemetry_argument(parser)
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -723,11 +681,6 @@ def main(argv: list[str] | None = None) -> int:
     unknown = set(names) - set(ALL_EXPERIMENTS)
     if unknown:
         parser.error(f"unknown experiments: {sorted(unknown)}")
-
-    if args.telemetry:
-        from repro.telemetry import enable
-
-        enable()
 
     checkpoint_path = (
         args.checkpoint
@@ -772,56 +725,48 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:  # pragma: no cover - non-main thread
         pass
 
-    try:
-        results = _run_many(
-            names,
-            args.seed,
-            args.scale,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-            backoff=args.backoff,
-            precomputed=precomputed,
-            on_complete=on_complete,
-        )
-    except KeyboardInterrupt:
-        save_checkpoint(checkpoint_path, args.seed, args.scale, completed, failed)
-        done = [name for name in names if name in completed]
-        remaining = [
-            name for name in names
-            if name not in completed and name not in failed
-        ]
-        print(
-            f"\ninterrupted: {len(done)}/{len(names)} experiments finished "
-            f"({', '.join(done) if done else 'none'})",
-            file=sys.stderr,
-        )
-        print(
-            f"checkpoint saved to {checkpoint_path}; rerun with --resume "
-            f"to finish {len(remaining)} remaining",
-            file=sys.stderr,
-        )
-        return 130
-    finally:
-        if previous_sigterm is not None:
-            signal.signal(signal.SIGTERM, previous_sigterm)
-
-    report = render_report(results, args.seed, args.scale)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(report)
-    if args.telemetry:
-        from repro.telemetry import export_run
-
-        export_run(
-            args.telemetry, "runner",
-            seed=args.seed,
-            scale=args.scale,
-            arguments={
-                "experiments": list(names),
-                "jobs": args.jobs,
-                "out": args.out,
-            },
-        )
+    with run_scope(
+        "runner", args.telemetry, seed=args.seed, scale=args.scale,
+        arguments={"experiments": list(names), "jobs": args.jobs,
+                   "out": args.out},
+    ):
+        try:
+            results = _run_many(
+                names,
+                args.seed,
+                args.scale,
+                jobs=args.jobs,
+                timeout=args.timeout,
+                retries=args.retries,
+                backoff=args.backoff,
+                precomputed=precomputed,
+                on_complete=on_complete,
+            )
+        except KeyboardInterrupt:
+            save_checkpoint(
+                checkpoint_path, args.seed, args.scale, completed, failed
+            )
+            done = [name for name in names if name in completed]
+            remaining = [
+                name for name in names
+                if name not in completed and name not in failed
+            ]
+            print(
+                f"\ninterrupted: {len(done)}/{len(names)} experiments "
+                f"finished ({', '.join(done) if done else 'none'})",
+                file=sys.stderr,
+            )
+            print(
+                f"checkpoint saved to {checkpoint_path}; rerun with "
+                f"--resume to finish {len(remaining)} remaining",
+                file=sys.stderr,
+            )
+            return 130
+        finally:
+            if previous_sigterm is not None:
+                signal.signal(signal.SIGTERM, previous_sigterm)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(render_report(results, args.seed, args.scale))
     if args.series_dir:
         written = export_series(results, args.series_dir)
         print(f"wrote {len(written)} CSV series files to {args.series_dir}",

@@ -40,30 +40,21 @@ def run_serve(
     port: int = 8080,
     fabric=None,
     dataset=None,
-    telemetry_dir: str | None = None,
-    trace_dir: str | None = None,
 ) -> int:
     """Serve *config*'s stream; blocks until SIGTERM/SIGINT.
 
     *fabric* (a :class:`repro.stream.FabricConfig`) selects the process
-    fabric; ``None`` runs the in-process threaded engine.  *trace_dir*
-    enables distributed event tracing: the serving process (and, in
-    fabric mode, every shard worker) writes causally linked events
-    under that directory, ``/tracez`` serves the recent ring, and
-    ``/healthz`` reports flight-recorder state.  Returns the process
-    exit code.
+    fabric; ``None`` runs the in-process threaded engine.  Tracing and
+    ``--telemetry`` exports belong to the caller's
+    :func:`repro.telemetry.run_scope`: under a tracer the serving
+    process (and, in fabric mode, every shard worker) writes causally
+    linked events, ``/tracez`` serves the recent ring, and ``/healthz``
+    reports flight-recorder state.  Returns the process exit code.
     """
+    from repro.stream import StreamEngine
     from repro.telemetry import enable
 
     enable()  # /metricsz needs a live registry even without --telemetry
-    if trace_dir:
-        from repro.telemetry import enable_tracing
-
-        enable_tracing(
-            trace_dir, process="supervisor" if fabric is not None else "engine"
-        )
-    from repro.stream import StreamEngine
-
     if fabric is not None:
         from repro.stream import FabricSupervisor
 
@@ -92,25 +83,9 @@ def run_serve(
         else:
             state.mark_finished()
 
-    code = asyncio.run(
+    return asyncio.run(
         _serve_until_signalled(state, ingest, engine.request_stop, host, port)
     )
-    if trace_dir:
-        from repro.telemetry import disable_tracing
-
-        disable_tracing()
-        print(f"trace: events in {trace_dir}", file=sys.stderr)
-    if telemetry_dir:
-        from repro.telemetry import export_run
-
-        export_run(
-            telemetry_dir, "serve",
-            dataset=config.dataset,
-            seed=config.seed,
-            scale=config.scale,
-            faults=getattr(config, "faults", None),
-        )
-    return code
 
 
 async def _serve_until_signalled(

@@ -11,11 +11,12 @@ checkpoints loadable as code evolves).
 
 Two durability layers protect every artifact this module writes:
 
-* **Atomic, fsynced writes.**  Data goes to a tmp file that is fsynced
-  and ``os.replace``d into place, and then the *parent directory* is
-  fsynced too -- the rename itself is metadata, and a crash right after
-  ``os.replace`` could otherwise roll the directory entry back to the
-  old (or no) file on power loss.
+* **Atomic, fsynced writes** (:func:`repro.durable.write_atomic`).
+  Data goes to a tmp file that is fsynced and ``os.replace``d into
+  place, and then the *parent directory* is fsynced too -- the rename
+  itself is metadata, and a crash right after ``os.replace`` could
+  otherwise roll the directory entry back to the old (or no) file on
+  power loss.
 * **A length + CRC32 trailer.**  Every file ends with an 8-byte
   ``(payload length, crc32)`` trailer checked before unpickling, so a
   truncated or bit-flipped checkpoint surfaces as a clear
@@ -42,7 +43,6 @@ faithfully continue.
 
 from __future__ import annotations
 
-import os
 import pickle
 import re
 import struct
@@ -50,6 +50,8 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.durable import write_atomic
 
 #: Bump when the snapshot layout changes incompatibly.  Version 2 added
 #: the length+CRC32 integrity trailer (version-1 files, having no
@@ -104,7 +106,7 @@ def checkpoint_config(
     return identity
 
 
-# ---- framing and durable writes ---------------------------------------
+# ---- framing ---------------------------------------------------------
 
 
 def _frame(data: bytes) -> bytes:
@@ -129,35 +131,6 @@ def _unframe(raw: bytes, path: "str | Path") -> bytes:
     if crc != zlib.crc32(data):
         raise CheckpointCorrupt(path, "CRC32 mismatch (bit flip or torn write)")
     return data
-
-
-def fsync_directory(directory: "str | Path") -> None:
-    """fsync a directory so a just-renamed entry survives power loss."""
-    fd = os.open(directory, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def write_atomic(path: "str | Path", data: bytes) -> int:
-    """Durably write *data* to *path*: tmp + fsync + rename + dir fsync.
-
-    The temporary file lives next to the target so ``os.replace`` is a
-    same-filesystem rename (atomic on POSIX); fsyncing the parent
-    directory afterwards makes the rename itself durable -- without it
-    a crash right after the rename can lose the new directory entry
-    even though the file's blocks hit the platter.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fileobj:
-        fileobj.write(data)
-        fileobj.flush()
-        os.fsync(fileobj.fileno())
-    os.replace(tmp, path)
-    fsync_directory(path.parent)
-    return len(data)
 
 
 def save_checkpoint(path: "str | Path", payload: dict) -> int:

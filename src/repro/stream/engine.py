@@ -135,6 +135,8 @@ class StreamConfig:
             raise ValueError("shards must be >= 1")
         if self.batch_records < 1:
             raise ValueError("batch_records must be >= 1")
+        if self.max_queue_chunks < 1:
+            raise ValueError("max_queue_chunks must be >= 1")
         if self.checkpoint_every is not None and self.checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
         if self.snapshot_every is not None and self.snapshot_every <= 0:

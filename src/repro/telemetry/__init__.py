@@ -15,7 +15,9 @@
   what configuration (dataset, seed, scale, fault digest, git SHA);
 * :mod:`.export` -- Prometheus text and JSON-lines exporters, written
   per run into a ``--telemetry DIR`` directory and read back by
-  ``python -m repro stats``;
+  ``python -m repro stats``, and :func:`run_scope`, which every command
+  runs inside: it switches telemetry and tracing on, exports on every
+  exit path, and restores what it found;
 * :mod:`.tap` -- :class:`ReplayTap`, the per-record counters of a pass.
 
 Instrumentation contract: enabling telemetry must never change any
@@ -28,11 +30,11 @@ from repro.telemetry.export import (
     JSONL_FILE,
     MANIFEST_FILE,
     PROMETHEUS_FILE,
-    export_run,
     jsonl_text,
     load_metrics,
     load_run,
     prometheus_text,
+    run_scope,
     write_exports,
 )
 from repro.telemetry.manifest import (
@@ -105,7 +107,6 @@ __all__ = [
     "disable_tracing",
     "enable",
     "enable_tracing",
-    "export_run",
     "fault_plan_digest",
     "git_sha",
     "jsonl_text",
@@ -119,6 +120,7 @@ __all__ = [
     "parse_traceparent",
     "prometheus_text",
     "registry",
+    "run_scope",
     "set_registry",
     "set_tracer",
     "span",

@@ -1,7 +1,8 @@
-"""Exporters: Prometheus text format and JSON lines.
+"""Exporters: Prometheus text format and JSON lines, and the run scope.
 
-One instrumented run exports three files into its telemetry directory
-(:func:`write_exports`):
+Every command runs inside :func:`run_scope`, which owns its
+``--telemetry`` / ``--trace`` switches.  One instrumented run exports
+three files into its telemetry directory (:func:`write_exports`):
 
 ``manifest.json``
     The :class:`~repro.telemetry.manifest.RunManifest` plus a full
@@ -19,12 +20,14 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
 from repro.telemetry.manifest import RunManifest, load_manifest
-from repro.telemetry.metrics import Histogram, MetricRegistry
+from repro.telemetry.metrics import Histogram, MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _active_registry
+from repro.telemetry.tracing import enable_tracing, set_tracer, tracer
 
 MANIFEST_FILE = "manifest.json"
 PROMETHEUS_FILE = "metrics.prom"
@@ -136,18 +139,54 @@ def write_exports(
     return written
 
 
-def export_run(directory: str | Path, command: str, **manifest_fields) -> None:
-    """The tail of an instrumented command: write the active registry's
-    exports beside a manifest of *command*, and say so on stderr."""
-    written = write_exports(
-        directory,
-        _active_registry(),
-        RunManifest.collect(command=command, **manifest_fields),
-    )
-    print(
-        "telemetry: wrote " + ", ".join(str(path) for path in written),
-        file=sys.stderr,
-    )
+@contextmanager
+def run_scope(
+    command: str,
+    telemetry: str | Path | None = None,
+    trace: str | Path | None = None,
+    *,
+    process: str = "main",
+    **manifest_fields,
+) -> Iterator[dict]:
+    """One command's observability, set up and torn down in one place.
+
+    *telemetry* (``--telemetry DIR``) installs a fresh metric registry
+    and *trace* (``--trace DIR``) a tracer writing as *process*.  The
+    body may fill in the yielded manifest fields (``dataset``, ``seed``,
+    ``scale``, ``faults``, ``arguments``), e.g. whether a run resumed.
+    On every exit -- return, interrupt or error -- the tracer is closed
+    and announced, the manifest and exports are written, and the
+    registry and tracer found on entry are active again.
+    """
+    found_registry, found_tracer = _active_registry(), tracer()
+    installed = enable_tracing(trace, process=process) if trace else None
+    if telemetry:
+        set_registry(MetricRegistry())
+    try:
+        yield manifest_fields
+    finally:
+        if installed is not None:
+            installed.close()
+            print(
+                f"trace: events in {trace}; view with "
+                f"python -m repro trace-view {trace}",
+                file=sys.stderr,
+            )
+        try:
+            if telemetry:
+                written = write_exports(
+                    telemetry,
+                    _active_registry(),
+                    RunManifest.collect(command=command, **manifest_fields),
+                )
+                print(
+                    "telemetry: wrote "
+                    + ", ".join(str(path) for path in written),
+                    file=sys.stderr,
+                )
+        finally:
+            set_registry(found_registry)
+            set_tracer(found_tracer)
 
 
 def load_metrics(directory: str | Path) -> list[dict]:

@@ -11,12 +11,8 @@ Dumps are **once per key**: the first caller of :meth:`FlightRecorder.dump`
 with a given key writes the file, every later caller is a no-op.  That
 makes "exactly one post-mortem per incident" a property of the recorder
 rather than a discipline every call site must re-implement, and it is
-what the ``FabricDegradedError`` exactly-once test pins down.
-
-The atomic write (tmp + fsync + rename + parent-dir fsync) mirrors
-:func:`repro.stream.checkpoint.write_atomic`; it is re-implemented here
-because telemetry sits *below* the stream layer in the import graph and
-must not pull it in.
+what the ``FabricDegradedError`` exactly-once test pins down.  Dumps
+are written with :func:`repro.durable.write_atomic`, as checkpoints are.
 """
 
 from __future__ import annotations
@@ -28,29 +24,14 @@ import time
 from collections import deque
 from pathlib import Path
 
+from repro.durable import write_atomic
+
 #: Default ring capacity: enough to cover several barrier rounds of
 #: notes either side of a failure without holding the whole run.
 DEFAULT_FLIGHT_LIMIT = 512
 
 #: Dump files are named ``flight-<process>-<key>.json``.
 FLIGHT_PREFIX = "flight-"
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fileobj:
-        fileobj.write(data)
-        fileobj.flush()
-        os.fsync(fileobj.fileno())
-    os.replace(tmp, path)
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
 
 
 class FlightRecorder:
@@ -95,7 +76,7 @@ class FlightRecorder:
                 "dumped_unix": time.time(),
                 "events": list(self._ring),
             }
-            _write_atomic(
+            write_atomic(
                 path,
                 json.dumps(payload, separators=(",", ":")).encode("utf-8"),
             )

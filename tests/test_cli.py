@@ -347,6 +347,123 @@ class TestStreamCommand:
         assert "Link mix: 1 run(s)" in links_out
         assert "Capture drops" in links_out and "outage" in links_out
 
+    def test_interrupted_stream_still_exports(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """An interrupt (exit 130) leaves the export behind, and the
+        in-process run leaves telemetry switched off again."""
+        from repro.stream import StreamEngine
+        from repro.telemetry import telemetry_enabled
+
+        def interrupted(self, **kwargs):
+            raise KeyboardInterrupt("stopped before the first batch")
+
+        monkeypatch.setattr(StreamEngine, "run", interrupted)
+        tel = tmp_path / "tel"
+        assert main(["stream", *self.ARGS, "--telemetry", str(tel)]) == 130
+        assert "interrupted; stopped" in capsys.readouterr().err
+        assert (tel / "manifest.json").exists()
+        assert not telemetry_enabled()
+
+
+def _manifest_fields(directory) -> dict:
+    """A manifest's fields, less the ones that name the machine or time."""
+    from repro.telemetry import load_manifest
+
+    payload = load_manifest(directory / "manifest.json")
+    assert sorted(payload) == ["manifest", "metrics", "version"]
+    fields = payload["manifest"]
+    assert sorted(fields) == [
+        "arguments", "command", "created_unix", "dataset", "fault_digest",
+        "git_sha", "platform", "python_version", "repro_version", "scale",
+        "seed",
+    ]
+    for name in ("created_unix", "git_sha", "platform", "python_version",
+                 "repro_version"):
+        del fields[name]
+    return fields
+
+
+class TestRunManifests:
+    """Each command's manifest names the same fields with the same
+    values (time and machine fields aside) whoever writes it."""
+
+    def test_cli_commands(self, tmp_path, monkeypatch, capsys):
+        from repro.telemetry import telemetry_enabled
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        runs = {
+            "survey": (
+                ["survey", "DTCPall", "--scale", "1.0", "--seed", "3"],
+                {"arguments": {}, "dataset": "DTCPall", "scale": 1.0,
+                 "seed": 3, "fault_digest": None},
+            ),
+            "stream": (
+                ["stream", "DTCP1-18d", "--scale", "0.03", "--seed", "4",
+                 "--shards", "2", "--emit-every", "96",
+                 "--outage-fraction", "0.02", "--fault-seed", "5"],
+                {"arguments": {"checkpoint_every_hours": None,
+                               "emit_every_hours": 96.0, "fabric": False,
+                               "resumed": False, "shards": 2},
+                 "dataset": "DTCP1-18d", "scale": 0.03, "seed": 4,
+                 "fault_digest": "5dd49b6629352a05"},
+            ),
+            "degradation": (
+                ["degradation", "DTCPall", "--scale", "1.0",
+                 "--loss-rates", "0.2", "--outage-fractions", "0"],
+                {"arguments": {"jobs": 1, "loss_rates": [0.2],
+                               "outage_fractions": [0.0]},
+                 "dataset": "DTCPall", "scale": 1.0, "seed": 0,
+                 "fault_digest": None},
+            ),
+        }
+        for command, (argv, expected) in runs.items():
+            tel = tmp_path / command
+            assert main([*argv, "--telemetry", str(tel)]) == 0
+            assert not telemetry_enabled()
+            assert _manifest_fields(tel) == {"command": command, **expected}
+        capsys.readouterr()
+
+    def test_runner(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.runner import main as runner_main
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        out = str(tmp_path / "R.md")
+        tel = tmp_path / "tel"
+        assert runner_main([
+            "--only", "table1", "--scale", "0.05", "--out", out,
+            "--telemetry", str(tel),
+        ]) == 0
+        capsys.readouterr()
+        assert _manifest_fields(tel) == {
+            "arguments": {"experiments": ["table1"], "jobs": 1, "out": out},
+            "command": "runner", "dataset": None, "fault_digest": None,
+            "scale": 0.05, "seed": 0,
+        }
+
+
+class TestBadFlagValues:
+    """A flag value the command cannot run with is one ``error:`` line
+    and exit status 2, before any work: the dataset named here does not
+    exist, so a command that started working would raise ``KeyError``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stream", "--shards", "0"],
+        ["stream", "--batch-records", "0"],
+        ["stream", "--probe-rate", "-1"],
+        ["stream", "--queue-chunks", "0"],
+        ["stream", "--workers", "2", "--heartbeat-interval", "0"],
+        ["serve", "--snapshot-every", "0"],
+        ["degradation", "--jobs", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_rejected_before_any_work(self, capsys, argv):
+        command, *flags = argv
+        assert main([command, "DTCP-bogus", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestServeCommand:
     def test_checkpoint_every_derives_a_checkpoint_path(self, monkeypatch):

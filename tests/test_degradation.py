@@ -9,7 +9,6 @@ from repro.experiments.degradation import (
     DegradationResult,
     _plan_for_point,
     degradation_report,
-    main,
     measure_point,
     run_degradation,
 )
@@ -146,9 +145,11 @@ class TestReporting:
         assert result.retained_pct(result.points[0]) == (50.0, 75.0, 50.0)
 
     def test_cli(self, capsys, tmp_path):
+        from repro.cli import main
+
         out = tmp_path / "degradation.md"
         code = main([
-            DATASET, "--seed", "7", "--scale", "1.0",
+            "degradation", DATASET, "--seed", "7", "--scale", "1.0",
             "--loss-rates", "0", "0.3", "--outage-fractions", "0",
             "--out", str(out),
         ])

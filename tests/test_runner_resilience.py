@@ -272,6 +272,21 @@ class TestMainCli:
         assert runner.main(self.only_args(tmp_path, "--resume")) == 0
         assert not (tmp_path / "R.md.checkpoint.json").exists()
 
+    def test_interrupt_with_telemetry_still_exports(
+        self, tmp_path, monkeypatch, fake_experiments
+    ):
+        self.patch_all(monkeypatch, fake_experiments)
+
+        def interrupt(name, seed, scale):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "run_experiment", interrupt)
+        tel = tmp_path / "tel"
+        code = runner.main(self.only_args(tmp_path, "--telemetry", str(tel)))
+        assert code == 130
+        assert (tel / "manifest.json").exists()
+        assert (tel / "metrics.jsonl").exists()
+
     def test_argument_validation(self, tmp_path, capsys):
         for bad in (["--jobs", "0"], ["--retries", "-1"],
                     ["--timeout", "0"], ["--backoff", "-1"],
