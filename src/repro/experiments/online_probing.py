@@ -137,14 +137,13 @@ def measure_point(
         probe_rate=rate if policy is not None else 0.0,
     )
     result = StreamEngine(config, dataset=dataset).run()
-    passive_addresses = result.snapshot.server_addresses()
-    passive_last_seen: dict[int, float] = {}
-    for (address, _port, _proto), when in result.last_seen.items():
-        if address in passive_addresses:
-            current = passive_last_seen.get(address)
-            if current is None or when > current:
-                passive_last_seen[address] = when
-    probes = result.snapshot.probes
+    snapshot = result.snapshot
+    passive_addresses = snapshot.server_addresses()
+    passive_last_seen = {
+        address: snapshot.passive_last_seen(address)
+        for address in passive_addresses
+    }
+    probes = snapshot.probes
     if probes is not None:
         active_last_open = dict(probes.last_open)
         probes_issued = probes.issued

@@ -6,11 +6,13 @@ traffic from a well known server port is running a UDP service on that
 port".  :class:`PassiveServiceTable` implements both, plus the
 flow/client accumulators behind the weighted-completeness metrics and
 an optional stricter handshake-confirmation signal used as an ablation.
+The table is the one place that decides which record is evidence of a
+service and when: it keeps each endpoint's first- *and* last-seen time.
 
 Observers are deliberately order-insensitive: the generator's packet
 stream is only approximately time-ordered (see
-:mod:`repro.traffic.generator`), and first-seen times are maintained
-with ``min`` rather than by assuming monotonicity.
+:mod:`repro.traffic.generator`), and first/last-seen times are kept
+with ``min`` / ``max`` rather than by assuming monotonicity.
 """
 
 from __future__ import annotations
@@ -89,31 +91,6 @@ def _port_lut(ports: frozenset[int]) -> np.ndarray:
     lut[list(ports)] = True
     lut.flags.writeable = False
     return lut
-
-
-def _group_min_into(
-    keys: np.ndarray, times: np.ndarray, proto: int,
-    first_seen: dict[Endpoint, float],
-) -> None:
-    """Fold per-key minimum times into *first_seen* (keys = addr<<16|port).
-
-    Sorting by (key, time) makes each group's first element its
-    minimum; only the unique keys reach Python, so the dict work is
-    proportional to distinct endpoints per batch, not records.
-    """
-    order = np.lexsort((times, keys))
-    sorted_keys = keys[order]
-    sorted_times = times[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    )
-    for key, seen in zip(
-        sorted_keys[starts].tolist(), sorted_times[starts].tolist()
-    ):
-        endpoint = (key >> 16, key & 0xFFFF, proto)
-        previous = first_seen.get(endpoint)
-        if previous is None or seen < previous:
-            first_seen[endpoint] = seen
 
 
 def replay(
@@ -245,6 +222,9 @@ class UdpSignal(str, Enum):
 class PassiveServiceTable:
     """Passive discovery state built from captured headers.
 
+    Per endpoint the table keeps the earliest and latest evidence time
+    (one rule stamps both), the flow count and the client set.
+
     Parameters
     ----------
     is_campus:
@@ -281,6 +261,8 @@ class PassiveServiceTable:
 
     #: endpoint -> earliest evidence time.
     first_seen: dict[Endpoint, float] = field(default_factory=dict)
+    #: endpoint -> latest evidence time (same keys as ``first_seen``).
+    last_seen: dict[Endpoint, float] = field(default_factory=dict)
     #: endpoint -> number of positive responses (flow weighting).
     flow_counts: dict[Endpoint, int] = field(default_factory=dict)
     #: endpoint -> distinct client addresses served (client weighting).
@@ -361,7 +343,7 @@ class PassiveServiceTable:
             )
 
         # SYN-ACK from a campus server to an outside client: the
-        # service-evidence signal (first_seen, min over the batch).
+        # service-evidence signal (first/last seen, min/max per batch).
         synack = tcp & ((flags & 0x12) == 0x12)
         synack &= src_campus & ~dst_campus
         if exclude is not None:
@@ -373,7 +355,7 @@ class PassiveServiceTable:
             keys = (
                 src[index].astype(np.uint64) << np.uint64(16)
             ) | cols.sport[index]
-            _group_min_into(keys, time[index], PROTO_TCP, self.first_seen)
+            self._stamp_columns(keys, time[index], PROTO_TCP)
 
         # Bare ACK from an outside client to a campus server: the
         # flow/client popularity accounting.
@@ -405,8 +387,38 @@ class PassiveServiceTable:
                 keys = (
                     src[index].astype(np.uint64) << np.uint64(16)
                 ) | cols.sport[index]
-                _group_min_into(keys, time[index], PROTO_UDP, self.first_seen)
+                self._stamp_columns(keys, time[index], PROTO_UDP)
                 self._count_columns(keys, dst[index], PROTO_UDP)
+
+    def _stamp_columns(
+        self, keys: np.ndarray, times: np.ndarray, proto: int
+    ) -> None:
+        """Vectorised :meth:`_stamp` over (addr<<16|port) keys.
+
+        Sorting by (key, time) makes each group's first row its minimum
+        and its last row its maximum; only the unique keys reach Python,
+        so the dict work is per distinct endpoint, not per record.
+        """
+        order = np.lexsort((times, keys))
+        sorted_keys = keys[order]
+        sorted_times = times[order]
+        starts = np.flatnonzero(
+            np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+        )
+        first_seen = self.first_seen
+        last_seen = self.last_seen
+        for key, first, last in zip(
+            sorted_keys[starts].tolist(),
+            sorted_times[starts].tolist(),
+            sorted_times[np.append(starts[1:], len(keys)) - 1].tolist(),
+        ):
+            endpoint = (key >> 16, key & 0xFFFF, proto)
+            previous = first_seen.get(endpoint)
+            if previous is None or first < previous:
+                first_seen[endpoint] = first
+            previous = last_seen.get(endpoint)
+            if previous is None or last > previous:
+                last_seen[endpoint] = last
 
     def _count_columns(
         self, keys: np.ndarray, clients: np.ndarray, proto: int
@@ -452,10 +464,7 @@ class PassiveServiceTable:
             if self.tcp_ports is not None and record.sport not in self.tcp_ports:
                 return
             if self.signal is ServiceSignal.SYNACK:
-                endpoint = (record.src, record.sport, PROTO_TCP)
-                previous = self.first_seen.get(endpoint)
-                if previous is None or record.time < previous:
-                    self.first_seen[endpoint] = record.time
+                self._stamp((record.src, record.sport, PROTO_TCP), record.time)
             else:
                 self._pending_handshake[
                     (record.src, record.dst, record.dport, record.sport)
@@ -476,11 +485,10 @@ class PassiveServiceTable:
                 key = (record.dst, record.src, record.sport, record.dport)
                 seen = self._pending_handshake.pop(key, None)
                 if seen is not None:
-                    endpoint = (record.dst, record.dport, PROTO_TCP)
-                    previous = self.first_seen.get(endpoint)
-                    when = min(seen, record.time)
-                    if previous is None or when < previous:
-                        self.first_seen[endpoint] = when
+                    self._stamp(
+                        (record.dst, record.dport, PROTO_TCP),
+                        min(seen, record.time),
+                    )
 
     # ---- UDP --------------------------------------------------------
 
@@ -507,16 +515,20 @@ class PassiveServiceTable:
             key = (record.src, record.sport, record.dst)
             if key not in self._udp_requests:
                 return  # unsolicited datagram: may be probe traffic
-        self._record(record.src, record.sport, PROTO_UDP, record)
+        self._stamp((record.src, record.sport, PROTO_UDP), record.time)
+        self._count(record.src, record.sport, PROTO_UDP, record.dst)
 
     # ---- state updates ----------------------------------------------
 
-    def _record(self, address: int, port: int, proto: int, record: PacketRecord) -> None:
-        endpoint = (address, port, proto)
+    def _stamp(self, endpoint: Endpoint, when: float) -> None:
+        """Record evidence of *endpoint* at *when*: the one place first-
+        and last-seen are updated on the per-record path."""
         previous = self.first_seen.get(endpoint)
-        if previous is None or record.time < previous:
-            self.first_seen[endpoint] = record.time
-        self._count(address, port, proto, record.dst)
+        if previous is None or when < previous:
+            self.first_seen[endpoint] = when
+        previous = self.last_seen.get(endpoint)
+        if previous is None or when > previous:
+            self.last_seen[endpoint] = when
 
     def _count(self, address: int, port: int, proto: int, client: int) -> None:
         endpoint = (address, port, proto)

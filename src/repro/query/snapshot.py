@@ -62,7 +62,7 @@ def shard_snapshot_payload(state) -> dict:
     return {
         "records": state.records,
         "first_seen": dict(table.first_seen),
-        "last_seen": dict(state.last_seen),
+        "last_seen": dict(table.last_seen),
         "flows": dict(table.flow_counts),
         "clients": {
             endpoint: len(clients) for endpoint, clients in table.clients.items()
@@ -80,10 +80,9 @@ class DiscoverySnapshot:
     :class:`~repro.query.state.QueryState`.  The maps are merged across
     shards and must never be mutated after construction.
 
-    ``last_seen`` only carries endpoints refreshed through the
-    streaming last-seen timeline (the default-rule signals);
-    :meth:`last_seen_of` falls back to ``first_seen``, so every known
-    endpoint reports a timestamp.
+    Every endpoint a passive table produced has a ``last_seen`` (the
+    table stamps both times together); :meth:`last_seen_of` falls back
+    to ``first_seen`` only for snapshots built by hand without one.
 
     The query views read a per-snapshot index (:attr:`_read_index`)
     built by the first reader that needs it, on that reader's thread;

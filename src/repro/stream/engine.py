@@ -47,7 +47,7 @@ from typing import Callable
 
 from repro.core.completeness import CompletenessSummary, summarize_overlap
 from repro.core.report import survey_table
-from repro.passive.monitor import Endpoint, PassiveServiceTable
+from repro.passive.monitor import PassiveServiceTable
 from repro.probe import POLICY_NAMES, build_prober
 from repro.query.snapshot import (
     DiscoverySnapshot,
@@ -57,12 +57,7 @@ from repro.query.snapshot import (
 )
 from repro.stream.checkpoint import ShardCheckpointStore, checkpoint_config
 from repro.stream.ingest import DEFAULT_MAX_QUEUE_CHUNKS, StreamIngestor
-from repro.stream.shard import (
-    ShardState,
-    merge_shards,
-    merged_last_seen,
-    split_columns,
-)
+from repro.stream.shard import ShardState, merge_shards, split_columns
 from repro.stream.watermark import (
     ActiveTimeline,
     Watermark,
@@ -137,6 +132,8 @@ class StreamConfig:
             raise ValueError("batch_records must be >= 1")
         if self.max_queue_chunks < 1:
             raise ValueError("max_queue_chunks must be >= 1")
+        if self.emit_every is not None and self.emit_every <= 0:
+            raise ValueError("emit_every must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
         if self.snapshot_every is not None and self.snapshot_every <= 0:
@@ -191,7 +188,6 @@ class StreamResult:
     summary: CompletenessSummary | None = None
     report: str | None = None
     table: PassiveServiceTable | None = None
-    last_seen: dict[Endpoint, float] = field(default_factory=dict)
     #: The final merged state as the query path's snapshot structure --
     #: the same object type the live service answers from, so a query
     #: response and this result cannot disagree.
@@ -259,7 +255,6 @@ def finalize_result(
         summary=summary,
         report=report,
         table=merged,
-        last_seen=merged_last_seen(states),
         snapshot=snapshot,
     )
 

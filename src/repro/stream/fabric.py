@@ -203,7 +203,6 @@ class FabricConfig:
     restart_backoff_max: float = 2.0
     put_timeout: float = 0.1
     stall_timeout: float = 10.0
-    keep_generations: int = 2
     worker_faults: WorkerFaultPlan | None = None
 
     def __post_init__(self) -> None:
@@ -467,9 +466,7 @@ class FabricSupervisor:
             worker_faults = None
         self._worker_faults = worker_faults
         self.store = (
-            ShardCheckpointStore(
-                Path(config.checkpoint_path), self.fabric.keep_generations
-            )
+            ShardCheckpointStore(Path(config.checkpoint_path))
             if config.checkpoint_path
             else None
         )

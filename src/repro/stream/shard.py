@@ -16,19 +16,21 @@ Because the owning address is a pure function of the record, shard
 states are disjoint and merging them is a dict union -- results are
 identical at any shard count, which the equivalence tests assert at
 1, 2, and 8 shards.
+
+A shard's state is a :class:`PassiveServiceTable` and a record count.
+The table alone decides what is evidence and keeps first- and
+last-seen; this module only routes records to it and unions tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
-from repro.passive.monitor import (
-    Endpoint, PassiveServiceTable, _campus_mask, _port_lut,
-)
+from repro.passive.monitor import Endpoint, PassiveServiceTable, _campus_mask
 
 #: Fibonacci-style multiplier spreading contiguous campus addresses
 #: across shards (addresses within one /24 would otherwise all land on
@@ -94,69 +96,18 @@ class ShardState:
     """One shard's long-lived discovery state.
 
     Wraps a real :class:`PassiveServiceTable` (so folding a batch is
-    exactly the batch-replay code path) plus the streaming extras: a
-    per-endpoint *last-seen* timeline and a processed-record counter.
+    exactly the batch-replay code path; the table keeps first- and
+    last-seen) plus a processed-record counter.
     """
 
     index: int
     table: PassiveServiceTable
-    #: endpoint -> latest evidence time (first_seen lives in the table).
-    last_seen: dict[Endpoint, float] = field(default_factory=dict)
     records: int = 0
 
     def observe_columns(self, cols) -> None:
-        """Fold one routed sub-batch into the shard state: the table's
-        ``observe_columns`` plus a group-max update of the last-seen
-        timeline.
-
-        Last-seen maintenance mirrors the table's evidence filter for
-        the two signals that stamp first_seen on the default rules
-        (SYN-ACK, UDP source port); it is supplementary state and
-        never feeds the completeness report.
-        """
-        table = self.table
-        table.observe_columns(cols)
+        """Fold one routed sub-batch into the shard state."""
+        self.table.observe_columns(cols)
         self.records += len(cols)
-        proto = cols.proto
-        sport = cols.sport
-        evidence = (proto == PROTO_TCP) & ((cols.flags & 0x12) == 0x12)
-        if table.tcp_ports is not None:
-            evidence &= _port_lut(table.tcp_ports)[sport]
-        if table.udp_ports:
-            evidence |= (proto == PROTO_UDP) & _port_lut(table.udp_ports)[sport]
-        src = cols.src
-        dst = cols.dst
-        evidence &= _campus_mask(table.is_campus, src)
-        evidence &= ~_campus_mask(table.is_campus, dst)
-        exclude = table.exclude_sources
-        if exclude:
-            evidence &= ~np.isin(dst, np.fromiter(exclude, dtype=np.uint32))
-        index = np.flatnonzero(evidence)
-        if not index.size:
-            return
-        src_e = src[index]
-        sport_e = sport[index]
-        proto_e = proto[index]
-        times = cols.time[index]
-        keys = (
-            (src_e.astype(np.uint64) << np.uint64(24))
-            | (sport_e.astype(np.uint64) << np.uint64(8))
-            | proto_e
-        )
-        order = np.lexsort((times, keys))
-        sorted_keys = keys[order]
-        group_last = order[np.r_[sorted_keys[1:] != sorted_keys[:-1], True]]
-        last_seen = self.last_seen
-        for address, port, proto_value, time in zip(
-            src_e[group_last].tolist(),
-            sport_e[group_last].tolist(),
-            proto_e[group_last].tolist(),
-            times[group_last].tolist(),
-        ):
-            endpoint = (address, port, proto_value)
-            previous = last_seen.get(endpoint)
-            if previous is None or time > previous:
-                last_seen[endpoint] = time
 
     def addresses_by(self, mark: float) -> set[int]:
         """Addresses with an endpoint first seen at or before *mark*:
@@ -180,7 +131,7 @@ class ShardState:
             "clients": {k: set(v) for k, v in table.clients.items()},
             "pending_handshake": dict(table._pending_handshake),
             "udp_requests": set(table._udp_requests),
-            "last_seen": dict(self.last_seen),
+            "last_seen": dict(table.last_seen),
         }
 
     def restore_state(self, payload: dict) -> None:
@@ -191,7 +142,7 @@ class ShardState:
         table.clients = {k: set(v) for k, v in payload["clients"].items()}
         table._pending_handshake = dict(payload["pending_handshake"])
         table._udp_requests = set(payload["udp_requests"])
-        self.last_seen = dict(payload["last_seen"])
+        table.last_seen = dict(payload["last_seen"])
         self.records = int(payload["records"])
 
 
@@ -208,6 +159,7 @@ def merge_shards(
     for state in states:
         table = state.table
         merged.first_seen.update(table.first_seen)
+        merged.last_seen.update(table.last_seen)
         merged.flow_counts.update(table.flow_counts)
         merged.clients.update(table.clients)
         merged._pending_handshake.update(table._pending_handshake)
@@ -216,8 +168,11 @@ def merge_shards(
 
 
 def merged_last_seen(states: list[ShardState]) -> dict[Endpoint, float]:
-    """Union of every shard's last-seen timeline (disjoint keys)."""
-    out: dict[Endpoint, float] = {}
-    for state in states:
-        out.update(state.last_seen)
-    return out
+    """Union of every shard's last-seen timeline (disjoint keys).
+
+    Nothing in the package calls this: :func:`merge_shards` carries
+    ``last_seen`` with the other table fields.  It survives only
+    because the frozen ``bench/layers.py`` imports it; the next
+    ``benchmark`` PR drops the call and the function together.
+    """
+    return {k: v for state in states for k, v in state.table.last_seen.items()}

@@ -452,8 +452,10 @@ class TestBadFlagValues:
         ["stream", "--batch-records", "0"],
         ["stream", "--probe-rate", "-1"],
         ["stream", "--queue-chunks", "0"],
+        ["stream", "--emit-every", "-1"],
         ["stream", "--workers", "2", "--heartbeat-interval", "0"],
         ["serve", "--snapshot-every", "0"],
+        ["serve", "--emit-every", "-1"],
         ["degradation", "--jobs", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_rejected_before_any_work(self, capsys, argv):

@@ -298,7 +298,7 @@ class TestReportQueryEquivalence:
         assert run.snapshot.server_addresses() == run.table.server_addresses()
         assert dict(run.snapshot.first_seen) == dict(run.table.first_seen)
         # The streaming last-seen timeline is carried through unchanged.
-        assert dict(run.snapshot.last_seen) == dict(run.last_seen)
+        assert dict(run.snapshot.last_seen) == dict(run.table.last_seen)
 
     def test_snapshot_payloads_round_trip_consistently(self, result, small_dtcp18):
         # Re-merging per-shard payloads (the fabric's aggregation path)

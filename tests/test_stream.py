@@ -146,6 +146,7 @@ class TestEquivalence:
         assert result.table.first_seen == reference.first_seen
         assert result.table.flow_counts == reference.flow_counts
         assert result.table.clients == reference.clients
+        assert result.table.last_seen == reference.last_seen
 
 
 class TestOneBatchType:
@@ -199,8 +200,10 @@ class TestWatermarks:
 
     def test_last_seen_timeline(self, small_dtcp18):
         result = StreamEngine(small_config(shards=2), dataset=small_dtcp18).run()
-        assert result.last_seen  # endpoints were observed
-        for endpoint, last in result.last_seen.items():
+        last_seen = result.table.last_seen
+        assert last_seen  # endpoints were observed
+        assert last_seen.keys() == result.table.first_seen.keys()
+        for endpoint, last in last_seen.items():
             first = result.table.first_seen.get(endpoint)
             assert first is not None and last >= first
 
@@ -284,7 +287,7 @@ class TestCheckpointResume:
         assert resumed.watermarks == reference.watermarks
         assert resumed.records_delivered == reference.records_delivered
         assert resumed.table.flow_counts == reference.table.flow_counts
-        assert resumed.last_seen == reference.last_seen
+        assert resumed.table.last_seen == reference.table.last_seen
 
     @pytest.mark.parametrize(
         "probing", [{}, dict(probe_policy="periodic", probe_rate=5.0)],

@@ -462,6 +462,19 @@ def test_fabric_report_matches_batch(workers, small_dtcp18, batch_reference):
     assert result.report == batch_reference
 
 
+def test_fabric_merged_table_matches_batch_table(small_dtcp18):
+    """The merged worker tables are the batch table, last-seen included."""
+    result = FabricSupervisor(
+        _config(shards=2), FabricConfig(**FAST), dataset=small_dtcp18
+    ).run()
+    reference = _fresh_table(small_dtcp18)
+    small_dtcp18.replay(reference)
+    assert result.table.first_seen == reference.first_seen
+    assert result.table.last_seen == reference.last_seen
+    assert result.table.flow_counts == reference.flow_counts
+    assert result.table.clients == reference.clients
+
+
 def test_fabric_crash_chaos_is_byte_identical(small_dtcp18, batch_reference):
     """Every worker crashes once mid-ingest; failover must be invisible."""
     config = _config(shards=4)

@@ -254,7 +254,7 @@ def differential(make, state_of, observe=None):
 
 def _table_state(table):
     return (
-        table.first_seen, table.flow_counts, table.clients,
+        table.first_seen, table.last_seen, table.flow_counts, table.clients,
         table._pending_handshake, table._udp_requests,
     )
 
@@ -266,25 +266,9 @@ def _fault_counts(faults):
 
 def _shard_observe(state, record):
     """Per-record definition of ``ShardState.observe_columns``: the
-    table's ``observe`` plus the last-seen rule."""
-    table = state.table
-    table.observe(record)
+    table's ``observe`` plus the record count."""
+    state.table.observe(record)
     state.records += 1
-    if record.proto == PROTO_TCP:
-        if not record.flags.is_synack:
-            return
-        if table.tcp_ports is not None and record.sport not in table.tcp_ports:
-            return
-    elif record.proto != PROTO_UDP or record.sport not in table.udp_ports:
-        return
-    if not table.is_campus(record.src) or table.is_campus(record.dst):
-        return
-    if record.dst in table.exclude_sources:
-        return
-    endpoint = (record.src, record.sport, record.proto)
-    state.last_seen[endpoint] = max(
-        record.time, state.last_seen.get(endpoint, record.time)
-    )
 
 
 class TestBatchedObservers:

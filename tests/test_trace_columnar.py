@@ -623,7 +623,7 @@ class TestColumnarStreamEquivalence:
         monkeypatch.setenv(ENV_VAR, "off")
         regenerated = self._run("engine", config, small_dtcp18)
         assert cached.report == regenerated.report
-        assert cached.last_seen == regenerated.last_seen
+        assert cached.table.last_seen == regenerated.table.last_seen
         assert cached.records_read == regenerated.records_read
         assert cached.records_delivered == regenerated.records_delivered
 
