@@ -935,9 +935,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume from the checkpoint store's newest "
                              "committed generation, if any")
     stream.add_argument("--queue-chunks", type=int, default=8,
-                        help="bound on queued batches per shard thread "
-                             "(backpressure; --workers is bounded by its "
-                             "batch ring instead)")
+                        help="queued sub-batches per shard; marks do not "
+                             "count (backpressure; --workers is bounded by "
+                             "its batch ring instead)")
     add_out_argument(stream)
 
     serve = command(

@@ -54,10 +54,12 @@ from repro.stream.ingest import (
 )
 from repro.stream.membership import Member, Membership
 from repro.stream.shard import (
+    RoutedPart,
     ShardState,
     merge_shards,
     merged_last_seen,
     owning_address,
+    route_columns,
     shard_of,
     split_columns,
 )
@@ -81,6 +83,7 @@ __all__ = [
     "Member",
     "Membership",
     "RestorePlan",
+    "RoutedPart",
     "STREAM_CHECKPOINT_VERSION",
     "ShardCheckpointStore",
     "ShardRestore",
@@ -99,6 +102,7 @@ __all__ = [
     "merge_shards",
     "merged_last_seen",
     "owning_address",
+    "route_columns",
     "save_checkpoint",
     "shard_of",
     "split_columns",

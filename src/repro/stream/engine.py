@@ -12,11 +12,13 @@ transport owns only how shard state is *reached* -- worker threads
 here (:class:`_ThreadTransport`), worker processes in
 :mod:`repro.stream.fabric`:
 
-1. the driver reads one batch, applies the run's fault filter (capture
-   loss and monitor outages, in stream order -- the same drop pattern
-   the batch path produces), routes it with
-   :func:`repro.stream.shard.split_columns`, feeds the parts to the
-   transport, and advances the online prober to stream time;
+1. the driver reads one batch, decides which of its records the run's
+   fault filter keeps (capture loss and monitor outages, in stream
+   order -- the same drop pattern the batch path produces), routes the
+   kept rows with :func:`repro.stream.shard.route_columns` -- row
+   indices only: a record is copied where it is folded -- feeds the
+   parts to the transport, and advances the online prober to stream
+   time;
 2. when stream time crosses an emission mark, it asks the transport
    for the passive addresses first seen by the mark -- a request the
    shards answer in band, behind the parts fed before it, while the
@@ -35,7 +37,8 @@ here (:class:`_ThreadTransport`), worker processes in
    (seed, scale, faults).
 
 Memory is flat in trace length: the engine holds one decoded batch
-plus the transport's bounded shard queues; nothing retains the stream.
+plus the transport's bounded shard queues (a queued part holds its
+batch); nothing retains the stream.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable
+
+import numpy as np
 
 from repro.core.completeness import CompletenessSummary, summarize_overlap
 from repro.core.report import survey_table
@@ -57,7 +62,7 @@ from repro.query.snapshot import (
 )
 from repro.stream.checkpoint import ShardCheckpointStore, checkpoint_config
 from repro.stream.ingest import DEFAULT_MAX_QUEUE_CHUNKS, StreamIngestor
-from repro.stream.shard import ShardState, merge_shards, split_columns
+from repro.stream.shard import ShardState, merge_shards, route_columns
 from repro.stream.watermark import (
     ActiveTimeline,
     Watermark,
@@ -201,6 +206,15 @@ def _fresh_table(dataset) -> PassiveServiceTable:
         tcp_ports=dataset.tcp_ports,
         udp_ports=dataset.udp_ports,
     )
+
+
+def _kept_rows(faults, batch) -> np.ndarray | None:
+    """The rows of *batch* the capture filter keeps, in stream order,
+    or ``None`` when it keeps them all (or there is no filter)."""
+    if faults is None:
+        return None
+    keep = faults.keep_mask(batch.time, batch.link, batch.link_names)
+    return None if keep.all() else np.flatnonzero(keep)
 
 
 def finalize_result(
@@ -533,17 +547,22 @@ class StreamEngine:
                 end, skip=records_read, batch_records=config.batch_records
             ):
                 records_read += len(batch)
-                if faults is not None:
-                    batch = faults.filter_columns(batch)
-                records_delivered += len(batch)
-                if len(batch):
-                    last_time = float(batch.time[-1])
+                rows = _kept_rows(faults, batch)
+                delivered = len(batch) if rows is None else len(rows)
+                records_delivered += delivered
+                if delivered:
+                    last_time = float(
+                        batch.time[-1] if rows is None else batch.time[rows[-1]]
+                    )
                     if last_time > now:
                         now = last_time
                     if tap is not None:
-                        tap.observe_columns(batch)
+                        tap.observe_columns(
+                            batch if rows is None else batch.take(rows)
+                        )
                     transport.feed(
-                        split_columns(batch, is_campus, shards), records_read
+                        route_columns(batch, is_campus, shards, rows),
+                        records_read,
                     )
                     if trc.enabled:
                         trc.note("engine.batch", records=records_read)
@@ -688,13 +707,14 @@ class StreamEngine:
         return result
 
     def replay_gap(self, base: int, target: int, faults_state: dict | None):
-        """Source records ``[base, target)`` again, one ``split_columns``
+        """Source records ``[base, target)`` again, one ``route_columns``
         list per source batch: what catches a shard up from an older
         checkpoint generation (a corrupt newest file, a fabric failover).
 
         A scratch fault filter restored to *faults_state* (the filter's
         state at offset *base*, from the manifest the shard state came
-        with) reproduces the primary pass's drop pattern exactly, so
+        with) reproduces the primary pass's drop pattern exactly, and
+        the kept rows are routed as the live feed routes them, so
         ``parts[shard]`` is the sub-stream the shard folded the first time.
         """
         left = target - base
@@ -712,10 +732,9 @@ class StreamEngine:
             if len(batch) > left:
                 batch = batch.slice(0, left)
             left -= len(batch)
-            if scratch is not None:
-                batch = scratch.filter_columns(batch)
-            yield split_columns(
-                batch, self.dataset.is_campus, self.config.shards
+            yield route_columns(
+                batch, self.dataset.is_campus, self.config.shards,
+                _kept_rows(scratch, batch),
             )
             if left <= 0:
                 return

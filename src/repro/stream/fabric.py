@@ -9,9 +9,10 @@ applies the run's fault filter once, in stream order -- the drop
 pattern is decided before any process boundary, so it cannot depend on
 worker scheduling or deaths); a :class:`FabricSupervisor` is the shard
 transport it feeds.  Routed batches cross to the workers *by reference*:
-the supervisor copies each batch's columns into a slot of a ring that
-lives in one anonymous shared mapping created before the fleet forks
-(:class:`_Arena`), and sends each worker a message of tens of bytes
+the supervisor gathers each shard's routed rows of a batch straight
+into a slot of a ring that lives in one anonymous shared mapping
+created before the fleet forks (:class:`_Arena`) -- the only copy a
+record gets -- and sends each worker a message of tens of bytes
 naming the slot and its rows; the worker folds zero-copy views of them
 into its own :class:`~repro.stream.shard.ShardState`.  A slot is
 reused only when every worker sent rows of it has published a sequence
@@ -86,7 +87,7 @@ from repro.stream.engine import (
     _fresh_table,
 )
 from repro.stream.membership import Membership
-from repro.stream.shard import ShardState
+from repro.stream.shard import ShardState, as_routed
 from repro.stream.watermark import Watermark
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
@@ -146,11 +147,24 @@ class _Arena:
             buffer, dtype="<i8", count=shards, offset=offset
         )
 
-    def write(self, slot: int, at: int, part: RecordColumns,
-              start: int, stop: int) -> None:
-        """Copy rows ``[start, stop)`` of *part* into *slot* from row *at*."""
+    def write(self, slot: int, at: int, part, start: int, stop: int) -> None:
+        """Gather rows ``[start, stop)`` of *part* into *slot* from row *at*.
+
+        *part* is a :class:`~repro.stream.shard.RoutedPart` (or a plain
+        batch: all of its rows); each column is gathered from the source
+        batch straight into the slot, with no intermediate copy.
+        """
+        part = as_routed(part)
+        rows = (
+            np.arange(start, stop) if part.rows is None
+            else part.rows[start:stop]
+        )
+        end = at + stop - start
         for column, (name, _dtype) in zip(self.columns[slot], COLUMN_FIELDS):
-            column[at:at + stop - start] = getattr(part, name)[start:stop]
+            # "clip": in-range indices either way, and mode="raise"
+            # would gather through a temporary buffer.
+            np.take(getattr(part.batch, name), rows, out=column[at:end],
+                    mode="clip")
 
     def rows(self, slot: int, lo: int, hi: int,
              link_names: tuple[str, ...]) -> RecordColumns:
@@ -732,7 +746,9 @@ class FabricSupervisor:
         """Put routed rows in the ring and tell each worker where its are.
 
         The one way records reach a worker.  *routed* is ``(shard,
-        part)`` pairs of one source batch; parts are packed into a slot
+        part)`` pairs of one source batch (parts from
+        :func:`~repro.stream.shard.route_columns`, gathered into the
+        slot by :meth:`_Arena.write`); parts are packed into a slot
         back to back (a batch larger than a slot goes out as slot-sized
         pieces), and each piece is announced with a ``rows`` message
         once it is written.  Only claiming a slot can fail a shard

@@ -2,24 +2,26 @@
 
 :class:`StreamIngestor` owns one worker thread and one bounded queue
 per shard.  The driving thread routes each decoded batch
-(:func:`repro.stream.shard.split_columns`) and enqueues the per-shard
-sub-batches; workers fold them into their :class:`ShardState` in
-arrival order.
+(:func:`repro.stream.shard.route_columns`: row indices, no copy) and
+enqueues the per-shard parts; each worker gathers its part's rows and
+folds them into its :class:`ShardState`, in arrival order.
 
 Memory stays flat regardless of trace length because nothing in the
-pipeline buffers unboundedly: the source yields fixed-size batches, the
-queues hold at most ``max_queue_chunks`` sub-batches each (an
-over-full queue *blocks the producer* -- backpressure, not growth), and
-shard state is keyed by endpoints, whose count is bounded by the
+pipeline buffers unboundedly: the source yields fixed-size batches, at
+most ``max_queue_chunks`` parts per shard are queued or folding (a
+shard out of room *blocks the producer* -- backpressure, not growth),
+and shard state is keyed by endpoints, whose count is bounded by the
 population rather than the observation length.
 
-Watermark marks travel in band (:meth:`StreamIngestor.request_mark`):
-a mark queued behind a shard's pending parts is answered by that
-shard's thread when it gets there, so the producer goes on routing
-while the shards fold.  :meth:`StreamIngestor.drain` is the barrier
-the engine keeps for snapshots, checkpoints and the end of the stream:
-it returns only when every queued item has been handled, so state read
-after a drain is a consistent prefix of the stream.
+Watermark marks travel in band (:meth:`StreamIngestor.request_mark`)
+on the same FIFO as the parts but take none of their room: a mark
+queued behind a shard's pending parts is answered by that shard's
+thread when it gets there, and requesting one never waits, so the
+producer goes on routing while the shards fold.
+:meth:`StreamIngestor.drain` is the barrier the engine keeps for
+snapshots, checkpoints and the end of the stream: it returns only when
+every queued item has been handled, so state read after a drain is a
+consistent prefix of the stream.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from time import perf_counter
 
 from repro.stream.shard import ShardState
 
-#: Default bound on queued sub-batches per shard thread.  A sub-batch
+#: Default bound on parts queued or folding per shard thread.  A part
 #: is one shard's rows of one source batch -- 8192 records when the
 #: stream is regenerated, 65,536 (a cached trace's chunk, whatever
 #: ``batch_records`` says) when it is read -- so the threads hold at
-#: most 8 source batches in flight however long the stream runs.  The
-#: process fabric does not use this: its bound is its ring
-#: (:mod:`repro.stream.fabric`).
+#: most 8 source batches in flight however long the stream runs.
+#: Marks do not count against it.  The process fabric does not use
+#: this: its bound is its ring (:mod:`repro.stream.fabric`).
 DEFAULT_MAX_QUEUE_CHUNKS = 8
 
 #: How long one ``put`` attempt waits before re-checking worker health.
@@ -72,9 +74,9 @@ class ShardWorkerError(RuntimeError):
 
 
 class IngestStallError(RuntimeError):
-    """A shard queue stayed full past the stall budget.
+    """A shard had no room for a part past the stall budget.
 
-    Raised by the producer when bounded ``put`` retries exhaust
+    Raised by the producer when bounded retries exhaust
     ``stall_timeout`` seconds without the consumer making room -- the
     structured alternative to blocking forever on a queue whose worker
     has died or wedged.
@@ -98,8 +100,9 @@ class StreamIngestor:
     states:
         One :class:`ShardState` per shard; workers mutate them.
     max_queue_chunks:
-        Bound on queued sub-batches per shard; a full queue blocks
-        :meth:`dispatch` until the worker catches up.
+        Bound on parts queued or folding per shard; a shard out of room
+        blocks :meth:`dispatch` until its worker catches up.  Marks
+        ride the same FIFO without taking room.
     """
 
     def __init__(
@@ -119,9 +122,10 @@ class StreamIngestor:
         self.put_timeout = put_timeout
         self.stall_timeout = stall_timeout
         self.put_timeouts = 0
-        self._queues: list[queue.Queue] = [
-            queue.Queue(maxsize=max_queue_chunks) for _ in states
-        ]
+        self._queues: list[queue.Queue] = [queue.Queue() for _ in states]
+        #: Per shard, room for parts: taken by dispatch, given back by
+        #: the worker once a part is folded (or skipped after a failure).
+        self._room = [threading.Semaphore(max_queue_chunks) for _ in states]
         self._errors: list[ShardWorkerError] = []
         self._closed = False
         # Observability accumulators (flushed once, at close).
@@ -150,12 +154,14 @@ class StreamIngestor:
     def _worker(self, index: int) -> None:
         state = self.states[index]
         work = self._queues[index]
+        room = self._room[index]
         failed = False
         while True:
             try:
                 item = work.get(timeout=_WORKER_POLL_SECONDS)
             except queue.Empty:
                 continue
+            is_part = item is not _STOP and type(item) is not tuple
             try:
                 if item is _STOP:
                     return
@@ -163,7 +169,7 @@ class StreamIngestor:
                     # Consumed unhandled, so drain() still returns (and
                     # raises the error) instead of waiting for ever.
                     continue
-                if type(item) is tuple:
+                if not is_part:
                     # A mark: every part queued before it is folded in.
                     mark, answers = item
                     answers[index] = state.addresses_by(mark)
@@ -178,6 +184,8 @@ class StreamIngestor:
                 failed = True
                 self._errors.append(ShardWorkerError(index, exc))
             finally:
+                if is_part:
+                    room.release()
                 work.task_done()
 
     def _raise_pending(self) -> None:
@@ -185,48 +193,51 @@ class StreamIngestor:
             raise self._errors[0]
 
     def _put_bounded(self, index: int, part) -> None:
-        """Enqueue with timeout + bounded retries instead of blocking forever.
+        """Take room for *part*, then enqueue it -- timeout + bounded
+        retries instead of blocking forever.
 
         Each timeout re-checks worker health (a dead worker's pending
         error surfaces immediately rather than after a deadlock) and
         counts toward the stall budget; exhausting the budget raises
         :class:`IngestStallError` naming the wedged shard.
         """
+        room = self._room[index]
         waited = 0.0
         timeouts = 0
         while True:
-            try:
-                self._queues[index].put(part, timeout=self.put_timeout)
+            if room.acquire(timeout=self.put_timeout):
+                self._queues[index].put(part)
                 return
-            except queue.Full:
-                timeouts += 1
-                self.put_timeouts += 1
-                waited += self.put_timeout
-                self._raise_pending()
-                if waited >= self.stall_timeout:
-                    from repro.telemetry.tracing import tracer
+            timeouts += 1
+            self.put_timeouts += 1
+            waited += self.put_timeout
+            self._raise_pending()
+            if waited >= self.stall_timeout:
+                from repro.telemetry.tracing import tracer
 
-                    trc = tracer()
-                    if trc.enabled:
-                        trc.event(
-                            "stream.ingest_stall", shard=index,
-                            waited=round(waited, 3), timeouts=timeouts,
-                        )
-                        trc.dump_flight(
-                            f"ingest-stall-shard{index}",
-                            f"shard {index} queue full for {waited:.1f}s",
-                        )
-                    raise IngestStallError(index, waited, timeouts) from None
+                trc = tracer()
+                if trc.enabled:
+                    trc.event(
+                        "stream.ingest_stall", shard=index,
+                        waited=round(waited, 3), timeouts=timeouts,
+                    )
+                    trc.dump_flight(
+                        f"ingest-stall-shard{index}",
+                        f"shard {index} queue full for {waited:.1f}s",
+                    )
+                raise IngestStallError(index, waited, timeouts) from None
 
     def dispatch(self, parts: list) -> None:
         """Enqueue one routed batch (backpressure-blocks, never deadlocks).
 
-        Each part is a :class:`repro.trace.columnar.RecordColumns`
-        sub-batch from :func:`repro.stream.shard.split_columns`.
+        Each part is a :class:`repro.stream.shard.RoutedPart` from
+        :func:`repro.stream.shard.route_columns` (the shard's thread
+        gathers its rows) or a plain
+        :class:`repro.trace.columnar.RecordColumns` batch (all of it).
 
-        A full shard queue applies backpressure through the bounded
-        retry loop in :meth:`_put_bounded`; a queue that stays full for
-        ``stall_timeout`` seconds raises :class:`IngestStallError`.
+        A shard out of room applies backpressure through the bounded
+        retry loop in :meth:`_put_bounded`; one that stays out of room
+        for ``stall_timeout`` seconds raises :class:`IngestStallError`.
         """
         if self._closed:
             raise RuntimeError("ingestor already closed")
@@ -250,17 +261,18 @@ class StreamIngestor:
     def request_mark(self, mark: float) -> list:
         """Queue watermark *mark* behind every shard's pending parts.
 
-        Returns without waiting.  Slot *i* of the returned list stays
-        ``None`` until shard *i*'s thread reaches the request, then
-        holds :meth:`ShardState.addresses_by` of *mark*.
+        Returns without waiting: a mark takes no part room.  Slot *i*
+        of the returned list stays ``None`` until shard *i*'s thread
+        reaches the request, then holds :meth:`ShardState.addresses_by`
+        of *mark*.
         """
         if self._closed:
             raise RuntimeError("ingestor already closed")
         self._raise_pending()
         answers: list = [None] * len(self.states)
         item = (mark, answers)
-        for index in range(len(self.states)):
-            self._put_bounded(index, item)
+        for work in self._queues:
+            work.put(item)
         return answers
 
     def drain(self) -> None:

@@ -58,36 +58,93 @@ def shard_of(address: int, shards: int) -> int:
     return ((address * _HASH_MULTIPLIER) & 0xFFFFFFFF) % shards
 
 
-def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
-    """Partition one batch into per-shard sub-batches (in order).
+class RoutedPart:
+    """One shard's rows of a batch, not yet gathered.
+
+    *rows* indexes *batch* in stream order; ``None`` means every row (a
+    plain batch handed over as a part).  The copy is made where the
+    rows are consumed -- :meth:`columns` on a shard thread, or straight
+    into a fabric ring slot -- never on the thread that routes.
+    """
+
+    __slots__ = ("batch", "rows")
+
+    def __init__(self, batch, rows: np.ndarray | None = None) -> None:
+        self.batch = batch
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.batch) if self.rows is None else len(self.rows)
+
+    @property
+    def link_names(self) -> tuple[str, ...]:
+        return self.batch.link_names
+
+    def columns(self):
+        """The part's records as their own batch (one gather)."""
+        return self.batch if self.rows is None else self.batch.take(self.rows)
+
+
+def as_routed(part) -> RoutedPart:
+    """*part* as a :class:`RoutedPart`: a plain batch is all of its rows."""
+    return part if type(part) is RoutedPart else RoutedPart(part)
+
+
+def route_columns(
+    cols, is_campus: Callable[[int], bool], shards: int,
+    rows: np.ndarray | None = None,
+) -> list[RoutedPart]:
+    """Decide which rows of one batch go to which shard (in order).
 
     The owning-address rule (:func:`owning_address`, per record) is
-    evaluated with ``np.where`` over the whole batch, hashed with
-    :func:`shard_of`'s multiplier, and the batch is permuted once with
-    a *stable* argsort so each shard's sub-batch preserves stream
-    order -- the invariant the per-link fault and handshake state
-    machines rely on.  The hash wraps in ``uint32`` (:func:`shard_of`'s
-    mask); a ``uint16`` shard index makes the stable sort a radix sort.
+    evaluated as one branch-free select over the whole batch and hashed
+    with :func:`shard_of`'s multiplier; a *stable* argsort then orders each
+    shard's rows as they stand in the stream -- the invariant the
+    per-link fault and handshake state machines rely on.  The hash
+    wraps in ``uint32`` (:func:`shard_of`'s mask); a ``uint16`` shard
+    index makes the stable sort a radix sort.  *rows* (increasing row
+    indices: the capture filter's survivors) restricts the route to
+    those rows.  Each part indexes *cols* itself; nothing is copied.
     """
     if shards <= 1:
-        return [cols]
+        return [RoutedPart(cols, rows)]
     src = cols.src
     dst = cols.dst
     proto = cols.proto
     tcp = proto == PROTO_TCP
     synack = tcp & ((cols.flags & 0x12) == 0x12)
     udp_out = (proto == PROTO_UDP) & _campus_mask(is_campus, src)
-    owning = np.where(synack | udp_out, src, dst).astype(np.uint32, copy=False)
-    shard_index = (owning * np.uint32(_HASH_MULTIPLIER)) % np.uint32(shards)
-    if shards <= 1 << 16:
-        shard_index = shard_index.astype(np.uint16)
+    # np.where(synack | udp_out, src, dst) without its per-row branch:
+    # an all-ones mask picks src.
+    owning = (synack | udp_out).astype(np.uint32)
+    np.negative(owning, out=owning)
+    owning &= src ^ dst
+    owning ^= dst
+    # Hashed in place: the addresses are not needed again.
+    owning *= np.uint32(_HASH_MULTIPLIER)
+    owning %= np.uint32(shards)
+    shard_index = owning.astype(np.uint16) if shards <= 1 << 16 else owning
+    if rows is not None:
+        shard_index = shard_index[rows]
     order = np.argsort(shard_index, kind="stable")
-    routed = cols.take(order)
+    if rows is not None:
+        order = rows[order]
     counts = np.bincount(shard_index, minlength=shards)
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     return [
-        routed.slice(bounds[index], bounds[index + 1])
+        RoutedPart(cols, order[bounds[index]:bounds[index + 1]])
         for index in range(shards)
+    ]
+
+
+def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
+    """Partition one batch into per-shard sub-batches (in order).
+
+    :func:`route_columns`' parts, gathered: the materialised form the
+    routing tests hold the stream's parts to.
+    """
+    return [
+        part.columns() for part in route_columns(cols, is_campus, shards)
     ]
 
 
@@ -104,8 +161,13 @@ class ShardState:
     table: PassiveServiceTable
     records: int = 0
 
-    def observe_columns(self, cols) -> None:
-        """Fold one routed sub-batch into the shard state."""
+    def observe_columns(self, part) -> None:
+        """Fold one routed part into the shard state.
+
+        A :class:`RoutedPart`'s rows are gathered here, on the thread
+        that folds them; a plain batch is folded as it is.
+        """
+        cols = as_routed(part).columns()
         self.table.observe_columns(cols)
         self.records += len(cols)
 

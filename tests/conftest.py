@@ -26,7 +26,7 @@ from repro.campus.profiles import semester_profile
 from repro.datasets import build_dataset
 from repro.experiments import fidelity
 from repro.experiments.runner import run_experiment
-from repro.simkernel.clock import days
+from repro.simkernel.clock import days, hours
 
 #: Scale used by most dataset-level tests.
 SMALL_SCALE = 0.04
@@ -43,6 +43,14 @@ def small_population():
 def small_dtcp18(request):
     """A small-scale DTCP1-18d build (population + scans + trace)."""
     return build_dataset("DTCP1-18d", seed=7, scale=SMALL_SCALE)
+
+
+@pytest.fixture(scope="module")
+def record_sample(small_dtcp18):
+    """A couple of thousand real border records (one partial pass)."""
+    from itertools import islice
+
+    return list(islice(small_dtcp18.packet_stream(end=hours(12)), 4000))
 
 
 @pytest.fixture(scope="session")

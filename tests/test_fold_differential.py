@@ -9,12 +9,15 @@ every later ``set`` walk sees.
 
 ``split_columns`` must route every record as the per-record rule
 ``shard_of(owning_address(record))`` does, in stream order, for any
-address and any shard count.
+address and any shard count.  ``route_columns`` -- the row indices the
+stream driver hands over instead of copies -- must be that split of the
+capture filter's survivors, however its parts are gathered.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net.packet import (
@@ -26,7 +29,13 @@ from repro.net.packet import (
     TcpFlags,
 )
 from repro.passive.monitor import PassiveServiceTable
-from repro.stream.shard import owning_address, shard_of, split_columns
+from repro.stream.fabric import _Arena
+from repro.stream.shard import (
+    owning_address,
+    route_columns,
+    shard_of,
+    split_columns,
+)
 from repro.trace.columnar import RecordColumns
 
 
@@ -184,3 +193,58 @@ class TestSplitColumns:
                 record
             )
         assert [part.to_records() for part in parts] == expected
+
+
+@pytest.fixture(scope="module")
+def arena():
+    return _Arena(1)
+
+
+@st.composite
+def _keep_masks(draw, size):
+    """All kept, none kept, one row kept, or a random drop pattern."""
+    kind = draw(st.sampled_from(("all", "none", "one", "random")))
+    keep = np.zeros(size, dtype=bool)
+    if kind == "all":
+        keep[:] = True
+    elif kind == "one" and size:
+        keep[draw(st.integers(min_value=0, max_value=size - 1))] = True
+    elif kind == "random":
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        share = draw(st.floats(min_value=0.0, max_value=1.0))
+        keep = np.random.default_rng(seed).random(size) < share
+    return keep
+
+
+class TestRouteColumns:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), shards=st.sampled_from((1, 2, 3, 8)))
+    def test_route_is_the_split_of_the_filtered_batch(
+        self, small_dtcp18, record_sample, arena, data, shards
+    ):
+        lo = data.draw(st.integers(min_value=0, max_value=len(record_sample)))
+        hi = data.draw(st.integers(min_value=lo, max_value=len(record_sample)))
+        batch = RecordColumns.from_records(record_sample[lo:hi])
+        keep = data.draw(_keep_masks(len(batch)))
+        is_campus = small_dtcp18.is_campus
+        # What the driver passes: None when the filter dropped nothing.
+        rows = None if keep.all() else np.flatnonzero(keep)
+        parts = route_columns(batch, is_campus, shards, rows)
+        assert [part.columns().to_records() for part in parts] == [
+            part.to_records()
+            for part in split_columns(batch.compress(keep), is_campus, shards)
+        ]
+
+        # Gathered straight into a ring slot, a part leaves the bytes
+        # its materialised columns would.
+        for part in parts:
+            start = data.draw(st.integers(min_value=0, max_value=len(part)))
+            stop = data.draw(st.integers(min_value=start, max_value=len(part)))
+            at = data.draw(st.integers(min_value=0, max_value=100))
+            arena.write(0, at, part, start, stop)
+            arena.write(1, at, part.columns(), start, stop)
+            for routed, materialised in zip(*arena.columns[:2]):
+                assert (
+                    routed[at:at + stop - start].tobytes()
+                    == materialised[at:at + stop - start].tobytes()
+                )

@@ -25,6 +25,7 @@ from repro.stream import (
     CheckpointError,
     FabricConfig,
     FabricSupervisor,
+    IngestStallError,
     StreamConfig,
     StreamEngine,
     StreamIngestor,
@@ -35,6 +36,7 @@ from repro.stream import (
     emit_schedule,
     load_checkpoint,
     owning_address,
+    route_columns,
     save_checkpoint,
     shard_of,
     split_columns,
@@ -64,14 +66,6 @@ def small_config(**overrides) -> StreamConfig:
 @pytest.fixture(scope="module")
 def batch_report(small_dtcp18):
     return batch_survey_report(small_config(), dataset=small_dtcp18)
-
-
-@pytest.fixture(scope="module")
-def record_sample(small_dtcp18):
-    """A couple of thousand real border records (one partial pass)."""
-    from itertools import islice
-
-    return list(islice(small_dtcp18.packet_stream(end=hours(12)), 4000))
 
 
 class TestShardRouting:
@@ -147,6 +141,67 @@ class TestEquivalence:
         assert result.table.flow_counts == reference.flow_counts
         assert result.table.clients == reference.clients
         assert result.table.last_seen == reference.last_seen
+
+    def test_driver_thread_copies_no_records(self, small_dtcp18, monkeypatch):
+        """The driver decides rows -- which ones the capture filter keeps,
+        which shard owns each -- and the shard threads gather them: no
+        ``take`` or ``compress`` runs on the driver thread (telemetry is
+        off, so no tap wants the filtered batch)."""
+        from repro.telemetry.metrics import telemetry_enabled
+
+        assert not telemetry_enabled()
+        config = small_config(shards=2, faults=CAPTURE_FAULTS)
+        reference = batch_survey_report(config, dataset=small_dtcp18)
+        # Read the source first: a regenerated stream sorts its windows
+        # with ``take`` on whatever thread iterates it.
+        batches = list(
+            small_dtcp18.column_batches(batch_records=config.batch_records)
+        )
+
+        def column_batches(end=None, skip=0, batch_records=None):
+            assert skip == 0
+            return iter(batches)
+
+        monkeypatch.setitem(
+            vars(small_dtcp18), "column_batches", column_batches
+        )
+        calls = []
+        for name in ("take", "compress"):
+            def spy(cols, selector, name=name,
+                    method=getattr(RecordColumns, name)):
+                calls.append((name, threading.get_ident()))
+                return method(cols, selector)
+
+            monkeypatch.setattr(RecordColumns, name, spy)
+        result = StreamEngine(config, dataset=small_dtcp18).run()
+        driver = threading.get_ident()
+        assert result.records_delivered < result.records_read  # rows dropped
+        assert [name for name, thread in calls if thread == driver] == []
+        assert any(name == "take" for name, _ in calls)  # the shards gathered
+        assert result.report == reference
+
+    def test_faulted_fabric_with_a_failover_matches_faulted_batch(
+        self, small_dtcp18
+    ):
+        """A crashed worker's replacement catches up through
+        ``replay_gap``: the scratch filter's kept rows, routed as the
+        live feed routes them, gathered into the ring by ``_place``."""
+        from repro.faults.worker import WorkerFaultPlan
+
+        config = small_config(shards=2, faults=CAPTURE_FAULTS)
+        events = []
+        result = FabricSupervisor(
+            config,
+            FabricConfig(
+                worker_faults=WorkerFaultPlan(seed=1, crash_rate=1.0),
+                heartbeat_interval=0.05, miss_budget=4, max_restarts=25,
+                restart_backoff=0.01, restart_backoff_max=0.05,
+            ),
+            dataset=small_dtcp18,
+        ).run(on_event=events.append)
+        assert result.report == batch_survey_report(config, dataset=small_dtcp18)
+        assert result.records_delivered < result.records_read  # rows dropped
+        assert any(line.startswith("fabric: reassign") for line in events)
 
 
 class TestOneBatchType:
@@ -843,6 +898,69 @@ class TestInBandMarks:
             with pytest.raises(ShardWorkerError):
                 transport.close()
 
+    def test_marks_never_wait_for_part_room(self, small_dtcp18, record_sample):
+        """``max_queue_chunks`` bounds parts: with shard 0 wedged on the
+        one part it has room for, marks still queue at once -- and are
+        answered from that prefix once it folds -- while another part
+        is refused."""
+
+        def table():
+            return PassiveServiceTable(
+                is_campus=small_dtcp18.is_campus,
+                tcp_ports=small_dtcp18.tcp_ports,
+                udp_ports=small_dtcp18.udp_ports,
+            )
+
+        half = len(record_sample) // 2
+        first = RecordColumns.from_records(record_sample[:half])
+        second = RecordColumns.from_records(record_sample[half:])
+        marks = [
+            record_sample[lo].time for lo in (half // 4, half // 2, half - 1)
+        ]
+        reference = table()
+        reference.observe_columns(first)
+        expected = [
+            {
+                address
+                for (address, _port, _proto), seen in reference.first_seen.items()
+                if seen <= mark
+            }
+            for mark in marks
+        ]
+
+        states = [ShardState(index, table()) for index in range(2)]
+        release = threading.Event()
+        fold = states[0].observe_columns
+
+        def blocked(part):
+            release.wait(10.0)
+            fold(part)
+
+        states[0].observe_columns = blocked
+        ingestor = StreamIngestor(
+            states, max_queue_chunks=1, put_timeout=0.01, stall_timeout=0.1
+        )
+        parts = [
+            route_columns(batch, small_dtcp18.is_campus, 2)
+            for batch in (first, second)
+        ]
+        assert all(len(part) for routed in parts for part in routed)
+        try:
+            ingestor.dispatch(parts[0])
+            # No room is left for a part: a mark that needed some would
+            # raise IngestStallError here.
+            answers = [ingestor.request_mark(mark) for mark in marks]
+            with pytest.raises(IngestStallError) as excinfo:
+                ingestor.dispatch(parts[1])
+            assert excinfo.value.index == 0
+            assert all(answer[0] is None for answer in answers)
+            release.set()
+            ingestor.drain()
+        finally:
+            release.set()
+            ingestor.close()
+        assert [set().union(*answer) for answer in answers] == expected
+
     def test_stop_with_marks_pending_resumes_identically(
         self, small_dtcp18, tmp_path, monkeypatch
     ):
@@ -1003,6 +1121,35 @@ class TestIngestor:
         ingestor.dispatch([RecordColumns.from_records(record_sample[:10])])
         with pytest.raises(ShardWorkerError):
             ingestor.drain()
+
+    def test_failed_shard_gives_back_room_and_surfaces_from_dispatch(
+        self, record_sample
+    ):
+        """A shard whose fold raised still returns the room of every part
+        it consumes, so the next dispatch names the failure instead of
+        stalling on a shard that will never fold again."""
+
+        def explode(part):
+            raise RuntimeError("boom")
+
+        states = self._states(1)
+        states[0].observe_columns = explode
+        ingestor = StreamIngestor(
+            states, max_queue_chunks=1, put_timeout=0.01, stall_timeout=0.1
+        )
+        part = RecordColumns.from_records(record_sample[:10])
+        try:
+            with pytest.raises(ShardWorkerError, match="shard 0"):
+                for _ in range(50):
+                    ingestor.dispatch([part])
+            with pytest.raises(ShardWorkerError):
+                ingestor.drain()
+            # Every part is consumed: all of the room is back.
+            assert ingestor._room[0].acquire(blocking=False)
+            ingestor._room[0].release()
+        finally:
+            with pytest.raises(ShardWorkerError):
+                ingestor.close()
 
     def test_accounting(self, small_dtcp18, record_sample):
         states = [
