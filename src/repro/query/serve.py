@@ -12,7 +12,7 @@ snapshot), announces ``serving on http://host:port`` on stderr (the
 subprocess tests parse this), keeps serving after ingest completes (the
 final snapshot is the complete state), and shuts down cleanly on
 SIGTERM/SIGINT: the engine is asked to stop, which it does at its next
-batch boundary (draining, and checkpointing if configured), the
+batch boundary (checkpointing if configured), the
 listener closes, and the process exits 0 -- or 1 when ingest failed.
 
 This module is imported lazily by the CLI only: it pulls in

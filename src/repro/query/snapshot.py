@@ -3,9 +3,10 @@
 The query service must answer from shard state *while ingest keeps
 mutating it*.  Rather than locking the shard tables (stalling ingest)
 or reading them live (tearing responses), shards publish
-**copy-on-publish snapshots**: at each snapshot boundary the engine
-drains its queues -- so the state is a consistent stream prefix -- and
-copies every per-endpoint map into one :class:`DiscoverySnapshot`.
+**copy-on-publish snapshots**: at each snapshot boundary every shard
+copies its per-endpoint maps behind the records fed before the request
+-- so the state is a consistent stream prefix -- and the engine merges
+them into one :class:`DiscoverySnapshot`.
 Publication swaps a single reference (:mod:`repro.query.state`), after
 which the snapshot is never mutated; any number of concurrent readers
 answer from it without coordination, and ingest resumes untouched.
@@ -230,9 +231,8 @@ def merge_snapshot_payloads(
     """Union per-shard payloads into one snapshot (disjoint keys).
 
     The same dict-union ``merge_shards`` performs on live tables, over
-    the plain-data payloads -- usable both in process (engine) and
-    across the fabric's queues (supervisor merging worker ``snap_ack``
-    payloads).
+    the plain-data payloads each shard answers a ``snap`` round with --
+    from a shard thread or across the fabric's pipes alike.
     """
     first_seen: dict[Endpoint, float] = {}
     last_seen: dict[Endpoint, float] = {}
@@ -266,9 +266,8 @@ def snapshot_states(
 ) -> DiscoverySnapshot:
     """Copy-on-publish snapshot of in-process shard states.
 
-    Call only at a consistent cut (after the engine drains its shard
-    queues); the returned snapshot is immutable and safe to hand to
-    concurrent readers while ingest resumes.
+    Call only at a consistent cut (finished shard states); the returned
+    snapshot is immutable and safe to hand to concurrent readers.
     """
     return merge_snapshot_payloads(
         (shard_snapshot_payload(state) for state in states),

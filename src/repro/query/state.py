@@ -14,7 +14,7 @@ protocol keeps both sides honest:
   more versions.
 
 Consistency model: every response is computed against exactly one
-snapshot (a consistent stream prefix -- queues drained before copy),
+snapshot (a consistent stream prefix -- copied behind the records fed),
 and versions observed by any single reader are monotone.
 """
 

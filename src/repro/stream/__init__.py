@@ -55,6 +55,7 @@ from repro.stream.ingest import (
 from repro.stream.membership import Member, Membership
 from repro.stream.shard import (
     RoutedPart,
+    ShardServant,
     ShardState,
     merge_shards,
     merged_last_seen,
@@ -87,6 +88,7 @@ __all__ = [
     "STREAM_CHECKPOINT_VERSION",
     "ShardCheckpointStore",
     "ShardRestore",
+    "ShardServant",
     "ShardState",
     "ShardWorkerError",
     "StreamConfig",

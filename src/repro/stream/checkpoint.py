@@ -26,8 +26,8 @@ Two durability layers protect every artifact this module writes:
 There is one on-disk layout of stream state, whichever transport took
 it: the **generation store** (:class:`ShardCheckpointStore`).  Each
 shard's state goes to its own ``shard-SSS.gen-GGGGGG.ckpt`` file
-(written by the worker process that owns it, or by the threaded
-transport after a drain), and a ``manifest.gen-GGGGGG.ckpt`` carrying
+(written by its :class:`~repro.stream.shard.ShardServant`, on a shard
+thread or in a worker process), and a ``manifest.gen-GGGGGG.ckpt`` carrying
 the run's progress commits the generation only after every shard file
 landed -- so a generation is either fully committed or invisible.  The
 store retains the last ``keep_generations`` committed generations; a
@@ -228,8 +228,8 @@ class ShardCheckpointStore:
         <root>/shard-003.gen-000007.ckpt   one file per shard per generation
         <root>/manifest.gen-000007.ckpt    commit record for generation 7
 
-    Whoever owns a shard's state writes its file (a fabric worker, or
-    the threaded transport after a drain); the run's driver writes the
+    Whoever owns a shard's state writes its file (its servant, on a
+    shard thread or a fabric worker); the run's driver writes the
     manifest last, so the manifest's existence *is* the commit.
     ``keep_generations`` committed generations are retained, giving
     corruption fallback one generation of slack by default.

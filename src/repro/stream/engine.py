@@ -25,16 +25,23 @@ here (:class:`_ThreadTransport`), worker processes in
    driver reads on -- and emits a
    :class:`repro.stream.watermark.Watermark` once it is answered:
    windowed completeness without replay;
-3. when stream time crosses a snapshot or checkpoint mark, it collects
-   a consistent cut from the transport and publishes it, or has the
-   transport write it out with the run's progress payload
-   (:mod:`repro.stream.checkpoint`), so a killed run resumes from the
-   last checkpoint and converges to the identical final report;
+3. when stream time crosses a snapshot or checkpoint mark, it sends
+   the shards an in-band snapshot round, waits for it and publishes the
+   merged cut, or requests a checkpoint generation that commits behind
+   the stream with the run's progress payload as it stood at the
+   request (:mod:`repro.stream.checkpoint`), so a killed run resumes
+   from the last checkpoint and converges to the identical final
+   report;
 4. at end of stream the shard states merge into one ordinary
    :class:`~repro.passive.monitor.PassiveServiceTable` and the final
    report renders through the same function as ``python -m repro
    survey`` -- byte-identical to the batch path on the same
    (seed, scale, faults).
+
+Both transports carry the same requests: a shard's
+:class:`~repro.stream.shard.ShardServant` answers each behind the parts
+fed before it, and one :class:`AckLedger` files the answers and commits
+the checkpoint generations; a transport only sends and waits.
 
 Memory is flat in trace length: the engine holds one decoded batch
 plus the transport's bounded shard queues (a queued part holds its
@@ -43,6 +50,7 @@ batch); nothing retains the stream.
 
 from __future__ import annotations
 
+import queue
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -57,7 +65,6 @@ from repro.probe import POLICY_NAMES, build_prober
 from repro.query.snapshot import (
     DiscoverySnapshot,
     merge_snapshot_payloads,
-    shard_snapshot_payload,
     snapshot_states,
 )
 from repro.stream.checkpoint import ShardCheckpointStore, checkpoint_config
@@ -229,7 +236,7 @@ def finalize_result(
     now: float = 0.0,
     probes=None,
 ) -> StreamResult:
-    """Merge drained shard states and render the final report.
+    """Merge finished shard states and render the final report.
 
     The single funnel every streaming front-end finishes through --
     the threaded engine and the process fabric both call this, so
@@ -341,14 +348,14 @@ class StreamEngine:
 
         On ``KeyboardInterrupt`` (the CLI's SIGTERM/SIGINT handlers
         call :meth:`request_stop`, which raises it at the next batch
-        boundary) the engine emits the marks still pending, drains,
-        commits a checkpoint generation when a path is configured, and
-        re-raises -- the graceful half of kill/resume.
+        boundary) the engine emits the marks still pending, commits a
+        checkpoint generation when a path is configured, and re-raises
+        -- the graceful half of kill/resume.
 
         *publisher* is a :class:`repro.query.state.QueryState` (or
         anything with ``publish(snapshot)``); when set together with
-        ``config.snapshot_every``, the engine drains at each snapshot
-        mark and publishes a copy-on-publish
+        ``config.snapshot_every``, the engine collects an in-band
+        snapshot round at each snapshot mark and publishes a copy-on-publish
         :class:`~repro.query.snapshot.DiscoverySnapshot` of the merged
         shard state.  The final snapshot is always published so the
         service keeps answering after the stream ends.
@@ -379,8 +386,9 @@ class StreamEngine:
         before it, and a requested stop interrupts on a batch boundary.
 
         *transport* owns only how shard state is reached (the surface
-        is :class:`_ThreadTransport`'s methods; the fabric supervisor
-        is the other implementation).  Marks and checkpoints are
+        is :class:`_ThreadTransport`'s methods, most of them its
+        :class:`AckLedger`'s; the fabric supervisor is the other
+        implementation).  Marks and checkpoints are
         pipelined on both: the driver requests them in order and takes
         up whatever the transport reports complete -- emitting the
         marks, counting the committed generations -- waiting for marks
@@ -529,11 +537,10 @@ class StreamEngine:
                         "Wall time from requesting a checkpoint "
                         "generation to its committed manifest.",
                     ).observe(seconds)
-                    if size is not None:
-                        reg.histogram(
-                            "repro_stream_checkpoint_bytes",
-                            "Size of each written stream checkpoint.",
-                        ).observe(size)
+                    reg.histogram(
+                        "repro_stream_checkpoint_bytes",
+                        "Size of each written stream checkpoint.",
+                    ).observe(size)
 
         states = None
         trc.event(
@@ -607,7 +614,7 @@ class StreamEngine:
                                 "Query snapshots published by stream runs.",
                             ).inc()
                 if next_checkpoint is not None and now >= next_checkpoint:
-                    # Pending marks drain first, so the payload's
+                    # Pending marks are emitted first, so the payload's
                     # emission cursor matches its watermark list.
                     emit(transport.completed_marks(wait=True))
                     with _span("stream.checkpoint", records=records_read):
@@ -740,121 +747,228 @@ class StreamEngine:
                 return
 
 
-class _ThreadTransport:
-    """Shard state behind worker threads in this process.
+#: How long a wait for shard replies blocks before it checks for failure.
+_REPLY_WAIT_SECONDS = 0.02
 
-    Marks travel in band, as they do to fabric workers: each is queued
-    behind every shard's pending parts and answered by the shard's own
-    thread, so the driver routes the next batch while this one folds.
-    Snapshots, checkpoints and :meth:`finish` are drains: they wait for
-    the :class:`StreamIngestor`'s queues to empty, then read the live
-    :class:`ShardState` objects.  Its methods are the whole transport
-    surface :meth:`StreamEngine._drive` uses.
+
+@dataclass
+class _Request:
+    """One request sent to every shard, and their answers so far: *key*
+    is the mark index, generation or snapshot round; *arg* the mark, or
+    the progress a generation's manifest will carry."""
+
+    key: int
+    arg: object = None
+    started: float = 0.0
+    acks: dict = field(default_factory=dict)
+
+
+class AckLedger:
+    """The driver's half of the in-band protocol, for both transports.
+
+    Marks, checkpoint generations and snapshot rounds go to every
+    shard's :class:`~repro.stream.shard.ShardServant` behind its parts;
+    the ledger files the answers (:meth:`_ack`), commits a generation
+    (writes its manifest) once every shard acked, and aborts what is in
+    flight on a failover (:meth:`_abort`).  A transport supplies
+    ``_broadcast(request)`` and ``_wait(timeout)``: take replies in,
+    waiting up to *timeout*; raise, or fail over, for a dead shard.
     """
 
-    def __init__(self, engine: StreamEngine) -> None:
+    def _open_ledger(self, engine: StreamEngine) -> None:
+        """Fresh bookkeeping for one run of *engine*'s config."""
         config = engine.config
-        self.engine = engine
+        self.shards = shards = config.shards
         self.store = (
             ShardCheckpointStore(config.checkpoint_path)
             if config.checkpoint_path
             else None
         )
         self.identity = engine._identity()
-        self.generation = 0
-        self.restores: tuple = ()
-        self.max_queue_chunks = config.max_queue_chunks
-        self.states = [
-            ShardState(index, _fresh_table(engine.dataset))
-            for index in range(config.shards)
-        ]
-        self.ingestor: StreamIngestor | None = None
-        #: Per requested mark, the shard threads' answers (None: pending).
-        self._marks: deque[list] = deque()
+        self._restores: tuple = (None,) * shards
+        self._marks: dict[int, _Request] = {}
+        self._generation: _Request | None = None
+        self._snapshot: _Request | None = None
+        self._last_generation = 0
+        self._committed = 0
         self._commits: list[tuple[float, int]] = []
+        self._rounds = 0
 
     def restore(self) -> dict | None:
-        """Plan the restore; return the newest manifest's progress, if any."""
+        """Plan the restore; return the newest manifest's progress, if any.
+
+        Each shard restarts from its newest good generation and
+        :meth:`start` replays the difference.
+        """
         plan = self.store.plan_restore(self.identity)
         if plan is None:
             return None
-        self.generation = plan.generation
-        self.restores = plan.shards
+        self._last_generation = self._committed = plan.generation
+        self._restores = plan.shards
         return plan.manifest
+
+    def poll(self) -> None:
+        """Take in whatever the shards answered since the last look."""
+        self._wait(0.0)
+
+    def _ack(self, kind: str, key: int, shard: int, answer) -> None:
+        """File one shard's answer; commit a generation all have acked."""
+        if kind == "mark":
+            pending = self._marks.get(key)
+        else:
+            pending = self._generation if kind == "ckpt" else self._snapshot
+        if pending is None or pending.key != key:
+            return  # aborted, or answered by a replaced worker
+        pending.acks[shard] = answer
+        if kind == "ckpt" and len(pending.acks) == self.shards:
+            self._generation = None
+            size = sum(pending.acks.values()) + self.store.save_manifest(
+                pending.key, self.identity, pending.arg
+            )
+            self._committed = pending.key
+            self._commits.append((perf_counter() - pending.started, size))
+            self._on_commit(pending.key, pending.arg["records_read"])
+
+    def _on_commit(self, generation: int, records: int) -> None:
+        """Hook: a generation's manifest was just written."""
+
+    def _abort(self) -> None:
+        """Drop the generation and the snapshot round in flight."""
+        self._generation = None
+        self._snapshot = None
+
+    def request_mark(self, index: int, mark: float) -> None:
+        """Ask for the passive addresses first seen at or before *mark*."""
+        self._marks[index] = _Request(index, mark)
+        self._broadcast(("mark", index, mark))
+
+    def completed_marks(self, wait: bool = False) -> list[set[int]]:
+        """Passive address sets of fully answered marks, in request
+        order; with *wait*, every requested mark is answered first."""
+        completed: list[set[int]] = []
+        marks = self._marks
+        while marks:
+            pending = next(iter(marks.values()))  # the oldest
+            if len(pending.acks) < self.shards:
+                if not wait:
+                    break
+                self._wait()
+                continue
+            completed.append(set().union(*pending.acks.values()))
+            del marks[pending.key]
+        return completed
+
+    def checkpoint(self, progress: dict) -> None:
+        """Request one generation (the one in flight settles first).
+
+        Each shard writes its file in band -- by FIFO, exactly the
+        records fed before the request -- and the manifest, carrying
+        *progress* as it stood now, commits it once all have acked.
+        """
+        self._settle()
+        self._last_generation += 1
+        self._generation = _Request(
+            self._last_generation, progress, perf_counter()
+        )
+        self._broadcast(("ckpt", self._last_generation, None))
+
+    def _settle(self) -> None:
+        """Wait out the generation in flight: committed, or aborted."""
+        while self._generation is not None:
+            self._wait()
+
+    def committed_checkpoints(self, wait: bool = False) -> list[tuple]:
+        """``(request-to-commit seconds, bytes)`` per generation
+        committed since the last call; with *wait*, the generation in
+        flight settles first."""
+        if wait:
+            self._settle()
+        commits, self._commits = self._commits, []
+        return commits
+
+    def snapshot_payloads(self) -> list[dict] | None:
+        """One payload per shard, in shard order, each covering exactly
+        the batches fed before the request; ``None`` if a failover
+        aborted the round."""
+        self._rounds += 1
+        snapshot = self._snapshot = _Request(self._rounds)
+        self._broadcast(("snap", self._rounds, None))
+        while self._snapshot is snapshot:
+            if len(snapshot.acks) == self.shards:
+                self._snapshot = None
+                return [snapshot.acks[shard] for shard in range(self.shards)]
+            self._wait()
+        return None
+
+    def clear_checkpoints(self) -> None:
+        if self.store is not None:
+            self.store.clear()
+
+
+class _ThreadTransport(AckLedger):
+    """Shard state behind worker threads in this process: requests are
+    answered by each shard's thread, behind its parts, onto one reply
+    queue; :meth:`finish` returns the live states.  With
+    :class:`AckLedger`'s, its methods are the transport surface
+    :meth:`StreamEngine._drive` uses."""
+
+    def __init__(self, engine: StreamEngine) -> None:
+        self.engine = engine
+        self._open_ledger(engine)
+        self.states = [
+            ShardState(index, _fresh_table(engine.dataset))
+            for index in range(self.shards)
+        ]
+        self.ingestor: StreamIngestor | None = None
 
     def start(self, offset: int) -> None:
         """Bring the shards up, holding the stream's first *offset* records.
 
         Each shard restarts from its newest good generation; one that
         lags the manifest (its newest file was corrupt) folds the gap
-        again before the ingestor starts.
+        again before the stream is fed.
         """
-        for state, restore in zip(self.states, self.restores):
+        self.ingestor = StreamIngestor(
+            self.states, self.engine.config.max_queue_chunks,
+            store=self.store, identity=self.identity,
+        )
+        for servant, restore in zip(self.ingestor.servants, self._restores):
+            if restore is None:
+                continue
+            shard = servant.state.index
             if restore.state is not None:
-                state.restore_state(restore.state)
+                servant.state.restore_state(restore.state)
             for parts in self.engine.replay_gap(
                 restore.records_read, offset, restore.faults
             ):
-                if len(parts[state.index]):
-                    state.observe_columns(parts[state.index])
-        self.ingestor = StreamIngestor(
-            self.states, max_queue_chunks=self.max_queue_chunks
-        )
+                if len(parts[shard]):
+                    servant.handle(("rows", None, parts[shard]))
 
     def feed(self, parts: list, offset: int) -> None:
         """Hand over one routed batch; *offset* is the source position after it."""
         self.ingestor.dispatch(parts)
 
-    def poll(self) -> None:
-        """Service the transport between batches (threads need nothing)."""
+    def _broadcast(self, request: tuple) -> None:
+        self.ingestor.request(request)
 
-    def request_mark(self, index: int, mark: float) -> None:
-        """Ask for the passive addresses first seen at or before *mark*."""
-        self._marks.append(self.ingestor.request_mark(mark))
-
-    def completed_marks(self, wait: bool = False) -> list[set[int]]:
-        """Fully answered marks in request order; all of them when *wait*."""
-        if wait:
-            self.ingestor.drain()
-        marks = self._marks
-        completed = []
-        while marks and None not in marks[0]:
-            completed.append(set().union(*marks.popleft()))
-        return completed
-
-    def snapshot_payloads(self):
-        """Per-shard snapshot payloads of one consistent cut, or None."""
-        self.ingestor.drain()
-        return (shard_snapshot_payload(state) for state in self.states)
-
-    def checkpoint(self, progress: dict) -> None:
-        """Commit one generation: every shard's file, then the manifest
-        carrying *progress*.  Drains first, so it commits at request time."""
-        started = perf_counter()
-        self.ingestor.drain()
-        self.generation += 1
-        size = sum(
-            self.store.save_shard(
-                state.index, self.generation, self.identity, state.state_dict()
-            )
-            for state in self.states
-        )
-        size += self.store.save_manifest(
-            self.generation, self.identity, progress
-        )
-        self._commits.append((perf_counter() - started, size))
-
-    def committed_checkpoints(self, wait: bool = False) -> list[tuple]:
-        """``(seconds, bytes or None)`` per generation committed since the
-        last call; with *wait*, a generation still in flight settles first."""
-        commits, self._commits = self._commits, []
-        return commits
+    def _wait(self, timeout: float = _REPLY_WAIT_SECONDS) -> None:
+        replies = self.ingestor.replies
+        try:
+            reply = replies.get(timeout > 0, timeout)
+            while True:
+                for answer in reply:
+                    self._ack(*answer)
+                reply = replies.get_nowait()
+        except queue.Empty:
+            pass
+        self.ingestor.raise_if_failed()
 
     def interrupt(self, progress: dict) -> str:
-        """React to an interrupt; say what a resume will start from."""
+        """Commit one more generation; say what a resume will start from."""
         if self.store is None:
             return "no checkpoint configured"
         self.checkpoint(progress)
+        self._settle()
         return f"checkpoint saved to {self.store.root}"
 
     def finish(self) -> list[ShardState]:
@@ -862,14 +976,13 @@ class _ThreadTransport:
         self.ingestor.close()
         return self.states
 
-    def clear_checkpoints(self) -> None:
-        if self.store is not None:
-            self.store.clear()
-
     def close(self) -> None:
         """Tear down (idempotent; also runs after a failure)."""
-        if self.ingestor is not None:
+        if self.ingestor is None:
+            return
+        try:
             self.ingestor.close()
+        finally:
             reg = _telemetry_registry()
             if reg.enabled:
                 self.ingestor.flush_telemetry(reg)

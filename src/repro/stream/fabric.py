@@ -37,18 +37,16 @@ Exhausting ``max_restarts`` raises :class:`FabricDegradedError`
 ("degraded: shard N restarted K times") instead of hanging.
 
 **Consistency.**  Watermark, snapshot and checkpoint requests travel
-*in band* on the same FIFO queues as the row messages, so a worker
-answers them only after folding everything that preceded them, as the
-thread transport's shard threads answer marks queued behind their
-parts.  Marks and checkpoint generations are *pipelined*: the
-supervisor sends the request and goes on feeding.  A generation is
-committed by the supervisor's manifest write, only after every shard
-acked its own
-file, and the manifest carries the run progress frozen when the request
-was sent -- which, by the FIFO argument, is exactly what the shard
-files hold.  Generations are all-or-nothing: a failover between request
-and commit aborts the one in flight (the orphan shard files are never
-referenced and later pruned).
+*in band* on the same FIFO queues as the row messages, and a worker
+hands them to the same :class:`~repro.stream.shard.ShardServant` a
+shard thread uses, so it answers only after folding everything that
+preceded them.  The supervisor files the answers in the
+:class:`~repro.stream.engine.AckLedger` the thread transport uses too:
+marks and checkpoint generations are *pipelined*, a generation commits
+(its manifest, carrying the run progress frozen at the request) only
+once every shard acked its own file, and a failover between request
+and commit aborts it (the orphan shard files are never referenced and
+later pruned).
 
 The invariant all of this machinery serves: the final report is
 **byte-identical** to the single-process batch path at any worker
@@ -67,27 +65,27 @@ import os
 import queue
 import signal
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from time import monotonic, perf_counter
 from typing import Callable
 
 import numpy as np
 
 from repro.faults.worker import WorkerFaultEvents, WorkerFaultPlan
-from repro.query.snapshot import shard_snapshot_payload
 from repro.stream.checkpoint import (
     ShardCheckpointStore,
     ShardRestore,
 )
 from repro.stream.engine import (
+    _REPLY_WAIT_SECONDS,
+    AckLedger,
     StreamConfig,
     StreamEngine,
     StreamResult,
     _fresh_table,
 )
 from repro.stream.membership import Membership
-from repro.stream.shard import ShardState, as_routed
+from repro.stream.shard import ShardServant, ShardState, as_routed
 from repro.stream.watermark import Watermark
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
@@ -248,7 +246,7 @@ def _shard_worker(
     events: WorkerFaultEvents,
     trace_config: dict | None = None,
 ) -> None:
-    """Child main: fold the rows it is pointed at, answer markers, heartbeat.
+    """Child main: hand each work item to the shard's servant, heartbeat.
 
     Runs under the ``fork`` start method, so arguments (including the
     dataset with its closure-based campus predicate, and the arena)
@@ -262,14 +260,16 @@ def _shard_worker(
     injected crashes (no atexit -- indistinguishable from SIGKILL) and
     when orphaned by a dead supervisor.
 
-    Every in-band work item carries the supervisor's trace context as
-    its trailing element; with tracing on, the worker's own events
-    parent on it, which is what stitches a failover into one causal
-    chain across the process boundary.  The inherited parent tracer and
-    registry must never be written from the child: the tracer is
-    replaced first thing (a fresh per-incarnation one, or the null
-    tracer), and a fresh metric registry is swapped in iff telemetry is
-    enabled, its snapshot shipped home on the ``done`` message.
+    A work item is a :class:`~repro.stream.shard.ShardServant` request
+    plus the supervisor's trace context, ``(kind, key, arg, ctx)``: a
+    ``rows`` item's *arg* names arena rows and its *key* is the sequence
+    the worker publishes once they are folded; ``stop`` ships the state
+    home.  With tracing on, the worker's events parent on *ctx*, which
+    stitches a failover into one causal chain across the process
+    boundary.  The inherited tracer and registry are never written from
+    the child: the tracer is replaced first thing (per incarnation, or
+    the null tracer), and a fresh registry is swapped in iff telemetry
+    is enabled, its snapshot shipped home on ``done``.
     """
     parent = os.getppid()
     # The fork copied every pipe end the supervisor held.  Keep only the
@@ -319,6 +319,7 @@ def _shard_worker(
     state = ShardState(shard, _fresh_table(dataset))
     if initial_state is not None:
         state.restore_state(initial_state)
+    servant = ShardServant(state, store, identity)
     suppress_beats = 0
     drop_armed = events.drop_heartbeats_at is not None
     last_beat = monotonic()
@@ -335,76 +336,16 @@ def _shard_worker(
                 else:
                     outbox.send(("beat", shard, incarnation))
             try:
-                item = work_queue.get(timeout=heartbeat_interval / 2)
+                kind, key, arg, ctx = work_queue.get(
+                    timeout=heartbeat_interval / 2
+                )
             except queue.Empty:
                 continue
             except EOFError:
                 os._exit(2)  # every write end is closed: supervisor died
-            kind = item[0]
-            if kind == "rows":
-                _, slot, lo, hi, sequence, link_names, ctx = item
-                with _span("worker.batch", parent=ctx) as batch:
-                    batch.durable = False  # per batch: the ring only
-                    state.observe_columns(arena.rows(slot, lo, hi, link_names))
-                    batch.fields["records"] = state.records
-                # Nothing here reads the slot again: hand it back.
-                arena.progress[shard] = sequence
-                if events.crash_at is not None and state.records >= events.crash_at:
-                    if trc.enabled:
-                        trc.event("worker.crash", parent=ctx, shard=shard,
-                                  incarnation=incarnation,
-                                  records=state.records)
-                        trc.dump_flight(
-                            "crash",
-                            f"injected crash at {state.records} records",
-                        )
-                    os._exit(137)  # injected crash: as abrupt as SIGKILL
-                if events.stall_at is not None and state.records >= events.stall_at:
-                    # Injected stall: stop consuming *and* beating, so the
-                    # supervisor's miss budget is what ends us.
-                    if trc.enabled:
-                        trc.event("worker.stall", parent=ctx, shard=shard,
-                                  incarnation=incarnation,
-                                  records=state.records)
-                        trc.dump_flight(
-                            "stall",
-                            f"injected stall at {state.records} records",
-                        )
-                    while True:
-                        time.sleep(heartbeat_interval)
-                        if os.getppid() != parent:
-                            os._exit(2)
-                if drop_armed and state.records >= events.drop_heartbeats_at:
-                    drop_armed = False
-                    suppress_beats = events.drop_heartbeats
-            elif kind == "mark":
-                _, index, mark, ctx = item
-                with _span("worker.mark", parent=ctx, index=index,
-                           records=state.records):
-                    owned = sorted(state.addresses_by(mark))
-                outbox.send(
-                    ("mark_ack", shard, incarnation, index, tuple(owned))
-                )
-            elif kind == "ckpt":
-                generation = item[1]
-                with _span("worker.ckpt", parent=item[2],
-                           generation=generation, records=state.records):
-                    store.save_shard(
-                        shard, generation, identity, state.state_dict()
-                    )
-                outbox.send(("ckpt_ack", shard, incarnation, generation))
-            elif kind == "snap":
-                # In-band like marks: the payload covers exactly the
-                # records fed before the request -- a consistent cut.
-                with _span("worker.snap", parent=item[2], index=item[1],
-                           records=state.records):
-                    payload = shard_snapshot_payload(state)
-                outbox.send(
-                    ("snap_ack", shard, incarnation, item[1], payload)
-                )
-            elif kind == "stop":
+            if kind == "stop":
                 if trc.enabled:
-                    trc.event("worker.done", parent=item[1], shard=shard,
+                    trc.event("worker.done", parent=ctx, shard=shard,
                               incarnation=incarnation, records=state.records)
                     trc.close()
                 outbox.send(
@@ -412,6 +353,46 @@ def _shard_worker(
                      _telemetry_registry().snapshot() if snapshot_home else None)
                 )
                 return
+            if kind != "rows":
+                with _span(f"worker.{kind}", parent=ctx, key=key,
+                           records=state.records):
+                    answer = servant.handle((kind, key, arg))
+                outbox.send(("ack", shard, incarnation, kind, key, answer))
+                continue
+            with _span("worker.batch", parent=ctx) as batch:
+                batch.durable = False  # per batch: the ring only
+                servant.handle(("rows", key, arena.rows(*arg)))
+                batch.fields["records"] = state.records
+            # Nothing here reads the slot again: hand it back.
+            arena.progress[shard] = key
+            if events.crash_at is not None and state.records >= events.crash_at:
+                if trc.enabled:
+                    trc.event("worker.crash", parent=ctx, shard=shard,
+                              incarnation=incarnation,
+                              records=state.records)
+                    trc.dump_flight(
+                        "crash",
+                        f"injected crash at {state.records} records",
+                    )
+                os._exit(137)  # injected crash: as abrupt as SIGKILL
+            if events.stall_at is not None and state.records >= events.stall_at:
+                # Injected stall: stop consuming *and* beating, so the
+                # supervisor's miss budget is what ends us.
+                if trc.enabled:
+                    trc.event("worker.stall", parent=ctx, shard=shard,
+                              incarnation=incarnation,
+                              records=state.records)
+                    trc.dump_flight(
+                        "stall",
+                        f"injected stall at {state.records} records",
+                    )
+                while True:
+                    time.sleep(heartbeat_interval)
+                    if os.getppid() != parent:
+                        os._exit(2)
+            if drop_armed and state.records >= events.drop_heartbeats_at:
+                drop_armed = False
+                suppress_beats = events.drop_heartbeats
     except BaseException as exc:  # noqa: BLE001 - reported, then hard exit
         try:
             if trc.enabled:
@@ -426,30 +407,7 @@ def _shard_worker(
 # ---- the supervisor ---------------------------------------------------
 
 
-@dataclass
-class _PendingMark:
-    """A watermark request sent to the workers but not yet emitted."""
-
-    index: int
-    mark: float
-    acks: dict[int, tuple] = field(default_factory=dict)
-
-
-@dataclass
-class _PendingGeneration:
-    """A checkpoint generation requested of the workers, not yet committed.
-
-    *progress* is the driver's payload frozen at the request: what the
-    manifest will say the shard files are a cut of.
-    """
-
-    generation: int
-    progress: dict
-    requested_at: float
-    acks: set[int] = field(default_factory=set)
-
-
-class FabricSupervisor:
+class FabricSupervisor(AckLedger):
     """Run one stream as a fleet of supervised shard worker processes.
 
     Wraps a :class:`~repro.stream.engine.StreamEngine` for everything
@@ -474,16 +432,10 @@ class FabricSupervisor:
         self.fabric = fabric or FabricConfig()
         self._wall = clock
         self.dataset = self.engine.dataset
-        self.plan = self.engine.plan
         worker_faults = self.fabric.worker_faults
         if worker_faults is not None and worker_faults.is_null:
             worker_faults = None
         self._worker_faults = worker_faults
-        self.store = (
-            ShardCheckpointStore(Path(config.checkpoint_path))
-            if config.checkpoint_path
-            else None
-        )
         # The dataset's campus predicate is a closure, so workers must
         # inherit it by fork; spawn would have to pickle it and fail.
         self._ctx = multiprocessing.get_context("fork")
@@ -526,7 +478,7 @@ class FabricSupervisor:
         process = self._ctx.Process(
             target=_shard_worker,
             args=(
-                shard, incarnation, self.dataset, self._identity,
+                shard, incarnation, self.dataset, self.identity,
                 self.store, initial_state, self._arena, self._queues,
                 self._inboxes, outbox, self.fabric.heartbeat_interval,
                 events, trace_config,
@@ -637,17 +589,8 @@ class FabricSupervisor:
         elif kind == "beat":
             self.membership.heartbeat(shard, incarnation, self._wall())
             self._heartbeats += 1
-        elif kind == "mark_ack":
-            pending = self._pending_marks.get(message[3])
-            if pending is not None:
-                pending.acks[shard] = message[4]
-        elif kind == "ckpt_ack":
-            pending = self._generation_pending
-            if pending is not None and message[3] == pending.generation:
-                pending.acks.add(shard)
-        elif kind == "snap_ack":
-            if message[3] == self._snap_index:
-                self._snap_acks[shard] = message[4]
+        elif kind == "ack":
+            self._ack(message[3], message[4], shard, message[5])
         elif kind == "done":
             self._done[shard] = message[3]
             if len(message) > 4 and message[4] is not None:
@@ -780,8 +723,8 @@ class FabricSupervisor:
                 self._arena.write(slot, at, part, start, stop)
                 self._slot_readers[slot][shard] = incarnation
                 self._queues[shard].put((
-                    "rows", slot, at, at + stop - start, sequence,
-                    part.link_names, ctx,
+                    "rows", sequence,
+                    (slot, at, at + stop - start, part.link_names), ctx,
                 ))
                 room -= stop - start
                 start = stop
@@ -833,8 +776,7 @@ class FabricSupervisor:
         tearing the fleet down.
         """
         restarts = self.membership.note_restart(shard)
-        self._generation_pending = None
-        self._snap_abort = True
+        self._abort()
         reg = _telemetry_registry()
         if reg.enabled:
             reg.counter(
@@ -871,7 +813,7 @@ class FabricSupervisor:
             time.sleep(backoff)
             if self.store is not None:
                 restore = self.store.restore_shard(
-                    shard, self._identity, self._committed
+                    shard, self.identity, self._committed
                 )
             else:
                 restore = ShardRestore(
@@ -897,11 +839,10 @@ class FabricSupervisor:
                 # replacement; already-acked ones stay valid (the dead
                 # worker answered them from the same deterministic
                 # prefix the replacement now holds).
-                for index in sorted(self._pending_marks):
-                    pending = self._pending_marks[index]
+                for pending in self._marks.values():
                     if shard not in pending.acks:
                         self._queues[shard].put(
-                            ("mark", pending.index, pending.mark,
+                            ("mark", pending.key, pending.arg,
                              trc.current_ids())
                         )
         if reg.enabled:
@@ -911,21 +852,6 @@ class FabricSupervisor:
             ).observe(perf_counter() - started)
 
     # ---- the transport surface (what StreamEngine._drive calls) --------
-
-    def restore(self) -> dict | None:
-        """Plan the fleet's restore; return the newest manifest, if any.
-
-        Run progress resumes from the manifest; each shard restarts
-        from its newest good generation and :meth:`start` replays the
-        difference.
-        """
-        plan = self.store.plan_restore(self._identity)
-        if plan is None:
-            return None
-        self._generation = self._committed = plan.generation
-        for restore in plan.shards:
-            self._restores[restore.shard] = restore
-        return plan.manifest
 
     def start(self, offset: int) -> None:
         for shard, restore in enumerate(self._restores):
@@ -941,76 +867,19 @@ class FabricSupervisor:
     def feed(self, parts: list, offset: int) -> None:
         self._place(enumerate(parts), offset)
 
-    def poll(self) -> None:
-        self._pump()
-        # Before the reap: a generation every shard acked is durable
-        # whatever has happened to its writers since.
-        self._commit_if_acked()
-        self._reap()
-
-    def _broadcast(self, item: tuple) -> None:
+    def _broadcast(self, request: tuple) -> None:
         """Send one in-band request to every shard's current worker."""
+        item = request + (_tracer().current_ids(),)
         for work_queue in self._queues:
             work_queue.put(item)
 
-    def request_mark(self, index: int, mark: float) -> None:
-        self._pending_marks[index] = _PendingMark(index=index, mark=mark)
-        self._broadcast(("mark", index, mark, _tracer().current_ids()))
+    def _wait(self, timeout: float = _REPLY_WAIT_SECONDS) -> None:
+        # An acked generation commits in the pump, before the reap: it is
+        # durable whatever has happened to its writers since.
+        self._pump(timeout)
+        self._reap()
 
-    def completed_marks(self, wait: bool = False) -> list[set[int]]:
-        """Passive address sets of fully-acked marks, in request order.
-
-        Marks are pipelined: without *wait* this returns only what the
-        workers have answered so far; with it, blocks until every
-        requested mark is answered.
-        """
-        completed: list[set[int]] = []
-        while self._pending_marks:
-            pending = next(iter(self._pending_marks.values()))  # oldest
-            if len(pending.acks) < self.config.shards:
-                if not wait:
-                    break
-                self._pump(0.02)
-                self._reap()
-                continue
-            completed.append(set().union(*pending.acks.values()))
-            del self._pending_marks[pending.index]
-        return completed
-
-    def checkpoint(self, progress: dict) -> None:
-        """Request one checkpoint generation; :meth:`poll` commits it.
-
-        Every worker is asked, in band, to write its shard file for a
-        fresh generation, and the supervisor goes on feeding.  The
-        manifest -- the commit record, carrying *progress* as it stood
-        at this request -- is written once all acks are in.  At most
-        one generation is in flight: the previous one settles first
-        (with a generation due every batch that wait is however far the
-        supervisor has run ahead of the workers, which costs them
-        nothing).  A failover anywhere between request and commit
-        aborts the generation: the stream has moved on, so the next
-        scheduled request is the retry.
-        """
-        self._settle()
-        self._generation = max(self._generation, self._committed) + 1
-        self._generation_pending = _PendingGeneration(
-            self._generation, progress, perf_counter()
-        )
-        self._broadcast(
-            ("ckpt", self._generation, _tracer().current_ids())
-        )
-
-    def _commit_if_acked(self) -> None:
-        """Write the in-flight generation's manifest once every shard acked."""
-        pending = self._generation_pending
-        if pending is None or len(pending.acks) < self.config.shards:
-            return
-        self._generation_pending = None
-        generation = pending.generation
-        self.store.save_manifest(generation, self._identity, pending.progress)
-        self._committed = generation
-        self._commits.append((perf_counter() - pending.requested_at, None))
-        records = pending.progress["records_read"]
+    def _on_commit(self, generation: int, records: int) -> None:
         _tracer().event(
             "fabric.manifest", generation=generation, records=records
         )
@@ -1018,43 +887,6 @@ class FabricSupervisor:
             f"fabric: manifest generation={generation} "
             f"records={records} path={self.store.manifest_path(generation)}"
         )
-
-    def _settle(self) -> None:
-        """Wait out the in-flight generation: committed, or aborted."""
-        while True:
-            self._commit_if_acked()
-            if self._generation_pending is None:
-                return
-            self._pump(0.02)
-            self._reap()
-
-    def committed_checkpoints(self, wait: bool = False) -> list[tuple]:
-        """``(request-to-commit seconds, None)`` per generation committed
-        since the last call; with *wait*, the in-flight one settles first."""
-        if wait:
-            self._settle()
-        commits, self._commits = self._commits, []
-        return commits
-
-    def snapshot_payloads(self) -> list[dict] | None:
-        """Collect one snapshot payload per worker, or None if aborted.
-
-        The request travels in band, so each worker's payload covers
-        exactly the batches fed before it -- and the driver feeds
-        every shard from one source cursor, so the payloads form a
-        consistent stream prefix.  A failover anywhere in the round
-        aborts it.
-        """
-        self._snap_index += 1
-        self._snap_acks = {}
-        self._snap_abort = False
-        self._broadcast(("snap", self._snap_index, _tracer().current_ids()))
-        while not self._snap_abort:
-            if len(self._snap_acks) >= self.config.shards:
-                return list(self._snap_acks.values())
-            self._pump(0.02)
-            self._reap()
-        return None
 
     def interrupt(self, progress: dict) -> str:
         """No checkpoint on interrupt: resume uses the last manifest.
@@ -1081,21 +913,16 @@ class FabricSupervisor:
                 incarnation = self.membership.members[shard].incarnation
                 if stop_sent.get(shard) != incarnation:
                     self._queues[shard].put(
-                        ("stop", _tracer().current_ids())
+                        ("stop", None, None, _tracer().current_ids())
                     )
                     stop_sent[shard] = incarnation
-            self._pump(0.02)
-            self._reap()
+            self._wait()
         states = []
         for shard in range(self.config.shards):
             state = ShardState(shard, _fresh_table(self.dataset))
             state.restore_state(self._done[shard])
             states.append(state)
         return states
-
-    def clear_checkpoints(self) -> None:
-        if self.store is not None:
-            self.store.clear()
 
     def close(self) -> None:
         self._kill_all()
@@ -1153,7 +980,7 @@ class FabricSupervisor:
         simulation: stop at that batch boundary with no report.
         """
         shards = self.config.shards
-        self._identity = self.engine._identity()
+        self._open_ledger(self.engine)
         self._on_event = on_event
         self._on_health = on_health
         self._last_health_push = 0.0
@@ -1174,20 +1001,11 @@ class FabricSupervisor:
         self._procs: list = [None] * shards
         self._queues: list = [None] * shards
         self._inboxes: list = [None] * shards
-        self._restores: list[ShardRestore | None] = [None] * shards
         self._records_fed = [0] * shards
-        self._pending_marks: dict[int, _PendingMark] = {}
-        self._generation_pending: _PendingGeneration | None = None
-        self._commits: list[tuple] = []
         self._done: dict[int, dict] = {}
         self._worker_errors: dict[int, str] = {}
-        self._generation = 0
-        self._committed = 0
         self._backpressure_timeouts = 0
         self._heartbeats = 0
-        self._snap_acks: dict[int, dict] = {}
-        self._snap_index = 0
-        self._snap_abort = False
         return self.engine._drive(
             self, resume, stop_after_records, progress, publisher
         )

@@ -3,8 +3,9 @@
 :class:`StreamIngestor` owns one worker thread and one bounded queue
 per shard.  The driving thread routes each decoded batch
 (:func:`repro.stream.shard.route_columns`: row indices, no copy) and
-enqueues the per-shard parts; each worker gathers its part's rows and
-folds them into its :class:`ShardState`, in arrival order.
+enqueues the per-shard parts; each worker hands them, in arrival order,
+to its :class:`~repro.stream.shard.ShardServant`, which gathers the
+part's rows and folds them into the shard's state.
 
 Memory stays flat regardless of trace length because nothing in the
 pipeline buffers unboundedly: the source yields fixed-size batches, at
@@ -13,15 +14,12 @@ shard out of room *blocks the producer* -- backpressure, not growth),
 and shard state is keyed by endpoints, whose count is bounded by the
 population rather than the observation length.
 
-Watermark marks travel in band (:meth:`StreamIngestor.request_mark`)
-on the same FIFO as the parts but take none of their room: a mark
-queued behind a shard's pending parts is answered by that shard's
-thread when it gets there, and requesting one never waits, so the
+Marks, snapshot rounds and checkpoint generations travel in band
+(:meth:`StreamIngestor.request`) on the same FIFO as the parts but take
+none of their room: a request queued behind a shard's pending parts is
+answered by that shard's thread when it gets there, onto
+:attr:`StreamIngestor.replies`, and sending one never waits, so the
 producer goes on routing while the shards fold.
-:meth:`StreamIngestor.drain` is the barrier the engine keeps for
-snapshots, checkpoints and the end of the stream: it returns only when
-every queued item has been handled, so state read after a drain is a
-consistent prefix of the stream.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import queue
 import threading
 from time import perf_counter
 
-from repro.stream.shard import ShardState
+from repro.stream.shard import ShardServant, ShardState
 
 #: Default bound on parts queued or folding per shard thread.  A part
 #: is one shard's rows of one source batch -- 8192 records when the
@@ -61,7 +59,7 @@ DEFAULT_STALL_TIMEOUT = 60.0
 #: marker, sat in the queue for ever and ``close`` never returned.
 _WORKER_POLL_SECONDS = 0.1
 
-_STOP = object()
+_STOP = ("stop", None, None)
 
 
 class ShardWorkerError(RuntimeError):
@@ -101,8 +99,11 @@ class StreamIngestor:
         One :class:`ShardState` per shard; workers mutate them.
     max_queue_chunks:
         Bound on parts queued or folding per shard; a shard out of room
-        blocks :meth:`dispatch` until its worker catches up.  Marks
+        blocks :meth:`dispatch` until its worker catches up.  Requests
         ride the same FIFO without taking room.
+    store, identity:
+        Where a ``ckpt`` request writes shard files, and under which
+        run identity (see :class:`ShardServant`).
     """
 
     def __init__(
@@ -111,6 +112,8 @@ class StreamIngestor:
         max_queue_chunks: int = DEFAULT_MAX_QUEUE_CHUNKS,
         put_timeout: float = DEFAULT_PUT_TIMEOUT,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
+        store=None,
+        identity: dict | None = None,
     ) -> None:
         if not states:
             raise ValueError("at least one shard is required")
@@ -119,6 +122,10 @@ class StreamIngestor:
         if put_timeout <= 0 or stall_timeout <= 0:
             raise ValueError("put_timeout and stall_timeout must be > 0")
         self.states = states
+        self.servants = [ShardServant(s, store, identity) for s in states]
+        #: Answers: lists of ``(kind, key, shard, answer)``, one list
+        #: per shard per run of requests.
+        self.replies: queue.Queue = queue.Queue()
         self.put_timeout = put_timeout
         self.stall_timeout = stall_timeout
         self.put_timeouts = 0
@@ -152,43 +159,57 @@ class StreamIngestor:
         return len(self.states)
 
     def _worker(self, index: int) -> None:
-        state = self.states[index]
+        servant = self.servants[index]
         work = self._queues[index]
         room = self._room[index]
         failed = False
+        # Answers to a run of requests go out together, before the next
+        # fold or once the queue is empty: a waiting driver wakes once
+        # per run, not once per answer.
+        answers: list = []
         while True:
             try:
                 item = work.get(timeout=_WORKER_POLL_SECONDS)
             except queue.Empty:
                 continue
-            is_part = item is not _STOP and type(item) is not tuple
+            kind = item[0]
             try:
-                if item is _STOP:
+                if kind == "stop":
                     return
                 if failed:
-                    # Consumed unhandled, so drain() still returns (and
-                    # raises the error) instead of waiting for ever.
+                    # Consumed unhandled, so drain() and close() return
+                    # (and raise the error) instead of waiting for ever.
                     continue
-                if not is_part:
-                    # A mark: every part queued before it is folded in.
-                    mark, answers = item
-                    answers[index] = state.addresses_by(mark)
+                if kind != "rows":
+                    answer = servant.handle(item)
+                    answers.append((kind, item[1], index, answer))
                     continue
+                if answers:
+                    self.replies.put(answers)
+                    answers = []
+                # Held until the next part replaces it: released by a
+                # request, it frees the driver's routing arrays before
+                # the next route, which then page-faults (DESIGN.md §11).
+                part = item[2]
                 started = perf_counter()
-                state.observe_columns(item)
+                servant.handle(item)
                 self.shard_seconds[index] += perf_counter() - started
-                self.shard_records[index] += len(item)
+                self.shard_records[index] += len(part)
                 with self._queued_lock:
-                    self._queued_records[index] -= len(item)
+                    self._queued_records[index] -= len(part)
             except BaseException as exc:  # noqa: BLE001 - surfaced on drain
                 failed = True
                 self._errors.append(ShardWorkerError(index, exc))
             finally:
-                if is_part:
+                if kind == "rows":
                     room.release()
+                if answers and work.empty():
+                    self.replies.put(answers)
+                    answers = []
                 work.task_done()
 
-    def _raise_pending(self) -> None:
+    def raise_if_failed(self) -> None:
+        """Raise the first shard worker's error, if one has failed."""
         if self._errors:
             raise self._errors[0]
 
@@ -206,12 +227,12 @@ class StreamIngestor:
         timeouts = 0
         while True:
             if room.acquire(timeout=self.put_timeout):
-                self._queues[index].put(part)
+                self._queues[index].put(("rows", None, part))
                 return
             timeouts += 1
             self.put_timeouts += 1
             waited += self.put_timeout
-            self._raise_pending()
+            self.raise_if_failed()
             if waited >= self.stall_timeout:
                 from repro.telemetry.tracing import tracer
 
@@ -241,7 +262,7 @@ class StreamIngestor:
         """
         if self._closed:
             raise RuntimeError("ingestor already closed")
-        self._raise_pending()
+        self.raise_if_failed()
         for index, part in enumerate(parts):
             if not part:
                 continue
@@ -258,28 +279,21 @@ class StreamIngestor:
                 raise
         self.batches_dispatched += 1
 
-    def request_mark(self, mark: float) -> list:
-        """Queue watermark *mark* behind every shard's pending parts.
-
-        Returns without waiting: a mark takes no part room.  Slot *i*
-        of the returned list stays ``None`` until shard *i*'s thread
-        reaches the request, then holds :meth:`ShardState.addresses_by`
-        of *mark*.
-        """
+    def request(self, request: tuple) -> None:
+        """Queue a :class:`ShardServant` request behind every shard's
+        parts, taking no room; each shard's thread answers it on
+        :attr:`replies` when it gets there."""
         if self._closed:
             raise RuntimeError("ingestor already closed")
-        self._raise_pending()
-        answers: list = [None] * len(self.states)
-        item = (mark, answers)
+        self.raise_if_failed()
         for work in self._queues:
-            work.put(item)
-        return answers
+            work.put(request)
 
     def drain(self) -> None:
-        """Block until every queued part is folded and mark answered."""
+        """Block until every queued part is folded and request answered."""
         for work in self._queues:
             work.join()
-        self._raise_pending()
+        self.raise_if_failed()
 
     def close(self) -> None:
         """Drain, stop the workers, and join the threads (idempotent)."""
@@ -290,7 +304,7 @@ class StreamIngestor:
             work.put(_STOP)
         for thread in self._threads:
             thread.join()
-        self._raise_pending()
+        self.raise_if_failed()
 
     def flush_telemetry(self, registry) -> None:
         """Fold the ingestor's accumulated counters into *registry*."""

@@ -19,7 +19,8 @@ identical at any shard count, which the equivalence tests assert at
 
 A shard's state is a :class:`PassiveServiceTable` and a record count.
 The table alone decides what is evidence and keeps first- and
-last-seen; this module only routes records to it and unions tables.
+last-seen; this module only routes records to it, answers what the
+driver asks of it (:class:`ShardServant`) and unions tables.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
 from repro.passive.monitor import Endpoint, PassiveServiceTable, _campus_mask
+from repro.query.snapshot import shard_snapshot_payload
 
 #: Fibonacci-style multiplier spreading contiguous campus addresses
 #: across shards (addresses within one /24 would otherwise all land on
@@ -206,6 +208,46 @@ class ShardState:
         table._udp_requests = set(payload["udp_requests"])
         table.last_seen = dict(payload["last_seen"])
         self.records = int(payload["records"])
+
+
+@dataclass
+class ShardServant:
+    """One shard's state and the only code that acts on it.
+
+    Both transports queue requests behind a shard's parts and hand each
+    to :meth:`handle` wherever the state lives -- a shard thread
+    (:mod:`repro.stream.ingest`) or a worker process
+    (:mod:`repro.stream.fabric`) -- so every answer covers exactly the
+    parts queued before its request.  ``ckpt`` writes to *store* under
+    the run's *identity*.
+    """
+
+    state: ShardState
+    store: object = None
+    identity: dict | None = None
+
+    def handle(self, request: tuple):
+        """Act on one ``(kind, key, arg)`` request; return the answer.
+
+        ``rows`` folds the part *arg* (answers ``None``); ``mark``
+        answers :meth:`ShardState.addresses_by` of *arg*; ``ckpt``
+        writes the shard's file of generation *key* and answers its
+        size; ``snap`` answers the shard's query-snapshot payload.
+        """
+        kind, key, arg = request
+        state = self.state
+        if kind == "rows":
+            state.observe_columns(arg)
+            return None
+        if kind == "mark":
+            return state.addresses_by(arg)
+        if kind == "ckpt":
+            return self.store.save_shard(
+                state.index, key, self.identity, state.state_dict()
+            )
+        if kind == "snap":
+            return shard_snapshot_payload(state)
+        raise ValueError(f"unknown shard request {kind!r}")
 
 
 def merge_shards(

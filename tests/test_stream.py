@@ -30,6 +30,7 @@ from repro.stream import (
     StreamEngine,
     StreamIngestor,
     ShardCheckpointStore,
+    ShardServant,
     ShardState,
     ShardWorkerError,
     batch_survey_report,
@@ -465,6 +466,28 @@ class TestCheckpointResume:
         # State only grows, so the newest generation is the largest.
         assert on_disk <= sizes.sum <= on_disk * sizes.count
 
+    @pytest.mark.parametrize("front", ["threads", "fabric"])
+    def test_every_committed_generation_reports_its_bytes(
+        self, small_dtcp18, tmp_path, front
+    ):
+        """Both transports commit through one ledger: every generation
+        observes ``repro_stream_checkpoint_bytes`` (its shard files plus
+        the manifest), the fabric's included."""
+        from repro.telemetry import disable, enable
+
+        config = self._checkpointing(tmp_path)
+        reg = enable()
+        try:
+            result = run_front(front, config, small_dtcp18)
+        finally:
+            disable()
+        sizes = reg.histogram(
+            "repro_stream_checkpoint_bytes",
+            "Size of each written stream checkpoint.",
+        )
+        assert sizes.count == result.checkpoints_written >= 2
+        assert sizes.sum > 0
+
     def test_sigterm_inside_feed_lands_on_the_batch_boundary(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -572,6 +595,20 @@ class TestCheckpointResume:
         assert second.stats.seen == uninterrupted.stats.seen
 
 
+def request_mark(ingestor, index, mark):
+    """Queue mark *index* on every shard thread; the returned answer
+    slots stay ``None`` until :func:`collect_marks` files a reply."""
+    ingestor.request(("mark", index, mark))
+    return [None] * ingestor.shards
+
+
+def collect_marks(ingestor, answers):
+    """File every mark reply the shard threads have put out so far."""
+    while not ingestor.replies.empty():
+        for _kind, index, shard, answer in ingestor.replies.get_nowait():
+            answers[index][shard] = answer
+
+
 class RecordingTransport:
     """A shard transport with no threads and no processes.
 
@@ -598,6 +635,7 @@ class RecordingTransport:
             )
             for index in range(shards)
         ]
+        self.servants = [ShardServant(state) for state in self.states]
 
     def restore(self):
         if self.saved is None:
@@ -611,9 +649,9 @@ class RecordingTransport:
 
     def feed(self, parts, offset):
         self.log.append(("feed", offset))
-        for state, part in zip(self.states, parts):
+        for servant, part in zip(self.servants, parts):
             if len(part):
-                state.observe_columns(part)
+                servant.handle(("rows", None, part))
 
     def poll(self):
         pass
@@ -627,20 +665,16 @@ class RecordingTransport:
             return []
         marks, self.unanswered = self.unanswered, []
         return [
-            {
-                address
-                for state in self.states
-                for (address, _p, _pr), seen in state.table.first_seen.items()
-                if seen <= mark
-            }
-            for mark in marks
+            set().union(*(
+                servant.handle(("mark", index, mark))
+                for servant in self.servants
+            ))
+            for index, mark in enumerate(marks)
         ]
 
     def snapshot_payloads(self):
-        from repro.query.snapshot import shard_snapshot_payload
-
         self.log.append(("snapshot",))
-        return [shard_snapshot_payload(state) for state in self.states]
+        return [servant.handle(("snap", 0, None)) for servant in self.servants]
 
     def checkpoint(self, progress):
         self.log.append(("checkpoint", progress["now"]))
@@ -652,7 +686,7 @@ class RecordingTransport:
         # Like the marks: a generation commits only when waited on.
         if not wait:
             return []
-        commits = [(0.0, None)] * (len(self.checkpoints) - self.counted)
+        commits = [(0.0, 0)] * (len(self.checkpoints) - self.counted)
         self.counted = len(self.checkpoints)
         return commits
 
@@ -777,16 +811,16 @@ class TestDriverContract:
 
 
 class TestInBandMarks:
-    """The thread transport answers marks on the shard threads, behind
-    the parts queued before them, instead of draining at the request."""
+    """The thread transport answers marks, checkpoints and snapshots on
+    the shard threads, behind the parts queued before them, instead of
+    draining at the request."""
 
     @staticmethod
-    def _transport(dataset, shards=2):
+    def _transport(dataset, shards=2, **overrides):
         from repro.stream.engine import _ThreadTransport
 
-        return _ThreadTransport(
-            StreamEngine(small_config(shards=shards), dataset=dataset)
-        )
+        config = small_config(shards=shards, **overrides)
+        return _ThreadTransport(StreamEngine(config, dataset=dataset))
 
     @staticmethod
     def _parts(dataset, record_sample):
@@ -871,32 +905,129 @@ class TestInBandMarks:
                 ingestor.dispatch(
                     split_columns(chunk, small_dtcp18.is_campus, shards)
                 )
-                answers.append(ingestor.request_mark(float(chunk.time[-1])))
+                answers.append(
+                    request_mark(ingestor, len(answers), float(chunk.time[-1]))
+                )
             ingestor.close()
+            collect_marks(ingestor, answers)
         finally:
             sys.setswitchinterval(interval)
         assert [set().union(*answer) for answer in answers] == expected
 
+    def test_checkpoint_and_snapshot_wait_behind_a_blocked_shard(
+        self, small_dtcp18, record_sample, tmp_path
+    ):
+        """A checkpoint request returns at once and commits, once the
+        shards get there, exactly the prefix fed before it; a snapshot
+        round is answered behind the same parts, after the release."""
+        transport = self._transport(
+            small_dtcp18, checkpoint_path=str(tmp_path / "store")
+        )
+        release = threading.Event()
+        fold = transport.states[0].observe_columns
+
+        def blocked(cols):
+            release.wait(10.0)
+            fold(cols)
+
+        transport.states[0].observe_columns = blocked
+        half = len(record_sample) // 2
+        head = self._parts(small_dtcp18, record_sample[:half])
+        tail = self._parts(small_dtcp18, record_sample[half:])
+        payloads = []
+        transport.start(0)
+        try:
+            transport.feed(head, half)
+            transport.checkpoint({"records_read": half})
+            transport.feed(tail, len(record_sample))
+            snapshot = threading.Thread(
+                target=lambda: payloads.append(transport.snapshot_payloads())
+            )
+            snapshot.start()
+            assert not release.is_set()  # both calls returned while blocked
+            snapshot.join(0.2)
+            assert snapshot.is_alive() and not payloads
+            release.set()
+            snapshot.join(10.0)
+            commits = transport.committed_checkpoints(wait=True)
+        finally:
+            release.set()
+            transport.close()
+        assert len(commits) == 1
+        store = ShardCheckpointStore(tmp_path / "store")
+        identity = transport.identity
+        assert [
+            store.load_shard(shard, 1, identity)["state"]["records"]
+            for shard in range(2)
+        ] == [len(part) for part in head]
+        assert [payload["records"] for payload in payloads[0]] == [
+            len(a) + len(b) for a, b in zip(head, tail)
+        ]
+
+    @pytest.mark.parametrize("wait_on", ["mark", "checkpoint", "snapshot"])
     def test_a_failed_shard_surfaces_from_the_wait(
+        self, small_dtcp18, record_sample, tmp_path, wait_on
+    ):
+        transport = self._transport(
+            small_dtcp18, checkpoint_path=str(tmp_path / "store")
+        )
+        failing = threading.Event()
+
+        def explode(cols):
+            failing.wait(10.0)
+            raise RuntimeError("boom")
+
+        transport.states[1].observe_columns = explode
+        requests = {
+            "mark": (
+                lambda: transport.request_mark(0, record_sample[-1].time),
+                lambda: transport.completed_marks(wait=True),
+            ),
+            "checkpoint": (
+                lambda: transport.checkpoint({"records_read": 0}),
+                lambda: transport.committed_checkpoints(wait=True),
+            ),
+            "snapshot": (lambda: None, transport.snapshot_payloads),
+        }
+        request, wait = requests[wait_on]
+        transport.start(0)
+        try:
+            transport.feed(
+                self._parts(small_dtcp18, record_sample), len(record_sample)
+            )
+            request()  # sent while shard 1 is still folding
+            failing.set()
+            with pytest.raises(ShardWorkerError, match="shard 1"):
+                wait()
+        finally:
+            failing.set()
+            with pytest.raises(ShardWorkerError):
+                transport.close()
+
+    def test_a_failed_shard_still_exports_ingest_telemetry(
         self, small_dtcp18, record_sample
     ):
+        from repro.telemetry import disable, enable
+
         transport = self._transport(small_dtcp18)
 
         def explode(cols):
             raise RuntimeError("boom")
 
         transport.states[1].observe_columns = explode
-        transport.start(0)
+        reg = enable()
         try:
+            transport.start(0)
             transport.feed(
                 self._parts(small_dtcp18, record_sample), len(record_sample)
             )
-            transport.request_mark(0, record_sample[-1].time)
-            with pytest.raises(ShardWorkerError, match="shard 1"):
-                transport.completed_marks(wait=True)
-        finally:
             with pytest.raises(ShardWorkerError):
                 transport.close()
+        finally:
+            disable()
+        assert reg.value("repro_stream_batches_total") == 1
+        assert reg.value("repro_stream_queue_peak_records") > 0
+        assert reg.total("repro_stream_shard_records_total") > 0
 
     def test_marks_never_wait_for_part_room(self, small_dtcp18, record_sample):
         """``max_queue_chunks`` bounds parts: with shard 0 wedged on the
@@ -949,13 +1080,18 @@ class TestInBandMarks:
             ingestor.dispatch(parts[0])
             # No room is left for a part: a mark that needed some would
             # raise IngestStallError here.
-            answers = [ingestor.request_mark(mark) for mark in marks]
+            answers = [
+                request_mark(ingestor, index, mark)
+                for index, mark in enumerate(marks)
+            ]
             with pytest.raises(IngestStallError) as excinfo:
                 ingestor.dispatch(parts[1])
             assert excinfo.value.index == 0
+            collect_marks(ingestor, answers)
             assert all(answer[0] is None for answer in answers)
             release.set()
             ingestor.drain()
+            collect_marks(ingestor, answers)
         finally:
             release.set()
             ingestor.close()
@@ -1093,7 +1229,9 @@ class TestIngestor:
                 work.queue.append(item)
                 work.unfinished_tasks += 1
 
-        put_without_notify(RecordColumns.from_records(record_sample[:10]))
+        put_without_notify(
+            ("rows", None, RecordColumns.from_records(record_sample[:10]))
+        )
         finished = threading.Event()
 
         def drain_and_close():
