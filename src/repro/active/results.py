@@ -9,7 +9,6 @@ needs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.campus.host import ProbeOutcome, UdpProbeOutcome
@@ -167,16 +166,6 @@ class UdpScanReport:
         return out
 
 
-def scan_outcome_histogram(reports: list[ScanReport]) -> Counter:
-    """Aggregate outcome counts over many scans (diagnostics)."""
-    histogram: Counter = Counter()
-    for report in reports:
-        histogram["synack"] += report.counts.synack
-        histogram["rst"] += report.counts.rst
-        histogram["nothing"] += report.counts.nothing
-    return histogram
-
-
 __all__ = [
     "ProbeOutcome",
     "ProbeOutcomeCounts",
@@ -185,6 +174,5 @@ __all__ = [
     "UdpScanReport",
     "first_open_events",
     "first_open_times",
-    "scan_outcome_histogram",
     "union_open_endpoints",
 ]

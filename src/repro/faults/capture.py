@@ -19,16 +19,16 @@ sequence of records crossing it -- identical whether the pass is
 generated fresh, streamed from the trace cache, consumed record by
 record or in batches, or replayed in a different worker process.
 
-:meth:`CaptureFilter.keep` is the definition.  The batch entry point,
-:meth:`CaptureFilter.keep_mask`, is array code that reproduces it bit
-for bit by drawing from the *same* Mersenne Twister stream in bulk:
+The entry point, :meth:`CaptureFilter.keep_mask`, is array code that
+reproduces the record-at-a-time definition (``tests/passive_reference.py``)
+bit for bit by drawing from the *same* Mersenne Twister stream in bulk:
 ``numpy.random.RandomState.random_sample`` computes the identical
 53-bit double from the identical MT19937 state as
 ``random.Random.random``, and each class of record consumes a fixed
 number of uniforms -- outage: 0; inside a burst: 0; burst entry: 1 plus
 the continuation draws; otherwise 1 per enabled test (burst, then
 i.i.d.).  ``random.Random.getstate()`` stays the state of record, so
-checkpoints keep their format whichever entry point advanced it.
+checkpoints keep their format.
 
 A filter instance is single-pass: it must see each record of the pass
 exactly once.  Build a fresh one per pass
@@ -38,22 +38,17 @@ exactly once.  Build a fresh one per pass
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.packet import PacketRecord
 from repro.simkernel.rng import derive_seed
 
 
 class _LinkState:
     """Loss-process state for one link."""
 
-    __slots__ = (
-        "rng", "burst_remaining", "outage_starts", "outage_ends",
-        "outage_bounds",
-    )
+    __slots__ = ("rng", "burst_remaining", "outage_bounds")
 
     def __init__(
         self,
@@ -63,17 +58,10 @@ class _LinkState:
     ) -> None:
         self.rng = random.Random(derive_seed(seed, f"faults.capture.{link}"))
         self.burst_remaining = 0
-        self.outage_starts = [start for start, _ in windows]
-        self.outage_ends = [end for _, end in windows]
-        #: The same windows as (starts, ends) arrays, for keep_mask.
-        self.outage_bounds = (
-            np.array(self.outage_starts, dtype=np.float64),
-            np.array(self.outage_ends, dtype=np.float64),
+        #: The outage windows as (starts, ends) arrays.
+        self.outage_bounds = tuple(
+            np.array(windows, dtype=np.float64).reshape(-1, 2).T.copy()
         )
-
-    def in_outage(self, t: float) -> bool:
-        index = bisect_right(self.outage_starts, t) - 1
-        return index >= 0 and t < self.outage_ends[index]
 
 
 @dataclass
@@ -115,7 +103,6 @@ class CaptureFilter:
         self.duration = duration
         self.stats = CaptureStats()
         self._links: dict[str, _LinkState] = {}
-        # Hoisted rates: keep() sits on the per-record hot path.
         self._loss = plan.capture_loss_rate
         self._burst = plan.burst_loss_rate
         self._burst_continue = (
@@ -137,40 +124,8 @@ class CaptureFilter:
         """The maintenance windows this filter applies to *link*."""
         return self.plan.outage_windows(link, self.duration)
 
-    def keep(self, record: PacketRecord) -> bool:
-        """Whether the monitors see *record*; advances the loss state."""
-        return self._keep(record.link, record.time)
-
-    def _keep(self, link: str, time: float) -> bool:
-        """The decision core: pure function of the (link, time) stream."""
-        state = self._state(link)
-        if self._has_outages and state.in_outage(time):
-            # The monitor is off: the record never reaches the capture
-            # stack, so it does not advance the loss process either.
-            self.stats.dropped_outage += 1
-            return False
-        if state.burst_remaining > 0:
-            state.burst_remaining -= 1
-            self.stats.dropped_loss += 1
-            return False
-        rng_random = state.rng.random
-        if self._burst > 0.0 and rng_random() < self._burst:
-            # Enter a bad state: this record and a geometric run of
-            # followers are lost.  Mean run length = burst_mean_length.
-            length = 1
-            while rng_random() < self._burst_continue:
-                length += 1
-            state.burst_remaining = length - 1
-            self.stats.dropped_loss += 1
-            return False
-        if self._loss > 0.0 and rng_random() < self._loss:
-            self.stats.dropped_loss += 1
-            return False
-        self.stats.kept += 1
-        return True
-
     def keep_mask(self, times, link_indices, link_names: tuple[str, ...]):
-        """Columnar counterpart of :meth:`keep`: a boolean keep mask.
+        """Whether the monitors see each record: a boolean keep mask.
 
         *times* and *link_indices* are parallel per-record sequences
         (a :class:`repro.trace.columnar.RecordColumns` batch's ``time``
@@ -179,9 +134,8 @@ class CaptureFilter:
         order: outage windows by ``searchsorted``, then the loss
         process from bulk draws of the link's own Mersenne Twister
         stream (see the module docstring).  Mask, ``stats`` and
-        :meth:`state_dict` come out exactly as if every record had gone
-        through :meth:`keep`, without materialising a single
-        ``PacketRecord``.
+        :meth:`state_dict` come out exactly as if every record had been
+        decided one at a time, in stream order.
         """
         times = np.asarray(times, dtype=np.float64)
         links = np.asarray(link_indices)

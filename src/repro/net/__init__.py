@@ -1,4 +1,4 @@
-"""Network primitives: addresses, packet headers, flows, port registry.
+"""Network primitives: addresses, packet headers, port registry.
 
 These are deliberately minimal -- the reproduction only needs the
 fields the paper's monitoring captured (64-byte headers: addresses,
@@ -15,7 +15,6 @@ from repro.net.addr import (
     parse_cidr,
     parse_ipv4,
 )
-from repro.net.flow import FlowKey, FlowRecord
 from repro.net.packet import (
     ICMP_PORT_UNREACHABLE,
     PROTO_ICMP,
@@ -40,8 +39,6 @@ __all__ = [
     "AddressBlock",
     "AddressClass",
     "AddressSpace",
-    "FlowKey",
-    "FlowRecord",
     "ICMP_PORT_UNREACHABLE",
     "IPv4Address",
     "PROTO_ICMP",

@@ -9,24 +9,29 @@ an optional stricter handshake-confirmation signal used as an ablation.
 The table is the one place that decides which record is evidence of a
 service and when: it keeps each endpoint's first- *and* last-seen time.
 
-Observers are deliberately order-insensitive: the generator's packet
-stream is only approximately time-ordered (see
-:mod:`repro.traffic.generator`), and first/last-seen times are kept
-with ``min`` / ``max`` rather than by assuming monotonicity.
+The generator's packet stream is only approximately time-ordered (see
+:mod:`repro.traffic.generator`), so first/last-seen times are kept with
+``min`` / ``max`` rather than by assuming monotonicity.  Most rules are
+order-insensitive; the ones that are not (HANDSHAKE confirmation,
+BIDIRECTIONAL UDP, the count-budget sampler, capture faults) follow
+stream order, which batches keep as row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from time import perf_counter
-from typing import Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 import numpy as np
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
 from repro.telemetry.metrics import registry as _telemetry_registry
+
+if TYPE_CHECKING:
+    from repro.passive.sampling import FixedPeriodSampler
 
 #: A service endpoint as the passive table keys it.
 Endpoint = tuple[int, int, int]  # (address, port, proto)
@@ -35,21 +40,16 @@ Endpoint = tuple[int, int, int]  # (address, port, proto)
 class PacketObserver(Protocol):
     """Anything that can consume captured packet records.
 
-    ``observe`` is the definition of an observer: the reference every
-    differential test compares against, and what :func:`observe_each`
-    falls back to.  No pass calls it directly: every source is batches.
-
-    Observers may additionally expose ``observe_columns(cols)``
-    consuming a :class:`repro.trace.columnar.RecordColumns` batch --
-    the only batch type; :func:`replay_columnar` and the streaming
-    engine prefer it.  The contract: ``observe_columns(cols)`` must
-    leave the observer in exactly the state ``observe`` over
-    ``cols.to_records()`` leaves, and an implementation that cannot
-    vectorise a configuration must delegate to exactly that loop
-    (:func:`observe_each`).
+    ``observe_columns(cols)`` consumes a
+    :class:`repro.trace.columnar.RecordColumns` batch -- the only batch
+    type, and the only way a pass (:func:`replay_columnar`, the
+    streaming engine) reaches an observer.  Batches arrive in stream
+    order, and an observer must end in the same state under any batch
+    cuts.  The per-record definitions the differential tests hold each
+    observer to live in ``tests/passive_reference.py``.
     """
 
-    def observe(self, record: PacketRecord) -> None:  # pragma: no cover
+    def observe_columns(self, cols) -> None:  # pragma: no cover
         ...
 
 
@@ -93,51 +93,21 @@ def _port_lut(ports: frozenset[int]) -> np.ndarray:
     return lut
 
 
-def replay(
-    stream: Iterable[PacketRecord],
-    *observers: PacketObserver,
-    faults=None,
-) -> int:
-    """Push every record of *stream* into all *observers*; return count.
+def replay(stream: Iterable[PacketRecord], *tables) -> int:
+    """Push every record of *stream* into all *tables*; return count.
 
-    The per-record definition of a pass, which :func:`replay_columnar`
-    (the one every dataset pass runs) must equal under any batch cuts;
-    kept for the tests and benchmarks that hold it to that.
-
-    One pass feeds any number of observers, so analyses that need
-    several views (per-link tables, sampled tables, scan detection)
-    share a single traversal of the trace.
-
-    *faults* (a :class:`repro.faults.capture.CaptureFilter`) injects
-    capture loss and monitor outages: dropped records are invisible to
-    *every* observer of the pass, exactly as a packet lost at the tap
-    is lost for all analyses of the stored trace.  The returned count
-    is the number of records the observers actually saw.  ``None``
-    (the default) takes the pristine path.
+    The per-record pass over :meth:`PassiveServiceTable.observe`, which
+    :func:`replay_columnar` (the one every dataset pass runs) must
+    equal under any batch cuts; kept for the benchmark that times the
+    record tier against the columnar one.
     """
-    if faults is not None:
-        keep = faults.keep
-        stream = (record for record in stream if keep(record))
     count = 0
-    observe_methods = [observer.observe for observer in observers]
+    observe_methods = [table.observe for table in tables]
     for record in stream:
         for observe in observe_methods:
             observe(record)
         count += 1
     return count
-
-
-def observe_each(observer: PacketObserver, cols) -> None:
-    """The scalar fallback of every ``observe_columns``.
-
-    Materialises the batch once (the list is cached on *cols*, so
-    several falling-back observers of one pass share it) and feeds
-    per-record ``observe`` -- the observer's definition, so the
-    resulting state is right by construction.
-    """
-    observe = observer.observe
-    for record in cols.to_records():
-        observe(record)
 
 
 def replay_columnar(
@@ -150,25 +120,25 @@ def replay_columnar(
 
     The pass every dataset replay runs: the batches are zero-copy
     views of a stored trace or generated records columnised a batch at
-    a time (``BuiltDataset.column_batches``), and observers exposing
-    ``observe_columns`` consume whole field arrays -- mask-based
+    a time (``BuiltDataset.column_batches``), and every observer's
+    ``observe_columns`` consumes whole field arrays -- mask-based
     SYN-ACK selection, bincount accounting -- instead of record
-    objects.  Observers without one get :func:`observe_each`.
+    objects.  One pass feeds any number of observers, so analyses that
+    need several views (per-link tables, sampled tables, scan
+    detection) share a single traversal of the trace.
 
-    Results are identical to :func:`replay` over the flattened stream,
-    including under a *faults* filter: the filter's mask decides each
-    link's records in stream order from that link's own random stream
-    (:meth:`repro.faults.capture.CaptureFilter.keep_mask`), so the drop
-    pattern matches the per-record path bit for bit.
+    *faults* (a :class:`repro.faults.capture.CaptureFilter`) injects
+    capture loss and monitor outages: dropped records are invisible to
+    *every* observer of the pass, exactly as a packet lost at the tap
+    is lost for all analyses of the stored trace.  The filter's mask
+    decides each link's records in stream order from that link's own
+    random stream (:meth:`repro.faults.capture.CaptureFilter.keep_mask`).
+    The returned count is the number of records the observers saw.
 
     With telemetry enabled each chunk's wall time lands in a histogram
     (one ``perf_counter`` pair per chunk of up to 65,536 records).
     """
-    dispatchers = [
-        getattr(observer, "observe_columns", None)
-        or partial(observe_each, observer)
-        for observer in observers
-    ]
+    dispatchers = [observer.observe_columns for observer in observers]
     reg = _telemetry_registry()
     timed = reg.enabled
     if timed:
@@ -243,11 +213,10 @@ class PassiveServiceTable:
         External addresses whose conversations are ignored entirely --
         the scan-removal filter of Section 4.3.
     sampler:
-        Optional time filter (``keep(t) -> bool``); used for the
-        fixed-period sampling study.  One that also offers
-        ``keep_mask(times)`` over a time column (as
-        :class:`repro.passive.sampling.FixedPeriodSampler` does) keeps
-        the table on its columnar fast path.
+        Optional time filter for the fixed-period sampling study: a
+        :class:`repro.passive.sampling.FixedPeriodSampler`, or anything
+        else offering ``keep(t)`` and ``keep_mask(times)`` over a time
+        column.
     """
 
     is_campus: Callable[[int], bool]
@@ -257,7 +226,7 @@ class PassiveServiceTable:
     signal: ServiceSignal = ServiceSignal.SYNACK
     udp_signal: UdpSignal = UdpSignal.SPORT
     exclude_sources: frozenset[int] = frozenset()
-    sampler: Callable[[float], bool] | None = None
+    sampler: FixedPeriodSampler | None = None
 
     #: endpoint -> earliest evidence time.
     first_seen: dict[Endpoint, float] = field(default_factory=dict)
@@ -275,34 +244,25 @@ class PassiveServiceTable:
     #: (BIDIRECTIONAL udp_signal only).
     _udp_requests: set[tuple[int, int, int]] = field(default_factory=set)
 
+    def __post_init__(self) -> None:
+        if self.sampler is not None and not hasattr(self.sampler, "keep_mask"):
+            raise TypeError(
+                "sampler must offer keep(t) and keep_mask(times), "
+                f"not {type(self.sampler).__name__}"
+            )
+
     def observe(self, record: PacketRecord) -> None:
         """Feed one captured header into the table."""
         if self.links is not None and record.link not in self.links:
             return
-        if self.sampler is not None and not self.sampler(record.time):
+        if self.sampler is not None and not self.sampler.keep(record.time):
             return
         if record.proto == PROTO_TCP:
             self._observe_tcp(record)
         elif record.proto == PROTO_UDP:
             self._observe_udp(record)
 
-    # ---- columnar fast path -----------------------------------------
-
-    def _can_vectorize(self) -> bool:
-        """Whether this table's configuration has a columnar fast path.
-
-        The vectorised path covers the paper's operating point: the
-        SYNACK evidence rule, the SPORT UDP rule, and no time sampler
-        or one with a column mask.  The order-dependent rest (HANDSHAKE
-        ablation, BIDIRECTIONAL UDP) and plain-callable samplers
-        delegate to :func:`observe_each` -- identical results, per the
-        observer contract.
-        """
-        return (
-            (self.sampler is None or hasattr(self.sampler, "keep_mask"))
-            and self.signal is ServiceSignal.SYNACK
-            and (not self.udp_ports or self.udp_signal is UdpSignal.SPORT)
-        )
+    # ---- columnar path ----------------------------------------------
 
     def observe_columns(self, cols) -> None:
         """Batch :meth:`observe`: whole-array selection masks.
@@ -311,11 +271,11 @@ class PassiveServiceTable:
         Evidence selection is mask algebra over the raw field arrays
         (SYN-ACK bits, prefix membership, port sets); dict updates run
         over the batch's *distinct* endpoints via sorted group
-        reductions, so per-record Python work disappears entirely.
+        reductions, so per-record Python work disappears entirely.  The
+        two order-dependent rules (HANDSHAKE, BIDIRECTIONAL) pair events
+        within a stable sort by flow key, which keeps stream order
+        inside each key's run.
         """
-        if not self._can_vectorize():
-            observe_each(self, cols)
-            return
         if self.sampler is not None:
             sampled = self.sampler.keep_mask(cols.time)
             if not sampled.all():
@@ -350,12 +310,13 @@ class PassiveServiceTable:
             synack &= ~np.isin(dst, exclude)
         if self.tcp_ports is not None:
             synack &= _port_lut(self.tcp_ports)[cols.sport]
-        index = np.flatnonzero(synack)
-        if index.size:
-            keys = (
-                src[index].astype(np.uint64) << np.uint64(16)
-            ) | cols.sport[index]
-            self._stamp_columns(keys, time[index], PROTO_TCP)
+        if self.signal is ServiceSignal.SYNACK:
+            index = np.flatnonzero(synack)
+            if index.size:
+                keys = (
+                    src[index].astype(np.uint64) << np.uint64(16)
+                ) | cols.sport[index]
+                self._stamp_columns(keys, time[index], PROTO_TCP)
 
         # Bare ACK from an outside client to a campus server: the
         # flow/client popularity accounting.
@@ -371,24 +332,149 @@ class PassiveServiceTable:
                 dst[index].astype(np.uint64) << np.uint64(16)
             ) | cols.dport[index]
             self._count_columns(keys, src[index], PROTO_TCP)
+        if self.signal is ServiceSignal.HANDSHAKE:
+            self._confirm_handshakes(cols, synack, ack)
 
-        # Outbound datagram from a watched UDP server port (SPORT rule):
-        # evidence and accounting in one selection.
+        # Outbound datagram from a watched UDP server port: evidence and
+        # accounting in one selection (BIDIRECTIONAL: answered ones only).
         if self.udp_ports:
             udp = proto == PROTO_UDP
             if base is not None:
                 udp &= base
-            udp &= src_campus & ~dst_campus
-            udp &= _port_lut(self.udp_ports)[cols.sport]
+            lut = _port_lut(self.udp_ports)
+            reply = udp & src_campus & ~dst_campus & lut[cols.sport]
             if exclude is not None:
-                udp &= ~np.isin(dst, exclude)
-            index = np.flatnonzero(udp)
+                reply &= ~np.isin(dst, exclude)
+            if self.udp_signal is UdpSignal.BIDIRECTIONAL:
+                request = udp & ~src_campus & dst_campus & lut[cols.dport]
+                if exclude is not None:
+                    request &= ~np.isin(src, exclude)
+                reply = self._answered(cols, request, reply)
+            index = np.flatnonzero(reply)
             if index.size:
                 keys = (
                     src[index].astype(np.uint64) << np.uint64(16)
                 ) | cols.sport[index]
                 self._stamp_columns(keys, time[index], PROTO_UDP)
                 self._count_columns(keys, dst[index], PROTO_UDP)
+
+    def _confirm_handshakes(self, cols, synack, ack) -> None:
+        """HANDSHAKE evidence: a SYN-ACK confirmed by the next ACK.
+
+        Both selections become events keyed by (server, client, cport,
+        sport) in one stable sort, so each key's events keep stream
+        order.  An ACK confirms when the event just before it is a
+        SYN-ACK -- or, first in its run, when the key is pending from an
+        earlier batch -- and stamps the earlier of the two times.  Each
+        run's last event decides what stays pending.
+        """
+        rows = np.flatnonzero(synack | ack)
+        if not rows.size:
+            return
+        offer = synack[rows]
+        src = cols.src[rows]
+        dst = cols.dst[rows]
+        sport = cols.sport[rows]
+        dport = cols.dport[rows]
+        hosts = (
+            np.where(offer, src, dst).astype(np.uint64) << np.uint64(32)
+        ) | np.where(offer, dst, src)
+        ports = (
+            np.where(offer, dport, sport).astype(np.uint32) << 16
+        ) | np.where(offer, sport, dport)
+        order = np.lexsort((ports, hosts))
+        hosts, ports, offer = hosts[order], ports[order], offer[order]
+        times = cols.time[rows][order]
+        starts = np.r_[
+            True, (hosts[1:] != hosts[:-1]) | (ports[1:] != ports[:-1])
+        ]
+        ends = np.r_[starts[1:], True]
+        paired = np.flatnonzero(~offer & ~starts & np.r_[False, offer[:-1]])
+        if paired.size:
+            keys = (
+                (hosts[paired] >> np.uint64(32)) << np.uint64(16)
+            ) | (ports[paired] & 0xFFFF)
+            self._stamp_columns(
+                keys, np.minimum(times[paired - 1], times[paired]), PROTO_TCP
+            )
+        # Per key run in Python: a leading ACK meets what an earlier
+        # batch left pending, and the last event sets what a later one
+        # finds.
+        lead = starts & ~offer
+        touched = np.flatnonzero(lead | ends)
+        edge = hosts[touched]
+        wire = ports[touched]
+        pending = self._pending_handshake
+        for key, t, leads, last, offered in zip(
+            zip(
+                (edge >> np.uint64(32)).tolist(),
+                (edge & np.uint64(0xFFFFFFFF)).tolist(),
+                (wire >> 16).tolist(), (wire & 0xFFFF).tolist(),
+            ),
+            times[touched].tolist(), lead[touched].tolist(),
+            ends[touched].tolist(), offer[touched].tolist(),
+        ):
+            if leads:
+                seen = pending.pop(key, None)
+                if seen is not None:
+                    self._stamp((key[0], key[3], PROTO_TCP), min(seen, t))
+            if last:
+                if offered:
+                    pending[key] = t
+                else:
+                    pending.pop(key, None)
+
+    def _answered(self, cols, request, reply) -> np.ndarray:
+        """BIDIRECTIONAL UDP: the *reply* rows some request preceded.
+
+        Requests and replies become events keyed by (server, port,
+        client) in one stable sort, so each key's events keep stream
+        order; a reply counts when a request comes before it in its run
+        or its key was requested in an earlier batch.
+        """
+        answered = np.zeros(len(cols), dtype=bool)
+        rows = np.flatnonzero(request | reply)
+        if not rows.size:
+            return answered
+        asks = request[rows]
+        src = cols.src[rows]
+        dst = cols.dst[rows]
+        endpoints = (
+            np.where(asks, dst, src).astype(np.uint64) << np.uint64(16)
+        ) | np.where(asks, cols.dport[rows], cols.sport[rows])
+        clients = np.where(asks, src, dst)
+        order = np.lexsort((clients, endpoints))
+        endpoints, clients, asks = endpoints[order], clients[order], asks[order]
+        starts = np.r_[
+            True,
+            (endpoints[1:] != endpoints[:-1]) | (clients[1:] != clients[:-1]),
+        ]
+        firsts = np.flatnonzero(starts)
+        run = np.cumsum(starts) - 1
+        asked = np.cumsum(asks) - asks
+        asked -= asked[firsts][run]
+        # Runs with a reply before any request of the batch: their key
+        # decides, looked up before this batch's requests join the set.
+        unasked = np.flatnonzero(np.bincount(
+            run[~asks & (asked == 0)], minlength=firsts.size
+        ))
+        known = np.zeros(firsts.size, dtype=bool)
+        requests = self._udp_requests
+        lead = firsts[unasked]
+        for index, key in zip(unasked.tolist(), zip(
+            (endpoints[lead] >> np.uint64(16)).tolist(),
+            (endpoints[lead] & np.uint64(0xFFFF)).tolist(),
+            clients[lead].tolist(),
+        )):
+            known[index] = key in requests
+        asking = np.flatnonzero(asks)
+        requests.update(zip(
+            (endpoints[asking] >> np.uint64(16)).tolist(),
+            (endpoints[asking] & np.uint64(0xFFFF)).tolist(),
+            clients[asking].tolist(),
+        ))
+        answered[rows[order[~asks & ((asked > 0) | known[run])]]] = True
+        return answered
 
     def _stamp_columns(
         self, keys: np.ndarray, times: np.ndarray, proto: int

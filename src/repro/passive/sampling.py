@@ -11,7 +11,10 @@ reproduction can run the comparison the paper deferred.
 
 All samplers are deterministic: the probabilistic one keys its
 keep-decision on a hash of the packet identity rather than mutable RNG
-state, so results are independent of observer ordering.
+state, so results are independent of observer ordering.  Each offers a
+``keep_mask`` -- the fixed-period one over a time column, the deferred
+two over a column batch; the count budget's is the one order-dependent
+mask, and carries its window across batches.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.net.packet import PacketRecord
+import numpy as np
+
 from repro.simkernel.clock import minutes
 
 
@@ -54,9 +58,6 @@ class FixedPeriodSampler:
         period = minutes(self.period_minutes)
         offset = (t - self.anchor) % period
         return offset < minutes(self.sample_minutes)
-
-    def __call__(self, t: float) -> bool:
-        return self.keep(t)
 
     def keep_mask(self, times):
         """:meth:`keep` over a time column (the same float expression)."""
@@ -110,13 +111,22 @@ class ProbabilisticSampler:
     def fraction(self) -> float:
         return self.probability
 
-    def keep_record(self, record: PacketRecord) -> bool:
-        digest = hashlib.blake2b(
-            f"{self.salt}:{record.time}:{record.src}:{record.dst}:"
-            f"{record.sport}:{record.dport}".encode("ascii"),
-            digest_size=8,
-        ).digest()
-        return int.from_bytes(digest, "big") / 2**64 < self.probability
+    def keep_mask(self, cols) -> np.ndarray:
+        """Keep decisions for a column batch: one salted blake2b hash of
+        each row's (time, src, dst, sport, dport) text."""
+        blake2b = hashlib.blake2b
+        digests = b"".join(
+            blake2b(
+                f"{self.salt}:{t}:{src}:{dst}:{sport}:{dport}".encode("ascii"),
+                digest_size=8,
+            ).digest()
+            for t, src, dst, sport, dport in zip(
+                cols.time.tolist(), cols.src.tolist(), cols.dst.tolist(),
+                cols.sport.tolist(), cols.dport.tolist(),
+            )
+        )
+        values = np.frombuffer(digests, dtype=">u8")
+        return values / 2.0**64 < self.probability
 
 
 @dataclass
@@ -127,8 +137,8 @@ class CountBudgetSampler:
     headers and then idling".  The sampler keeps the first
     ``budget_per_period`` packets (in arrival order) of each
     ``period_minutes`` window.  Unlike the pure time filters this one
-    is stateful, so it exposes :meth:`keep_record` rather than a
-    time-only predicate.
+    is stateful: the window it is in and what it took there carry
+    from one batch to the next.
     """
 
     budget_per_period: int
@@ -143,16 +153,26 @@ class CountBudgetSampler:
         if self.period_minutes <= 0:
             raise ValueError("period_minutes must be positive")
 
-    def keep_record(self, record: PacketRecord) -> bool:
+    def keep_mask(self, cols) -> np.ndarray:
+        """Keep decisions for a column batch, in arrival order.
+
+        Rows are ranked within runs of equal window index; the first
+        run continues the window the previous batch ended in.
+        """
+        count = len(cols)
+        if not count:
+            return np.zeros(0, dtype=bool)
         period = minutes(self.period_minutes)
-        index = int((record.time - self.anchor) // period)
-        if index != self._window_index:
-            self._window_index = index
-            self._taken = 0
-        if self._taken < self.budget_per_period:
-            self._taken += 1
-            return True
-        return False
+        index = ((cols.time - self.anchor) // period).astype(np.int64)
+        starts = np.r_[True, index[1:] != index[:-1]]
+        rank = np.arange(count)
+        rank -= np.maximum.accumulate(np.where(starts, rank, 0))
+        if index[0] == self._window_index:
+            rank[: np.argmax(np.r_[starts[1:], True]) + 1] += self._taken
+        keep = rank < self.budget_per_period
+        self._window_index = int(index[-1])
+        self._taken = min(int(rank[-1]) + 1, self.budget_per_period)
+        return keep
 
 
 class SamplingTable:
@@ -161,8 +181,8 @@ class SamplingTable:
     The fixed-period sampler plugs straight into
     :class:`~repro.passive.monitor.PassiveServiceTable` via its
     time-only ``sampler`` hook; the deferred strategies need to see the
-    whole record, so this thin observer wraps a table and filters
-    records before delivery.
+    whole record, so this thin observer wraps a table and filters each
+    batch through the sampler's ``keep_mask`` before delivery.
     """
 
     def __init__(self, table, sampler) -> None:
@@ -171,12 +191,15 @@ class SamplingTable:
         self.kept = 0
         self.dropped = 0
 
-    def observe(self, record: PacketRecord) -> None:
-        if self.sampler.keep_record(record):
-            self.kept += 1
-            self.table.observe(record)
-        else:
-            self.dropped += 1
+    def observe_columns(self, cols) -> None:
+        keep = self.sampler.keep_mask(cols)
+        kept = int(np.count_nonzero(keep))
+        self.kept += kept
+        self.dropped += len(cols) - kept
+        if kept:
+            self.table.observe_columns(
+                cols if kept == len(cols) else cols.compress(keep)
+            )
 
     @property
     def observed_fraction(self) -> float:

@@ -10,8 +10,8 @@ from at least 100 of these contacted hosts" -- 65 sources matched over
 bucketed into windows of ``window_seconds`` anchored at the dataset
 start; a source is flagged if any single bucket satisfies both
 thresholds.  Bucketing (rather than a true sliding window) is
-order-insensitive, which the replay framework requires, and
-conservative in the same way for every candidate source.
+order-insensitive, so no batch cut can change it, and conservative in
+the same way for every candidate source.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.net.packet import PROTO_TCP, PacketRecord
+import numpy as np
+
+from repro.net.packet import PROTO_TCP
+from repro.passive.monitor import _campus_mask
 from repro.simkernel.clock import hours
 
 
@@ -74,32 +77,14 @@ class ExternalScanDetector:
             return 0
         return 1 if isinstance(entry, int) else len(entry)
 
-    def observe(self, record: PacketRecord) -> None:
-        if record.proto != PROTO_TCP:
-            return
-        window = int(record.time // self.config.window_seconds)
-        if record.flags.is_syn:
-            if self.is_campus(record.src) or not self.is_campus(record.dst):
-                return
-            self._note(self._targets, (record.src, window), record.dst)
-        elif record.flags.is_rst:
-            if not self.is_campus(record.src) or self.is_campus(record.dst):
-                return
-            self._note(self._rst_sources, (record.dst, window), record.src)
-
     def observe_columns(self, cols) -> None:
-        """Batch :meth:`observe`: SYN/RST selection masks and
-        dedup before the bucket updates.
+        """SYN/RST selection masks and dedup before the bucket updates.
 
         Buckets hold *distinct* members, so only the batch's unique
         (source, window, member) triples need Python-level ``_note``
         calls; duplicates within a batch (retransmits, repeated
         conversations) are collapsed by one sort.
         """
-        import numpy as np
-
-        from repro.passive.monitor import _campus_mask
-
         tcp = cols.proto == PROTO_TCP
         if not tcp.any():
             return
@@ -125,8 +110,6 @@ class ExternalScanDetector:
 
     def _note_unique(self, table: dict, keys, windows, members) -> None:
         """Bulk :meth:`_note` over parallel key/window/member arrays."""
-        import numpy as np
-
         if not keys.size:
             return
         order = np.lexsort((members, windows, keys))

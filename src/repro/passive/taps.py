@@ -9,8 +9,7 @@ are *exclusive* to it.
 Both accept an optional capture-fault filter
 (:class:`repro.faults.capture.CaptureFilter`): a record the filter
 drops was never delivered by that link's monitor, so it is invisible
-to every table fed from the tap.  With no filter (the default) the
-code paths are untouched.
+to every table fed from the tap.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.net.packet import PacketRecord
-from repro.passive.monitor import PassiveServiceTable, ServiceSignal
+from repro.passive.monitor import PassiveServiceTable
 
 
 @dataclass
@@ -42,7 +40,6 @@ class LinkTap:
         is_campus: Callable[[int], bool],
         tcp_ports: frozenset[int] | None,
         udp_ports: frozenset[int] = frozenset(),
-        signal: ServiceSignal = ServiceSignal.SYNACK,
         faults: object | None = None,
     ) -> "LinkTap":
         return cls(
@@ -52,22 +49,12 @@ class LinkTap:
                 tcp_ports=tcp_ports,
                 udp_ports=udp_ports,
                 links=frozenset({link}),
-                signal=signal,
             ),
             faults=faults,
         )
 
-    def observe(self, record: PacketRecord) -> None:
-        if (
-            self.faults is not None
-            and record.link == self.link
-            and not self.faults.keep(record)
-        ):
-            return
-        self.table.observe(record)
-
     def observe_columns(self, cols) -> None:
-        """Batch :meth:`observe` (the table filters by link).
+        """Feed a batch to the table (which filters by link itself).
 
         A tap-level fault filter must see exactly this link's records
         in stream order: the batch is compressed to them before
@@ -116,23 +103,14 @@ class MultiLinkMonitor:
             links=frozenset(self.taps),
         )
 
-    def observe(self, record: PacketRecord) -> None:
-        if self.faults is not None and not self.faults.keep(record):
-            return
-        self.combined.observe(record)
-        tap = self.taps.get(record.link)
-        if tap is not None:
-            tap.observe(record)
-
     def observe_columns(self, cols) -> None:
-        """Batch :meth:`observe`: one shared fault mask, then every tap
-        and the combined table consume the same column batch (each
-        table filters by link itself).
+        """One shared fault mask, then every tap and the combined table
+        consume the same column batch (each table filters by link
+        itself).
 
         The fault mask decides each link's records in stream order
         from that link's own random stream
-        (:meth:`repro.faults.capture.CaptureFilter.keep_mask`), so the
-        drop pattern matches the per-record path bit for bit.
+        (:meth:`repro.faults.capture.CaptureFilter.keep_mask`).
         """
         if self.faults is not None:
             cols = self.faults.filter_columns(cols)

@@ -14,13 +14,12 @@ fixed set of windows contained SYN-ACK (or watched-UDP) evidence.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
+from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.passive.monitor import _campus_mask, _port_lut
 
 
@@ -61,36 +60,10 @@ class WindowActivityObserver:
         bounds = np.array(self.windows, dtype=np.float64).reshape(-1, 2)
         self._starts, self._ends = bounds.T.copy()
 
-    def _window_of(self, t: float) -> int | None:
-        index = bisect.bisect_right(self._starts, t) - 1
-        if index < 0:
-            return None
-        start, end = self.windows[index]
-        return index if start <= t < end else None
-
-    def observe(self, record: PacketRecord) -> None:
-        if record.proto == PROTO_TCP:
-            if not record.flags.is_synack:
-                return
-            port = record.sport
-            if self.tcp_ports is not None and port not in self.tcp_ports:
-                return
-        elif record.proto == PROTO_UDP:
-            if record.sport not in self.udp_ports:
-                return
-        else:
-            return
-        if not self.is_campus(record.src) or self.is_campus(record.dst):
-            return
-        window = self._window_of(record.time)
-        if window is None:
-            return
-        self.hits.setdefault(record.src, set()).add(window)
-
     def observe_columns(self, cols) -> None:
-        """Batch :meth:`observe`: vectorised evidence masks and
-        ``searchsorted`` window assignment; only the batch's distinct
-        (address, window) pairs reach Python."""
+        """Vectorised evidence masks and ``searchsorted`` window
+        assignment; only the batch's distinct (address, window) pairs
+        reach Python."""
         proto = cols.proto
         flags = cols.flags
         sport = cols.sport

@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel.
+"""Simulation kernel.
 
 This subpackage provides the deterministic machinery every simulated
 dataset is built on:
@@ -7,8 +7,6 @@ dataset is built on:
   results can be reported with the paper's month-day axis labels.
 * :mod:`repro.simkernel.rng` -- named, independently seeded random
   streams derived from a single master seed.
-* :mod:`repro.simkernel.events` -- a binary-heap event queue and a small
-  event-loop runner.
 * :mod:`repro.simkernel.schedule` -- periodic and diurnal schedule
   helpers (e.g. "every 12 hours at 11:00 and 23:00").
 
@@ -16,7 +14,6 @@ Nothing in this package knows about networks; it is a generic kernel.
 """
 
 from repro.simkernel.clock import Calendar, SimClock, days, hours, minutes, seconds
-from repro.simkernel.events import Event, EventQueue, EventLoop
 from repro.simkernel.rng import RngStreams
 from repro.simkernel.schedule import DiurnalProfile, PeriodicSchedule, times_of_day
 
@@ -24,9 +21,6 @@ __all__ = [
     "Calendar",
     "SimClock",
     "DiurnalProfile",
-    "Event",
-    "EventLoop",
-    "EventQueue",
     "PeriodicSchedule",
     "RngStreams",
     "days",

@@ -12,13 +12,15 @@ The tap is an *additional* observer: it never mutates records and never
 changes what the other observers of the pass receive, so enabling it
 cannot perturb any experiment result.  Counts accumulate in plain local
 dicts during the pass and are folded into the active registry once at
-the end (:meth:`ReplayTap.flush_into`), keeping the per-record cost to
-a few dict operations.
+the end (:meth:`ReplayTap.flush_into`), keeping the per-batch cost to
+three bincounts.
 """
 
 from __future__ import annotations
 
-from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketRecord
+import numpy as np
+
+from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 
 _PROTO_NAMES = {PROTO_TCP: "tcp", PROTO_UDP: "udp", PROTO_ICMP: "icmp"}
 
@@ -34,19 +36,8 @@ class ReplayTap:
         self.by_link: dict[str, int] = {}
         self.by_proto: dict[int, int] = {}
 
-    def observe(self, record: PacketRecord) -> None:
-        self.records += 1
-        link = record.link
-        self.by_link[link] = self.by_link.get(link, 0) + 1
-        proto = record.proto
-        self.by_proto[proto] = self.by_proto.get(proto, 0) + 1
-        if proto == PROTO_TCP and record.flags._value_ & 0x12 == 0x12:
-            self.synacks += 1
-
     def observe_columns(self, cols) -> None:
-        """Batch :meth:`observe`: three bincounts, no records."""
-        import numpy as np
-
+        """Count a batch: three bincounts, no records."""
         count = len(cols)
         self.records += count
         if not count:

@@ -140,9 +140,9 @@ class RecordColumns:
     link: np.ndarray
     icmp: np.ndarray
     link_names: tuple[str, ...] = _LINKS
-    #: The batch's scalar form, shared by every observer that needs
-    #: per-record objects (the scalar-fallback path): the list the batch
-    #: was built from, or materialised lazily from the columns.
+    #: The batch's scalar form, shared by every consumer that asks for
+    #: per-record objects: the list the batch was built from, or
+    #: materialised lazily from the columns.
     _records: "list[PacketRecord] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -190,8 +190,8 @@ class RecordColumns:
         """Materialise the batch as ``PacketRecord`` objects.
 
         The only place decoded bytes become record objects.  The
-        result is cached on the batch so several scalar-fallback
-        observers of one replay pass share a single materialisation.
+        result is cached on the batch so several consumers of one batch
+        share a single materialisation.
         """
         if self._records is None:
             make = PacketRecord

@@ -1,7 +1,7 @@
 """Flows as columns: what the traffic sources write, how it becomes packets.
 
-The generator's counterpart of :class:`~repro.net.flow.FlowRecord` and
-its ``packets()``.  A source's RNG walk stays scalar -- the order of
+The generator's counterpart of the record-at-a-time ``FlowRecord`` and
+its ``packets()`` (``tests/traffic_reference.py``).  A source's RNG walk stays scalar -- the order of
 its draws is the trace -- but what a draw lands in is a typed buffer
 (:class:`FlowLog`), and everything after the draws is array code:
 :func:`flow_packets` lays a whole window of flows out as the header

@@ -1,10 +1,9 @@
-"""Event queue and event loop.
+"""A binary-heap event queue and a small event-loop runner.
 
-The traffic generators produce *merged, time-ordered* streams of packet
-records (see :mod:`repro.traffic.generator`); the event loop here is
-used for the control plane -- scheduling active scans, sampling-window
-toggles, dataset checkpoints -- where callback-style events are the
-natural fit.
+Nothing in ``repro`` schedules callbacks: the traffic generator and the
+online prober are array code over time-ordered columns.  The queue that
+``repro.simkernel`` once shipped for the control plane lives here, with
+``tests/test_simkernel_events.py``, until those tests are retired.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.simkernel.clock import SimClock
-from repro.telemetry.metrics import registry as _telemetry_registry
 
 
 @dataclass(frozen=True, order=True)
@@ -46,8 +44,7 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._counter = itertools.count()
-        #: Total events ever scheduled (plain int; flushed to telemetry
-        #: by the loop at run boundaries).
+        #: Total events ever scheduled.
         self.scheduled = 0
 
     def __len__(self) -> int:
@@ -102,7 +99,6 @@ class EventLoop:
         self.clock = clock if clock is not None else SimClock()
         self.queue = EventQueue()
         self._fired = 0
-        self._scheduled_flushed = 0
 
     @property
     def events_fired(self) -> int:
@@ -152,7 +148,6 @@ class EventLoop:
             fired += 1
         self.clock.advance_to(max(self.clock.now, end_time))
         self._fired += fired
-        self._flush_telemetry(fired)
         return fired
 
     def run_all(self, safety_limit: int = 10_000_000) -> int:
@@ -171,25 +166,4 @@ class EventLoop:
             event.fire()
             fired += 1
         self._fired += fired
-        self._flush_telemetry(fired)
         return fired
-
-    def _flush_telemetry(self, fired: int) -> None:
-        """Fold this run's event counts into the active registry.
-
-        Called once per ``run_until``/``run_all``, so the disabled cost
-        is one no-op counter call per run, not per event.  Scheduled
-        events are flushed as a delta against a watermark so repeated
-        runs of one loop never double-count.
-        """
-        reg = _telemetry_registry()
-        reg.counter(
-            "repro_simkernel_events_fired_total",
-            "Events executed by the control-plane event loop.",
-        ).inc(fired)
-        scheduled_delta = self.queue.scheduled - self._scheduled_flushed
-        self._scheduled_flushed = self.queue.scheduled
-        reg.counter(
-            "repro_simkernel_events_scheduled_total",
-            "Events scheduled on the control-plane event queue.",
-        ).inc(scheduled_delta)

@@ -1,10 +1,13 @@
-"""Documentation consistency checks.
+"""Documentation and shape consistency checks.
 
 Cheap guards that keep the docs honest: every public module has a
 docstring, DESIGN.md's experiment index covers every experiment module,
-and the README's architecture block names every subpackage.
+and the README's architecture block names every subpackage.  One guard
+keeps the record tier out of ``src/``: observers are reached through
+``observe_columns`` alone.
 """
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -79,3 +82,37 @@ class TestReadme:
         text = (REPO_ROOT / "README.md").read_text()
         for example in (REPO_ROOT / "examples").glob("*.py"):
             assert example.name in text, f"README missing {example.name}"
+
+
+class TestOneObserverEntryPoint:
+    """Per-record observer methods live in ``tests/passive_reference.py``;
+    only the table's ``observe`` (the benchmark's record-tier row)
+    stays in ``src/``."""
+
+    #: Classes allowed an ``observe``: the table, and the metric
+    #: instruments, which observe a value, not a record.
+    ALLOWED = {
+        ("monitor.py", "PassiveServiceTable"),
+        ("metrics.py", "Histogram"),
+        ("metrics.py", "_NullMetric"),
+    }
+
+    def test_no_per_record_observe_in_src(self):
+        offenders = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    offenders += [
+                        f"{path.name}:{node.name}.observe"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name == "observe"
+                        and (path.name, node.name) not in self.ALLOWED
+                    ]
+                name = getattr(node, "name", None) or getattr(
+                    node, "id", None
+                ) or getattr(node, "attr", None)
+                if name == "observe_each":
+                    offenders.append(f"{path.name}:observe_each")
+        assert not offenders, f"record-tier observers in src/: {offenders}"

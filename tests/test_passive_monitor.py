@@ -106,7 +106,16 @@ class TestSynackSignal:
         assert len(monitor.endpoints()) == 1
 
     def test_sampler_filter(self):
-        monitor = table(sampler=lambda t: t < 100.0)
+        class Before:
+            """A time filter: ``keep(t)`` and its column mask."""
+
+            def keep(self, t):
+                return t < 100.0
+
+            def keep_mask(self, times):
+                return times < 100.0
+
+        monitor = table(sampler=Before())
         monitor.observe(tcp_synack(200.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000))
         assert monitor.endpoints() == set()
         monitor.observe(tcp_synack(50.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000))

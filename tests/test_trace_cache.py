@@ -28,12 +28,9 @@ from repro.net.packet import (
     PacketRecord,
     TcpFlags,
 )
-from repro.passive.monitor import PassiveServiceTable, replay, replay_columnar
+from repro.passive.monitor import PassiveServiceTable, replay_columnar
 from repro.passive.scandetect import ExternalScanDetector, ScanDetectorConfig
-from repro.passive.taps import LinkTap, MultiLinkMonitor
-from repro.passive.windows import WindowActivityObserver
 from repro.stream.shard import ShardState
-from repro.telemetry.tap import ReplayTap
 from repro.trace.cache import (
     ENV_VAR,
     TraceCache,
@@ -44,6 +41,17 @@ from repro.trace.columnar import (
     read_trace,
     read_trace_columns,
     write_trace,
+)
+from tests.passive_reference import (
+    ReferenceLinkTap,
+    ReferenceMultiLinkMonitor,
+    ReferenceProbabilisticSampler,
+    ReferenceReplayTap,
+    ReferenceSamplingTable,
+    ReferenceScanDetector,
+    ReferenceWindowActivityObserver,
+    capture_filter,
+    replay,
 )
 from tests.trace_v1_reference import v1_trace_bytes
 from tests.traffic_reference import border_packet_stream as reference_packet_stream
@@ -66,14 +74,14 @@ def generated_records(dataset):
         return list(dataset.packet_stream())
 
 
-def standard_observers(dataset):
+def standard_observers(dataset, detector=ExternalScanDetector):
     table = PassiveServiceTable(
         is_campus=dataset.is_campus,
         tcp_ports=dataset.tcp_ports,
         udp_ports=dataset.udp_ports,
         links=frozenset(dataset.spec.monitored_links),
     )
-    detector = ExternalScanDetector(is_campus=dataset.is_campus)
+    detector = detector(is_campus=dataset.is_campus)
     return table, detector
 
 
@@ -113,10 +121,14 @@ class TestRoundTripFidelity:
         path = tmp_path / "capture.rprt"
         write_trace(path, generated_records)
 
-        direct_table, direct_detector = standard_observers(dataset)
+        direct_table, direct_detector = standard_observers(
+            dataset, ReferenceScanDetector
+        )
         direct_count = replay(iter(generated_records), direct_table, direct_detector)
 
-        stream_table, stream_detector = standard_observers(dataset)
+        stream_table, stream_detector = standard_observers(
+            dataset, ReferenceScanDetector
+        )
         stream_count = replay(
             iter(read_trace(path)), stream_table, stream_detector
         )
@@ -235,8 +247,9 @@ def _batches(records, cuts):
 def differential(make, state_of, observe=None):
     """The observer contract as a property: ``observe_columns`` over
     any batch cuts of any stream leaves exactly the state per-record
-    ``observe`` leaves (*observe* stands in where an observer has no
-    per-record method of its own)."""
+    ``observe`` (the reference in ``tests/passive_reference.py``)
+    leaves, and never materialises a record (*observe* stands in where
+    an observer has no per-record method of its own)."""
     observe = observe or (lambda observer, record: observer.observe(record))
 
     @settings(deadline=None, max_examples=60)
@@ -246,7 +259,9 @@ def differential(make, state_of, observe=None):
         for record in records:
             observe(reference, record)
         for cols in _batches(records, cuts):
+            cols._records = None
             batched.observe_columns(cols)
+            assert cols._records is None
         assert state_of(reference) == state_of(batched)
 
     contract()
@@ -307,30 +322,39 @@ class TestBatchedObservers:
             {"is_campus": self.predicates(dataset)[1],
              "exclude_sources": frozenset(_OUTSIDE[:1])},
         ):
-            make = self.table(dataset, **overrides)
-            assert make()._can_vectorize()
-            differential(make, _table_state)
+            differential(self.table(dataset, **overrides), _table_state)
 
     def test_passive_table_handshake_signal(self, dataset):
-        """Every configuration that falls back to per-record observe."""
+        """The order-dependent rules are vectorised and equal to the
+        reference; a sampler without a column mask is refused."""
         from repro.passive.monitor import ServiceSignal, UdpSignal
         from repro.passive.sampling import FixedPeriodSampler
 
         for overrides in (
             {"signal": ServiceSignal.HANDSHAKE},
             {"udp_signal": UdpSignal.BIDIRECTIONAL},
-            # Any other sampler callable is opaque.
-            {"sampler": FixedPeriodSampler(sample_minutes=30).keep},
+            {"signal": ServiceSignal.HANDSHAKE,
+             "udp_signal": UdpSignal.BIDIRECTIONAL,
+             "links": frozenset({"commercial1", "internet2"}),
+             "exclude_sources": frozenset(_OUTSIDE[:1]),
+             "sampler": FixedPeriodSampler(sample_minutes=30)},
+            {"signal": ServiceSignal.HANDSHAKE,
+             "udp_signal": UdpSignal.BIDIRECTIONAL,
+             "tcp_ports": None,
+             "is_campus": self.predicates(dataset)[1]},
         ):
-            make = self.table(dataset, **overrides)
-            assert not make()._can_vectorize()
-            differential(make, _table_state)
+            differential(self.table(dataset, **overrides), _table_state)
+        # A bare callable has no column mask.
+        with pytest.raises(TypeError, match="keep_mask"):
+            self.table(
+                dataset, sampler=FixedPeriodSampler(sample_minutes=30).keep
+            )()
 
     def test_scan_detector(self, dataset):
         config = ScanDetectorConfig(min_targets=2, min_rsts=1)
         for predicate in self.predicates(dataset):
             differential(
-                lambda: ExternalScanDetector(is_campus=predicate, config=config),
+                lambda: ReferenceScanDetector(is_campus=predicate, config=config),
                 lambda d: (d._targets, d._rst_sources, d.scanners()),
             )
 
@@ -338,7 +362,7 @@ class TestBatchedObservers:
         windows = ((0.0, 30.0), (30.0, 3600.0), (40_000.0, 60_000.0))
         for predicate in self.predicates(dataset):
             differential(
-                lambda: WindowActivityObserver(
+                lambda: ReferenceWindowActivityObserver(
                     windows=windows, is_campus=predicate,
                     tcp_ports=_TCP_PORTS, udp_ports=_UDP_PORTS,
                 ),
@@ -348,10 +372,10 @@ class TestBatchedObservers:
     def test_multilink_monitor(self, dataset):
         for plan in (None, _FAULTS):
             differential(
-                lambda: MultiLinkMonitor(
+                lambda: ReferenceMultiLinkMonitor(
                     links=_LINKS[1:3], is_campus=dataset.is_campus,
                     tcp_ports=_TCP_PORTS, udp_ports=_UDP_PORTS,
-                    faults=plan and plan.capture_filter(200_000.0),
+                    faults=plan and capture_filter(plan, 200_000.0),
                 ),
                 lambda monitor: (
                     _table_state(monitor.combined),
@@ -363,9 +387,9 @@ class TestBatchedObservers:
     def test_link_tap_with_own_fault_filter(self, dataset):
         """A tap-level filter sees only its own link's records."""
         differential(
-            lambda: LinkTap.create(
+            lambda: ReferenceLinkTap.create(
                 "commercial1", dataset.is_campus, _TCP_PORTS, _UDP_PORTS,
-                faults=_FAULTS.capture_filter(200_000.0),
+                faults=capture_filter(_FAULTS, 200_000.0),
             ),
             lambda tap: (_table_state(tap.table), tap.faults.state_dict()),
         )
@@ -384,22 +408,21 @@ class TestBatchedObservers:
 
     def test_replay_tap(self):
         differential(
-            ReplayTap,
+            ReferenceReplayTap,
             lambda tap: (tap.records, tap.synacks, tap.by_link, tap.by_proto),
         )
 
     @settings(deadline=None, max_examples=60)
     @given(records=_RECORDS, cuts=_CUTS)
     def test_replay_columnar_falls_back_to_observe(self, dataset, records, cuts):
-        """An observer without ``observe_columns`` (here a record-level
-        sampler) gets per-record ``observe``, faults included."""
-        from repro.passive.sampling import ProbabilisticSampler, SamplingTable
+        """A record-level sampler behind a fault filter: the columnar
+        pass equals the per-record reference pass."""
 
         def run(replay_fn, stream):
-            observer = SamplingTable(
-                self.table(dataset)(), ProbabilisticSampler(0.5, salt=3)
+            observer = ReferenceSamplingTable(
+                self.table(dataset)(), ReferenceProbabilisticSampler(0.5, salt=3)
             )
-            faults = _FAULTS.capture_filter(200_000.0)
+            faults = capture_filter(_FAULTS, 200_000.0)
             count = replay_fn(stream, observer, faults=faults)
             return (
                 count, observer.kept, observer.dropped,
@@ -412,7 +435,7 @@ class TestBatchedObservers:
 
 
 class _Collector:
-    """An observer with no ``observe_columns``: gets ``observe_each``."""
+    """An observer that keeps each batch's ``to_records()``."""
 
     def __init__(self):
         self.seen = []
@@ -420,9 +443,13 @@ class _Collector:
     def observe(self, record):
         self.seen.append(record)
 
+    def observe_columns(self, cols):
+        for record in cols.to_records():
+            self.observe(record)
+
 
 def _pass_observers(dataset):
-    """A vectorised table, a fallback one (HANDSHAKE) and a tap."""
+    """A SYNACK table, a HANDSHAKE one and a tap."""
     from repro.passive.monitor import ServiceSignal
 
     config = dict(
@@ -432,7 +459,7 @@ def _pass_observers(dataset):
     return (
         PassiveServiceTable(**config),
         PassiveServiceTable(signal=ServiceSignal.HANDSHAKE, **config),
-        ReplayTap(),
+        ReferenceReplayTap(),
     )
 
 
@@ -455,12 +482,11 @@ class TestOneSource:
         observers = _pass_observers(dataset)
         if collect:
             observers += (_Collector(),)
-        faults = plan and plan.capture_filter(dataset.duration)
+        faults = plan and capture_filter(plan, dataset.duration)
         count = run(*observers, faults=faults)
-        vectorised, fallback, tap = observers[:3]
-        assert vectorised._can_vectorize() and not fallback._can_vectorize()
+        synack, handshake, tap = observers[:3]
         return (
-            count, _table_state(vectorised), _table_state(fallback),
+            count, _table_state(synack), _table_state(handshake),
             (tap.records, tap.synacks, tap.by_link, tap.by_proto),
             faults and faults.state_dict(),
         ), observers

@@ -23,14 +23,7 @@ from repro.net.packet import (
     PacketRecord,
     TcpFlags,
 )
-from repro.passive.monitor import (
-    PassiveServiceTable,
-    replay,
-    replay_columnar,
-)
-from repro.passive.scandetect import ExternalScanDetector
-from repro.passive.taps import MultiLinkMonitor
-from repro.passive.windows import WindowActivityObserver
+from repro.passive.monitor import PassiveServiceTable, replay_columnar
 from repro.trace.cache import ENV_VAR, TraceCache, default_trace_cache
 from repro.trace.columnar import (
     TRACE_FORMAT_VERSION,
@@ -42,6 +35,13 @@ from repro.trace.columnar import (
     trace_is_intact,
     trace_version,
     write_trace,
+)
+from tests.passive_reference import (
+    ReferenceMultiLinkMonitor,
+    ReferenceScanDetector,
+    ReferenceWindowActivityObserver,
+    capture_filter,
+    replay,
 )
 from tests.trace_v1_reference import v1_trace_bytes
 
@@ -405,14 +405,14 @@ class TestColumnarReplayEquivalence:
             tcp_ports=dataset.tcp_ports,
             udp_ports=dataset.udp_ports,
         )
-        monitor = MultiLinkMonitor(
+        monitor = ReferenceMultiLinkMonitor(
             links=dataset.spec.monitored_links,
             is_campus=dataset.is_campus,
             tcp_ports=dataset.tcp_ports,
             udp_ports=dataset.udp_ports,
         )
-        detector = ExternalScanDetector(is_campus=dataset.is_campus)
-        windows = WindowActivityObserver(
+        detector = ReferenceScanDetector(is_campus=dataset.is_campus)
+        windows = ReferenceWindowActivityObserver(
             windows=tuple(dataset.scan_windows()),
             is_campus=dataset.is_campus,
             tcp_ports=dataset.tcp_ports,
@@ -441,13 +441,13 @@ class TestColumnarReplayEquivalence:
         plan = _faulty_plan() if faulted else None
 
         columnar = self._observers(dataset)
-        faults_c = plan.capture_filter(dataset.duration) if plan else None
+        faults_c = plan and capture_filter(plan, dataset.duration)
         count_c = replay_columnar(
             read_trace_columns(cached), *columnar, faults=faults_c
         )
 
         scalar = self._observers(dataset)
-        faults_s = plan.capture_filter(dataset.duration) if plan else None
+        faults_s = plan and capture_filter(plan, dataset.duration)
         count_s = replay(iter(read_trace(cached)), *scalar, faults=faults_s)
 
         assert count_c == count_s
@@ -457,15 +457,16 @@ class TestColumnarReplayEquivalence:
             assert faults_c.stats.dropped == faults_s.stats.dropped
 
     def test_scalar_fallback_contract(self, cached_trace):
-        """An observer without observe_columns sees identical records."""
+        """An observer reading each batch's records sees identical
+        records."""
         dataset, cached = cached_trace
 
         class RecordingObserver:
             def __init__(self):
                 self.seen = []
 
-            def observe(self, record):
-                self.seen.append(record)
+            def observe_columns(self, cols):
+                self.seen.extend(cols.to_records())
 
         plain = RecordingObserver()
         table = PassiveServiceTable(
@@ -491,7 +492,7 @@ class TestColumnarReplayEquivalence:
                 tcp_ports=dataset.tcp_ports,
                 udp_ports=dataset.udp_ports,
             )
-            faults = plan.capture_filter(dataset.duration) if plan else None
+            faults = plan and capture_filter(plan, dataset.duration)
             if columnar:
                 count = replay_columnar(
                     read_trace_columns(cached), table, faults=faults

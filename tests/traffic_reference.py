@@ -21,14 +21,23 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.campus.host import Host, ProbeOutcome
 from repro.campus.population import CampusPopulation
 from repro.campus.service import Service
 from repro.net.addr import AddressClass
-from repro.net.flow import FlowKey, FlowRecord
-from repro.net.packet import PacketRecord, tcp_rst, tcp_syn, tcp_synack
+from repro.net.packet import (
+    PROTO_TCP,
+    PROTO_UDP,
+    PacketRecord,
+    TcpFlags,
+    tcp_rst,
+    tcp_syn,
+    tcp_synack,
+    udp_datagram,
+)
 from repro.net.ports import PORT_HTTP, PORT_HTTPS
 from repro.simkernel.clock import SECONDS_PER_DAY
 from repro.simkernel.rng import RngStreams, zipf_weights
@@ -38,6 +47,120 @@ from repro.traffic.generator import TrafficMix
 from repro.traffic.links import link_for_client
 from repro.traffic.noise import _EXTERNAL_WEB_BASE
 from repro.traffic.scans import ScanPlan, ScanSweep
+
+
+@dataclass(frozen=True, order=True, slots=True)
+class FlowKey:
+    """A service endpoint: (server address, server port, protocol)."""
+
+    server: int
+    port: int
+    proto: int = PROTO_TCP
+
+    def __str__(self) -> str:
+        from repro.net.addr import format_ipv4
+
+        proto = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(self.proto, str(self.proto))
+        return f"{format_ipv4(self.server)}:{self.port}/{proto}"
+
+
+@dataclass(frozen=True, slots=True)
+class FlowRecord:
+    """One client connection to a campus service.
+
+    Attributes
+    ----------
+    time:
+        Time of the initial packet (the client's SYN / first datagram).
+    client:
+        Client IPv4 address (integer); external clients for border flows.
+    key:
+        The service endpoint contacted.
+    client_port:
+        Ephemeral source port used by the client.
+    accepted:
+        Whether the server answered positively (SYN-ACK / UDP reply).
+        Flows to dead or firewalled endpoints have ``accepted=False``.
+    rtt:
+        One-way response latency applied to the server's reply, seconds.
+    link:
+        The peering link this client's traffic crosses (capture
+        metadata propagated to the packet records).
+    """
+
+    time: float
+    client: int
+    key: FlowKey
+    client_port: int = 40000
+    accepted: bool = True
+    rtt: float = 0.05
+    link: str = ""
+
+    def packets(self) -> list[PacketRecord]:
+        """Expand the flow into the header records a border tap would see.
+
+        Only the discovery-relevant packets are materialised: the
+        client's opening packet and (for accepted flows) the server's
+        positive response.  Data packets never influence the paper's
+        analysis and are omitted, exactly as the capture filter would
+        drop them.
+        """
+        key = self.key
+        if key.proto == PROTO_TCP:
+            out = [
+                tcp_syn(
+                    self.time, self.client, key.server,
+                    self.client_port, key.port, self.link,
+                )
+            ]
+            if self.accepted:
+                out.append(
+                    tcp_synack(
+                        self.time + self.rtt,
+                        key.server,
+                        self.client,
+                        key.port,
+                        self.client_port,
+                        self.link,
+                    )
+                )
+                # The client's final ACK completes the three-way
+                # handshake.  Legitimate clients send it; half-open
+                # scanners never do -- which is exactly what the
+                # handshake-confirmation ablation distinguishes.
+                out.append(
+                    PacketRecord(
+                        time=self.time + 2 * self.rtt,
+                        src=self.client,
+                        dst=key.server,
+                        sport=self.client_port,
+                        dport=key.port,
+                        proto=PROTO_TCP,
+                        flags=TcpFlags.ACK,
+                        link=self.link,
+                    )
+                )
+            return out
+        if key.proto == PROTO_UDP:
+            out = [
+                udp_datagram(
+                    self.time, self.client, key.server,
+                    self.client_port, key.port, self.link,
+                )
+            ]
+            if self.accepted:
+                out.append(
+                    udp_datagram(
+                        self.time + self.rtt,
+                        key.server,
+                        self.client,
+                        key.port,
+                        self.client_port,
+                        self.link,
+                    )
+                )
+            return out
+        raise ValueError(f"unsupported flow protocol: {key.proto}")
 
 
 def service_flow_stream(
