@@ -27,8 +27,11 @@ bit for bit by drawing from the *same* Mersenne Twister stream in bulk:
 ``random.Random.random``, and each class of record consumes a fixed
 number of uniforms -- outage: 0; inside a burst: 0; burst entry: 1 plus
 the continuation draws; otherwise 1 per enabled test (burst, then
-i.i.d.).  ``random.Random.getstate()`` stays the state of record, so
-checkpoints keep their format.
+i.i.d.).  Each link's generator lives in numpy for the whole pass,
+seeded from ``random.Random`` when the link is first seen; the
+``random.Random.getstate()`` form exists only at the edges
+(:meth:`CaptureFilter.state_dict` / :meth:`CaptureFilter.restore_state`),
+so checkpoints keep their format.
 
 A filter instance is single-pass: it must see each record of the pass
 exactly once.  Build a fresh one per pass
@@ -56,12 +59,36 @@ class _LinkState:
         link: str,
         windows: tuple[tuple[float, float], ...],
     ) -> None:
-        self.rng = random.Random(derive_seed(seed, f"faults.capture.{link}"))
+        #: The link's loss stream, for the whole pass (module docstring).
+        #: A seeded MT19937 skips the OS entropy read; set_state replaces it.
+        self.rng = np.random.RandomState(np.random.MT19937(0))
+        self.rng.set_state(_numpy_state(
+            random.Random(derive_seed(seed, f"faults.capture.{link}")).getstate()
+        ))
         self.burst_remaining = 0
         #: The outage windows as (starts, ends) arrays.
         self.outage_bounds = tuple(
             np.array(windows, dtype=np.float64).reshape(-1, 2).T.copy()
         )
+
+
+# The bridge between the two Mersenne Twister front ends, used only at
+# a link's edges (seeding, checkpoints).  Python's ``getstate()`` is
+# (version, 624 key words + position, gauss_next); numpy's legacy state
+# is ("MT19937", key, position, ...).
+
+
+def _numpy_state(python_state: tuple) -> tuple:
+    """``random.Random.getstate()`` form -> numpy ``set_state`` form."""
+    internal = python_state[1]
+    return ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+
+
+def _python_state(rng: np.random.RandomState) -> tuple:
+    """*rng*'s place in its stream in ``random.Random.getstate()`` form,
+    plain ints throughout (checkpoints pickle it)."""
+    _, key, position = rng.get_state()[:3]
+    return (random.Random.VERSION, (*key.tolist(), position), None)
 
 
 @dataclass
@@ -109,8 +136,6 @@ class CaptureFilter:
             1.0 - 1.0 / plan.burst_mean_length if self._burst > 0.0 else 0.0
         )
         self._has_outages = plan.outage_fraction > 0.0
-        #: numpy front end onto the per-link MT19937 streams (keep_mask).
-        self._bulk = np.random.RandomState(0)
 
     def _state(self, link: str) -> _LinkState:
         state = self._links.get(link)
@@ -186,10 +211,8 @@ class CaptureFilter:
                 self._burst_walk(state, keep, carried)
             elif self._loss > 0.0:
                 # One uniform per record, so the draw count is exact.
-                self._bulk_load(state.rng)
-                drawn = self._bulk.random_sample(count - carried)
+                drawn = state.rng.random_sample(count - carried)
                 keep[carried:] = drawn >= self._loss
-                self._bulk_store(state.rng)
         kept = int(np.count_nonzero(keep))
         self.stats.kept += kept
         self.stats.dropped_loss += count - kept
@@ -207,7 +230,8 @@ class CaptureFilter:
         """
         burst, go_on, loss = self._burst, self._burst_continue, self._loss
         stride = 2 if loss > 0.0 else 1  # uniforms per no-burst record
-        origin = self._bulk_load(state.rng)
+        rng = state.rng
+        origin = rng.get_state()
         count = len(keep)
         block = entries = stops = np.empty(0)
         position = 0  # stream offset of *record*'s burst-entry test
@@ -216,7 +240,7 @@ class CaptureFilter:
             reach = position + stride * (count - record)
             want = max(want, reach)
             if want > block.size:
-                fresh = self._bulk.random_sample(want - block.size + 64)
+                fresh = rng.random_sample(want - block.size + 64)
                 block = np.concatenate((block, fresh))
                 entries = np.flatnonzero(block < burst)
                 stops = np.flatnonzero(block >= go_on)
@@ -249,28 +273,8 @@ class CaptureFilter:
             state.burst_remaining = length - 1 - skipped
             record += 1 + skipped
             position = entry + 1 + length
-        self._bulk.set_state(origin)
-        self._bulk.random_sample(position)
-        self._bulk_store(state.rng)
-
-    # The bridge between the two Mersenne Twister front ends.  Python's
-    # ``getstate()`` is (version, 624 key words + position, gauss_next);
-    # numpy's legacy state is ("MT19937", key, position, ...).
-
-    def _bulk_load(self, rng: random.Random) -> tuple:
-        """Point the bulk generator at *rng*'s place in its stream."""
-        internal = rng.getstate()[1]
-        origin = (
-            "MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]
-        )
-        self._bulk.set_state(origin)
-        return origin
-
-    def _bulk_store(self, rng: random.Random) -> None:
-        """Write the bulk generator's place in the stream back to *rng*."""
-        version, _, gauss_next = rng.getstate()
-        _, key, position = self._bulk.get_state()[:3]
-        rng.setstate((version, (*key.tolist(), position), gauss_next))
+        rng.set_state(origin)
+        rng.random_sample(position)
 
     def filter_columns(self, cols):
         """The records of a ``RecordColumns`` batch the monitors see.
@@ -300,7 +304,7 @@ class CaptureFilter:
             },
             "links": {
                 link: {
-                    "rng_state": state.rng.getstate(),
+                    "rng_state": _python_state(state.rng),
                     "burst_remaining": state.burst_remaining,
                 }
                 for link, state in self._links.items()
@@ -321,5 +325,5 @@ class CaptureFilter:
         self._links.clear()
         for link, saved in payload.get("links", {}).items():
             state = self._state(link)
-            state.rng.setstate(saved["rng_state"])
+            state.rng.set_state(_numpy_state(saved["rng_state"]))
             state.burst_remaining = int(saved["burst_remaining"])

@@ -15,10 +15,10 @@ here (:class:`_ThreadTransport`), worker processes in
 1. the driver reads one batch, decides which of its records the run's
    fault filter keeps (capture loss and monitor outages, in stream
    order -- the same drop pattern the batch path produces), routes the
-   kept rows with :func:`repro.stream.shard.route_columns` -- row
-   indices only: a record is copied where it is folded -- feeds the
-   parts to the transport, and advances the online prober to stream
-   time;
+   kept rows with :func:`repro.stream.shard.route_columns`, mask in
+   hand -- row indices only: a record is copied where it is folded --
+   feeds the parts to the transport, and advances the online prober to
+   stream time;
 2. when stream time crosses an emission mark, it asks the transport
    for the passive addresses first seen by the mark -- a request the
    shards answer in band, behind the parts fed before it, while the
@@ -215,13 +215,13 @@ def _fresh_table(dataset) -> PassiveServiceTable:
     )
 
 
-def _kept_rows(faults, batch) -> np.ndarray | None:
-    """The rows of *batch* the capture filter keeps, in stream order,
-    or ``None`` when it keeps them all (or there is no filter)."""
+def _keep_mask(faults, batch) -> np.ndarray | None:
+    """Which rows of *batch* the capture filter keeps, or ``None`` when
+    it keeps them all (or there is no filter)."""
     if faults is None:
         return None
     keep = faults.keep_mask(batch.time, batch.link, batch.link_names)
-    return None if keep.all() else np.flatnonzero(keep)
+    return None if keep.all() else keep
 
 
 def finalize_result(
@@ -554,23 +554,22 @@ class StreamEngine:
                 end, skip=records_read, batch_records=config.batch_records
             ):
                 records_read += len(batch)
-                rows = _kept_rows(faults, batch)
-                delivered = len(batch) if rows is None else len(rows)
+                keep = _keep_mask(faults, batch)
+                parts = route_columns(batch, is_campus, shards, keep)
+                delivered = sum(map(len, parts))
                 records_delivered += delivered
                 if delivered:
-                    last_time = float(
-                        batch.time[-1] if rows is None else batch.time[rows[-1]]
-                    )
+                    last = len(batch) - 1
+                    if keep is not None:  # the last row the filter kept
+                        last -= int(np.argmax(keep[::-1]))
+                    last_time = float(batch.time[last])
                     if last_time > now:
                         now = last_time
                     if tap is not None:
                         tap.observe_columns(
-                            batch if rows is None else batch.take(rows)
+                            batch if keep is None else batch.compress(keep)
                         )
-                    transport.feed(
-                        route_columns(batch, is_campus, shards, rows),
-                        records_read,
-                    )
+                    transport.feed(parts, records_read)
                     if trc.enabled:
                         trc.note("engine.batch", records=records_read)
                 if prober is not None:
@@ -741,7 +740,7 @@ class StreamEngine:
             left -= len(batch)
             yield route_columns(
                 batch, self.dataset.is_campus, self.config.shards,
-                _kept_rows(scratch, batch),
+                _keep_mask(scratch, batch),
             )
             if left <= 0:
                 return

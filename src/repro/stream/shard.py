@@ -94,22 +94,22 @@ def as_routed(part) -> RoutedPart:
 
 def route_columns(
     cols, is_campus: Callable[[int], bool], shards: int,
-    rows: np.ndarray | None = None,
+    keep: np.ndarray | None = None,
 ) -> list[RoutedPart]:
     """Decide which rows of one batch go to which shard (in order).
 
     The owning-address rule (:func:`owning_address`, per record) is
     evaluated as one branch-free select over the whole batch and hashed
-    with :func:`shard_of`'s multiplier; a *stable* argsort then orders each
-    shard's rows as they stand in the stream -- the invariant the
-    per-link fault and handshake state machines rely on.  The hash
-    wraps in ``uint32`` (:func:`shard_of`'s mask); a ``uint16`` shard
-    index makes the stable sort a radix sort.  *rows* (increasing row
-    indices: the capture filter's survivors) restricts the route to
-    those rows.  Each part indexes *cols* itself; nothing is copied.
+    with :func:`shard_of`'s multiplier (wrapping in ``uint32``, its
+    mask).  *keep* (the capture filter's boolean mask; ``None``: every
+    row) restricts the route to the rows it keeps.  Each shard's rows
+    are one scan of the batch against the mask, so they come out
+    ascending -- stream order, the invariant the per-link fault and
+    handshake state machines rely on.  Each part indexes *cols* itself;
+    nothing is copied.
     """
     if shards <= 1:
-        return [RoutedPart(cols, rows)]
+        return [RoutedPart(cols, None if keep is None else np.flatnonzero(keep))]
     src = cols.src
     dst = cols.dst
     proto = cols.proto
@@ -125,18 +125,14 @@ def route_columns(
     # Hashed in place: the addresses are not needed again.
     owning *= np.uint32(_HASH_MULTIPLIER)
     owning %= np.uint32(shards)
-    shard_index = owning.astype(np.uint16) if shards <= 1 << 16 else owning
-    if rows is not None:
-        shard_index = shard_index[rows]
-    order = np.argsort(shard_index, kind="stable")
-    if rows is not None:
-        order = rows[order]
-    counts = np.bincount(shard_index, minlength=shards)
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return [
-        RoutedPart(cols, order[bounds[index]:bounds[index + 1]])
-        for index in range(shards)
-    ]
+    mine = np.empty(len(owning), dtype=bool)
+    parts = []
+    for index in range(shards):
+        np.equal(owning, index, out=mine)
+        if keep is not None:
+            mine &= keep
+        parts.append(RoutedPart(cols, np.flatnonzero(mine)))
+    return parts
 
 
 def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:

@@ -13,9 +13,11 @@ tables here are the production ones.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import hashlib
+import random
 
-from repro.faults.capture import CaptureFilter
+from repro.faults.capture import CaptureFilter, _numpy_state, _python_state
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.passive.sampling import (
     CountBudgetSampler,
@@ -26,6 +28,7 @@ from repro.passive.scandetect import ExternalScanDetector
 from repro.passive.taps import LinkTap, MultiLinkMonitor
 from repro.passive.windows import WindowActivityObserver
 from repro.simkernel.clock import minutes
+from repro.simkernel.rng import derive_seed
 from repro.telemetry.tap import ReplayTap
 
 
@@ -52,7 +55,51 @@ def replay(stream, *observers, faults=None) -> int:
 
 
 class ReferenceCaptureFilter(CaptureFilter):
-    """:class:`CaptureFilter` deciding one record at a time."""
+    """:class:`CaptureFilter` deciding one record at a time.
+
+    Each link draws from its own ``random.Random``, never from the
+    production link state's numpy generator, so the differential holds
+    ``keep_mask``'s bulk draws to Python's generator.  Those streams
+    are the filter's state whichever entry point advanced them: a
+    batch through :meth:`keep_mask` runs the production path on them.
+    """
+
+    def __init__(self, plan, duration: float) -> None:
+        super().__init__(plan, duration)
+        self._rngs: dict[str, random.Random] = {}
+
+    def _rng(self, link: str) -> random.Random:
+        rng = self._rngs.get(link)
+        if rng is None:
+            seed = derive_seed(self.plan.seed, f"faults.capture.{link}")
+            rng = self._rngs[link] = random.Random(seed)
+        return rng
+
+    def state_dict(self) -> dict:
+        return {
+            "stats": dataclasses.asdict(self.stats),
+            "links": {
+                link: {
+                    "rng_state": self._rng(link).getstate(),
+                    "burst_remaining": state.burst_remaining,
+                }
+                for link, state in self._links.items()
+            },
+        }
+
+    def restore_state(self, payload: dict) -> None:
+        super().restore_state(payload)
+        self._rngs.clear()
+        for link, saved in payload.get("links", {}).items():
+            self._rng(link).setstate(saved["rng_state"])
+
+    def keep_mask(self, times, link_indices, link_names):
+        for link, state in self._links.items():
+            state.rng.set_state(_numpy_state(self._rng(link).getstate()))
+        mask = super().keep_mask(times, link_indices, link_names)
+        for link, state in self._links.items():
+            self._rng(link).setstate(_python_state(state.rng))
+        return mask
 
     def keep(self, record) -> bool:
         """Whether the monitors see *record*; advances the loss state."""
@@ -72,7 +119,7 @@ class ReferenceCaptureFilter(CaptureFilter):
             state.burst_remaining -= 1
             self.stats.dropped_loss += 1
             return False
-        rng_random = state.rng.random
+        rng_random = self._rng(link).random
         if self._burst > 0.0 and rng_random() < self._burst:
             # Enter a bad state: this record and a geometric run of
             # followers are lost.  Mean run length = burst_mean_length.

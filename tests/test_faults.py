@@ -11,12 +11,14 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.campus.host import ProbeOutcome
 from repro.datasets import build_dataset
 from repro.faults import CaptureFilter, FaultPlan
+from repro.faults.capture import _numpy_state, _python_state
 from repro.net.packet import PacketRecord
 from repro.passive.monitor import PassiveServiceTable, replay_columnar
 from repro.passive.taps import LinkTap, MultiLinkMonitor
@@ -241,8 +243,9 @@ class TestCaptureFilter:
             state = batched.state_dict()
             assert state == states[hi]
             assert list(state["links"]) == list(states[hi]["links"])
-            # Checkpoints pickle these: numpy integers would change
-            # the format.
+            # Checkpoints pickle these: numpy integers (a count, an RNG
+            # key word) compare equal but would change the format.
+            assert pickle.dumps(state) == pickle.dumps(states[hi])
             assert all(type(value) is int for value in state["stats"].values())
             assert vars(batched.stats) == states[hi]["stats"]
 
@@ -262,17 +265,18 @@ class TestCaptureFilter:
 
     def test_numpy_bridge_is_the_same_mersenne_twister(self):
         """``keep_mask`` draws through ``numpy.random.RandomState`` from
-        states ``random.Random`` owns.  That is exact only while both
-        compute the same double from the same MT19937 state; a numpy
-        that ever stops doing so must fail here, not shift reports."""
+        states seeded and checkpointed in ``random.Random``'s form.
+        That is exact only while both compute the same double from the
+        same MT19937 state; a numpy that ever stops doing so must fail
+        here, not shift reports."""
         rng = random.Random(20070824)
         for _ in range(1000):  # off the just-seeded position
             rng.random()
         twin = random.Random(0)
-        bridge = CaptureFilter(FaultPlan(seed=1, capture_loss_rate=0.5), 1.0)
-        bridge._bulk_load(rng)
-        drawn = bridge._bulk.random_sample(100_000)
-        bridge._bulk_store(twin)
+        bridge = np.random.RandomState(0)
+        bridge.set_state(_numpy_state(rng.getstate()))
+        drawn = bridge.random_sample(100_000)
+        twin.setstate(_python_state(bridge))
         assert drawn.tolist() == [rng.random() for _ in range(100_000)]
         assert twin.getstate() == rng.getstate()
         assert [twin.random() for _ in range(1000)] == [
