@@ -24,6 +24,7 @@ from repro.core.report import TextTable
 from repro.core.timeline import DiscoveryTimeline
 from repro.net.addr import format_ipv4
 from repro.net.ports import service_name
+from repro.passive import SamplingTable
 from repro.simkernel.clock import hours, minutes
 
 
@@ -37,10 +38,11 @@ def main() -> None:
     full = PassiveServiceTable(
         is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
     )
-    sampled = PassiveServiceTable(
-        is_campus=dataset.is_campus,
-        tcp_ports=dataset.tcp_ports,
-        sampler=FixedPeriodSampler(sample_minutes=10),
+    sampled = SamplingTable(
+        PassiveServiceTable(
+            is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
+        ),
+        FixedPeriodSampler(sample_minutes=10),
     )
     dataset.replay(full, sampled)
 
@@ -83,7 +85,7 @@ def main() -> None:
 
     # --- sampling trade-off -------------------------------------------
     full_servers = len(full.server_addresses())
-    sampled_servers = len(sampled.server_addresses())
+    sampled_servers = len(sampled.table.server_addresses())
     print(
         f"\nSampling 10 min/hour (17% of the data) still finds "
         f"{sampled_servers} of {full_servers} servers "

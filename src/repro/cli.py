@@ -195,8 +195,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def _fabric_config(args: argparse.Namespace, worker_faults=None):
     """The supervision knobs ``stream`` and ``serve`` share, or ``None``
-    for in-process shard threads (neither ``--fabric`` nor ``--workers``)."""
-    if not args.fabric and args.workers is None:
+    for in-process shard threads (no ``--workers``)."""
+    if args.workers is None:
         return None
     from repro.stream import FabricConfig
 
@@ -822,14 +822,10 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=2,
                         help="partition the stream across N shard workers")
     parser.add_argument(
-        "--fabric", action="store_true",
-        help="run shards as supervised worker processes (the "
-             "distributed fabric) instead of in-process threads",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker process count for the fabric (implies --fabric; "
-             "overrides --shards)",
+        help="run N shards as supervised worker processes (the "
+             "distributed fabric) instead of in-process threads; "
+             "overrides --shards",
     )
     parser.add_argument("--heartbeat-interval", type=float, default=0.25,
                         metavar="SECONDS",

@@ -89,12 +89,12 @@ def sampling(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     context = get_context(DATASET, seed, scale)
     dataset = context.dataset
 
-    def fresh_table(**kwargs):
+    def fresh_table():
         return PassiveServiceTable(
-            is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports, **kwargs
+            is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports
         )
 
-    fixed = fresh_table(sampler=FixedPeriodSampler(sample_minutes=10))
+    fixed = SamplingTable(fresh_table(), FixedPeriodSampler(sample_minutes=10))
     probabilistic = SamplingTable(
         fresh_table(), ProbabilisticSampler(probability=10 / 60, salt=seed)
     )
@@ -107,7 +107,7 @@ def sampling(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     dataset.replay(fixed, probabilistic, budget)
     metrics = {
         "baseline": float(len(context.table.server_addresses())),
-        "fixed_period": float(len(fixed.server_addresses())),
+        "fixed_period": float(len(fixed.table.server_addresses())),
         "probabilistic": float(len(probabilistic.table.server_addresses())),
         "count_budget": float(len(budget.table.server_addresses())),
         "budget_fraction": budget.observed_fraction,

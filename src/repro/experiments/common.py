@@ -232,24 +232,27 @@ def sampled_tables(
     context: AnalysisContext, sample_minutes: tuple[float, ...]
 ) -> dict[float, PassiveServiceTable]:
     """Second pass: passive tables under fixed-period samplers (cached)."""
-    from repro.passive.sampling import FixedPeriodSampler
+    from repro.passive.sampling import FixedPeriodSampler, SamplingTable
 
     cache_key = (_context_key(context), tuple(sample_minutes))
     cached = _SAMPLED_TABLES.get(cache_key)
     if cached is not None:
         return cached
     dataset = context.dataset
-    tables = {
-        minutes: PassiveServiceTable(
-            is_campus=dataset.is_campus,
-            tcp_ports=dataset.tcp_ports,
-            udp_ports=dataset.udp_ports,
-            links=frozenset(dataset.spec.monitored_links),
-            sampler=FixedPeriodSampler(sample_minutes=minutes),
+    sampled = {
+        minutes: SamplingTable(
+            PassiveServiceTable(
+                is_campus=dataset.is_campus,
+                tcp_ports=dataset.tcp_ports,
+                udp_ports=dataset.udp_ports,
+                links=frozenset(dataset.spec.monitored_links),
+            ),
+            FixedPeriodSampler(sample_minutes=minutes),
         )
         for minutes in sample_minutes
     }
-    dataset.replay(*tables.values())
+    dataset.replay(*sampled.values())
+    tables = {minutes: wrapper.table for minutes, wrapper in sampled.items()}
     _SAMPLED_TABLES[cache_key] = tables
     return tables
 

@@ -41,6 +41,11 @@ from repro.core.report import TextTable
 from repro.experiments.common import percent
 from repro.faults.plan import FaultPlan
 from repro.simkernel.rng import derive_seed
+from repro.telemetry.metrics import (
+    MetricRegistry,
+    registry as _telemetry_registry,
+    set_registry,
+)
 
 DEFAULT_DATASET = "DTCPall"
 DEFAULT_LOSS_RATES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4)
@@ -160,6 +165,25 @@ def measure_point(
     )
 
 
+def _measure_in_worker(
+    telemetry: bool, *point
+) -> tuple[DegradationPoint, dict | None]:
+    """:func:`measure_point` in a pool worker, plus its metrics.
+
+    A forked worker inherits the parent's registry with its counts, so
+    an instrumented task runs under a fresh registry and ships only its
+    own snapshot, which the parent merges.
+    """
+    if not telemetry:
+        return measure_point(*point), None
+    registry = MetricRegistry()
+    previous = set_registry(registry)
+    try:
+        return measure_point(*point), registry.snapshot()
+    finally:
+        set_registry(previous)
+
+
 def run_degradation(
     dataset: str = DEFAULT_DATASET,
     seed: int = 0,
@@ -171,8 +195,9 @@ def run_degradation(
     """Sweep the fault grid; return every point plus the baseline.
 
     With ``jobs > 1`` the points run across a process pool.  Points
-    are independent and individually deterministic, and results merge
-    in grid order, so the output is identical at any job count.
+    are independent and individually deterministic, and results (and
+    each worker's metrics) merge in grid order, so the output is
+    identical at any job count.
     """
     if not loss_rates:
         raise ValueError("need at least one loss rate")
@@ -194,12 +219,21 @@ def run_degradation(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        telemetry = _telemetry_registry().enabled
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(measure_point, dataset, seed, scale, loss, outage)
+                pool.submit(
+                    _measure_in_worker, telemetry,
+                    dataset, seed, scale, loss, outage,
+                )
                 for loss, outage in tasks
             ]
-            measured = [future.result() for future in futures]
+            measured = []
+            for future in futures:
+                point, snapshot = future.result()
+                if snapshot is not None:
+                    _telemetry_registry().merge_snapshot(snapshot)
+                measured.append(point)
     return DegradationResult(
         dataset=dataset,
         seed=seed,

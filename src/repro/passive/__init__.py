@@ -7,10 +7,10 @@ build a table of services over time.
 * :mod:`repro.passive.monitor` -- the observer framework and the
   passive service table (SYN-ACK signal by default; handshake
   confirmation available as an ablation);
-* :mod:`repro.passive.taps` -- per-peering-link capture filters
+* :mod:`repro.passive.taps` -- one service table per peering link
   (Section 5.2's partial-perspective study);
-* :mod:`repro.passive.sampling` -- fixed-period sampling windows
-  (Section 5.3);
+* :mod:`repro.passive.sampling` -- the samplers of Section 5.3 and the
+  one sampled observer, :class:`SamplingTable`;
 * :mod:`repro.passive.scandetect` -- the external-scan detector
   (>=100 distinct targets and >=100 RSTs within 12 hours) and the
   scan-removal filter behind Figure 4.
@@ -30,7 +30,7 @@ from repro.passive.sampling import (
     SamplingTable,
 )
 from repro.passive.scandetect import ExternalScanDetector, ScanDetectorConfig
-from repro.passive.taps import LinkTap, MultiLinkMonitor
+from repro.passive.taps import MultiLinkMonitor
 
 __all__ = [
     "CountBudgetSampler",
@@ -39,7 +39,6 @@ __all__ = [
     "ProbabilisticSampler",
     "SamplingTable",
     "UdpSignal",
-    "LinkTap",
     "MultiLinkMonitor",
     "PacketObserver",
     "PassiveServiceTable",

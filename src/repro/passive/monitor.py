@@ -23,15 +23,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
 from repro.telemetry.metrics import registry as _telemetry_registry
-
-if TYPE_CHECKING:
-    from repro.passive.sampling import FixedPeriodSampler
 
 #: A service endpoint as the passive table keys it.
 Endpoint = tuple[int, int, int]  # (address, port, proto)
@@ -212,11 +209,6 @@ class PassiveServiceTable:
     exclude_sources:
         External addresses whose conversations are ignored entirely --
         the scan-removal filter of Section 4.3.
-    sampler:
-        Optional time filter for the fixed-period sampling study: a
-        :class:`repro.passive.sampling.FixedPeriodSampler`, or anything
-        else offering ``keep(t)`` and ``keep_mask(times)`` over a time
-        column.
     """
 
     is_campus: Callable[[int], bool]
@@ -226,7 +218,6 @@ class PassiveServiceTable:
     signal: ServiceSignal = ServiceSignal.SYNACK
     udp_signal: UdpSignal = UdpSignal.SPORT
     exclude_sources: frozenset[int] = frozenset()
-    sampler: FixedPeriodSampler | None = None
 
     #: endpoint -> earliest evidence time.
     first_seen: dict[Endpoint, float] = field(default_factory=dict)
@@ -244,18 +235,9 @@ class PassiveServiceTable:
     #: (BIDIRECTIONAL udp_signal only).
     _udp_requests: set[tuple[int, int, int]] = field(default_factory=set)
 
-    def __post_init__(self) -> None:
-        if self.sampler is not None and not hasattr(self.sampler, "keep_mask"):
-            raise TypeError(
-                "sampler must offer keep(t) and keep_mask(times), "
-                f"not {type(self.sampler).__name__}"
-            )
-
     def observe(self, record: PacketRecord) -> None:
         """Feed one captured header into the table."""
         if self.links is not None and record.link not in self.links:
-            return
-        if self.sampler is not None and not self.sampler.keep(record.time):
             return
         if record.proto == PROTO_TCP:
             self._observe_tcp(record)
@@ -276,10 +258,6 @@ class PassiveServiceTable:
         within a stable sort by flow key, which keeps stream order
         inside each key's run.
         """
-        if self.sampler is not None:
-            sampled = self.sampler.keep_mask(cols.time)
-            if not sampled.all():
-                cols = cols.compress(sampled)
         proto = cols.proto
         flags = cols.flags
         src = cols.src

@@ -12,9 +12,10 @@ reproduction can run the comparison the paper deferred.
 All samplers are deterministic: the probabilistic one keys its
 keep-decision on a hash of the packet identity rather than mutable RNG
 state, so results are independent of observer ordering.  Each offers a
-``keep_mask`` -- the fixed-period one over a time column, the deferred
-two over a column batch; the count budget's is the one order-dependent
-mask, and carries its window across batches.
+``keep_mask`` over a column batch, which :class:`SamplingTable` -- the
+one sampled observer -- applies before its table sees the batch; the
+count budget's is the one order-dependent mask, and carries its window
+across batches.
 """
 
 from __future__ import annotations
@@ -53,15 +54,10 @@ class FixedPeriodSampler:
         """Fraction of time the sampler keeps (e.g. 0.5 for 30-of-60)."""
         return self.sample_minutes / self.period_minutes
 
-    def keep(self, t: float) -> bool:
-        """True when a packet at time *t* falls inside a sample window."""
-        period = minutes(self.period_minutes)
-        offset = (t - self.anchor) % period
-        return offset < minutes(self.sample_minutes)
-
-    def keep_mask(self, times):
-        """:meth:`keep` over a time column (the same float expression)."""
-        offset = (times - self.anchor) % minutes(self.period_minutes)
+    def keep_mask(self, cols) -> np.ndarray:
+        """Keep decisions for a column batch: whether each row's time
+        falls inside a sample window."""
+        offset = (cols.time - self.anchor) % minutes(self.period_minutes)
         return offset < minutes(self.sample_minutes)
 
     def windows_in(self, start: float, end: float) -> list[tuple[float, float]]:
@@ -176,16 +172,19 @@ class CountBudgetSampler:
 
 
 class SamplingTable:
-    """A passive service table fed through a record-level sampler.
+    """A passive service table fed through a sampler.
 
-    The fixed-period sampler plugs straight into
-    :class:`~repro.passive.monitor.PassiveServiceTable` via its
-    time-only ``sampler`` hook; the deferred strategies need to see the
-    whole record, so this thin observer wraps a table and filters each
-    batch through the sampler's ``keep_mask`` before delivery.
+    The one sampled observer: it filters each batch through the
+    sampler's ``keep_mask`` before the wrapped table sees it, so the
+    table itself only decides evidence.
     """
 
     def __init__(self, table, sampler) -> None:
+        if not hasattr(sampler, "keep_mask"):
+            raise TypeError(
+                "sampler must offer keep_mask(cols), "
+                f"not {type(sampler).__name__}"
+            )
         self.table = table
         self.sampler = sampler
         self.kept = 0

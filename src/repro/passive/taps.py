@@ -1,86 +1,31 @@
-"""Per-link taps: the partial-perspective study (paper Section 5.2).
+"""Per-link tables: the partial-perspective study (paper Section 5.2).
 
 The university's traffic splits across two commercial peerings and
-Internet2.  A :class:`LinkTap` is a passive table restricted to one
-link; :class:`MultiLinkMonitor` runs several in one pass and answers
-Table 8's questions: how many servers does each link see, and how many
-are *exclusive* to it.
+Internet2.  :class:`MultiLinkMonitor` keeps one passive table per link
+plus a combined one, fed in one pass, and answers Table 8's questions:
+how many servers does each link see, and how many are *exclusive* to
+it.
 
-Both accept an optional capture-fault filter
-(:class:`repro.faults.capture.CaptureFilter`): a record the filter
-drops was never delivered by that link's monitor, so it is invisible
-to every table fed from the tap.
+Capture faults are not decided here: the pass drops a lost record
+before any observer sees it (``replay_columnar(faults=)``, the stream
+route).  A link's loss process advances only with that link's own
+records, so the pass-level filter drops exactly what a filter on each
+link's monitor would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.passive.monitor import PassiveServiceTable
 
 
-@dataclass
-class LinkTap:
-    """A passive monitor attached to one peering link.
-
-    ``faults`` injects capture loss for records crossing *this* link;
-    records on other links pass through untouched (the tap's table
-    discards them itself) and do not advance the link's loss state.
-    """
-
-    link: str
-    table: PassiveServiceTable
-    faults: object | None = None
-
-    @classmethod
-    def create(
-        cls,
-        link: str,
-        is_campus: Callable[[int], bool],
-        tcp_ports: frozenset[int] | None,
-        udp_ports: frozenset[int] = frozenset(),
-        faults: object | None = None,
-    ) -> "LinkTap":
-        return cls(
-            link=link,
-            table=PassiveServiceTable(
-                is_campus=is_campus,
-                tcp_ports=tcp_ports,
-                udp_ports=udp_ports,
-                links=frozenset({link}),
-            ),
-            faults=faults,
-        )
-
-    def observe_columns(self, cols) -> None:
-        """Feed a batch to the table (which filters by link itself).
-
-        A tap-level fault filter must see exactly this link's records
-        in stream order: the batch is compressed to them before
-        filtering (the table would discard the others anyway).
-        """
-        if self.faults is not None:
-            if self.link not in cols.link_names:
-                return
-            own = cols.link == cols.link_names.index(self.link)
-            if not own.all():
-                cols = cols.compress(own)
-            cols = self.faults.filter_columns(cols)
-            if not len(cols):
-                return
-        self.table.observe_columns(cols)
-
-
 class MultiLinkMonitor:
-    """Several link taps plus a combined all-links table, in one pass.
+    """One passive table per link plus a combined all-links table.
 
-    A ``faults`` filter is applied once, up front, for all taps and
-    the combined table together: a header lost at the capture of link
-    X never reaches *any* analysis, matching how a real monitoring
-    cluster shares one capture stream per link.  The taps themselves
-    are created without filters so each record's fate is decided
-    exactly once.
+    Each table restricts itself to its links with a mask over the
+    batch's link column, so every table consumes the same batch
+    without a copy.
     """
 
     def __init__(
@@ -89,11 +34,14 @@ class MultiLinkMonitor:
         is_campus: Callable[[int], bool],
         tcp_ports: frozenset[int] | None,
         udp_ports: frozenset[int] = frozenset(),
-        faults: object | None = None,
     ) -> None:
-        self.faults = faults
-        self.taps: dict[str, LinkTap] = {
-            link: LinkTap.create(link, is_campus, tcp_ports, udp_ports)
+        self.taps: dict[str, PassiveServiceTable] = {
+            link: PassiveServiceTable(
+                is_campus=is_campus,
+                tcp_ports=tcp_ports,
+                udp_ports=udp_ports,
+                links=frozenset({link}),
+            )
             for link in links
         }
         self.combined = PassiveServiceTable(
@@ -104,18 +52,7 @@ class MultiLinkMonitor:
         )
 
     def observe_columns(self, cols) -> None:
-        """One shared fault mask, then every tap and the combined table
-        consume the same column batch (each table filters by link
-        itself).
-
-        The fault mask decides each link's records in stream order
-        from that link's own random stream
-        (:meth:`repro.faults.capture.CaptureFilter.keep_mask`).
-        """
-        if self.faults is not None:
-            cols = self.faults.filter_columns(cols)
-            if not len(cols):
-                return
+        """The combined table and every per-link table consume the batch."""
         self.combined.observe_columns(cols)
         for tap in self.taps.values():
             tap.observe_columns(cols)
@@ -124,7 +61,7 @@ class MultiLinkMonitor:
 
     def servers_on_link(self, link: str) -> set[int]:
         """Server addresses with evidence on *link* (possibly elsewhere too)."""
-        return self.taps[link].table.server_addresses()
+        return self.taps[link].server_addresses()
 
     def exclusive_to_link(self, link: str) -> set[int]:
         """Server addresses whose *only* evidence crossed *link*."""
@@ -132,7 +69,7 @@ class MultiLinkMonitor:
         others: set[int] = set()
         for other_link, tap in self.taps.items():
             if other_link != link:
-                others |= tap.table.server_addresses()
+                others |= tap.server_addresses()
         return own - others
 
     def total_servers(self) -> set[int]:

@@ -34,7 +34,6 @@ active refresh period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.net.addr import format_ipv4
 from repro.simkernel.clock import hours
@@ -57,39 +56,24 @@ class ActiveView:
     evidence-time filtering watermarks apply to the passive side.
     """
 
-    first_open: Mapping[int, float]
-    last_open: Mapping[int, float]
     sweeps: tuple[tuple[float, frozenset[int]], ...]
 
     @classmethod
     def from_dataset(cls, dataset) -> "ActiveView":
-        first_open: dict[int, float] = {}
-        last_open: dict[int, float] = {}
-        sweeps = []
-        for report in dataset.scan_reports:
-            for when, address, _port in report.opens:
-                if address not in first_open or when < first_open[address]:
-                    first_open[address] = when
-                if address not in last_open or when > last_open[address]:
-                    last_open[address] = when
-            sweeps.append((report.end, frozenset(report.open_addresses())))
+        sweeps = [
+            (report.end, frozenset(report.open_addresses()))
+            for report in dataset.scan_reports
+        ]
         if dataset.udp_report is not None:
-            end = dataset.udp_report.end
-            opens = frozenset(
-                address for address, _ in dataset.udp_report.open_endpoints()
-            )
-            for address in opens:
-                if address not in first_open or end < first_open[address]:
-                    first_open[address] = end
-                if address not in last_open or end > last_open[address]:
-                    last_open[address] = end
-            sweeps.append((end, opens))
+            sweeps.append((
+                dataset.udp_report.end,
+                frozenset(
+                    address
+                    for address, _ in dataset.udp_report.open_endpoints()
+                ),
+            ))
         sweeps.sort(key=lambda sweep: sweep[0])
-        return cls(
-            first_open=first_open,
-            last_open=last_open,
-            sweeps=tuple(sweeps),
-        )
+        return cls(sweeps=tuple(sweeps))
 
     def active_last_seen(self, address: int, now: float) -> float | None:
         """Latest active open of *address* at or before stream time."""

@@ -32,9 +32,7 @@ class QueryState:
     def __init__(self, active: ActiveView | None = None):
         self._lock = threading.Lock()
         self._snapshot = DiscoverySnapshot(version=0, now=0.0, records=0)
-        self.active = active if active is not None else ActiveView(
-            first_open={}, last_open={}, sweeps=()
-        )
+        self.active = active if active is not None else ActiveView(sweeps=())
         self._status = "starting"
         self._error: str | None = None
         self._fabric: list[dict] | None = None

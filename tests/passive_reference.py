@@ -21,11 +21,12 @@ from repro.faults.capture import CaptureFilter, _numpy_state, _python_state
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.passive.sampling import (
     CountBudgetSampler,
+    FixedPeriodSampler,
     ProbabilisticSampler,
     SamplingTable,
 )
 from repro.passive.scandetect import ExternalScanDetector
-from repro.passive.taps import LinkTap, MultiLinkMonitor
+from repro.passive.taps import MultiLinkMonitor
 from repro.passive.windows import WindowActivityObserver
 from repro.simkernel.clock import minutes
 from repro.simkernel.rng import derive_seed
@@ -143,28 +144,15 @@ def capture_filter(plan, duration: float) -> ReferenceCaptureFilter | None:
     return ReferenceCaptureFilter(plan=plan, duration=duration)
 
 
-# ---- taps ----------------------------------------------------------------
-
-
-class ReferenceLinkTap(LinkTap):
-    def observe(self, record) -> None:
-        if (
-            self.faults is not None
-            and record.link == self.link
-            and not self.faults.keep(record)
-        ):
-            return
-        self.table.observe(record)
+# ---- per-link tables -----------------------------------------------------
 
 
 class ReferenceMultiLinkMonitor(MultiLinkMonitor):
     def observe(self, record) -> None:
-        if self.faults is not None and not self.faults.keep(record):
-            return
         self.combined.observe(record)
         tap = self.taps.get(record.link)
         if tap is not None:
-            ReferenceLinkTap.observe(tap, record)
+            tap.observe(record)
 
 
 class ReferenceWindowActivityObserver(WindowActivityObserver):
@@ -224,6 +212,12 @@ class ReferenceReplayTap(ReplayTap):
 
 
 # ---- sampling ------------------------------------------------------------
+
+
+class ReferenceFixedPeriodSampler(FixedPeriodSampler):
+    def keep_record(self, record) -> bool:
+        offset = (record.time - self.anchor) % minutes(self.period_minutes)
+        return offset < minutes(self.sample_minutes)
 
 
 class ReferenceProbabilisticSampler(ProbabilisticSampler):

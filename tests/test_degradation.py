@@ -12,18 +12,52 @@ from repro.experiments.degradation import (
     measure_point,
     run_degradation,
 )
+from repro.telemetry.metrics import MetricRegistry, set_registry
 
 DATASET = "DTCPall"
 RATES = (0.0, 0.3)
 FRACTIONS = (0.0, 0.25)
 
 
+#: Counters a pooled sweep must report exactly as a sequential one
+#: (the trace-cache and traffic counters may differ: two workers can
+#: both miss the cache).
+POOLED_COUNTERS = (
+    "repro_replay_records_total",
+    "repro_passive_records_total",
+    "repro_passive_dropped_total",
+    "repro_active_probes_total",
+)
+
+
+def counted_sweep(jobs=1):
+    """The test sweep under a fresh enabled registry, plus the
+    :data:`POOLED_COUNTERS` it recorded (every label set)."""
+    registry = MetricRegistry()
+    previous = set_registry(registry)
+    try:
+        result = run_degradation(
+            DATASET, seed=7, scale=1.0,
+            loss_rates=RATES, outage_fractions=FRACTIONS, jobs=jobs,
+        )
+    finally:
+        set_registry(previous)
+    counters = {
+        (metric.name, metric.labels): metric.value
+        for metric in registry.collect()
+        if metric.name in POOLED_COUNTERS
+    }
+    return result, counters
+
+
 @pytest.fixture(scope="module")
-def sweep():
-    return run_degradation(
-        DATASET, seed=7, scale=1.0,
-        loss_rates=RATES, outage_fractions=FRACTIONS,
-    )
+def counted():
+    return counted_sweep()
+
+
+@pytest.fixture(scope="module")
+def sweep(counted):
+    return counted[0]
 
 
 class TestPlanForPoint:
@@ -88,13 +122,15 @@ class TestSweep:
         assert again.baseline == sweep.baseline
         assert again.points == sweep.points
 
-    def test_jobs_match_sequential(self, sweep):
-        pooled = run_degradation(
-            DATASET, seed=7, scale=1.0,
-            loss_rates=RATES, outage_fractions=FRACTIONS, jobs=2,
-        )
+    def test_jobs_match_sequential(self, counted):
+        """Same points and, with telemetry on, the same counters: each
+        worker's metrics come home."""
+        sweep, counters = counted
+        pooled, pooled_counters = counted_sweep(jobs=2)
         assert pooled.baseline == sweep.baseline
         assert pooled.points == sweep.points
+        assert {name for name, _ in counters} == set(POOLED_COUNTERS)
+        assert pooled_counters == counters
 
     def test_single_point_is_deterministic(self):
         a = measure_point(DATASET, 7, 1.0, 0.3, 0.25)

@@ -116,3 +116,76 @@ class TestOneObserverEntryPoint:
                 if name == "observe_each":
                     offenders.append(f"{path.name}:observe_each")
         assert not offenders, f"record-tier observers in src/: {offenders}"
+
+
+def _class_options(node: ast.ClassDef) -> set[str]:
+    """Names a class accepts or stores: its fields, its methods'
+    parameters and the ``self.X`` it assigns."""
+    names: set[str] = set()
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.add(item.target.id)
+        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        arguments = item.args
+        names.update(
+            arg.arg
+            for arg in (*arguments.posonlyargs, *arguments.args,
+                        *arguments.kwonlyargs)
+        )
+        for sub in ast.walk(item):
+            targets = (
+                sub.targets if isinstance(sub, ast.Assign)
+                else [sub.target] if isinstance(sub, ast.AnnAssign)
+                else ()
+            )
+            names.update(
+                target.attr for target in targets
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            )
+    return names
+
+
+class TestOneWayToThinAPass:
+    """Records are dropped by capture faults only where a pass applies
+    them (``replay_columnar(faults=)``; the stream route masks instead),
+    and sampled only by ``SamplingTable``: no passive class takes a
+    fault filter, and no passive class but ``SamplingTable`` a
+    sampler."""
+
+    def test_filter_columns_only_in_replay_columnar(self):
+        offenders = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
+                    continue
+                if (path.name, function.name) == ("monitor.py",
+                                                  "replay_columnar"):
+                    continue
+                offenders += [
+                    f"{path.name}:{function.name}"
+                    for call in ast.walk(function)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "attr",
+                                getattr(call.func, "id", None))
+                    == "filter_columns"
+                ]
+        assert not offenders, f"filter_columns outside replay_columnar: {offenders}"
+
+    def test_no_passive_class_takes_faults_or_a_sampler(self):
+        offenders = []
+        for path in sorted((REPO_ROOT / "src" / "repro" / "passive").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                options = _class_options(node)
+                if "faults" in options:
+                    offenders.append(f"{node.name}: faults")
+                if "sampler" in options and node.name != "SamplingTable":
+                    offenders.append(f"{node.name}: sampler")
+        assert not offenders, f"passive classes that thin a pass: {offenders}"

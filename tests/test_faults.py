@@ -21,12 +21,11 @@ from repro.faults import CaptureFilter, FaultPlan
 from repro.faults.capture import _numpy_state, _python_state
 from repro.net.packet import PacketRecord
 from repro.passive.monitor import PassiveServiceTable, replay_columnar
-from repro.passive.taps import LinkTap, MultiLinkMonitor
+from repro.passive.taps import MultiLinkMonitor
 from repro.trace.cache import ENV_VAR
 from repro.trace.columnar import RecordColumns
 from tests.passive_reference import (
     ReferenceCaptureFilter,
-    ReferenceLinkTap,
     ReferenceMultiLinkMonitor,
     capture_filter,
     replay,
@@ -287,8 +286,8 @@ class TestCaptureFilter:
         """A link's drop pattern must not depend on other links' traffic.
 
         This is what makes decisions identical across replay paths that
-        interleave links differently (and across MultiLinkMonitor's
-        single up-front filter vs. per-tap filtering).
+        interleave links differently, and why the pass-level filter
+        drops exactly what a filter on one link's monitor would.
         """
         plan = FaultPlan(seed=9, capture_loss_rate=0.25, burst_loss_rate=0.02)
         a_only = make_records(500, link="a")
@@ -469,45 +468,26 @@ class TestLossyReplayPaths:
     def test_multilink_monitor_filters_once(self, dataset, generated_records):
         plan = self.plan(dataset)
 
-        def monitor(faults, kind=MultiLinkMonitor):
+        def monitor(kind=MultiLinkMonitor):
             return kind(
                 links=dataset.spec.monitored_links,
                 is_campus=dataset.is_campus,
                 tcp_ports=dataset.tcp_ports,
-                faults=faults,
             )
 
-        per_record = monitor(
-            capture_filter(plan, dataset.duration), ReferenceMultiLinkMonitor
-        )
-        for record in generated_records:
-            per_record.observe(record)
-        batched = monitor(plan.capture_filter(dataset.duration))
-        batched.observe_columns(RecordColumns.from_records(generated_records))
-        assert per_record.combined.first_seen == batched.combined.first_seen
-        for link, tap in per_record.taps.items():
-            assert tap.table.first_seen == batched.taps[link].table.first_seen
-
-    def test_link_tap_ignores_other_links(self, dataset, generated_records):
-        """A standalone tap's loss pattern is a function of its own link."""
-        plan = self.plan(dataset)
-        link = dataset.spec.monitored_links[0]
-        own = [r for r in generated_records if r.link == link]
-
-        all_records_tap = ReferenceLinkTap.create(
-            link=link, is_campus=dataset.is_campus,
-            tcp_ports=dataset.tcp_ports,
+        per_record = monitor(ReferenceMultiLinkMonitor)
+        replay(
+            iter(generated_records), per_record,
             faults=capture_filter(plan, dataset.duration),
         )
-        for record in generated_records:
-            all_records_tap.observe(record)
-        own_only_tap = LinkTap.create(
-            link=link, is_campus=dataset.is_campus,
-            tcp_ports=dataset.tcp_ports,
+        batched = monitor()
+        replay_columnar(
+            [RecordColumns.from_records(generated_records)], batched,
             faults=plan.capture_filter(dataset.duration),
         )
-        own_only_tap.observe_columns(RecordColumns.from_records(own))
-        assert all_records_tap.table.first_seen == own_only_tap.table.first_seen
+        assert per_record.combined.first_seen == batched.combined.first_seen
+        for link, tap in per_record.taps.items():
+            assert tap.first_seen == batched.taps[link].first_seen
 
     def test_lossy_scan_is_deterministic(self, dataset):
         from repro.active.prober import HalfOpenScanner, ScannerConfig

@@ -12,6 +12,9 @@ from repro.net.packet import (
     udp_datagram,
 )
 from repro.passive.monitor import PassiveServiceTable, ServiceSignal, replay
+from repro.passive.sampling import SamplingTable
+from repro.trace.columnar import RecordColumns
+from tests.passive_reference import ReferenceSamplingTable
 
 CAMPUS = 0x80_7D_00_00  # 128.125.0.0
 OUTSIDE = 0x10_00_00_00
@@ -107,19 +110,25 @@ class TestSynackSignal:
 
     def test_sampler_filter(self):
         class Before:
-            """A time filter: ``keep(t)`` and its column mask."""
+            """A time filter: per record and its batch mask."""
 
-            def keep(self, t):
-                return t < 100.0
+            def keep_record(self, record):
+                return record.time < 100.0
 
-            def keep_mask(self, times):
-                return times < 100.0
+            def keep_mask(self, cols):
+                return cols.time < 100.0
 
-        monitor = table(sampler=Before())
-        monitor.observe(tcp_synack(200.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000))
-        assert monitor.endpoints() == set()
-        monitor.observe(tcp_synack(50.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000))
-        assert len(monitor.endpoints()) == 1
+        late = tcp_synack(200.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000)
+        early = tcp_synack(50.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000)
+        monitor = ReferenceSamplingTable(table(), Before())
+        monitor.observe(late)
+        assert monitor.table.endpoints() == set()
+        monitor.observe(early)
+        assert len(monitor.table.endpoints()) == 1
+        batched = SamplingTable(table(), Before())
+        batched.observe_columns(RecordColumns.from_records([late, early]))
+        assert batched.table.first_seen == monitor.table.first_seen
+        assert (batched.kept, batched.dropped) == (1, 1)
 
 
 class TestHandshakeSignal:

@@ -1,34 +1,43 @@
 """Tests for fixed-period sampling."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net.packet import udp_datagram
 from repro.passive.sampling import (
     FixedPeriodSampler,
     effective_observation_seconds,
     hourly_samplers,
 )
 from repro.simkernel.clock import hours, minutes
+from repro.trace.columnar import RecordColumns
+from tests.passive_reference import ReferenceFixedPeriodSampler
+
+
+def at(t):
+    """A record at time *t* (the sampler reads nothing else)."""
+    return udp_datagram(t, 1, 2, 53, 500)
 
 
 class TestFixedPeriodSampler:
     def test_keeps_leading_window(self):
-        sampler = FixedPeriodSampler(sample_minutes=10)
-        assert sampler.keep(0.0)
-        assert sampler.keep(minutes(9.99))
-        assert not sampler.keep(minutes(10))
-        assert not sampler.keep(minutes(59))
-        assert sampler.keep(hours(1))
+        sampler = ReferenceFixedPeriodSampler(sample_minutes=10)
+        assert sampler.keep_record(at(0.0))
+        assert sampler.keep_record(at(minutes(9.99)))
+        assert not sampler.keep_record(at(minutes(10)))
+        assert not sampler.keep_record(at(minutes(59)))
+        assert sampler.keep_record(at(hours(1)))
 
     def test_fraction(self):
         assert FixedPeriodSampler(30).fraction == 0.5
         assert FixedPeriodSampler(2).fraction == pytest.approx(2 / 60)
 
     def test_anchor(self):
-        sampler = FixedPeriodSampler(sample_minutes=10, anchor=hours(1))
-        assert not sampler.keep(minutes(30))
-        assert sampler.keep(hours(1) + minutes(5))
+        sampler = ReferenceFixedPeriodSampler(
+            sample_minutes=10, anchor=hours(1)
+        )
+        assert not sampler.keep_record(at(minutes(30)))
+        assert sampler.keep_record(at(hours(1) + minutes(5)))
 
     def test_invalid_windows(self):
         with pytest.raises(ValueError):
@@ -64,11 +73,11 @@ class TestFixedPeriodSampler:
         st.floats(min_value=0, max_value=hours(100)),
     )
     def test_property_keep_matches_windows(self, sample_minutes, t):
-        sampler = FixedPeriodSampler(sample_minutes=sample_minutes)
+        sampler = ReferenceFixedPeriodSampler(sample_minutes=sample_minutes)
         inside_any = any(
             lo <= t < hi for lo, hi in sampler.windows_in(t - 7200, t + 7200)
         )
-        assert sampler.keep(t) == inside_any
+        assert sampler.keep_record(at(t)) == inside_any
 
     @given(
         st.floats(min_value=0.5, max_value=60.0),
@@ -83,15 +92,16 @@ class TestFixedPeriodSampler:
     def test_property_keep_mask_matches_keep(
         self, sample_minutes, period_minutes, anchor, times
     ):
-        """The column mask is the scalar float expression, bit for bit:
-        window edges, times before the anchor and an empty column."""
-        sampler = FixedPeriodSampler(
+        """The batch mask is the per-record float expression, bit for
+        bit: window edges, times before the anchor and an empty batch."""
+        sampler = ReferenceFixedPeriodSampler(
             sample_minutes=min(sample_minutes, period_minutes),
             period_minutes=period_minutes, anchor=anchor,
         )
-        mask = sampler.keep_mask(np.array(times, dtype=np.float64))
+        records = [at(t) for t in times]
+        mask = sampler.keep_mask(RecordColumns.from_records(records))
         assert mask.dtype == bool
-        assert mask.tolist() == [sampler.keep(t) for t in times]
+        assert mask.tolist() == [sampler.keep_record(r) for r in records]
 
     @given(st.floats(min_value=1, max_value=59))
     def test_property_long_run_fraction(self, sample_minutes):

@@ -1,10 +1,9 @@
-"""Tests for link taps and window activity observers."""
+"""Tests for per-link tables and window activity observers."""
 
 import pytest
 
 from repro.net.packet import tcp_synack, udp_datagram
 from tests.passive_reference import (
-    ReferenceLinkTap,
     ReferenceMultiLinkMonitor,
     ReferenceWindowActivityObserver,
 )
@@ -60,10 +59,10 @@ class TestMultiLinkMonitor:
         assert monitor.total_servers() == set()
 
     def test_linktap_create(self):
-        tap = ReferenceLinkTap.create("commercial1", is_campus, frozenset({80}))
+        tap = self._monitor().taps["commercial1"]
         tap.observe(tcp_synack(1.0, CAMPUS + 1, OUTSIDE + 1, 80, 40000, "commercial1"))
         tap.observe(tcp_synack(1.0, CAMPUS + 2, OUTSIDE + 1, 80, 40000, "commercial2"))
-        assert tap.table.server_addresses() == {CAMPUS + 1}
+        assert tap.server_addresses() == {CAMPUS + 1}
 
 
 class TestWindowActivityObserver:

@@ -145,7 +145,7 @@ class TestQueryState:
 
 class TestLiveness:
     def view(self, sweeps=()):
-        return ActiveView(first_open={}, last_open={}, sweeps=tuple(sweeps))
+        return ActiveView(sweeps=tuple(sweeps))
 
     def test_alive_on_recent_passive_evidence(self):
         snapshot = make_snapshot()  # A1:80 last seen h99, now h100

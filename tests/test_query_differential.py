@@ -129,10 +129,7 @@ def test_index_matches_scan_reference(fields, port, since, limit):
 def active_view(addresses) -> ActiveView:
     """Two sweeps over every other address: every liveness verdict."""
     found = frozenset(addresses[::2])
-    return ActiveView(
-        first_open={}, last_open={},
-        sweeps=((hours(10), found), (hours(60), frozenset())),
-    )
+    return ActiveView(sweeps=((hours(10), found), (hours(60), frozenset())))
 
 
 def assert_routes_agree(fields: dict, active: ActiveView, addresses) -> None:

@@ -29,6 +29,7 @@ from repro.net.packet import (
     TcpFlags,
 )
 from repro.passive.monitor import PassiveServiceTable, replay_columnar
+from repro.passive.sampling import SamplingTable
 from repro.passive.scandetect import ExternalScanDetector, ScanDetectorConfig
 from repro.stream.shard import ShardState
 from repro.trace.cache import (
@@ -43,7 +44,7 @@ from repro.trace.columnar import (
     write_trace,
 )
 from tests.passive_reference import (
-    ReferenceLinkTap,
+    ReferenceFixedPeriodSampler,
     ReferenceMultiLinkMonitor,
     ReferenceProbabilisticSampler,
     ReferenceReplayTap,
@@ -274,6 +275,10 @@ def _table_state(table):
     )
 
 
+def _sampled_state(wrapper):
+    return _table_state(wrapper.table), wrapper.kept, wrapper.dropped
+
+
 def _fault_counts(faults):
     stats = faults.stats
     return (stats.kept, stats.dropped_loss, stats.dropped_outage)
@@ -305,50 +310,71 @@ class TestBatchedObservers:
         is_campus = dataset.is_campus
         return is_campus, lambda address: is_campus(address)
 
-    def test_passive_table(self, dataset):
-        from repro.passive.sampling import FixedPeriodSampler
+    @staticmethod
+    def sampled(make, **sampler):
+        """*make*'s table behind a fixed-period sampler."""
+        return lambda: ReferenceSamplingTable(
+            make(), ReferenceFixedPeriodSampler(**sampler)
+        )
 
+    def test_passive_table(self, dataset):
         for overrides in (
             {},
             {"tcp_ports": None, "udp_ports": frozenset()},
             {"links": frozenset({"commercial1", "internet2"}),
              "exclude_sources": frozenset(_OUTSIDE[:1])},
-            # A sampler with a column mask stays vectorised.
-            {"sampler": FixedPeriodSampler(sample_minutes=30)},
-            {"sampler": FixedPeriodSampler(sample_minutes=2, anchor=30.0),
-             "links": frozenset({"internet2"})},
-            # So does a campus predicate without prefix parameters.
+            # A campus predicate without prefix parameters stays
+            # vectorised.
             {"is_campus": self.predicates(dataset)[1]},
             {"is_campus": self.predicates(dataset)[1],
              "exclude_sources": frozenset(_OUTSIDE[:1])},
         ):
             differential(self.table(dataset, **overrides), _table_state)
+        # So does a sampler with a batch mask, in front of the table.
+        for sampler, overrides in (
+            ({"sample_minutes": 30}, {}),
+            ({"sample_minutes": 2, "anchor": 30.0},
+             {"links": frozenset({"internet2"})}),
+        ):
+            differential(
+                self.sampled(self.table(dataset, **overrides), **sampler),
+                _sampled_state,
+            )
 
     def test_passive_table_handshake_signal(self, dataset):
         """The order-dependent rules are vectorised and equal to the
-        reference; a sampler without a column mask is refused."""
+        reference, behind a sampler too; a sampler without a batch mask
+        is refused."""
         from repro.passive.monitor import ServiceSignal, UdpSignal
-        from repro.passive.sampling import FixedPeriodSampler
 
         for overrides in (
             {"signal": ServiceSignal.HANDSHAKE},
             {"udp_signal": UdpSignal.BIDIRECTIONAL},
             {"signal": ServiceSignal.HANDSHAKE,
              "udp_signal": UdpSignal.BIDIRECTIONAL,
-             "links": frozenset({"commercial1", "internet2"}),
-             "exclude_sources": frozenset(_OUTSIDE[:1]),
-             "sampler": FixedPeriodSampler(sample_minutes=30)},
-            {"signal": ServiceSignal.HANDSHAKE,
-             "udp_signal": UdpSignal.BIDIRECTIONAL,
              "tcp_ports": None,
              "is_campus": self.predicates(dataset)[1]},
         ):
             differential(self.table(dataset, **overrides), _table_state)
-        # A bare callable has no column mask.
+        differential(
+            self.sampled(
+                self.table(
+                    dataset,
+                    signal=ServiceSignal.HANDSHAKE,
+                    udp_signal=UdpSignal.BIDIRECTIONAL,
+                    links=frozenset({"commercial1", "internet2"}),
+                    exclude_sources=frozenset(_OUTSIDE[:1]),
+                ),
+                sample_minutes=30,
+            ),
+            _sampled_state,
+        )
+        # A bare callable has no batch mask.
         with pytest.raises(TypeError, match="keep_mask"):
-            self.table(
-                dataset, sampler=FixedPeriodSampler(sample_minutes=30).keep
-            )()
+            SamplingTable(
+                self.table(dataset)(),
+                ReferenceFixedPeriodSampler(sample_minutes=30).keep_record,
+            )
 
     def test_scan_detector(self, dataset):
         config = ScanDetectorConfig(min_targets=2, min_rsts=1)
@@ -369,29 +395,36 @@ class TestBatchedObservers:
                 lambda observer: observer.hits,
             )
 
-    def test_multilink_monitor(self, dataset):
-        for plan in (None, _FAULTS):
-            differential(
-                lambda: ReferenceMultiLinkMonitor(
-                    links=_LINKS[1:3], is_campus=dataset.is_campus,
-                    tcp_ports=_TCP_PORTS, udp_ports=_UDP_PORTS,
-                    faults=plan and capture_filter(plan, 200_000.0),
-                ),
-                lambda monitor: (
-                    _table_state(monitor.combined),
-                    [_table_state(tap.table) for tap in monitor.taps.values()],
-                    monitor.faults and monitor.faults.state_dict(),
-                ),
-            )
+    def monitor(self, dataset):
+        return ReferenceMultiLinkMonitor(
+            links=_LINKS[1:3], is_campus=dataset.is_campus,
+            tcp_ports=_TCP_PORTS, udp_ports=_UDP_PORTS,
+        )
 
-    def test_link_tap_with_own_fault_filter(self, dataset):
-        """A tap-level filter sees only its own link's records."""
-        differential(
-            lambda: ReferenceLinkTap.create(
-                "commercial1", dataset.is_campus, _TCP_PORTS, _UDP_PORTS,
-                faults=capture_filter(_FAULTS, 200_000.0),
-            ),
-            lambda tap: (_table_state(tap.table), tap.faults.state_dict()),
+    @staticmethod
+    def monitor_state(monitor):
+        return (
+            _table_state(monitor.combined),
+            [_table_state(tap) for tap in monitor.taps.values()],
+        )
+
+    def test_multilink_monitor(self, dataset):
+        differential(lambda: self.monitor(dataset), self.monitor_state)
+
+    @settings(deadline=None, max_examples=60)
+    @given(records=_RECORDS, cuts=_CUTS)
+    def test_multilink_monitor_behind_pass_faults(self, dataset, records, cuts):
+        """The pass drops a lost record before every table: the
+        columnar pass equals the per-record one, loss state included."""
+
+        def run(replay_fn, stream):
+            monitor = self.monitor(dataset)
+            faults = capture_filter(_FAULTS, 200_000.0)
+            count = replay_fn(stream, monitor, faults=faults)
+            return count, self.monitor_state(monitor), faults.state_dict()
+
+        assert run(replay, iter(records)) == run(
+            replay_columnar, _batches(records, cuts)
         )
 
     def test_shard_state(self, dataset):

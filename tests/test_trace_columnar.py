@@ -428,9 +428,7 @@ class TestColumnarReplayEquivalence:
         assert table_a.clients == table_b.clients
         assert monitor_a.total_servers() == monitor_b.total_servers()
         for link, tap in monitor_a.taps.items():
-            assert (
-                tap.table.first_seen == monitor_b.taps[link].table.first_seen
-            ), link
+            assert tap.first_seen == monitor_b.taps[link].first_seen, link
         assert detector_a._targets == detector_b._targets
         assert detector_a._rst_sources == detector_b._rst_sources
         assert windows_a.hits == windows_b.hits

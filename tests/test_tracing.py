@@ -561,8 +561,7 @@ class TestQueryTraceSurface:
 
         async def run():
             service = QueryService(
-                QueryState(ActiveView(first_open={}, last_open={},
-                                      sweeps=())),
+                QueryState(ActiveView(sweeps=())),
                 port=0,
             )
             await service.start()
