@@ -7,11 +7,15 @@ scheduler persists its cursor, and a resumed run replays the identical
 tail of the schedule because nothing about a task depends on when the
 engine happened to call for it.
 
-The scheduler reads a policy through two calls: ``count_until(now)``,
-the number of tasks due at or before an instant (the cursor bound), and
-``window(lo, hi)``, the tasks ``lo <= k < hi`` as three parallel arrays
-``(when, address_index, port_index)`` indexing ``targets`` and
-``ports``.  ``task(k)`` is the scalar read of the same arrays.
+Every policy walks the same layout sweep after sweep: in-sweep
+position ``j`` probes ``targets[pair_address[j]]`` on
+``ports[pair_port[j]]``, and task ``k`` is position ``k % sweep_size``
+of sweep ``k // sweep_size``.  What tells policies apart is that layout
+and one time function, ``times(k)``.  The scheduler reads the layout
+directly, plus ``count_until(now)``, the number of tasks due at or
+before an instant (the cursor bound).  ``window(lo, hi)`` -- the tasks
+``lo <= k < hi`` as parallel ``(when, address_index, port_index)``
+arrays -- and its scalar read ``task(k)`` are built from the two.
 
 Two policies, the two sides of the trade-off this repo measures:
 
@@ -61,24 +65,31 @@ POLICY_NAMES = ("periodic", "heartbeat")
 
 
 class _SchedulePolicy:
-    """What both policies share: the target columns and scalar reads.
+    """What both policies share: the target columns and the sweep layout.
 
-    Subclasses set ``rate``, ``sweep_size`` and ``total_tasks`` (the
-    exact number of probes the schedule holds) and implement
-    ``count_until`` and ``window``.
+    Subclasses set ``rate``, ``total_tasks`` (the exact number of
+    probes the schedule holds) and the layout ``pair_address`` /
+    ``pair_port``, and implement ``count_until`` and ``times``.
     """
 
     rate: float
-    sweep_size: int
     total_tasks: int
+    #: Per in-sweep position, the index of its target and of its port:
+    #: every (target, port) pair exactly once.
+    pair_address: np.ndarray
+    pair_port: np.ndarray
 
     def __init__(self, targets: Sequence[int], ports: Sequence[int]) -> None:
         #: Probed addresses and ports; windows index into these.
         self.targets = np.asarray(targets, dtype=np.int64)
         self.ports = np.asarray(ports, dtype=np.int64)
+        self.sweep_size = len(self.targets) * len(self.ports)
 
     def window(self, lo: int, hi: int) -> ProbeWindow:
-        raise NotImplementedError
+        """Tasks ``lo <= k < hi`` as ``(when, address_index, port_index)``."""
+        k = np.arange(lo, hi)
+        position = k % self.sweep_size
+        return self.times(k), self.pair_address[position], self.pair_port[position]
 
     def task(self, k: int) -> ProbeTask | None:
         """The *k*-th probe, or ``None`` past the end of the schedule."""
@@ -125,7 +136,9 @@ class PeriodicSweepPolicy(_SchedulePolicy):
     ) -> None:
         super().__init__(targets, ports)
         self.rate = float(rate)
-        self.sweep_size = len(self.targets) * len(self.ports)
+        self.pair_address, self.pair_port = np.divmod(
+            np.arange(self.sweep_size), max(len(self.ports), 1)
+        )
         starts: list[float] = []
         duration = 0.0
         if self.rate > 0 and self.sweep_size:
@@ -155,7 +168,7 @@ class PeriodicSweepPolicy(_SchedulePolicy):
         that started before the one containing *now* is wholly due, and
         within that sweep the due addresses are a prefix -- found by
         estimate, then settled with the same ``start + i * step``
-        arithmetic ``window`` uses.
+        arithmetic ``times`` uses.
         """
         sweep = bisect.bisect_right(self.starts, now) - 1
         if sweep < 0:
@@ -168,14 +181,13 @@ class PeriodicSweepPolicy(_SchedulePolicy):
             due -= 1
         return sweep * self.sweep_size + due * len(self.ports)
 
-    def window(self, lo: int, hi: int) -> ProbeWindow:
-        sweep, within = np.divmod(np.arange(lo, hi), self.sweep_size)
-        address_index, port_index = np.divmod(within, len(self.ports))
+    def times(self, k: np.ndarray) -> np.ndarray:
+        sweep, within = np.divmod(k, self.sweep_size)
         # Two separate ufuncs: a fused multiply-add would round once
         # where the scalar ``start + i * step`` rounds twice.
-        when = address_index * self.step
+        when = (within // len(self.ports)) * self.step
         when += self._starts[sweep]
-        return when, address_index, port_index
+        return when
 
     def sweep_bounds(self, sweep: int) -> tuple[float, float]:
         """(start, nominal end) of one sweep."""
@@ -224,10 +236,9 @@ class HeartbeatPolicy(_SchedulePolicy):
         super().__init__(targets, ports)
         self.rate = float(rate)
         self.end = float(end)
-        self.sweep_size = len(self.targets) * len(self.ports)
         # Pair ``a * len(ports) + p`` is (targets[a], ports[p]): the
         # address-major order the permutation is drawn over.
-        self._address_index, self._port_index = np.divmod(
+        self.pair_address, self.pair_port = np.divmod(
             _heartbeat_order(seed, self.sweep_size), max(len(self.ports), 1)
         )
         self.total_tasks = self._ticks(self.end) if self.sweep_size else 0
@@ -252,22 +263,15 @@ class HeartbeatPolicy(_SchedulePolicy):
         """Tasks scheduled at or before *now*."""
         return self._ticks(min(now, self.end)) if self.sweep_size else 0
 
-    def window(self, lo: int, hi: int) -> ProbeWindow:
-        # ``mode="wrap"`` is the ``k % sweep_size`` walk, without the
-        # intermediate index array.
-        k = np.arange(lo, hi)
-        return (
-            (k + 1) / self.rate,
-            np.take(self._address_index, k, mode="wrap"),
-            np.take(self._port_index, k, mode="wrap"),
-        )
+    def times(self, k: np.ndarray) -> np.ndarray:
+        return (k + 1) / self.rate
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
         """One coverage pass as (address, port) pairs, in probe order."""
         return list(zip(
-            self.targets[self._address_index].tolist(),
-            self.ports[self._port_index].tolist(),
+            self.targets[self.pair_address].tolist(),
+            self.ports[self.pair_port].tolist(),
         ))
 
     def sweep_bounds(self, sweep: int) -> tuple[float, float]:

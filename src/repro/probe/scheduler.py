@@ -4,7 +4,8 @@
 supervisor's) event loop.  Each time stream time advances, the engine
 calls :meth:`ProbeScheduler.advance`, which dispatches every probe the
 policy scheduled at or before the new instant -- a window of the
-schedule at a time, as arrays, resolved through the population's
+schedule at a time, as arrays; the probes at addresses anyone ever
+holds are resolved through the population's
 :class:`~repro.campus.probe_index.ProbeResponseIndex`: the same host
 state machine that generates passive traffic
 (:meth:`~repro.campus.host.Host.tcp_probe_response`) laid out in
@@ -31,6 +32,7 @@ lives with the supervisor, never in a worker).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -128,12 +130,10 @@ _COUNTERS = (
 )
 
 
-#: Bounds on the probes resolved in one array pass (see
-#: ``ProbeScheduler._window``).
-_MIN_WINDOW, _MAX_WINDOW = 1 << 13, 1 << 17
-
-#: First-probe rank of a target no probe has reached yet.
-_UNPROBED = np.iinfo(np.int64).max
+#: Most probes one array pass covers: it bounds the working set of an
+#: ``advance`` that owes millions (3.46M heartbeat probes over held
+#: targets only peak at 26 MB with it, 405 MB without).
+_MAX_WINDOW = 1 << 17
 
 
 class ProbeScheduler:
@@ -165,12 +165,6 @@ class ProbeScheduler:
         self.first_open: dict[tuple[int, int], float] = {}
         #: address -> latest open probe time.
         self.last_open: dict[int, float] = {}
-        # Per target: latest probe time, open or not (mid-sweep negative
-        # evidence), and the task index of its first probe.  The
-        # ``last_probed`` dict that views and checkpoints carry is built
-        # from these on demand (:meth:`_last_probed`).
-        self._probed_at = np.full(len(policy.targets), -np.inf)
-        self._probed_rank = np.full(len(policy.targets), _UNPROBED)
         #: Per-address first opens in dispatch (= time) order; the
         #: watermark timeline (mirrors ActiveTimeline's event list).
         self.open_events: list[tuple[float, int]] = []
@@ -186,15 +180,32 @@ class ProbeScheduler:
         self._index = population.probe_index
         #: Presence group of each target address (-1: never assigned).
         self._slots = self._index.slots(policy.targets)
-        # Probes resolved in one array pass: several per target, so
-        # the per-pass fixed costs amortise; past that a longer window
-        # only pushes its arrays out of cache (a few thousand probes
-        # stay resident, and resolve ~1.5x faster per probe than a
-        # hundred thousand).  The upper bound also keeps one
-        # ``advance`` that owes millions within ~10 MB of working set.
-        self._window = min(
-            max(8 * len(policy.targets), _MIN_WINDOW), _MAX_WINDOW
-        )
+
+    @cached_property
+    def _held(self) -> np.ndarray:
+        """In-sweep positions whose target someone ever holds, ascending.
+
+        A probe anywhere else is silent whenever it fires, so dispatch
+        counts it without resolving it.
+        """
+        return np.flatnonzero(self._slots[self.policy.pair_address] >= 0)
+
+    @cached_property
+    def _first_probes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Targets in first-probe order, their first in-sweep positions,
+        and all their positions: the layout's inverse permutation, one
+        row per port so reductions run down a few rows.  O(sweep), no
+        sort."""
+        policy = self.policy
+        size, count = policy.sweep_size, len(policy.targets)
+        position = np.empty(size, dtype=np.int64)
+        position[policy.pair_port * count + policy.pair_address] = np.arange(size)
+        positions = position.reshape(len(policy.ports), count)
+        marked = np.zeros(size, dtype=bool)
+        marked[positions.min(axis=0)] = True
+        first = np.flatnonzero(marked)
+        order = policy.pair_address[first]
+        return order, first, positions.take(order, axis=1)
 
     # ---- dispatch -----------------------------------------------------
 
@@ -214,7 +225,7 @@ class ProbeScheduler:
         due = policy.count_until(now)
         trc = _tracer()
         while self.cursor < due:
-            stop = min(due, self.cursor + self._window)
+            stop = min(due, self.cursor + _MAX_WINDOW)
             self._dispatch(self.cursor, stop, trc)
             self.cursor = stop
         if self.cursor >= policy.total_tasks:
@@ -225,32 +236,39 @@ class ProbeScheduler:
         return dispatched
 
     def _dispatch(self, lo: int, hi: int, trc) -> None:
-        """Resolve probes ``lo <= k < hi`` and fold their outcomes in."""
+        """Dispatch probes ``lo <= k < hi``; resolve only the held ones.
+
+        Held probe *j* is position ``held[j % H]`` of sweep ``j // H``,
+        so a window's held probes are one range of *j*.
+        """
         policy = self.policy
-        when, address_index, port_index = policy.window(lo, hi)
-        codes = self._index.outcomes(
-            self._slots[address_index],
-            policy.ports[port_index],
-            when,
-            PROTO_UDP if self.proto == "udp" else PROTO_TCP,
-            self.internal,
-        )
+        size, held = policy.sweep_size, self._held
+        count = held.size
+        begin = (lo // size) * count + int(np.searchsorted(held, lo % size))
+        end = (hi // size) * count + int(np.searchsorted(held, hi % size))
+        in_sweep, position = np.divmod(np.arange(begin, end), max(count, 1))
+        position = held[position]
+        when = policy.times(in_sweep * size + position)
+        address_index = policy.pair_address[position]
+        ports = policy.ports[policy.pair_port[position]]
+        codes = np.zeros(0, dtype=np.uint8)
+        if begin < end:
+            codes = self._index.outcomes(
+                self._slots[address_index],
+                ports,
+                when,
+                PROTO_UDP if self.proto == "udp" else PROTO_TCP,
+                self.internal,
+            )
+        _, opened, closed = np.bincount(codes, minlength=3).tolist()
         self.issued += hi - lo
-        silent, opened, closed = np.bincount(codes, minlength=3).tolist()
-        self.silent += silent
+        self.silent += hi - lo - opened - closed
         if self.proto == "udp":
             self.udp_replies += opened
             self.udp_unreachable += closed
         else:
             self.synacks += opened
             self.rsts += closed
-
-        # Each target's latest probe (probe times never decrease, so
-        # that is the maximum) and its first probe's task index (kept
-        # by the minimum): the order assigning probe by probe would
-        # insert addresses into a dict.
-        np.maximum.at(self._probed_at, address_index, when)
-        np.minimum.at(self._probed_rank, address_index, np.arange(lo, hi))
 
         # Opens, in probe order.  Only an (address, port)'s first open
         # in the window can be its first ever, and only then can the
@@ -259,7 +277,7 @@ class ProbeScheduler:
         hits = np.flatnonzero(codes == OPEN)
         moments = when[hits].tolist()
         addresses = policy.targets[address_index[hits]].tolist()
-        keys = list(zip(addresses, policy.ports[port_index[hits]].tolist()))
+        keys = list(zip(addresses, ports[hits].tolist()))
         earliest = dict(zip(reversed(keys), reversed(moments)))
         for key in dict.fromkeys(keys):
             if key not in self.first_open:
@@ -272,9 +290,8 @@ class ProbeScheduler:
 
         # Each sweep that ends inside the window is sealed with the
         # opens up to its last probe; the rest belong to the next one.
-        sweep_size = policy.sweep_size
-        ending = range(lo // sweep_size, hi // sweep_size)
-        stops = np.searchsorted((hits + lo) // sweep_size, ending, side="right")
+        ending = range(lo // size, hi // size)
+        stops = np.searchsorted(in_sweep[hits], ending, side="right")
         start = 0
         for sweep, stop in zip(ending, stops.tolist()):
             self._current_sweep_opens.update(addresses[start:stop])
@@ -347,12 +364,29 @@ class ProbeScheduler:
     # ---- checkpoints ---------------------------------------------------
 
     def _last_probed(self) -> dict[int, float]:
-        """address -> latest probe time, in first-probe order."""
-        probed = np.flatnonzero(self._probed_rank != _UNPROBED)
-        probed = probed[np.argsort(self._probed_rank[probed])]
+        """address -> latest probe time, in first-probe order.
+
+        A pure function of the cursor: a target's latest probe is its
+        last position before ``cursor % sweep_size`` in the current
+        sweep, otherwise its last position in the previous one.
+        """
+        if not self.cursor:
+            return {}
+        policy = self.policy
+        size = policy.sweep_size
+        order, first, positions = self._first_probes
+        sweep, done = divmod(self.cursor, size)
+        if not sweep:  # only targets whose first probe has fired
+            count = int(np.searchsorted(first, done))
+            order, positions = order[:count], positions[:, :count]
+        before = np.where(positions < done, positions, -1).max(axis=0)
+        last = np.where(
+            before >= 0,
+            sweep * size + before,
+            (sweep - 1) * size + positions.max(axis=0),
+        )
         return dict(zip(
-            self.policy.targets[probed].tolist(),
-            self._probed_at[probed].tolist(),
+            policy.targets[order].tolist(), policy.times(last).tolist()
         ))
 
     def state_dict(self) -> dict:
@@ -375,6 +409,8 @@ class ProbeScheduler:
         }
 
     def restore_state(self, state: dict) -> None:
+        """Load a :meth:`state_dict`; raise ``ValueError`` naming the
+        first field this schedule could not have left."""
         self.cursor = int(state["cursor"])
         self.exhausted = bool(state["exhausted"])
         self.issued = int(state["issued"])
@@ -385,7 +421,6 @@ class ProbeScheduler:
         self.udp_unreachable = int(state["udp_unreachable"])
         self.first_open = dict(state["first_open"])
         self.last_open = dict(state["last_open"])
-        self._restore_probed(state["last_probed"])
         self.open_events = list(state["open_events"])
         self.sweeps = list(state["sweeps"])
         self._current_sweep_opens = set(state["current_sweep_opens"])
@@ -394,25 +429,23 @@ class ProbeScheduler:
         self._known = set()
         self._events_cursor = 0
         self._flushed = {attr: getattr(self, attr) for attr, _, _ in _COUNTERS}
-
-    def _restore_probed(self, last_probed: dict[int, float]) -> None:
-        """Load a :meth:`_last_probed` dict back into the per-target
-        arrays.  Its order becomes ranks ``0..n-1``, below the task
-        index of any probe still to come (``n <= cursor``)."""
-        targets = self.policy.targets
-        self._probed_at = np.full(len(targets), -np.inf)
-        self._probed_rank = np.full(len(targets), _UNPROBED)
-        count = len(last_probed)
-        if not count:
+        cursor, total = self.cursor, self.policy.total_tasks
+        outcomes = (self.silent, self.synacks, self.rsts,
+                    self.udp_replies, self.udp_unreachable)
+        if not 0 <= cursor <= total:
+            problem = f"cursor {cursor} is outside 0..{total}"
+        elif self.exhausted != (cursor == total) and total:
+            # (An empty schedule is exhausted only once advanced.)
+            problem = f"exhausted={self.exhausted} at cursor {cursor} of {total}"
+        elif self.issued != cursor:
+            problem = f"issued {self.issued} is not cursor {cursor}"
+        elif min(outcomes) < 0 or sum(outcomes) != cursor:
+            problem = f"silent/synacks/rsts/udp_* {outcomes} do not sum to {cursor}"
+        elif list(state["last_probed"].items()) != list(self._last_probed().items()):
+            problem = f"last_probed is not what cursor {cursor} probed"
+        else:
             return
-        order = np.argsort(targets, kind="stable")
-        index = order[np.searchsorted(
-            targets[order], np.fromiter(last_probed, np.int64, count)
-        )]
-        self._probed_at[index] = np.fromiter(
-            last_probed.values(), np.float64, count
-        )
-        self._probed_rank[index] = np.arange(count)
+        raise ValueError(f"checkpointed probe state does not fit: {problem}")
 
     # ---- snapshots -----------------------------------------------------
 

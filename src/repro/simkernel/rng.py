@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from repro.telemetry.metrics import registry as _telemetry_registry
 
@@ -82,23 +82,6 @@ class RngStreams:
         )
 
 
-def exponential_interarrivals(
-    rng: random.Random, rate: float, start: float, end: float
-) -> Iterator[float]:
-    """Yield Poisson-process event times in ``[start, end)`` at *rate*.
-
-    *rate* is events per second.  A non-positive rate yields nothing.
-    """
-    if rate <= 0.0:
-        return
-    t = start
-    while True:
-        t += rng.expovariate(rate)
-        if t >= end:
-            return
-        yield t
-
-
 def zipf_weights(n: int, exponent: float = 1.0) -> list[float]:
     """Return *n* Zipf-distributed weights summing to 1.0.
 
@@ -111,18 +94,6 @@ def zipf_weights(n: int, exponent: float = 1.0) -> list[float]:
     raw = [1.0 / (rank ** exponent) for rank in range(1, n + 1)]
     total = sum(raw)
     return [w / total for w in raw]
-
-
-def pareto_rate(rng: random.Random, scale: float, alpha: float = 1.2) -> float:
-    """Draw a heavy-tailed rate: ``scale`` times a Pareto(alpha) variate.
-
-    Used for the long tail of rarely contacted services; the paper
-    explicitly hypothesises heavy-tailed server request rates
-    (Section 4.2.1).
-    """
-    u = rng.random()
-    # Inverse-CDF of Pareto with x_m = 1: (1 - u)^(-1/alpha)
-    return scale * (1.0 - u) ** (-1.0 / alpha)
 
 
 def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:

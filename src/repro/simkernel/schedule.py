@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.simkernel.clock import Calendar, SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.telemetry.metrics import registry as _telemetry_registry
@@ -160,23 +160,3 @@ def thinned_poisson_times(
             return
         if rng.random() * ceiling <= base_rate * profile.factor(t):
             yield t
-
-
-def clip_windows(
-    windows: Sequence[tuple[float, float]], start: float, end: float
-) -> list[tuple[float, float]]:
-    """Intersect half-open ``(begin, finish)`` windows with ``[start, end)``.
-
-    Windows must be non-overlapping and sorted; the result preserves
-    both properties.  Used to clip host-liveness intervals to a dataset
-    duration.
-    """
-    clipped: list[tuple[float, float]] = []
-    for begin, finish in windows:
-        if finish <= begin:
-            raise ValueError(f"window must have positive length: ({begin}, {finish})")
-        lo = max(begin, start)
-        hi = min(finish, end)
-        if lo < hi:
-            clipped.append((lo, hi))
-    return clipped

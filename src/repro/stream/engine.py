@@ -67,7 +67,11 @@ from repro.query.snapshot import (
     merge_snapshot_payloads,
     snapshot_states,
 )
-from repro.stream.checkpoint import ShardCheckpointStore, checkpoint_config
+from repro.stream.checkpoint import (
+    CheckpointError,
+    ShardCheckpointStore,
+    checkpoint_config,
+)
 from repro.stream.ingest import DEFAULT_MAX_QUEUE_CHUNKS, StreamIngestor
 from repro.stream.shard import ShardState, merge_shards, route_columns
 from repro.stream.watermark import (
@@ -451,7 +455,10 @@ class StreamEngine:
                 if faults is not None and payload.get("faults") is not None:
                     faults.restore_state(payload["faults"])
                 if prober is not None and payload.get("probes") is not None:
-                    prober.restore_state(payload["probes"])
+                    try:
+                        prober.restore_state(payload["probes"])
+                    except ValueError as exc:
+                        raise CheckpointError(str(exc)) from exc
                 resumed = True
 
         next_checkpoint = None

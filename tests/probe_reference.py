@@ -125,8 +125,8 @@ class ReferenceScheduler(ProbeScheduler):
     """``ProbeScheduler`` with the one-probe-at-a-time dispatch loop.
 
     It keeps ``last_probed`` as the dict it writes probe by probe; the
-    production scheduler keeps per-target arrays and builds that dict
-    only for views and checkpoints.
+    production scheduler derives that dict from its cursor, only for
+    views and checkpoints.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -136,8 +136,9 @@ class ReferenceScheduler(ProbeScheduler):
     def _last_probed(self) -> dict[int, float]:
         return dict(self.last_probed)
 
-    def _restore_probed(self, last_probed: dict[int, float]) -> None:
-        self.last_probed = dict(last_probed)
+    def restore_state(self, state: dict) -> None:
+        self.last_probed = dict(state["last_probed"])
+        super().restore_state(state)
 
     def advance(self, now: float) -> int:
         policy = self.policy

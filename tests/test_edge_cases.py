@@ -7,8 +7,8 @@ import pytest
 from repro.campus.churn import SessionStyle, _bias_to_daytime, generate_sessions
 from repro.core.report import render_series
 from repro.simkernel.clock import days, hours, minutes
-from repro.simkernel.rng import exponential_interarrivals
 from repro.traffic.scans import _poisson
+from tests.simkernel_reference import exponential_interarrivals
 
 
 class TestPoissonSampler:

@@ -29,7 +29,7 @@ from repro.campus.host import (
     UdpProbeOutcome,
 )
 from repro.campus.population import CampusPopulation
-from repro.campus.probe_index import CLOSED, OPEN, SILENT
+from repro.campus.probe_index import CLOSED, OPEN, SILENT, ProbeResponseIndex
 from repro.campus.service import Service
 from repro.net.addr import AddressClass
 from repro.net.packet import PROTO_TCP, PROTO_UDP
@@ -63,13 +63,17 @@ def campus(request, small_dtcp18, small_dudp):
     return dataset, targets, ports[:3], proto
 
 
-def schedulers(campus, policy_name, rate, few_targets=False):
+def schedulers(campus, policy_name, rate, few_targets=False, held=None):
+    """(reference, vectorised) over the campus slice; *held* True or
+    False keeps only the targets somebody ever holds, or only the rest."""
     dataset, targets, ports, proto = campus
+    ever = dataset.population.ledger.addresses_ever_used()
     if few_targets:
         # A sweep of two dozen probes: hundreds complete per window.
-        held = dataset.population.ledger.addresses_ever_used()
-        targets = ([a for a in targets if a in held][:5]
-                   + [a for a in targets if a not in held][:3])
+        targets = ([a for a in targets if a in ever][:5]
+                   + [a for a in targets if a not in ever][:3])
+    if held is not None:
+        targets = [a for a in targets if (a in ever) == held]
     args = (targets, ports, rate, dataset.seed, dataset.calendar, END)
     reference = ReferenceScheduler(
         dataset.population, build_reference_policy(policy_name, *args), proto=proto
@@ -123,7 +127,36 @@ def cut_times(cuts, policy) -> list[float]:
 def test_vectorised_scheduler_matches_scalar_reference(
     campus, policy_name, rate, few_targets, cuts, resume_at
 ):
-    reference, vectorised = schedulers(campus, policy_name, rate, few_targets)
+    assert_matches_reference(
+        lambda: schedulers(campus, policy_name, rate, few_targets),
+        cuts, resume_at,
+    )
+
+
+@pytest.mark.parametrize("policy_name,rate", [
+    ("heartbeat", 0.4), ("periodic", 3.0),
+])
+@pytest.mark.parametrize("held", [True, False], ids=["all-held", "none-held"])
+@settings(
+    max_examples=6, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cuts=advance_cuts(), resume_at=st.integers(0, 5))
+def test_held_filter_extremes_match_scalar_reference(
+    campus, policy_name, rate, held, cuts, resume_at
+):
+    """Every target held (nothing skipped) and none held (nothing
+    resolved): the two ends of the dispatch filter."""
+    assert_matches_reference(
+        lambda: schedulers(campus, policy_name, rate, held=held),
+        cuts, resume_at,
+    )
+
+
+def assert_matches_reference(make, cuts, resume_at) -> None:
+    """Drive ``make()``'s pair through *cuts*; resume a third scheduler
+    from the reference's state at cut *resume_at*."""
+    reference, vectorised = make()
     times = cut_times(cuts, reference.policy)
     resumed = None
     for index, now in enumerate(times):
@@ -132,7 +165,7 @@ def test_vectorised_scheduler_matches_scalar_reference(
         assert vectorised.view() == reference.view()
         if index == min(resume_at, len(times) - 1):
             # A checkpoint the scalar scheduler wrote resumes here.
-            _, resumed = schedulers(campus, policy_name, rate, few_targets)
+            _, resumed = make()
             resumed.restore_state(reference.state_dict())
         elif resumed is not None:
             resumed.advance(now)
@@ -143,6 +176,38 @@ def test_vectorised_scheduler_matches_scalar_reference(
     assert ordered(vectorised.state_dict()) == final
     assert ordered(resumed.state_dict()) == final
     assert vectorised.view() == reference.view() == resumed.view()
+
+
+@pytest.mark.parametrize("policy_name,rate", [
+    ("heartbeat", 0.4), ("periodic", 3.0),
+])
+@pytest.mark.parametrize("held", [None, True, False],
+                         ids=["mixed", "all-held", "none-held"])
+def test_only_probes_at_held_addresses_are_resolved(
+    campus, monkeypatch, policy_name, rate, held
+):
+    """The rows ``outcomes`` sees over a whole schedule are exactly its
+    probes at addresses somebody ever holds; with none, it is never
+    called."""
+    rows = []
+    outcomes = ProbeResponseIndex.outcomes
+
+    def counting(self, slots, *args):
+        rows.append(len(slots))
+        return outcomes(self, slots, *args)
+
+    monkeypatch.setattr(ProbeResponseIndex, "outcomes", counting)
+    reference, vectorised = schedulers(campus, policy_name, rate, held=held)
+    vectorised.advance(END)
+    ever = campus[0].population.ledger.addresses_ever_used()
+    policy = reference.policy
+    at_held = sum(
+        policy.task(k)[1] in ever for k in range(policy.total_tasks)
+    )
+    assert vectorised.issued == policy.total_tasks
+    assert sum(rows) == at_held
+    if held is False:
+        assert rows == []
 
 
 @pytest.mark.parametrize("policy_name", ["heartbeat", "periodic"])

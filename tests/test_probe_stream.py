@@ -15,6 +15,9 @@ The acceptance properties from the probe subsystem's contract:
 
 from __future__ import annotations
 
+import shutil
+from dataclasses import replace
+
 import pytest
 
 from repro.datasets import build_dataset
@@ -22,10 +25,13 @@ from repro.faults.worker import WorkerFaultPlan
 from repro.query.state import QueryState
 from repro.simkernel.clock import days, hours
 from repro.stream import (
+    CheckpointError,
     FabricConfig,
     FabricSupervisor,
+    ShardCheckpointStore,
     StreamConfig,
     StreamEngine,
+    save_checkpoint,
 )
 
 from tests.test_stream import kill_mid_run, run_front
@@ -189,6 +195,65 @@ class TestOnlineRunEquivalence:
             dataset=small_dtcp18,
         ).run()
         assert renders(result) == renders(engine_result)
+
+
+def _past_the_end(probes):
+    probes["cursor"] = 10**12
+
+
+def _exhausted_flipped(probes):
+    probes["exhausted"] = not probes["exhausted"]
+
+
+def _issued_off_the_cursor(probes):
+    probes["issued"] += 1
+
+
+def _outcomes_off_the_total(probes):
+    probes["silent"] += 1
+
+
+def _probed_a_stranger(probes):
+    probes["last_probed"][1] = max(probes["last_probed"].values())
+
+
+class TestHostileProbeState:
+    """A manifest whose probe state this schedule could not have left
+    (re-framed, so its CRC holds) is refused on resume, naming the
+    field, on either transport."""
+
+    @pytest.fixture(scope="class", params=["threads", "fabric"])
+    def killed(self, request, small_dtcp18, tmp_path_factory):
+        store = tmp_path_factory.mktemp(f"hostile-{request.param}") / "ckpt"
+        config = probing_config(
+            emit_every=hours(12), checkpoint_every=hours(6),
+            checkpoint_path=str(store),
+        )
+        kill_mid_run(request.param, config, small_dtcp18, 8000)
+        return request.param, config
+
+    @pytest.mark.parametrize("tamper,field", [
+        (_past_the_end, "cursor"),
+        (_exhausted_flipped, "exhausted"),
+        (_issued_off_the_cursor, "issued"),
+        (_outcomes_off_the_total, "silent"),
+        (_probed_a_stranger, "last_probed"),
+    ])
+    def test_resume_refuses_tampered_probe_state(
+        self, killed, small_dtcp18, tmp_path, tamper, field
+    ):
+        front, config = killed
+        shutil.copytree(config.checkpoint_path, tmp_path / "ckpt")
+        config = replace(config, checkpoint_path=str(tmp_path / "ckpt"))
+        store = ShardCheckpointStore(config.checkpoint_path)
+        generation = store.generations()[0]
+        identity = StreamEngine(config, dataset=small_dtcp18)._identity()
+        payload = store.load_manifest(generation, identity)
+        assert payload["probes"]["cursor"] > 0  # probes were dispatched
+        tamper(payload["probes"])
+        save_checkpoint(store.manifest_path(generation), payload)
+        with pytest.raises(CheckpointError, match=field):
+            run_front(front, config, small_dtcp18, resume=True)
 
 
 class TestQueryIntegration:

