@@ -819,8 +819,11 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.probe import POLICY_NAMES
 
     add_dataset_arguments(parser)
-    parser.add_argument("--shards", type=int, default=2,
-                        help="partition the stream across N shard workers")
+    parser.add_argument(
+        "--shards", type=int, default=2,
+        help="partition the stream into N shards: a worker thread each "
+             "under stream, folded on the ingest thread under serve",
+    )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="run N shards as supervised worker processes (the "

@@ -8,9 +8,10 @@ recording exists (the resume offset is a seek), regenerated from the
 traffic model and columnised batch by batch otherwise, never written
 from here -- and drives the sharded pipeline end to end.  One driver
 (:meth:`StreamEngine._drive`) owns everything a run *decides*; a shard
-transport owns only how shard state is *reached* -- worker threads
-here (:class:`_ThreadTransport`), worker processes in
-:mod:`repro.stream.fabric`:
+transport owns only how shard state is *reached* -- the driver's own
+thread when a query publisher is attached (:class:`_InlineTransport`),
+worker threads otherwise (:class:`_ThreadTransport`), worker processes
+in :mod:`repro.stream.fabric`:
 
 1. the driver reads one batch, decides which of its records the run's
    fault filter keeps (capture loss and monitor outages, in stream
@@ -38,13 +39,13 @@ here (:class:`_ThreadTransport`), worker processes in
    survey`` -- byte-identical to the batch path on the same
    (seed, scale, faults).
 
-Both transports carry the same requests: a shard's
+Every transport carries the same requests: a shard's
 :class:`~repro.stream.shard.ShardServant` answers each behind the parts
 fed before it, and one :class:`AckLedger` files the answers and commits
 the checkpoint generations; a transport only sends and waits.
 
 Memory is flat in trace length: the engine holds one decoded batch
-plus the transport's bounded shard queues (a queued part holds its
+plus, on shard threads, their bounded queues (a queued part holds its
 batch); nothing retains the stream.
 """
 
@@ -73,7 +74,9 @@ from repro.stream.checkpoint import (
     checkpoint_config,
 )
 from repro.stream.ingest import DEFAULT_MAX_QUEUE_CHUNKS, StreamIngestor
-from repro.stream.shard import ShardState, merge_shards, route_columns
+from repro.stream.ingest import fold_telemetry
+from repro.stream.shard import ShardServant, ShardState
+from repro.stream.shard import merge_shards, route_columns
 from repro.stream.watermark import (
     ActiveTimeline,
     Watermark,
@@ -362,11 +365,21 @@ class StreamEngine:
         snapshot round at each snapshot mark and publishes a copy-on-publish
         :class:`~repro.query.snapshot.DiscoverySnapshot` of the merged
         shard state.  The final snapshot is always published so the
-        service keeps answering after the stream ends.
+        service keeps answering after the stream ends.  A run with a
+        publisher folds its shards on this thread (:meth:`_transport`).
         """
         return self._drive(
-            _ThreadTransport(self), resume, stop_after_records, progress,
-            publisher,
+            self._transport(publisher), resume, stop_after_records,
+            progress, publisher,
+        )
+
+    def _transport(self, publisher) -> _InlineTransport:
+        """The in-process shard transport for a run: folds on the driver
+        thread when a query publisher is attached (the run serves while
+        it ingests, and fewer threads want the GIL), shard threads
+        otherwise."""
+        return (_ThreadTransport if publisher is None else _InlineTransport)(
+            self
         )
 
     def _drive(
@@ -390,10 +403,10 @@ class StreamEngine:
         before it, and a requested stop interrupts on a batch boundary.
 
         *transport* owns only how shard state is reached (the surface
-        is :class:`_ThreadTransport`'s methods, most of them its
-        :class:`AckLedger`'s; the fabric supervisor is the other
-        implementation).  Marks and checkpoints are
-        pipelined on both: the driver requests them in order and takes
+        is :class:`_InlineTransport`'s methods, most of them its
+        :class:`AckLedger`'s; the thread transport and the fabric
+        supervisor are the others).  Marks and checkpoints are
+        pipelined on all three: the driver requests them in order and takes
         up whatever the transport reports complete -- emitting the
         marks, counting the committed generations -- waiting for marks
         only before a checkpoint, and for both at end of stream and at a
@@ -770,7 +783,7 @@ class _Request:
 
 
 class AckLedger:
-    """The driver's half of the in-band protocol, for both transports.
+    """The driver's half of the in-band protocol, for every transport.
 
     Marks, checkpoint generations and snapshot rounds go to every
     shard's :class:`~repro.stream.shard.ShardServant` behind its parts;
@@ -911,12 +924,20 @@ class AckLedger:
             self.store.clear()
 
 
-class _ThreadTransport(AckLedger):
-    """Shard state behind worker threads in this process: requests are
-    answered by each shard's thread, behind its parts, onto one reply
-    queue; :meth:`finish` returns the live states.  With
-    :class:`AckLedger`'s, its methods are the transport surface
-    :meth:`StreamEngine._drive` uses."""
+class _InlineTransport(AckLedger):
+    """Shard state folded on the driver's own thread: each part and each
+    request goes straight to its shard's servant, so a request is
+    answered, and filed, as it is sent, and :meth:`_wait` has nothing to
+    wait for.  :meth:`StreamEngine.run` picks it when a query publisher
+    is attached, so ingest holds the GIL as one thread beside the request
+    handlers, not three (DESIGN.md §14); :meth:`finish` returns the live
+    states.  With :class:`AckLedger`'s, its methods are the transport
+    surface :meth:`StreamEngine._drive` uses.
+
+    Its telemetry is the fold counters: batches fed, and each shard's
+    records and fold seconds.  Nothing is queued, so it exports no
+    queue-peak or backpressure series.
+    """
 
     def __init__(self, engine: StreamEngine) -> None:
         self.engine = engine
@@ -925,7 +946,13 @@ class _ThreadTransport(AckLedger):
             ShardState(index, _fresh_table(engine.dataset))
             for index in range(self.shards)
         ]
-        self.ingestor: StreamIngestor | None = None
+        self.servants = [
+            ShardServant(state, self.store, self.identity)
+            for state in self.states
+        ]
+        self.batches_dispatched = 0
+        self.shard_records = [0] * self.shards
+        self.shard_seconds = [0.0] * self.shards
 
     def start(self, offset: int) -> None:
         """Bring the shards up, holding the stream's first *offset* records.
@@ -934,11 +961,7 @@ class _ThreadTransport(AckLedger):
         lags the manifest (its newest file was corrupt) folds the gap
         again before the stream is fed.
         """
-        self.ingestor = StreamIngestor(
-            self.states, self.engine.config.max_queue_chunks,
-            store=self.store, identity=self.identity,
-        )
-        for servant, restore in zip(self.ingestor.servants, self._restores):
+        for servant, restore in zip(self.servants, self._restores):
             if restore is None:
                 continue
             shard = servant.state.index
@@ -951,7 +974,58 @@ class _ThreadTransport(AckLedger):
                     servant.handle(("rows", None, parts[shard]))
 
     def feed(self, parts: list, offset: int) -> None:
-        """Hand over one routed batch; *offset* is the source position after it."""
+        """Fold one routed batch; *offset* is the source position after it."""
+        for index, part in enumerate(parts):
+            if len(part):
+                started = perf_counter()
+                self.servants[index].handle(("rows", None, part))
+                self.shard_seconds[index] += perf_counter() - started
+                self.shard_records[index] += len(part)
+        self.batches_dispatched += 1
+
+    def _broadcast(self, request: tuple) -> None:
+        kind, key, _arg = request
+        for index, servant in enumerate(self.servants):
+            self._ack(kind, key, index, servant.handle(request))
+
+    def _wait(self, timeout: float = _REPLY_WAIT_SECONDS) -> None:
+        """Every request was answered as it was sent."""
+
+    def interrupt(self, progress: dict) -> str:
+        """Commit one more generation; say what a resume will start from."""
+        if self.store is None:
+            return "no checkpoint configured"
+        self.checkpoint(progress)
+        self._settle()
+        return f"checkpoint saved to {self.store.root}"
+
+    def finish(self) -> list[ShardState]:
+        """The final shard states."""
+        return self.states
+
+    def close(self) -> None:
+        reg = _telemetry_registry()
+        if reg.enabled:
+            fold_telemetry(reg, self)
+
+
+class _ThreadTransport(_InlineTransport):
+    """The inline transport with each shard's servant on a worker thread
+    (:class:`StreamIngestor`): parts and requests queue behind one
+    another, each shard's thread answers onto one reply queue, and the
+    driver routes on while the shards fold.  Restore, gap catch-up and
+    :meth:`interrupt` are the inline transport's."""
+
+    ingestor: StreamIngestor | None = None
+
+    def start(self, offset: int) -> None:
+        super().start(offset)  # catch up before any shard thread runs
+        self.ingestor = StreamIngestor(
+            self.states, self.engine.config.max_queue_chunks,
+            store=self.store, identity=self.identity,
+        )
+
+    def feed(self, parts: list, offset: int) -> None:
         self.ingestor.dispatch(parts)
 
     def _broadcast(self, request: tuple) -> None:
@@ -969,16 +1043,8 @@ class _ThreadTransport(AckLedger):
             pass
         self.ingestor.raise_if_failed()
 
-    def interrupt(self, progress: dict) -> str:
-        """Commit one more generation; say what a resume will start from."""
-        if self.store is None:
-            return "no checkpoint configured"
-        self.checkpoint(progress)
-        self._settle()
-        return f"checkpoint saved to {self.store.root}"
-
     def finish(self) -> list[ShardState]:
-        """Stop the shards and return their final states."""
+        """Stop the shard threads and return their final states."""
         self.ingestor.close()
         return self.states
 

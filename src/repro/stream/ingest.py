@@ -313,21 +313,31 @@ class StreamIngestor:
             "Peak records in flight across all shard queues.",
         ).set(self.max_queued_records)
         registry.counter(
-            "repro_stream_batches_total",
-            "Routed batches dispatched to shard workers.",
-        ).inc(self.batches_dispatched)
-        registry.counter(
             "repro_stream_backpressure_timeouts_total",
             "Bounded-put timeouts while shard queues were full.",
         ).inc(self.put_timeouts)
-        for index in range(self.shards):
-            registry.counter(
-                "repro_stream_shard_records_total",
-                "Records folded into each shard's state.",
-                shard=str(index),
-            ).inc(self.shard_records[index])
-            registry.counter(
-                "repro_stream_shard_seconds_total",
-                "Wall time each shard worker spent folding records.",
-                shard=str(index),
-            ).inc(self.shard_seconds[index])
+        fold_telemetry(registry, self)
+
+
+def fold_telemetry(registry, counts) -> None:
+    """Export what every in-process transport counts (*counts*'
+    ``batches_dispatched``, ``shard_records``, ``shard_seconds``):
+    batches fed, and per shard the records folded and the seconds spent
+    folding them."""
+    registry.counter(
+        "repro_stream_batches_total",
+        "Routed batches fed to the shards.",
+    ).inc(counts.batches_dispatched)
+    for index, (records, seconds) in enumerate(
+        zip(counts.shard_records, counts.shard_seconds)
+    ):
+        registry.counter(
+            "repro_stream_shard_records_total",
+            "Records folded into each shard's state.",
+            shard=str(index),
+        ).inc(records)
+        registry.counter(
+            "repro_stream_shard_seconds_total",
+            "Wall time spent folding records into each shard.",
+            shard=str(index),
+        ).inc(seconds)

@@ -330,6 +330,9 @@ def test_hammer_queries_never_disturb_ingest(mode, small_dtcp18):
         faults=CAPTURE_FAULTS,
     )
     quiet = StreamEngine(config, dataset=small_dtcp18).run()
+    assert mode == "fabric" or type(
+        StreamEngine(config, dataset=small_dtcp18)._transport(state)
+    ).__name__ == "_InlineTransport"
     served = state.snapshot()
     assert dict(served.first_seen) == dict(quiet.snapshot.first_seen)
     assert dict(served.last_seen) == dict(quiet.snapshot.last_seen)
