@@ -65,8 +65,8 @@ def format_ipv4(value: int) -> str:
     """Format integer *value* as a dotted quad."""
     if not 0 <= value <= MAX_IPV4:
         raise ValueError(f"address out of range: {value}")
-    return ".".join(
-        str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+    return "%d.%d.%d.%d" % (
+        value >> 24, (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF
     )
 
 

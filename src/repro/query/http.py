@@ -7,9 +7,9 @@ sockets:
   target) to ``(status, content_type, body)``.  All endpoint logic
   lives here; it touches nothing but the :class:`QueryState` handed
   to it, so a test can drive every route synchronously.
-* :class:`QueryService` -- a minimal GET-only HTTP/1.1 server on
-  ``asyncio.start_server`` with keep-alive, wrapping every request in
-  per-endpoint telemetry (``repro_query_requests_total`` /
+* :class:`QueryService` -- a minimal GET-only HTTP/1.1 keep-alive
+  server, one ``asyncio.Protocol`` per connection, wrapping every
+  request in per-endpoint telemetry (``repro_query_requests_total`` /
   ``repro_query_request_seconds``).
 
 The server is deliberately not a general web server: no TLS, no
@@ -17,7 +17,7 @@ bodies, no chunked encoding -- exactly what serving JSON snapshots on
 a trusted network needs, with zero dependencies beyond the stdlib.
 
 :class:`QueryClient` is the matching keep-alive client used by tests,
-the hammer test, and the ``query_service`` benchmark.
+the hammer test, and the ``serve_live`` benchmark's load generator.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ import math
 import time
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.net.addr import parse_ipv4
+from repro.net.addr import format_ipv4, parse_ipv4
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.metrics import registry
 from repro.telemetry.tracing import parse_traceparent, span, tracer
 
 from repro.query.liveness import infer_liveness
+from repro.query.snapshot import PROTO_NUMBERS, compact_json
 from repro.query.state import QueryState
 
 #: Suffixes accepted by ``since=`` (e.g. ``12h``, ``30m``, ``2d``).
@@ -43,13 +44,10 @@ _SINCE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 _LATENCY_BUCKETS = tuple(1e-5 * 2**i for i in range(15))
 
 
-#: Header lines one request may carry (Apache's default).  A single line
-#: is bounded by the ``StreamReader``'s 64 KiB limit.
+#: Bounds of one request head, each answered ``431`` and a close: bytes
+#: before a line's end, and header lines (Apache's default).
+_MAX_LINE = 1 << 16
 _MAX_HEADER_LINES = 100
-
-
-class _HeadTooLarge(Exception):
-    """A request head over either bound: answered ``431``, then closed."""
 
 
 class _BadRequest(Exception):
@@ -91,8 +89,15 @@ def _snapshot_info(snapshot) -> dict:
 
 
 def _json(status: int, payload) -> tuple[int, str, bytes]:
-    body = json.dumps(payload, separators=(",", ":")).encode()
-    return status, "application/json", body
+    return status, "application/json", compact_json(payload).encode()
+
+
+def _services_body(head: dict, rows: list[bytes]) -> tuple[int, str, bytes]:
+    """``_json`` of ``{**head, "services": rows}`` from each row's bytes."""
+    prefix = compact_json(head).encode()[:-1]
+    return 200, "application/json", b'%s,"services":[%s]}' % (
+        prefix, b",".join(rows)
+    )
 
 
 def _error(status: int, message: str) -> tuple[int, str, bytes]:
@@ -168,26 +173,18 @@ def handle_request(
                 200, {"snapshot": _snapshot_info(snapshot), "watermarks": marks}
             )
         if path == "/services":
-            return _json(
-                200,
-                {
-                    "snapshot": _snapshot_info(snapshot),
-                    "services": _services_query(snapshot, query),
-                },
+            return _services_body(
+                {"snapshot": _snapshot_info(snapshot)},
+                _services_query(snapshot, query),
             )
         if path.startswith("/host/"):
             address = _parse_address(path[len("/host/") :])
-            services = snapshot.host_services(address)
+            services = snapshot.host_services_json(address)
             if not services:
                 return _error(404, "no services discovered for address")
-            return _json(
-                200,
-                {
-                    "address": services[0]["address"],
-                    "snapshot": _snapshot_info(snapshot),
-                    "services": services,
-                },
-            )
+            head = {"address": format_ipv4(address),
+                    "snapshot": _snapshot_info(snapshot)}
+            return _services_body(head, services)
         if path.startswith("/liveness/"):
             address = _parse_address(path[len("/liveness/") :])
             body = infer_liveness(address, snapshot, state.active)
@@ -198,11 +195,9 @@ def handle_request(
         return _error(400, str(exc))
 
 
-def _services_query(snapshot, query: dict) -> list[dict]:
+def _services_query(snapshot, query: dict) -> list[bytes]:
     proto = port = since = limit = None
     if "proto" in query:
-        from repro.query.snapshot import PROTO_NUMBERS
-
         raw = query["proto"][-1].lower()
         if raw not in PROTO_NUMBERS:
             raise _BadRequest(f"bad proto: {raw!r} (want tcp or udp)")
@@ -221,7 +216,9 @@ def _services_query(snapshot, query: dict) -> list[dict]:
             raise _BadRequest(f"bad limit: {query['limit'][-1]!r}")
         if limit < 0:
             raise _BadRequest("limit must be non-negative")
-    return snapshot.services(proto=proto, port=port, since=since, limit=limit)
+    return snapshot.services_json(
+        proto=proto, port=port, since=since, limit=limit
+    )
 
 
 class QueryService:
@@ -232,11 +229,13 @@ class QueryService:
         self.host = host
         self.port = port
         self._server: asyncio.Server | None = None
+        self._connections: set[asyncio.Transport] = set()
 
     async def start(self) -> None:
         """Bind and start accepting; resolves ``port`` when it was 0."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self._dispatch, self._connections),
+            self.host, self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -249,44 +248,8 @@ class QueryService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _HeadTooLarge:
-                    writer.write(_render_response(
-                        *_error(431, "request head too large"), False
-                    ))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, target, keep_alive, traceparent = request
-                status, content_type, body = self._dispatch(
-                    method, target, traceparent
-                )
-                writer.write(_render_response(status, content_type, body, keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            # Loop teardown cancels lingering keep-alive handlers;
-            # finishing quietly avoids 3.11's streams-callback noise.
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+        for transport in list(self._connections):
+            transport.close()
 
     def _dispatch(
         self, method: str, target: str, traceparent: str | None = None
@@ -322,52 +285,108 @@ class QueryService:
         ).inc()
         return status, content_type, body
 
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader):
-        """One request head; None at EOF.  Bodies are not supported.
 
-        Returns ``(method, target, keep_alive, traceparent)`` -- the
-        only headers inspected are ``Connection`` and ``traceparent``.
-        """
+class _Connection(asyncio.Protocol):
+    """One client connection: request heads parsed out of one buffer.
 
-        async def readline() -> bytes:
-            try:
-                return await reader.readline()
-            except ValueError:  # the line outran the reader's limit
-                raise _HeadTooLarge from None
+    ``\\n`` ends a line (bare LF or CRLF), a line with more than 64 KiB
+    before its end is refused, and EOF ends the last line and the head
+    it cuts short, which is still answered.  While the transport is
+    over its high-water mark, reading pauses and buffered heads wait.
+    """
 
-        line = await readline()
-        if not line:
-            return None
-        try:
-            method, target, version = line.decode("latin-1").split()
-        except ValueError:
-            return "BAD", "/", False, None
-        keep_alive = version.upper() != "HTTP/1.0"
-        traceparent = None
-        for _line in range(_MAX_HEADER_LINES + 1):
-            header = await readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            if name == "connection":
-                keep_alive = value.strip().lower() != "close"
-            elif name == "traceparent":
-                traceparent = value.strip()
-        else:
-            raise _HeadTooLarge
-        return method, target, keep_alive, traceparent
+    def __init__(self, dispatch, connections: set):
+        self._dispatch = dispatch
+        self._connections = connections
+        self._buffer = bytearray()
+        #: ``[method, target, traceparent, keep_alive, header lines]``
+        #: of the head being read, or None between requests.
+        self._head: list | None = None
+        self._eof = self._paused = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._connections.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self._connections.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._serve()
+        return True  # the transport closes once every head is answered
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._transport.resume_reading()
+        self._serve()
+
+    def _reply(self, response: tuple, keep_alive: bool) -> None:
+        self._transport.write(_render_response(*response, keep_alive))
+        if not keep_alive:
+            self._transport.close()
+
+    def _serve(self) -> None:
+        """Answer every head the buffer completes, in order."""
+        buffer, start, transport = self._buffer, 0, self._transport
+        while not (self._paused or transport.is_closing()):
+            end = buffer.find(b"\n", start) + 1
+            if (end or len(buffer) + 1) - start > _MAX_LINE + 1:
+                self._reply(_error(431, "request head too large"), False)
+                continue
+            if not end:
+                if not self._eof:
+                    break
+                if start == len(buffer):
+                    if self._head is None:
+                        transport.close()
+                        continue
+                    buffer += b"\n"  # EOF ends a head cut short
+                end = len(buffer)
+            line, start, head = buffer[start:end], end, self._head
+            if head is None:
+                try:
+                    method, target, version = line.decode("latin-1").split()
+                except ValueError:
+                    self._reply(self._dispatch("BAD", "/"), False)
+                    continue
+                keep_alive = version.upper() != "HTTP/1.0"
+                self._head = [method, target, None, keep_alive, 0]
+            elif line == b"\r\n" or line == b"\n":
+                self._head = None
+                self._reply(self._dispatch(*head[:3]), head[3])
+            elif head[4] == _MAX_HEADER_LINES:
+                self._reply(_error(431, "request head too large"), False)
+            else:
+                head[4] += 1
+                name, _, value = line.decode("latin-1").partition(":")
+                name = name.strip().lower()
+                if name == "connection":
+                    head[3] = value.strip().lower() != "close"
+                elif name == "traceparent":
+                    head[2] = value.strip()
+        del buffer[:start]
+
+
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error",
+            503: "Service Unavailable"}
 
 
 def _render_response(
     status: int, content_type: str, body: bytes, keep_alive: bool
 ) -> bytes:
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              405: "Method Not Allowed",
-              431: "Request Header Fields Too Large",
-              500: "Internal Server Error",
-              503: "Service Unavailable"}.get(status, "Unknown")
+    reason = _REASONS.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {content_type}\r\n"

@@ -122,11 +122,14 @@ def infer_liveness(
         when for when in (passive_last, active_last) if when is not None
     ]
     last_evidence = max(evidence) if evidence else None
+    probed = last_evidence is not None and active.probed_since(
+        address, last_evidence, now
+    )
     if last_evidence is None:
         verdict = "never-seen"
     elif now - last_evidence <= horizon:
         verdict = "alive"
-    elif active.probed_since(address, last_evidence, now):
+    elif probed:
         verdict = "likely-down"
     else:
         verdict = "stale"
@@ -140,11 +143,7 @@ def infer_liveness(
         "seconds_since_evidence": (
             None if last_evidence is None else now - last_evidence
         ),
-        "probed_since_last_evidence": (
-            False
-            if last_evidence is None
-            else active.probed_since(address, last_evidence, now)
-        ),
+        "probed_since_last_evidence": probed,
         "sweeps_completed": active.sweeps_completed(now),
         "services": len(snapshot.host_services(address)),
     }

@@ -12,8 +12,9 @@ snapshot), announces ``serving on http://host:port`` on stderr (the
 subprocess tests parse this), keeps serving after ingest completes (the
 final snapshot is the complete state), and shuts down cleanly on
 SIGTERM/SIGINT: the engine is asked to stop, which it does at its next
-batch boundary (checkpointing if configured), the
-listener closes, and the process exits 0 -- or 1 when ingest failed.
+batch boundary (checkpointing if configured; ingest then reads
+``stopped``, not ``finished``), the listener closes, and the process
+exits 0 -- or 1 when ingest failed.
 
 This module is imported lazily by the CLI only: it pulls in
 :mod:`repro.stream`, which itself uses :mod:`repro.query.snapshot`, so
@@ -64,28 +65,31 @@ def run_serve(
         supervisor = None
         engine = StreamEngine(config, dataset)
     state = QueryState(ActiveView.from_dataset(engine.dataset))
+    return asyncio.run(_serve_until_signalled(
+        state, lambda: ingest(state, engine, supervisor),
+        engine.request_stop, host, port,
+    ))
 
-    def ingest() -> None:
-        try:
-            if supervisor is not None:
-                supervisor.run(
-                    publisher=state,
-                    on_event=lambda line: print(line, file=sys.stderr),
-                    on_health=state.update_fabric,
-                )
-            else:
-                engine.run(publisher=state)
-        except KeyboardInterrupt:
-            state.mark_finished()  # stopped at a batch boundary: clean
-        except BaseException as exc:  # noqa: BLE001 - surfaced via /healthz
-            state.mark_failed(repr(exc))
-            print(f"serve: ingest failed: {exc!r}", file=sys.stderr)
+
+def ingest(state: QueryState, engine, supervisor=None) -> None:
+    """Run *engine* (or the fabric *supervisor*) into *state*; its end
+    is the ingest status: ``finished``, ``stopped`` or ``failed``."""
+    try:
+        if supervisor is not None:
+            supervisor.run(
+                publisher=state,
+                on_event=lambda line: print(line, file=sys.stderr),
+                on_health=state.update_fabric,
+            )
         else:
-            state.mark_finished()
-
-    return asyncio.run(
-        _serve_until_signalled(state, ingest, engine.request_stop, host, port)
-    )
+            engine.run(publisher=state)
+    except KeyboardInterrupt:
+        state.mark_stopped()  # stopped at a batch boundary: clean
+    except BaseException as exc:  # noqa: BLE001 - surfaced via /healthz
+        state.mark_failed(repr(exc))
+        print(f"serve: ingest failed: {exc!r}", file=sys.stderr)
+    else:
+        state.mark_finished()
 
 
 async def _serve_until_signalled(

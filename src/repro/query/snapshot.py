@@ -31,8 +31,10 @@ Two layers, so the fabric can ship snapshots across processes:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from repro.net.addr import format_ipv4
@@ -49,6 +51,19 @@ PROTO_NUMBERS = {name: number for number, name in PROTO_NAMES.items()}
 #: paper's Section 3.2 rules (a SYN-ACK from campus; a campus datagram
 #: sourced at a watched UDP port).
 EVIDENCE = {PROTO_TCP: "syn-ack", PROTO_UDP: "udp-sport"}
+
+#: Dotted quads, formatted once per address, not once per service.
+_dotted = lru_cache(maxsize=1 << 16)(format_ipv4)
+
+#: Compact JSON, as every response body is encoded.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _row_json(entry: list) -> bytes:
+    """A read-index entry's row bytes, encoded on first use and kept."""
+    if entry[3] is None:
+        entry[3] = compact_json(entry[2]).encode()
+    return entry[3]
 
 
 def shard_snapshot_payload(state) -> dict:
@@ -88,8 +103,9 @@ class DiscoverySnapshot:
     The query views read a per-snapshot index (:attr:`_read_index`)
     built by the first reader that needs it, on that reader's thread;
     publishing and ``finalize_result`` never build it, so ingest never
-    pays for it.  The index's row dicts are shared by every response
-    from this snapshot and must never be mutated.
+    pays for it.  The index's row dicts, and each row's JSON bytes once
+    a response has encoded them, are shared by every response from
+    this snapshot; the dicts must never be mutated.
     """
 
     version: int
@@ -132,7 +148,7 @@ class DiscoverySnapshot:
         """One endpoint as the JSON object every query endpoint returns."""
         address, port, proto = endpoint
         return {
-            "address": format_ipv4(address),
+            "address": _dotted(address),
             "port": port,
             "proto": PROTO_NAMES.get(proto, str(proto)),
             "evidence": EVIDENCE.get(proto, "unknown"),
@@ -143,42 +159,68 @@ class DiscoverySnapshot:
         }
 
     @cached_property
-    def _read_index(self) -> tuple[tuple, dict]:
+    def _read_index(self) -> tuple[list, dict]:
         """``(listing, hosts)``: every row, built once per snapshot.
 
-        ``listing`` holds ``(endpoint, last_seen, row)`` in the order
-        ``/services`` lists them, (address string, port, proto name);
-        ``hosts`` maps an address to ``(rows, passive last-seen)``, its
-        rows in (port, proto name) order.  Concurrent first readers may
-        each build it; the results are equal and one reference wins.
+        ``listing`` holds ``[endpoint, last_seen, row, json]`` per
+        endpoint in the order ``/services`` lists them (address string,
+        port, proto name); ``json`` is the row's encoded bytes, filled
+        in by the first response that embeds it (:func:`_row_json`).
+        ``hosts`` maps an address to ``(entries, passive last-seen)``,
+        its entries in (port, proto name) order.  Concurrent first
+        readers may each build it; the results are equal and one
+        reference wins.
         """
-        rows = []
+        keyed = []
         last: dict[int, float] = {}
         for endpoint in self.first_seen:
             row = self.service_row(endpoint)
-            seen, address = row["last_seen"], endpoint[0]
-            rows.append((endpoint, seen, row))
+            address, seen = endpoint[0], row["last_seen"]
+            keyed.append((
+                (row["address"], endpoint[1], row["proto"]),
+                [endpoint, seen, row, None],
+            ))
             # max() in first_seen order, as the per-request scan took
             # it: a tie keeps the first float (-0.0 and 0.0 differ in
             # JSON).
             if address not in last or seen > last[address]:
                 last[address] = seen
-        rows.sort(key=lambda entry: (
-            entry[2]["address"], entry[2]["port"], entry[2]["proto"]
-        ))
-        by_address: dict[int, list[dict]] = {}
-        for (address, _, _), _, row in rows:
-            by_address.setdefault(address, []).append(row)
-        hosts = {
-            address: (tuple(group), last[address])
-            for address, group in by_address.items()
-        }
-        return tuple(rows), hosts
+        keyed.sort(key=itemgetter(0))
+        listing = [entry for _, entry in keyed]
+        hosts: dict[int, tuple[list, float]] = {}
+        for entry in listing:
+            address = entry[0][0]
+            hosts.setdefault(address, ([], last[address]))[0].append(entry)
+        return listing, hosts
+
+    def _host(self, address: int) -> list[list]:
+        entry = self._read_index[1].get(address)
+        return entry[0] if entry is not None else []
 
     def host_services(self, address: int) -> list[dict]:
         """Every service of one address, sorted by (port, proto)."""
-        entry = self._read_index[1].get(address)
-        return list(entry[0]) if entry is not None else []
+        return [entry[2] for entry in self._host(address)]
+
+    def host_services_json(self, address: int) -> list[bytes]:
+        """:meth:`host_services`, each row as its JSON bytes."""
+        return [_row_json(entry) for entry in self._host(address)]
+
+    def _listing(self, proto, port, since, limit) -> list[list]:
+        cutoff = None if since is None else self.now - since
+        matched: list[list] = []
+        if limit == 0:
+            return matched
+        for entry in self._read_index[0]:
+            endpoint = entry[0]
+            # Keep on ``not seen < cutoff``; ``seen >= cutoff`` would
+            # turn a NaN cutoff from every row into none.
+            if ((proto is None or endpoint[2] == proto)
+                    and (port is None or endpoint[1] == port)
+                    and (cutoff is None or not entry[1] < cutoff)):
+                matched.append(entry)
+                if len(matched) == limit:
+                    break
+        return matched
 
     def services(
         self,
@@ -194,21 +236,11 @@ class DiscoverySnapshot:
         12h" is ``proto=6, port=443, since=43200``.  *limit* stops the
         scan after that many matches.
         """
-        cutoff = None if since is None else self.now - since
-        rows: list[dict] = []
-        for (_, row_port, row_proto), seen, row in self._read_index[0]:
-            if len(rows) == limit:
-                break
-            if proto is not None and row_proto != proto:
-                continue
-            if port is not None and row_port != port:
-                continue
-            # Skip on ``seen < cutoff``; a ``seen >= cutoff`` keep test
-            # would turn a NaN cutoff from every row into none.
-            if cutoff is not None and seen < cutoff:
-                continue
-            rows.append(row)
-        return rows
+        return [entry[2] for entry in self._listing(proto, port, since, limit)]
+
+    def services_json(self, proto=None, port=None, since=None, limit=None):
+        """:meth:`services`, each row as its JSON bytes."""
+        return [_row_json(e) for e in self._listing(proto, port, since, limit)]
 
     def passive_last_seen(self, address: int) -> float | None:
         """Latest passive evidence across all of one address's services."""

@@ -52,6 +52,11 @@ class QueryState:
         with self._lock:
             self._status = "finished"
 
+    def mark_stopped(self) -> None:
+        """Ingest was asked to stop before its stream ended (not a fault)."""
+        with self._lock:
+            self._status = "stopped"
+
     def mark_failed(self, error: str) -> None:
         with self._lock:
             self._status = "failed"

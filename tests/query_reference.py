@@ -5,21 +5,35 @@ shipped with before it grew a read index: every ``/services``,
 ``/host/{a}`` and ``/liveness/{a}`` request walked all of
 ``first_seen``, built a fresh row per matching endpoint with
 ``service_row`` and sorted the result, and ``/services?limit=N`` cut the
-sorted list afterwards.
+sorted list afterwards.  Each response then encoded its rows afresh with
+``json.dumps``.
 
-:class:`ReferenceSnapshot` overrides only those three methods (rows,
-``last_seen_of``, versioning and the set views are inherited), so a test
-comparing it with its parent class compares exactly the code that was
-replaced -- and ``handle_request`` over a published reference snapshot
-answers every route the way the scans did.
+:class:`ReferenceSnapshot` overrides only those three methods and the two
+that hand ``handle_request`` encoded rows (rows, ``last_seen_of``,
+versioning and the set views are inherited), so a test comparing it with
+its parent class compares exactly the code that was replaced -- and
+``handle_request`` over a published reference snapshot answers every
+route the way the scans did.
 """
 
 from __future__ import annotations
 
+import json
+
 from repro.query.snapshot import DiscoverySnapshot
 
 
+def dumps(row: dict) -> bytes:
+    return json.dumps(row, separators=(",", ":")).encode()
+
+
 class ReferenceSnapshot(DiscoverySnapshot):
+    def services_json(self, **query) -> list[bytes]:
+        return [dumps(row) for row in self.services(**query)]
+
+    def host_services_json(self, address: int) -> list[bytes]:
+        return [dumps(row) for row in self.host_services(address)]
+
     def host_services(self, address: int) -> list[dict]:
         rows = [
             self.service_row(endpoint)

@@ -1257,9 +1257,15 @@ class TestIngestor:
         states = self._states(1)
         states[0].table = Exploding()
         ingestor = StreamIngestor(states)
-        ingestor.dispatch([RecordColumns.from_records(record_sample[:10])])
-        with pytest.raises(ShardWorkerError):
-            ingestor.drain()
+        try:
+            ingestor.dispatch([RecordColumns.from_records(record_sample[:10])])
+            with pytest.raises(ShardWorkerError):
+                ingestor.drain()
+        finally:
+            # Joins the shard thread, which would otherwise poll its
+            # queue for the rest of the session.
+            with pytest.raises(ShardWorkerError):
+                ingestor.close()
 
     def test_failed_shard_gives_back_room_and_surfaces_from_dispatch(
         self, record_sample
