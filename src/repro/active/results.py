@@ -139,14 +139,6 @@ class UdpScanReport:
     definitely_closed: dict[int, set[int]] = field(default_factory=dict)
     no_response_addresses: set[int] = field(default_factory=set)
 
-    def counts_row(self, port: int) -> dict[str, int]:
-        """Summary counts for one port (a Table 7 column)."""
-        return {
-            "definitely_open": len(self.definitely_open.get(port, ())),
-            "possibly_open": len(self.possibly_open.get(port, ())),
-            "definitely_closed": len(self.definitely_closed.get(port, ())),
-        }
-
     def totals(self) -> dict[str, int]:
         """The Table 7 "all" column."""
         return {

@@ -310,20 +310,3 @@ def build_ledger(
                     heapq.heappush(active, (capped_end, address))
     ledger.finalize()
     return ledger
-
-
-def sessions_overlapping(
-    sessions: Sequence[tuple[float, float]], start: float, end: float
-) -> list[tuple[float, float]]:
-    """Return the session windows intersecting ``[start, end)``, clipped."""
-    out: list[tuple[float, float]] = []
-    for s, e in sessions:
-        lo, hi = max(s, start), min(e, end)
-        if lo < hi:
-            out.append((lo, hi))
-    return out
-
-
-def expected_concurrency(style: SessionStyle) -> float:
-    """Long-run fraction of time a host with *style* is online."""
-    return style.mean_session_hours / (style.mean_session_hours + style.mean_gap_hours)

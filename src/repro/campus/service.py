@@ -79,10 +79,6 @@ class ActivityPattern:
                 out.append((lo, hi))
         return out
 
-    def expected_flows(self, duration: float) -> float:
-        """Expected flow count if active for *duration* seconds."""
-        return self.base_rate * duration
-
 
 @dataclass
 class Service:

@@ -88,14 +88,6 @@ class CampusTopology:
     def total_addresses(self) -> int:
         return self.space.size
 
-    @property
-    def transient_addresses(self) -> int:
-        return sum(b.size for b in self.space.blocks if b.is_transient)
-
-    @property
-    def static_addresses(self) -> int:
-        return self.total_addresses - self.transient_addresses
-
     def block(self, name: str) -> AddressBlock:
         """Return the block with the given *name*.
 

@@ -213,10 +213,10 @@ def _stream_config(args: argparse.Namespace, **extra):
     """The ``StreamConfig`` a ``stream`` or ``serve`` invocation runs.
 
     Reads the flags :func:`_add_stream_arguments` declares; *extra*
-    carries what only one command has (``max_queue_chunks``,
-    ``snapshot_every``).  ``--resume`` and ``--out`` are ``stream``'s
-    alone, hence the ``getattr``.  A value the config (or its fault
-    plan) rejects is a :class:`UsageError`.
+    carries what only ``serve`` has (``snapshot_every``).  ``--resume``
+    and ``--out`` are ``stream``'s alone, hence the ``getattr``.  A
+    value the config (or its fault plan) rejects is a
+    :class:`UsageError`.
     """
     from repro.simkernel.clock import hours
     from repro.stream import StreamConfig
@@ -289,7 +289,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     from repro.telemetry import run_scope
 
-    config = _stream_config(args, max_queue_chunks=args.queue_chunks)
+    config = _stream_config(args)
     fabric = _fabric_config(args, _worker_fault_plan(args))
     checkpoint = config.checkpoint_path
     if args.resume and checkpoint:
@@ -933,10 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--resume", action="store_true",
                         help="resume from the checkpoint store's newest "
                              "committed generation, if any")
-    stream.add_argument("--queue-chunks", type=int, default=8,
-                        help="queued sub-batches per shard; marks do not "
-                             "count (backpressure; --workers is bounded by "
-                             "its batch ring instead)")
     add_out_argument(stream)
 
     serve = command(

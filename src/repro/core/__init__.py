@@ -26,7 +26,7 @@ from repro.core.categorize import (
     confirm_firewalls,
 )
 from repro.core.report import TextTable, format_percent, render_series
-from repro.core.timeline import DiscoveryTimeline, cumulative_curve, time_to_fraction
+from repro.core.timeline import DiscoveryTimeline, cumulative_curve
 
 __all__ = [
     "CompletenessSummary",
@@ -38,6 +38,5 @@ __all__ = [
     "format_percent",
     "render_series",
     "summarize_overlap",
-    "time_to_fraction",
     "weighted_discovery_curve",
 ]

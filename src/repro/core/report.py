@@ -166,18 +166,3 @@ def render_series(
     out.extend(lines)
     del table  # TextTable kept simple; manual rows keep column count right
     return "\n".join(out)
-
-
-def sparkline(values: Sequence[float], width: int = 40) -> str:
-    """Render a unicode sparkline of *values* (quick visual checks)."""
-    if not values:
-        return ""
-    blocks = " ▁▂▃▄▅▆▇█"
-    lo, hi = min(values), max(values)
-    span = hi - lo or 1.0
-    if len(values) > width:
-        stride = len(values) / width
-        values = [values[int(i * stride)] for i in range(width)]
-    return "".join(
-        blocks[int((v - lo) / span * (len(blocks) - 1))] for v in values
-    )

@@ -44,13 +44,6 @@ class DiscoveryTimeline:
             self.first_seen[item] = t
             self._port_index = None
 
-    def merge(self, other: "DiscoveryTimeline") -> "DiscoveryTimeline":
-        """Earliest-of-both timeline (e.g. passive-union-active)."""
-        merged = DiscoveryTimeline(first_seen=dict(self.first_seen))
-        for item, t in other.first_seen.items():
-            merged.record(item, t)
-        return merged
-
     def restrict(self, items: Iterable[Item]) -> "DiscoveryTimeline":
         """Timeline limited to the given item set."""
         keep = set(items)
@@ -131,32 +124,6 @@ def cumulative_curve(
         t += step
     points.append((end, bisect.bisect_right(times, end)))
     return points
-
-
-def time_to_fraction(
-    timeline: DiscoveryTimeline,
-    fraction: float,
-    total: int | None = None,
-) -> float | None:
-    """Earliest time by which *fraction* of *total* items were found.
-
-    *total* defaults to the timeline's own size (fraction of what was
-    eventually found); pass the union size for completeness-style
-    fractions.  Returns None when the fraction is never reached.
-    """
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must be in (0, 1]: {fraction}")
-    times = timeline.sorted_times()
-    denominator = total if total is not None else len(times)
-    if denominator <= 0:
-        return None
-    needed = fraction * denominator
-    import math
-
-    index = math.ceil(needed) - 1
-    if index >= len(times):
-        return None
-    return times[max(index, 0)]
 
 
 def discovery_rate(

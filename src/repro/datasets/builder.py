@@ -370,16 +370,6 @@ class BuiltDataset:
         """:attr:`probe_target_array` as a list of ints."""
         return self.probe_target_array.tolist()
 
-    def transient_addresses(self) -> set[int]:
-        """Addresses in transient blocks (the DTCP1-18d-trans subset)."""
-        space = self.population.topology.space
-        return {
-            address
-            for block in space.blocks
-            if block.is_transient
-            for address in block.addresses()
-        }
-
 
 def _make_profile(spec: DatasetSpec, scale: float):
     factories = {
@@ -415,7 +405,7 @@ def build_dataset(
         loss and prober downtime, and committed trace-cache entries
         may be corrupted.  The population and border traffic are
         untouched, so a faulted build shares its trace-cache entry
-        with the pristine build.  ``FaultPlan.none()`` (or ``None``)
+        with the pristine build.  ``FaultPlan()`` (or ``None``)
         is byte-identical to an unfaulted build.
     """
     spec = get_spec(name)

@@ -45,28 +45,12 @@ class MetricSpread:
         return statistics.median(finite) if finite else float("nan")
 
     @property
-    def stdev(self) -> float:
-        finite = self.finite
-        if len(finite) < 2:
-            return 0.0
-        mu = sum(finite) / len(finite)
-        return math.sqrt(sum((v - mu) ** 2 for v in finite) / (len(finite) - 1))
-
-    @property
     def minimum(self) -> float:
         return min(self.finite, default=float("nan"))
 
     @property
     def maximum(self) -> float:
         return max(self.finite, default=float("nan"))
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (stdev / |mean|); 0 for zero mean."""
-        mu = self.mean
-        if not mu or not math.isfinite(mu):
-            return 0.0
-        return self.stdev / abs(mu)
 
 
 @dataclass
@@ -78,14 +62,6 @@ class SweepResult:
     scale: float
     spreads: dict[str, MetricSpread] = field(default_factory=dict)
     paper_values: dict[str, float] = field(default_factory=dict)
-
-    def unstable_metrics(self, cv_threshold: float = 0.25) -> list[str]:
-        """Metrics whose relative spread exceeds the threshold."""
-        return sorted(
-            name
-            for name, spread in self.spreads.items()
-            if spread.cv > cv_threshold
-        )
 
 
 def seed_sweeps(
@@ -135,10 +111,3 @@ def seed_sweeps(
             paper_values=dict(per_seed[seeds[-1]].paper_values),
         )
     return sweeps
-
-
-def seed_sweep(
-    experiment_name: str, seeds: tuple[int, ...], scale: float = 1.0
-) -> SweepResult:
-    """:func:`seed_sweeps` for one experiment."""
-    return seed_sweeps((experiment_name,), seeds, scale)[experiment_name]

@@ -25,7 +25,7 @@ The runner is hardened for long sweeps:
 * ``--timeout`` bounds each experiment attempt; a hung worker process
   is terminated (implies process isolation, even at ``--jobs 1``);
 * every completed experiment is appended to a JSON checkpoint next to
-  the report, and ``--resume`` reuses it so an interrupted ``run_all``
+  the report, and ``--resume`` reuses it so an interrupted run
   recomputes only unfinished experiments -- the final report is
   identical to an uninterrupted run;
 * SIGINT/SIGTERM write the checkpoint, print what completed, and exit
@@ -562,13 +562,6 @@ def _run_many(
         precomputed[name] if name in precomputed else book.outcomes[name]
         for name in names
     ]
-
-
-def run_all(
-    seed: int = 0, scale: float = 1.0, verbose: bool = True, jobs: int = 1
-):
-    """Run all experiments; returns the list of results."""
-    return _run_many(list(ALL_EXPERIMENTS), seed, scale, jobs=jobs, verbose=verbose)
 
 
 # ---- reporting --------------------------------------------------------

@@ -14,7 +14,7 @@ decision derives from ``FaultPlan.seed`` through
 :func:`repro.simkernel.rng.derive_seed` with a component-scoped stream
 name, and is consumed in deterministic stream order, so a fixed plan
 produces bit-identical faults across processes, runs, and
-``--jobs N`` fan-out.  ``FaultPlan.none()`` is inert: every consumer
+``--jobs N`` fan-out.  ``FaultPlan()`` is inert: every consumer
 short-circuits to its pristine code path, so analyses without faults
 stay byte-identical to a build that never imported this package.
 """

@@ -107,11 +107,6 @@ class CaptureStats:
     def dropped(self) -> int:
         return self.dropped_loss + self.dropped_outage
 
-    @property
-    def drop_fraction(self) -> float:
-        seen = self.seen
-        return self.dropped / seen if seen else 0.0
-
 
 class CaptureFilter:
     """Single-pass, per-link record filter for one replay.
@@ -144,10 +139,6 @@ class CaptureFilter:
             state = _LinkState(self.plan.seed, link, windows)
             self._links[link] = state
         return state
-
-    def outage_windows_for(self, link: str) -> tuple[tuple[float, float], ...]:
-        """The maintenance windows this filter applies to *link*."""
-        return self.plan.outage_windows(link, self.duration)
 
     def keep_mask(self, times, link_indices, link_names: tuple[str, ...]):
         """Whether the monitors see each record: a boolean keep mask.

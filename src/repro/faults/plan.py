@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.simkernel.rng import derive_seed
@@ -130,21 +130,6 @@ class FaultPlan:
                 "retry_backoff_seconds must be >= 0, got "
                 f"{self.retry_backoff_seconds}"
             )
-
-    # ---- construction -------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "FaultPlan":
-        """The inert plan: every consumer takes its pristine code path."""
-        return cls()
-
-    @classmethod
-    def seeded(cls, master_seed: int, **rates) -> "FaultPlan":
-        """A plan whose fault streams derive from an experiment seed."""
-        return cls(seed=derive_seed(master_seed, "faultplan"), **rates)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     # ---- classification ----------------------------------------------
 

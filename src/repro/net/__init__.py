@@ -1,4 +1,4 @@
-"""Network primitives: addresses, packet headers, port registry.
+"""Network primitives: addresses, packet headers, port numbers.
 
 These are deliberately minimal -- the reproduction only needs the
 fields the paper's monitoring captured (64-byte headers: addresses,
@@ -10,7 +10,6 @@ from repro.net.addr import (
     AddressBlock,
     AddressClass,
     AddressSpace,
-    IPv4Address,
     format_ipv4,
     parse_cidr,
     parse_ipv4,
@@ -31,7 +30,6 @@ from repro.net.packet import (
 from repro.net.ports import (
     SELECTED_TCP_PORTS,
     SELECTED_UDP_PORTS,
-    WellKnownPorts,
     service_name,
 )
 
@@ -40,7 +38,6 @@ __all__ = [
     "AddressClass",
     "AddressSpace",
     "ICMP_PORT_UNREACHABLE",
-    "IPv4Address",
     "PROTO_ICMP",
     "PROTO_TCP",
     "PROTO_UDP",
@@ -48,7 +45,6 @@ __all__ = [
     "SELECTED_TCP_PORTS",
     "SELECTED_UDP_PORTS",
     "TcpFlags",
-    "WellKnownPorts",
     "format_ipv4",
     "icmp_port_unreachable",
     "parse_cidr",

@@ -1,12 +1,11 @@
 """IPv4 addresses and address blocks.
 
-Addresses are stored as plain ``int`` (0 .. 2**32-1) throughout the hot
-paths; :class:`IPv4Address` is a thin value wrapper used at API
-boundaries.  :class:`AddressBlock` models a contiguous allocation (a
-CIDR block, possibly with a few reserved addresses carved out) with an
-*address class* -- static, DHCP, PPP, VPN or wireless -- because the
-paper's transience analysis (Section 4.4.2) is driven entirely by which
-block an address belongs to.
+Addresses are stored as plain ``int`` (0 .. 2**32-1) throughout.
+:class:`AddressBlock` models a contiguous allocation (a CIDR block,
+possibly with a few reserved addresses carved out) with an *address
+class* -- static, DHCP, PPP, VPN or wireless -- because the paper's
+transience analysis (Section 4.4.2) is driven entirely by which block
+an address belongs to.
 """
 
 from __future__ import annotations
@@ -88,27 +87,6 @@ def parse_cidr(text: str) -> tuple[int, int]:
     if host_bits and network & ((1 << host_bits) - 1):
         raise ValueError(f"host bits set in network address: {text!r}")
     return network, prefix
-
-
-@dataclass(frozen=True, order=True)
-class IPv4Address:
-    """A single IPv4 address (value type)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= MAX_IPV4:
-            raise ValueError(f"address out of range: {self.value}")
-
-    @classmethod
-    def parse(cls, text: str) -> "IPv4Address":
-        return cls(parse_ipv4(text))
-
-    def __str__(self) -> str:
-        return format_ipv4(self.value)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -94,18 +94,6 @@ class PacketRecord:
         if not 0 <= self.dport <= 0xFFFF:
             raise ValueError(f"destination port out of range: {self.dport}")
 
-    @property
-    def is_tcp(self) -> bool:
-        return self.proto == PROTO_TCP
-
-    @property
-    def is_udp(self) -> bool:
-        return self.proto == PROTO_UDP
-
-    @property
-    def is_icmp(self) -> bool:
-        return self.proto == PROTO_ICMP
-
 
 def tcp_syn(
     time: float, src: int, dst: int, sport: int, dport: int, link: str = ""

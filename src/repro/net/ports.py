@@ -1,4 +1,4 @@
-"""Well-known port registry.
+"""Well-known port numbers and service names.
 
 The paper studies a small selected set of TCP services (FTP, SSH, HTTP,
 HTTPS, MySQL), four UDP services, and -- in the DTCPall dataset -- all
@@ -7,8 +7,6 @@ naming lives.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 
@@ -88,47 +86,3 @@ def service_name(port: int, proto: int = PROTO_TCP) -> str:
     if proto == PROTO_UDP:
         return _UDP_NAMES.get(port, f"udp-{port}")
     return f"proto{proto}-{port}"
-
-
-@dataclass(frozen=True)
-class WellKnownPorts:
-    """The port universe a study considers.
-
-    ``targets`` is the exact (port, proto) set probed actively and
-    tracked passively.  The DTCPall study uses :meth:`all_tcp`.
-    """
-
-    targets: tuple[tuple[int, int], ...]
-    _index: frozenset[tuple[int, int]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", frozenset(self.targets))
-
-    @classmethod
-    def selected_tcp(cls) -> "WellKnownPorts":
-        """The paper's five selected TCP service ports."""
-        return cls(tuple((p, PROTO_TCP) for p in SELECTED_TCP_PORTS))
-
-    @classmethod
-    def selected_udp(cls) -> "WellKnownPorts":
-        """The paper's four selected UDP service ports."""
-        return cls(tuple((p, PROTO_UDP) for p in SELECTED_UDP_PORTS))
-
-    @classmethod
-    def all_tcp(cls, max_port: int = 65535) -> "WellKnownPorts":
-        """Every TCP port up to *max_port* (the DTCPall study)."""
-        return cls(tuple((p, PROTO_TCP) for p in range(1, max_port + 1)))
-
-    @property
-    def tcp_ports(self) -> tuple[int, ...]:
-        return tuple(p for p, proto in self.targets if proto == PROTO_TCP)
-
-    @property
-    def udp_ports(self) -> tuple[int, ...]:
-        return tuple(p for p, proto in self.targets if proto == PROTO_UDP)
-
-    def __contains__(self, item: tuple[int, int]) -> bool:
-        return item in self._index
-
-    def __len__(self) -> int:
-        return len(self.targets)

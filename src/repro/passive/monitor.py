@@ -609,10 +609,6 @@ class PassiveServiceTable:
         """Addresses with at least one discovered service."""
         return {address for address, _, _ in self.first_seen}
 
-    def discovery_events(self) -> list[tuple[float, Endpoint]]:
-        """(first_seen, endpoint) pairs, sorted by time."""
-        return sorted((t, e) for e, t in self.first_seen.items())
-
     def address_discovery_events(self) -> list[tuple[float, int]]:
         """(first_seen, address) pairs, address-level, sorted by time."""
         best: dict[int, float] = {}

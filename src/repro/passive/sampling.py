@@ -49,39 +49,11 @@ class FixedPeriodSampler:
                 f"({self.sample_minutes} > {self.period_minutes})"
             )
 
-    @property
-    def fraction(self) -> float:
-        """Fraction of time the sampler keeps (e.g. 0.5 for 30-of-60)."""
-        return self.sample_minutes / self.period_minutes
-
     def keep_mask(self, cols) -> np.ndarray:
         """Keep decisions for a column batch: whether each row's time
         falls inside a sample window."""
         offset = (cols.time - self.anchor) % minutes(self.period_minutes)
         return offset < minutes(self.sample_minutes)
-
-    def windows_in(self, start: float, end: float) -> list[tuple[float, float]]:
-        """The concrete sample windows intersecting ``[start, end)``."""
-        period = minutes(self.period_minutes)
-        width = minutes(self.sample_minutes)
-        first_index = int((start - self.anchor) // period)
-        out: list[tuple[float, float]] = []
-        index = first_index
-        while True:
-            w_start = self.anchor + index * period
-            if w_start >= end:
-                break
-            w_end = w_start + width
-            lo, hi = max(w_start, start), min(w_end, end)
-            if lo < hi:
-                out.append((lo, hi))
-            index += 1
-        return out
-
-
-def hourly_samplers(*sample_minutes: float) -> dict[float, FixedPeriodSampler]:
-    """Build the paper's family of hourly samplers keyed by minutes."""
-    return {m: FixedPeriodSampler(sample_minutes=m) for m in sample_minutes}
 
 
 @dataclass(frozen=True)
@@ -102,10 +74,6 @@ class ProbabilisticSampler:
             raise ValueError(
                 f"probability must be in (0, 1]: {self.probability}"
             )
-
-    @property
-    def fraction(self) -> float:
-        return self.probability
 
     def keep_mask(self, cols) -> np.ndarray:
         """Keep decisions for a column batch: one salted blake2b hash of
@@ -204,10 +172,3 @@ class SamplingTable:
     def observed_fraction(self) -> float:
         total = self.kept + self.dropped
         return self.kept / total if total else 0.0
-
-
-def effective_observation_seconds(
-    sampler: FixedPeriodSampler, start: float, end: float
-) -> float:
-    """Total observed time under *sampler* within ``[start, end)``."""
-    return sum(hi - lo for lo, hi in sampler.windows_in(start, end))

@@ -94,14 +94,6 @@ class WindowActivityObserver:
         for pair in np.unique(pairs).tolist():
             hits.setdefault(pair >> 32, set()).add(pair & 0xFFFFFFFF)
 
-    def addresses_active_in(self, window_index: int) -> set[int]:
-        """Addresses with evidence inside the given window."""
-        return {
-            address
-            for address, indices in self.hits.items()
-            if window_index in indices
-        }
-
     def addresses_with_any_activity(self) -> set[int]:
         """Addresses with evidence in any window."""
         return set(self.hits)

@@ -84,63 +84,3 @@ class Calendar:
         """Return the paper-style ``MM-DD`` axis label for time *t*."""
         moment = self.to_datetime(t)
         return f"{moment.month:02d}-{moment.day:02d}"
-
-    def clock_label(self, t: float) -> str:
-        """Return an ``HH:MM`` label for time *t* (Figure 1 style)."""
-        moment = self.to_datetime(t)
-        return f"{moment.hour:02d}:{moment.minute:02d}"
-
-    def next_time_of_day(self, t: float, hour: int, minute: int = 0) -> float:
-        """Return the first simulation time >= *t* at ``hour:minute``.
-
-        Used to schedule scans "daily at 11:00" regardless of when the
-        dataset begins.
-        """
-        moment = self.to_datetime(t)
-        candidate = moment.replace(hour=hour, minute=minute, second=0, microsecond=0)
-        if candidate < moment:
-            candidate += _dt.timedelta(days=1)
-        return self.to_sim(candidate)
-
-
-class SimClock:
-    """A monotonically advancing simulation clock.
-
-    The clock is deliberately dumb: it only remembers "now" and refuses
-    to move backwards.  Event sources read it; the event loop advances
-    it.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    def advance_to(self, t: float) -> None:
-        """Move the clock forward to time *t*.
-
-        Raises
-        ------
-        ValueError
-            If *t* is earlier than the current time.  A simulation that
-            tries to rewind its clock has a bug worth failing loudly on.
-        """
-        if t < self._now:
-            raise ValueError(
-                f"cannot move clock backwards: now={self._now}, requested={t}"
-            )
-        self._now = t
-
-    def advance_by(self, dt: float) -> None:
-        """Move the clock forward by *dt* seconds (*dt* must be >= 0)."""
-        if dt < 0:
-            raise ValueError(f"cannot advance by a negative duration: {dt}")
-        self._now += dt
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now!r})"

@@ -67,14 +67,6 @@ class RngStreams:
         ).inc()
         return rng
 
-    def fork(self, name: str) -> "RngStreams":
-        """Return a child :class:`RngStreams` namespaced under *name*.
-
-        Useful when a subsystem itself wants many sub-streams without
-        knowing the global naming scheme.
-        """
-        return RngStreams(derive_seed(self.master_seed, f"fork:{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RngStreams(master_seed={self.master_seed}, "

@@ -73,7 +73,7 @@ from repro.stream.checkpoint import (
     ShardCheckpointStore,
     checkpoint_config,
 )
-from repro.stream.ingest import DEFAULT_MAX_QUEUE_CHUNKS, StreamIngestor
+from repro.stream.ingest import StreamIngestor
 from repro.stream.ingest import fold_telemetry
 from repro.stream.shard import ShardServant, ShardState
 from repro.stream.shard import merge_shards, route_columns
@@ -112,7 +112,6 @@ class StreamConfig:
     emit_every: float | None = None
     checkpoint_every: float | None = None
     checkpoint_path: str | None = None
-    max_queue_chunks: int = DEFAULT_MAX_QUEUE_CHUNKS
     faults: object | None = None
     end: float | None = None
     #: Publish a query snapshot every this many dataset seconds (needs a
@@ -149,8 +148,6 @@ class StreamConfig:
             raise ValueError("shards must be >= 1")
         if self.batch_records < 1:
             raise ValueError("batch_records must be >= 1")
-        if self.max_queue_chunks < 1:
-            raise ValueError("max_queue_chunks must be >= 1")
         if self.emit_every is not None and self.emit_every <= 0:
             raise ValueError("emit_every must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every <= 0:
@@ -1021,8 +1018,7 @@ class _ThreadTransport(_InlineTransport):
     def start(self, offset: int) -> None:
         super().start(offset)  # catch up before any shard thread runs
         self.ingestor = StreamIngestor(
-            self.states, self.engine.config.max_queue_chunks,
-            store=self.store, identity=self.identity,
+            self.states, store=self.store, identity=self.identity
         )
 
     def feed(self, parts: list, offset: int) -> None:

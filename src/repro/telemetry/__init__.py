@@ -66,7 +66,6 @@ from repro.telemetry.flight import (
     DEFAULT_FLIGHT_LIMIT,
     FlightRecorder,
     NullFlightRecorder,
-    load_flight_dump,
 )
 from repro.telemetry.tap import ReplayTap
 from repro.telemetry.tracing import (
@@ -111,7 +110,6 @@ __all__ = [
     "git_sha",
     "jsonl_text",
     "load_events",
-    "load_flight_dump",
     "load_manifest",
     "load_metrics",
     "load_run",

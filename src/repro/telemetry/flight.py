@@ -115,14 +115,3 @@ class NullFlightRecorder(FlightRecorder):
 
     def state(self) -> dict:
         return {"limit": 0, "buffered": 0, "dumps": []}
-
-
-def load_flight_dump(path: str | Path) -> dict | None:
-    """Read back one dump file; ``None`` when missing or unreadable."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or "events" not in payload:
-        return None
-    return payload

@@ -63,8 +63,8 @@ class TraceCacheStats:
 
     ``records_replayed`` / ``replay_seconds`` accumulate over every
     :meth:`repro.datasets.builder.BuiltDataset.replay` call (cached or
-    generated), so ``records_per_sec`` is the realised replay
-    throughput of the process so far.
+    generated): their ratio is the realised replay throughput of the
+    process so far.
     """
 
     hits: int = 0
@@ -72,12 +72,6 @@ class TraceCacheStats:
     evictions: int = 0
     records_replayed: int = 0
     replay_seconds: float = 0.0
-
-    @property
-    def records_per_sec(self) -> float:
-        if self.replay_seconds <= 0:
-            return 0.0
-        return self.records_replayed / self.replay_seconds
 
     def note_replay(self, records: int, seconds: float) -> None:
         self.records_replayed += records

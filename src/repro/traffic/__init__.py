@@ -28,11 +28,7 @@ tests compare against (``tests/traffic_reference.py``).
 """
 
 from repro.traffic.clients import ClientDirectory
-from repro.traffic.generator import (
-    TrafficMix,
-    border_column_batches,
-    border_packet_stream,
-)
+from repro.traffic.generator import TrafficMix, border_column_batches
 from repro.traffic.scans import ScanPlan, ScanSweep, build_scan_plan
 
 __all__ = [
@@ -41,6 +37,5 @@ __all__ = [
     "ScanSweep",
     "TrafficMix",
     "border_column_batches",
-    "border_packet_stream",
     "build_scan_plan",
 ]

@@ -35,7 +35,6 @@ from typing import Callable, Generator, Iterable, Iterator
 import numpy as np
 
 from repro.campus.population import CampusPopulation
-from repro.net.packet import PacketRecord
 from repro.simkernel.clock import Calendar
 from repro.simkernel.rng import RngStreams
 from repro.simkernel.schedule import DiurnalProfile
@@ -332,15 +331,3 @@ def border_column_batches(
             yield _concat(held)
     finally:
         windows.close()
-
-
-def border_packet_stream(
-    population: CampusPopulation,
-    mix: TrafficMix,
-    seed: int,
-    start: float,
-    end: float,
-) -> Iterator[PacketRecord]:
-    """:func:`border_column_batches`, record by record."""
-    for columns in border_column_batches(population, mix, seed, start, end):
-        yield from columns.to_records()

@@ -11,16 +11,14 @@ pipeline against the simulated campus:
   discovery" step, whose failures produce the "no response" row.
 """
 
-from repro.webclassify.classifier import PageClassifier, classify_page
+from repro.webclassify.classifier import PageClassifier
 from repro.webclassify.fetcher import FetchOutcome, WebFetcher
-from repro.webclassify.signatures import Signature, signature_database, total_signature_strings
+from repro.webclassify.signatures import Signature, signature_database
 
 __all__ = [
     "FetchOutcome",
     "PageClassifier",
     "Signature",
     "WebFetcher",
-    "classify_page",
     "signature_database",
-    "total_signature_strings",
 ]

@@ -44,16 +44,3 @@ class PageClassifier:
             if signature.matches(lowered):
                 return signature.category
         return PageCategory.CUSTOM
-
-    def matching_signature(self, page: str) -> Signature | None:
-        """Return the first matching signature (diagnostics)."""
-        lowered = page.lower()
-        for signature in self.signatures:
-            if signature.matches(lowered):
-                return signature
-        return None
-
-
-def classify_page(page: str) -> PageCategory:
-    """Module-level convenience using the default signature database."""
-    return PageClassifier().classify(page)

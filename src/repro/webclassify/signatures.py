@@ -292,12 +292,3 @@ def signature_database() -> tuple[Signature, ...]:
             + _default_signatures()
         )
     return _DATABASE
-
-
-def total_signature_strings() -> int:
-    """Total number of indicator strings across all signatures.
-
-    The paper quotes 185 signature strings; this database is the same
-    order of magnitude (the exact strings necessarily differ).
-    """
-    return sum(len(s.strings) for s in signature_database())

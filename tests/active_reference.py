@@ -6,7 +6,8 @@ before its sweeps became array pipelines over
 definition: one ``CampusPopulation.occupant_host`` lookup per address,
 one ``Host.tcp_probe_response`` / ``udp_probe_response`` per port, one
 ``ProbeFaults.transmit`` per probe a lossy scanner sends, outcomes
-folded into the report one at a time.
+folded into the report one at a time.  :func:`counts_row` is the
+per-port Table 7 column nothing in ``repro`` reads any more.
 
 :class:`ReferenceScanner` overrides only ``_sweep`` (validation, rate
 limiting, telemetry and host discovery are inherited), and
@@ -20,6 +21,15 @@ from repro.active.prober import HalfOpenScanner
 from repro.active.results import ScanReport, UdpScanReport
 from repro.active.udp_scan import GenericUdpProber
 from repro.campus.host import ProbeOutcome, UdpProbeOutcome
+
+
+def counts_row(report: UdpScanReport, port: int) -> dict[str, int]:
+    """Summary counts for one port (a Table 7 column)."""
+    return {
+        "definitely_open": len(report.definitely_open.get(port, ())),
+        "possibly_open": len(report.possibly_open.get(port, ())),
+        "definitely_closed": len(report.definitely_closed.get(port, ())),
+    }
 
 
 class ReferenceScanner(HalfOpenScanner):

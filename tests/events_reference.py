@@ -1,9 +1,10 @@
-"""A binary-heap event queue and a small event-loop runner.
+"""A binary-heap event queue, its clock and a small event-loop runner.
 
 Nothing in ``repro`` schedules callbacks: the traffic generator and the
-online prober are array code over time-ordered columns.  The queue that
-``repro.simkernel`` once shipped for the control plane lives here, with
-``tests/test_simkernel_events.py``, until those tests are retired.
+online prober are array code over time-ordered columns.  The queue and
+clock that ``repro.simkernel`` once shipped for the control plane live
+here, with ``tests/test_simkernel_events.py`` and
+``tests/test_simkernel_clock.py``, until those tests are retired.
 """
 
 from __future__ import annotations
@@ -13,7 +14,38 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.simkernel.clock import SimClock
+
+
+class SimClock:
+    """A monotonically advancing simulation clock.
+
+    It only remembers "now" and refuses to move backwards; the event
+    loop advances it.
+    """
+
+    __slots__ = ("_now",)
+
+    def __init__(self, start: float = 0.0) -> None:
+        self._now = float(start)
+
+    @property
+    def now(self) -> float:
+        """Current simulation time in seconds."""
+        return self._now
+
+    def advance_to(self, t: float) -> None:
+        """Move the clock forward to time *t*; rewinding raises."""
+        if t < self._now:
+            raise ValueError(
+                f"cannot move clock backwards: now={self._now}, requested={t}"
+            )
+        self._now = t
+
+    def advance_by(self, dt: float) -> None:
+        """Move the clock forward by *dt* seconds (*dt* must be >= 0)."""
+        if dt < 0:
+            raise ValueError(f"cannot advance by a negative duration: {dt}")
+        self._now += dt
 
 
 @dataclass(frozen=True, order=True)

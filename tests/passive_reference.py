@@ -2,10 +2,11 @@
 
 Every pass reaches an observer through ``observe_columns`` alone.  The
 record-at-a-time rules each observer was defined by live here, as
-subclasses that add ``observe`` (or ``keep`` / ``keep_record``) and
-inherit everything else -- construction, queries, the columnar entry
-point -- so a test comparing the two compares exactly the code that
-was replaced.  :meth:`PassiveServiceTable.observe` itself stays in
+subclasses that add ``observe`` (or ``keep`` / ``keep_record``; the
+fixed-period sampler also has its ``fraction`` and ``windows_in``) and inherit
+everything else -- construction, queries, the columnar entry point --
+so a test comparing the two compares exactly the code that was
+replaced.  :meth:`PassiveServiceTable.observe` itself stays in
 ``repro`` (the benchmark times the record tier through it), so the
 tables here are the production ones.
 """
@@ -215,9 +216,30 @@ class ReferenceReplayTap(ReplayTap):
 
 
 class ReferenceFixedPeriodSampler(FixedPeriodSampler):
+    @property
+    def fraction(self) -> float:
+        """Fraction of time the sampler keeps (e.g. 0.5 for 30-of-60)."""
+        return self.sample_minutes / self.period_minutes
+
     def keep_record(self, record) -> bool:
         offset = (record.time - self.anchor) % minutes(self.period_minutes)
         return offset < minutes(self.sample_minutes)
+
+    def windows_in(self, start: float, end: float) -> list[tuple[float, float]]:
+        """The concrete sample windows intersecting ``[start, end)``."""
+        period = minutes(self.period_minutes)
+        width = minutes(self.sample_minutes)
+        out: list[tuple[float, float]] = []
+        index = int((start - self.anchor) // period)
+        while True:
+            w_start = self.anchor + index * period
+            if w_start >= end:
+                break
+            lo, hi = max(w_start, start), min(w_start + width, end)
+            if lo < hi:
+                out.append((lo, hi))
+            index += 1
+        return out
 
 
 class ReferenceProbabilisticSampler(ProbabilisticSampler):

@@ -16,6 +16,7 @@ from repro.campus.profiles import semester_profile
 from repro.net.addr import AddressClass
 from repro.net.ports import SELECTED_TCP_PORTS, SELECTED_UDP_PORTS
 from repro.simkernel.clock import Calendar, days, hours
+from tests.active_reference import counts_row
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,7 @@ class TestUdpProber:
 
         prober = GenericUdpProber(population)
         report = prober.scan(targets, (53,), start=0.0, duration=hours(1))
-        row = report.counts_row(53)
+        row = counts_row(report, 53)
         assert set(row) == {"definitely_open", "possibly_open", "definitely_closed"}
 
 

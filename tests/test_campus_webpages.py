@@ -8,12 +8,9 @@ from repro.campus.webpages import PageCategory, render_root_page
 from repro.webclassify.classifier import (
     MINIMAL_CONTENT_BYTES,
     PageClassifier,
-    classify_page,
 )
-from repro.webclassify.signatures import (
-    signature_database,
-    total_signature_strings,
-)
+from repro.webclassify.signatures import signature_database
+from tests.campus_reference import matching_signature
 
 
 class TestRenderRootPage:
@@ -38,7 +35,7 @@ class TestRenderRootPage:
 class TestSignatureDatabase:
     def test_substantial_database(self):
         # The paper used 185 signature strings; ours is the same order.
-        assert total_signature_strings() >= 100
+        assert sum(len(s.strings) for s in signature_database()) >= 100
 
     def test_signatures_validate(self):
         for signature in signature_database():
@@ -71,22 +68,22 @@ class TestClassifierRoundTrip:
 
     def test_empty_page_rejected(self):
         with pytest.raises(ValueError):
-            classify_page("")
+            PageClassifier().classify("")
 
     def test_tiny_page_is_minimal(self):
-        assert classify_page("<html>x</html>") is PageCategory.MINIMAL
+        assert PageClassifier().classify("<html>x</html>") is PageCategory.MINIMAL
 
     def test_unmatched_large_page_is_custom(self):
         page = "<html><body>" + "the quarterly seminar archive " * 20 + "</body></html>"
-        assert classify_page(page) is PageCategory.CUSTOM
+        assert PageClassifier().classify(page) is PageCategory.CUSTOM
 
     def test_matching_signature_diagnostic(self):
         classifier = PageClassifier()
         page = "<html><h1>It works!</h1>" + "x" * 120 + "</html>"
-        signature = classifier.matching_signature(page)
+        signature = matching_signature(classifier, page)
         assert signature is not None
         assert signature.category is PageCategory.DEFAULT
 
     def test_case_insensitive(self):
         page = "<HTML><H1>IT WORKS!</H1>" + "x" * 120 + "</HTML>"
-        assert classify_page(page) is PageCategory.DEFAULT
+        assert PageClassifier().classify(page) is PageCategory.DEFAULT

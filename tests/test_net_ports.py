@@ -1,10 +1,9 @@
 """Tests for repro.net.ports."""
 
-from repro.net.packet import PROTO_TCP, PROTO_UDP
+from repro.net.packet import PROTO_UDP
 from repro.net.ports import (
     SELECTED_TCP_PORTS,
     SELECTED_UDP_PORTS,
-    WellKnownPorts,
     service_name,
 )
 
@@ -33,22 +32,3 @@ class TestServiceName:
     def test_other_protocol(self):
         assert service_name(1, 47) == "proto47-1"
 
-
-class TestWellKnownPorts:
-    def test_selected_tcp(self):
-        universe = WellKnownPorts.selected_tcp()
-        assert len(universe) == 5
-        assert (80, PROTO_TCP) in universe
-        assert (80, PROTO_UDP) not in universe
-        assert universe.tcp_ports == SELECTED_TCP_PORTS
-
-    def test_selected_udp(self):
-        universe = WellKnownPorts.selected_udp()
-        assert universe.udp_ports == SELECTED_UDP_PORTS
-        assert universe.tcp_ports == ()
-
-    def test_all_tcp(self):
-        universe = WellKnownPorts.all_tcp(max_port=100)
-        assert len(universe) == 100
-        assert (1, PROTO_TCP) in universe
-        assert (101, PROTO_TCP) not in universe

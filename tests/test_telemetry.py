@@ -10,7 +10,6 @@ nothing on the batched-replay hot loop.
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
@@ -32,6 +31,7 @@ from repro.telemetry import (
     telemetry_enabled,
     write_exports,
 )
+from tests import overhead_harness
 
 
 @pytest.fixture(autouse=True)
@@ -433,47 +433,6 @@ class TestNoOpOverhead:
     uninstrumented loop (the additions are one registry check per
     replay call and two flag tests per chunk)."""
 
-    REPEATS = 9
-    CHUNKS = 300
-    CHUNK_SIZE = 256
-
-    def _workload(self):
-        from repro.net.packet import tcp_syn, tcp_synack
-        from repro.trace.columnar import RecordColumns
-
-        campus = 0x80000000
-        chunks = []
-        for c in range(self.CHUNKS):
-            batch = []
-            for i in range(self.CHUNK_SIZE):
-                t = c * 1.0 + i * 1e-3
-                if i % 3 == 0:
-                    batch.append(tcp_synack(
-                        t, campus + (i % 64), 0x10000000 + i, 80, 1024 + i,
-                        link="commercial1",
-                    ))
-                else:
-                    batch.append(tcp_syn(
-                        t, 0x10000000 + i, campus + (i % 64), 1024 + i, 80,
-                        link="commercial1",
-                    ))
-            chunks.append(RecordColumns.from_records(batch))
-        return chunks
-
-    def _observer(self):
-        from repro.passive.monitor import PassiveServiceTable
-
-        def is_campus(address):
-            return (address & 0xF0000000) == 0x80000000
-
-        # Prefix-parameterised like the topology's predicate, so the
-        # table takes its vectorised path -- the loop production runs.
-        is_campus.campus_network = 0x80000000
-        is_campus.campus_mask = 0xF0000000
-        return PassiveServiceTable(
-            is_campus=is_campus, tcp_ports=frozenset({80})
-        )
-
     @staticmethod
     def _reference_pass(chunks, *observers):
         # replay_columnar's loop without any telemetry: the control arm
@@ -487,53 +446,24 @@ class TestNoOpOverhead:
                 count += len(cols)
         return count
 
-    def _measure(self, chunks, expected):
-        from repro.passive.monitor import replay_columnar
-
-        instrumented = []
-        reference = []
-        for repeat in range(self.REPEATS):
-            # Alternate which arm goes first so drift cancels out.
-            arms = [
-                ("ref", self._reference_pass),
-                ("rb", replay_columnar),
-            ]
-            if repeat % 2:
-                arms.reverse()
-            for tag, fn in arms:
-                started = time.perf_counter()
-                assert fn(chunks, self._observer()) == expected
-                elapsed = time.perf_counter() - started
-                (reference if tag == "ref" else instrumented).append(elapsed)
-        return (min(instrumented) - min(reference)) / min(reference)
-
     def test_disabled_overhead_below_two_percent(self):
         from repro.passive.monitor import replay_columnar
 
         assert not telemetry_enabled()
-        chunks = self._workload()
-        expected = self.CHUNKS * self.CHUNK_SIZE
-        # Warm both code paths (bytecode specialisation, allocator).
-        self._reference_pass(chunks, self._observer())
-        replay_columnar(chunks, self._observer())
-        # One retry absorbs a scheduler noise spike on a loaded machine;
-        # a real hot-path cost fails both rounds.
-        overhead = self._measure(chunks, expected)
-        if overhead >= 0.02:
-            overhead = min(overhead, self._measure(chunks, expected))
-        assert overhead < 0.02, f"no-op overhead {overhead:.2%}"
+        cost = overhead_harness.overhead(self._reference_pass, replay_columnar)
+        assert cost < overhead_harness.BOUND, f"no-op overhead {cost:.2%}"
 
     def test_enabled_pass_times_every_chunk(self):
         """The same loop, telemetry on: one histogram sample and one
         counter tick per chunk, and the fold itself is unchanged."""
         from repro.passive.monitor import replay_columnar
 
-        chunks = self._workload()[:7]
-        plain, timed = self._observer(), self._observer()
+        chunks = overhead_harness.workload()[:7]
+        plain, timed = overhead_harness.observer(), overhead_harness.observer()
         self._reference_pass(chunks, plain)
         reg = MetricRegistry()
         set_registry(reg)
-        assert replay_columnar(chunks, timed) == 7 * self.CHUNK_SIZE
+        assert replay_columnar(chunks, timed) == 7 * overhead_harness.CHUNK_SIZE
         assert timed.first_seen == plain.first_seen
         assert reg.value("repro_replay_chunks_total") == 7
         assert reg.histogram("repro_replay_chunk_seconds").count == 7

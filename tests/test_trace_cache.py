@@ -789,7 +789,7 @@ class TestTraceCache:
         assert cache.stats.hits == 1
         assert cache.stats.records_replayed > 0
         assert cache.stats.replay_seconds > 0
-        assert cache.stats.records_per_sec > 0
+        assert cache.stats.records_replayed / cache.stats.replay_seconds > 0
 
     def test_corrupt_entry_treated_as_miss(self, monkeypatch, tmp_path, dataset):
         """A truncated cached trace is evicted and replay regenerates."""

@@ -20,7 +20,7 @@ from repro.net.packet import PROTO_TCP, TcpFlags
 from repro.simkernel.clock import Calendar, days, hours
 from repro.simkernel.rng import RngStreams
 from repro.traffic.clients import ClientDirectory, _client_flows
-from repro.traffic.generator import TrafficMix, border_packet_stream, default_diurnal
+from repro.traffic.generator import TrafficMix, border_column_batches, default_diurnal
 from repro.traffic.links import (
     LINK_COMMERCIAL1,
     LINK_COMMERCIAL2,
@@ -232,14 +232,18 @@ class TestNoiseAndMix:
             semester_profile(scale=0.03), seed=2, duration=days(1)
         )
         mix = TrafficMix.quiet()
-        first = [
-            (p.time, p.src, p.dst)
-            for p in border_packet_stream(population, mix, 7, 0.0, days(1))
-        ]
-        second = [
-            (p.time, p.src, p.dst)
-            for p in border_packet_stream(population, mix, 7, 0.0, days(1))
-        ]
+        def rows():
+            return [
+                row
+                for columns in border_column_batches(
+                    population, mix, 7, 0.0, days(1)
+                )
+                for row in zip(columns.time.tolist(), columns.src.tolist(),
+                               columns.dst.tolist())
+            ]
+
+        first = rows()
+        second = rows()
         assert first == second
 
     def test_diurnal_default(self):
