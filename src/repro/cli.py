@@ -194,19 +194,14 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _fabric_config(args: argparse.Namespace, worker_faults=None):
-    """The supervision knobs ``stream`` and ``serve`` share, or ``None``
-    for in-process shard threads (no ``--workers``)."""
+    """The worker fabric's config for ``stream`` and ``serve`` (with
+    ``stream``'s chaos plan, if any), or ``None`` for in-process shards
+    (no ``--workers``).  Its supervision timings are constants."""
     if args.workers is None:
         return None
     from repro.stream import FabricConfig
 
-    return _configured(
-        FabricConfig,
-        heartbeat_interval=args.heartbeat_interval,
-        miss_budget=args.miss_budget,
-        max_restarts=args.max_restarts,
-        worker_faults=worker_faults,
-    )
+    return FabricConfig(worker_faults=worker_faults)
 
 
 def _stream_config(args: argparse.Namespace, **extra):
@@ -814,8 +809,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
     """Every flag ``stream`` and ``serve`` share: what
-    :func:`_stream_config` reads, the fabric supervision knobs and the
-    telemetry/trace export directories."""
+    :func:`_stream_config` reads (``--workers`` also selects the
+    fabric) and the telemetry/trace export directories."""
     from repro.probe import POLICY_NAMES
 
     add_dataset_arguments(parser)
@@ -830,15 +825,6 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
              "distributed fabric) instead of in-process threads; "
              "overrides --shards",
     )
-    parser.add_argument("--heartbeat-interval", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="fabric worker heartbeat cadence")
-    parser.add_argument("--miss-budget", type=int, default=8,
-                        help="heartbeats a fabric worker may miss before "
-                             "it is declared dead")
-    parser.add_argument("--max-restarts", type=int, default=3,
-                        help="restarts per shard before the fabric fails "
-                             "the run as degraded")
     parser.add_argument(
         "--emit-every", type=float, default=None, metavar="H",
         help="emit a windowed-completeness watermark every H sim-hours",

@@ -16,8 +16,9 @@ drawn from :func:`~repro.faults.plan.derive_seed` streams keyed by
 *restarted* worker (next incarnation) rolls fresh dice -- with the
 per-shard event caps left at their defaults of one, the replacement
 runs clean and the run converges instead of crash-looping forever.
-Raising the caps (or ``max_restarts`` on the fabric side) turns the
-same plan into a restart-budget-exhaustion test.
+Raising the caps past the fabric's restart budget
+(:data:`~repro.stream.fabric.MAX_RESTARTS`) turns the same plan into a
+restart-budget-exhaustion test.
 
 Trigger points are expressed in *records folded by the shard*, not
 global offsets, so a plan is meaningful at any worker count.

@@ -47,7 +47,6 @@ from repro.stream.fabric import (
     FabricSupervisor,
 )
 from repro.stream.ingest import (
-    DEFAULT_MAX_QUEUE_CHUNKS,
     IngestStallError,
     ShardWorkerError,
     StreamIngestor,
@@ -75,7 +74,6 @@ __all__ = [
     "ActiveTimeline",
     "CheckpointCorrupt",
     "CheckpointError",
-    "DEFAULT_MAX_QUEUE_CHUNKS",
     "FabricConfig",
     "FabricDegradedError",
     "FabricError",

@@ -21,8 +21,9 @@ number past it, or has been declared dead.
 **Membership and liveness.**  Workers join with a registration
 handshake and then heartbeat on their own clock; the supervisor's
 :class:`~repro.stream.membership.Membership` table declares a worker
-dead after ``miss_budget`` missed intervals (or a blown join timeout),
-on process exit, or when it holds a ring slot past the stall budget.
+dead after :data:`~repro.stream.membership.MISS_BUDGET` missed
+intervals (or a blown join timeout), on process exit, or when it holds
+a ring slot past :data:`STALL_TIMEOUT_SECONDS`.
 Every worker message carries an incarnation number, so traffic from a
 declared-dead process that lingers in a queue is discarded.
 
@@ -33,7 +34,7 @@ replays the gap from the trace
 (:meth:`~repro.stream.engine.StreamEngine.replay_gap`: the drop pattern
 is bit-identical to what the dead worker saw), and resumes -- with
 bounded retries and exponential backoff.
-Exhausting ``max_restarts`` raises :class:`FabricDegradedError`
+Exhausting :data:`MAX_RESTARTS` raises :class:`FabricDegradedError`
 ("degraded: shard N restarted K times") instead of hanging.
 
 **Consistency.**  Watermark, snapshot and checkpoint requests travel
@@ -84,7 +85,7 @@ from repro.stream.engine import (
     StreamResult,
     _fresh_table,
 )
-from repro.stream.membership import Membership
+from repro.stream import membership as _membership
 from repro.stream.shard import ShardServant, ShardState, as_routed
 from repro.stream.watermark import Watermark
 from repro.telemetry.metrics import MetricRegistry, set_registry
@@ -110,6 +111,28 @@ _RING_SLOTS = 4
 #: How long the supervisor sleeps in its message pump between looks at
 #: the progress cells while every slot is held (a fold is ~10 ms).
 _SLOT_POLL_SECONDS = 0.0005
+
+#: The unit the supervisor counts backpressure in while it waits for a
+#: ring slot (``repro_stream_backpressure_timeouts_total``): ten folds,
+#: so a count means the workers, not the router, set the pace.
+PUT_TIMEOUT_SECONDS = 0.1
+
+#: How long live workers may hold a ring slot before they are failed
+#: over.  A worker that beats but never folds is wedged, not slow: a
+#: slot's rows take ~10 ms, so 10 s is a thousand folds behind.
+STALL_TIMEOUT_SECONDS = 10.0
+
+#: Failovers a shard may take before the run fails as degraded.  One
+#: seeded fault per shard (the chaos plan's default cap) needs one; the
+#: other two absorb a real death on top of it.
+MAX_RESTARTS = 3
+
+#: The pause before a shard's relaunch, doubled per restart of that
+#: shard up to the cap: one failover waits 50 ms, short beside the
+#: catch-up replay that follows, while a crash loop slows to a relaunch
+#: every 2 s.
+RESTART_BACKOFF_SECONDS = 0.05
+RESTART_BACKOFF_MAX_SECONDS = 2.0
 
 
 class _Arena:
@@ -196,36 +219,17 @@ class FabricDegradedError(FabricError):
 
 @dataclass(frozen=True)
 class FabricConfig:
-    """Supervision knobs, separate from the stream identity.
+    """What a fabric run takes beside its stream config: the seeded
+    worker chaos plan, if any.
 
-    Nothing here affects the report's bytes -- heartbeat cadence,
-    restart budgets, and fault injection change *when* failovers happen,
-    never what the merged shard states contain -- so none of it enters
-    the checkpoint identity.  ``put_timeout`` is the unit the supervisor
-    counts backpressure in while it waits for a ring slot, and
-    ``stall_timeout`` how long live workers may hold that slot before
-    they are failed over.
+    It never affects the report's bytes -- injected faults change *when*
+    failovers happen, never what the merged shard states contain -- so
+    it does not enter the checkpoint identity.  The supervision timings
+    are module constants (:data:`MAX_RESTARTS` and its neighbours, the
+    liveness ones in :mod:`repro.stream.membership`).
     """
 
-    heartbeat_interval: float = 0.25
-    miss_budget: int = 8
-    join_timeout: float = 30.0
-    max_restarts: int = 3
-    restart_backoff: float = 0.05
-    restart_backoff_max: float = 2.0
-    put_timeout: float = 0.1
-    stall_timeout: float = 10.0
     worker_faults: WorkerFaultPlan | None = None
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0")
-        if self.miss_budget < 1:
-            raise ValueError("miss_budget must be >= 1")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if self.put_timeout <= 0 or self.stall_timeout <= 0:
-            raise ValueError("put_timeout and stall_timeout must be > 0")
 
 
 # ---- the worker process -----------------------------------------------
@@ -242,7 +246,6 @@ def _shard_worker(
     work_queues: list,
     inboxes: list,
     outbox,
-    heartbeat_interval: float,
     events: WorkerFaultEvents,
     trace_config: dict | None = None,
 ) -> None:
@@ -300,7 +303,6 @@ def _shard_worker(
                 trace_config["directory"],
                 trace_id=trace_config["trace_id"],
                 process=f"shard{shard}-i{incarnation}",
-                flight_limit=trace_config["flight_limit"],
             )
         )
         trc.event(
@@ -320,6 +322,7 @@ def _shard_worker(
     if initial_state is not None:
         state.restore_state(initial_state)
     servant = ShardServant(state, store, identity)
+    heartbeat_interval = _membership.HEARTBEAT_SECONDS
     suppress_beats = 0
     drop_armed = events.drop_heartbeats_at is not None
     last_beat = monotonic()
@@ -429,10 +432,9 @@ class FabricSupervisor(AckLedger):
     ) -> None:
         self.engine = StreamEngine(config, dataset)
         self.config = config
-        self.fabric = fabric or FabricConfig()
         self._wall = clock
         self.dataset = self.engine.dataset
-        worker_faults = self.fabric.worker_faults
+        worker_faults = fabric.worker_faults if fabric is not None else None
         if worker_faults is not None and worker_faults.is_null:
             worker_faults = None
         self._worker_faults = worker_faults
@@ -471,7 +473,6 @@ class FabricSupervisor(AckLedger):
                 "directory": str(trc.directory),
                 "trace_id": trc.trace_id,
                 "parent": trc.current_ids(),
-                "flight_limit": trc.flight.limit,
             }
         else:
             trace_config = None
@@ -480,8 +481,7 @@ class FabricSupervisor(AckLedger):
             args=(
                 shard, incarnation, self.dataset, self.identity,
                 self.store, initial_state, self._arena, self._queues,
-                self._inboxes, outbox, self.fabric.heartbeat_interval,
-                events, trace_config,
+                self._inboxes, outbox, events, trace_config,
             ),
             name=f"repro-fabric-shard-{shard}",
             daemon=True,
@@ -652,7 +652,7 @@ class FabricSupervisor(AckLedger):
         """
         progress = self._arena.progress
         waited = 0.0
-        deadline = perf_counter() + self.fabric.put_timeout
+        deadline = perf_counter() + PUT_TIMEOUT_SECONDS
         while True:
             # Recomputed every turn: a failover's catch-up claims slots.
             slot = self._sequence % _RING_SLOTS
@@ -667,17 +667,17 @@ class FabricSupervisor(AckLedger):
             self._pump(_SLOT_POLL_SECONDS)
             self._reap()
             if perf_counter() >= deadline:
-                deadline += self.fabric.put_timeout
-                waited += self.fabric.put_timeout
+                deadline += PUT_TIMEOUT_SECONDS
+                waited += PUT_TIMEOUT_SECONDS
                 self._backpressure_timeouts += 1
-                if waited >= self.fabric.stall_timeout:
+                if waited >= STALL_TIMEOUT_SECONDS:
                     waited = 0.0
                     for shard, incarnation in holders:
                         if self.membership.is_current(shard, incarnation):
                             self._failover(
                                 shard,
                                 f"held a ring slot for "
-                                f"{self.fabric.stall_timeout:.1f}s",
+                                f"{STALL_TIMEOUT_SECONDS:.1f}s",
                             )
         sequence = self._sequence
         self._sequence += 1
@@ -792,7 +792,7 @@ class FabricSupervisor(AckLedger):
         self._event(
             f"fabric: dead shard={shard} restarts={restarts} reason={reason!r}"
         )
-        if restarts > self.fabric.max_restarts:
+        if restarts > MAX_RESTARTS:
             trc.event(
                 "fabric.degraded", shard=shard, restarts=restarts - 1,
                 reason=reason,
@@ -807,8 +807,8 @@ class FabricSupervisor(AckLedger):
         with _span("fabric.reassign", shard=shard, restarts=restarts):
             self._kill_worker(shard)
             backoff = min(
-                self.fabric.restart_backoff * (2 ** (restarts - 1)),
-                self.fabric.restart_backoff_max,
+                RESTART_BACKOFF_SECONDS * (2 ** (restarts - 1)),
+                RESTART_BACKOFF_MAX_SECONDS,
             )
             time.sleep(backoff)
             if self.store is not None:
@@ -984,12 +984,7 @@ class FabricSupervisor(AckLedger):
         self._on_event = on_event
         self._on_health = on_health
         self._last_health_push = 0.0
-        self.membership = Membership(
-            shards=shards,
-            heartbeat_interval=self.fabric.heartbeat_interval,
-            miss_budget=self.fabric.miss_budget,
-            join_timeout=self.fabric.join_timeout,
-        )
+        self.membership = _membership.Membership(shards)
         # Before any fork, so the whole fleet maps the same pages.
         self._arena = _Arena(shards)
         self._sequence = 1  # the progress cells start at 0: nothing folded

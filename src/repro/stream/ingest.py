@@ -9,7 +9,7 @@ part's rows and folds them into the shard's state.
 
 Memory stays flat regardless of trace length because nothing in the
 pipeline buffers unboundedly: the source yields fixed-size batches, at
-most ``max_queue_chunks`` parts per shard are queued or folding (a
+most :data:`MAX_QUEUE_CHUNKS` parts per shard are queued or folding (a
 shard out of room *blocks the producer* -- backpressure, not growth),
 and shard state is keyed by endpoints, whose count is bounded by the
 population rather than the observation length.
@@ -30,22 +30,24 @@ from time import perf_counter
 
 from repro.stream.shard import ShardServant, ShardState
 
-#: Default bound on parts queued or folding per shard thread.  A part
+#: Bound on parts queued or folding per shard thread.  A part
 #: is one shard's rows of one source batch -- 8192 records when the
 #: stream is regenerated, 65,536 (a cached trace's chunk, whatever
 #: ``batch_records`` says) when it is read -- so the threads hold at
 #: most 8 source batches in flight however long the stream runs.
 #: Marks do not count against it.  The process fabric does not use
 #: this: its bound is its ring (:mod:`repro.stream.fabric`).
-DEFAULT_MAX_QUEUE_CHUNKS = 8
+MAX_QUEUE_CHUNKS = 8
 
-#: How long one ``put`` attempt waits before re-checking worker health.
-DEFAULT_PUT_TIMEOUT = 0.05
+#: How long one ``put`` attempt waits before re-checking worker health:
+#: a few folds, so a failed shard's error surfaces within 50 ms.
+PUT_TIMEOUT_SECONDS = 0.05
 
 #: Total time a single enqueue may stay blocked before the producer
 #: gives up and raises :class:`IngestStallError` instead of deadlocking
-#: on a queue nobody will ever drain.
-DEFAULT_STALL_TIMEOUT = 60.0
+#: on a queue nobody will ever drain.  A part folds in milliseconds; a
+#: minute is long enough that only a wedged shard reaches it.
+STALL_TIMEOUT_SECONDS = 60.0
 
 #: How long an idle worker sleeps before looking at its queue again.
 #: A worker is normally woken by the ``put``; the poll is for the wakeup
@@ -75,7 +77,7 @@ class IngestStallError(RuntimeError):
     """A shard had no room for a part past the stall budget.
 
     Raised by the producer when bounded retries exhaust
-    ``stall_timeout`` seconds without the consumer making room -- the
+    :data:`STALL_TIMEOUT_SECONDS` without the consumer making room -- the
     structured alternative to blocking forever on a queue whose worker
     has died or wedged.
     """
@@ -97,42 +99,33 @@ class StreamIngestor:
     ----------
     states:
         One :class:`ShardState` per shard; workers mutate them.
-    max_queue_chunks:
-        Bound on parts queued or folding per shard; a shard out of room
-        blocks :meth:`dispatch` until its worker catches up.  Requests
-        ride the same FIFO without taking room.
     store, identity:
         Where a ``ckpt`` request writes shard files, and under which
         run identity (see :class:`ShardServant`).
+
+    A shard holding :data:`MAX_QUEUE_CHUNKS` parts blocks
+    :meth:`dispatch` until its worker catches up; requests ride the same
+    FIFO without taking room.
     """
 
     def __init__(
         self,
         states: list[ShardState],
-        max_queue_chunks: int = DEFAULT_MAX_QUEUE_CHUNKS,
-        put_timeout: float = DEFAULT_PUT_TIMEOUT,
-        stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         store=None,
         identity: dict | None = None,
     ) -> None:
         if not states:
             raise ValueError("at least one shard is required")
-        if max_queue_chunks < 1:
-            raise ValueError("max_queue_chunks must be >= 1")
-        if put_timeout <= 0 or stall_timeout <= 0:
-            raise ValueError("put_timeout and stall_timeout must be > 0")
         self.states = states
         self.servants = [ShardServant(s, store, identity) for s in states]
         #: Answers: lists of ``(kind, key, shard, answer)``, one list
         #: per shard per run of requests.
         self.replies: queue.Queue = queue.Queue()
-        self.put_timeout = put_timeout
-        self.stall_timeout = stall_timeout
         self.put_timeouts = 0
         self._queues: list[queue.Queue] = [queue.Queue() for _ in states]
         #: Per shard, room for parts: taken by dispatch, given back by
         #: the worker once a part is folded (or skipped after a failure).
-        self._room = [threading.Semaphore(max_queue_chunks) for _ in states]
+        self._room = [threading.Semaphore(MAX_QUEUE_CHUNKS) for _ in states]
         self._errors: list[ShardWorkerError] = []
         self._closed = False
         # Observability accumulators (flushed once, at close).
@@ -226,14 +219,14 @@ class StreamIngestor:
         waited = 0.0
         timeouts = 0
         while True:
-            if room.acquire(timeout=self.put_timeout):
+            if room.acquire(timeout=PUT_TIMEOUT_SECONDS):
                 self._queues[index].put(("rows", None, part))
                 return
             timeouts += 1
             self.put_timeouts += 1
-            waited += self.put_timeout
+            waited += PUT_TIMEOUT_SECONDS
             self.raise_if_failed()
-            if waited >= self.stall_timeout:
+            if waited >= STALL_TIMEOUT_SECONDS:
                 from repro.telemetry.tracing import tracer
 
                 trc = tracer()
@@ -258,7 +251,7 @@ class StreamIngestor:
 
         A shard out of room applies backpressure through the bounded
         retry loop in :meth:`_put_bounded`; one that stays out of room
-        for ``stall_timeout`` seconds raises :class:`IngestStallError`.
+        for :data:`STALL_TIMEOUT_SECONDS` raises :class:`IngestStallError`.
         """
         if self._closed:
             raise RuntimeError("ingestor already closed")

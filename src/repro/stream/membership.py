@@ -10,17 +10,33 @@ supervisor discard stale traffic from a prior incarnation that lingered
 in a queue after its process was declared dead.
 
 Liveness is pull-based from the supervisor's side: workers beat every
-``heartbeat_interval`` seconds on their own wall clock, and
+:data:`HEARTBEAT_SECONDS` on their own wall clock, and
 :meth:`Membership.overdue` declares a member dead once its heartbeat
-age exceeds ``miss_budget`` intervals (or, before the join handshake
-completes, once ``join_timeout`` passes -- a worker that never joins is
-as dead as one that stops beating).  All decisions take ``now`` as an
-argument so tests drive the clock explicitly.
+age exceeds :data:`MISS_BUDGET` intervals (or, before the join handshake
+completes, once :data:`JOIN_TIMEOUT_SECONDS` passes -- a worker that
+never joins is as dead as one that stops beating).  All decisions take
+``now`` as an argument so tests drive the clock explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+#: How often a worker beats.  It reads its clock once per work item
+#: (or every half interval when idle) and sends a few bytes per beat,
+#: so the cadence is free; a quarter second keeps ``/healthz`` ages
+#: under a second.
+HEARTBEAT_SECONDS = 0.25
+
+#: Intervals a joined worker may stay silent before it is declared
+#: dead: 2 s at the cadence above, well past one batch's fold (~10 ms)
+#: and a GC pause, short enough that a stalled worker is replaced fast.
+MISS_BUDGET = 8
+
+#: How long a launched worker may take to complete the join handshake.
+#: Generous: a fork under memory pressure can take seconds, and a
+#: worker that never joins costs one restart, not a hang.
+JOIN_TIMEOUT_SECONDS = 30.0
 
 
 @dataclass
@@ -45,16 +61,12 @@ class Member:
 class Membership:
     """The supervisor's view of which worker serves each shard.
 
-    ``heartbeat_interval`` is the cadence workers are told to beat at;
-    ``miss_budget`` is how many consecutive intervals may elapse without
-    a beat before :meth:`overdue` declares the member dead.
+    :meth:`overdue` reads the liveness constants when it is called, so
+    a test that patches them reaches a table already built.
     """
 
     shards: int
-    heartbeat_interval: float
-    miss_budget: int
-    join_timeout: float
-    members: dict[int, Member] = field(default_factory=dict)
+    members: dict[int, Member] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         for shard in range(self.shards):
@@ -129,9 +141,9 @@ class Membership:
         if member.incarnation < 0:
             return False  # never launched
         if not member.joined:
-            return now - member.launched_at > self.join_timeout
+            return now - member.launched_at > JOIN_TIMEOUT_SECONDS
         assert member.last_heartbeat is not None
-        return now - member.last_heartbeat > self.miss_budget * self.heartbeat_interval
+        return now - member.last_heartbeat > MISS_BUDGET * HEARTBEAT_SECONDS
 
     def health(self, now: float) -> list[dict]:
         """Per-shard liveness summary, JSON-ready for ``/healthz``.

@@ -47,11 +47,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.telemetry.flight import (
-    DEFAULT_FLIGHT_LIMIT,
-    FlightRecorder,
-    NullFlightRecorder,
-)
+from repro.telemetry.flight import FlightRecorder, NullFlightRecorder
 from repro.telemetry.metrics import registry
 
 #: Per-process event files are named ``trace-events-<process>.jsonl``.
@@ -251,7 +247,6 @@ class Tracer:
         *,
         trace_id: str | None = None,
         process: str = "main",
-        flight_limit: int = DEFAULT_FLIGHT_LIMIT,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -261,7 +256,7 @@ class Tracer:
         # Every record a process emits parents, by default, on this
         # root span, so "who started this process" is always answerable.
         self.root_id = new_span_id()
-        self.flight = FlightRecorder(limit=flight_limit, process=process)
+        self.flight = FlightRecorder(process=process)
         self._lock = threading.Lock()
         self._file = open(
             self.directory / f"{EVENTS_PREFIX}{process}.jsonl",
@@ -421,17 +416,9 @@ def enable_tracing(
     *,
     process: str = "main",
     trace_id: str | None = None,
-    flight_limit: int = DEFAULT_FLIGHT_LIMIT,
 ) -> Tracer:
     """Create and install a real tracer writing under *directory*."""
-    return set_tracer(
-        Tracer(
-            directory,
-            trace_id=trace_id,
-            process=process,
-            flight_limit=flight_limit,
-        )
-    )
+    return set_tracer(Tracer(directory, trace_id=trace_id, process=process))
 
 
 def disable_tracing() -> None:

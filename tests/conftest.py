@@ -27,9 +27,59 @@ from repro.datasets import build_dataset
 from repro.experiments import fidelity
 from repro.experiments.runner import run_experiment
 from repro.simkernel.clock import days, hours
+from repro.stream import fabric, ingest, membership
 
 #: Scale used by most dataset-level tests.
 SMALL_SCALE = 0.04
+
+#: The stream runtime's timing constants, by the keyword a test sets
+#: one with (:func:`timings`).  Each is read where it is used, so a
+#: patch reaches tables and ingestors already built, and a fabric
+#: worker forked afterwards inherits it.
+_TIMINGS = {
+    "heartbeat_interval": (membership, "HEARTBEAT_SECONDS"),
+    "miss_budget": (membership, "MISS_BUDGET"),
+    "join_timeout": (membership, "JOIN_TIMEOUT_SECONDS"),
+    "max_restarts": (fabric, "MAX_RESTARTS"),
+    "restart_backoff": (fabric, "RESTART_BACKOFF_SECONDS"),
+    "restart_backoff_max": (fabric, "RESTART_BACKOFF_MAX_SECONDS"),
+    "put_timeout": (fabric, "PUT_TIMEOUT_SECONDS"),
+    "stall_timeout": (fabric, "STALL_TIMEOUT_SECONDS"),
+    "queue_chunks": (ingest, "MAX_QUEUE_CHUNKS"),
+    "ingest_put_timeout": (ingest, "PUT_TIMEOUT_SECONDS"),
+    "ingest_stall_timeout": (ingest, "STALL_TIMEOUT_SECONDS"),
+}
+
+#: Supervision tuned for tests: fast heartbeats so injected stalls and
+#: dropped heartbeats are detected in fractions of a second, and a
+#: short restart backoff.
+FAST_FABRIC = dict(
+    heartbeat_interval=0.05,
+    miss_budget=4,
+    restart_backoff=0.01,
+    restart_backoff_max=0.05,
+)
+
+
+@pytest.fixture
+def timings(monkeypatch):
+    """``timings(**values)``: set stream-runtime timing constants (the
+    keywords of :data:`_TIMINGS`) for one test; returns the setter."""
+
+    def set_timings(**values) -> None:
+        for name, value in values.items():
+            module, constant = _TIMINGS[name]
+            monkeypatch.setattr(module, constant, value)
+
+    return set_timings
+
+
+@pytest.fixture
+def fast_fabric(timings):
+    """:data:`FAST_FABRIC` for one test; returns :func:`timings`'
+    setter for whatever else the test changes."""
+    timings(**FAST_FABRIC)
+    return timings
 
 
 @pytest.fixture(scope="session")

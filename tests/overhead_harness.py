@@ -8,14 +8,23 @@ timed with :func:`time.thread_time`, the CPU the calling thread spent:
 on a machine shared with other processes, wall time also counts the
 slices the scheduler gave them, which is not the cost these checks
 bound.
+
+Timing alone cannot see a small per-chunk cost on a noisy machine, so
+each class also counts (:func:`disabled_reach`): with both instruments
+off, a pass over many chunks must reach the registry, the tracer and
+the batches themselves exactly as often as a pass over few.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
+from collections import Counter
 
 from repro.net.packet import tcp_syn, tcp_synack
 from repro.passive.monitor import PassiveServiceTable
+from repro.telemetry.metrics import NullRegistry, set_registry
+from repro.telemetry.tracing import NullTracer, set_tracer, tracer
 from repro.trace.columnar import RecordColumns
 
 #: The candidate may cost at most this fraction over the control.
@@ -89,3 +98,81 @@ def overhead(control, candidate) -> float:
     if result >= BOUND:
         result = min(result, _measure(control, candidate, chunks))
     return result
+
+
+# ---- counting what a disabled pass reaches -----------------------------
+
+
+def _tallied(instance, name: str):
+    """*instance*'s attribute *name*, tallied when reading it runs code:
+    a method (a call follows) or a property.  Plain data such as the
+    ``enabled = False`` gate is free and not counted."""
+    value = object.__getattribute__(instance, name)
+    if not name.startswith("_") and (
+        callable(value)
+        or isinstance(inspect.getattr_static(instance, name), property)
+    ):
+        tally = object.__getattribute__(instance, "_tally")
+        tally[f"{type(instance).__name__}.{name}"] += 1
+    return value
+
+
+class CountingNullRegistry(NullRegistry):
+    """The disabled registry, tallying each method a caller reaches."""
+
+    def __init__(self, tally: Counter) -> None:
+        super().__init__()
+        self._tally = tally
+
+    __getattribute__ = _tallied
+
+
+class CountingNullTracer(NullTracer):
+    """The disabled tracer, tallying each method a caller reaches."""
+
+    def __init__(self, tally: Counter) -> None:
+        self._tally = tally
+
+    __getattribute__ = _tallied
+
+
+class CountingBatch:
+    """A column batch that tallies every attribute read of it.  Its
+    length is free: a pass counts records with ``len``."""
+
+    def __init__(self, batch: RecordColumns, tally: Counter) -> None:
+        self._batch = batch
+        self._tally = tally
+
+    def __len__(self) -> int:
+        return len(self._batch)
+
+    def __getattr__(self, name: str):
+        self._tally[f"batch.{name}"] += 1
+        return getattr(self._batch, name)
+
+
+class CountingObserver:
+    """An observer that takes a batch without reading it."""
+
+    def __init__(self) -> None:
+        self.batches = 0
+
+    def observe_columns(self, batch) -> None:
+        self.batches += 1
+
+
+def disabled_reach(run) -> Counter:
+    """What ``run(tally)`` reaches of a disabled registry and tracer
+    (and of anything else it tallies into *tally*): ``name -> count``.
+    The null instruments are back in place when it returns."""
+    tally: Counter = Counter()
+    previous_registry = set_registry(CountingNullRegistry(tally))
+    previous_tracer = tracer()
+    set_tracer(CountingNullTracer(tally))
+    try:
+        run(tally)
+    finally:
+        set_registry(previous_registry)
+        set_tracer(previous_tracer)
+    return tally

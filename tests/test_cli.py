@@ -452,7 +452,7 @@ class TestBadFlagValues:
         ["stream", "--batch-records", "0"],
         ["stream", "--probe-rate", "-1"],
         ["stream", "--emit-every", "-1"],
-        ["stream", "--workers", "2", "--heartbeat-interval", "0"],
+        ["stream", "--workers", "0"],
         ["serve", "--snapshot-every", "0"],
         ["serve", "--emit-every", "-1"],
         ["degradation", "--jobs", "0"],

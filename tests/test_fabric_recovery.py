@@ -33,8 +33,6 @@ FABRIC_ARGS = [
     "--emit-every", "96",
     "--outage-fraction", "0.02",
     "--fault-seed", "5",
-    "--heartbeat-interval", "0.1",
-    "--miss-budget", "4",
 ]
 
 _LAUNCH_RE = re.compile(
@@ -202,8 +200,11 @@ _ORPHAN_SCRIPT = """
 import multiprocessing, os, signal, struct, sys, types
 
 from repro.faults.worker import WorkerFaultEvents
+from repro.stream import membership
 from repro.stream.fabric import _Arena, _shard_worker
 
+# The workers fork after this, so they beat (and poll) at 0.05 s.
+membership.HEARTBEAT_SECONDS = 0.05
 ctx = multiprocessing.get_context("fork")
 queues = [ctx.Queue(), ctx.Queue()]
 inboxes, outboxes = zip(*(ctx.Pipe(duplex=False) for _ in range(2)))
@@ -214,7 +215,7 @@ for shard in range(2):
     ctx.Process(
         target=_shard_worker,
         args=(shard, 0, dataset, {}, None, None, _Arena(2), queues,
-              list(inboxes), outboxes[shard], 0.05, WorkerFaultEvents()),
+              list(inboxes), outboxes[shard], WorkerFaultEvents()),
     ).start()
 # Each worker's join handshake carries its pid.
 print(*(inbox.recv()[3] for inbox in inboxes), flush=True)

@@ -39,14 +39,6 @@ from tests.test_stream import kill_mid_run, run_front
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
 
-#: Supervision tuned for tests (same figures as test_stream_fabric).
-FAST = dict(
-    heartbeat_interval=0.05,
-    miss_budget=4,
-    restart_backoff=0.01,
-    restart_backoff_max=0.05,
-)
-
 
 def probing_config(**overrides) -> StreamConfig:
     base = dict(
@@ -86,16 +78,17 @@ class TestRateZeroIdentity:
         assert probed.snapshot.probes.issued == 0
         assert passive.snapshot.probes is None
 
-    def test_fabric_rate_zero_matches_passive(self, small_dtcp90):
+    def test_fabric_rate_zero_matches_passive(self, small_dtcp90,
+                                              fast_fabric):
         base = dict(
             dataset="DTCP1-90d", seed=7, scale=0.02, shards=2, end=days(2),
         )
         passive = FabricSupervisor(
-            StreamConfig(**base), FabricConfig(**FAST), dataset=small_dtcp90
+            StreamConfig(**base), FabricConfig(), dataset=small_dtcp90
         ).run()
         probed = FabricSupervisor(
             StreamConfig(**base, probe_policy="heartbeat", probe_rate=0.0),
-            FabricConfig(**FAST), dataset=small_dtcp90,
+            FabricConfig(), dataset=small_dtcp90,
         ).run()
         assert renders(probed) == renders(passive)
 
@@ -176,22 +169,24 @@ class TestOnlineRunEquivalence:
                 getattr(final, field) - checkpoint[field]
             ), metric
 
-    def test_fabric_matches_engine(self, small_dtcp18, engine_result):
+    def test_fabric_matches_engine(self, small_dtcp18, engine_result,
+                                   fast_fabric):
         result = FabricSupervisor(
             probing_config(emit_every=hours(12)),
-            FabricConfig(**FAST),
+            FabricConfig(),
             dataset=small_dtcp18,
         ).run()
         assert renders(result) == renders(engine_result)
         assert result.snapshot.probes == engine_result.snapshot.probes
 
     def test_fabric_with_worker_crashes_matches_engine(
-        self, small_dtcp18, engine_result
+        self, small_dtcp18, engine_result, fast_fabric
     ):
+        fast_fabric(max_restarts=25)
         faults = WorkerFaultPlan(seed=5, crash_rate=1.0, crashes_per_shard=2)
         result = FabricSupervisor(
             probing_config(emit_every=hours(12)),
-            FabricConfig(worker_faults=faults, max_restarts=25, **FAST),
+            FabricConfig(worker_faults=faults),
             dataset=small_dtcp18,
         ).run()
         assert renders(result) == renders(engine_result)

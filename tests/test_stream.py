@@ -183,21 +183,20 @@ class TestEquivalence:
         assert result.report == reference
 
     def test_faulted_fabric_with_a_failover_matches_faulted_batch(
-        self, small_dtcp18
+        self, small_dtcp18, fast_fabric
     ):
         """A crashed worker's replacement catches up through
         ``replay_gap``: the scratch filter's kept rows, routed as the
         live feed routes them, gathered into the ring by ``_place``."""
         from repro.faults.worker import WorkerFaultPlan
 
+        fast_fabric(max_restarts=25)
         config = small_config(shards=2, faults=CAPTURE_FAULTS)
         events = []
         result = FabricSupervisor(
             config,
             FabricConfig(
                 worker_faults=WorkerFaultPlan(seed=1, crash_rate=1.0),
-                heartbeat_interval=0.05, miss_budget=4, max_restarts=25,
-                restart_backoff=0.01, restart_backoff_max=0.05,
             ),
             dataset=small_dtcp18,
         ).run(on_event=events.append)
@@ -266,15 +265,13 @@ class TestWatermarks:
 
 
 def run_front(front, config, dataset, **kwargs):
-    """One run of *config* on the thread transport or the process fabric."""
+    """One run of *config* on the thread transport or the process fabric
+    (at the supervision speed its caller's ``fast_fabric`` set)."""
     if front == "threads":
         return StreamEngine(config, dataset=dataset).run(**kwargs)
-    return FabricSupervisor(
-        config,
-        FabricConfig(heartbeat_interval=0.05, miss_budget=4,
-                     restart_backoff=0.01, restart_backoff_max=0.05),
-        dataset=dataset,
-    ).run(**kwargs)
+    return FabricSupervisor(config, FabricConfig(), dataset=dataset).run(
+        **kwargs
+    )
 
 
 def kill_mid_run(front, config, dataset, records):
@@ -303,6 +300,10 @@ def kill_mid_run(front, config, dataset, records):
 
 
 class TestCheckpointResume:
+    @pytest.fixture(autouse=True)
+    def _fast_supervision(self, fast_fabric):
+        """Every fabric run here supervises at ``FAST_FABRIC`` speed."""
+
     @pytest.mark.parametrize("front", ["threads", "fabric"])
     def test_interrupt_and_resume_identical(self, small_dtcp18, tmp_path, front):
         ckpt = tmp_path / "stream.ckpt"
@@ -868,7 +869,7 @@ class TestInBandMarks:
         assert transport.completed_marks(wait=True) == []
 
     def test_marks_answer_their_prefix_under_contention(
-        self, small_dtcp18, record_sample
+        self, small_dtcp18, record_sample, timings
     ):
         """More shard threads than cores, a tiny switch interval and
         short queues: every mark still sees exactly the parts queued
@@ -900,7 +901,8 @@ class TestInBandMarks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ingestor = StreamIngestor(states, max_queue_chunks=2)
+            timings(queue_chunks=2)
+            ingestor = StreamIngestor(states)
             answers = []
             for chunk in chunks:
                 ingestor.dispatch(
@@ -1030,8 +1032,9 @@ class TestInBandMarks:
         assert reg.value("repro_stream_queue_peak_records") > 0
         assert reg.total("repro_stream_shard_records_total") > 0
 
-    def test_marks_never_wait_for_part_room(self, small_dtcp18, record_sample):
-        """``max_queue_chunks`` bounds parts: with shard 0 wedged on the
+    def test_marks_never_wait_for_part_room(self, small_dtcp18, record_sample,
+                                            timings):
+        """``MAX_QUEUE_CHUNKS`` bounds parts: with shard 0 wedged on the
         one part it has room for, marks still queue at once -- and are
         answered from that prefix once it folds -- while another part
         is refused."""
@@ -1069,9 +1072,9 @@ class TestInBandMarks:
             fold(part)
 
         states[0].observe_columns = blocked
-        ingestor = StreamIngestor(
-            states, max_queue_chunks=1, put_timeout=0.01, stall_timeout=0.1
-        )
+        timings(queue_chunks=1, ingest_put_timeout=0.01,
+                ingest_stall_timeout=0.1)
+        ingestor = StreamIngestor(states)
         parts = [
             route_columns(batch, small_dtcp18.is_campus, 2)
             for batch in (first, second)
@@ -1268,7 +1271,7 @@ class TestIngestor:
                 ingestor.close()
 
     def test_failed_shard_gives_back_room_and_surfaces_from_dispatch(
-        self, record_sample
+        self, record_sample, timings
     ):
         """A shard whose fold raised still returns the room of every part
         it consumes, so the next dispatch names the failure instead of
@@ -1279,9 +1282,9 @@ class TestIngestor:
 
         states = self._states(1)
         states[0].observe_columns = explode
-        ingestor = StreamIngestor(
-            states, max_queue_chunks=1, put_timeout=0.01, stall_timeout=0.1
-        )
+        timings(queue_chunks=1, ingest_put_timeout=0.01,
+                ingest_stall_timeout=0.1)
+        ingestor = StreamIngestor(states)
         part = RecordColumns.from_records(record_sample[:10])
         try:
             with pytest.raises(ShardWorkerError, match="shard 0"):
@@ -1296,7 +1299,7 @@ class TestIngestor:
             with pytest.raises(ShardWorkerError):
                 ingestor.close()
 
-    def test_accounting(self, small_dtcp18, record_sample):
+    def test_accounting(self, small_dtcp18, record_sample, timings):
         states = [
             ShardState(
                 i,
@@ -1307,7 +1310,8 @@ class TestIngestor:
             )
             for i in range(2)
         ]
-        ingestor = StreamIngestor(states, max_queue_chunks=4)
+        timings(queue_chunks=4)
+        ingestor = StreamIngestor(states)
         parts = split_columns(
             RecordColumns.from_records(record_sample), small_dtcp18.is_campus, 2
         )

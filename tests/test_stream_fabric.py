@@ -46,22 +46,19 @@ from repro.stream.shard import ShardState
 
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
 
-#: Supervision tuned for tests: fast heartbeats so injected stalls and
-#: dropped heartbeats are detected in fractions of a second.
-FAST = dict(
-    heartbeat_interval=0.05,
-    miss_budget=4,
-    restart_backoff=0.01,
-    restart_backoff_max=0.05,
-)
-
 
 # ---- membership -------------------------------------------------------
 
 
-def test_membership_join_heartbeat_lifecycle():
-    ms = Membership(shards=2, heartbeat_interval=0.1, miss_budget=3,
-                    join_timeout=5.0)
+@pytest.fixture
+def liveness(timings):
+    """A 0.1 s heartbeat and a budget of 3 missed beats."""
+    timings(heartbeat_interval=0.1, miss_budget=3, join_timeout=5.0)
+    return timings
+
+
+def test_membership_join_heartbeat_lifecycle(liveness):
+    ms = Membership(shards=2)
     assert not ms.overdue(0, now=100.0)  # never launched
 
     inc = ms.launch(0, now=0.0)
@@ -75,17 +72,16 @@ def test_membership_join_heartbeat_lifecycle():
     assert ms.overdue(0, now=0.5 + 0.31)
 
 
-def test_membership_unjoined_worker_times_out():
-    ms = Membership(shards=1, heartbeat_interval=0.1, miss_budget=3,
-                    join_timeout=2.0)
+def test_membership_unjoined_worker_times_out(liveness):
+    liveness(join_timeout=2.0)
+    ms = Membership(shards=1)
     ms.launch(0, now=10.0)
     assert not ms.overdue(0, now=11.9)
     assert ms.overdue(0, now=12.1)
 
 
-def test_membership_rejects_stale_incarnations():
-    ms = Membership(shards=1, heartbeat_interval=0.1, miss_budget=3,
-                    join_timeout=5.0)
+def test_membership_rejects_stale_incarnations(liveness):
+    ms = Membership(shards=1)
     old = ms.launch(0, now=0.0)
     ms.join(0, old, now=0.1)
     new = ms.launch(0, now=1.0)
@@ -98,9 +94,8 @@ def test_membership_rejects_stale_incarnations():
     assert not ms.members[0].joined
 
 
-def test_membership_restart_counter():
-    ms = Membership(shards=2, heartbeat_interval=0.1, miss_budget=3,
-                    join_timeout=5.0)
+def test_membership_restart_counter(liveness):
+    ms = Membership(shards=2)
     assert ms.restarts(1) == 0
     assert ms.note_restart(1) == 1
     assert ms.note_restart(1) == 2
@@ -393,11 +388,10 @@ class _BlockedState(ShardState):
         self.release.wait()
 
 
-def test_ingest_put_raises_stall_error_instead_of_deadlocking():
+def test_ingest_put_raises_stall_error_instead_of_deadlocking(timings):
+    timings(queue_chunks=1, ingest_put_timeout=0.01, ingest_stall_timeout=0.1)
     state = _BlockedState()
-    ingestor = StreamIngestor(
-        [state], max_queue_chunks=1, put_timeout=0.01, stall_timeout=0.1
-    )
+    ingestor = StreamIngestor([state])
     try:
         with pytest.raises(IngestStallError) as excinfo:
             for _ in range(50):
@@ -409,13 +403,12 @@ def test_ingest_put_raises_stall_error_instead_of_deadlocking():
         ingestor.close()
 
 
-def test_ingest_stall_counter_reaches_telemetry():
+def test_ingest_stall_counter_reaches_telemetry(timings):
     from repro.telemetry.metrics import MetricRegistry
 
+    timings(queue_chunks=1, ingest_put_timeout=0.01, ingest_stall_timeout=0.05)
     state = _BlockedState()
-    ingestor = StreamIngestor(
-        [state], max_queue_chunks=1, put_timeout=0.01, stall_timeout=0.05
-    )
+    ingestor = StreamIngestor([state])
     try:
         with pytest.raises(IngestStallError):
             for _ in range(50):
@@ -453,19 +446,20 @@ def batch_reference(small_dtcp18):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_fabric_report_matches_batch(workers, small_dtcp18, batch_reference):
+def test_fabric_report_matches_batch(workers, small_dtcp18, batch_reference,
+                                    fast_fabric):
     config = _config(shards=workers)
     result = FabricSupervisor(
-        config, FabricConfig(**FAST), dataset=small_dtcp18
+        config, FabricConfig(), dataset=small_dtcp18
     ).run()
     assert result.finished
     assert result.report == batch_reference
 
 
-def test_fabric_merged_table_matches_batch_table(small_dtcp18):
+def test_fabric_merged_table_matches_batch_table(small_dtcp18, fast_fabric):
     """The merged worker tables are the batch table, last-seen included."""
     result = FabricSupervisor(
-        _config(shards=2), FabricConfig(**FAST), dataset=small_dtcp18
+        _config(shards=2), FabricConfig(), dataset=small_dtcp18
     ).run()
     reference = _fresh_table(small_dtcp18)
     small_dtcp18.replay(reference)
@@ -475,31 +469,32 @@ def test_fabric_merged_table_matches_batch_table(small_dtcp18):
     assert result.table.clients == reference.clients
 
 
-def test_fabric_crash_chaos_is_byte_identical(small_dtcp18, batch_reference):
+def test_fabric_crash_chaos_is_byte_identical(small_dtcp18, batch_reference,
+                                              fast_fabric):
     """Every worker crashes once mid-ingest; failover must be invisible."""
+    fast_fabric(max_restarts=25)
     config = _config(shards=4)
     faults = WorkerFaultPlan(seed=13, crash_rate=1.0, horizon_records=HORIZON)
     events = []
     result = FabricSupervisor(
-        config, FabricConfig(worker_faults=faults, max_restarts=25, **FAST),
-        dataset=small_dtcp18,
+        config, FabricConfig(worker_faults=faults), dataset=small_dtcp18,
     ).run(on_event=events.append)
     assert result.report == batch_reference
     # The injected crashes account for one death per shard; on a loaded
-    # machine the tight FAST miss budget can also declare a *healthy*
+    # machine the tight FAST_FABRIC miss budget can also declare a *healthy*
     # worker dead (late heartbeat), which the fabric must absorb the
     # same way -- so the floor is exact but the ceiling is not.
     assert sum(1 for line in events if line.startswith("fabric: dead")) >= 4
 
 
-def test_fabric_stall_chaos_is_byte_identical(small_dtcp18, batch_reference):
+def test_fabric_stall_chaos_is_byte_identical(small_dtcp18, batch_reference,
+                                              fast_fabric):
     """A stalled worker is declared dead by the miss budget and replaced."""
     config = _config(shards=2)
     faults = WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON)
     events = []
     result = FabricSupervisor(
-        config, FabricConfig(worker_faults=faults, **FAST),
-        dataset=small_dtcp18,
+        config, FabricConfig(worker_faults=faults), dataset=small_dtcp18,
     ).run(on_event=events.append)
     assert result.report == batch_reference
     assert any("heartbeat overdue" in line for line in events)
@@ -524,20 +519,17 @@ class TickingClock:
 
 
 def test_fabric_worker_holding_the_ring_is_failed_over(
-    small_dtcp18, batch_reference, monkeypatch
+    small_dtcp18, batch_reference, monkeypatch, fast_fabric
 ):
     """With the miss budget out of reach, what ends a wedged worker is
     the ring: the supervisor cannot reuse the slots it was sent rows of."""
+    fast_fabric(miss_budget=10_000, put_timeout=0.02, stall_timeout=0.2)
     monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
     config = _config(shards=2, batch_records=2048)
     faults = WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON)
     events = []
     result = FabricSupervisor(
-        config,
-        FabricConfig(worker_faults=faults, heartbeat_interval=0.05,
-                     miss_budget=10_000, put_timeout=0.02, stall_timeout=0.2,
-                     restart_backoff=0.01, restart_backoff_max=0.05),
-        dataset=small_dtcp18,
+        config, FabricConfig(worker_faults=faults), dataset=small_dtcp18,
     ).run(on_event=events.append)
     assert result.report == batch_reference
     assert any("held a ring slot" in line for line in events)
@@ -545,7 +537,7 @@ def test_fabric_worker_holding_the_ring_is_failed_over(
 
 
 def test_fabric_heartbeat_drop_false_positive_is_byte_identical(
-    small_dtcp18, batch_reference, monkeypatch
+    small_dtcp18, batch_reference, monkeypatch, timings
 ):
     """Killing a *healthy* worker (dropped beats) must also be invisible."""
     # Regenerate the stream in small batches, so the run is a few hundred
@@ -560,12 +552,12 @@ def test_fabric_heartbeat_drop_false_positive_is_byte_identical(
     faults = WorkerFaultPlan(seed=8, heartbeat_drop_rate=1.0,
                              heartbeat_drop_beats=100_000,
                              horizon_records=1_000)
+    timings(heartbeat_interval=0.005, miss_budget=2, max_restarts=25,
+            restart_backoff=0.01, restart_backoff_max=0.05)
     events = []
     result = FabricSupervisor(
         config,
-        FabricConfig(worker_faults=faults, heartbeat_interval=0.005,
-                     miss_budget=2, max_restarts=25,
-                     restart_backoff=0.01, restart_backoff_max=0.05),
+        FabricConfig(worker_faults=faults),
         dataset=small_dtcp18,
         clock=TickingClock(0.005 * 2 / 100),
     ).run(on_event=events.append)
@@ -573,7 +565,7 @@ def test_fabric_heartbeat_drop_false_positive_is_byte_identical(
     assert any("heartbeat overdue" in line for line in events)
 
 
-def test_fabric_with_capture_faults_matches_batch(small_dtcp18):
+def test_fabric_with_capture_faults_matches_batch(small_dtcp18, fast_fabric):
     """Measurement faults and process chaos compose deterministically."""
     plan = FaultPlan(seed=5, capture_loss_rate=0.02, outage_fraction=0.02)
     config = _config(shards=4, faults=plan)
@@ -583,7 +575,6 @@ def test_fabric_with_capture_faults_matches_batch(small_dtcp18):
         FabricConfig(
             worker_faults=WorkerFaultPlan(seed=2, crash_rate=1.0,
                                           horizon_records=HORIZON),
-            **FAST,
         ),
         dataset=small_dtcp18,
     ).run()
@@ -591,7 +582,8 @@ def test_fabric_with_capture_faults_matches_batch(small_dtcp18):
 
 
 def test_fabric_periodic_manifests_and_clean_clear(small_dtcp18,
-                                                   batch_reference, tmp_path):
+                                                   batch_reference, tmp_path,
+                                                   fast_fabric):
     store_dir = tmp_path / "fabric-ckpt"
     config = _config(
         shards=2,
@@ -599,7 +591,7 @@ def test_fabric_periodic_manifests_and_clean_clear(small_dtcp18,
         checkpoint_path=str(store_dir),
     )
     result = FabricSupervisor(
-        config, FabricConfig(**FAST), dataset=small_dtcp18
+        config, FabricConfig(), dataset=small_dtcp18
     ).run()
     assert result.report == batch_reference
     assert result.checkpoints_written > 0
@@ -653,7 +645,7 @@ SCHEDULES = {
 
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 def test_fabric_schedules_match_batch_and_stop_deterministically(
-    schedule, small_dtcp18, tmp_path, monkeypatch
+    schedule, small_dtcp18, tmp_path, monkeypatch, fast_fabric
 ):
     """The arena and the generation pipeline against the batch oracle.
 
@@ -671,7 +663,8 @@ def test_fabric_schedules_match_batch_and_stop_deterministically(
         _recut_cached_trace(small_dtcp18, 100_000)
     else:
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-    fabric = FabricConfig(worker_faults=worker_faults, max_restarts=25, **FAST)
+    fast_fabric(max_restarts=25)
+    fabric = FabricConfig(worker_faults=worker_faults)
 
     def run(store, **kwargs):
         config = _config(
@@ -713,7 +706,7 @@ def test_fabric_schedules_match_batch_and_stop_deterministically(
 
 
 def test_fabric_requested_stop_settles_the_generation_in_flight(
-    small_dtcp18, batch_reference, tmp_path, monkeypatch
+    small_dtcp18, batch_reference, tmp_path, monkeypatch, fast_fabric
 ):
     """A stop request lands after the batch's checkpoint step, so the
     generation that step requested is in flight when the loop
@@ -725,7 +718,7 @@ def test_fabric_requested_stop_settles_the_generation_in_flight(
         checkpoint_path=str(tmp_path / "store"),
     )
     supervisor = FabricSupervisor(
-        config, FabricConfig(**FAST), dataset=small_dtcp18
+        config, FabricConfig(), dataset=small_dtcp18
     )
 
     def stop_at_first_commit(line):
@@ -737,13 +730,15 @@ def test_fabric_requested_stop_settles_the_generation_in_flight(
     store = ShardCheckpointStore(config.checkpoint_path)
     assert store.generations() == [2, 1]
     resumed = FabricSupervisor(
-        config, FabricConfig(**FAST), dataset=small_dtcp18
+        config, FabricConfig(), dataset=small_dtcp18
     ).run(resume=True)
     assert resumed.resumed and resumed.report == batch_reference
 
 
-def test_fabric_restart_budget_degrades_structurally(small_dtcp18):
-    """Crash-looping past max_restarts fails loudly, never hangs."""
+def test_fabric_restart_budget_degrades_structurally(small_dtcp18,
+                                                     fast_fabric):
+    """Crash-looping past the restart budget fails loudly, never hangs."""
+    fast_fabric(max_restarts=1)
     config = _config(shards=2, emit_every=None)
     faults = WorkerFaultPlan(seed=21, crash_rate=1.0, crashes_per_shard=99,
                              horizon_records=5_000)
@@ -751,14 +746,14 @@ def test_fabric_restart_budget_degrades_structurally(small_dtcp18):
                                                   r"restarted \d+ times"):
         FabricSupervisor(
             config,
-            FabricConfig(max_restarts=1, worker_faults=faults, **FAST),
+            FabricConfig(worker_faults=faults),
             dataset=small_dtcp18,
         ).run()
 
 
-def test_fabric_resume_requires_checkpoint_path(small_dtcp18):
+def test_fabric_resume_requires_checkpoint_path(small_dtcp18, fast_fabric):
     supervisor = FabricSupervisor(
-        _config(shards=2), FabricConfig(**FAST), dataset=small_dtcp18
+        _config(shards=2), FabricConfig(), dataset=small_dtcp18
     )
     with pytest.raises(ValueError, match="checkpoint_path"):
         supervisor.run(resume=True)

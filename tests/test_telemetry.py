@@ -453,6 +453,31 @@ class TestNoOpOverhead:
         cost = overhead_harness.overhead(self._reference_pass, replay_columnar)
         assert cost < overhead_harness.BOUND, f"no-op overhead {cost:.2%}"
 
+    def test_disabled_pass_reaches_nothing_per_chunk(self):
+        """The timing check's deterministic companion: with telemetry
+        and tracing off, replay over 300 chunks reaches the registry,
+        the tracer and the batches exactly as often as over 10 -- so a
+        per-chunk cost on the disabled path fails on every run."""
+        from repro.passive.monitor import replay_columnar
+
+        assert not telemetry_enabled()
+        chunks = overhead_harness.workload()
+
+        def reach(count):
+            def run(tally):
+                batches = [
+                    overhead_harness.CountingBatch(chunk, tally)
+                    for chunk in chunks[:count]
+                ]
+                observer = overhead_harness.CountingObserver()
+                records = replay_columnar(batches, observer)
+                assert records == count * overhead_harness.CHUNK_SIZE
+                assert observer.batches == count
+
+            return overhead_harness.disabled_reach(run)
+
+        assert reach(10) == reach(overhead_harness.CHUNKS)
+
     def test_enabled_pass_times_every_chunk(self):
         """The same loop, telemetry on: one histogram sample and one
         counter tick per chunk, and the fold itself is unchanged."""

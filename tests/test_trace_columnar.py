@@ -512,13 +512,6 @@ class TestColumnarReplayEquivalence:
         assert render(True, plan) == render(False, plan)
 
 
-#: Fast supervision for in-process fabric runs (as test_stream_fabric).
-_FAST_FABRIC = dict(
-    heartbeat_interval=0.05, miss_budget=4,
-    restart_backoff=0.01, restart_backoff_max=0.05,
-)
-
-
 class TestColumnarStreamEquivalence:
     """Cached and regenerated sources feed one column pipeline.
 
@@ -532,6 +525,10 @@ class TestColumnarStreamEquivalence:
 
     #: (fault plan, end) -> (records delivered, table, report | None)
     _references: dict = {}
+
+    @pytest.fixture(autouse=True)
+    def _fast_supervision(self, fast_fabric):
+        """Every fabric run here supervises at ``FAST_FABRIC`` speed."""
 
     @pytest.fixture()
     def uncached(self, monkeypatch):
@@ -553,7 +550,7 @@ class TestColumnarStreamEquivalence:
         if runner == "engine":
             return StreamEngine(config, dataset=dataset).run(**kwargs)
         return FabricSupervisor(
-            config, FabricConfig(**_FAST_FABRIC), dataset=dataset
+            config, FabricConfig(), dataset=dataset
         ).run(**kwargs)
 
     def _reference(self, config, dataset):
@@ -685,7 +682,6 @@ class TestColumnarStreamEquivalence:
                 worker_faults=WorkerFaultPlan(
                     seed=13, crash_rate=1.0, horizon_records=20_000
                 ),
-                **_FAST_FABRIC,
             ),
             dataset=small_dtcp18,
         ).run(resume=True, on_event=events.append)

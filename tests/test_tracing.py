@@ -23,6 +23,7 @@ import pytest
 from repro.faults.worker import WorkerFaultPlan
 from repro.query import ActiveView, QueryClient, QueryService, QueryState
 from repro.query.http import handle_request
+from repro.simkernel.clock import hours
 from repro.stream import (
     FabricConfig,
     FabricDegradedError,
@@ -58,14 +59,6 @@ from tests import overhead_harness
 
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
-
-#: Supervision tuned for tests (same knobs as test_stream_fabric).
-FAST = dict(
-    heartbeat_interval=0.05,
-    miss_budget=4,
-    restart_backoff=0.01,
-    restart_backoff_max=0.05,
-)
 
 #: Fault triggers must fire below the smallest per-shard record count.
 HORIZON = 20_000
@@ -298,19 +291,20 @@ class TestChromeExport:
 
 class TestFabricTracePropagation:
     def test_failover_is_one_causal_chain(
-        self, tmp_path, small_dtcp18, batch_reference, capsys
+        self, tmp_path, small_dtcp18, batch_reference, capsys, fast_fabric
     ):
         """Crash chaos: one trace_id spans supervisor + both worker
         incarnations, replacement workers parent on the reassign span,
         and every death dumps the flight ring -- while the report stays
         byte-identical to the batch path."""
+        fast_fabric(max_restarts=25)
         enable_tracing(tmp_path, process="supervisor")
         faults = WorkerFaultPlan(
             seed=13, crash_rate=1.0, horizon_records=HORIZON
         )
         result = FabricSupervisor(
             _config(shards=2),
-            FabricConfig(worker_faults=faults, max_restarts=25, **FAST),
+            FabricConfig(worker_faults=faults),
             dataset=small_dtcp18,
         ).run()
         disable_tracing()
@@ -384,8 +378,9 @@ class TestFabricTracePropagation:
         }
 
     def test_degraded_run_dumps_flight_exactly_once(
-        self, tmp_path, small_dtcp18
+        self, tmp_path, small_dtcp18, fast_fabric
     ):
+        fast_fabric(max_restarts=1)
         enable_tracing(tmp_path, process="supervisor")
         faults = WorkerFaultPlan(
             seed=21, crash_rate=1.0, crashes_per_shard=99,
@@ -394,7 +389,7 @@ class TestFabricTracePropagation:
         with pytest.raises(FabricDegradedError):
             FabricSupervisor(
                 _config(shards=2, emit_every=None),
-                FabricConfig(max_restarts=1, worker_faults=faults, **FAST),
+                FabricConfig(worker_faults=faults),
                 dataset=small_dtcp18,
             ).run()
         disable_tracing()
@@ -440,12 +435,12 @@ class _BlockedState:
 
 
 class TestIngestStallDump:
-    def test_stall_error_dumps_flight_ring(self, tmp_path):
+    def test_stall_error_dumps_flight_ring(self, tmp_path, timings):
+        timings(queue_chunks=1, ingest_put_timeout=0.01,
+                ingest_stall_timeout=0.05)
         enable_tracing(tmp_path)
         state = _BlockedState()
-        ingestor = StreamIngestor(
-            [state], max_queue_chunks=1, put_timeout=0.01, stall_timeout=0.05
-        )
+        ingestor = StreamIngestor([state])
         try:
             with pytest.raises(IngestStallError):
                 for _ in range(50):
@@ -464,9 +459,9 @@ class TestIngestStallDump:
 
 
 class TestMembershipHealth:
-    def test_health_reports_per_shard_state(self):
-        ms = Membership(shards=2, heartbeat_interval=0.1, miss_budget=3,
-                        join_timeout=5.0)
+    def test_health_reports_per_shard_state(self, timings):
+        timings(heartbeat_interval=0.1, miss_budget=3, join_timeout=5.0)
+        ms = Membership(shards=2)
         inc = ms.launch(0, now=0.0)
         ms.join(0, inc, now=0.2, pid=42)
         ms.heartbeat(0, inc, now=0.5)
@@ -717,6 +712,41 @@ class TestNoOpTracingOverhead:
             if trc.enabled:
                 trc.note("engine.batch", records=count)
         return count
+
+    def test_disabled_engine_reaches_nothing_per_batch(
+        self, small_dtcp18, monkeypatch
+    ):
+        """The timing check's deterministic companion: with tracing and
+        telemetry off, a stream run cut into 8x as many batches reaches
+        the tracer and the registry exactly as often -- so a cost in the
+        per-batch gate fails on every run."""
+        from repro.stream import StreamEngine, engine
+
+        assert not tracing_enabled()
+        batches = []
+        route = engine.route_columns
+
+        def counting_route(batch, *args):
+            batches.append(len(batch))
+            return route(batch, *args)
+
+        monkeypatch.setattr(engine, "route_columns", counting_route)
+
+        def reach(batch_records):
+            batches.clear()
+            config = _config(shards=2, end=hours(48),
+                             batch_records=batch_records)
+
+            def run(tally):
+                StreamEngine(config, dataset=small_dtcp18).run()
+
+            tally = overhead_harness.disabled_reach(run)
+            return tally, len(batches)
+
+        coarse, coarse_batches = reach(8192)
+        fine, fine_batches = reach(1024)
+        assert fine_batches >= 8 * (coarse_batches - 1) > 0
+        assert fine == coarse
 
     def test_disabled_gate_below_two_percent(self):
         assert not tracing_enabled()
