@@ -6,38 +6,34 @@ batches -- ``dataset.column_batches``, the one source every pass over a
 dataset iterates: zero-copy views of the record-once trace cache when a
 recording exists (the resume offset is a seek), regenerated from the
 traffic model and columnised batch by batch otherwise, never written
-from here -- and drives the sharded pipeline end to end.  One driver
-(:meth:`StreamEngine._drive`) owns everything a run *decides*; a shard
-transport owns only how shard state is *reached* -- the driver's own
-thread when a query publisher is attached (:class:`_InlineTransport`),
-worker threads otherwise (:class:`_ThreadTransport`), worker processes
-in :mod:`repro.stream.fabric`:
+from here -- and drives the sharded pipeline end to end.  One run
+(:class:`_Run`) owns everything a run *decides*; a shard transport owns
+only how shard state is *reached* -- the run's own thread when a query
+publisher is attached (:class:`_InlineTransport`), worker threads
+otherwise (:class:`_ThreadTransport`), worker processes in
+:mod:`repro.stream.fabric`.  :meth:`StreamEngine._drive` moves the run:
 
-1. the driver reads one batch, decides which of its records the run's
-   fault filter keeps (capture loss and monitor outages, in stream
-   order -- the same drop pattern the batch path produces), routes the
-   kept rows with :func:`repro.stream.shard.route_columns`, mask in
-   hand -- row indices only: a record is copied where it is folded --
-   feeds the parts to the transport, and advances the online prober to
-   stream time;
-2. when stream time crosses an emission mark, it asks the transport
-   for the passive addresses first seen by the mark -- a request the
-   shards answer in band, behind the parts fed before it, while the
-   driver reads on -- and emits a
-   :class:`repro.stream.watermark.Watermark` once it is answered:
-   windowed completeness without replay;
-3. when stream time crosses a snapshot or checkpoint mark, it sends
-   the shards an in-band snapshot round, waits for it and publishes the
-   merged cut, or requests a checkpoint generation that commits behind
-   the stream with the run's progress payload as it stood at the
-   request (:mod:`repro.stream.checkpoint`), so a killed run resumes
-   from the last checkpoint and converges to the identical final
-   report;
-4. at end of stream the shard states merge into one ordinary
-   :class:`~repro.passive.monitor.PassiveServiceTable` and the final
-   report renders through the same function as ``python -m repro
-   survey`` -- byte-identical to the batch path on the same
-   (seed, scale, faults).
+1. ``restore`` -- on resume, the newest checkpoint manifest's progress;
+2. ``step``, per batch -- the run's fault filter decides which records
+   are kept (capture loss and monitor outages, in stream order: the
+   batch path's drop pattern); :func:`repro.stream.shard.route_columns`
+   routes the kept rows, mask in hand (row indices only: a record is
+   copied where it is folded); the parts go to the transport, and the
+   online prober advances to stream time.  Crossing an emission mark
+   asks the shards, in band behind the parts fed before it, for the
+   passive addresses first seen by the mark, and emits a
+   :class:`repro.stream.watermark.Watermark` once answered: windowed
+   completeness without replay.  Crossing a snapshot or checkpoint
+   mark publishes the merged cut of an in-band snapshot round, or
+   requests a checkpoint generation that commits behind the stream
+   with the progress as it stood at the request
+   (:mod:`repro.stream.checkpoint`): a killed run resumes from it and
+   converges to the identical final report;
+3. ``drain`` -- at end of stream, every probe, mark and generation settles;
+4. ``finish`` -- the shard states merge into one ordinary
+   :class:`~repro.passive.monitor.PassiveServiceTable` and the report
+   renders through the same function as ``python -m repro survey`` --
+   byte-identical to the batch path on the same (seed, scale, faults).
 
 Every transport carries the same requests: a shard's
 :class:`~repro.stream.shard.ShardServant` answers each behind the parts
@@ -52,6 +48,7 @@ batch); nothing retains the stream.
 from __future__ import annotations
 
 import queue
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -231,7 +228,7 @@ def _keep_mask(faults, batch) -> np.ndarray | None:
 def finalize_result(
     config: StreamConfig,
     dataset,
-    states: list[ShardState],
+    states: list[ShardState] | None,
     watermarks: list[Watermark],
     records_read: int,
     records_delivered: int,
@@ -248,14 +245,26 @@ def finalize_result(
     The completeness summary is computed from the *query snapshot's*
     view of the merged state (:func:`snapshot_states`), so the rendered
     report and an exhaustive ``/services`` query share one aggregation.
+    *states* ``None`` (a run stopped early) gives the progress counters
+    and no report.
 
     *probes* is the run's :class:`~repro.probe.ProbeScheduler` when it
     probed online (advanced to the stream end by the caller); its live
     evidence then replaces the build-time scan reports as the report's
     active side, and the scan count is the sweeps it completed.
     """
-    merged = merge_shards(states, _fresh_table(dataset))
-    snapshot = snapshot_states(
+    result = StreamResult(
+        finished=states is not None,
+        records_read=records_read,
+        records_delivered=records_delivered,
+        checkpoints_written=checkpoints_written,
+        resumed=resumed,
+        watermarks=watermarks,
+    )
+    if states is None:
+        return result
+    result.table = merge_shards(states, _fresh_table(dataset))
+    result.snapshot = snapshot = snapshot_states(
         states, now=now, records=records_delivered, watermarks=watermarks,
         probes=probes.view() if probes is not None else None,
     )
@@ -265,23 +274,14 @@ def finalize_result(
     else:
         active_addresses = dataset.active_addresses()
         scans = len(dataset.scan_reports)
-    summary = summarize_overlap(snapshot.server_addresses(), active_addresses)
-    report = survey_table(
+    result.summary = summary = summarize_overlap(
+        snapshot.server_addresses(), active_addresses
+    )
+    result.report = survey_table(
         config.dataset, config.scale, config.seed,
         records_delivered, scans, summary,
     ).render()
-    return StreamResult(
-        finished=True,
-        records_read=records_read,
-        records_delivered=records_delivered,
-        checkpoints_written=checkpoints_written,
-        resumed=resumed,
-        watermarks=watermarks,
-        summary=summary,
-        report=report,
-        table=merged,
-        snapshot=snapshot,
-    )
+    return result
 
 
 class StreamEngine:
@@ -304,7 +304,7 @@ class StreamEngine:
         self._stop_requested = False
 
     def request_stop(self) -> None:
-        """Have :meth:`_drive` raise ``KeyboardInterrupt`` at its next
+        """Have :meth:`_Run.step` raise ``KeyboardInterrupt`` at the next
         batch boundary.  What a signal handler (or another thread) calls
         instead of raising into the loop, so what the transport leaves
         behind never counts a batch no shard folded."""
@@ -371,7 +371,7 @@ class StreamEngine:
         )
 
     def _transport(self, publisher) -> _InlineTransport:
-        """The in-process shard transport for a run: folds on the driver
+        """The in-process shard transport for a run: folds on the run's
         thread when a query publisher is attached (the run serves while
         it ingests, and fewer threads want the GIL), shard threads
         otherwise."""
@@ -387,347 +387,70 @@ class StreamEngine:
         progress: Callable[[Watermark], None] | None = None,
         publisher=None,
     ) -> StreamResult:
-        """The one stream run loop, over any shard transport.
-
-        The driver owns every decision of a run: source iteration and
-        the resume offset, the capture-fault filter, stream time, the
-        online prober, the watermark / snapshot / checkpoint schedules,
-        the progress payload a checkpoint manifest stores, telemetry,
-        the end-of-stream flush and the final merge.  Per batch the
-        order is fixed: feed, advance the prober to stream time, marks,
-        snapshot, checkpoint, stop request -- so a mark sees the probes
-        fired up to it, a checkpoint's payload holds every watermark
-        before it, and a requested stop interrupts on a batch boundary.
-
-        *transport* owns only how shard state is reached (the surface
-        is :class:`_InlineTransport`'s methods, most of them its
-        :class:`AckLedger`'s; the thread transport and the fabric
-        supervisor are the others).  Marks and checkpoints are
-        pipelined on all three: the driver requests them in order and takes
-        up whatever the transport reports complete -- emitting the
-        marks, counting the committed generations -- waiting for marks
-        only before a checkpoint, and for both at end of stream and at a
-        stop, so what a stop at a given batch leaves committed (and
-        emitted) is the same on every run.
-        """
-        config = self.config
-        dataset = self.dataset
-        end = self._effective_end()
-        faults = (
-            self.plan.capture_filter(dataset.duration)
-            if self.plan is not None
-            else None
-        )
-        prober = build_prober(
-            dataset, config.probe_policy, config.probe_rate,
-            config.probe_ports, config.seed, end,
-        )
-        # With online probing, the scheduler IS the active side: its
-        # live evidence feeds watermarks (same addresses_by contract)
-        # instead of the build-time scan timeline.  It lives with the
-        # driver, never in a worker, so shard failover cannot perturb it.
-        # Without it, a fresh cursor over the dataset's build-time events.
-        active = (
-            prober
-            if prober is not None
-            else ActiveTimeline.over(dataset.active_events)
-        )
-        marks = (
-            emit_schedule(end, config.emit_every)
-            if config.emit_every
-            else [end]
-        )
-        snap_marks = (
-            emit_schedule(end, config.snapshot_every)
-            if publisher is not None and config.snapshot_every
-            else []
-        )
-        snap_index = 0
-
-        records_read = 0
-        records_delivered = 0
-        now = 0.0
-        emitted_index = 0
-        watermarks: list[Watermark] = []
-        checkpoints_written = 0
-        resumed = False
-
+        """The one stream run loop, over any shard transport (the
+        surface is :class:`_InlineTransport`'s methods, most of them its
+        :class:`AckLedger`'s): a :class:`_Run` restored, stepped batch
+        by batch, drained and finished.  Telemetry reads the run's
+        counters once, as it ends."""
+        run = _Run(self, transport, stop_after_records, progress, publisher)
         if resume:
-            if not config.checkpoint_path:
+            if not self.config.checkpoint_path:
                 raise ValueError("resume requires config.checkpoint_path")
             payload = transport.restore()
             if payload is not None:
-                records_read = int(payload["records_read"])
-                records_delivered = int(payload["records_delivered"])
-                now = float(payload["now"])
-                emitted_index = int(payload["emitted_index"])
-                watermarks = list(payload["watermarks"])
-                if faults is not None and payload.get("faults") is not None:
-                    faults.restore_state(payload["faults"])
-                if prober is not None and payload.get("probes") is not None:
-                    try:
-                        prober.restore_state(payload["probes"])
-                    except ValueError as exc:
-                        raise CheckpointError(str(exc)) from exc
-                resumed = True
-
-        next_checkpoint = None
-        if config.checkpoint_every is not None and config.checkpoint_path:
-            next_checkpoint = config.checkpoint_every
-            while next_checkpoint <= now:
-                next_checkpoint += config.checkpoint_every
-
-        read_at_start = records_read
-        delivered_at_start = records_delivered
-        loss_at_start = faults.stats.dropped_loss if faults is not None else 0
-        outage_at_start = faults.stats.dropped_outage if faults is not None else 0
-        reg = _telemetry_registry()
-        tap = None
-        if reg.enabled:
-            from repro.telemetry.tap import ReplayTap
-
-            tap = ReplayTap()
-        is_campus = dataset.is_campus
-        shards = config.shards
-        trc = _tracer()
-        #: Requested, not yet emitted marks: (mark, records at request).
-        pending: deque[tuple[float, int]] = deque()
-
-        def snapshot_progress() -> dict:
-            return {
-                "records_read": records_read,
-                "records_delivered": records_delivered,
-                "now": now,
-                "emitted_index": emitted_index,
-                "watermarks": list(watermarks),
-                "faults": faults.state_dict() if faults is not None else None,
-                "probes": (
-                    prober.state_dict() if prober is not None else None
-                ),
-            }
-
-        def request_due_marks(upto: float) -> None:
-            index = emitted_index + len(pending)
-            while index < len(marks) and upto >= marks[index]:
-                pending.append((marks[index], records_delivered))
-                transport.request_mark(index, marks[index])
-                index += 1
-
-        def emit(completed: list[set[int]]) -> None:
-            # A batch may straddle its mark, so the transport filters
-            # passive state by evidence time: exactly the addresses a
-            # batch replay truncated at the mark would report.
-            nonlocal emitted_index
-            for passive in completed:
-                mark, records = pending.popleft()
-                watermark = Watermark(
-                    time=mark, records=records,
-                    summary=windowed_summary(passive, active, mark),
-                )
-                watermarks.append(watermark)
-                emitted_index += 1
-                if trc.enabled:
-                    trc.event("stream.watermark", mark=mark, records=records)
-                if reg.enabled:
-                    reg.counter(
-                        "repro_stream_watermarks_total",
-                        "Watermarks emitted by stream runs.",
-                    ).inc()
-                    reg.histogram(
-                        "repro_stream_watermark_lag_seconds",
-                        "Stream-time lag between a mark and its emission.",
-                    ).observe(max(0.0, now - mark))
-                if progress is not None:
-                    progress(watermark)
-
-        def count_commits(wait: bool = False) -> None:
-            nonlocal checkpoints_written
-            for seconds, size in transport.committed_checkpoints(wait):
-                checkpoints_written += 1
-                if reg.enabled:
-                    reg.counter(
-                        "repro_stream_checkpoints_total",
-                        "Checkpoints written by stream runs.",
-                    ).inc()
-                    reg.histogram(
-                        "repro_stream_checkpoint_seconds",
-                        "Wall time from requesting a checkpoint "
-                        "generation to its committed manifest.",
-                    ).observe(seconds)
-                    reg.histogram(
-                        "repro_stream_checkpoint_bytes",
-                        "Size of each written stream checkpoint.",
-                    ).observe(size)
-
-        states = None
-        trc.event(
-            "stream.start", shards=shards, records=records_read,
-            resumed=resumed,
+                run.restore(payload)
+        run.trc.event(
+            "stream.start", shards=self.config.shards,
+            records=run.records_read, resumed=run.resumed,
         )
         wall_start = perf_counter()
         try:
-            transport.start(records_read)
-            for batch in dataset.column_batches(
-                end, skip=records_read, batch_records=config.batch_records
-            ):
-                records_read += len(batch)
-                keep = _keep_mask(faults, batch)
-                parts = route_columns(batch, is_campus, shards, keep)
-                delivered = sum(map(len, parts))
-                records_delivered += delivered
-                if delivered:
-                    last = len(batch) - 1
-                    if keep is not None:  # the last row the filter kept
-                        last -= int(np.argmax(keep[::-1]))
-                    last_time = float(batch.time[last])
-                    if last_time > now:
-                        now = last_time
-                    if tap is not None:
-                        tap.observe_columns(
-                            batch if keep is None else batch.compress(keep)
-                        )
-                    transport.feed(parts, records_read)
-                    if trc.enabled:
-                        trc.note("engine.batch", records=records_read)
-                if prober is not None:
-                    # Interleave: fire every probe the policy scheduled
-                    # at or before the stream's new instant, so the
-                    # watermark/checkpoint below see its evidence.
-                    prober.advance(now)
-                transport.poll()
-                request_due_marks(now)
-                emit(transport.completed_marks())
-                if snap_index < len(snap_marks) and now >= snap_marks[snap_index]:
-                    # Catch up past every satisfied mark but copy state
-                    # only once.  None means the round was aborted (a
-                    # failover): skip this boundary, queries keep
-                    # answering from the previous snapshot.
-                    while (
-                        snap_index < len(snap_marks)
-                        and now >= snap_marks[snap_index]
-                    ):
-                        snap_index += 1
-                    payloads = transport.snapshot_payloads()
-                    if payloads is not None:
-                        publisher.publish(
-                            merge_snapshot_payloads(
-                                payloads,
-                                now=now,
-                                records=records_delivered,
-                                watermarks=list(watermarks),
-                                probes=(
-                                    prober.view() if prober is not None else None
-                                ),
-                            )
-                        )
-                        if trc.enabled:
-                            trc.event(
-                                "stream.snapshot", records=records_delivered
-                            )
-                        if reg.enabled:
-                            reg.counter(
-                                "repro_stream_snapshots_total",
-                                "Query snapshots published by stream runs.",
-                            ).inc()
-                if next_checkpoint is not None and now >= next_checkpoint:
-                    # Pending marks are emitted first, so the payload's
-                    # emission cursor matches its watermark list.
-                    emit(transport.completed_marks(wait=True))
-                    with _span("stream.checkpoint", records=records_read):
-                        transport.checkpoint(snapshot_progress())
-                    while next_checkpoint <= now:
-                        next_checkpoint += config.checkpoint_every
-                if next_checkpoint is not None:
-                    count_commits()
-                if self._stop_requested or (
-                    stop_after_records is not None
-                    and records_read >= stop_after_records
-                ):
-                    # Pending marks are emitted first, so the progress an
-                    # interrupt checkpoints holds every requested mark; a
-                    # resume would otherwise request them again, one
-                    # batch later, with another record count.
-                    emit(transport.completed_marks(wait=True))
-                    if self._stop_requested:
-                        raise KeyboardInterrupt
-                    count_commits(wait=True)
+            transport.start(run.records_read)
+            for batch in run.batches():
+                if run.step(batch):
                     break
             else:
-                if prober is not None:
-                    # The source is drained; fire everything scheduled
-                    # through its end (probes can outlast the last
-                    # packet) so the final marks and report carry the
-                    # complete active evidence.
-                    prober.advance(end)
-                # Marks at or past the last record's timestamp (always
-                # at least the final one) are emitted now.
-                request_due_marks(end)
-                emit(transport.completed_marks(wait=True))
-                count_commits(wait=True)
-                states = transport.finish()
+                run.drain()
         except KeyboardInterrupt as exc:
             # The transport says what it left behind to resume from.
-            exc.args = (transport.interrupt(snapshot_progress()),)
+            exc.args = (transport.interrupt(run.progress()),)
             raise
         finally:
             transport.close()
+            reg = run.reg
             if reg.enabled:
-                if tap is not None:
-                    tap.flush_into(reg)
+                if run.tap is not None:
+                    run.tap.flush_into(reg)
                 elapsed = perf_counter() - wall_start
-                reg.counter(
-                    "repro_stream_read_records_total",
-                    "Records pulled from the stream source this run.",
-                ).inc(records_read - read_at_start)
-                reg.counter(
-                    "repro_stream_records_total",
-                    "Records delivered to the shards this run (post-faults).",
-                ).inc(records_delivered - delivered_at_start)
-                reg.counter(
-                    "repro_stream_seconds_total",
-                    "Wall time spent inside stream run loops.",
-                ).inc(elapsed)
-                if faults is not None:
-                    drops = faults.stats
-                    reg.counter(
-                        "repro_passive_dropped_total",
-                        "Records the monitors failed to capture, by cause.",
-                        cause="loss",
-                    ).inc(drops.dropped_loss - loss_at_start)
-                    reg.counter(
-                        "repro_passive_dropped_total",
-                        "Records the monitors failed to capture, by cause.",
-                        cause="outage",
-                    ).inc(drops.dropped_outage - outage_at_start)
+                read = run.records_read - run.read_at_start
+                for name, text, value in (
+                    ("repro_stream_read_records_total",
+                     "Records pulled from the stream source this run.", read),
+                    ("repro_stream_records_total",
+                     "Records delivered to the shards this run (post-faults).",
+                     run.records_delivered - run.delivered_at_start),
+                    ("repro_stream_seconds_total",
+                     "Wall time spent inside stream run loops.", elapsed),
+                ):
+                    reg.counter(name, text).inc(value)
+                if run.faults is not None:
+                    stats = run.faults.stats
+                    for cause, dropped, at_start in zip(
+                        ("loss", "outage"),
+                        (stats.dropped_loss, stats.dropped_outage),
+                        run.drops_at_start,
+                    ):
+                        reg.counter(
+                            "repro_passive_dropped_total",
+                            "Records the monitors failed to capture, by cause.",
+                            cause=cause,
+                        ).inc(dropped - at_start)
                 if elapsed > 0:
                     reg.gauge(
                         "repro_stream_records_per_sec",
                         "Source throughput of the most recent stream run.",
-                    ).set((records_read - read_at_start) / elapsed)
-
-        if states is None:  # stopped early: progress, but no report
-            return StreamResult(
-                finished=False,
-                records_read=records_read,
-                records_delivered=records_delivered,
-                checkpoints_written=checkpoints_written,
-                resumed=resumed,
-                watermarks=watermarks,
-            )
-
-        trc.event(
-            "stream.end", records=records_read, watermarks=len(watermarks)
-        )
-        result = finalize_result(
-            config, dataset, states, watermarks,
-            records_read, records_delivered, checkpoints_written, resumed,
-            now=now, probes=prober,
-        )
-        # Clean finish: a stale checkpoint must not hijack the next run.
-        transport.clear_checkpoints()
-        if publisher is not None and result.snapshot is not None:
-            publisher.publish(result.snapshot)
-        return result
+                    ).set(read / elapsed)
+        return run.finish()
 
     def replay_gap(self, base: int, target: int, faults_state: dict | None):
         """Source records ``[base, target)`` again, one ``route_columns``
@@ -761,6 +484,290 @@ class StreamEngine:
             )
             if left <= 0:
                 return
+
+
+class _Run:
+    """One stream run between two batches -- what
+    :meth:`StreamEngine._drive` carries from batch to batch -- and the
+    steps that move it, in order: :meth:`restore`, :meth:`step` per
+    batch, :meth:`drain` at end of stream, :meth:`finish`.
+
+    Marks and checkpoints are pipelined on every transport: the run
+    requests them in order and takes up whatever the transport reports
+    complete, waiting for marks only before a checkpoint, and for both
+    at end of stream and at a stop -- so what a stop at a given batch
+    leaves committed (and emitted) is the same on every run.
+    """
+
+    def __init__(
+        self,
+        engine: StreamEngine,
+        transport,
+        stop_after_records: int | None = None,
+        on_watermark: Callable[[Watermark], None] | None = None,
+        publisher=None,
+    ) -> None:
+        config = self.config = engine.config
+        dataset = self.dataset = engine.dataset
+        self.engine, self.transport = engine, transport
+        self.stop_after_records = stop_after_records
+        self.on_watermark, self.publisher = on_watermark, publisher
+        self.end = end = engine._effective_end()
+        plan = engine.plan
+        self.faults = (
+            plan.capture_filter(dataset.duration) if plan is not None else None
+        )
+        self.prober = prober = build_prober(
+            dataset, config.probe_policy, config.probe_rate,
+            config.probe_ports, config.seed, end,
+        )
+        # With online probing the scheduler IS the active side: its live
+        # evidence feeds watermarks (same addresses_by contract) instead
+        # of a cursor over the dataset's build-time scan events.  It
+        # lives with the run, never in a worker, so shard failover
+        # cannot perturb it.
+        self.active = prober or ActiveTimeline.over(dataset.active_events)
+        every = config.emit_every
+        self.marks = emit_schedule(end, every) if every else [end]
+        every = config.snapshot_every if publisher is not None else None
+        self.snap_marks = emit_schedule(end, every) if every else []
+        self.records_read = self.records_delivered = 0
+        self.emitted_index = self.snap_index = self.checkpoints_written = 0
+        self.now = 0.0
+        self.watermarks: list[Watermark] = []
+        #: Requested, not yet emitted marks: (mark, records at request).
+        self.pending: deque[tuple[float, int]] = deque()
+        self.resumed = False
+        #: The final shard states, once :meth:`drain` took them.
+        self.states: list[ShardState] | None = None
+        self.reg, self.trc = _telemetry_registry(), _tracer()
+        self.tap = None
+        if self.reg.enabled:
+            from repro.telemetry.tap import ReplayTap
+
+            self.tap = ReplayTap()
+        #: Where this run started: its telemetry counts from here.
+        self.read_at_start = self.delivered_at_start = 0
+        self.drops_at_start = (0, 0)  # (capture loss, outage)
+        self.next_checkpoint = (
+            config.checkpoint_every if config.checkpoint_path else None
+        )
+
+    def progress(self) -> dict:
+        """The run's position, as a checkpoint manifest stores it."""
+        return {
+            "records_read": self.records_read,
+            "records_delivered": self.records_delivered,
+            "now": self.now,
+            "emitted_index": self.emitted_index,
+            "watermarks": list(self.watermarks),
+            "faults": (
+                self.faults.state_dict() if self.faults is not None else None
+            ),
+            "probes": (
+                self.prober.state_dict() if self.prober is not None else None
+            ),
+        }
+
+    def restore(self, payload: dict) -> None:
+        """Continue from a :meth:`progress` payload."""
+        self.records_read = int(payload["records_read"])
+        self.records_delivered = int(payload["records_delivered"])
+        self.now = float(payload["now"])
+        self.emitted_index = int(payload["emitted_index"])
+        self.watermarks = list(payload["watermarks"])
+        if self.faults is not None and payload.get("faults") is not None:
+            self.faults.restore_state(payload["faults"])
+            stats = self.faults.stats
+            self.drops_at_start = (stats.dropped_loss, stats.dropped_outage)
+        if self.prober is not None and payload.get("probes") is not None:
+            try:
+                self.prober.restore_state(payload["probes"])
+            except ValueError as exc:
+                raise CheckpointError(str(exc)) from exc
+        self.resumed = True
+        self.read_at_start = self.records_read
+        self.delivered_at_start = self.records_delivered
+        while (
+            self.next_checkpoint is not None
+            and self.next_checkpoint <= self.now
+        ):
+            self.next_checkpoint += self.config.checkpoint_every
+
+    def batches(self):
+        """The source from the run's read offset on."""
+        return self.dataset.column_batches(
+            self.end, skip=self.records_read,
+            batch_records=self.config.batch_records,
+        )
+
+    def step(self, batch) -> bool:
+        """One batch, in the fixed order: filter and route, feed, advance
+        the prober to stream time, poll, marks, snapshot, checkpoint,
+        stop check -- so a mark sees the probes fired up to it, and a
+        checkpoint's payload holds every watermark before it.  True when
+        ``stop_after_records`` stops the run here; a requested stop
+        raises ``KeyboardInterrupt``."""
+        transport = self.transport
+        self.records_read += len(batch)
+        keep = _keep_mask(self.faults, batch)
+        parts = route_columns(
+            batch, self.dataset.is_campus, self.config.shards, keep
+        )
+        delivered = sum(map(len, parts))
+        self.records_delivered += delivered
+        if delivered:
+            last = len(batch) - 1
+            if keep is not None:  # the last row the filter kept
+                last -= int(np.argmax(keep[::-1]))
+            self.now = max(self.now, float(batch.time[last]))
+            if self.tap is not None:
+                self.tap.observe_columns(
+                    batch if keep is None else batch.compress(keep)
+                )
+            transport.feed(parts, self.records_read)
+            if self.trc.enabled:
+                self.trc.note("engine.batch", records=self.records_read)
+        now = self.now
+        if self.prober is not None:
+            self.prober.advance(now)
+        transport.poll()
+        self.request_due_marks(now)
+        self.emit(transport.completed_marks())
+        due = bisect_right(self.snap_marks, now)
+        if due > self.snap_index:  # however many marks passed, copy once
+            self.snap_index = due
+            self.publish_snapshot()
+        if self.next_checkpoint is not None:
+            if now >= self.next_checkpoint:
+                # Pending marks are emitted first, so the payload's
+                # emission cursor matches its watermark list.
+                self.emit(transport.completed_marks(wait=True))
+                with _span("stream.checkpoint", records=self.records_read):
+                    transport.checkpoint(self.progress())
+                while self.next_checkpoint <= now:
+                    self.next_checkpoint += self.config.checkpoint_every
+            self.count_commits()
+        if self.engine._stop_requested or (
+            self.stop_after_records is not None
+            and self.records_read >= self.stop_after_records
+        ):
+            # Pending marks are emitted first, so the progress an
+            # interrupt checkpoints holds every requested mark; a resume
+            # would otherwise request them again, one batch later, with
+            # another record count.
+            self.emit(transport.completed_marks(wait=True))
+            if self.engine._stop_requested:
+                raise KeyboardInterrupt
+            self.count_commits(wait=True)
+            return True
+        return False
+
+    def drain(self) -> None:
+        """End of stream: every probe (they can outlast the last packet),
+        mark (at least the final one) and checkpoint generation settles,
+        and the transport hands over the final shard states."""
+        if self.prober is not None:
+            self.prober.advance(self.end)
+        self.request_due_marks(self.end)
+        self.emit(self.transport.completed_marks(wait=True))
+        self.count_commits(wait=True)
+        self.states = self.transport.finish()
+
+    def finish(self) -> StreamResult:
+        """The run's result: after :meth:`drain`, with the final report
+        (and snapshot, published; the checkpoints are cleared), else
+        the progress counters alone."""
+        if self.states is not None:
+            self.trc.event(
+                "stream.end", records=self.records_read,
+                watermarks=len(self.watermarks),
+            )
+        result = finalize_result(
+            self.config, self.dataset, self.states, self.watermarks,
+            self.records_read, self.records_delivered,
+            self.checkpoints_written, self.resumed,
+            now=self.now, probes=self.prober,
+        )
+        if result.finished:
+            # A stale checkpoint must not hijack the next run.
+            self.transport.clear_checkpoints()
+            if self.publisher is not None:
+                self.publisher.publish(result.snapshot)
+        return result
+
+    def request_due_marks(self, upto: float) -> None:
+        marks = self.marks
+        index = self.emitted_index + len(self.pending)
+        while index < len(marks) and upto >= marks[index]:
+            self.pending.append((marks[index], self.records_delivered))
+            self.transport.request_mark(index, marks[index])
+            index += 1
+
+    def emit(self, completed: list[set[int]]) -> None:
+        """A watermark per answered mark.  A batch may straddle its mark,
+        so the transport filters passive state by evidence time: exactly
+        the addresses a batch replay truncated at the mark would report."""
+        reg, trc = self.reg, self.trc
+        for passive in completed:
+            mark, records = self.pending.popleft()
+            watermark = Watermark(
+                time=mark, records=records,
+                summary=windowed_summary(passive, self.active, mark),
+            )
+            self.watermarks.append(watermark)
+            self.emitted_index += 1
+            if trc.enabled:
+                trc.event("stream.watermark", mark=mark, records=records)
+            if reg.enabled:
+                reg.counter(
+                    "repro_stream_watermarks_total",
+                    "Watermarks emitted by stream runs.",
+                ).inc()
+                reg.histogram(
+                    "repro_stream_watermark_lag_seconds",
+                    "Stream-time lag between a mark and its emission.",
+                ).observe(max(0.0, self.now - mark))
+            if self.on_watermark is not None:
+                self.on_watermark(watermark)
+
+    def publish_snapshot(self) -> None:
+        """Publish a snapshot round's merged cut, if no failover aborted it."""
+        payloads = self.transport.snapshot_payloads()
+        if payloads is None:
+            return
+        prober = self.prober
+        self.publisher.publish(merge_snapshot_payloads(
+            payloads, now=self.now, records=self.records_delivered,
+            watermarks=list(self.watermarks),
+            probes=prober.view() if prober is not None else None,
+        ))
+        if self.trc.enabled:
+            self.trc.event("stream.snapshot", records=self.records_delivered)
+        if self.reg.enabled:
+            self.reg.counter(
+                "repro_stream_snapshots_total",
+                "Query snapshots published by stream runs.",
+            ).inc()
+
+    def count_commits(self, wait: bool = False) -> None:
+        reg = self.reg
+        for seconds, size in self.transport.committed_checkpoints(wait):
+            self.checkpoints_written += 1
+            if reg.enabled:
+                reg.counter(
+                    "repro_stream_checkpoints_total",
+                    "Checkpoints written by stream runs.",
+                ).inc()
+                reg.histogram(
+                    "repro_stream_checkpoint_seconds",
+                    "Wall time from requesting a checkpoint "
+                    "generation to its committed manifest.",
+                ).observe(seconds)
+                reg.histogram(
+                    "repro_stream_checkpoint_bytes",
+                    "Size of each written stream checkpoint.",
+                ).observe(size)
 
 
 #: How long a wait for shard replies blocks before it checks for failure.
@@ -929,7 +936,7 @@ class _InlineTransport(AckLedger):
     is attached, so ingest holds the GIL as one thread beside the request
     handlers, not three (DESIGN.md §14); :meth:`finish` returns the live
     states.  With :class:`AckLedger`'s, its methods are the transport
-    surface :meth:`StreamEngine._drive` uses.
+    surface :class:`_Run` uses.
 
     Its telemetry is the fold counters: batches fed, and each shard's
     records and fold seconds.  Nothing is queued, so it exports no
@@ -1065,15 +1072,8 @@ def batch_survey_report(config: StreamConfig, dataset=None) -> str:
     assert ``StreamEngine(config).run().report == batch_survey_report(config)``
     byte for byte, at any shard count.
     """
-    plan = config.faults
-    if plan is not None and getattr(plan, "is_null", False):
-        plan = None
-    if dataset is None:
-        from repro.datasets import build_dataset
-
-        dataset = build_dataset(
-            config.dataset, seed=config.seed, scale=config.scale, faults=plan
-        )
+    engine = StreamEngine(config, dataset)
+    dataset, plan = engine.dataset, engine.plan
     table = _fresh_table(dataset)
     faults = plan.capture_filter(dataset.duration) if plan is not None else None
     records = dataset.replay(table, faults=faults)

@@ -3,9 +3,9 @@
 The threaded engine (:mod:`repro.stream.engine`) shards across worker
 *threads*, so folding throughput is GIL-bound and any crash kills the
 whole run.  This module promotes shards to shared-nothing worker
-**processes**.  The run loop is still the engine's
-(:meth:`~repro.stream.engine.StreamEngine._drive` reads the source and
-applies the run's fault filter once, in stream order -- the drop
+**processes**.  The run loop is still the engine's (its
+:class:`~repro.stream.engine._Run` reads the source and applies the
+run's fault filter once, in stream order -- the drop
 pattern is decided before any process boundary, so it cannot depend on
 worker scheduling or deaths); a :class:`FabricSupervisor` is the shard
 transport it feeds.  Routed batches cross to the workers *by reference*:
@@ -851,7 +851,7 @@ class FabricSupervisor(AckLedger):
                 "Wall time to restore, relaunch, and catch up a shard.",
             ).observe(perf_counter() - started)
 
-    # ---- the transport surface (what StreamEngine._drive calls) --------
+    # ---- the transport surface (what the engine's _Run calls) ----------
 
     def start(self, offset: int) -> None:
         for shard, restore in enumerate(self._restores):
@@ -952,10 +952,10 @@ class FabricSupervisor(AckLedger):
         """Stream the dataset through the worker fleet to completion.
 
         Resets the fleet bookkeeping and hands itself, as the shard
-        transport, to the one run loop
-        (:meth:`~repro.stream.engine.StreamEngine._drive`), which owns
-        everything else a run does -- including the online prober, so
-        shard failover cannot perturb the probe schedule.
+        transport, to the one run loop, whose
+        :class:`~repro.stream.engine._Run` owns everything else a run
+        does -- including the online prober, so shard failover cannot
+        perturb the probe schedule.
 
         With ``resume=True`` and a committed manifest in the checkpoint
         store, the run restores run-level progress from the newest

@@ -21,6 +21,8 @@ os.environ.setdefault(
     "REPRO_TRACE_CACHE", tempfile.mkdtemp(prefix="repro-trace-cache-")
 )
 
+from hypothesis import HealthCheck, settings
+
 from repro.campus.population import synthesize_population
 from repro.campus.profiles import semester_profile
 from repro.datasets import build_dataset
@@ -31,6 +33,17 @@ from repro.stream import fabric, ingest, membership
 
 #: Scale used by most dataset-level tests.
 SMALL_SCALE = 0.04
+
+#: The stream run machine's deeper pass (CI runs
+#: ``tests/test_stream_run_machine.py --hypothesis-profile=deep``):
+#: many more runs, each stepped much further before its teardown.
+settings.register_profile(
+    "deep",
+    max_examples=60,
+    stateful_step_count=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 #: The stream runtime's timing constants, by the keyword a test sets
 #: one with (:func:`timings`).  Each is read where it is used, so a

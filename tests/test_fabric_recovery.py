@@ -217,8 +217,17 @@ for shard in range(2):
         args=(shard, 0, dataset, {}, None, None, _Arena(2), queues,
               list(inboxes), outboxes[shard], WorkerFaultEvents()),
     ).start()
-# Each worker's join handshake carries its pid.
-print(*(inbox.recv()[3] for inbox in inboxes), flush=True)
+# Each worker's join handshake carries its pid.  A worker that died
+# before its join leaves recv() waiting for ever (the sibling forked
+# after it holds that pipe's write end too): give up on it instead,
+# without multiprocessing's exit-time join of the live one.
+pids = []
+for inbox in inboxes:
+    if not inbox.poll(10.0):
+        print(*pids, flush=True)
+        os._exit(1)
+    pids.append(inbox.recv()[3])
+print(*pids, flush=True)
 # Die half way through a message to shard 0: the length prefix of a
 # 100-byte frame and ten bytes of it.
 os.write(queues[0]._writer.fileno(), struct.pack("!i", 100) + b"x" * 10)
@@ -234,15 +243,19 @@ def test_worker_blocked_mid_message_notices_its_supervisor_died(tmp_path):
     env["PYTHONPATH"] = str(SRC)
     pids_path = tmp_path / "worker-pids"
     # Not a pipe: the orphans would hold it open past the supervisor.
+    # A session of its own, so whatever the script leaves behind --
+    # itself on a timeout, workers it printed or not -- is killed as one
+    # process group at the end.
     with open(pids_path, "w") as pids_file:
         supervisor = subprocess.Popen(
             [sys.executable, "-c", _ORPHAN_SCRIPT],
             cwd=tmp_path, env=env, stdout=pids_file,
+            start_new_session=True,
         )
-        assert supervisor.wait(timeout=120) == -signal.SIGKILL
-    worker_pids = [int(pid) for pid in pids_path.read_text().split()]
-    assert len(worker_pids) == 2
     try:
+        assert supervisor.wait(timeout=60) == -signal.SIGKILL
+        worker_pids = [int(pid) for pid in pids_path.read_text().split()]
+        assert len(worker_pids) == 2
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             alive = [pid for pid in worker_pids if _pid_alive(pid)]
@@ -251,11 +264,11 @@ def test_worker_blocked_mid_message_notices_its_supervisor_died(tmp_path):
             time.sleep(0.05)
         assert not alive, f"orphaned fabric workers still alive: {alive}"
     finally:
-        for pid in worker_pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        try:
+            os.killpg(supervisor.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        supervisor.wait()
 
 
 @pytest.mark.slow

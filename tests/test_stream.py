@@ -707,8 +707,9 @@ class RecordingTransport:
 
 
 class TestDriverContract:
-    """``StreamEngine._drive`` against a fake transport: what the one
-    run loop promises every transport, checked without threads."""
+    """A :class:`~repro.stream.engine._Run` stepped over a fake
+    transport, as ``StreamEngine._drive`` steps it: what the one run
+    loop promises every transport, checked without threads."""
 
     EVERY = hours(6)
 
@@ -736,11 +737,23 @@ class TestDriverContract:
             def publish(self, snapshot):
                 log.append(("publish", len(snapshot.watermarks)))
 
-        def drive(saved=None, **kwargs):
+        def drive(saved=None, stop_after_records=None):
+            from repro.stream.engine import _Run
+
             del log[:]
             transport = RecordingTransport(small_dtcp18, 2, log, saved)
-            result = engine._drive(transport, publisher=Publisher(), **kwargs)
-            return transport, result, list(log)
+            run = _Run(engine, transport, stop_after_records,
+                       publisher=Publisher())
+            if saved is not None:
+                run.restore(transport.restore())
+            transport.start(run.records_read)
+            for batch in run.batches():
+                if run.step(batch):
+                    break
+            else:
+                run.drain()
+            transport.close()
+            return transport, run.finish(), list(log)
 
         drive.engine = engine
         return drive
@@ -786,7 +799,7 @@ class TestDriverContract:
             k for k in range(len(cuts) - 1) if cuts[k + 1] - cuts[k] > 3
         )
         saved = first.checkpoints[chosen]
-        _, resumed, log = drive(saved=saved, resume=True)
+        _, resumed, log = drive(saved=saved)
         assert resumed.resumed
         assert resumed.report == reference.report
         assert resumed.watermarks == reference.watermarks
