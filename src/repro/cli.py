@@ -256,11 +256,7 @@ def _stream_config(args: argparse.Namespace, **extra):
 
 def _worker_fault_plan(args: argparse.Namespace):
     """``stream``'s seeded worker chaos, or ``None`` when it asks none."""
-    if not (
-        args.worker_crash_rate
-        or args.worker_stall_rate
-        or args.worker_heartbeat_drop_rate
-    ):
+    if not (args.worker_crash_rate or args.worker_stall_rate):
         return None
     from repro.faults.worker import WorkerFaultPlan
 
@@ -269,7 +265,6 @@ def _worker_fault_plan(args: argparse.Namespace):
         seed=args.worker_fault_seed,
         crash_rate=args.worker_crash_rate,
         stall_rate=args.worker_stall_rate,
-        heartbeat_drop_rate=args.worker_heartbeat_drop_rate,
     )
 
 
@@ -910,11 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "crashes at a seeded record count")
     stream.add_argument("--worker-stall-rate", type=float, default=0.0,
                         help="chaos: probability a worker incarnation "
-                             "stalls (stops consuming and beating)")
-    stream.add_argument("--worker-heartbeat-drop-rate", type=float,
-                        default=0.0,
-                        help="chaos: probability a worker incarnation "
-                             "silently drops a run of heartbeats")
+                             "stalls (stops answering what it is sent)")
     stream.add_argument("--worker-fault-seed", type=int, default=0)
     stream.add_argument("--resume", action="store_true",
                         help="resume from the checkpoint store's newest "

@@ -3,22 +3,20 @@
 Where :class:`~repro.faults.plan.FaultPlan` degrades the *data* (capture
 loss, outages, lossy probes), :class:`WorkerFaultPlan` degrades the
 *machinery*: it tells a fabric shard worker to crash at a specific
-record count, stall (stop consuming and beating) so the supervisor's
-miss budget fires, or silently drop a run of heartbeats so the
-supervisor declares a perfectly healthy worker dead.  All three exercise
-the same failover path; the heartbeat-drop case additionally proves the
-fabric survives *false positives* -- killing and replacing a live
-worker must still yield a byte-identical report.
+record count, or to stall there (stop consuming, so the rows it was
+sent go unanswered and the supervisor's owed-answer deadline fires).
+Both exercise the same failover path, and the report must stay
+byte-identical through either.
 
 Determinism works the same way as the capture plans: every decision is
 drawn from :func:`~repro.faults.plan.derive_seed` streams keyed by
-``(seed, shard, incarnation)``, so a chaos run replays exactly, and a
-*restarted* worker (next incarnation) rolls fresh dice -- with the
-per-shard event caps left at their defaults of one, the replacement
-runs clean and the run converges instead of crash-looping forever.
-Raising the caps past the fabric's restart budget
-(:data:`~repro.stream.fabric.MAX_RESTARTS`) turns the same plan into a
-restart-budget-exhaustion test.
+``(seed, kind, shard, incarnation)``, so a chaos run replays exactly,
+one kind's draws never move another's, and a *restarted* worker (next
+incarnation) rolls fresh dice -- with the per-shard event caps left at
+their defaults of one, the replacement runs clean and the run
+converges instead of crash-looping forever.  Raising the caps past the
+fabric's restart budget (:data:`~repro.stream.fabric.MAX_RESTARTS`)
+turns the same plan into a restart-budget-exhaustion test.
 
 Trigger points are expressed in *records folded by the shard*, not
 global offsets, so a plan is meaningful at any worker count.
@@ -39,16 +37,10 @@ class WorkerFaultEvents:
 
     crash_at: int | None = None
     stall_at: int | None = None
-    drop_heartbeats_at: int | None = None
-    drop_heartbeats: int = 0
 
     @property
     def is_null(self) -> bool:
-        return (
-            self.crash_at is None
-            and self.stall_at is None
-            and self.drop_heartbeats_at is None
-        )
+        return self.crash_at is None and self.stall_at is None
 
 
 @dataclass(frozen=True)
@@ -65,20 +57,13 @@ class WorkerFaultPlan:
     seed: int = 0
     crash_rate: float = 0.0
     stall_rate: float = 0.0
-    heartbeat_drop_rate: float = 0.0
     horizon_records: int = 50_000
     crashes_per_shard: int = 1
     stalls_per_shard: int = 1
-    drops_per_shard: int = 1
-    heartbeat_drop_beats: int = 64
 
     @property
     def is_null(self) -> bool:
-        return (
-            self.crash_rate <= 0.0
-            and self.stall_rate <= 0.0
-            and self.heartbeat_drop_rate <= 0.0
-        )
+        return self.crash_rate <= 0.0 and self.stall_rate <= 0.0
 
     def _draw(
         self, kind: str, rate: float, cap: int, shard: int, incarnation: int
@@ -103,9 +88,4 @@ class WorkerFaultPlan:
                 "stall", self.stall_rate, self.stalls_per_shard,
                 shard, incarnation,
             ),
-            drop_heartbeats_at=self._draw(
-                "hbdrop", self.heartbeat_drop_rate, self.drops_per_shard,
-                shard, incarnation,
-            ),
-            drop_heartbeats=self.heartbeat_drop_beats,
         )

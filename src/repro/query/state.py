@@ -82,8 +82,9 @@ class QueryState:
         """``GET /healthz`` body; ``ok`` iff ingest has not failed.
 
         In fabric mode the body carries per-shard membership health
-        (incarnation, restart count, heartbeat age) so a degraded-but-
-        serving fabric is visible to clients; with tracing enabled it
+        (incarnation, restart count, answer age, whether it owes an
+        answer) so a degraded-but-serving fabric is visible to clients;
+        with tracing enabled it
         also carries the serving process's flight-recorder state.
         """
         snapshot = self._snapshot

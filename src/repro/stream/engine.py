@@ -1066,17 +1066,20 @@ class _ThreadTransport(_InlineTransport):
 def batch_survey_report(config: StreamConfig, dataset=None) -> str:
     """The batch path's report for *config* -- the equivalence oracle.
 
-    Builds the dataset, replays it through one monolithic passive table
-    (with the same fault plan a stream run would apply), and renders
-    through the shared :func:`repro.core.report.survey_table`.  Tests
-    assert ``StreamEngine(config).run().report == batch_survey_report(config)``
+    Builds the dataset, replays it to the run's end through one
+    monolithic passive table (with the same fault plan a stream run
+    would apply), and renders through the shared
+    :func:`repro.core.report.survey_table`.  Tests assert
+    ``StreamEngine(config).run().report == batch_survey_report(config)``
     byte for byte, at any shard count.
     """
     engine = StreamEngine(config, dataset)
     dataset, plan = engine.dataset, engine.plan
     table = _fresh_table(dataset)
     faults = plan.capture_filter(dataset.duration) if plan is not None else None
-    records = dataset.replay(table, faults=faults)
+    records = dataset.replay(
+        table, end=engine._effective_end(), faults=faults
+    )
     summary = summarize_overlap(
         table.server_addresses(), dataset.active_addresses()
     )

@@ -19,11 +19,12 @@ reused only when every worker sent rows of it has published a sequence
 number past it, or has been declared dead.
 
 **Membership and liveness.**  Workers join with a registration
-handshake and then heartbeat on their own clock; the supervisor's
-:class:`~repro.stream.membership.Membership` table declares a worker
-dead after :data:`~repro.stream.membership.MISS_BUDGET` missed
-intervals (or a blown join timeout), on process exit, or when it holds
-a ring slot past :data:`STALL_TIMEOUT_SECONDS`.
+handshake and are never probed: :meth:`FabricSupervisor._reap` declares
+a worker dead when its process exits (its pipe at EOF), it reports an
+error, or :class:`~repro.stream.membership.Membership` finds it overdue
+-- not joined in time, or owing an answer (rows past its progress
+cell, an unacked request, ``done`` after ``stop``) it has not given in
+time.
 Every worker message carries an incarnation number, so traffic from a
 declared-dead process that lingers in a queue is discarded.
 
@@ -51,8 +52,9 @@ later pruned).
 
 The invariant all of this machinery serves: the final report is
 **byte-identical** to the single-process batch path at any worker
-count -- including under injected worker crashes, stalls, dropped
-heartbeats, and a SIGKILL'd supervisor resumed from the manifest --
+count -- including under injected worker crashes and stalls, healthy
+workers declared dead, and a SIGKILL'd supervisor resumed from the
+manifest --
 because the merge is the same order-independent shard union and every
 replayed record is filtered by the same deterministic RNG streams.
 """
@@ -117,10 +119,10 @@ _SLOT_POLL_SECONDS = 0.0005
 #: so a count means the workers, not the router, set the pace.
 PUT_TIMEOUT_SECONDS = 0.1
 
-#: How long live workers may hold a ring slot before they are failed
-#: over.  A worker that beats but never folds is wedged, not slow: a
-#: slot's rows take ~10 ms, so 10 s is a thousand folds behind.
-STALL_TIMEOUT_SECONDS = 10.0
+#: How long an idle worker waits for work between looks at whether
+#: its supervisor is still alive (``getppid``): an orphan exits within
+#: this of its supervisor's death.
+_ORPHAN_POLL_SECONDS = 0.125
 
 #: Failovers a shard may take before the run fails as degraded.  One
 #: seeded fault per shard (the chaos plan's default cap) needs one; the
@@ -249,7 +251,7 @@ def _shard_worker(
     events: WorkerFaultEvents,
     trace_config: dict | None = None,
 ) -> None:
-    """Child main: hand each work item to the shard's servant, heartbeat.
+    """Child main: hand each work item to the shard's servant, answer.
 
     Runs under the ``fork`` start method, so arguments (including the
     dataset with its closure-based campus predicate, and the arena)
@@ -322,25 +324,14 @@ def _shard_worker(
     if initial_state is not None:
         state.restore_state(initial_state)
     servant = ShardServant(state, store, identity)
-    heartbeat_interval = _membership.HEARTBEAT_SECONDS
-    suppress_beats = 0
-    drop_armed = events.drop_heartbeats_at is not None
-    last_beat = monotonic()
     outbox.send(("join", shard, incarnation, os.getpid()))
     try:
         while True:
             if os.getppid() != parent:
                 os._exit(2)  # supervisor died; no one will reap us
-            tick = monotonic()
-            if tick - last_beat >= heartbeat_interval:
-                last_beat = tick
-                if suppress_beats > 0:
-                    suppress_beats -= 1
-                else:
-                    outbox.send(("beat", shard, incarnation))
             try:
                 kind, key, arg, ctx = work_queue.get(
-                    timeout=heartbeat_interval / 2
+                    timeout=_ORPHAN_POLL_SECONDS
                 )
             except queue.Empty:
                 continue
@@ -379,8 +370,8 @@ def _shard_worker(
                     )
                 os._exit(137)  # injected crash: as abrupt as SIGKILL
             if events.stall_at is not None and state.records >= events.stall_at:
-                # Injected stall: stop consuming *and* beating, so the
-                # supervisor's miss budget is what ends us.
+                # Injected stall: stop consuming, so what we are sent
+                # goes unanswered and the owed-answer deadline ends us.
                 if trc.enabled:
                     trc.event("worker.stall", parent=ctx, shard=shard,
                               incarnation=incarnation,
@@ -390,12 +381,9 @@ def _shard_worker(
                         f"injected stall at {state.records} records",
                     )
                 while True:
-                    time.sleep(heartbeat_interval)
+                    time.sleep(_ORPHAN_POLL_SECONDS)
                     if os.getppid() != parent:
                         os._exit(2)
-            if drop_armed and state.records >= events.drop_heartbeats_at:
-                drop_armed = False
-                suppress_beats = events.drop_heartbeats
     except BaseException as exc:  # noqa: BLE001 - reported, then hard exit
         try:
             if trc.enabled:
@@ -492,6 +480,8 @@ class FabricSupervisor(AckLedger):
         outbox.close()
         self.membership.members[shard].pid = process.pid
         self._procs[shard] = process
+        # The new worker owes none of the rows its predecessor left.
+        self._sent[shard] = int(self._arena.progress[shard])
         reg = _telemetry_registry()
         if reg.enabled:
             reg.counter(
@@ -533,7 +523,7 @@ class FabricSupervisor(AckLedger):
             except Exception:  # noqa: BLE001 - teardown is best-effort
                 pass
 
-    # ---- message pump & liveness --------------------------------------
+    # ---- message pump & the liveness rule -----------------------------
 
     def _drop_inbox(self, shard: int) -> None:
         inbox = self._inboxes[shard]
@@ -586,12 +576,11 @@ class FabricSupervisor(AckLedger):
                 f"fabric: join shard={shard} incarnation={incarnation} "
                 f"pid={message[3]}"
             )
-        elif kind == "beat":
-            self.membership.heartbeat(shard, incarnation, self._wall())
-            self._heartbeats += 1
         elif kind == "ack":
+            self.membership.answer(shard, incarnation, self._wall())
             self._ack(message[3], message[4], shard, message[5])
         elif kind == "done":
+            self.membership.answer(shard, incarnation, self._wall())
             self._done[shard] = message[3]
             if len(message) > 4 and message[4] is not None:
                 reg = _telemetry_registry()
@@ -600,32 +589,58 @@ class FabricSupervisor(AckLedger):
         elif kind == "error":
             self._worker_errors[shard] = message[3]
 
-    def _dead_reason(self, shard: int) -> str | None:
-        """Why *shard* must be declared dead right now, or ``None``."""
-        if shard in self._done:
-            return None
+    def _owes(self, shard: int) -> bool:
+        """Whether *shard*'s current worker owes an answer: rows sent
+        past its progress cell, a mark, generation or snapshot request
+        it has not acked, or ``done`` after a ``stop``."""
+        if self._arena.progress[shard] < self._sent[shard]:
+            return True
+        incarnation = self.membership.members[shard].incarnation
+        if self._stopped.get(shard) == incarnation:
+            return True
+        requests = [*self._marks.values(), self._generation, self._snapshot]
+        return any(
+            request is not None and shard not in request.acks
+            for request in requests
+        )
+
+    def _dead_reason(self, shard: int, now: float) -> str | None:
+        """Why *shard* must be declared dead at *now*, or ``None``."""
         error = self._worker_errors.pop(shard, None)
         if error is not None:
             return f"worker error: {error}"
         process = self._procs[shard]
         if process is not None and not process.is_alive():
             return f"process exited with code {process.exitcode}"
-        if self.membership.overdue(shard, self._wall()):
-            age = self.membership.heartbeat_age(shard, self._wall())
-            return f"heartbeat overdue by {age:.2f}s"
-        return None
+        return self.membership.overdue(shard, now)
 
     def _reap(self) -> None:
-        """Declare and fail over every currently-dead shard."""
+        """Apply the liveness rule: fail over every shard dead now.
+
+        Runs after :meth:`_pump` took in the answers that came by pipe;
+        the progress cells are read here, so a worker is judged on
+        every answer it gave.
+        """
         reg = _telemetry_registry()
+        progress = self._arena.progress
+        membership = self.membership
         for shard in range(self.config.shards):
-            if reg.enabled and shard not in self._done:
+            if shard in self._done:
+                continue
+            now = self._wall()
+            if progress[shard] != self._seen[shard]:
+                self._seen[shard] = int(progress[shard])
+                membership.answer(
+                    shard, membership.members[shard].incarnation, now
+                )
+            membership.owe(shard, self._owes(shard), now)
+            if reg.enabled:
                 reg.gauge(
-                    "repro_fabric_heartbeat_age_seconds",
-                    "Seconds since each shard worker last proved liveness.",
+                    "repro_fabric_answer_age_seconds",
+                    "Seconds since each shard worker last answered.",
                     shard=str(shard),
-                ).set(self.membership.heartbeat_age(shard, self._wall()))
-            reason = self._dead_reason(shard)
+                ).set(membership.answer_age(shard, now))
+            reason = self._dead_reason(shard, now)
             if reason is not None:
                 self._failover(shard, reason)
         if self._on_health is not None:
@@ -646,12 +661,11 @@ class FabricSupervisor(AckLedger):
         longer the shard's current incarnation (a failover SIGKILLs and
         joins the old process before it launches the next).  The wait
         is the fabric's backpressure: it pumps and reaps like every
-        other wait here, so it may fail over any shard -- callers hold
-        nothing across it -- and workers that sit on the slot past the
-        stall budget are failed over themselves.
+        other wait here, so it may fail over any shard -- a holder that
+        owes its rows too long among them -- and callers hold nothing
+        across it.
         """
         progress = self._arena.progress
-        waited = 0.0
         deadline = perf_counter() + PUT_TIMEOUT_SECONDS
         while True:
             # Recomputed every turn: a failover's catch-up claims slots.
@@ -668,17 +682,7 @@ class FabricSupervisor(AckLedger):
             self._reap()
             if perf_counter() >= deadline:
                 deadline += PUT_TIMEOUT_SECONDS
-                waited += PUT_TIMEOUT_SECONDS
                 self._backpressure_timeouts += 1
-                if waited >= STALL_TIMEOUT_SECONDS:
-                    waited = 0.0
-                    for shard, incarnation in holders:
-                        if self.membership.is_current(shard, incarnation):
-                            self._failover(
-                                shard,
-                                f"held a ring slot for "
-                                f"{STALL_TIMEOUT_SECONDS:.1f}s",
-                            )
         sequence = self._sequence
         self._sequence += 1
         self._slot_readers[slot] = {}
@@ -726,6 +730,7 @@ class FabricSupervisor(AckLedger):
                     "rows", sequence,
                     (slot, at, at + stop - start, part.link_names), ctx,
                 ))
+                self._sent[shard] = sequence
                 room -= stop - start
                 start = stop
             if offset is not None:
@@ -749,10 +754,6 @@ class FabricSupervisor(AckLedger):
         mid-feed -- that failover's own catch-up covered the rest.
         """
         for parts in self.engine.replay_gap(base, target, faults_state):
-            # Heartbeats are timestamped at pump time, so a long replay
-            # without pumping would make every *healthy* worker look
-            # overdue and cascade into spurious failovers.
-            self._pump()
             if not self._place([(shard, parts[shard])]):
                 return False
         reg = _telemetry_registry()
@@ -905,17 +906,16 @@ class FabricSupervisor(AckLedger):
 
     def finish(self) -> list[ShardState]:
         """Stop every worker and gather final shard states."""
-        stop_sent: dict[int, int] = {}
         while len(self._done) < self.config.shards:
             for shard in range(self.config.shards):
                 if shard in self._done:
                     continue
                 incarnation = self.membership.members[shard].incarnation
-                if stop_sent.get(shard) != incarnation:
+                if self._stopped.get(shard) != incarnation:
                     self._queues[shard].put(
                         ("stop", None, None, _tracer().current_ids())
                     )
-                    stop_sent[shard] = incarnation
+                    self._stopped[shard] = incarnation
             self._wait()
         states = []
         for shard in range(self.config.shards):
@@ -933,10 +933,6 @@ class FabricSupervisor(AckLedger):
                 "repro_stream_backpressure_timeouts_total",
                 "Bounded-put timeouts while shard queues were full.",
             ).inc(self._backpressure_timeouts)
-            reg.counter(
-                "repro_fabric_heartbeats_total",
-                "Heartbeats accepted from current worker incarnations.",
-            ).inc(self._heartbeats)
 
     # ---- run ----------------------------------------------------------
 
@@ -969,7 +965,7 @@ class FabricSupervisor(AckLedger):
         :meth:`snapshot_payloads`), exactly like the threaded engine's
         ``publisher`` hook.  *on_health* receives throttled
         :meth:`~repro.stream.membership.Membership.health` summaries
-        (per-shard heartbeat age / incarnation / restarts) so a serving
+        (per-shard answer age / incarnation / restarts) so a serving
         layer can expose fabric liveness on ``/healthz``.
 
         On ``KeyboardInterrupt`` the fleet is torn down and the
@@ -997,10 +993,15 @@ class FabricSupervisor(AckLedger):
         self._queues: list = [None] * shards
         self._inboxes: list = [None] * shards
         self._records_fed = [0] * shards
+        #: Per shard, the last sequence its worker was sent rows of, and
+        #: the last value of its progress cell the reap saw.
+        self._sent = [0] * shards
+        self._seen = [0] * shards
+        #: Per shard, the incarnation ``finish`` sent ``stop``.
+        self._stopped: dict[int, int] = {}
         self._done: dict[int, dict] = {}
         self._worker_errors: dict[int, str] = {}
         self._backpressure_timeouts = 0
-        self._heartbeats = 0
         return self.engine._drive(
             self, resume, stop_after_records, progress, publisher
         )

@@ -4,39 +4,38 @@ The fabric's supervisor is the single coordinator, so membership is a
 bookkeeping table rather than a gossip protocol: each shard slot holds
 the **incarnation** currently expected to serve it, when that
 incarnation was launched, whether it completed the join handshake, and
-when it last heartbeat.  Workers include their incarnation number on
+when it last answered.  Workers include their incarnation number on
 every message; the table's :meth:`Membership.is_current` check lets the
 supervisor discard stale traffic from a prior incarnation that lingered
 in a queue after its process was declared dead.
 
-Liveness is pull-based from the supervisor's side: workers beat every
-:data:`HEARTBEAT_SECONDS` on their own wall clock, and
-:meth:`Membership.overdue` declares a member dead once its heartbeat
-age exceeds :data:`MISS_BUDGET` intervals (or, before the join handshake
-completes, once :data:`JOIN_TIMEOUT_SECONDS` passes -- a worker that
-never joins is as dead as one that stops beating).  All decisions take
-``now`` as an argument so tests drive the clock explicitly.
+Liveness is read off what the workers do anyway, never probed.  Before
+its join a worker has :data:`JOIN_TIMEOUT_SECONDS`; after it, a worker
+is overdue only while it **owes** an answer (the supervisor says so
+through :meth:`Membership.owe`) and has given none for
+:data:`STALL_TIMEOUT_SECONDS`, counted from the latest of its join, its
+last answer and the moment the obligation began.  A worker that owes
+nothing is never declared dead by a clock: an exit, a pipe at EOF or a
+reported error is how it dies then, and the supervisor sees those
+directly.  All decisions take ``now`` as an argument so tests drive the
+clock explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: How often a worker beats.  It reads its clock once per work item
-#: (or every half interval when idle) and sends a few bytes per beat,
-#: so the cadence is free; a quarter second keeps ``/healthz`` ages
-#: under a second.
-HEARTBEAT_SECONDS = 0.25
-
-#: Intervals a joined worker may stay silent before it is declared
-#: dead: 2 s at the cadence above, well past one batch's fold (~10 ms)
-#: and a GC pause, short enough that a stalled worker is replaced fast.
-MISS_BUDGET = 8
-
 #: How long a launched worker may take to complete the join handshake.
 #: Generous: a fork under memory pressure can take seconds, and a
-#: worker that never joins costs one restart, not a hang.
+#: worker restores its state before it joins, so a worker that never
+#: joins costs one restart, not a hang.
 JOIN_TIMEOUT_SECONDS = 30.0
+
+#: How long a joined worker may owe an answer without giving one: two
+#: hundred folds of a ring slot's rows (~10 ms each), well past a
+#: checkpoint's fsync and a GC pause, short enough that a wedged
+#: worker is replaced fast.
+STALL_TIMEOUT_SECONDS = 2.0
 
 
 @dataclass
@@ -48,9 +47,9 @@ class Member:
     pid: int | None = None
     launched_at: float = 0.0
     joined_at: float | None = None
-    last_heartbeat: float | None = None
+    answered_at: float | None = None
+    owes_since: float | None = None
     restarts: int = 0
-    heartbeats: int = 0
 
     @property
     def joined(self) -> bool:
@@ -77,15 +76,15 @@ class Membership:
     def launch(self, shard: int, now: float, pid: int | None = None) -> int:
         """Record a (re)launch of *shard*; returns the new incarnation.
 
-        Resets the join/heartbeat evidence -- the new process has not
-        proven liveness yet -- while preserving the restart counter.
+        Resets the join/answer evidence -- the new process has not
+        proven liveness yet and owes nothing -- while preserving the
+        restart counter.
         """
         member = self.members[shard]
         member.incarnation += 1
         member.pid = pid
         member.launched_at = now
-        member.joined_at = None
-        member.last_heartbeat = None
+        member.joined_at = member.answered_at = member.owes_since = None
         return member.incarnation
 
     def join(self, shard: int, incarnation: int, now: float,
@@ -95,19 +94,26 @@ class Membership:
         if incarnation != member.incarnation:
             return False
         member.joined_at = now
-        member.last_heartbeat = now
         if pid is not None:
             member.pid = pid
         return True
 
-    def heartbeat(self, shard: int, incarnation: int, now: float) -> bool:
-        """Record a heartbeat; False (ignored) when from a stale incarnation."""
+    def answer(self, shard: int, incarnation: int, now: float) -> bool:
+        """Record an answer; False (ignored) when from a stale incarnation."""
         member = self.members[shard]
-        if incarnation != member.incarnation or not member.joined:
+        if incarnation != member.incarnation:
             return False
-        member.last_heartbeat = now
-        member.heartbeats += 1
+        member.answered_at = now
         return True
+
+    def owe(self, shard: int, owes: bool, now: float) -> None:
+        """Say whether the current incarnation owes an answer at *now*;
+        an obligation that was already running keeps its start."""
+        member = self.members[shard]
+        if not owes:
+            member.owes_since = None
+        elif member.owes_since is None:
+            member.owes_since = now
 
     def note_restart(self, shard: int) -> int:
         """Count a restart decision; returns the total for the shard."""
@@ -123,34 +129,40 @@ class Membership:
     def restarts(self, shard: int) -> int:
         return self.members[shard].restarts
 
-    def heartbeat_age(self, shard: int, now: float) -> float:
-        """Seconds since the member last proved liveness.
+    def answer_age(self, shard: int, now: float) -> float:
+        """Seconds since the member last answered or joined.
 
         Before the join completes this measures from launch, so a
         worker stuck in startup accrues age like a silent one.
         """
         member = self.members[shard]
-        basis = member.last_heartbeat
-        if basis is None:
-            basis = member.launched_at
+        basis = max(
+            member.launched_at, member.joined_at or 0.0,
+            member.answered_at or 0.0,
+        )
         return max(0.0, now - basis)
 
-    def overdue(self, shard: int, now: float) -> bool:
-        """True when the member must be declared dead and reassigned."""
+    def overdue(self, shard: int, now: float) -> str | None:
+        """Why the member must be declared dead and reassigned, or None."""
         member = self.members[shard]
         if member.incarnation < 0:
-            return False  # never launched
+            return None  # never launched
         if not member.joined:
-            return now - member.launched_at > JOIN_TIMEOUT_SECONDS
-        assert member.last_heartbeat is not None
-        return now - member.last_heartbeat > MISS_BUDGET * HEARTBEAT_SECONDS
+            if now - member.launched_at > JOIN_TIMEOUT_SECONDS:
+                return f"no join within {JOIN_TIMEOUT_SECONDS:.1f}s"
+        elif member.owes_since is not None:
+            silent = now - max(member.joined_at, member.answered_at or 0.0,
+                               member.owes_since)
+            if silent > STALL_TIMEOUT_SECONDS:
+                return f"owes an answer, silent for {silent:.2f}s"
+        return None
 
     def health(self, now: float) -> list[dict]:
         """Per-shard liveness summary, JSON-ready for ``/healthz``.
 
         One dict per shard: current incarnation, pid, whether the join
-        handshake completed, restart count, heartbeat age in seconds,
-        and accepted-heartbeat total.
+        handshake completed, restart count, answer age in seconds, and
+        whether it owes an answer now.
         """
         summary = []
         for shard in range(self.shards):
@@ -162,8 +174,8 @@ class Membership:
                     "pid": member.pid,
                     "joined": member.joined,
                     "restarts": member.restarts,
-                    "heartbeat_age": round(self.heartbeat_age(shard, now), 3),
-                    "heartbeats": member.heartbeats,
+                    "answer_age": round(self.answer_age(shard, now), 3),
+                    "owes": member.owes_since is not None,
                 }
             )
         return summary

@@ -50,25 +50,22 @@ settings.register_profile(
 #: patch reaches tables and ingestors already built, and a fabric
 #: worker forked afterwards inherits it.
 _TIMINGS = {
-    "heartbeat_interval": (membership, "HEARTBEAT_SECONDS"),
-    "miss_budget": (membership, "MISS_BUDGET"),
     "join_timeout": (membership, "JOIN_TIMEOUT_SECONDS"),
+    "stall_timeout": (membership, "STALL_TIMEOUT_SECONDS"),
     "max_restarts": (fabric, "MAX_RESTARTS"),
     "restart_backoff": (fabric, "RESTART_BACKOFF_SECONDS"),
     "restart_backoff_max": (fabric, "RESTART_BACKOFF_MAX_SECONDS"),
     "put_timeout": (fabric, "PUT_TIMEOUT_SECONDS"),
-    "stall_timeout": (fabric, "STALL_TIMEOUT_SECONDS"),
     "queue_chunks": (ingest, "MAX_QUEUE_CHUNKS"),
     "ingest_put_timeout": (ingest, "PUT_TIMEOUT_SECONDS"),
     "ingest_stall_timeout": (ingest, "STALL_TIMEOUT_SECONDS"),
 }
 
-#: Supervision tuned for tests: fast heartbeats so injected stalls and
-#: dropped heartbeats are detected in fractions of a second, and a
-#: short restart backoff.
+#: Supervision tuned for tests: a worker owing an answer for half a
+#: second is dead, so an injected stall is detected in a fraction of a
+#: second, and a short restart backoff.
 FAST_FABRIC = dict(
-    heartbeat_interval=0.05,
-    miss_budget=4,
+    stall_timeout=0.5,
     restart_backoff=0.01,
     restart_backoff_max=0.05,
 )

@@ -173,8 +173,8 @@ def test_sigkill_supervisor_then_resume_is_byte_identical(tmp_path):
     assert not resumed.exists()  # killed before the report was written
 
     # Orphaned workers detect the dead supervisor via getppid and exit
-    # on their own; give them a couple of heartbeats, then assert none
-    # of the launched worker pids linger.
+    # on their own; give them a few polls, then assert none of the
+    # launched worker pids linger.
     worker_pids = [int(pid) for _s, _i, pid in _LAUNCH_RE.findall(text)]
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
@@ -200,11 +200,12 @@ _ORPHAN_SCRIPT = """
 import multiprocessing, os, signal, struct, sys, types
 
 from repro.faults.worker import WorkerFaultEvents
-from repro.stream import membership
+from repro.stream import fabric
 from repro.stream.fabric import _Arena, _shard_worker
 
-# The workers fork after this, so they beat (and poll) at 0.05 s.
-membership.HEARTBEAT_SECONDS = 0.05
+# The workers fork after this, so they look for their supervisor every
+# 0.05 s.
+fabric._ORPHAN_POLL_SECONDS = 0.05
 ctx = multiprocessing.get_context("fork")
 queues = [ctx.Queue(), ctx.Queue()]
 inboxes, outboxes = zip(*(ctx.Pipe(duplex=False) for _ in range(2)))

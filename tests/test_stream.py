@@ -131,6 +131,14 @@ class TestEquivalence:
         assert result.report == batch_survey_report(config, dataset=small_dtcp18)
         assert result.records_delivered < result.records_read  # faults dropped
 
+    def test_truncated_stream_matches_its_own_oracle(self, small_dtcp18,
+                                                     batch_report):
+        """The oracle replays to the config's end, not the dataset's."""
+        config = small_config(shards=2, end=days(2))
+        result = StreamEngine(config, dataset=small_dtcp18).run()
+        assert result.report == batch_survey_report(config, dataset=small_dtcp18)
+        assert result.report != batch_report
+
     def test_merged_table_matches_batch_table(self, small_dtcp18):
         result = StreamEngine(small_config(shards=4), dataset=small_dtcp18).run()
         reference = PassiveServiceTable(

@@ -1,20 +1,23 @@
 """Distributed shard fabric: membership, chaos identity, checkpoint store.
 
 The fabric's contract is that supervision is *invisible in the output*:
-whatever combination of worker crashes, stalls, and falsely-dropped
-heartbeats occurs, the merged report must stay byte-identical to the
+whatever combination of worker crashes, stalls, and healthy workers
+declared dead occurs, the merged report must stay byte-identical to the
 single-process batch path.  The chaos tests here inject every fault
-kind deterministically (seeded :class:`WorkerFaultPlan`) and assert
-exactly that.  The checkpoint tests cover the new durability layers:
-CRC-trailer corruption detection and per-shard generation fallback.
+kind deterministically (seeded :class:`WorkerFaultPlan`, or a worker
+made slow inside one answer) and assert exactly that.  The checkpoint
+tests cover the new durability layers: CRC-trailer corruption
+detection and per-shard generation fallback.
 SIGKILL-based failure injection (worker and supervisor) lives in
 ``test_fabric_recovery.py``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import tempfile
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.faults.worker import WorkerFaultPlan
+from repro.simkernel.clock import hours
 from repro.stream import (
     CheckpointCorrupt,
     CheckpointError,
@@ -42,7 +46,7 @@ from repro.stream import (
     save_checkpoint,
 )
 from repro.stream.engine import _fresh_table
-from repro.stream.shard import ShardState
+from repro.stream.shard import ShardServant, ShardState
 
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
 
@@ -52,12 +56,12 @@ SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
 
 @pytest.fixture
 def liveness(timings):
-    """A 0.1 s heartbeat and a budget of 3 missed beats."""
-    timings(heartbeat_interval=0.1, miss_budget=3, join_timeout=5.0)
+    """A 0.3 s owed-answer deadline and a 5 s join timeout."""
+    timings(stall_timeout=0.3, join_timeout=5.0)
     return timings
 
 
-def test_membership_join_heartbeat_lifecycle(liveness):
+def test_membership_owing_member_is_overdue_just_past_the_deadline(liveness):
     ms = Membership(shards=2)
     assert not ms.overdue(0, now=100.0)  # never launched
 
@@ -66,10 +70,43 @@ def test_membership_join_heartbeat_lifecycle(liveness):
     assert not ms.members[0].joined
     assert ms.join(0, inc, now=0.2, pid=42)
     assert ms.members[0].pid == 42
-    assert ms.heartbeat(0, inc, now=0.5)
-    assert ms.heartbeat_age(0, now=0.7) == pytest.approx(0.2)
-    assert not ms.overdue(0, now=0.5 + 0.3)
+    assert ms.answer(0, inc, now=0.5)
+    assert ms.answer_age(0, now=0.7) == pytest.approx(0.2)
+    # Owing since 0.4, answered at 0.5: the clock runs from the answer.
+    ms.owe(0, True, now=0.4)
+    ms.owe(0, True, now=0.6)  # still the same obligation
+    assert not ms.overdue(0, now=0.5 + 0.29)
     assert ms.overdue(0, now=0.5 + 0.31)
+    # An obligation that begins long after the last answer gets the
+    # whole deadline from its own start.
+    ms.owe(0, False, now=0.9)
+    ms.owe(0, True, now=10.0)
+    assert not ms.overdue(0, now=10.29)
+    assert ms.overdue(0, now=10.31)
+    # A replacement joining late is judged from its join.
+    inc = ms.launch(0, now=20.0)
+    ms.owe(0, True, now=20.0)
+    ms.join(0, inc, now=21.0)
+    assert not ms.overdue(0, now=21.29)
+    assert ms.overdue(0, now=21.31)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    joined=st.floats(0.0, 1e6),
+    answered=st.none() | st.floats(0.0, 1e6),
+    later=st.floats(0.0, 1e9),
+)
+def test_membership_idle_joined_member_is_never_overdue(joined, answered,
+                                                        later):
+    ms = Membership(shards=1)
+    inc = ms.launch(0, now=0.0)
+    ms.join(0, inc, now=joined)
+    if answered is not None:
+        ms.answer(0, inc, now=answered)
+    ms.owe(0, True, now=joined)
+    ms.owe(0, False, now=joined)  # answered all it owed
+    assert not ms.overdue(0, now=joined + later)
 
 
 def test_membership_unjoined_worker_times_out(liveness):
@@ -87,11 +124,17 @@ def test_membership_rejects_stale_incarnations(liveness):
     new = ms.launch(0, now=1.0)
     assert new == old + 1
     assert not ms.join(0, old, now=1.1)
-    assert not ms.heartbeat(0, old, now=1.1)
     assert not ms.is_current(0, old)
     assert ms.is_current(0, new)
     # The relaunch reset liveness evidence: the new worker must join.
     assert not ms.members[0].joined
+    ms.join(0, new, now=1.2)
+    ms.owe(0, True, now=1.5)
+    # A stale incarnation's answer changes nothing.
+    before = ms.health(now=1.9)
+    assert not ms.answer(0, old, now=1.8)
+    assert ms.health(now=1.9) == before
+    assert ms.overdue(0, now=1.5 + 0.31)
 
 
 def test_membership_restart_counter(liveness):
@@ -106,14 +149,11 @@ def test_membership_restart_counter(liveness):
 
 
 def test_worker_fault_plan_is_deterministic():
-    plan = WorkerFaultPlan(seed=3, crash_rate=1.0, stall_rate=0.5,
-                           heartbeat_drop_rate=0.5)
-    again = WorkerFaultPlan(seed=3, crash_rate=1.0, stall_rate=0.5,
-                            heartbeat_drop_rate=0.5)
+    plan = WorkerFaultPlan(seed=3, crash_rate=1.0, stall_rate=0.5)
+    again = WorkerFaultPlan(seed=3, crash_rate=1.0, stall_rate=0.5)
     for shard in range(4):
         assert plan.events_for(shard, 0) == again.events_for(shard, 0)
-    other = WorkerFaultPlan(seed=4, crash_rate=1.0, stall_rate=0.5,
-                            heartbeat_drop_rate=0.5)
+    other = WorkerFaultPlan(seed=4, crash_rate=1.0, stall_rate=0.5)
     assert any(
         plan.events_for(shard, 0) != other.events_for(shard, 0)
         for shard in range(8)
@@ -480,33 +520,134 @@ def test_fabric_crash_chaos_is_byte_identical(small_dtcp18, batch_reference,
         config, FabricConfig(worker_faults=faults), dataset=small_dtcp18,
     ).run(on_event=events.append)
     assert result.report == batch_reference
-    # The injected crashes account for one death per shard; on a loaded
-    # machine the tight FAST_FABRIC miss budget can also declare a *healthy*
-    # worker dead (late heartbeat), which the fabric must absorb the
-    # same way -- so the floor is exact but the ceiling is not.
-    assert sum(1 for line in events if line.startswith("fabric: dead")) >= 4
+    # The injected crashes are the only deaths: a healthy worker that
+    # keeps answering what it owes is never declared dead.
+    dead = [line for line in events if line.startswith("fabric: dead")]
+    assert len(dead) == 4, dead
+    assert all("process exited with code 137" in line for line in dead)
 
 
 def test_fabric_stall_chaos_is_byte_identical(small_dtcp18, batch_reference,
-                                              fast_fabric):
-    """A stalled worker is declared dead by the miss budget and replaced."""
-    config = _config(shards=2)
+                                              monkeypatch, fast_fabric):
+    """A stalled worker leaves the rows it was sent unanswered and is
+    failed over by the owed-answer deadline.  In the recorded trace's
+    large chunks the ring never fills and the supervisor finds it
+    between batches; in small regenerated batches the supervisor is
+    waiting for the ring slots the stalled worker holds."""
     faults = WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON)
+    for batch_records in (None, 2048):
+        overrides = {}
+        with monkeypatch.context() as patch:
+            if batch_records is not None:
+                patch.setenv("REPRO_TRACE_CACHE", "off")
+                overrides["batch_records"] = batch_records
+            events = []
+            result = FabricSupervisor(
+                _config(shards=2, **overrides),
+                FabricConfig(worker_faults=faults),
+                dataset=small_dtcp18,
+            ).run(on_event=events.append)
+        assert result.report == batch_reference, batch_records
+        assert any(
+            line.startswith("fabric: dead") and "owes an answer" in line
+            for line in events
+        ), batch_records
+
+
+def _slow_first_answer(monkeypatch, kind: str, seconds: float) -> None:
+    """Shard 0's first worker sleeps *seconds* inside its first *kind*
+    request; every other worker, its replacement included, runs at full
+    speed.  Patched before the fleet forks, so the workers inherit it;
+    the event they share says whether the sleep was taken."""
+    slept = multiprocessing.get_context("fork").Event()
+    handle = ShardServant.handle
+
+    def slow_handle(servant, request):
+        if (request[0] == kind and servant.state.index == 0
+                and not slept.is_set()):
+            slept.set()
+            time.sleep(seconds)
+        return handle(servant, request)
+
+    monkeypatch.setattr(ShardServant, "handle", slow_handle)
+
+
+def test_fabric_worker_wedged_in_a_checkpoint_is_failed_over(
+    small_dtcp18, batch_reference, tmp_path, monkeypatch, fast_fabric
+):
+    """A worker wedged in the generation it was asked to write (for far
+    longer than the deadline) owes that answer: it is failed over, the
+    generation aborts and a later one commits."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    _slow_first_answer(monkeypatch, "ckpt", 30.0)
+    config = _config(
+        shards=2, batch_records=8192, checkpoint_every=hours(24),
+        checkpoint_path=str(tmp_path / "store"),
+    )
     events = []
     result = FabricSupervisor(
-        config, FabricConfig(worker_faults=faults), dataset=small_dtcp18,
+        config, FabricConfig(), dataset=small_dtcp18
     ).run(on_event=events.append)
     assert result.report == batch_reference
-    assert any("heartbeat overdue" in line for line in events)
+    dead = [line for line in events if line.startswith("fabric: dead")]
+    assert len(dead) == 1 and "shard=0" in dead[0], dead
+    assert "owes an answer" in dead[0]
+    manifests = [line for line in events
+                 if line.startswith("fabric: manifest")]
+    assert manifests
+    assert not any("generation=1 " in line for line in manifests)
+
+
+def test_fabric_worker_owing_only_an_ack_is_failed_over(
+    small_dtcp18, batch_reference, monkeypatch, fast_fabric
+):
+    """The end-of-stream mark comes after every row: a worker wedged in
+    it has folded all it was sent and owes that ack alone."""
+    _slow_first_answer(monkeypatch, "mark", 30.0)
+    events = []
+    result = FabricSupervisor(
+        _config(shards=2, emit_every=None), FabricConfig(),
+        dataset=small_dtcp18,
+    ).run(on_event=events.append)
+    assert result.report == batch_reference
+    dead = [line for line in events if line.startswith("fabric: dead")]
+    assert len(dead) == 1 and "shard=0" in dead[0], dead
+    assert "owes an answer" in dead[0]
+
+
+def test_fabric_worker_always_behind_is_not_declared_dead(
+    small_dtcp18, batch_reference, monkeypatch, fast_fabric
+):
+    """Workers slower than the supervisor owe rows from the first batch
+    to the last, for longer than the deadline, and are sent nothing else
+    to answer; each fold they finish is an answer, so none of them is
+    declared dead."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    handle = ShardServant.handle
+
+    def slow_handle(servant, request):
+        if request[0] == "rows":
+            time.sleep(0.01)
+        return handle(servant, request)
+
+    monkeypatch.setattr(ShardServant, "handle", slow_handle)
+    fast_fabric(stall_timeout=0.3)
+    events = []
+    result = FabricSupervisor(
+        _config(shards=2, batch_records=2048, emit_every=None),
+        FabricConfig(), dataset=small_dtcp18,
+    ).run(on_event=events.append)
+    assert result.report == batch_reference
+    assert not [line for line in events if line.startswith("fabric: dead")]
 
 
 class TickingClock:
     """A supervisor clock that advances a fixed step each time it is read.
 
     Membership deadlines then elapse in supervisor steps, not seconds: a
-    worker that has gone silent is overdue after a fixed number of
-    reads however fast the pass runs, and a worker that keeps beating
-    has the real time those reads take in which to be heard.
+    worker that owes an answer is overdue after a fixed number of reads
+    however fast the pass runs, and a worker that answers has the real
+    time those reads take in which to be heard.
     """
 
     def __init__(self, step: float) -> None:
@@ -518,51 +659,36 @@ class TickingClock:
         return self.now
 
 
-def test_fabric_worker_holding_the_ring_is_failed_over(
-    small_dtcp18, batch_reference, monkeypatch, fast_fabric
-):
-    """With the miss budget out of reach, what ends a wedged worker is
-    the ring: the supervisor cannot reuse the slots it was sent rows of."""
-    fast_fabric(miss_budget=10_000, put_timeout=0.02, stall_timeout=0.2)
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-    config = _config(shards=2, batch_records=2048)
-    faults = WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON)
-    events = []
-    result = FabricSupervisor(
-        config, FabricConfig(worker_faults=faults), dataset=small_dtcp18,
-    ).run(on_event=events.append)
-    assert result.report == batch_reference
-    assert any("held a ring slot" in line for line in events)
-    assert not any("heartbeat overdue" in line for line in events)
-
-
-def test_fabric_heartbeat_drop_false_positive_is_byte_identical(
+def test_fabric_late_answer_false_positive_is_byte_identical(
     small_dtcp18, batch_reference, monkeypatch, timings
 ):
-    """Killing a *healthy* worker (dropped beats) must also be invisible."""
-    # Regenerate the stream in small batches, so the run is a few hundred
-    # supervisor steps long whatever the machine's speed.
+    """Killing a *healthy* worker whose answer is merely late must also
+    be invisible."""
+    # Regenerate the stream in small batches, so the run is a few
+    # thousand supervisor steps long whatever the machine's speed.
     monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
     config = _config(shards=2, batch_records=2048)
-    # Silent from its first batch and for the rest of the run.  The miss
-    # budget is 100 clock reads (~20 batches, tens of milliseconds) in
-    # which a healthy worker, beating every 5 ms, is heard many times
-    # over; a late beat on a loaded machine is itself a false positive
-    # the fabric must absorb, hence the roomy restart budget.
-    faults = WorkerFaultPlan(seed=8, heartbeat_drop_rate=1.0,
-                             heartbeat_drop_beats=100_000,
-                             horizon_records=1_000)
-    timings(heartbeat_interval=0.005, miss_budget=2, max_restarts=25,
+    # The deadline is a thousand clock reads (a few hundred supervisor
+    # steps, a fraction of a second) in which a healthy worker answers
+    # a batch many times over; shard 0's first one takes two seconds
+    # over its first batch, long after it is declared dead.  A late
+    # answer on a loaded machine is another false positive the fabric
+    # must absorb, hence the roomy restart budget.
+    _slow_first_answer(monkeypatch, "rows", 2.0)
+    timings(stall_timeout=0.01, max_restarts=25,
             restart_backoff=0.01, restart_backoff_max=0.05)
     events = []
     result = FabricSupervisor(
         config,
-        FabricConfig(worker_faults=faults),
+        FabricConfig(),
         dataset=small_dtcp18,
-        clock=TickingClock(0.005 * 2 / 100),
+        clock=TickingClock(0.01 / 1000),
     ).run(on_event=events.append)
     assert result.report == batch_reference
-    assert any("heartbeat overdue" in line for line in events)
+    assert any(
+        line.startswith("fabric: dead shard=0") and "owes an answer" in line
+        for line in events
+    )
 
 
 def test_fabric_with_capture_faults_matches_batch(small_dtcp18, fast_fabric):

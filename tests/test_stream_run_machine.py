@@ -2,9 +2,9 @@
 
 A :class:`~repro.stream.engine._Run` is stepped one batch at a time
 over the inline transport (no threads), as ``StreamEngine._drive``
-steps it, with hypothesis choosing the run (batch size, shard count,
-mark / checkpoint / snapshot intervals, capture faults, online probing)
-and when to carry its :meth:`~repro.stream.engine._Run.progress` into a
+steps it, with hypothesis choosing the run (its end, batch size, shard
+count, mark / checkpoint / snapshot intervals, capture faults, online
+probing) and when to carry its :meth:`~repro.stream.engine._Run.progress` into a
 fresh run.  After every step:
 
 - stream time, record counts and watermarks only move forward;
@@ -14,7 +14,9 @@ fresh run.  After every step:
   takes the same next step: equal ``progress()`` after it.
 
 At the end the run is drained and finished, and its report must be the
-batch path's, byte for byte.  Tier-1 runs a few short runs; CI's deeper
+batch path's, byte for byte.  Most runs stop a few stream days in, so
+a failing example shrinks to a short run in seconds.  Tier-1 runs a few
+short runs; CI's deeper
 pass runs many longer ones (``--hypothesis-profile=deep``, registered
 in ``tests/conftest.py``).
 """
@@ -26,7 +28,8 @@ import tempfile
 from collections import deque
 from dataclasses import replace
 
-from hypothesis import HealthCheck, settings
+import numpy as np
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -42,15 +45,18 @@ from repro.core.report import survey_table
 from repro.faults.plan import FaultPlan
 from repro.passive.monitor import PassiveServiceTable
 from repro.probe import build_prober
-from repro.simkernel.clock import hours
+from repro.simkernel.clock import days, hours
 from repro.stream import StreamConfig, StreamEngine, batch_survey_report
 from repro.stream.engine import _InlineTransport, _Run
+from repro.trace.columnar import COLUMN_FIELDS, RecordColumns
 
 #: Must match the session-scoped ``small_dtcp18`` fixture's build.
 SMALL = dict(dataset="DTCP1-18d", seed=7, scale=0.04)
 
 #: Tier-1 keeps the machine small; the ``deep`` profile sets its own.
-MACHINE = (
+#: Neither explains a failure: varying each choice of a shrunk run one
+#: at a time costs minutes of runs and names none of the cause.
+MACHINE = settings(
     settings.get_profile("deep")
     if settings.get_current_profile_name() == "deep"
     else settings(
@@ -58,19 +64,25 @@ MACHINE = (
         stateful_step_count=30,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
-    )
+    ),
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 
 #: Mark, checkpoint and snapshot intervals, in sim hours (None: off).
 INTERVALS = st.sampled_from([None, 6, 12, 24, 36])
 
+#: The run's end: a few of the dataset's 18 days, or all of it (None).
+#: One choice, shortest first, so a failing run shrinks to a short one.
+ENDS = st.sampled_from([days(1), days(2), days(4), None])
+
 
 def batch_report(config: StreamConfig, dataset) -> str:
-    """The batch path's report for *config*.  With a probe policy its
-    active side is the policy's whole schedule fired at once, at the end
-    of the stream, instead of the build-time scans."""
+    """The batch path's report for *config*, to its end.  With a probe
+    policy its active side is the policy's whole schedule fired at once,
+    at the end of the stream, instead of the build-time scans."""
     if config.probe_policy is None:
         return batch_survey_report(config, dataset)
+    end = StreamEngine(config, dataset)._effective_end()
     table = PassiveServiceTable(
         is_campus=dataset.is_campus,
         tcp_ports=dataset.tcp_ports,
@@ -78,12 +90,12 @@ def batch_report(config: StreamConfig, dataset) -> str:
     )
     plan = config.faults
     faults = plan.capture_filter(dataset.duration) if plan else None
-    records = dataset.replay(table, faults=faults)
+    records = dataset.replay(table, end=end, faults=faults)
     prober = build_prober(
         dataset, config.probe_policy, config.probe_rate,
-        config.probe_ports, config.seed, dataset.duration,
+        config.probe_ports, config.seed, end,
     )
-    prober.advance(dataset.duration)
+    prober.advance(end)
     summary = summarize_overlap(
         table.server_addresses(), prober.open_addresses()
     )
@@ -119,13 +131,15 @@ class _Publisher:
 class RunMachine(RuleBasedStateMachine):
     """One stream run over ``small_dtcp18``, a batch per ``step``.
 
-    *oracles* caches ``batch_report`` across runs by (faults, policy,
-    rate): it does not depend on shards, batch size or intervals."""
+    *oracles* caches ``batch_report`` across runs by (end, faults,
+    policy, rate): it does not depend on shards, batch size or
+    intervals.  *sources* caches the source by end."""
 
-    def __init__(self, dataset, oracles: dict) -> None:
+    def __init__(self, dataset, oracles: dict, sources: dict) -> None:
         super().__init__()
         self.dataset = dataset
         self.oracles = oracles
+        self.sources = sources
         self.root = tempfile.mkdtemp(prefix="repro-run-machine-")
         self.runs = 0
         #: Every checkpoint payload, as requested, by every run.
@@ -136,6 +150,7 @@ class RunMachine(RuleBasedStateMachine):
         self.twin: _Run | None = None
 
     @initialize(
+        end=ENDS,
         batch_records=st.integers(2_000, 20_000),
         shards=st.integers(1, 4),
         emit=INTERVALS,
@@ -145,7 +160,7 @@ class RunMachine(RuleBasedStateMachine):
         policy=st.sampled_from([None, "periodic", "heartbeat"]),
         rate=st.sampled_from([0.5, 5.0]),
     )
-    def start(self, batch_records, shards, emit, checkpoint, snapshot,
+    def start(self, end, batch_records, shards, emit, checkpoint, snapshot,
               fault_seed, policy, rate):
         def seconds(every):
             return None if every is None else hours(every)
@@ -158,18 +173,26 @@ class RunMachine(RuleBasedStateMachine):
                 outage_fraction=0.03, outage_count=2,
             )
         self.config = StreamConfig(
-            **SMALL, shards=shards, batch_records=batch_records,
+            **SMALL, end=end, shards=shards, batch_records=batch_records,
             emit_every=seconds(emit), checkpoint_every=seconds(checkpoint),
             snapshot_every=seconds(snapshot), faults=faults,
             probe_policy=policy, probe_rate=rate if policy else 0.0,
         )
         self.run = self._fresh_run()
-        # The source, cut into batch_records-sized batches whatever it
-        # was read in (a recorded trace comes in its recording's chunks).
+        # The source, read once per end (a truncated one regenerates)
+        # and cut into batch_records-sized batches whatever it was read
+        # in (a recorded trace comes in its recording's chunks).
+        if end not in self.sources:
+            chunks = list(self.run.batches())
+            self.sources[end] = RecordColumns(
+                *(np.concatenate([getattr(chunk, name) for chunk in chunks])
+                  for name, _dtype in COLUMN_FIELDS),
+                link_names=chunks[0].link_names,
+            )
+        source = self.sources[end]
         self.batches = deque(
-            chunk.slice(lo, lo + batch_records)
-            for chunk in self.run.batches()
-            for lo in range(0, len(chunk), batch_records)
+            source.slice(lo, lo + batch_records)
+            for lo in range(0, len(source), batch_records)
         )
         self.seen = (0, 0, 0.0, 0)
         self.checked = 0
@@ -250,8 +273,8 @@ class RunMachine(RuleBasedStateMachine):
         self.run.transport.close()
         result = self.run.finish()
         self.holds()
-        key = (self.config.faults, self.config.probe_policy,
-               self.config.probe_rate)
+        key = (self.config.end, self.config.faults,
+               self.config.probe_policy, self.config.probe_rate)
         if key not in self.oracles:
             self.oracles[key] = batch_report(self.config, self.dataset)
         assert result.report == self.oracles[key]
@@ -272,6 +295,8 @@ class RunMachine(RuleBasedStateMachine):
 
 def test_run_machine(small_dtcp18):
     oracles: dict = {}
+    sources: dict = {}
     run_state_machine_as_test(
-        lambda: RunMachine(small_dtcp18, oracles), settings=MACHINE
+        lambda: RunMachine(small_dtcp18, oracles, sources),
+        settings=MACHINE,
     )

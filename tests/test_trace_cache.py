@@ -32,6 +32,7 @@ from repro.passive.monitor import PassiveServiceTable, replay_columnar
 from repro.passive.sampling import SamplingTable
 from repro.passive.scandetect import ExternalScanDetector, ScanDetectorConfig
 from repro.stream.shard import ShardState
+from repro.trace import cache as cache_module
 from repro.trace.cache import (
     ENV_VAR,
     TraceCache,
@@ -853,7 +854,12 @@ class TestTraceCache:
         assert not path.exists()
         assert cache.stats.evictions == 1
 
-    def test_disabled_cache_replay_still_works(self, monkeypatch, dataset):
+    def test_disabled_cache_replay_still_works(self, monkeypatch, tmp_path,
+                                               dataset):
+        # A disabled cache is rooted at the default directory under
+        # HOME: point that at an empty one, and build the cache afresh.
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setattr(cache_module, "_default", None)
         monkeypatch.setenv(ENV_VAR, "off")
         table = PassiveServiceTable(
             is_campus=dataset.is_campus, tcp_ports=dataset.tcp_ports

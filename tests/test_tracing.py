@@ -459,12 +459,12 @@ class TestIngestStallDump:
 
 
 class TestMembershipHealth:
-    def test_health_reports_per_shard_state(self, timings):
-        timings(heartbeat_interval=0.1, miss_budget=3, join_timeout=5.0)
+    def test_health_reports_per_shard_state(self):
         ms = Membership(shards=2)
         inc = ms.launch(0, now=0.0)
         ms.join(0, inc, now=0.2, pid=42)
-        ms.heartbeat(0, inc, now=0.5)
+        ms.answer(0, inc, now=0.5)
+        ms.owe(0, True, now=0.6)
         health = ms.health(now=1.0)
         assert [h["shard"] for h in health] == [0, 1]
         first = health[0]
@@ -472,9 +472,10 @@ class TestMembershipHealth:
         assert first["pid"] == 42
         assert first["joined"] is True
         assert first["restarts"] == 0
-        assert first["heartbeat_age"] == pytest.approx(0.5)
-        assert first["heartbeats"] == 1
+        assert first["answer_age"] == pytest.approx(0.5)
+        assert first["owes"] is True
         assert health[1]["joined"] is False
+        assert health[1]["owes"] is False
 
 
 # ---- query service: /tracez, /healthz, traceparent --------------------
@@ -531,7 +532,7 @@ class TestQueryTraceSurface:
         state = QueryState()
         state.update_fabric([
             {"shard": 0, "incarnation": 1, "pid": 7, "joined": True,
-             "restarts": 1, "heartbeat_age": 0.1, "heartbeats": 12},
+             "restarts": 1, "answer_age": 0.1, "owes": False},
         ])
         enable_tracing(tmp_path, process="engine")
         _, _, body = handle_request(state, "GET", "/healthz")
@@ -632,7 +633,7 @@ def test_cli_serve_trace_answers_tracez_and_exits_on_sigterm(tmp_path):
         assert health["ok"] and health["ingest"] == "finished"
         assert health["flight"]["limit"] > 0
         assert len(health["fabric"]) == 2
-        assert {"incarnation", "restarts", "heartbeat_age"} <= set(
+        assert {"incarnation", "restarts", "answer_age", "owes"} <= set(
             health["fabric"][0]
         )
 
