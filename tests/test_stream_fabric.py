@@ -528,30 +528,62 @@ def test_fabric_crash_chaos_is_byte_identical(small_dtcp18, batch_reference,
 
 
 def test_fabric_stall_chaos_is_byte_identical(small_dtcp18, batch_reference,
-                                              monkeypatch, fast_fabric):
+                                              fast_fabric):
     """A stalled worker leaves the rows it was sent unanswered and is
     failed over by the owed-answer deadline.  In the recorded trace's
-    large chunks the ring never fills and the supervisor finds it
-    between batches; in small regenerated batches the supervisor is
-    waiting for the ring slots the stalled worker holds."""
+    large chunks the ring never fills: the supervisor finds it between
+    batches."""
     faults = WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON)
-    for batch_records in (None, 2048):
-        overrides = {}
-        with monkeypatch.context() as patch:
-            if batch_records is not None:
-                patch.setenv("REPRO_TRACE_CACHE", "off")
-                overrides["batch_records"] = batch_records
-            events = []
-            result = FabricSupervisor(
-                _config(shards=2, **overrides),
-                FabricConfig(worker_faults=faults),
-                dataset=small_dtcp18,
-            ).run(on_event=events.append)
-        assert result.report == batch_reference, batch_records
-        assert any(
-            line.startswith("fabric: dead") and "owes an answer" in line
-            for line in events
-        ), batch_records
+    events = []
+    result = FabricSupervisor(
+        _config(shards=2), FabricConfig(worker_faults=faults),
+        dataset=small_dtcp18,
+    ).run(on_event=events.append)
+    assert result.report == batch_reference
+    assert any(
+        line.startswith("fabric: dead") and "owes an answer" in line
+        for line in events
+    )
+
+
+def test_fabric_worker_holding_the_ring_is_failed_over(
+    small_dtcp18, batch_reference, monkeypatch, fast_fabric
+):
+    """In small regenerated batches a stalled worker holds the ring
+    slots it was sent rows of, and the supervisor waits for one of them
+    until the owed-answer deadline fails the worker over."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    claiming = []
+    failovers_while_claiming = []
+    claim_slot = FabricSupervisor._claim_slot
+    failover = FabricSupervisor._failover
+
+    def tracked_claim_slot(supervisor):
+        claiming.append(True)
+        try:
+            return claim_slot(supervisor)
+        finally:
+            claiming.pop()
+
+    def tracked_failover(supervisor, shard, reason):
+        failovers_while_claiming.append(bool(claiming))
+        return failover(supervisor, shard, reason)
+
+    monkeypatch.setattr(FabricSupervisor, "_claim_slot", tracked_claim_slot)
+    monkeypatch.setattr(FabricSupervisor, "_failover", tracked_failover)
+    faults = WorkerFaultPlan(seed=5, stall_rate=1.0, horizon_records=HORIZON)
+    events = []
+    result = FabricSupervisor(
+        _config(shards=2, batch_records=2048),
+        FabricConfig(worker_faults=faults),
+        dataset=small_dtcp18,
+    ).run(on_event=events.append)
+    assert result.report == batch_reference
+    assert any(
+        line.startswith("fabric: dead") and "owes an answer" in line
+        for line in events
+    )
+    assert any(failovers_while_claiming), failovers_while_claiming
 
 
 def _slow_first_answer(monkeypatch, kind: str, seconds: float) -> None:
