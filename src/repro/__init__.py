@@ -32,7 +32,7 @@ Quickstart::
     print(len(table.server_addresses()), "servers found passively")
 """
 
-from repro.active.prober import HalfOpenScanner, ScannerConfig
+from repro.active.prober import HalfOpenScanner
 from repro.active.udp_scan import GenericUdpProber
 from repro.core.completeness import CompletenessSummary, summarize_overlap
 from repro.core.timeline import DiscoveryTimeline
@@ -61,7 +61,6 @@ __all__ = [
     "GenericUdpProber",
     "HalfOpenScanner",
     "PassiveServiceTable",
-    "ScannerConfig",
     "ServiceSignal",
     "__version__",
     "build_dataset",

@@ -2,9 +2,9 @@
 
 An Nmap-like scanner operating against the simulated campus:
 
-* :mod:`repro.active.prober` -- half-open TCP scanning with rate
-  limiting and multi-machine parallelism (the paper split the space
-  "roughly in half and scanned separately by two internal machines");
+* :mod:`repro.active.prober` -- half-open TCP scanning from two
+  machines (the paper split the space "roughly in half and scanned
+  separately by two internal machines");
 * :mod:`repro.active.udp_scan` -- generic UDP probing with the paper's
   response-interpretation rules (Section 4.5);
 * :mod:`repro.active.schedule` -- the every-12-hours 11:00/23:00 scan

@@ -1,7 +1,7 @@
 """Half-open TCP scanning.
 
-The scanner walks its target list at a configured rate, sending a SYN
-to every (address, port) pair and classifying the response:
+The scanner walks its target list over the sweep's duration, sending a
+SYN to every (address, port) pair and classifying the response:
 
 * SYN-ACK -- an open service (the scanner immediately sends RST, never
   completing the handshake: "half-open" scanning);
@@ -31,36 +31,11 @@ from repro.telemetry.metrics import registry as _telemetry_registry
 #: ``ProbeOutcome`` by probe-index outcome code.
 _OUTCOME = (ProbeOutcome.NOTHING, ProbeOutcome.SYNACK, ProbeOutcome.RST)
 
-
-@dataclass(frozen=True)
-class ScannerConfig:
-    """Operating parameters of the campus scanner.
-
-    Attributes
-    ----------
-    parallelism:
-        Number of scanning machines; the target list is split into
-        that many contiguous chunks swept concurrently.
-    internal:
-        Whether probes originate inside campus (affects firewall
-        handling and keeps probe traffic off the border taps).
-    max_probe_rate:
-        Optional cap on total probes per second (all machines
-        combined) -- Nmap-style polite timing to avoid flooding hosts
-        or tripping intrusion detection (paper Section 2.3).  When the
-        requested sweep duration would exceed this rate, the sweep is
-        stretched to respect it.
-    """
-
-    parallelism: int = 2
-    internal: bool = True
-    max_probe_rate: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.max_probe_rate is not None and self.max_probe_rate <= 0:
-            raise ValueError("max_probe_rate must be positive")
+#: Scanning machines: the paper split the address space "roughly in
+#: half and scanned separately by two internal machines" (Section 2.3),
+#: each sweeping one contiguous chunk of the target list.  Probes come
+#: from inside campus, so they never cross the border taps.
+MACHINES = 2
 
 
 class HalfOpenScanner:
@@ -76,14 +51,8 @@ class HalfOpenScanner:
     keeps the probe-at-a-time definition it must equal.
     """
 
-    def __init__(
-        self,
-        population: CampusPopulation,
-        config: ScannerConfig | None = None,
-        faults=None,
-    ) -> None:
+    def __init__(self, population: CampusPopulation, faults=None) -> None:
         self.population = population
-        self.config = config if config is not None else ScannerConfig()
         # A null fault plan is stored as None so every fault check
         # below is a single identity comparison on the pristine path.
         if faults is not None and faults.is_null:
@@ -132,7 +101,6 @@ class HalfOpenScanner:
             raise ValueError(f"scan duration must be positive: {duration}")
         if len(targets) == 0:
             raise ValueError("cannot scan an empty target list")
-        duration = self._rate_limited_duration(len(targets) * len(ports), duration)
         report = ScanReport(
             scan_id=scan_id,
             start=start,
@@ -146,16 +114,14 @@ class HalfOpenScanner:
         )
         index = self.population.probe_index
         port_row = np.asarray(ports, dtype=np.int64)
-        chunks = self._split(
-            np.asarray(targets, dtype=np.int64), self.config.parallelism
-        )
+        chunks = self._split(np.asarray(targets, dtype=np.int64), MACHINES)
         for machine, chunk in enumerate(chunks):
             # The scalar expression, so open times are bit-equal to the
             # per-address definition.
             when = start + np.arange(len(chunk)) * (duration / len(chunk))
             slots = index.slots(chunk)
             codes = index.sweep_outcomes(
-                slots, port_row, when, PROTO_TCP, self.config.internal
+                slots, port_row, when, PROTO_TCP, internal=True
             )
             delay = None
             if faults is not None:
@@ -298,7 +264,6 @@ class HalfOpenScanner:
         if not addresses:
             raise ValueError("population has no addresses to scan")
         step = duration / len(addresses)
-        internal = self.config.internal
         for index, address in enumerate(addresses):
             t = report.start + index * step
             if faults is not None and faults.machine_down(0, t):
@@ -309,13 +274,13 @@ class HalfOpenScanner:
                 report.counts.nothing += max_port
                 continue
             open_found = False
-            rst_baseline = host.tcp_probe_response(1, t, internal=internal)
+            rst_baseline = host.tcp_probe_response(1, t, internal=True)
             if faults is not None:
                 rst_baseline, _ = faults.transmit(0, rst_baseline)
             for (port, proto), service in sorted(host.services.items()):
                 if proto != 6 or port > max_port:
                     continue
-                outcome = host.tcp_probe_response(port, t, internal=internal)
+                outcome = host.tcp_probe_response(port, t, internal=True)
                 delay = 0.0
                 if faults is not None:
                     outcome, delay = faults.transmit(0, outcome)
@@ -407,13 +372,6 @@ class HalfOpenScanner:
         # One logical sweep: its telemetry is the merged report's.
         self._flush_sweep_telemetry(report, faults)
         return report, stats
-
-    def _rate_limited_duration(self, probe_count: int, requested: float) -> float:
-        """Stretch the sweep when a probe-rate cap demands it."""
-        if self.config.max_probe_rate is None:
-            return requested
-        minimum = probe_count / self.config.max_probe_rate
-        return max(requested, minimum)
 
     @staticmethod
     def _split(items: np.ndarray, chunks: int) -> list[np.ndarray]:

@@ -12,7 +12,6 @@ implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,22 +22,12 @@ from repro.active.results import UdpScanReport
 from repro.net.packet import PROTO_UDP
 
 
-@dataclass(frozen=True)
-class UdpProberConfig:
-    """Operating parameters of the generic UDP prober."""
-
-    internal: bool = True
-    parallelism: int = 1
-
-
 class GenericUdpProber:
-    """Sweeps targets with generic (malformed-payload) UDP probes."""
+    """Sweeps targets with generic (malformed-payload) UDP probes from
+    one internal machine."""
 
-    def __init__(
-        self, population: CampusPopulation, config: UdpProberConfig | None = None
-    ) -> None:
+    def __init__(self, population: CampusPopulation) -> None:
         self.population = population
-        self.config = config if config is not None else UdpProberConfig()
 
     def scan(
         self,
@@ -68,7 +57,7 @@ class GenericUdpProber:
             np.asarray(ports, dtype=np.int64),
             when,
             PROTO_UDP,
-            self.config.internal,
+            internal=True,
         )
         responded = (codes != SILENT).any(axis=1)
         report.no_response_addresses.update(targets[~responded].tolist())

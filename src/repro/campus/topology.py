@@ -136,20 +136,12 @@ class CampusTopology:
         return is_campus
 
 
-def build_topology(include_allports_subnet: bool = False) -> CampusTopology:
-    """Build the calibrated campus topology.
-
-    Parameters
-    ----------
-    include_allports_subnet:
-        Also include the /24 lab subnet that DTCPall studies.  Kept out
-        of the main 16,130 by default so the headline totals match the
-        paper exactly.
-    """
-    blocks = _transient_blocks() + _static_blocks()
-    if include_allports_subnet:
-        blocks.append(_allports_block())
-    return CampusTopology(space=AddressSpace(blocks))
+def build_topology() -> CampusTopology:
+    """Build the calibrated campus topology: the paper's 16,130
+    addresses (the DTCPall lab /24 is :func:`build_allports_topology`)."""
+    return CampusTopology(
+        space=AddressSpace(_transient_blocks() + _static_blocks())
+    )
 
 
 def build_allports_topology() -> CampusTopology:

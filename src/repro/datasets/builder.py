@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.active.prober import HalfOpenScanner, ScannerConfig
+from repro.active.prober import HalfOpenScanner
 from repro.active.results import (
     ScanReport,
     UdpScanReport,
@@ -198,12 +198,14 @@ class BuiltDataset:
         The one source every pass iterates (:meth:`replay`, the stream
         driver, the fabric's catch-up).  A full-duration pass with a
         recording in the trace cache reads it: zero-copy views, *skip*
-        a seek.  Anything else (cache off or missed; a partial pass,
-        because truncated generation is not a prefix of the full
-        stream) regenerates -- :func:`border_column_batches`, columns
-        from the start, *batch_records* rows a batch; the rows before
-        *skip* are generated and dropped.  Same records either way;
-        iterating never writes the cache.
+        a seek.  Anything else (cache off or missed, or a partial pass)
+        regenerates -- :func:`border_column_batches`, columns from the
+        start, *batch_records* rows a batch; the rows before *skip* are
+        generated and dropped.  Same records either way; iterating
+        never writes the cache.  A partial pass is a prefix of the full
+        one, but not a cut at *end*: it keeps every whole flow that
+        began before *end*, so it may close with rows at or after *end*,
+        and only regenerating knows where it stops.
         """
         return self._open_pass(end, skip, batch_records)[1]
 
@@ -464,9 +466,7 @@ def _run_active_scans(dataset: BuiltDataset) -> None:
         return
     if spec.scan_interval_hours == 0:
         return  # passive-only dataset (DTCP1-90d)
-    scanner = HalfOpenScanner(
-        dataset.population, ScannerConfig(parallelism=2), faults=dataset.faults
-    )
+    scanner = HalfOpenScanner(dataset.population, faults=dataset.faults)
     if spec.ports == "tcp-all":
         # DTCPall: one sweep of every port, taking nearly 24 hours.
         report = scanner.scan_open_ports_of_population(

@@ -20,7 +20,6 @@ from repro.passive.monitor import (
     PacketObserver,
     PassiveServiceTable,
     ServiceSignal,
-    UdpSignal,
     replay,
 )
 from repro.passive.sampling import (
@@ -29,7 +28,7 @@ from repro.passive.sampling import (
     ProbabilisticSampler,
     SamplingTable,
 )
-from repro.passive.scandetect import ExternalScanDetector, ScanDetectorConfig
+from repro.passive.scandetect import ExternalScanDetector
 from repro.passive.taps import MultiLinkMonitor
 
 __all__ = [
@@ -38,11 +37,9 @@ __all__ = [
     "FixedPeriodSampler",
     "ProbabilisticSampler",
     "SamplingTable",
-    "UdpSignal",
     "MultiLinkMonitor",
     "PacketObserver",
     "PassiveServiceTable",
-    "ScanDetectorConfig",
     "ServiceSignal",
     "replay",
 ]

@@ -12,9 +12,9 @@ service and when: it keeps each endpoint's first- *and* last-seen time.
 The generator's packet stream is only approximately time-ordered (see
 :mod:`repro.traffic.generator`), so first/last-seen times are kept with
 ``min`` / ``max`` rather than by assuming monotonicity.  Most rules are
-order-insensitive; the ones that are not (HANDSHAKE confirmation,
-BIDIRECTIONAL UDP, the count-budget sampler, capture faults) follow
-stream order, which batches keep as row order.
+order-insensitive; the ones that are not (HANDSHAKE confirmation, the
+count-budget sampler, capture faults) follow stream order, which
+batches keep as row order.
 """
 
 from __future__ import annotations
@@ -170,21 +170,6 @@ class ServiceSignal(str, Enum):
     HANDSHAKE = "handshake"    # ablation: SYN-ACK followed by the client's ACK
 
 
-class UdpSignal(str, Enum):
-    """What counts as evidence of a UDP service.
-
-    The paper notes (Section 2.2) that "while bi-directional traffic
-    positively indicates a UDP service, unidirectional traffic may
-    also indicate a service ... but may also indicate unsolicited
-    probe traffic".  ``SPORT`` is the paper's operational rule (any
-    campus datagram sourced at a watched port); ``BIDIRECTIONAL`` is
-    the stricter alternative requiring a preceding inbound request.
-    """
-
-    SPORT = "sport"
-    BIDIRECTIONAL = "bidirectional"
-
-
 @dataclass
 class PassiveServiceTable:
     """Passive discovery state built from captured headers.
@@ -201,7 +186,9 @@ class PassiveServiceTable:
         TCP server ports tracked; ``None`` tracks every port (the
         DTCPall study).
     udp_ports:
-        UDP server ports tracked (empty for TCP-only studies).
+        UDP server ports tracked (empty for TCP-only studies): any
+        campus datagram to an outside address from one of them is
+        evidence, answered or not -- the paper's operational rule.
     links:
         Peering links monitored; ``None`` monitors all.
     signal:
@@ -216,7 +203,6 @@ class PassiveServiceTable:
     udp_ports: frozenset[int] = frozenset()
     links: frozenset[str] | None = None
     signal: ServiceSignal = ServiceSignal.SYNACK
-    udp_signal: UdpSignal = UdpSignal.SPORT
     exclude_sources: frozenset[int] = frozenset()
 
     #: endpoint -> earliest evidence time.
@@ -231,9 +217,6 @@ class PassiveServiceTable:
     _pending_handshake: dict[tuple[int, int, int, int], float] = field(
         default_factory=dict
     )
-    #: (server, port, client) triples with an inbound UDP request seen
-    #: (BIDIRECTIONAL udp_signal only).
-    _udp_requests: set[tuple[int, int, int]] = field(default_factory=set)
 
     def observe(self, record: PacketRecord) -> None:
         """Feed one captured header into the table."""
@@ -254,9 +237,9 @@ class PassiveServiceTable:
         (SYN-ACK bits, prefix membership, port sets); dict updates run
         over the batch's *distinct* endpoints via sorted group
         reductions, so per-record Python work disappears entirely.  The
-        two order-dependent rules (HANDSHAKE, BIDIRECTIONAL) pair events
-        within a stable sort by flow key, which keeps stream order
-        inside each key's run.
+        order-dependent rule (HANDSHAKE) pairs events within a stable
+        sort by flow key, which keeps stream order inside each key's
+        run.
         """
         proto = cols.proto
         flags = cols.flags
@@ -314,7 +297,7 @@ class PassiveServiceTable:
             self._confirm_handshakes(cols, synack, ack)
 
         # Outbound datagram from a watched UDP server port: evidence and
-        # accounting in one selection (BIDIRECTIONAL: answered ones only).
+        # accounting in one selection.
         if self.udp_ports:
             udp = proto == PROTO_UDP
             if base is not None:
@@ -323,11 +306,6 @@ class PassiveServiceTable:
             reply = udp & src_campus & ~dst_campus & lut[cols.sport]
             if exclude is not None:
                 reply &= ~np.isin(dst, exclude)
-            if self.udp_signal is UdpSignal.BIDIRECTIONAL:
-                request = udp & ~src_campus & dst_campus & lut[cols.dport]
-                if exclude is not None:
-                    request &= ~np.isin(src, exclude)
-                reply = self._answered(cols, request, reply)
             index = np.flatnonzero(reply)
             if index.size:
                 keys = (
@@ -401,58 +379,6 @@ class PassiveServiceTable:
                     pending[key] = t
                 else:
                     pending.pop(key, None)
-
-    def _answered(self, cols, request, reply) -> np.ndarray:
-        """BIDIRECTIONAL UDP: the *reply* rows some request preceded.
-
-        Requests and replies become events keyed by (server, port,
-        client) in one stable sort, so each key's events keep stream
-        order; a reply counts when a request comes before it in its run
-        or its key was requested in an earlier batch.
-        """
-        answered = np.zeros(len(cols), dtype=bool)
-        rows = np.flatnonzero(request | reply)
-        if not rows.size:
-            return answered
-        asks = request[rows]
-        src = cols.src[rows]
-        dst = cols.dst[rows]
-        endpoints = (
-            np.where(asks, dst, src).astype(np.uint64) << np.uint64(16)
-        ) | np.where(asks, cols.dport[rows], cols.sport[rows])
-        clients = np.where(asks, src, dst)
-        order = np.lexsort((clients, endpoints))
-        endpoints, clients, asks = endpoints[order], clients[order], asks[order]
-        starts = np.r_[
-            True,
-            (endpoints[1:] != endpoints[:-1]) | (clients[1:] != clients[:-1]),
-        ]
-        firsts = np.flatnonzero(starts)
-        run = np.cumsum(starts) - 1
-        asked = np.cumsum(asks) - asks
-        asked -= asked[firsts][run]
-        # Runs with a reply before any request of the batch: their key
-        # decides, looked up before this batch's requests join the set.
-        unasked = np.flatnonzero(np.bincount(
-            run[~asks & (asked == 0)], minlength=firsts.size
-        ))
-        known = np.zeros(firsts.size, dtype=bool)
-        requests = self._udp_requests
-        lead = firsts[unasked]
-        for index, key in zip(unasked.tolist(), zip(
-            (endpoints[lead] >> np.uint64(16)).tolist(),
-            (endpoints[lead] & np.uint64(0xFFFF)).tolist(),
-            clients[lead].tolist(),
-        )):
-            known[index] = key in requests
-        asking = np.flatnonzero(asks)
-        requests.update(zip(
-            (endpoints[asking] >> np.uint64(16)).tolist(),
-            (endpoints[asking] & np.uint64(0xFFFF)).tolist(),
-            clients[asking].tolist(),
-        ))
-        answered[rows[order[~asks & ((asked > 0) | known[run])]]] = True
-        return answered
 
     def _stamp_columns(
         self, keys: np.ndarray, times: np.ndarray, proto: int
@@ -559,26 +485,12 @@ class PassiveServiceTable:
     def _observe_udp(self, record: PacketRecord) -> None:
         if not self.udp_ports:
             return
-        outbound = self.is_campus(record.src) and not self.is_campus(record.dst)
-        inbound = not self.is_campus(record.src) and self.is_campus(record.dst)
-        if (
-            self.udp_signal is UdpSignal.BIDIRECTIONAL
-            and inbound
-            and record.dport in self.udp_ports
-            and record.src not in self.exclude_sources
-        ):
-            self._udp_requests.add((record.dst, record.dport, record.src))
-            return
-        if not outbound:
-            return
+        if not self.is_campus(record.src) or self.is_campus(record.dst):
+            return  # not a campus server sending to an outside client
         if record.dst in self.exclude_sources:
             return
         if record.sport not in self.udp_ports:
             return
-        if self.udp_signal is UdpSignal.BIDIRECTIONAL:
-            key = (record.src, record.sport, record.dst)
-            if key not in self._udp_requests:
-                return  # unsolicited datagram: may be probe traffic
         self._stamp((record.src, record.sport, PROTO_UDP), record.time)
         self._count(record.src, record.sport, PROTO_UDP, record.dst)
 

@@ -9,13 +9,13 @@ probability"; both are implemented here as
 :class:`CountBudgetSampler` and :class:`ProbabilisticSampler`, so the
 reproduction can run the comparison the paper deferred.
 
-All samplers are deterministic: the probabilistic one keys its
-keep-decision on a hash of the packet identity rather than mutable RNG
-state, so results are independent of observer ordering.  Each offers a
-``keep_mask`` over a column batch, which :class:`SamplingTable` -- the
-one sampled observer -- applies before its table sees the batch; the
-count budget's is the one order-dependent mask, and carries its window
-across batches.
+Periods are the paper's hour, counted from t = 0.  All samplers are
+deterministic: the probabilistic one keys its keep-decision on a hash
+of the packet identity rather than mutable RNG state, so results are
+independent of observer ordering.  Each offers a ``keep_mask`` over a
+column batch, which :class:`SamplingTable` -- the one sampled observer
+-- applies before its table sees the batch; the count budget's is the
+one order-dependent mask, and carries its window across batches.
 """
 
 from __future__ import annotations
@@ -25,35 +25,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simkernel.clock import minutes
+from repro.simkernel.clock import hours, minutes
+
+#: The sampling period, in seconds.
+PERIOD_SECONDS = hours(1)
 
 
 @dataclass(frozen=True)
 class FixedPeriodSampler:
-    """Keep the first *sample_minutes* of every *period_minutes*.
+    """Keep the first *sample_minutes* of every hour.
 
     The paper samples 2, 5, 10 and 30 minutes of each hour (3 %, 8 %,
     17 % and 50 % of the data).
     """
 
     sample_minutes: float
-    period_minutes: float = 60.0
-    anchor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sample_minutes <= 0:
             raise ValueError("sample_minutes must be positive")
-        if self.sample_minutes > self.period_minutes:
+        if minutes(self.sample_minutes) > PERIOD_SECONDS:
             raise ValueError(
-                "sample window cannot exceed the period "
-                f"({self.sample_minutes} > {self.period_minutes})"
+                "sample window cannot exceed the hour "
+                f"({self.sample_minutes} > 60 minutes)"
             )
 
     def keep_mask(self, cols) -> np.ndarray:
         """Keep decisions for a column batch: whether each row's time
         falls inside a sample window."""
-        offset = (cols.time - self.anchor) % minutes(self.period_minutes)
-        return offset < minutes(self.sample_minutes)
+        return cols.time % PERIOD_SECONDS < minutes(self.sample_minutes)
 
 
 @dataclass(frozen=True)
@@ -99,23 +99,18 @@ class CountBudgetSampler:
 
     The other deferred strategy: "collecting a fixed number of packet
     headers and then idling".  The sampler keeps the first
-    ``budget_per_period`` packets (in arrival order) of each
-    ``period_minutes`` window.  Unlike the pure time filters this one
-    is stateful: the window it is in and what it took there carry
-    from one batch to the next.
+    ``budget_per_period`` packets (in arrival order) of each hour.
+    Unlike the pure time filters this one is stateful: the window it is
+    in and what it took there carry from one batch to the next.
     """
 
     budget_per_period: int
-    period_minutes: float = 60.0
-    anchor: float = 0.0
     _window_index: int = field(default=-1, repr=False)
     _taken: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.budget_per_period < 1:
             raise ValueError("budget_per_period must be >= 1")
-        if self.period_minutes <= 0:
-            raise ValueError("period_minutes must be positive")
 
     def keep_mask(self, cols) -> np.ndarray:
         """Keep decisions for a column batch, in arrival order.
@@ -126,8 +121,7 @@ class CountBudgetSampler:
         count = len(cols)
         if not count:
             return np.zeros(0, dtype=bool)
-        period = minutes(self.period_minutes)
-        index = ((cols.time - self.anchor) // period).astype(np.int64)
+        index = (cols.time // PERIOD_SECONDS).astype(np.int64)
         starts = np.r_[True, index[1:] != index[:-1]]
         rank = np.arange(count)
         rank -= np.maximum.accumulate(np.where(starts, rank, 0))

@@ -7,7 +7,7 @@ from at least 100 of these contacted hosts" -- 65 sources matched over
 18 days.
 
 :class:`ExternalScanDetector` implements exactly that rule.  Time is
-bucketed into windows of ``window_seconds`` anchored at the dataset
+bucketed into windows of :data:`WINDOW_SECONDS` anchored at the dataset
 start; a source is flagged if any single bucket satisfies both
 thresholds.  Bucketing (rather than a true sliding window) is
 order-insensitive, so no batch cut can change it, and conservative in
@@ -26,13 +26,13 @@ from repro.passive.monitor import _campus_mask
 from repro.simkernel.clock import hours
 
 
-@dataclass(frozen=True)
-class ScanDetectorConfig:
-    """Thresholds of the paper's scan-identification heuristic."""
-
-    min_targets: int = 100
-    min_rsts: int = 100
-    window_seconds: float = hours(12)
+#: The paper's thresholds: a source SYNs at least this many distinct
+#: campus addresses ...
+MIN_TARGETS = 100
+#: ... and at least this many of them answer with RST ...
+MIN_RSTS = 100
+#: ... inside one bucket of this many seconds.
+WINDOW_SECONDS = hours(12)
 
 
 @dataclass
@@ -44,12 +44,9 @@ class ExternalScanDetector:
     is_campus:
         Direction predicate; only outside->campus SYNs and campus->
         outside RSTs are considered.
-    config:
-        Detection thresholds.
     """
 
     is_campus: Callable[[int], bool]
-    config: ScanDetectorConfig = field(default_factory=ScanDetectorConfig)
 
     #: (source, window_index) -> campus targets SYN'd.  Stored as a bare
     #: int while a source has contacted a single target (the
@@ -93,9 +90,7 @@ class ExternalScanDetector:
         dst = cols.dst
         src_campus = _campus_mask(self.is_campus, src)
         dst_campus = _campus_mask(self.is_campus, dst)
-        window = (
-            cols.time // self.config.window_seconds
-        ).astype(np.int64)
+        window = (cols.time // WINDOW_SECONDS).astype(np.int64)
         syn = tcp & ((flags & 0x02) != 0) & ((flags & 0x10) == 0)
         syn &= ~src_campus & dst_campus
         self._note_unique(
@@ -132,7 +127,7 @@ class ExternalScanDetector:
 
     def scanners(self) -> set[int]:
         """External sources satisfying both thresholds in some window."""
-        return self.scanners_with(self.config.min_targets, self.config.min_rsts)
+        return self.scanners_with(MIN_TARGETS, MIN_RSTS)
 
     def scanners_with(self, min_targets: int, min_rsts: int) -> set[int]:
         """Re-evaluate detection under different thresholds.

@@ -141,17 +141,16 @@ class ProbeScheduler:
 
     ``proto`` selects the probe type: ``"tcp"`` half-open SYN probes
     (SYN-ACK / RST / silence), ``"udp"`` generic datagrams (reply /
-    ICMP unreachable / silence, the paper's Section 4.5 scan).
+    ICMP unreachable / silence, the paper's Section 4.5 scan).  Probes
+    come from inside campus, as the build-time scanners' do.
     """
 
-    def __init__(self, population, policy, proto: str = "tcp",
-                 internal: bool = True) -> None:
+    def __init__(self, population, policy, proto: str = "tcp") -> None:
         if proto not in ("tcp", "udp"):
             raise ValueError(f"unknown probe proto {proto!r}")
         self.population = population
         self.policy = policy
         self.proto = proto
-        self.internal = internal
         self.cursor = 0
         self.exhausted = False
         self.issued = 0
@@ -258,7 +257,7 @@ class ProbeScheduler:
                 ports,
                 when,
                 PROTO_UDP if self.proto == "udp" else PROTO_TCP,
-                self.internal,
+                True,  # internal: probes come from inside campus
             )
         _, opened, closed = np.bincount(codes, minlength=3).tolist()
         self.issued += hi - lo

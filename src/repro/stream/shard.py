@@ -190,18 +190,20 @@ class ShardState:
             "flow_counts": dict(table.flow_counts),
             "clients": {k: set(v) for k, v in table.clients.items()},
             "pending_handshake": dict(table._pending_handshake),
-            "udp_requests": set(table._udp_requests),
             "last_seen": dict(table.last_seen),
         }
 
     def restore_state(self, payload: dict) -> None:
-        """Load a :meth:`state_dict` snapshot (table config unchanged)."""
+        """Load a :meth:`state_dict` snapshot (table config unchanged).
+
+        A snapshot may also carry ``udp_requests``, the always-empty
+        state of a UDP rule no table runs any more; it is ignored.
+        """
         table = self.table
         table.first_seen = dict(payload["first_seen"])
         table.flow_counts = dict(payload["flow_counts"])
         table.clients = {k: set(v) for k, v in payload["clients"].items()}
         table._pending_handshake = dict(payload["pending_handshake"])
-        table._udp_requests = set(payload["udp_requests"])
         table.last_seen = dict(payload["last_seen"])
         self.records = int(payload["records"])
 
@@ -263,7 +265,6 @@ def merge_shards(
         merged.flow_counts.update(table.flow_counts)
         merged.clients.update(table.clients)
         merged._pending_handshake.update(table._pending_handshake)
-        merged._udp_requests.update(table._udp_requests)
     return merged
 
 

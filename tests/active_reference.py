@@ -9,15 +9,17 @@ one ``Host.tcp_probe_response`` / ``udp_probe_response`` per port, one
 folded into the report one at a time.  :func:`counts_row` is the
 per-port Table 7 column nothing in ``repro`` reads any more.
 
-:class:`ReferenceScanner` overrides only ``_sweep`` (validation, rate
-limiting, telemetry and host discovery are inherited), and
-:class:`ReferenceUdpProber` only ``scan``, so a test comparing either
-with its parent class compares exactly the code that was replaced.
+:class:`ReferenceScanner` overrides only ``_sweep`` (telemetry and host
+discovery are inherited) and takes its machine count as a parameter, so
+a test sets it and ``repro.active.prober.MACHINES`` alike;
+:class:`ReferenceUdpProber` overrides only ``scan``.  A test comparing
+either with its parent class compares exactly the code that was
+replaced.  Both probe from inside campus.
 """
 
 from __future__ import annotations
 
-from repro.active.prober import HalfOpenScanner
+from repro.active.prober import MACHINES, HalfOpenScanner
 from repro.active.results import ScanReport, UdpScanReport
 from repro.active.udp_scan import GenericUdpProber
 from repro.campus.host import ProbeOutcome, UdpProbeOutcome
@@ -33,12 +35,15 @@ def counts_row(report: UdpScanReport, port: int) -> dict[str, int]:
 
 
 class ReferenceScanner(HalfOpenScanner):
+    def __init__(self, population, faults=None, machines=MACHINES) -> None:
+        super().__init__(population, faults=faults)
+        self.machines = machines
+
     def _sweep(self, targets, ports, start, duration, scan_id):
         if duration <= 0:
             raise ValueError(f"scan duration must be positive: {duration}")
         if len(targets) == 0:
             raise ValueError("cannot scan an empty target list")
-        duration = self._rate_limited_duration(len(targets) * len(ports), duration)
         report = ScanReport(
             scan_id=scan_id,
             start=start,
@@ -50,7 +55,7 @@ class ReferenceScanner(HalfOpenScanner):
             if self.fault_plan is not None
             else None
         )
-        chunks = self._split([int(a) for a in targets], self.config.parallelism)
+        chunks = self._split([int(a) for a in targets], self.machines)
         for machine, chunk in enumerate(chunks):
             step = duration / len(chunk)
             for index, address in enumerate(chunk):
@@ -86,7 +91,7 @@ class ReferenceScanner(HalfOpenScanner):
         saw_nothing = False
         responded = False
         for port in ports:
-            outcome = host.tcp_probe_response(port, t, internal=self.config.internal)
+            outcome = host.tcp_probe_response(port, t, internal=True)
             delay = 0.0
             if faults is not None:
                 outcome, delay = faults.transmit(machine, outcome)
@@ -132,7 +137,7 @@ class ReferenceUdpProber(GenericUdpProber):
                     outcomes[port] = UdpProbeOutcome.NOTHING
                 else:
                     outcomes[port] = host.udp_probe_response(
-                        port, t, internal=self.config.internal
+                        port, t, internal=True
                     )
             responded = any(
                 outcome is not UdpProbeOutcome.NOTHING for outcome in outcomes.values()

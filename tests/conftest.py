@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import functools
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,42 @@ from repro.stream import fabric, ingest, membership
 
 #: Scale used by most dataset-level tests.
 SMALL_SCALE = 0.04
+
+#: The package source a CLI subprocess imports.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Wall-clock bound on one :func:`run_cli` run: the subprocess tests'
+#: runs take seconds, so a CLI still running after this is wedged.
+CLI_TIMEOUT_SECONDS = 300.0
+
+
+def run_cli(args, tmp_path, check=True) -> subprocess.CompletedProcess:
+    """Run ``python -m repro *args`` in *tmp_path*, bounded in time.
+
+    The trace cache defaults to one under *tmp_path*.  A run that
+    outlives :data:`CLI_TIMEOUT_SECONDS` is killed and fails the test,
+    as does a nonzero exit when *check* is set.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    env.setdefault("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=CLI_TIMEOUT_SECONDS,
+        )
+    except subprocess.TimeoutExpired as expired:
+        pytest.fail(
+            f"repro {' '.join(args)} still running after "
+            f"{CLI_TIMEOUT_SECONDS:.0f} s:\n{expired.stderr}"
+        )
+    if check and proc.returncode != 0:
+        raise AssertionError(
+            f"repro {' '.join(args)} failed ({proc.returncode}):\n"
+            f"{proc.stdout}\n{proc.stderr}"
+        )
+    return proc
 
 #: The stream run machine's deeper pass (CI runs
 #: ``tests/test_stream_run_machine.py --hypothesis-profile=deep``):

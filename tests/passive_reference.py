@@ -21,12 +21,13 @@ import random
 from repro.faults.capture import CaptureFilter, _numpy_state, _python_state
 from repro.net.packet import PROTO_TCP, PROTO_UDP
 from repro.passive.sampling import (
+    PERIOD_SECONDS,
     CountBudgetSampler,
     FixedPeriodSampler,
     ProbabilisticSampler,
     SamplingTable,
 )
-from repro.passive.scandetect import ExternalScanDetector
+from repro.passive.scandetect import WINDOW_SECONDS, ExternalScanDetector
 from repro.passive.taps import MultiLinkMonitor
 from repro.passive.windows import WindowActivityObserver
 from repro.simkernel.clock import minutes
@@ -188,7 +189,7 @@ class ReferenceScanDetector(ExternalScanDetector):
     def observe(self, record) -> None:
         if record.proto != PROTO_TCP:
             return
-        window = int(record.time // self.config.window_seconds)
+        window = int(record.time // WINDOW_SECONDS)
         if record.flags.is_syn:
             if self.is_campus(record.src) or not self.is_campus(record.dst):
                 return
@@ -219,20 +220,18 @@ class ReferenceFixedPeriodSampler(FixedPeriodSampler):
     @property
     def fraction(self) -> float:
         """Fraction of time the sampler keeps (e.g. 0.5 for 30-of-60)."""
-        return self.sample_minutes / self.period_minutes
+        return minutes(self.sample_minutes) / PERIOD_SECONDS
 
     def keep_record(self, record) -> bool:
-        offset = (record.time - self.anchor) % minutes(self.period_minutes)
-        return offset < minutes(self.sample_minutes)
+        return record.time % PERIOD_SECONDS < minutes(self.sample_minutes)
 
     def windows_in(self, start: float, end: float) -> list[tuple[float, float]]:
         """The concrete sample windows intersecting ``[start, end)``."""
-        period = minutes(self.period_minutes)
         width = minutes(self.sample_minutes)
         out: list[tuple[float, float]] = []
-        index = int((start - self.anchor) // period)
+        index = int(start // PERIOD_SECONDS)
         while True:
-            w_start = self.anchor + index * period
+            w_start = index * PERIOD_SECONDS
             if w_start >= end:
                 break
             lo, hi = max(w_start, start), min(w_start + width, end)
@@ -254,8 +253,7 @@ class ReferenceProbabilisticSampler(ProbabilisticSampler):
 
 class ReferenceCountBudgetSampler(CountBudgetSampler):
     def keep_record(self, record) -> bool:
-        period = minutes(self.period_minutes)
-        index = int((record.time - self.anchor) // period)
+        index = int(record.time // PERIOD_SECONDS)
         if index != self._window_index:
             self._window_index = index
             self._taken = 0

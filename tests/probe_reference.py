@@ -166,7 +166,7 @@ class ReferenceScheduler(ProbeScheduler):
         if host is None:
             self.silent += 1
         elif self.proto == "udp":
-            outcome = host.udp_probe_response(port, when, internal=self.internal)
+            outcome = host.udp_probe_response(port, when, internal=True)
             if outcome is UdpProbeOutcome.REPLY:
                 self.udp_replies += 1
                 opened = True
@@ -175,7 +175,7 @@ class ReferenceScheduler(ProbeScheduler):
             else:
                 self.silent += 1
         else:
-            outcome = host.tcp_probe_response(port, when, internal=self.internal)
+            outcome = host.tcp_probe_response(port, when, internal=True)
             if outcome is ProbeOutcome.SYNACK:
                 self.synacks += 1
                 opened = True

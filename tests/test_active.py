@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.active.prober import HalfOpenScanner, ScannerConfig
+from repro.active import prober
+from repro.active.prober import HalfOpenScanner
 from repro.active.results import (
     ProbeOutcomeCounts,
     first_open_times,
@@ -63,11 +64,14 @@ class TestHalfOpenScanner:
             assert host is not None
             assert host.tcp_probe_response(port, t, internal=True) is ProbeOutcome.SYNACK
 
-    def test_parallelism_speeds_probe_times(self, population, targets):
-        one = HalfOpenScanner(population, ScannerConfig(parallelism=1)).scan(
+    def test_parallelism_speeds_probe_times(
+        self, population, targets, monkeypatch
+    ):
+        two = HalfOpenScanner(population).scan(
             targets, (80,), start=0.0, duration=hours(2)
         )
-        two = HalfOpenScanner(population, ScannerConfig(parallelism=2)).scan(
+        monkeypatch.setattr(prober, "MACHINES", 1)
+        one = HalfOpenScanner(population).scan(
             targets, (80,), start=0.0, duration=hours(2)
         )
         # With two machines, the second half of the space is probed

@@ -19,13 +19,15 @@ from __future__ import annotations
 import hashlib
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.active.prober import HalfOpenScanner, ScannerConfig
-from repro.active.udp_scan import GenericUdpProber, UdpProberConfig
+from repro.active import prober
+from repro.active.prober import HalfOpenScanner
+from repro.active.udp_scan import GenericUdpProber
 from repro.datasets import build_dataset
 from repro.faults import FaultPlan
 from repro.net.ports import SELECTED_TCP_PORTS, SELECTED_UDP_PORTS
@@ -53,15 +55,16 @@ def machine_states(faults) -> dict:
 
 
 def assert_same_tcp_sweep(
-    population, config, plan, targets, ports, start, duration, as_array=False
+    population, machines, plan, targets, ports, start, duration, as_array=False
 ):
     scalar, scalar_faults = ReferenceScanner(
-        population, config, faults=plan
+        population, faults=plan, machines=machines
     )._sweep(targets, ports, start, duration, scan_id=3)
     handed = np.asarray(targets, dtype=np.int64) if as_array else targets
-    swept, faults = HalfOpenScanner(population, config, faults=plan)._sweep(
-        handed, ports, start, duration, scan_id=3
-    )
+    with mock.patch.object(prober, "MACHINES", machines):
+        swept, faults = HalfOpenScanner(population, faults=plan)._sweep(
+            handed, ports, start, duration, scan_id=3
+        )
     assert swept.opens == scalar.opens
     assert swept == scalar
     assert pickle.dumps(swept) == pickle.dumps(scalar)
@@ -120,14 +123,9 @@ def test_tcp_sweep_matches_scalar_reference(small_dtcp18, data):
     targets = draw(target_lists(small_dtcp18))
     ports = draw(st.lists(st.sampled_from(SELECTED_TCP_PORTS), min_size=1, max_size=4))
     duration = draw(st.sampled_from([600.0, 4321.5, hours(1.75)]))
-    config = ScannerConfig(
-        parallelism=draw(st.integers(1, 3)),
-        internal=draw(st.booleans()),
-        # 0.5 probes/s always stretches the sweep; 1e6 never does.
-        max_probe_rate=draw(st.sampled_from([None, 0.5, 1e6])),
-    )
     report = assert_same_tcp_sweep(
-        small_dtcp18.population, config, draw(fault_plans()), targets, ports,
+        small_dtcp18.population, draw(st.integers(1, 3)), draw(fault_plans()),
+        targets, ports,
         start=draw(st.floats(0.0, days(17))), duration=duration,
         as_array=draw(st.booleans()),
     )
@@ -141,15 +139,13 @@ def test_tcp_sweep_matches_scalar_reference_at_interval_edges(data):
     draw = data.draw
     targets = draw(st.lists(st.sampled_from(EDGE_ADDRESSES), min_size=1, max_size=24))
     ports = draw(st.lists(st.sampled_from(EDGE_PORTS), min_size=1, max_size=5))
-    parallelism = draw(st.integers(1, 3))
+    machines = draw(st.integers(1, 3))
     # Every edge of the campus is a multiple of 2.5 s, and so is every
     # probe instant of all but the last machine's chunk.
     step = draw(st.sampled_from([2.5, 5.0]))
-    per_machine = -(-len(targets) // parallelism)
+    per_machine = -(-len(targets) // machines)
     assert_same_tcp_sweep(
-        edge_campus(),
-        ScannerConfig(parallelism=parallelism, internal=draw(st.booleans())),
-        draw(fault_plans()), targets, ports,
+        edge_campus(), machines, draw(fault_plans()), targets, ports,
         start=draw(st.sampled_from([0.0, 5.0, 20.0, 42.5])),
         duration=step * per_machine,
     )
@@ -179,7 +175,7 @@ def test_downtime_window_is_half_open_at_probe_instants():
     # 20 to 50, and is probed exactly at 30 and exactly at 45.
     targets = [1001, 1002, 1000, 1003, 2000, 1000, 1001, 1003]
     report = assert_same_tcp_sweep(
-        edge_campus(), ScannerConfig(parallelism=1), plan, targets, [22, 80],
+        edge_campus(), 1, plan, targets, [22, 80],
         start=20.0, duration=5.0 * len(targets),
     )
     assert [when for when, address, _ in report.opens if address == 1000] == [45.0]
@@ -194,14 +190,13 @@ def test_udp_sweep_matches_scalar_reference(small_dudp, data):
     draw = data.draw
     targets = draw(target_lists(small_dudp))
     ports = draw(st.lists(st.sampled_from(SELECTED_UDP_PORTS), min_size=1, max_size=4))
-    config = UdpProberConfig(internal=draw(st.booleans()))
     args = (
         ports, draw(st.floats(0.0, hours(20))),
         draw(st.sampled_from([600.0, 4321.5, hours(1.75)])),
     )
-    scalar = ReferenceUdpProber(small_dudp.population, config).scan(targets, *args)
+    scalar = ReferenceUdpProber(small_dudp.population).scan(targets, *args)
     handed = np.asarray(targets) if draw(st.booleans()) else targets
-    swept = GenericUdpProber(small_dudp.population, config).scan(handed, *args)
+    swept = GenericUdpProber(small_dudp.population).scan(handed, *args)
     assert swept == scalar
     assert pickle.dumps(swept) == pickle.dumps(scalar)
 
@@ -212,14 +207,13 @@ def test_udp_sweep_matches_scalar_reference_at_interval_edges(data):
     draw = data.draw
     targets = draw(st.lists(st.sampled_from(EDGE_ADDRESSES), min_size=1, max_size=24))
     ports = draw(st.lists(st.sampled_from(EDGE_PORTS), min_size=1, max_size=5))
-    config = UdpProberConfig(internal=draw(st.booleans()))
     args = (
         ports, draw(st.sampled_from([0.0, 5.0, 20.0, 42.5])),
         draw(st.sampled_from([2.5, 5.0])) * len(targets),
     )
     population = edge_campus()
-    scalar = ReferenceUdpProber(population, config).scan(targets, *args)
-    swept = GenericUdpProber(population, config).scan(targets, *args)
+    scalar = ReferenceUdpProber(population).scan(targets, *args)
+    swept = GenericUdpProber(population).scan(targets, *args)
     assert swept == scalar
     assert pickle.dumps(swept) == pickle.dumps(scalar)
 

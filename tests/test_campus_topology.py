@@ -8,7 +8,7 @@ from repro.campus.topology import (
     build_allports_topology,
     build_topology,
 )
-from repro.net.addr import AddressClass, parse_ipv4
+from repro.net.addr import AddressClass, AddressSpace, parse_ipv4
 from tests.campus_reference import static_addresses, transient_addresses
 
 
@@ -52,8 +52,11 @@ class TestTopologyQueries:
 
     def test_no_block_overlap(self):
         # AddressSpace construction validates; building must not raise.
-        topology = build_topology(include_allports_subnet=True)
-        assert topology.total_addresses == 16_130 + 256
+        space = AddressSpace(
+            build_topology().space.blocks
+            + build_allports_topology().space.blocks
+        )
+        assert space.size == 16_130 + 256
 
     def test_allports_topology(self):
         topology = build_allports_topology()

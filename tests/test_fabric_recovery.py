@@ -18,12 +18,11 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from tests.conftest import SRC, run_cli
+
 
 FABRIC_ARGS = [
     "stream", "DTCP1-18d",
@@ -48,22 +47,6 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:
         return True
     return True
-
-
-def run_cli(args, tmp_path, check=True):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    env.setdefault("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
-    if check and proc.returncode != 0:
-        raise AssertionError(
-            f"repro {' '.join(args)} failed ({proc.returncode}):\n"
-            f"{proc.stdout}\n{proc.stderr}"
-        )
-    return proc
 
 
 def _spawn_fabric(args, tmp_path, stderr_path):
@@ -269,7 +252,7 @@ def test_worker_blocked_mid_message_notices_its_supervisor_died(tmp_path):
             os.killpg(supervisor.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        supervisor.wait()
+        supervisor.wait(timeout=30)
 
 
 @pytest.mark.slow

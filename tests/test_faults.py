@@ -492,7 +492,7 @@ class TestLossyReplayPaths:
             assert tap.first_seen == batched.taps[link].first_seen
 
     def test_lossy_scan_is_deterministic(self, dataset):
-        from repro.active.prober import HalfOpenScanner, ScannerConfig
+        from repro.active.prober import HalfOpenScanner
 
         plan = FaultPlan(
             seed=17, probe_loss_rate=0.2, response_loss_rate=0.1,
@@ -500,18 +500,14 @@ class TestLossyReplayPaths:
         )
 
         def sweep():
-            scanner = HalfOpenScanner(
-                dataset.population, ScannerConfig(parallelism=2), faults=plan
-            )
+            scanner = HalfOpenScanner(dataset.population, faults=plan)
             targets = sorted(dataset.population.topology.space.addresses())
             return scanner.scan(targets, (80, 22), start=0.0, duration=3600.0)
 
         first, second = sweep(), sweep()
         assert first.opens == second.opens
         assert first.counts == second.counts
-        pristine = HalfOpenScanner(
-            dataset.population, ScannerConfig(parallelism=2)
-        ).scan(
+        pristine = HalfOpenScanner(dataset.population).scan(
             sorted(dataset.population.topology.space.addresses()),
             (80, 22), start=0.0, duration=3600.0,
         )

@@ -1,16 +1,16 @@
 """The order-dependent columnar rules against their per-record references.
 
-HANDSHAKE confirmation, BIDIRECTIONAL UDP and the count-budget sampler
-decide a record by what came before it on its flow (or in its window),
-and the probabilistic sampler by a hash of the record's text; all four
-run as column code.  Each property here feeds one generated stream
+HANDSHAKE confirmation and the count-budget sampler decide a record by
+what came before it on its flow (or in its window), and the
+probabilistic sampler by a hash of the record's text; all three run as
+column code.  Each property here feeds one generated stream
 through the reference (``tests/passive_reference.py``, one record at a
 time) and through ``observe_columns`` under random batch cuts, and
 requires the same state.  The streams come from a universe of two
 servers, two clients and two client ports, so flows collide and pair
 across cuts; the ``@example`` cases pin the sequences that matter: an
 ACK before its SYN-ACK, SYN-ACK SYN-ACK ACK, ACK ACK, a pair split by a
-cut, a key still pending at the end, and a request after its reply.
+cut, and a key still pending at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pickle
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord, TcpFlags
-from repro.passive.monitor import PassiveServiceTable, ServiceSignal, UdpSignal
+from repro.passive.monitor import PassiveServiceTable, ServiceSignal
 from repro.passive.sampling import (
     CountBudgetSampler,
     ProbabilisticSampler,
@@ -104,7 +104,6 @@ def strict_table(**overrides):
     config = dict(
         is_campus=is_campus, tcp_ports=frozenset({80}),
         udp_ports=frozenset({53}), signal=ServiceSignal.HANDSHAKE,
-        udp_signal=UdpSignal.BIDIRECTIONAL,
     )
     config.update(overrides)
     return PassiveServiceTable(**config)
@@ -113,7 +112,7 @@ def strict_table(**overrides):
 def table_state(table):
     return (
         table.first_seen, table.last_seen, table.flow_counts, table.clients,
-        table._pending_handshake, table._udp_requests,
+        table._pending_handshake,
     )
 
 
@@ -127,10 +126,6 @@ _ACK_ACK = [
     event("synack", time=2.0), event("ack", time=3.0), event("ack", time=4.0),
 ]
 _SPLIT_PAIR = [event("synack", time=2.0), event("ack", time=1.0)]
-_REPLY_FIRST = [
-    event("reply", time=1.0), event("request", time=0.0),
-    event("reply", time=2.0), event("reply", client=1, time=3.0),
-]
 
 
 class TestStrictSignals:
@@ -142,9 +137,7 @@ class TestStrictSignals:
     @example(records=_ACK_ACK, cuts=[1, 3])
     @example(records=_SPLIT_PAIR, cuts=[1])
     @example(records=[event("synack", time=7.0)], cuts=[])
-    @example(records=_REPLY_FIRST, cuts=[])
-    @example(records=_REPLY_FIRST, cuts=[2])
-    def test_handshake_and_bidirectional(self, records, cuts):
+    def test_handshake(self, records, cuts):
         reference, batched = strict_table(), strict_table()
         for record in records:
             reference.observe(record)
@@ -189,10 +182,9 @@ class TestStrictSignals:
     @settings(deadline=None, max_examples=100)
     @given(records=_EVENTS, cut=st.integers(0, 60))
     @example(records=_SPLIT_PAIR, cut=1)
-    @example(records=_REPLY_FIRST, cut=2)
     def test_shard_checkpoint_inside_a_pair(self, records, cut):
         """A ``ShardState`` checkpointed between a SYN-ACK and its ACK
-        (or a request and its reply) resumes into the same state."""
+        resumes into the same state."""
         reference = strict_table()
         for record in records:
             reference.observe(record)
@@ -229,25 +221,17 @@ class TestSamplers:
     @settings(deadline=None, max_examples=200)
     @given(
         times=_TIMES, cuts=_CUTS, budget=st.integers(1, 4),
-        period=st.sampled_from([1.0, 30.0, 60.0]),
-        anchor=st.sampled_from([0.0, 30.0]),
     )
-    @example(
-        times=[0.0, 0.0, 3600.0, 0.0, 0.0, 0.0], cuts=[2, 4], budget=2,
-        period=60.0, anchor=0.0,
-    )
-    def test_count_budget(self, times, cuts, budget, period, anchor):
+    @example(times=[0.0, 0.0, 3600.0, 0.0, 0.0, 0.0], cuts=[2, 4], budget=2)
+    def test_count_budget(self, times, cuts, budget):
         """Windows are runs in arrival order: a window the stream
         leaves and comes back to starts a fresh budget, and a run cut
         by a batch boundary keeps counting."""
         records = timed_records(times)
-        config = dict(
-            budget_per_period=budget, period_minutes=period, anchor=anchor
-        )
         reference = ReferenceSamplingTable(
-            strict_table(), ReferenceCountBudgetSampler(**config)
+            strict_table(), ReferenceCountBudgetSampler(budget)
         )
-        batched = SamplingTable(strict_table(), CountBudgetSampler(**config))
+        batched = SamplingTable(strict_table(), CountBudgetSampler(budget))
         for record in records:
             reference.observe(record)
         for cols in batches(records, cuts):

@@ -28,13 +28,6 @@ class TestFixedPeriodSampler:
         assert ReferenceFixedPeriodSampler(30).fraction == 0.5
         assert ReferenceFixedPeriodSampler(2).fraction == pytest.approx(2 / 60)
 
-    def test_anchor(self):
-        sampler = ReferenceFixedPeriodSampler(
-            sample_minutes=10, anchor=hours(1)
-        )
-        assert not sampler.keep_record(at(minutes(30)))
-        assert sampler.keep_record(at(hours(1) + minutes(5)))
-
     def test_invalid_windows(self):
         with pytest.raises(ValueError):
             FixedPeriodSampler(0)
@@ -79,23 +72,16 @@ class TestFixedPeriodSampler:
 
     @given(
         st.floats(min_value=0.5, max_value=60.0),
-        st.floats(min_value=1.0, max_value=120.0),
-        st.floats(min_value=-hours(2), max_value=hours(2)),
         st.lists(
             st.floats(min_value=-hours(5), max_value=hours(100))
             | st.integers(-300, 6000).map(float).map(minutes),
             max_size=50,
         ),
     )
-    def test_property_keep_mask_matches_keep(
-        self, sample_minutes, period_minutes, anchor, times
-    ):
+    def test_property_keep_mask_matches_keep(self, sample_minutes, times):
         """The batch mask is the per-record float expression, bit for
-        bit: window edges, times before the anchor and an empty batch."""
-        sampler = ReferenceFixedPeriodSampler(
-            sample_minutes=min(sample_minutes, period_minutes),
-            period_minutes=period_minutes, anchor=anchor,
-        )
+        bit: window edges, times before 0 and an empty batch."""
+        sampler = ReferenceFixedPeriodSampler(sample_minutes=sample_minutes)
         records = [at(t) for t in times]
         mask = sampler.keep_mask(RecordColumns.from_records(records))
         assert mask.dtype == bool

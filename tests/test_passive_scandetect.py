@@ -1,7 +1,6 @@
 """Tests for external-scan detection."""
 
 from repro.net.packet import tcp_rst, tcp_syn, tcp_synack
-from repro.passive.scandetect import ScanDetectorConfig
 from repro.simkernel.clock import hours
 from tests.passive_reference import ReferenceScanDetector
 
@@ -46,11 +45,12 @@ class TestDetection:
         assert detector.scanners() == set()
 
     def test_custom_thresholds(self):
-        config = ScanDetectorConfig(min_targets=10, min_rsts=10)
-        detector = ReferenceScanDetector(is_campus=is_campus, config=config)
+        detector = ReferenceScanDetector(is_campus=is_campus)
         targets = [CAMPUS + i for i in range(12)]
         feed_sweep(detector, SCANNER, targets, targets)
-        assert detector.scanners() == {SCANNER}
+        assert detector.scanners() == set()
+        assert detector.scanners_with(10, 10) == {SCANNER}
+        assert detector.scanners_with(10, 13) == set()
 
     def test_window_split_not_detected(self):
         """A slow scan spread across two 12-hour buckets with half the

@@ -381,6 +381,31 @@ class TestCheckpointResume:
         self._assert_same_run(resumed, reference)
         assert not (tmp_path / "stream.ckpt").exists()
 
+    @pytest.mark.parametrize("resumed_on", ["threads", "fabric"])
+    def test_store_with_udp_requests_resumes(
+        self, small_dtcp18, tmp_path, monkeypatch, resumed_on
+    ):
+        """Shard payloads that carry ``udp_requests`` -- an empty set in
+        every stream table, kept by the layout from before the
+        bidirectional UDP rule left -- resume on either transport to
+        the batch report."""
+        config = self._checkpointing(tmp_path)
+        oracle = batch_survey_report(config, dataset=small_dtcp18)
+        state_dict = ShardState.state_dict
+        written = []
+
+        def old_layout(state):
+            written.append(state.index)
+            return {**state_dict(state), "udp_requests": set()}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardState, "state_dict", old_layout)
+            kill_mid_run("threads", config, small_dtcp18, 100_000)
+        assert sorted(set(written)) == [0, 1]
+        resumed = run_front(resumed_on, config, small_dtcp18, resume=True)
+        assert resumed.resumed
+        assert resumed.report == oracle
+
     @pytest.mark.parametrize("front", ["threads", "fabric"])
     def test_corrupt_newest_shard_file_falls_back_a_generation(
         self, small_dtcp18, tmp_path, front

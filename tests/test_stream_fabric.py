@@ -253,7 +253,6 @@ def _shard_state(shard: int) -> dict:
         "flow_counts": {},
         "clients": {},
         "pending_handshake": {},
-        "udp_requests": {},
         "last_seen": {},
         "records": 100 + shard,
     }

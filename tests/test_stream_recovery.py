@@ -19,14 +19,12 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.stream import ShardCheckpointStore
+from tests.conftest import SRC, run_cli
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
 
 STREAM_ARGS = [
     "stream", "DTCP1-18d",
@@ -37,22 +35,6 @@ STREAM_ARGS = [
     "--outage-fraction", "0.02",
     "--fault-seed", "5",
 ]
-
-
-def run_cli(args, tmp_path, check=True):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    env.setdefault("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
-    if check and proc.returncode != 0:
-        raise AssertionError(
-            f"repro {' '.join(args)} failed ({proc.returncode}):\n"
-            f"{proc.stdout}\n{proc.stderr}"
-        )
-    return proc
 
 
 def _sigkill_then_resume(tmp_path, stream_args):

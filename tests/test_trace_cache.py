@@ -15,6 +15,7 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +31,7 @@ from repro.net.packet import (
 )
 from repro.passive.monitor import PassiveServiceTable, replay_columnar
 from repro.passive.sampling import SamplingTable
-from repro.passive.scandetect import ExternalScanDetector, ScanDetectorConfig
+from repro.passive.scandetect import ExternalScanDetector
 from repro.stream.shard import ShardState
 from repro.trace import cache as cache_module
 from repro.trace.cache import (
@@ -39,6 +40,7 @@ from repro.trace.cache import (
     default_trace_cache,
 )
 from repro.trace.columnar import (
+    COLUMN_FIELDS,
     RecordColumns,
     read_trace,
     read_trace_columns,
@@ -74,6 +76,25 @@ def generated_records(dataset):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(ENV_VAR, "off")
         return list(dataset.packet_stream())
+
+
+def generated_pass(dataset, end=None) -> RecordColumns:
+    """``dataset.column_batches(end)`` with the cache off, as one batch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_VAR, "off")
+        chunks = list(dataset.column_batches(end))
+    chunks = chunks or [RecordColumns.from_records([])]
+    return RecordColumns(
+        *(np.concatenate([getattr(chunk, name) for chunk in chunks])
+          for name, _dtype in COLUMN_FIELDS),
+        link_names=chunks[0].link_names,
+    )
+
+
+@pytest.fixture(scope="module")
+def generated_columns(dataset):
+    """The dataset's full border stream as one column batch (no cache)."""
+    return generated_pass(dataset)
 
 
 def standard_observers(dataset, detector=ExternalScanDetector):
@@ -272,7 +293,7 @@ def differential(make, state_of, observe=None):
 def _table_state(table):
     return (
         table.first_seen, table.last_seen, table.flow_counts, table.clients,
-        table._pending_handshake, table._udp_requests,
+        table._pending_handshake,
     )
 
 
@@ -334,7 +355,7 @@ class TestBatchedObservers:
         # So does a sampler with a batch mask, in front of the table.
         for sampler, overrides in (
             ({"sample_minutes": 30}, {}),
-            ({"sample_minutes": 2, "anchor": 30.0},
+            ({"sample_minutes": 2},
              {"links": frozenset({"internet2"})}),
         ):
             differential(
@@ -346,13 +367,11 @@ class TestBatchedObservers:
         """The order-dependent rules are vectorised and equal to the
         reference, behind a sampler too; a sampler without a batch mask
         is refused."""
-        from repro.passive.monitor import ServiceSignal, UdpSignal
+        from repro.passive.monitor import ServiceSignal
 
         for overrides in (
             {"signal": ServiceSignal.HANDSHAKE},
-            {"udp_signal": UdpSignal.BIDIRECTIONAL},
             {"signal": ServiceSignal.HANDSHAKE,
-             "udp_signal": UdpSignal.BIDIRECTIONAL,
              "tcp_ports": None,
              "is_campus": self.predicates(dataset)[1]},
         ):
@@ -362,7 +381,6 @@ class TestBatchedObservers:
                 self.table(
                     dataset,
                     signal=ServiceSignal.HANDSHAKE,
-                    udp_signal=UdpSignal.BIDIRECTIONAL,
                     links=frozenset({"commercial1", "internet2"}),
                     exclude_sources=frozenset(_OUTSIDE[:1]),
                 ),
@@ -378,11 +396,10 @@ class TestBatchedObservers:
             )
 
     def test_scan_detector(self, dataset):
-        config = ScanDetectorConfig(min_targets=2, min_rsts=1)
         for predicate in self.predicates(dataset):
             differential(
-                lambda: ReferenceScanDetector(is_campus=predicate, config=config),
-                lambda d: (d._targets, d._rst_sources, d.scanners()),
+                lambda: ReferenceScanDetector(is_campus=predicate),
+                lambda d: (d._targets, d._rst_sources, d.scanners_with(2, 1)),
             )
 
     def test_window_observer(self, dataset):
@@ -562,6 +579,43 @@ class TestOneSource:
         monkeypatch.setenv(ENV_VAR, "off")
         assert self._outcome(dataset.replay, dataset, plan)[0] == full
         assert self._outcome(partial, dataset, plan)[0] == short
+
+    @settings(deadline=None, max_examples=15)
+    @given(data=st.data())
+    def test_truncated_pass_is_a_prefix(self, dataset, generated_columns, data):
+        """A pass to *end* is the full pass's first rows, whether *end*
+        falls between packets or on one; every row it leaves out is at
+        or after *end* (it may keep some of those too: see below)."""
+        full = generated_columns
+        end = data.draw(
+            st.floats(0.0, dataset.duration)
+            | st.integers(0, len(full) - 1).map(lambda row: float(full.time[row])),
+            label="end",
+        )
+        part = generated_pass(dataset, end)
+        for name, _dtype in COLUMN_FIELDS:
+            assert np.array_equal(
+                getattr(part, name), getattr(full, name)[: len(part)]
+            ), name
+        assert (full.time[len(part):] >= end).all()
+
+    def test_truncated_pass_is_not_a_time_cut(self, dataset, generated_columns):
+        """A flow that began before *end* is kept whole: a pass ending
+        just after a SYN still holds the SYN-ACK written with it, though
+        that answer comes after *end*."""
+        full = generated_columns
+        syn = ((full.flags & 0x12) == 0x02) & (full.proto == PROTO_TCP)
+        answered = np.flatnonzero(
+            syn[:-1]
+            & ((full.flags[1:] & 0x12) == 0x12)
+            & (full.src[1:] == full.dst[:-1])
+            & (full.time[1:] > full.time[:-1])
+        )
+        row = int(answered[0])
+        end = float(np.nextafter(full.time[row], np.inf))
+        part = generated_pass(dataset, end)
+        assert len(part) > row + 1
+        assert part.time[row + 1] > end
 
     def test_fallback_observers_share_one_materialisation(
         self, monkeypatch, tmp_path, dataset
