@@ -100,6 +100,22 @@ class TestSamplingTable:
         assert wrapper.observed_fraction == 0.5
 
 
+class TestBidirectionalUdpSignal:
+    """Section 2.2's caveat: UDP evidence need not be a solicited answer.
+
+    The source-port rule counts a campus datagram from a watched port
+    even when no request preceded it."""
+
+    def test_sport_mode_accepts_unsolicited(self):
+        table = PassiveServiceTable(
+            is_campus=is_campus,
+            tcp_ports=frozenset(),
+            udp_ports=frozenset({53}),
+        )
+        table.observe(udp_datagram(1.0, CAMPUS + 3, OUTSIDE + 1, 53, 5353))
+        assert len(table.endpoints()) == 1
+
+
 @pytest.fixture(scope="module")
 def population():
     return synthesize_population(
