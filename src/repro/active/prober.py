@@ -120,9 +120,7 @@ class HalfOpenScanner:
             # per-address definition.
             when = start + np.arange(len(chunk)) * (duration / len(chunk))
             slots = index.slots(chunk)
-            codes = index.sweep_outcomes(
-                slots, port_row, when, PROTO_TCP, internal=True
-            )
+            codes = index.sweep_outcomes(slots, port_row, when, PROTO_TCP)
             delay = None
             if faults is not None:
                 delay = self._transmit(

@@ -57,7 +57,6 @@ class GenericUdpProber:
             np.asarray(ports, dtype=np.int64),
             when,
             PROTO_UDP,
-            internal=True,
         )
         responded = (codes != SILENT).any(axis=1)
         report.no_response_addresses.update(targets[~responded].tolist())

@@ -270,9 +270,8 @@ class ProbeResponseIndex:
         ports: np.ndarray,
         when: np.ndarray,
         proto: int,
-        internal: bool,
     ) -> np.ndarray:
-        """Outcome codes of a sweep, one row per address.
+        """Outcome codes of an on-campus sweep, one row per address.
 
         Row ``i`` probes address ``slots[i]`` on every one of *ports*
         at ``when[i]``; column ``j`` is the answer from ``ports[j]``.
@@ -287,6 +286,6 @@ class ProbeResponseIndex:
             np.tile(ports, len(held)),
             np.repeat(when[held], width),
             proto,
-            internal,
+            internal=True,
         ).reshape(len(held), width)
         return codes

@@ -307,7 +307,6 @@ class BuiltDataset:
             count = replay_columnar(batches, *observers, faults=faults)
         elapsed = perf_counter() - started
         source = "cached" if cached else "recorded" if recorded else "generated"
-        cache.stats.note_replay(count, elapsed)
         if tap is not None:
             tap.flush_into(reg)
             if faults is not None:

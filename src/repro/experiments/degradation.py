@@ -35,17 +35,14 @@ own command rather than a new EXPERIMENTS.md section.
 from __future__ import annotations
 
 import argparse
+import functools
 from dataclasses import dataclass, field
 
 from repro.core.report import TextTable
 from repro.experiments.common import percent
+from repro.experiments.runner import ExperimentFailure, fork_each
 from repro.faults.plan import FaultPlan
 from repro.simkernel.rng import derive_seed
-from repro.telemetry.metrics import (
-    MetricRegistry,
-    registry as _telemetry_registry,
-    set_registry,
-)
 
 DEFAULT_DATASET = "DTCPall"
 DEFAULT_LOSS_RATES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4)
@@ -133,7 +130,7 @@ def measure_point(
     loss_rate: float,
     outage_fraction: float,
 ) -> DegradationPoint:
-    """Build and measure one sweep point (self-contained; pool-safe)."""
+    """Build and measure one sweep point (self-contained; fork-safe)."""
     from repro.datasets.builder import build_dataset
     from repro.passive.monitor import PassiveServiceTable
 
@@ -165,25 +162,6 @@ def measure_point(
     )
 
 
-def _measure_in_worker(
-    telemetry: bool, *point
-) -> tuple[DegradationPoint, dict | None]:
-    """:func:`measure_point` in a pool worker, plus its metrics.
-
-    A forked worker inherits the parent's registry with its counts, so
-    an instrumented task runs under a fresh registry and ships only its
-    own snapshot, which the parent merges.
-    """
-    if not telemetry:
-        return measure_point(*point), None
-    registry = MetricRegistry()
-    previous = set_registry(registry)
-    try:
-        return measure_point(*point), registry.snapshot()
-    finally:
-        set_registry(previous)
-
-
 def run_degradation(
     dataset: str = DEFAULT_DATASET,
     seed: int = 0,
@@ -194,9 +172,11 @@ def run_degradation(
 ) -> DegradationResult:
     """Sweep the fault grid; return every point plus the baseline.
 
-    With ``jobs > 1`` the points run across a process pool.  Points
-    are independent and individually deterministic, and results (and
-    each worker's metrics) merge in grid order, so the output is
+    With ``jobs > 1`` each point runs in its own forked child
+    (:func:`repro.experiments.runner.fork_each`); a point that raises or
+    whose child dies fails the sweep with an error naming the point.
+    Points are independent and individually deterministic, and results
+    (and each child's metrics) merge in grid order, so the output is
     identical at any job count.
     """
     if not loss_rates:
@@ -217,23 +197,24 @@ def run_degradation(
             for loss, outage in tasks
         ]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        measured = [None] * len(tasks)
 
-        telemetry = _telemetry_registry().enabled
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _measure_in_worker, telemetry,
-                    dataset, seed, scale, loss, outage,
+        def done(index: int, outcome) -> None:
+            if isinstance(outcome, ExperimentFailure):
+                loss, outage = tasks[index]
+                raise RuntimeError(
+                    f"degradation point (loss_rate={loss:g}, "
+                    f"outage_fraction={outage:g}) failed: "
+                    f"{outcome.error_type}\n{outcome.message}"
                 )
-                for loss, outage in tasks
-            ]
-            measured = []
-            for future in futures:
-                point, snapshot = future.result()
-                if snapshot is not None:
-                    _telemetry_registry().merge_snapshot(snapshot)
-                measured.append(point)
+            measured[index] = outcome
+
+        fork_each(
+            [(f"degradation-{index}", functools.partial(
+                measure_point, dataset, seed, scale, loss, outage))
+             for index, (loss, outage) in enumerate(tasks)],
+            jobs, done,
+        )
     return DegradationResult(
         dataset=dataset,
         seed=seed,
@@ -296,7 +277,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="measure sweep points across N worker processes",
+        help="measure each sweep point in its own forked child, N at a time",
     )
     add_out_argument(parser)
     add_telemetry_argument(parser)

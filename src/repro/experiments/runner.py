@@ -3,52 +3,46 @@
 Usage::
 
     python -m repro.experiments.runner [--scale 1.0] [--seed 0]
-        [--jobs N] [--timeout SECONDS] [--retries N] [--resume]
-        [--out EXPERIMENTS.md]
+        [--jobs N] [--resume] [--out EXPERIMENTS.md]
 
 At ``--scale 1.0`` the full paper-scale populations are simulated; the
-whole suite costs a handful of trace passes (a few minutes).  Smaller
+whole suite costs a handful of trace passes (under a minute).  Smaller
 scales are useful for smoke runs.
 
-``--jobs N`` runs experiments across worker processes.  Each worker
-builds and replays its own datasets while all workers share the
-on-disk record-once trace cache (writes are atomic, so racing workers
-are safe).  Results merge in the original experiment order, so the
-report is byte-identical to a sequential run.
+``--jobs 1`` runs the experiments in this process, sharing warm
+dataset contexts.  ``--jobs N`` runs each one in its own forked child
+(:func:`fork_each`, which ``degradation --jobs N`` uses too), at most N
+at a time; all children share the on-disk record-once trace cache
+(writes are atomic, so racing children are safe).  Results merge in
+the original experiment order, so the report is byte-identical at any
+``--jobs``.
 
-The runner is hardened for long sweeps:
+An experiment is a pure function of ``(name, seed, scale)``, so it is
+attempted once:
 
-* a worker that raises (or dies outright) becomes a structured failure
+* one that raises (or, forked, dies) becomes a structured failure
   record in the report instead of aborting the remaining experiments;
-* failed experiments are retried up to ``--retries`` times with
-  exponential backoff;
-* ``--timeout`` bounds each experiment attempt; a hung worker process
-  is terminated (implies process isolation, even at ``--jobs 1``);
-* every completed experiment is appended to a JSON checkpoint next to
+* every finished experiment is written to a JSON checkpoint next to
   the report, and ``--resume`` reuses it so an interrupted run
   recomputes only unfinished experiments -- the final report is
   identical to an uninterrupted run;
 * SIGINT/SIGTERM write the checkpoint, print what completed, and exit
   130 instead of dumping a traceback.
-
-Every result carries replay bookkeeping in its metrics:
-``replay_records_per_sec`` (throughput of the trace passes the
-experiment triggered; 0 when every pass was already in-process cached)
-and ``trace_cache_hits`` / ``trace_cache_misses``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
-import itertools
 import json
+import multiprocessing.connection
 import os
 import signal
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.cli import add_dataset_arguments, add_telemetry_argument
@@ -56,7 +50,11 @@ from repro.durable import write_atomic
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentResult
 from repro.telemetry.export import run_scope
-from repro.telemetry.metrics import registry as _telemetry_registry
+from repro.telemetry.metrics import (
+    MetricRegistry,
+    registry as _telemetry_registry,
+    set_registry,
+)
 from repro.telemetry.tracing import span as _span
 
 HEADER = """\
@@ -128,28 +126,12 @@ def run_experiment(name: str, seed: int, scale: float) -> ExperimentResult:
 def _run_experiment_instrumented(
     name: str, seed: int, scale: float
 ) -> ExperimentResult:
-    """Run one experiment, stamping replay/cache metrics onto the result.
-
-    The deltas cover exactly the trace passes this experiment caused in
-    this process (an experiment whose context was already in-process
-    cached replays nothing and reports zero throughput).
-    """
-    from repro.trace.cache import replay_stats_snapshot
-
+    """Run one experiment under its span, counting and timing it."""
     reg = _telemetry_registry()
-    before = replay_stats_snapshot()
     started = time.perf_counter()
     with _span(name):
         result = run_experiment(name, seed, scale)
     elapsed = time.perf_counter() - started
-    after = replay_stats_snapshot()
-    records = after.records_replayed - before.records_replayed
-    seconds = after.replay_seconds - before.replay_seconds
-    result.metrics["replay_records_per_sec"] = (
-        records / seconds if seconds > 0 else 0.0
-    )
-    result.metrics["trace_cache_hits"] = float(after.hits - before.hits)
-    result.metrics["trace_cache_misses"] = float(after.misses - before.misses)
     reg.counter(
         "repro_runner_experiments_total", "Experiments completed by the runner.",
     ).inc()
@@ -157,6 +139,7 @@ def _run_experiment_instrumented(
         "repro_runner_experiment_seconds",
         "Wall-time distribution of individual experiments.",
     ).observe(elapsed)
+    print(f"{name}: {elapsed:.1f}s", file=sys.stderr)
     return result
 
 
@@ -165,20 +148,18 @@ class ExperimentFailure:
     """A structured error record for one experiment that never finished.
 
     Takes the place of an :class:`ExperimentResult` in the report so a
-    crashed, hung, or repeatedly raising experiment is visible without
-    taking the rest of the sweep down with it.
+    raising or crashed experiment is visible without taking the rest of
+    the sweep down with it.  :func:`fork_each` reports any failed task
+    this way.
     """
 
     experiment_id: str
     error_type: str
     message: str
-    attempts: int
 
     def render(self) -> str:
-        plural = "s" if self.attempts != 1 else ""
         return (
-            f"## {self.experiment_id}: FAILED "
-            f"after {self.attempts} attempt{plural}\n\n"
+            f"## {self.experiment_id}: FAILED\n\n"
             f"```\n{self.error_type}: {self.message.strip()}\n```"
         )
 
@@ -235,7 +216,6 @@ def save_checkpoint(
             name: {
                 "error_type": failure.error_type,
                 "message": failure.message,
-                "attempts": failure.attempts,
             }
             for name, failure in (failed or {}).items()
         },
@@ -255,7 +235,7 @@ def load_checkpoint(
     A missing, unreadable, or mismatched (version/seed/scale)
     checkpoint yields an empty dict -- resuming is then a full run.
     Failed experiments recorded in the checkpoint are *not* returned:
-    a resume always retries them.
+    a resume always reruns them.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -278,30 +258,26 @@ def load_checkpoint(
         return {}
 
 
-# ---- execution engines ------------------------------------------------
+# ---- the fork engine -------------------------------------------------
 
 
-def _worker_entry(conn, name: str, seed: int, scale: float) -> None:
-    """Child-process entry: run one experiment, ship the outcome back.
+def _child(conn, name: str, task: Callable[[], object]) -> None:
+    """Forked-child entry: run *task*, ship the outcome home.
 
-    A forked worker inherits the parent's telemetry registry *including
+    A forked child inherits the parent's telemetry registry *including
     its accumulated counts*; shipping that back would double-count every
-    metric the parent already holds.  So an instrumented worker swaps in
+    metric the parent already holds.  So an instrumented child swaps in
     a fresh registry first and ships only its own snapshot, which the
-    parent folds in on reap.
+    parent merges.
     """
-    from repro.telemetry.metrics import MetricRegistry, set_registry
-
-    snapshot = None
     telemetry = _telemetry_registry().enabled
     if telemetry:
         set_registry(MetricRegistry(process=name))
     try:
-        result = _run_experiment_instrumented(name, seed, scale)
-        if telemetry:
-            snapshot = _telemetry_registry().snapshot()
-        conn.send(("ok", result, snapshot))
-    except BaseException as exc:  # noqa: BLE001 - isolate *any* worker crash
+        value = task()
+        snapshot = _telemetry_registry().snapshot() if telemetry else None
+        conn.send(("ok", value, snapshot))
+    except BaseException as exc:  # noqa: BLE001 - isolate *any* task crash
         detail = traceback.format_exc()[-_TRACEBACK_LIMIT:]
         try:
             conn.send(("error", type(exc).__name__, detail))
@@ -311,213 +287,86 @@ def _worker_entry(conn, name: str, seed: int, scale: float) -> None:
         conn.close()
 
 
-def _mp_context():
-    import multiprocessing
-
-    try:
-        # Fork keeps worker start cheap and inherits warmed imports.
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-@dataclass
-class _Bookkeeping:
-    """What an attempt's outcome does, whichever engine ran it: the
-    retry and failure counters, the backoff, failure records, the
-    verbose lines and the completion hook."""
-
-    retries: int
-    backoff: float
-    verbose: bool
-    on_complete: Callable
-    outcomes: dict = field(default_factory=dict)
-
-    def succeeded(
-        self, name: str, result: ExperimentResult, started: float
-    ) -> None:
-        self.outcomes[name] = result
-        if self.verbose:
-            print(f"{name}: {time.monotonic() - started:.1f}s",
-                  file=sys.stderr)
-        self.on_complete(name, result)
-
-    def failed(
-        self, name: str, attempt: int, error_type: str, message: str
-    ) -> float | None:
-        """Book failed *attempt* (1-based): the exponential backoff to
-        wait before the next one, or ``None`` once the retries are spent
-        and the failure record is final."""
-        reg = _telemetry_registry()
-        if attempt <= self.retries:
-            reg.counter(
-                "repro_runner_retries_total",
-                "Experiment attempts requeued after a failure.",
-            ).inc()
-            delay = self.backoff * (2.0 ** (attempt - 1))
-            if self.verbose:
-                print(
-                    f"{name}: attempt {attempt} failed ({error_type}); "
-                    f"retrying in {delay:.1f}s",
-                    file=sys.stderr,
-                )
-            return delay
-        reg.counter(
-            "repro_runner_failures_total",
-            "Experiments abandoned after exhausting retries.",
-        ).inc()
-        failure = ExperimentFailure(
-            experiment_id=name,
-            error_type=error_type,
-            message=message,
-            attempts=attempt,
-        )
-        self.outcomes[name] = failure
-        if self.verbose:
-            print(f"{name}: FAILED after {attempt} attempt(s) ({error_type})",
-                  file=sys.stderr)
-        self.on_complete(name, failure)
-        return None
-
-
-def _run_isolated(
-    names: list[str],
-    seed: int,
-    scale: float,
+def fork_each(
+    tasks: list[tuple[str, Callable[[], object]]],
     jobs: int,
-    timeout: float | None,
-    book: _Bookkeeping,
+    done: Callable[[int, object], None],
 ) -> None:
-    """Run each experiment in its own process, at most *jobs* at a time.
+    """Run each ``(name, task)`` in its own forked child, *jobs* at a time.
 
-    Process-per-experiment isolation is what makes the hardening real:
-    a worker that raises is a failure record, a worker that hangs past
-    *timeout* is terminated, a worker that dies (OOM kill, segfault)
-    is detected by its exit code -- and none of them can take the
-    scheduler or the other experiments down.  Failed attempts are
-    requeued with exponential backoff up to *retries* extra tries.
+    ``done(i, outcome)`` fires in the parent as task *i* ends, in
+    completion order: *outcome* is what the task returned, or an
+    :class:`ExperimentFailure` -- the error type it raised plus the tail
+    of its traceback, or ``WorkerCrash`` with the exit code of a child
+    that died without answering.  A raising or crashing task cannot take
+    the others down.  Each child runs under a fresh metric registry
+    whose snapshot the parent merges, in task order.  On any way out (an
+    error in *done*, Ctrl-C) every child still running is terminated and
+    joined.
     """
-    ctx = _mp_context()
-    #: (name, attempt, ready_at) -- attempt is 1-based.
-    pending: list[tuple[str, int, float]] = [(n, 1, 0.0) for n in names]
-    #: name -> (process, recv_conn, attempt, started_at)
-    running: dict[str, tuple] = {}
-
-    def fail_or_retry(name: str, attempt: int, error_type: str, message: str):
-        delay = book.failed(name, attempt, error_type, message)
-        if delay is not None:
-            pending.append((name, attempt + 1, time.monotonic() + delay))
-
-    def reap(name: str) -> None:
-        process, conn, attempt, started = running.pop(name)
-        payload = None
-        if conn.poll(0):
-            try:
-                payload = conn.recv()
-            except EOFError:
-                payload = None
-        conn.close()
-        process.join()
-        if payload is not None and payload[0] == "ok":
-            if len(payload) > 2 and payload[2] is not None:
-                _telemetry_registry().merge_snapshot(payload[2])
-            book.succeeded(name, payload[1], started)
-        elif payload is not None:
-            fail_or_retry(name, attempt, payload[1], payload[2])
-        else:
-            fail_or_retry(
-                name, attempt, "WorkerCrash",
-                f"worker exited with code {process.exitcode} "
-                "without reporting a result",
-            )
-
+    ctx = multiprocessing.get_context("fork")
+    pending = list(enumerate(tasks))
+    #: index -> (name, process, recv_conn)
+    running: dict[int, tuple] = {}
+    #: index -> metrics snapshot not yet merged (None: nothing to merge)
+    snapshots: dict[int, dict | None] = {}
+    merged = 0
     try:
         while pending or running:
-            now = time.monotonic()
-            # Launch ready tasks into free slots.
-            for task in sorted(pending, key=lambda item: item[2]):
-                if len(running) >= jobs:
-                    break
-                name, attempt, ready_at = task
-                if ready_at > now:
-                    continue
-                pending.remove(task)
+            while pending and len(running) < jobs:
+                index, (name, task) = pending.pop(0)
                 recv_conn, send_conn = ctx.Pipe(duplex=False)
                 process = ctx.Process(
-                    target=_worker_entry,
-                    args=(send_conn, name, seed, scale),
-                    name=f"repro-exp-{name}",
+                    target=_child, args=(send_conn, name, task),
+                    name=f"repro-{name}",
                 )
                 process.start()
                 send_conn.close()  # parent keeps only the read end
-                running[name] = (process, recv_conn, attempt, time.monotonic())
-            if not running:
-                # Every remaining task is backing off; sleep to the next.
-                wake = min(ready_at for _, _, ready_at in pending)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-            # Reap finished, crashed, or hung workers.
-            progressed = False
-            for name in list(running):
-                process, conn, attempt, started = running[name]
-                if conn.poll(0) or not process.is_alive():
-                    reap(name)
-                    progressed = True
-                elif (
-                    timeout is not None
-                    and time.monotonic() - started > timeout
-                ):
-                    process.terminate()
-                    process.join(5.0)
-                    if process.is_alive():  # pragma: no cover - stuck in D
-                        process.kill()
-                        process.join()
-                    running.pop(name)
-                    conn.close()
-                    fail_or_retry(
-                        name, attempt, "TimeoutError",
-                        f"no result within {timeout:g}s; worker terminated",
+                running[index] = (name, process, recv_conn)
+            multiprocessing.connection.wait(
+                [conn for _, _, conn in running.values()]
+                + [process.sentinel for _, process, _ in running.values()]
+            )
+            for index in list(running):
+                name, process, conn = running[index]
+                if not conn.poll(0) and process.is_alive():
+                    continue
+                try:
+                    payload = conn.recv() if conn.poll(0) else None
+                except EOFError:
+                    payload = None
+                conn.close()
+                process.join()
+                del running[index]
+                snapshot = None
+                if payload is None:
+                    outcome = ExperimentFailure(
+                        name, "WorkerCrash",
+                        f"worker exited with code {process.exitcode} "
+                        "without reporting a result",
                     )
-                    progressed = True
-            if not progressed:
-                time.sleep(0.02)
+                elif payload[0] == "ok":
+                    outcome, snapshot = payload[1], payload[2]
+                else:
+                    outcome = ExperimentFailure(name, payload[1], payload[2])
+                snapshots[index] = snapshot
+                # Metrics merge in task order, so last-writer gauges read
+                # as they would after an in-process run.
+                while merged in snapshots:
+                    snapshot = snapshots.pop(merged)
+                    if snapshot is not None:
+                        _telemetry_registry().merge_snapshot(snapshot)
+                    merged += 1
+                done(index, outcome)
     finally:
-        # Interrupt or internal error: leave no orphaned workers behind.
-        for process, conn, _, _ in running.values():
+        for _, process, conn in running.values():
             process.terminate()
             conn.close()
-        for process, _, _, _ in running.values():
+        for _, process, _ in running.values():
             process.join(5.0)
             if process.is_alive():  # pragma: no cover - stuck in D state
                 process.kill()
                 process.join()
-
-
-def _run_sequential(
-    names: list[str], seed: int, scale: float, book: _Bookkeeping
-) -> None:
-    """In-process execution: fastest path, shares warm dataset caches.
-
-    Exceptions are collected per experiment (with inline backoff and
-    retries) so one broken experiment cannot abort the sweep;
-    ``KeyboardInterrupt`` propagates so the caller can checkpoint.
-    """
-    for name in names:
-        for attempt in itertools.count(1):
-            started = time.monotonic()
-            try:
-                result = _run_experiment_instrumented(name, seed, scale)
-            except Exception as exc:  # noqa: BLE001 - collected as record
-                delay = book.failed(
-                    name, attempt, type(exc).__name__,
-                    traceback.format_exc()[-_TRACEBACK_LIMIT:],
-                )
-                if delay is None:
-                    break
-                time.sleep(delay)
-            else:
-                book.succeeded(name, result, started)
-                break
 
 
 def _run_many(
@@ -525,43 +374,57 @@ def _run_many(
     seed: int,
     scale: float,
     jobs: int = 1,
-    verbose: bool = True,
-    timeout: float | None = None,
-    retries: int = 0,
-    backoff: float = 1.0,
     precomputed: dict[str, ExperimentResult] | None = None,
     on_complete=None,
 ) -> list[ExperimentResult | ExperimentFailure]:
     """Run the named experiments; return outcomes in the given order.
 
-    *precomputed* results (from a resume checkpoint) are reused
-    verbatim.  *on_complete(name, outcome)* fires after every finished
-    experiment -- the checkpoint hook.  Timeouts require process
-    isolation, so ``timeout`` forces the process-per-experiment engine
-    even at ``jobs=1``.
+    At ``jobs == 1`` they run in this process, sharing warm dataset
+    contexts; otherwise :func:`fork_each` isolates each one.  Either way
+    an experiment that raises (or, forked, dies) is one attempt and
+    becomes a failure record.  *precomputed* results (from a resume
+    checkpoint) are reused verbatim.  *on_complete(name, outcome)*
+    fires after every finished experiment -- the checkpoint hook.
     """
-    book = _Bookkeeping(
-        retries, backoff, verbose,
-        on_complete or (lambda name, outcome: None),
-    )
-    precomputed = precomputed or {}
-    todo = [name for name in names if name not in precomputed]
-    started = time.monotonic()
-    if todo and (jobs > 1 or timeout is not None):
-        _run_isolated(todo, seed, scale, max(1, jobs), timeout, book)
-        if verbose:
-            print(
-                f"{len(todo)} experiments in "
-                f"{time.monotonic() - started:.1f}s across "
-                f"{max(1, jobs)} workers",
-                file=sys.stderr,
-            )
+    outcomes: dict = dict(precomputed or {})
+    todo = [name for name in names if name not in outcomes]
+
+    def finish(index: int, outcome) -> None:
+        name = todo[index]
+        if isinstance(outcome, ExperimentFailure):
+            _telemetry_registry().counter(
+                "repro_runner_failures_total",
+                "Experiments that ended as a failure record.",
+            ).inc()
+            print(f"{name}: FAILED ({outcome.error_type})", file=sys.stderr)
+        outcomes[name] = outcome
+        if on_complete is not None:
+            on_complete(name, outcome)
+
+    if jobs == 1:
+        for index, name in enumerate(todo):
+            try:
+                outcome = _run_experiment_instrumented(name, seed, scale)
+            except Exception as exc:  # noqa: BLE001 - collected as record
+                outcome = ExperimentFailure(
+                    name, type(exc).__name__,
+                    traceback.format_exc()[-_TRACEBACK_LIMIT:],
+                )
+            finish(index, outcome)
     elif todo:
-        _run_sequential(todo, seed, scale, book)
-    return [
-        precomputed[name] if name in precomputed else book.outcomes[name]
-        for name in names
-    ]
+        started = time.monotonic()
+        fork_each(
+            [(name, functools.partial(
+                _run_experiment_instrumented, name, seed, scale))
+             for name in todo],
+            jobs, finish,
+        )
+        print(
+            f"{len(todo)} experiments in {time.monotonic() - started:.1f}s "
+            f"across {jobs} workers",
+            file=sys.stderr,
+        )
+    return [outcomes[name] for name in names]
 
 
 # ---- reporting --------------------------------------------------------
@@ -631,23 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="run experiments across N worker processes (each warms its "
-             "own caches; the on-disk trace cache is shared)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="bound each experiment attempt to this many seconds "
-             "(forces one process per experiment, even at --jobs 1)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1,
-        help="retry a failed experiment up to N extra times with "
-             "exponential backoff (default 1)",
-    )
-    parser.add_argument(
-        "--backoff", type=float, default=1.0,
-        help="backoff before the first retry, in seconds; doubles "
-             "per attempt (default 1.0)",
+        help="run each experiment in its own forked child, N at a time "
+             "(the on-disk trace cache is shared)",
     )
     parser.add_argument(
         "--checkpoint", default=None,
@@ -663,12 +511,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
-    if args.backoff < 0:
-        parser.error("--backoff must be >= 0")
 
     names = args.only if args.only else list(ALL_EXPERIMENTS)
     unknown = set(names) - set(ALL_EXPERIMENTS)
@@ -729,9 +571,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.seed,
                 args.scale,
                 jobs=args.jobs,
-                timeout=args.timeout,
-                retries=args.retries,
-                backoff=args.backoff,
                 precomputed=precomputed,
                 on_complete=on_complete,
             )

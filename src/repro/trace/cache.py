@@ -30,7 +30,6 @@ The default location is ``~/.cache/repro``.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import hashlib
 import json
 import os
@@ -59,26 +58,11 @@ _PERSISTED_FIELDS = ("hits", "misses", "evictions")
 
 @dataclass
 class TraceCacheStats:
-    """Counters for one process's trace-cache traffic.
-
-    ``records_replayed`` / ``replay_seconds`` accumulate over every
-    :meth:`repro.datasets.builder.BuiltDataset.replay` call (cached or
-    generated): their ratio is the realised replay throughput of the
-    process so far.
-    """
+    """Counters for one process's trace-cache traffic."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    records_replayed: int = 0
-    replay_seconds: float = 0.0
-
-    def note_replay(self, records: int, seconds: float) -> None:
-        self.records_replayed += records
-        self.replay_seconds += seconds
-
-    def snapshot(self) -> "TraceCacheStats":
-        return dataclasses.replace(self)
 
 
 @dataclass
@@ -318,12 +302,3 @@ def default_trace_cache() -> TraceCache:
         _default_env = value
     return _default
 
-
-def replay_stats() -> TraceCacheStats:
-    """Live counters of the default cache (mutated by replays)."""
-    return default_trace_cache().stats
-
-
-def replay_stats_snapshot() -> TraceCacheStats:
-    """An immutable copy of the current counters (for deltas)."""
-    return replay_stats().snapshot()

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 
+import repro.experiments.degradation as degradation
 from repro.experiments.degradation import (
     DegradationPoint,
     DegradationResult,
@@ -144,6 +148,60 @@ class TestSweep:
             run_degradation(DATASET, outage_fractions=())
         with pytest.raises(ValueError):
             run_degradation(DATASET, jobs=0)
+
+
+class TestForkedPoints:
+    """At ``jobs > 1`` a point that fails stops the sweep with an error
+    naming it, and no child outlives the sweep."""
+
+    @pytest.fixture
+    def steered(self, monkeypatch):
+        """Instant fake points; ``(loss, outage) -> failure`` entries
+        make a point raise or kill its child."""
+        failures = {}
+
+        def fake_point(dataset, seed, scale, loss, outage):
+            failure = failures.get((loss, outage))
+            if failure == "raise":
+                raise ValueError("capture plan refused")
+            if failure == "crash":
+                os._exit(23)
+            return DegradationPoint(loss, outage, 10, 0, 5, 5, 8)
+
+        monkeypatch.setattr(degradation, "measure_point", fake_point)
+        yield failures
+        assert multiprocessing.active_children() == []
+
+    def sweep(self):
+        return run_degradation(
+            DATASET, seed=7, scale=1.0,
+            loss_rates=RATES, outage_fractions=FRACTIONS, jobs=2,
+        )
+
+    def test_raising_point_named_with_traceback(self, steered):
+        steered[(0.3, 0.25)] = "raise"
+        with pytest.raises(RuntimeError) as excinfo:
+            self.sweep()
+        message = str(excinfo.value)
+        assert "(loss_rate=0.3, outage_fraction=0.25)" in message
+        assert "ValueError" in message
+        assert "capture plan refused" in message
+        assert "Traceback" in message
+
+    def test_crashing_point_is_a_worker_crash(self, steered):
+        steered[(0.3, 0.0)] = "crash"
+        with pytest.raises(RuntimeError) as excinfo:
+            self.sweep()
+        message = str(excinfo.value)
+        assert "(loss_rate=0.3, outage_fraction=0)" in message
+        assert "WorkerCrash" in message
+        assert "code 23" in message
+
+    def test_fakes_complete_in_grid_order(self, steered):
+        result = self.sweep()
+        assert [(p.loss_rate, p.outage_fraction) for p in result.points] == [
+            (loss, outage) for outage in FRACTIONS for loss in RATES
+        ]
 
 
 class TestReporting:

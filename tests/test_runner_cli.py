@@ -46,14 +46,6 @@ class TestRunnerMain:
         assert main(base + ["--out", str(pooled), "--jobs", "2"]) == 0
         assert pooled.read_text() == sequential.read_text()
 
-    def test_instrumented_metrics_stamped(self):
-        from repro.experiments.runner import _run_experiment_instrumented
-
-        result = _run_experiment_instrumented("table3", 5, 0.03)
-        assert "replay_records_per_sec" in result.metrics
-        assert "trace_cache_hits" in result.metrics
-        assert "trace_cache_misses" in result.metrics
-
     def test_header_records_parameters(self, tmp_path):
         out = tmp_path / "report.md"
         main(["--scale", "0.03", "--seed", "9", "--only", "table1",

@@ -1,15 +1,15 @@
 """Tests for the hardened experiment runner.
 
-Fault tolerance, timeouts, retries, checkpointing, and resume: a long
-sweep must survive a broken experiment, a hung worker, or a SIGINT and
+Failure records, crash detection, checkpointing, and resume: a long
+sweep must survive a broken experiment, a dead worker, or a SIGINT and
 still produce the same report an uninterrupted run would have.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -39,18 +39,17 @@ def fake_result(name: str, seed: int = 0) -> ExperimentResult:
 def fake_experiments(monkeypatch):
     """Replace the experiment modules with instant fakes.
 
-    Returns a mutable set of names that should raise; mutate it (or the
-    ``crash_hard`` / ``hang`` sets) to steer failure scenarios.  The
-    fakes are inherited by forked workers, so the same steering works
-    for the process-isolated engine.
+    Mutate its ``failing`` / ``crash_hard`` sets to steer failure
+    scenarios; ``calls`` lists every in-process call.  The fakes are
+    inherited by forked workers, so the same steering works for the
+    fork engine.
     """
     failing: set[str] = set()
     crash_hard: set[str] = set()
-    hang: set[str] = set()
+    calls: list[str] = []
 
     def fake_run(name, seed, scale):
-        if name in hang:
-            time.sleep(60)
+        calls.append(name)
         if name in crash_hard:
             os._exit(23)
         if name in failing:
@@ -60,7 +59,7 @@ def fake_experiments(monkeypatch):
     monkeypatch.setattr(runner, "run_experiment", fake_run)
     fake_run.failing = failing
     fake_run.crash_hard = crash_hard
-    fake_run.hang = hang
+    fake_run.calls = calls
     return fake_run
 
 
@@ -68,27 +67,24 @@ NAMES = ["alpha", "beta", "gamma"]
 
 
 def run(names=NAMES, **kwargs):
-    kwargs.setdefault("verbose", False)
-    kwargs.setdefault("backoff", 0.0)
     return runner._run_many(names, seed=0, scale=1.0, **kwargs)
 
 
 class TestFailureRecords:
     def test_sequential_collects_failures_and_continues(self, fake_experiments):
         fake_experiments.failing.add("beta")
-        results = run(retries=0)
+        results = run()
         assert [r.experiment_id for r in results] == NAMES
         assert isinstance(results[0], ExperimentResult)
         failure = results[1]
         assert isinstance(failure, ExperimentFailure)
         assert failure.error_type == "RuntimeError"
         assert "beta is broken" in failure.message
-        assert failure.attempts == 1
         assert isinstance(results[2], ExperimentResult)
 
     def test_isolated_collects_failures_and_continues(self, fake_experiments):
         fake_experiments.failing.add("beta")
-        results = run(jobs=2, retries=0)
+        results = run(jobs=2)
         assert [r.experiment_id for r in results] == NAMES
         failure = results[1]
         assert isinstance(failure, ExperimentFailure)
@@ -97,32 +93,20 @@ class TestFailureRecords:
 
     def test_worker_crash_detected_by_exitcode(self, fake_experiments):
         fake_experiments.crash_hard.add("gamma")
-        results = run(jobs=2, retries=0)
+        results = run(jobs=2)
         failure = results[2]
         assert isinstance(failure, ExperimentFailure)
         assert failure.error_type == "WorkerCrash"
         assert "code 23" in failure.message
-
-    def test_retries_with_attempts_counted(self, fake_experiments):
-        fake_experiments.failing.add("beta")
-        results = run(retries=2)
-        assert results[1].attempts == 3
-
-    def test_timeout_terminates_hung_worker(self, fake_experiments):
-        fake_experiments.hang.add("alpha")
-        started = time.monotonic()
-        results = run(timeout=1.0, retries=0)
-        assert time.monotonic() - started < 30.0
-        failure = results[0]
-        assert isinstance(failure, ExperimentFailure)
-        assert failure.error_type == "TimeoutError"
+        assert isinstance(results[0], ExperimentResult)
         assert isinstance(results[1], ExperimentResult)
+        assert multiprocessing.active_children() == []
 
     def test_failure_renders_in_report(self, fake_experiments):
         fake_experiments.failing.add("beta")
-        results = run(retries=0)
+        results = run()
         report = render_report(results, seed=0, scale=1.0)
-        assert "## beta: FAILED after 1 attempt" in report
+        assert "## beta: FAILED\n" in report
         assert "RuntimeError" in report
         assert "## Fake alpha" in report
 
@@ -136,7 +120,7 @@ class TestOrderingParity:
     def test_on_complete_fires_for_every_outcome(self, fake_experiments):
         fake_experiments.failing.add("beta")
         seen = []
-        run(retries=0, on_complete=lambda name, outcome: seen.append(name))
+        run(on_complete=lambda name, outcome: seen.append(name))
         assert sorted(seen) == sorted(NAMES)
 
 
@@ -171,13 +155,15 @@ class TestCheckpoint:
 
     def test_failures_recorded_but_not_resumed(self, tmp_path):
         path = str(tmp_path / "c.json")
-        failure = ExperimentFailure("beta", "RuntimeError", "boom", 2)
+        failure = ExperimentFailure("beta", "RuntimeError", "boom")
         save_checkpoint(path, 0, 1.0,
                         completed={"alpha": fake_result("alpha")},
                         failed={"beta": failure})
         payload = json.loads(open(path).read())
-        assert payload["failed"]["beta"]["attempts"] == 2
-        # Only completed results come back: failures are always retried.
+        assert payload["failed"]["beta"] == {
+            "error_type": "RuntimeError", "message": "boom",
+        }
+        # Only completed results come back: failures are always rerun.
         assert set(load_checkpoint(path, 0, 1.0)) == {"alpha"}
 
     def test_precomputed_results_skip_execution(self, fake_experiments):
@@ -201,7 +187,7 @@ class TestMainCli:
     def only_args(self, tmp_path, *extra):
         # `table1` is cheap and real; fakes cover everything else.
         return ["--only", *NAMES, "--scale", "1.0",
-                "--out", str(tmp_path / "R.md"), "--backoff", "0", *extra]
+                "--out", str(tmp_path / "R.md"), *extra]
 
     def patch_all(self, monkeypatch, fake):
         monkeypatch.setattr(runner, "ALL_EXPERIMENTS", tuple(NAMES))
@@ -211,13 +197,23 @@ class TestMainCli:
     ):
         self.patch_all(monkeypatch, fake_experiments)
         fake_experiments.failing.add("beta")
-        code = runner.main(self.only_args(tmp_path, "--retries", "0"))
+        code = runner.main(self.only_args(tmp_path))
         assert code == 1
         report = (tmp_path / "R.md").read_text()
         assert "beta: FAILED" in report
         checkpoint = json.loads((tmp_path / "R.md.checkpoint.json").read_text())
         assert set(checkpoint["completed"]) == {"alpha", "gamma"}
         assert set(checkpoint["failed"]) == {"beta"}
+
+    def test_failing_experiment_attempted_once(
+        self, tmp_path, monkeypatch, fake_experiments
+    ):
+        """An experiment is a pure function of (name, seed, scale): a
+        second attempt would raise the same error, so there is none."""
+        self.patch_all(monkeypatch, fake_experiments)
+        fake_experiments.failing.add("beta")
+        assert runner.main(self.only_args(tmp_path)) == 1
+        assert fake_experiments.calls == NAMES
 
     def test_success_removes_checkpoint(
         self, tmp_path, monkeypatch, fake_experiments
@@ -236,7 +232,7 @@ class TestMainCli:
         reference = (tmp_path / "R.md").read_text()
         # Failed run leaves a checkpoint with alpha and gamma done.
         fake_experiments.failing.add("beta")
-        assert runner.main(self.only_args(tmp_path, "--retries", "0")) == 1
+        assert runner.main(self.only_args(tmp_path)) == 1
         # Fix beta; resume must only recompute it.
         fake_experiments.failing.clear()
         ran = []
@@ -288,8 +284,6 @@ class TestMainCli:
         assert (tel / "metrics.jsonl").exists()
 
     def test_argument_validation(self, tmp_path, capsys):
-        for bad in (["--jobs", "0"], ["--retries", "-1"],
-                    ["--timeout", "0"], ["--backoff", "-1"],
-                    ["--only", "not-an-experiment"]):
+        for bad in (["--jobs", "0"], ["--only", "not-an-experiment"]):
             with pytest.raises(SystemExit):
                 runner.main(["--out", str(tmp_path / "R.md"), *bad])

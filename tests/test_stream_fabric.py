@@ -424,7 +424,9 @@ class _BlockedState(ShardState):
         self.last_seen = {}
 
     def observe_columns(self, cols):  # pragma: no cover - timing-dependent
-        self.release.wait()
+        # Bounded, far above the stall budgets: a test that fails before
+        # it releases must not leave close() joining a wedged thread.
+        self.release.wait(30.0)
 
 
 def test_ingest_put_raises_stall_error_instead_of_deadlocking(timings):

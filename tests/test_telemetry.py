@@ -409,7 +409,6 @@ class TestByteIdenticalReports:
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
         base = [
             "--only", "figure09", "--scale", "0.05", "--seed", "0",
-            "--retries", "0",
         ]
         out_a = tmp_path / "a.md"
         out_b = tmp_path / "b.md"

@@ -835,17 +835,6 @@ class TestTraceCache:
         monkeypatch.setenv(ENV_VAR, str(tmp_path / "b"))
         assert default_trace_cache().root == tmp_path / "b"
 
-    def test_replay_stats_accumulate(self, monkeypatch, tmp_path, dataset):
-        monkeypatch.setenv(ENV_VAR, str(tmp_path / "stats-cache"))
-        cache = default_trace_cache()
-        dataset.replay(PassiveServiceTable(is_campus=dataset.is_campus))
-        assert cache.stats.misses == 1
-        dataset.replay(PassiveServiceTable(is_campus=dataset.is_campus))
-        assert cache.stats.hits == 1
-        assert cache.stats.records_replayed > 0
-        assert cache.stats.replay_seconds > 0
-        assert cache.stats.records_replayed / cache.stats.replay_seconds > 0
-
     def test_corrupt_entry_treated_as_miss(self, monkeypatch, tmp_path, dataset):
         """A truncated cached trace is evicted and replay regenerates."""
         monkeypatch.setenv(ENV_VAR, str(tmp_path / "corrupt-cache"))

@@ -431,7 +431,9 @@ class _BlockedState:
         self.last_seen = {}
 
     def observe_columns(self, cols):  # pragma: no cover - timing-dependent
-        self.release.wait()
+        # Bounded, far above the stall budgets: a test that fails before
+        # it releases must not leave close() joining a wedged thread.
+        self.release.wait(30.0)
 
 
 class TestIngestStallDump:
