@@ -56,6 +56,7 @@ from repro.telemetry.metrics import (
     set_registry,
 )
 from repro.telemetry.tracing import span as _span
+from repro.trace.cache import default_trace_cache
 
 HEADER = """\
 # EXPERIMENTS — paper vs. reproduction
@@ -268,19 +269,30 @@ def _child(conn, name: str, task: Callable[[], object]) -> None:
     its accumulated counts*; shipping that back would double-count every
     metric the parent already holds.  So an instrumented child swaps in
     a fresh registry first and ships only its own snapshot, which the
-    parent merges.
+    parent merges.  Its trace-cache lookups go home the same way: the
+    child exits without running the cache's atexit flush, so it ships
+    the counts it added and the parent's flush writes them.
     """
     telemetry = _telemetry_registry().enabled
     if telemetry:
         set_registry(MetricRegistry(process=name))
+    cache = default_trace_cache()
+    before = cache.counts()
+
+    def lookups() -> dict:
+        return {
+            field: count - before[field]
+            for field, count in cache.counts().items()
+        }
+
     try:
         value = task()
         snapshot = _telemetry_registry().snapshot() if telemetry else None
-        conn.send(("ok", value, snapshot))
+        conn.send(("ok", value, snapshot, lookups()))
     except BaseException as exc:  # noqa: BLE001 - isolate *any* task crash
         detail = traceback.format_exc()[-_TRACEBACK_LIMIT:]
         try:
-            conn.send(("error", type(exc).__name__, detail))
+            conn.send(("error", type(exc).__name__, detail, lookups()))
         except Exception:
             pass
     finally:
@@ -300,7 +312,8 @@ def fork_each(
     of its traceback, or ``WorkerCrash`` with the exit code of a child
     that died without answering.  A raising or crashing task cannot take
     the others down.  Each child runs under a fresh metric registry
-    whose snapshot the parent merges, in task order.  On any way out (an
+    whose snapshot the parent merges, in task order, and the trace-cache
+    lookups it made are added to the parent's counts.  On any way out (an
     error in *done*, Ctrl-C) every child still running is terminated and
     joined.
     """
@@ -349,6 +362,8 @@ def fork_each(
                     outcome, snapshot = payload[1], payload[2]
                 else:
                     outcome = ExperimentFailure(name, payload[1], payload[2])
+                if payload is not None:
+                    default_trace_cache().add_counts(payload[3])
                 snapshots[index] = snapshot
                 # Metrics merge in task order, so last-writer gauges read
                 # as they would after an in-process run.

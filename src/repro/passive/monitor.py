@@ -415,24 +415,36 @@ class PassiveServiceTable:
     ) -> None:
         """Vectorised :meth:`_count` over (addr<<16|port) keys.
 
-        One lexsort by (key, client): flow counts are the key runs'
-        lengths, and each endpoint's clients are one slice of the
-        deduplicated client column, so Python work is per distinct
-        endpoint.  ``set.update`` inserts the ascending slice in order:
-        the insert sequence of one ``add`` per (key, client) pair, so
-        each set iterates the same (checkpoints pickle that order).
+        One sort of ``rank << 32 | client`` orders the pairs by (key,
+        client): flow counts are the key runs' lengths, and each
+        endpoint's clients are one slice of the deduplicated client
+        column, so Python work is per distinct endpoint.  ``set.update``
+        inserts the ascending slice in order: the insert sequence of one
+        ``add`` per (key, client) pair, so each set iterates the same
+        (checkpoints pickle that order).
+
+        A key's rank is its offset from the batch's smallest key, which
+        fits 32 bits while the batch's addresses share a /16; a wider
+        batch ranks its keys densely instead.  Equal packed values are
+        equal pairs, so the sort need not be stable.
         """
-        order = np.lexsort((clients, keys))
-        sorted_keys = keys[order]
-        sorted_clients = clients[order]
-        new_key = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-        fresh = new_key | np.r_[False, sorted_clients[1:] != sorted_clients[:-1]]
+        low = keys.min()
+        rank = keys - low
+        ranked = None
+        if rank.max() > 0xFFFFFFFF:
+            ranked, rank = np.unique(keys, return_inverse=True)
+        packed = np.sort((rank.astype(np.uint64) << np.uint64(32)) | clients)
+        head = packed >> np.uint64(32)
+        new_key = np.r_[True, head[1:] != head[:-1]]
+        fresh = np.r_[True, packed[1:] != packed[:-1]]
         starts = np.flatnonzero(new_key)
-        distinct = sorted_clients[fresh].tolist()
+        distinct = (packed[fresh] & np.uint64(0xFFFFFFFF)).tolist()
         bounds = [*np.flatnonzero(new_key[fresh]).tolist(), len(distinct)]
+        run_keys = head[starts]
+        run_keys = run_keys + low if ranked is None else ranked[run_keys]
         flow_counts = self.flow_counts
         for key, count, lo, hi in zip(
-            sorted_keys[starts].tolist(),
+            run_keys.tolist(),
             np.diff(starts, append=len(keys)).tolist(),
             bounds, bounds[1:],
         ):

@@ -270,6 +270,20 @@ class TraceCache:
         for name in _PERSISTED_FIELDS:
             self._flushed[name] = getattr(self.stats, name)
 
+    def counts(self) -> dict:
+        """This process's persisted counters as they stand, by name."""
+        return {name: getattr(self.stats, name) for name in _PERSISTED_FIELDS}
+
+    def add_counts(self, deltas: dict) -> None:
+        """Count lookups another process made (a forked child, which
+        exits without running atexit) as this process's own, so this
+        process's flush writes them."""
+        if not any(deltas.values()):
+            return
+        for name, delta in deltas.items():
+            setattr(self.stats, name, getattr(self.stats, name) + delta)
+        self._register_flush()
+
     def persistent_stats(self) -> dict:
         """Accumulated hit/miss/eviction counts across all processes.
 

@@ -16,6 +16,8 @@ capture filter's survivors, however its parts are gathered.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,18 +76,25 @@ def _ordered_state(table):
     )
 
 
-#: Six endpoints (campus address << 16 | port) and clients that collide
-#: in a small set's hash table (multiples of 8 and of 32), so a set's
-#: iteration order shows the order its members were inserted in; enough
-#: of them that sets resize.
+#: Endpoints (address << 16 | port) and clients that collide in a small
+#: set's hash table (multiples of 8 and of 32), so a set's iteration
+#: order shows the order its members were inserted in; enough of them
+#: that sets resize.  Three addresses share 128.125/16, so a batch of
+#: those alone ranks its keys by offset; 10.0.0.1 and 200.1.2.3 lie
+#: outside it, so a batch with either and any other address spans
+#: 2**32 keys or more and ranks them densely.  Ports and clients
+#: include both ends of their ranges.
 _KEYS = tuple(
     (address << 16) | port
-    for address in (0x80_7D_FA_01, 0x80_7D_FA_02, 0x80_7D_01_FE)
-    for port in (53, 80)
+    for address in (
+        0x80_7D_FA_01, 0x80_7D_FA_02, 0x80_7D_01_FE, 0x0A_00_00_01,
+        0xC8_01_02_03,
+    )
+    for port in (0, 53, 80, 65535)
 )
 _CLIENTS = tuple(8 * i for i in range(12)) + tuple(
     0x08_08_08_08 + 32 * i for i in range(12)
-)
+) + (0xFFFF_FFFF,)
 _PAIRS = st.tuples(st.sampled_from(_KEYS), st.sampled_from(_CLIENTS))
 _BATCHES = st.lists(
     st.tuples(
@@ -115,6 +124,11 @@ class TestCountColumns:
             folded._count_columns(keys, clients, proto)
             reference_count_columns(reference, keys, clients, proto)
             assert _ordered_state(folded) == _ordered_state(reference)
+        # What a checkpoint writes, byte for byte.
+        assert pickle.dumps(folded.flow_counts) == pickle.dumps(
+            reference.flow_counts
+        )
+        assert pickle.dumps(folded.clients) == pickle.dumps(reference.clients)
 
 
 def _is_campus(address: int) -> bool:

@@ -124,6 +124,39 @@ class TestOrderingParity:
         assert sorted(seen) == sorted(NAMES)
 
 
+
+class TestForkedCacheCounts:
+    def test_forked_lookups_reach_the_persisted_counts(
+        self, monkeypatch, tmp_path
+    ):
+        """A forked child exits without the cache's atexit flush, so its
+        lookups come home with its result and the parent writes them."""
+        from repro.datasets import build_dataset
+        from repro.trace.cache import ENV_VAR, default_trace_cache
+
+        monkeypatch.setenv(ENV_VAR, str(tmp_path / "cache"))
+        build_dataset("DTCPall", seed=0, scale=0.02).replay()  # records
+        cache = default_trace_cache()
+        assert cache.persistent_stats() == dict(hits=0, misses=1, evictions=0)
+
+        def hit():
+            return build_dataset("DTCPall", seed=0, scale=0.02).replay()
+
+        def miss():
+            raise LookupError(default_trace_cache().lookup(("absent",)))
+
+        outcomes = {}
+        runner.fork_each(
+            [("hit1", hit), ("hit2", hit), ("miss", miss)], 2,
+            outcomes.__setitem__,
+        )
+        assert isinstance(outcomes[2], ExperimentFailure)
+        assert cache.persistent_stats() == dict(hits=2, misses=2, evictions=0)
+        cache.flush_persistent_stats()
+        on_disk = json.loads(cache.stats_path().read_text())
+        assert on_disk == dict(hits=2, misses=2, evictions=0)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "c.json")

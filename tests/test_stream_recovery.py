@@ -8,11 +8,13 @@ atomic-checkpoint guarantee (a torn write must never be loadable) and
 the CLI's ``--resume`` plumbing end to end.  The graceful half
 (SIGTERM) is checked in both modes: the CLI must report what the run's
 shard transport actually left behind to resume from, and the resume
-from it must be exact.
+from it must be exact.  Last, in process, the bytes a stopped run
+leaves in its checkpoint store are pinned by digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import signal
@@ -22,7 +24,10 @@ import time
 
 import pytest
 
-from repro.stream import ShardCheckpointStore
+from repro.datasets import build_dataset
+from repro.faults.plan import FaultPlan
+from repro.simkernel.clock import hours
+from repro.stream import ShardCheckpointStore, StreamConfig, StreamEngine
 from tests.conftest import SRC, run_cli
 
 
@@ -186,3 +191,54 @@ def test_sigterm_reports_what_was_left_to_resume_from(tmp_path, mode):
     reference = tmp_path / "reference.txt"
     run_cli(args[:-4] + ["--out", str(reference)], tmp_path)
     assert resumed.read_bytes() == reference.read_bytes()
+
+
+class TestCheckpointBytes:
+    """What a stopped run leaves on disk, pinned byte for byte.
+
+    Resume is exact only while a checkpoint's bytes mean what the
+    loader expects, so the fold's dict and set order, the fault
+    filter's state and the manifest are all fixed points: a faulted
+    2-shard run stopped part way keeps two committed generations, and
+    every file of both is pinned here.
+    """
+
+    GOLDEN_CHECKPOINTS = {
+        "manifest.gen-000002.ckpt":
+            "7954c2ee4e24051bcf1251cc11c29d4cb55b49b493a14857437ef615e8e3d7a1",
+        "manifest.gen-000003.ckpt":
+            "deb6e11289fa59f558aab658c39645fb5ab95eed219a1a2b4d2561166c8b3ba5",
+        "shard-000.gen-000002.ckpt":
+            "574069ab369b64c38a858d008a31f4676f136509755fc96612327b16c393b27e",
+        "shard-000.gen-000003.ckpt":
+            "7e9b7cb7b4b65775fa2e9f142dc44bd0b66cd8949ef028967a170654b82fcfa5",
+        "shard-001.gen-000002.ckpt":
+            "3729723c8df9e30894b69baaa9b991616c71f3a281d96e9f1d09a02dbd7a2f4c",
+        "shard-001.gen-000003.ckpt":
+            "19161ec5d9c8a5f74a39a9b09c8a947e3de8efa2f0799cb6a34955de54f8b87d",
+    }
+
+    def test_stopped_store_bytes_are_golden(self, tmp_path):
+        store = tmp_path / "store"
+        config = StreamConfig(
+            dataset="DTCP1-18d", seed=11, scale=0.05, shards=2,
+            checkpoint_every=hours(48), checkpoint_path=str(store),
+            faults=FaultPlan(
+                seed=5, capture_loss_rate=0.01, outage_fraction=0.02
+            ),
+        )
+        dataset = build_dataset(config.dataset, seed=config.seed, scale=config.scale)
+        stopped = StreamEngine(config, dataset=dataset).run(
+            stop_after_records=100_000
+        )
+        assert not stopped.finished
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(store.iterdir())
+        }
+        assert digests == self.GOLDEN_CHECKPOINTS, (
+            "checkpoint bytes moved: bump STREAM_CHECKPOINT_VERSION if old "
+            "checkpoints no longer load as they did, or say in the change "
+            "why the same state now writes other bytes, then update the "
+            "digests"
+        )
