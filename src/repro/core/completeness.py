@@ -71,13 +71,16 @@ class CompletenessSummary:
 def summarize_overlap(
     passive_items: set[Item], active_items: set[Item]
 ) -> CompletenessSummary:
-    """Build a :class:`CompletenessSummary` from two discovery sets."""
-    both = passive_items & active_items
+    """Build a :class:`CompletenessSummary` from two discovery sets.
+
+    One intersection; the other three counts follow from the sizes.
+    """
+    both = len(passive_items & active_items)
     return CompletenessSummary(
-        union=len(passive_items | active_items),
-        both=len(both),
-        active_only=len(active_items - both),
-        passive_only=len(passive_items - both),
+        union=len(passive_items) + len(active_items) - both,
+        both=both,
+        active_only=len(active_items) - both,
+        passive_only=len(passive_items) - both,
     )
 
 

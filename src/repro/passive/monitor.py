@@ -77,6 +77,16 @@ def _link_lut(link_names: tuple[str, ...], links: frozenset[str]) -> np.ndarray:
     return lut
 
 
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in *column* starts: row 0, and
+    every row that differs from the one before it."""
+    starts = np.empty(len(column), dtype=bool)
+    if len(column):
+        starts[0] = True
+        np.not_equal(column[1:], column[:-1], out=starts[1:])
+    return starts
+
+
 @lru_cache(maxsize=32)
 def _port_lut(ports: frozenset[int]) -> np.ndarray:
     """Read-only membership table over all 65,536 ports for a port set.
@@ -168,6 +178,23 @@ class ServiceSignal(str, Enum):
 
     SYNACK = "synack"          # the paper's choice: any SYN-ACK from campus
     HANDSHAKE = "handshake"    # ablation: SYN-ACK followed by the client's ACK
+
+
+def readable_mask(proto: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Rows some :class:`PassiveServiceTable` rule may read, by header
+    bytes alone: TCP with the ACK bit set (the SYN-ACK and bare-ACK
+    patterns of the TCP rules) and every UDP row.
+
+    A superset of what any table reads under any config -- direction,
+    links, ports and excluded sources narrow inside the table -- so a
+    table that observes only these rows ends in the state it reaches
+    observing every row.  The rest (SYN-only probes, RSTs, ICMP) carry
+    nothing a rule reads.
+    """
+    readable = (flags & 0x10) != 0
+    readable &= proto == PROTO_TCP
+    readable |= proto == PROTO_UDP
+    return readable
 
 
 @dataclass
@@ -341,9 +368,8 @@ class PassiveServiceTable:
         order = np.lexsort((ports, hosts))
         hosts, ports, offer = hosts[order], ports[order], offer[order]
         times = cols.time[rows][order]
-        starts = np.r_[
-            True, (hosts[1:] != hosts[:-1]) | (ports[1:] != ports[:-1])
-        ]
+        starts = _run_starts(hosts)
+        starts |= _run_starts(ports)
         ends = np.r_[starts[1:], True]
         paired = np.flatnonzero(~offer & ~starts & np.r_[False, offer[:-1]])
         if paired.size:
@@ -392,9 +418,7 @@ class PassiveServiceTable:
         order = np.lexsort((times, keys))
         sorted_keys = keys[order]
         sorted_times = times[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-        )
+        starts = np.flatnonzero(_run_starts(sorted_keys))
         first_seen = self.first_seen
         last_seen = self.last_seen
         for key, first, last in zip(
@@ -435,8 +459,8 @@ class PassiveServiceTable:
             ranked, rank = np.unique(keys, return_inverse=True)
         packed = np.sort((rank.astype(np.uint64) << np.uint64(32)) | clients)
         head = packed >> np.uint64(32)
-        new_key = np.r_[True, head[1:] != head[:-1]]
-        fresh = np.r_[True, packed[1:] != packed[:-1]]
+        new_key = _run_starts(head)
+        fresh = _run_starts(packed)
         starts = np.flatnonzero(new_key)
         distinct = (packed[fresh] & np.uint64(0xFFFFFFFF)).tolist()
         bounds = [*np.flatnonzero(new_key[fresh]).tolist(), len(distinct)]

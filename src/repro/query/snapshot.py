@@ -55,6 +55,11 @@ EVIDENCE = {PROTO_TCP: "syn-ack", PROTO_UDP: "udp-sport"}
 #: Dotted quads, formatted once per address, not once per service.
 _dotted = lru_cache(maxsize=1 << 16)(format_ipv4)
 
+#: Distinct ``/services`` listings a snapshot keeps once computed: the
+#: first this many (proto, port, since, limit) queries it answers.  A
+#: constant, so hostile ``since=`` values cannot grow it.
+LISTING_MEMO = 16
+
 #: Compact JSON, as every response body is encoded.
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -105,7 +110,9 @@ class DiscoverySnapshot:
     publishing and ``finalize_result`` never build it, so ingest never
     pays for it.  The index's row dicts, and each row's JSON bytes once
     a response has encoded them, are shared by every response from
-    this snapshot; the dicts must never be mutated.
+    this snapshot; the dicts must never be mutated.  So are the
+    ``/services`` listings it has answered, up to
+    :data:`LISTING_MEMO` of them.
     """
 
     version: int
@@ -205,7 +212,26 @@ class DiscoverySnapshot:
         """:meth:`host_services`, each row as its JSON bytes."""
         return [_row_json(entry) for entry in self._host(address)]
 
+    @cached_property
+    def _listings(self) -> dict:
+        """The memo :meth:`_listing` fills, at most :data:`LISTING_MEMO`
+        entries; a query past that is answered by a scan, unkept."""
+        return {}
+
     def _listing(self, proto, port, since, limit) -> list[list]:
+        """The read-index entries a listing query matches, in order:
+        the same list for every equal query to this snapshot, which
+        callers must not mutate."""
+        key = (proto, port, since, limit)
+        memo = self._listings
+        matched = memo.get(key)
+        if matched is None:
+            matched = self._scan(proto, port, since, limit)
+            if len(memo) < LISTING_MEMO:
+                memo[key] = matched
+        return matched
+
+    def _scan(self, proto, port, since, limit) -> list[list]:
         cutoff = None if since is None else self.now - since
         matched: list[list] = []
         if limit == 0:

@@ -18,10 +18,11 @@ otherwise (:class:`_ThreadTransport`), worker processes in
    are kept (capture loss and monitor outages, in stream order: the
    batch path's drop pattern); :func:`repro.stream.shard.route_columns`
    routes the kept rows, mask in hand (row indices only: a record is
-   copied where it is folded); the parts go to the transport, and the
-   online prober advances to stream time.  Crossing an emission mark
-   asks the shards, in band behind the parts fed before it, for the
-   passive addresses first seen by the mark, and emits a
+   copied where it is folded, and only if a passive rule reads it);
+   the parts go to the transport, and the online prober advances to
+   stream time.  The emission marks a batch crossed go to the shards
+   as one request, in band behind the parts fed before it, for the
+   passive addresses first seen by each mark, and each emits a
    :class:`repro.stream.watermark.Watermark` once answered: windowed
    completeness without replay.  Crossing a snapshot or checkpoint
    mark publishes the merged cut of an in-band snapshot round, or
@@ -697,12 +698,14 @@ class _Run:
         return result
 
     def request_due_marks(self, upto: float) -> None:
+        """Request every mark due by *upto* as one ``marks`` request."""
         marks = self.marks
-        index = self.emitted_index + len(self.pending)
-        while index < len(marks) and upto >= marks[index]:
-            self.pending.append((marks[index], self.records_delivered))
-            self.transport.request_mark(index, marks[index])
-            index += 1
+        first = self.emitted_index + len(self.pending)
+        due = bisect_right(marks, upto, lo=first)
+        if due > first:
+            for mark in marks[first:due]:
+                self.pending.append((mark, self.records_delivered))
+            self.transport.request_marks(first, marks[first:due])
 
     def emit(self, completed: list[set[int]]) -> None:
         """A watermark per answered mark.  A batch may straddle its mark,
@@ -778,7 +781,8 @@ _REPLY_WAIT_SECONDS = 0.02
 class _Request:
     """One request sent to every shard, and their answers so far: *key*
     is the mark index, generation or snapshot round; *arg* the mark, or
-    the progress a generation's manifest will carry."""
+    the progress a generation's manifest will carry.  The marks of one
+    ``marks`` request are a :class:`_Request` each."""
 
     key: int
     arg: object = None
@@ -835,11 +839,18 @@ class AckLedger:
         self._wait(0.0)
 
     def _ack(self, kind: str, key: int, shard: int, answer) -> None:
-        """File one shard's answer; commit a generation all have acked."""
-        if kind == "mark":
-            pending = self._marks.get(key)
-        else:
-            pending = self._generation if kind == "ckpt" else self._snapshot
+        """File one shard's answer; commit a generation all have acked.
+
+        A ``marks`` answer holds one address set per mark, from mark
+        *key* on; each is filed under its own mark.
+        """
+        if kind == "marks":
+            for index, passive in enumerate(answer, start=key):
+                pending = self._marks.get(index)
+                if pending is not None:  # else emitted: a replaced worker's
+                    pending.acks[shard] = passive
+            return
+        pending = self._generation if kind == "ckpt" else self._snapshot
         if pending is None or pending.key != key:
             return  # aborted, or answered by a replaced worker
         pending.acks[shard] = answer
@@ -860,10 +871,12 @@ class AckLedger:
         self._generation = None
         self._snapshot = None
 
-    def request_mark(self, index: int, mark: float) -> None:
-        """Ask for the passive addresses first seen at or before *mark*."""
-        self._marks[index] = _Request(index, mark)
-        self._broadcast(("mark", index, mark))
+    def request_marks(self, index: int, marks: list[float]) -> None:
+        """Ask, in one request, for the passive addresses first seen at
+        or before each of *marks*: marks *index* on of the run."""
+        for key, mark in enumerate(marks, start=index):
+            self._marks[key] = _Request(key, mark)
+        self._broadcast(("marks", index, tuple(marks)))
 
     def completed_marks(self, wait: bool = False) -> list[set[int]]:
         """Passive address sets of fully answered marks, in request

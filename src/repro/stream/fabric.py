@@ -88,7 +88,7 @@ from repro.stream.engine import (
     _fresh_table,
 )
 from repro.stream import membership as _membership
-from repro.stream.shard import ShardServant, ShardState, as_routed
+from repro.stream.shard import RoutedPart, ShardServant, ShardState, as_routed
 from repro.stream.watermark import Watermark
 from repro.telemetry.metrics import MetricRegistry, set_registry
 from repro.telemetry.metrics import registry as _telemetry_registry
@@ -267,11 +267,11 @@ def _shard_worker(
 
     A work item is a :class:`~repro.stream.shard.ShardServant` request
     plus the supervisor's trace context, ``(kind, key, arg, ctx)``: a
-    ``rows`` item's *arg* names arena rows and its *key* is the sequence
-    the worker publishes once they are folded; ``stop`` ships the state
-    home.  With tracing on, the worker's events parent on *ctx*, which
-    stitches a failover into one causal chain across the process
-    boundary.  The inherited tracer and registry are never written from
+    ``rows`` item's *arg* names arena rows and the records they stand
+    for, and its *key* is the sequence the worker publishes once they
+    are folded; ``stop`` ships the state home.  With tracing on, the
+    worker's events parent on *ctx*, which stitches a failover into one
+    causal chain across the process boundary.  The inherited tracer and registry are never written from
     the child: the tracer is replaced first thing (per incarnation, or
     the null tracer), and a fresh registry is swapped in iff telemetry
     is enabled, its snapshot shipped home on ``done``.
@@ -355,7 +355,10 @@ def _shard_worker(
                 continue
             with _span("worker.batch", parent=ctx) as batch:
                 batch.durable = False  # per batch: the ring only
-                servant.handle(("rows", key, arena.rows(*arg)))
+                slot, lo, hi, link_names, records = arg
+                servant.handle(("rows", key, RoutedPart(
+                    arena.rows(slot, lo, hi, link_names), None, records
+                )))
                 batch.fields["records"] = state.records
             # Nothing here reads the slot again: hand it back.
             arena.progress[shard] = key
@@ -698,7 +701,10 @@ class FabricSupervisor(AckLedger):
         slot by :meth:`_Arena.write`); parts are packed into a slot
         back to back (a batch larger than a slot goes out as slot-sized
         pieces), and each piece is announced with a ``rows`` message
-        once it is written.  Only claiming a slot can fail a shard
+        once it is written, naming the records it stands for.  A part
+        with records but no rows is one message naming no rows, under
+        the last sequence the shard was sent, so its worker still
+        counts them, in order.  Only claiming a slot can fail a shard
         over.  With *offset* (the live feed: the source position after
         the batch) a shard replaced mid-part is sent the part again
         from its first row -- its catch-up stopped at the batch before
@@ -712,9 +718,10 @@ class FabricSupervisor(AckLedger):
         room = 0
         for shard, part in routed:
             incarnation = members[shard].incarnation
+            size = part.size
             start = 0
-            while start < len(part):
-                if not room:
+            while len(part):  # a part of no records sends nothing
+                if start < size and not room:
                     slot, sequence = self._claim_slot()
                     room = _SLOT_RECORDS
                     if members[shard].incarnation != incarnation:
@@ -722,17 +729,25 @@ class FabricSupervisor(AckLedger):
                             return False
                         incarnation = members[shard].incarnation
                         start = 0
-                at = _SLOT_RECORDS - room
-                stop = min(len(part), start + room)
-                self._arena.write(slot, at, part, start, stop)
-                self._slot_readers[slot][shard] = incarnation
+                stop = min(size, start + room)
+                if stop > start:
+                    at = _SLOT_RECORDS - room
+                    self._arena.write(slot, at, part, start, stop)
+                    self._slot_readers[slot][shard] = incarnation
+                    self._sent[shard] = sequence
+                    rows = (slot, at, at + stop - start)
+                else:  # no rows left to carry, only the records' count
+                    rows = (0, 0, 0)
+                # The last piece counts the part's records no rule reads.
+                records = stop - start if stop < size else len(part) - start
                 self._queues[shard].put((
-                    "rows", sequence,
-                    (slot, at, at + stop - start, part.link_names), ctx,
+                    "rows", self._sent[shard],
+                    (*rows, part.link_names, records), ctx,
                 ))
-                self._sent[shard] = sequence
                 room -= stop - start
                 start = stop
+                if stop == size:
+                    break
             if offset is not None:
                 self._records_fed[shard] = offset
         return True
@@ -770,8 +785,8 @@ class FabricSupervisor(AckLedger):
         """Drop a dead shard's worker and reassign the shard.
 
         Kill, back off, restore from the newest good committed
-        generation, relaunch, replay the gap, re-send unanswered
-        watermark requests.  Any checkpoint generation in flight is
+        generation, relaunch, replay the gap, re-send the unanswered
+        marks as one request.  Any checkpoint generation in flight is
         aborted (its manifest is never written).  Exhausting the
         restart budget raises :class:`FabricDegradedError` after
         tearing the fleet down.
@@ -835,17 +850,21 @@ class FabricSupervisor(AckLedger):
                 shard, restore.records_read, self._records_fed[shard],
                 restore.faults,
             )
-            if caught_up:
-                # Unanswered watermark requests must reach the
-                # replacement; already-acked ones stay valid (the dead
-                # worker answered them from the same deterministic
-                # prefix the replacement now holds).
-                for pending in self._marks.values():
-                    if shard not in pending.acks:
-                        self._queues[shard].put(
-                            ("mark", pending.key, pending.arg,
-                             trc.current_ids())
-                        )
+            owed = [
+                pending for pending in self._marks.values()
+                if shard not in pending.acks
+            ]
+            if caught_up and owed:
+                # Unanswered marks reach the replacement as one request;
+                # already-acked ones stay valid (the dead worker
+                # answered them from the same deterministic prefix the
+                # replacement now holds).  A worker answers in order, so
+                # the owed marks are the newest, consecutive ones.
+                self._queues[shard].put((
+                    "marks", owed[0].key,
+                    tuple(pending.arg for pending in owed),
+                    trc.current_ids(),
+                ))
         if reg.enabled:
             reg.histogram(
                 "repro_fabric_reassign_seconds",

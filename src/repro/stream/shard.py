@@ -15,7 +15,8 @@ passive-table state the record could touch.  The passive rules
 Because the owning address is a pure function of the record, shard
 states are disjoint and merging them is a dict union -- results are
 identical at any shard count, which the equivalence tests assert at
-1, 2, and 8 shards.
+1, 2, and 8 shards.  A shard counts every record it owns but is handed
+only the rows some rule reads (:func:`route_columns`).
 
 A shard's state is a :class:`PassiveServiceTable` and a record count.
 The table alone decides what is evidence and keeps first- and
@@ -31,7 +32,13 @@ from typing import Callable
 import numpy as np
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord
-from repro.passive.monitor import Endpoint, PassiveServiceTable, _campus_mask
+from repro.passive.monitor import (
+    Endpoint,
+    PassiveServiceTable,
+    _campus_mask,
+    _run_starts,
+    readable_mask,
+)
 from repro.query.snapshot import shard_snapshot_payload
 
 #: Fibonacci-style multiplier spreading contiguous campus addresses
@@ -67,15 +74,30 @@ class RoutedPart:
     plain batch handed over as a part).  The copy is made where the
     rows are consumed -- :meth:`columns` on a shard thread, or straight
     into a fabric ring slot -- never on the thread that routes.
+
+    ``len(part)`` is *records*: how many records of the stream the
+    part stands for, which is what a shard counts as folded.  A routed
+    part carries only the rows some passive rule reads
+    (:func:`~repro.passive.monitor.readable_mask`), so it may stand for
+    more records than it has rows (:attr:`size`).
     """
 
-    __slots__ = ("batch", "rows")
+    __slots__ = ("batch", "rows", "records")
 
-    def __init__(self, batch, rows: np.ndarray | None = None) -> None:
+    def __init__(
+        self, batch, rows: np.ndarray | None = None,
+        records: int | None = None,
+    ) -> None:
         self.batch = batch
         self.rows = rows
+        self.records = self.size if records is None else records
 
     def __len__(self) -> int:
+        return self.records
+
+    @property
+    def size(self) -> int:
+        """Rows the part carries."""
         return len(self.batch) if self.rows is None else len(self.rows)
 
     @property
@@ -83,7 +105,7 @@ class RoutedPart:
         return self.batch.link_names
 
     def columns(self):
-        """The part's records as their own batch (one gather)."""
+        """The part's rows as their own batch (one gather)."""
         return self.batch if self.rows is None else self.batch.take(self.rows)
 
 
@@ -102,19 +124,26 @@ def route_columns(
     evaluated as one branch-free select over the whole batch and hashed
     with :func:`shard_of`'s multiplier (wrapping in ``uint32``, its
     mask).  *keep* (the capture filter's boolean mask; ``None``: every
-    row) restricts the route to the rows it keeps.  Each shard's rows
-    are one scan of the batch against the mask, so they come out
-    ascending -- stream order, the invariant the per-link fault and
-    handshake state machines rely on.  Each part indexes *cols* itself;
-    nothing is copied.
+    row) restricts the route to the rows it keeps.  A part counts every
+    kept record its shard owns, but carries only those some passive
+    rule reads (:func:`~repro.passive.monitor.readable_mask`), so a
+    shard folds to the state, and counts to the record total, of one
+    handed all of its records.  Each shard's rows come out ascending --
+    stream order, the invariant the per-link fault and handshake state
+    machines rely on.  Each part indexes *cols* itself; nothing is
+    copied.
     """
+    readable = readable_mask(cols.proto, cols.flags)
+    if keep is not None:
+        readable &= keep
+    rows = np.flatnonzero(readable)
     if shards <= 1:
-        return [RoutedPart(cols, None if keep is None else np.flatnonzero(keep))]
+        records = len(cols) if keep is None else int(np.count_nonzero(keep))
+        return [RoutedPart(cols, rows, records)]
     src = cols.src
     dst = cols.dst
     proto = cols.proto
-    tcp = proto == PROTO_TCP
-    synack = tcp & ((cols.flags & 0x12) == 0x12)
+    synack = (proto == PROTO_TCP) & ((cols.flags & 0x12) == 0x12)
     udp_out = (proto == PROTO_UDP) & _campus_mask(is_campus, src)
     # np.where(synack | udp_out, src, dst) without its per-row branch:
     # an all-ones mask picks src.
@@ -125,13 +154,18 @@ def route_columns(
     # Hashed in place: the addresses are not needed again.
     owning *= np.uint32(_HASH_MULTIPLIER)
     owning %= np.uint32(shards)
+    owners = owning[rows]
     mine = np.empty(len(owning), dtype=bool)
+    read = np.empty(len(owners), dtype=bool)
     parts = []
     for index in range(shards):
         np.equal(owning, index, out=mine)
         if keep is not None:
             mine &= keep
-        parts.append(RoutedPart(cols, np.flatnonzero(mine)))
+        np.equal(owners, index, out=read)
+        parts.append(RoutedPart(
+            cols, rows.compress(read), int(np.count_nonzero(mine))
+        ))
     return parts
 
 
@@ -139,7 +173,8 @@ def split_columns(cols, is_campus: Callable[[int], bool], shards: int) -> list:
     """Partition one batch into per-shard sub-batches (in order).
 
     :func:`route_columns`' parts, gathered: the materialised form the
-    routing tests hold the stream's parts to.
+    routing tests hold the stream's parts to.  Like the parts, each
+    holds only the rows some passive rule reads.
     """
     return [
         part.columns() for part in route_columns(cols, is_campus, shards)
@@ -163,20 +198,49 @@ class ShardState:
         """Fold one routed part into the shard state.
 
         A :class:`RoutedPart`'s rows are gathered here, on the thread
-        that folds them; a plain batch is folded as it is.
+        that folds them; a plain batch is folded as it is.  The record
+        count grows by every record the part stands for.
         """
-        cols = as_routed(part).columns()
-        self.table.observe_columns(cols)
-        self.records += len(cols)
+        part = as_routed(part)
+        if part.size:
+            self.table.observe_columns(part.columns())
+        self.records += len(part)
 
     def addresses_by(self, mark: float) -> set[int]:
         """Addresses with an endpoint first seen at or before *mark*:
-        this shard's answer to a watermark request."""
+        the definition :meth:`addresses_by_marks` answers by."""
         return {
             address
             for (address, _port, _proto), seen in self.table.first_seen.items()
             if seen <= mark
         }
+
+    def addresses_by_marks(self, marks) -> list[set[int]]:
+        """:meth:`addresses_by` of each of *marks*, in one pass: this
+        shard's answer to a ``marks`` request.
+
+        Each address's earliest first-seen is taken once, and the
+        addresses are ordered by it; a mark's answer is then the prefix
+        at or before it.  A NaN time sorts last, so, as ``seen <=
+        mark`` does, it answers no mark.
+        """
+        first_seen = self.table.first_seen
+        count = len(first_seen)
+        seen = np.fromiter(first_seen.values(), dtype=np.float64, count=count)
+        addresses = np.fromiter(
+            (address for address, _port, _proto in first_seen),
+            dtype=np.uint32, count=count,
+        )
+        order = np.lexsort((seen, addresses))
+        addresses, seen = addresses[order], seen[order]
+        earliest = _run_starts(addresses)
+        addresses, seen = addresses[earliest], seen[earliest]
+        order = np.argsort(seen, kind="stable")
+        seen, addresses = seen[order], addresses[order].tolist()
+        return [
+            set(addresses[:np.searchsorted(seen, mark, side="right")])
+            for mark in marks
+        ]
 
     # ---- checkpointing ------------------------------------------------
 
@@ -227,8 +291,9 @@ class ShardServant:
     def handle(self, request: tuple):
         """Act on one ``(kind, key, arg)`` request; return the answer.
 
-        ``rows`` folds the part *arg* (answers ``None``); ``mark``
-        answers :meth:`ShardState.addresses_by` of *arg*; ``ckpt``
+        ``rows`` folds the part *arg* (answers ``None``); ``marks``
+        answers :meth:`ShardState.addresses_by_marks` of the marks
+        *arg*, one set per mark; ``ckpt``
         writes the shard's file of generation *key* and answers its
         size; ``snap`` answers the shard's query-snapshot payload.
         """
@@ -237,8 +302,8 @@ class ShardServant:
         if kind == "rows":
             state.observe_columns(arg)
             return None
-        if kind == "mark":
-            return state.addresses_by(arg)
+        if kind == "marks":
+            return state.addresses_by_marks(arg)
         if kind == "ckpt":
             return self.store.save_shard(
                 state.index, key, self.identity, state.state_dict()

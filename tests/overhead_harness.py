@@ -4,10 +4,17 @@
 ``tests/test_tracing.py::TestNoOpTracingOverhead`` time the same fold
 over the same column batches twice: a control arm without the
 instrument and a candidate arm with it switched off.  Each arm is
-timed with :func:`time.thread_time`, the CPU the calling thread spent:
-on a machine shared with other processes, wall time also counts the
-slices the scheduler gave them, which is not the cost these checks
-bound.
+timed with :func:`time.thread_time`, the CPU this process's calling
+thread spent: on a machine shared with other processes, wall time also
+counts the slices the scheduler gave them, which is not the cost these
+checks bound.
+
+Even that CPU time swings 10-30 % between identical passes on a shared
+two-core machine (caches, clock speed), and it drifts over seconds.
+So the arms alternate many times, each control pass next to a
+candidate pass, and the overhead is the median of the pairs' relative
+differences: pairing cancels the drift, and the median drops the
+passes a neighbour disturbed, in either arm.
 
 Timing alone cannot see a small per-chunk cost on a noisy machine, so
 each class also counts (:func:`disabled_reach`): with both instruments
@@ -18,6 +25,7 @@ the batches themselves exactly as often as a pass over few.
 from __future__ import annotations
 
 import inspect
+import statistics
 import time
 from collections import Counter
 
@@ -29,8 +37,8 @@ from repro.trace.columnar import RecordColumns
 
 #: The candidate may cost at most this fraction over the control.
 BOUND = 0.02
-#: Timed passes per arm, alternating which arm goes first.
-REPEATS = 9
+#: Timed (control, candidate) pairs, alternating which arm goes first.
+PAIRS = 41
 CHUNKS = 300
 CHUNK_SIZE = 256
 
@@ -72,19 +80,22 @@ def observer() -> PassiveServiceTable:
 
 
 def _measure(control, candidate, chunks) -> float:
-    timings: dict[object, list[float]] = {control: [], candidate: []}
-    for repeat in range(REPEATS):
-        arms = [control, candidate] if repeat % 2 == 0 else [candidate, control]
+    differences = []
+    for pair in range(PAIRS):
+        arms = [control, candidate] if pair % 2 == 0 else [candidate, control]
+        spent = {}
         for fn in arms:
             started = time.thread_time()
             assert fn(chunks, observer()) == CHUNKS * CHUNK_SIZE
-            timings[fn].append(time.thread_time() - started)
-    return (min(timings[candidate]) - min(timings[control])) / min(timings[control])
+            spent[fn] = time.thread_time() - started
+        differences.append((spent[candidate] - spent[control]) / spent[control])
+    return statistics.median(differences)
 
 
 def overhead(control, candidate) -> float:
-    """What *candidate* costs over *control*, as a fraction of the
-    control's best pass: both are ``fn(chunks, observer) -> records``.
+    """What *candidate* costs over *control*, as the median fraction of
+    the control's pass it adds: both are ``fn(chunks, observer) ->
+    records``.
 
     Both arms are warmed first (bytecode specialisation, allocator).
     A result at or over :data:`BOUND` is measured once more and the

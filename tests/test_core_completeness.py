@@ -52,6 +52,10 @@ class TestSummarizeOverlap:
     def test_property_partition(self, passive, active):
         summary = summarize_overlap(passive, active)
         assert summary.both + summary.active_only + summary.passive_only == summary.union
+        # The counts derived from one intersection are the set algebra's.
+        assert summary.union == len(passive | active)
+        assert summary.active_only == len(active - passive)
+        assert summary.passive_only == len(passive - active)
         assert summary.active_total == len(active)
         assert summary.passive_total == len(passive)
 

@@ -7,11 +7,13 @@ must leave the same state *in the same order*: dict key order and each
 client set's iteration order are what a checkpoint pickles and what
 every later ``set`` walk sees.
 
-``split_columns`` must route every record as the per-record rule
+``split_columns`` must route every record some passive rule reads
+(:func:`_read_by_a_rule`) as the per-record rule
 ``shard_of(owning_address(record))`` does, in stream order, for any
 address and any shard count.  ``route_columns`` -- the row indices the
 stream driver hands over instead of copies -- must be that split of the
-capture filter's survivors, however its parts are gathered.
+capture filter's survivors, however its parts are gathered, and each
+part must count every kept record its shard owns.
 """
 
 from __future__ import annotations
@@ -186,6 +188,21 @@ def _bulk_records(seed: int, size: int) -> list[PacketRecord]:
     ).to_records()
 
 
+def _read_by_a_rule(record: PacketRecord) -> bool:
+    """The header rule, per record: TCP with the ACK bit, or UDP."""
+    if record.proto == PROTO_TCP:
+        return bool(record.flags & 0x10)
+    return record.proto == PROTO_UDP
+
+
+def _owned_counts(records, shards: int) -> list[int]:
+    """Per shard, how many of *records* the per-record rule routes to it."""
+    counts = [0] * shards
+    for record in records:
+        counts[shard_of(owning_address(record, _is_campus), shards)] += 1
+    return counts
+
+
 class TestSplitColumns:
     @settings(deadline=None, max_examples=60)
     @given(
@@ -202,7 +219,7 @@ class TestSplitColumns:
             RecordColumns.from_records(records), _is_campus, shards
         )
         expected = [[] for _ in range(shards)]
-        for record in records:
+        for record in filter(_read_by_a_rule, records):
             expected[shard_of(owning_address(record, _is_campus), shards)].append(
                 record
             )
@@ -253,8 +270,8 @@ class TestRouteColumns:
         # Gathered straight into a ring slot, a part leaves the bytes
         # its materialised columns would.
         for part in parts:
-            start = data.draw(st.integers(min_value=0, max_value=len(part)))
-            stop = data.draw(st.integers(min_value=start, max_value=len(part)))
+            start = data.draw(st.integers(min_value=0, max_value=part.size))
+            stop = data.draw(st.integers(min_value=start, max_value=part.size))
             at = data.draw(st.integers(min_value=0, max_value=100))
             arena.write(0, at, part, start, stop)
             arena.write(1, at, part.columns(), start, stop)
@@ -263,3 +280,28 @@ class TestRouteColumns:
                     routed[at:at + stop - start].tobytes()
                     == materialised[at:at + stop - start].tobytes()
                 )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        records=st.lists(_records(), max_size=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        bulk=st.integers(min_value=0, max_value=3000),
+        shards=st.sampled_from((1, 2, 3, 7, 256, 257)),
+        data=st.data(),
+    )
+    def test_parts_count_every_kept_record_their_shard_owns(
+        self, records, seed, bulk, shards, data
+    ):
+        """A part carries only the rows a rule reads, but stands for
+        every kept record its shard owns: what a shard counts as folded,
+        checkpoints and fault triggers read."""
+        records = records + _bulk_records(seed, bulk)
+        keep = data.draw(_keep_masks(len(records)))
+        parts = route_columns(
+            RecordColumns.from_records(records), _is_campus, shards, keep
+        )
+        kept = [record for record, kept in zip(records, keep) if kept]
+        assert [len(part) for part in parts] == _owned_counts(kept, shards)
+        assert [part.size for part in parts] == _owned_counts(
+            filter(_read_by_a_rule, kept), shards
+        )

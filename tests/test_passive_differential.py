@@ -19,8 +19,19 @@ import pickle
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.net.packet import PROTO_TCP, PROTO_UDP, PacketRecord, TcpFlags
-from repro.passive.monitor import PassiveServiceTable, ServiceSignal
+from repro.net.packet import (
+    ICMP_PORT_UNREACHABLE,
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
+    PacketRecord,
+    TcpFlags,
+)
+from repro.passive.monitor import (
+    PassiveServiceTable,
+    ServiceSignal,
+    readable_mask,
+)
 from repro.passive.sampling import (
     CountBudgetSampler,
     ProbabilisticSampler,
@@ -266,3 +277,73 @@ class TestSamplers:
             reference.kept, reference.dropped,
         )
         assert table_state(batched.table) == table_state(reference.table)
+
+
+@st.composite
+def _headers(draw):
+    """One packet of a conversation in the same small universe, with any
+    protocol, flag byte, service port and direction; a campus "client"
+    gives campus-to-campus rows too."""
+    proto = draw(st.sampled_from((PROTO_TCP, PROTO_TCP, PROTO_UDP, PROTO_ICMP)))
+    server = draw(st.sampled_from(SERVERS))
+    client = draw(st.sampled_from((*CLIENTS, SERVERS[0])))
+    port = draw(st.sampled_from((22, 53, 80)))
+    cport = draw(st.sampled_from(CLIENT_PORTS))
+    if draw(st.booleans()):
+        src, dst, sport, dport = server, client, port, cport
+    else:
+        src, dst, sport, dport = client, server, cport, port
+    bits = draw(st.sampled_from((0x02, 0x04, 0x10, 0x11, 0x12, 0x14, 0x16, 0x18)))
+    return PacketRecord(
+        time=draw(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 3600.0)),
+        src=src, dst=dst, sport=sport, dport=dport, proto=proto,
+        flags=TcpFlags(bits if proto == PROTO_TCP else 0),
+        link=draw(st.sampled_from(["commercial1", "commercial2", "internet2"])),
+        icmp=ICMP_PORT_UNREACHABLE if proto == PROTO_ICMP else None,
+    )
+
+
+def _subsets(values):
+    return st.frozensets(st.sampled_from(values))
+
+
+#: Every table config the header rule must be a superset for.
+_CONFIGS = st.fixed_dictionaries({
+    "signal": st.sampled_from(list(ServiceSignal)),
+    "tcp_ports": st.none() | _subsets((22, 80)),
+    "udp_ports": _subsets((22, 53)),
+    "links": st.none() | _subsets(("commercial1", "internet2")),
+    "exclude_sources": _subsets(CLIENTS),
+})
+
+
+class TestHeaderRule:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        records=st.lists(_headers(), max_size=60), cuts=_CUTS,
+        config=_CONFIGS,
+    )
+    @example(
+        records=[event("synack", time=2.0), event("syn", time=1.0),
+                 event("ack", time=3.0), event("reply"), event("noise")],
+        cuts=[1, 2],
+        config=dict(signal=ServiceSignal.HANDSHAKE, tcp_ports=None,
+                    udp_ports=frozenset({53}), links=None,
+                    exclude_sources=frozenset()),
+    )
+    def test_rule_rows_fold_to_the_table_every_row_folds_to(
+        self, records, cuts, config
+    ):
+        """What the router keeps of a batch (``readable_mask``) is all
+        any table reads: observing only those rows leaves the table it
+        leaves observing every row, pickled byte for byte."""
+        every = PassiveServiceTable(is_campus=is_campus, **config)
+        read = PassiveServiceTable(is_campus=is_campus, **config)
+        for cols in batches(records, cuts):
+            every.observe_columns(cols)
+            read.observe_columns(
+                cols.compress(readable_mask(cols.proto, cols.flags))
+            )
+        assert pickle.dumps(table_state(read)) == pickle.dumps(
+            table_state(every)
+        )

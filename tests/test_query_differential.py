@@ -270,3 +270,25 @@ def test_reads_encode_each_row_at_most_once_per_snapshot(
         # "/services" lists every row: each is encoded exactly once.
         assert len(this_version) == endpoints
         assert len(set(this_version)) == endpoints
+
+
+def test_listing_memo_stays_bounded_under_hostile_since(final_snapshot):
+    """A snapshot keeps the first ``LISTING_MEMO`` listings it answers
+    and answers an equal query from them; a flood of distinct ``since=``
+    values is answered right and grows the memo no further."""
+    fields = {
+        field.name: getattr(final_snapshot, field.name)
+        for field in dataclasses.fields(final_snapshot)
+    }
+    indexed, reference = both(fields)
+    queries = [dict(since=float(since)) for since in range(0, 4000, 3)]
+    queries += [dict(proto=PROTO_TCP, since=hours(48), limit=100),
+                dict(limit=25), dict(since=float("nan"))]
+    for query in queries + queries:  # the second round can hit the memo
+        same(indexed.services(**query), reference.services(**query))
+    assert len(indexed._listings) == snapshot_module.LISTING_MEMO
+    kept = indexed._listing(None, None, 0.0, None)
+    assert indexed._listing(None, None, -0.0, None) is kept
+    late = indexed._listing(None, None, 3999.0, None)
+    assert indexed._listing(None, None, 3999.0, None) is not late
+    assert len(indexed._listings) == snapshot_module.LISTING_MEMO

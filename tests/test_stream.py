@@ -17,6 +17,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.net.packet import PROTO_TCP, PROTO_UDP
@@ -99,17 +100,25 @@ class TestShardRouting:
         self, small_dtcp18, record_sample, shards
     ):
         is_campus = small_dtcp18.is_campus
-        parts = split_columns(
-            RecordColumns.from_records(record_sample), is_campus, shards
-        )
+        batch = RecordColumns.from_records(record_sample)
+        parts = split_columns(batch, is_campus, shards)
         assert len(parts) == shards
-        assert sum(len(part) for part in parts) == len(record_sample)
-        # Each part is exactly the per-record routing rule's sub-stream,
-        # in stream order.
+        # The routed parts stand for every record ...
+        assert sum(map(len, route_columns(batch, is_campus, shards))) == len(
+            record_sample
+        )
+        # ... and each carries exactly the per-record routing rule's
+        # sub-stream of the rows a passive rule reads, in stream order.
+        read = [
+            record for record in record_sample
+            if record.proto == PROTO_UDP
+            or (record.proto == PROTO_TCP and int(record.flags) & 0x10)
+        ]
+        assert 0 < sum(map(len, parts)) == len(read) < len(record_sample)
         for index, part in enumerate(parts):
             assert part.to_records() == [
                 record
-                for record in record_sample
+                for record in read
                 if shard_of(owning_address(record, is_campus), shards) == index
             ]
 
@@ -630,18 +639,20 @@ class TestCheckpointResume:
         assert second.stats.seen == uninterrupted.stats.seen
 
 
-def request_mark(ingestor, index, mark):
-    """Queue mark *index* on every shard thread; the returned answer
-    slots stay ``None`` until :func:`collect_marks` files a reply."""
-    ingestor.request(("mark", index, mark))
-    return [None] * ingestor.shards
+def request_marks(ingestor, index, marks):
+    """Queue marks *index* on as one request on every shard thread; the
+    returned answer slots (one list per mark) stay ``None`` until
+    :func:`collect_marks` files a reply."""
+    ingestor.request(("marks", index, tuple(marks)))
+    return [[None] * ingestor.shards for _ in marks]
 
 
 def collect_marks(ingestor, answers):
     """File every mark reply the shard threads have put out so far."""
     while not ingestor.replies.empty():
         for _kind, index, shard, answer in ingestor.replies.get_nowait():
-            answers[index][shard] = answer
+            for offset, passive in enumerate(answer):
+                answers[index + offset][shard] = passive
 
 
 class RecordingTransport:
@@ -691,21 +702,18 @@ class RecordingTransport:
     def poll(self):
         pass
 
-    def request_mark(self, index, mark):
-        self.log.append(("mark", index))
-        self.unanswered.append(mark)
+    def request_marks(self, index, marks):
+        self.log.append(("marks", index))
+        self.unanswered.extend(marks)
 
     def completed_marks(self, wait=False):
         if not wait:
             return []
-        marks, self.unanswered = self.unanswered, []
-        return [
-            set().union(*(
-                servant.handle(("mark", index, mark))
-                for servant in self.servants
-            ))
-            for index, mark in enumerate(marks)
+        marks, self.unanswered = tuple(self.unanswered), []
+        answers = [
+            servant.handle(("marks", 0, marks)) for servant in self.servants
         ]
+        return [set().union(*passive) for passive in zip(*answers)]
 
     def snapshot_payloads(self):
         self.log.append(("snapshot",))
@@ -797,7 +805,7 @@ class TestDriverContract:
         assert result.report == drive.engine.run().report
 
         # Between two feeds: advance -> marks -> snapshot -> checkpoint.
-        rank = {"advance": 0, "mark": 1, "snapshot": 2, "publish": 2,
+        rank = {"advance": 0, "marks": 1, "snapshot": 2, "publish": 2,
                 "checkpoint": 3}
         batches, seen_all = [], False
         for entry in log:
@@ -838,8 +846,8 @@ class TestDriverContract:
         assert resumed.watermarks == reference.watermarks
         assert log[0] == ("start", saved["records_read"])
         assert next(e for e in log if e[0] == "feed")[1] > saved["records_read"]
-        assert next(e for e in log if e[0] == "mark") == (
-            "mark", saved["emitted_index"]
+        assert next(e for e in log if e[0] == "marks") == (
+            "marks", saved["emitted_index"]
         )
         # Checkpoints continue at the next boundary, not with a repeat.
         assert [e[1] for e in log if e[0] == "checkpoint"] == [
@@ -856,6 +864,37 @@ class TestDriverContract:
         names = [entry[0] for entry in log]
         assert names[-1] == "close"
         assert "finish" not in names and "clear" not in names
+
+
+#: First-seen times with ties, signed zeros, infinities and NaN.
+_SEEN = st.sampled_from((-0.0, 0.0, 1.0, 2.0)) | st.floats()
+#: Marks: stream times, never NaN.
+_MARKS = st.sampled_from((-0.0, 0.0, 1.0, 2.0)) | st.floats(allow_nan=False)
+
+
+class TestMarksAnswer:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        first_seen=st.dictionaries(
+            st.tuples(
+                st.sampled_from((1, 2, 3)) | st.integers(0, 0xFFFF_FFFF),
+                st.sampled_from((22, 53, 80)),
+                st.sampled_from((PROTO_TCP, PROTO_UDP)),
+            ),
+            _SEEN, max_size=40,
+        ),
+        marks=st.lists(_MARKS, max_size=8),
+    )
+    def test_one_pass_answers_each_mark_by_its_definition(
+        self, first_seen, marks
+    ):
+        """A ``marks`` request's answer holds, per mark, exactly
+        :meth:`ShardState.addresses_by` of that mark."""
+        state = ShardState(0, PassiveServiceTable(is_campus=lambda _: True))
+        state.table.first_seen.update(first_seen)
+        expected = [state.addresses_by(mark) for mark in marks]
+        assert state.addresses_by_marks(marks) == expected
+        assert ShardServant(state).handle(("marks", 5, tuple(marks))) == expected
 
 
 class TestInBandMarks:
@@ -896,7 +935,7 @@ class TestInBandMarks:
             transport.feed(
                 self._parts(small_dtcp18, record_sample), len(record_sample)
             )
-            transport.request_mark(0, mark)
+            transport.request_marks(0, [mark])
             assert not release.is_set()  # both calls returned while blocked
             assert transport.completed_marks() == []
             release.set()
@@ -954,8 +993,8 @@ class TestInBandMarks:
                 ingestor.dispatch(
                     split_columns(chunk, small_dtcp18.is_campus, shards)
                 )
-                answers.append(
-                    request_mark(ingestor, len(answers), float(chunk.time[-1]))
+                answers += request_marks(
+                    ingestor, len(answers), [float(chunk.time[-1])]
                 )
             ingestor.close()
             collect_marks(ingestor, answers)
@@ -1029,7 +1068,7 @@ class TestInBandMarks:
         transport.states[1].observe_columns = explode
         requests = {
             "mark": (
-                lambda: transport.request_mark(0, record_sample[-1].time),
+                lambda: transport.request_marks(0, [record_sample[-1].time]),
                 lambda: transport.completed_marks(wait=True),
             ),
             "checkpoint": (
@@ -1128,12 +1167,10 @@ class TestInBandMarks:
         assert all(len(part) for routed in parts for part in routed)
         try:
             ingestor.dispatch(parts[0])
-            # No room is left for a part: a mark that needed some would
-            # raise IngestStallError here.
-            answers = [
-                request_mark(ingestor, index, mark)
-                for index, mark in enumerate(marks)
-            ]
+            # No room is left for a part: a request that needed some
+            # would raise IngestStallError here.
+            answers = request_marks(ingestor, 0, marks[:1])
+            answers += request_marks(ingestor, 1, marks[1:])
             with pytest.raises(IngestStallError) as excinfo:
                 ingestor.dispatch(parts[1])
             assert excinfo.value.index == 0
@@ -1166,16 +1203,16 @@ class TestInBandMarks:
         engine = StreamEngine(config, dataset=small_dtcp18)
         release = threading.Event()
         owed_at_stop = []
-        answer = ShardState.addresses_by
-        request_mark = _ThreadTransport.request_mark
+        answer = ShardState.addresses_by_marks
+        request_marks = _ThreadTransport.request_marks
         completed_marks = _ThreadTransport.completed_marks
 
-        def held_answer(state, mark):
+        def held_answer(state, marks):
             release.wait(10.0)
-            return answer(state, mark)
+            return answer(state, marks)
 
-        def stop_at_first_mark(transport, index, mark):
-            request_mark(transport, index, mark)
+        def stop_at_first_mark(transport, index, marks):
+            request_marks(transport, index, marks)
             engine.request_stop()
 
         def completed(transport, wait=False):
@@ -1185,8 +1222,8 @@ class TestInBandMarks:
             return completed_marks(transport, wait)
 
         with monkeypatch.context() as patch:
-            patch.setattr(ShardState, "addresses_by", held_answer)
-            patch.setattr(_ThreadTransport, "request_mark", stop_at_first_mark)
+            patch.setattr(ShardState, "addresses_by_marks", held_answer)
+            patch.setattr(_ThreadTransport, "request_marks", stop_at_first_mark)
             patch.setattr(_ThreadTransport, "completed_marks", completed)
             with pytest.raises(KeyboardInterrupt, match="checkpoint saved"):
                 engine.run()
@@ -1358,7 +1395,7 @@ class TestIngestor:
         ]
         timings(queue_chunks=4)
         ingestor = StreamIngestor(states)
-        parts = split_columns(
+        parts = route_columns(
             RecordColumns.from_records(record_sample), small_dtcp18.is_campus, 2
         )
         ingestor.dispatch(parts)

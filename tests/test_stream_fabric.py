@@ -636,7 +636,7 @@ def test_fabric_worker_owing_only_an_ack_is_failed_over(
 ):
     """The end-of-stream mark comes after every row: a worker wedged in
     it has folded all it was sent and owes that ack alone."""
-    _slow_first_answer(monkeypatch, "mark", 30.0)
+    _slow_first_answer(monkeypatch, "marks", 30.0)
     events = []
     result = FabricSupervisor(
         _config(shards=2, emit_every=None), FabricConfig(),

@@ -349,7 +349,7 @@ class TestFabricTracePropagation:
         assert all(r["kind"] == "span" and r["dur"] >= 0 for r in batches)
         assert batches[-1]["fields"]["records"] > 0
         assert not any(r["name"] == "worker.batch" for r in events)
-        assert any(r["name"] == "worker.mark" for r in events)
+        assert any(r["name"] == "worker.marks" for r in events)
 
         # The merged view is loadable and narrates the failover.
         path, count = write_chrome_trace(tmp_path)
